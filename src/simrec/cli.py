@@ -197,9 +197,11 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, _config_overrides(args))
     out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
     train_sents = load_corpus(args.train)
     dev_sents = load_corpus(args.dev)
+    if not dev_sents:
+        raise ValueError(f"{args.dev}: empty dev corpus; model selection needs dev sentences")
+    os.makedirs(out_dir, exist_ok=True)
     vocab = build_vocab(train_sents, min_freq=cfg.min_freq)
     enc_config = cfg.encoder_config()
     train_config = cfg.train_config()

@@ -1,11 +1,12 @@
 """Joint training of the decoding-order models with ensemble distillation.
 
 Each batch runs every model forward, sums their per-token tag logits into a
-constant ensemble target, and optimizes each model on
+constant ensemble target, and optimizes each model on the batch mean of
 lambda * supervised + (1 - lambda) * KL(ensemble || model), where lambda
 rises linearly from 0 to 1 over training (direction and fixed values are
-configurable). Model selection afterwards keeps the single model with the
-best dev extraction F1.
+configurable). A model sees the whole batch as one joined graph, so each
+batch builds one tape per model. Model selection afterwards keeps the
+single model with the best dev extraction F1.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensorcore as tc
 from .corpus import TAG_VALUES, AnnotatedSentence, Vocabulary
-from .encoder import EncoderConfig, encode_graph
+from .encoder import EncoderConfig, as_batch, encode_graph
 from .evalkit import PRF, score_classification, score_extraction
-from .hetgraph import GraphOptions, HeteroGraph, build_graph
+from .hetgraph import BlockGraph, GraphOptions, HeteroGraph, build_graph, join_graphs
 from .heads import (
     CLASS_LITERAL,
     CLASS_SIMILE,
@@ -116,30 +118,33 @@ def build_bundle(
 
 @dataclass
 class SentenceForward:
-    cls_dist: DiffArray  # (1, 2)
+    cls_dist: DiffArray  # (B, 2), one row per sentence
     tag_fwd: TagForward
-    tag_dist: DiffArray  # (N, 3)
+    tag_dist: DiffArray  # (N, 3) over the words of all B sentences
 
 
 def forward_sentence(
     model: SimileModel,
-    sentence: AnnotatedSentence,
-    graph: HeteroGraph,
+    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
+    graph: HeteroGraph | BlockGraph,
     vocab: Vocabulary,
     teacher_forcing: bool = True,
 ) -> SentenceForward:
-    g_final = encode_graph(sentence, graph, vocab, model.enc, model.config)[-1]
+    """One model's forward pass over a sentence, or over a batch of sentences
+    and the graph ``join_graphs`` made of theirs."""
+    sents = as_batch(sentences)
+    g_final = encode_graph(sents, graph, vocab, model.enc, model.config)[-1]
     cls_dist = classify(g_final, graph, model.head)
     words = word_states(g_final, graph)
-    gold = sentence.tags if teacher_forcing else None
-    tag_fwd = forward_tagger(model, words, gold)
+    gold = [t for s in sents for t in s.tags] if teacher_forcing else None
+    tag_fwd = forward_tagger(model, words, gold, graph.word_counts)
     tag_dist = tc.softmax(tag_fwd.final_logits, axis=-1)
     return SentenceForward(cls_dist=cls_dist, tag_fwd=tag_fwd, tag_dist=tag_dist)
 
 
 def supervised_loss(
     out: SentenceForward,
-    sentence: AnnotatedSentence,
+    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
     alpha: float,
     aux_weight: float = 1.0,
 ) -> DiffArray:
@@ -147,11 +152,13 @@ def supervised_loss(
 
     The tagging loss sums per-token cross entropy of the final 3-way
     distribution; sequential models add their first-stage 2-way cross
-    entropy, scaled by aux_weight, into the same term.
+    entropy, scaled by aux_weight, into the same term.  Over a batch both
+    terms are sums over its sentences.
     """
-    gold_class = CLASS_SIMILE if sentence.is_simile else CLASS_LITERAL
-    j_sc = tc.cross_entropy(out.cls_dist, gold_class)
-    gold_ids = [TAG_TO_ID[t] for t in sentence.tags]
+    sents = as_batch(sentences)
+    gold_classes = [CLASS_SIMILE if s.is_simile else CLASS_LITERAL for s in sents]
+    j_sc = tc.cross_entropy(out.cls_dist, gold_classes)
+    gold_ids = [TAG_TO_ID[t] for s in sents for t in s.tags]
     j_ce = tc.cross_entropy_rows(out.tag_dist, gold_ids)
     if out.tag_fwd.first_logits is not None:
         first_dist = tc.softmax(out.tag_fwd.first_logits, axis=-1)
@@ -178,10 +185,17 @@ def ensemble_distribution(*logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_to_ensemble(tag_dist: DiffArray, ensemble: np.ndarray) -> DiffArray:
-    """Mean over tokens of KL(ensemble || model); target is constant."""
-    n = tag_dist.data.shape[0]
-    return tc.scale(tc.kl_divergence(ensemble, tag_dist), 1.0 / n)
+def kl_to_ensemble(
+    tag_dist: DiffArray, ensemble: np.ndarray, word_counts: np.ndarray | None = None
+) -> DiffArray:
+    """Mean over tokens of KL(ensemble || model); target is constant.
+
+    ``word_counts`` splits the rows into sentences: each takes the mean over
+    its own tokens and the batch the sum of those means.
+    """
+    counts = [tag_dist.data.shape[0]] if word_counts is None else word_counts
+    per_row = np.repeat(1.0 / np.asarray(counts, dtype=np.float64), counts)
+    return tc.kl_divergence(ensemble, tag_dist, per_row)
 
 
 def lambda_at(step: int, total_steps: int) -> float:
@@ -244,6 +258,14 @@ def train(
     config.validate()
     if not train_sents:
         raise ValueError("train: empty training corpus")
+    limit = bundle.config.max_tokens
+    for corpus_name, corpus in (("train", train_sents), ("dev", dev_sents)):
+        for i, sent in enumerate(corpus):
+            if len(sent.tokens) > limit:
+                raise ValueError(
+                    f"train: {corpus_name} sentence {i} has {len(sent.tokens)} tokens, "
+                    f"max_tokens is {limit}"
+                )
     if config.restore_best and dev_sents and len(bundle.models) > 1:
         enc_ids = {id(model.enc["tok_emb"]) for model in bundle.models.values()}
         if len(enc_ids) < len(bundle.models):
@@ -318,38 +340,29 @@ def _batch_step(
     lam: float,
     config: TrainConfig,
 ) -> dict[str, float]:
+    """One optimizer step per model; each model's batch is one tape over the
+    batch's joined graph."""
+    batch_sents = [sents[i] for i in batch]
+    block = join_graphs([graphs[i] for i in batch])
     outs = {
-        name: [
-            forward_sentence(model, sents[i], graphs[i], bundle.vocab)
-            for i in batch
-        ]
+        name: forward_sentence(model, batch_sents, block, bundle.vocab)
         for name, model in bundle.models.items()
     }
-    targets = None
+    target = None
     if lam < 1.0:
-        targets = [
-            ensemble_distribution(
-                *(outs[name][j].tag_fwd.final_logits.data for name in bundle.models)
-            )
-            for j in range(len(batch))
-        ]
+        target = ensemble_distribution(
+            *(outs[name].tag_fwd.final_logits.data for name in bundle.models)
+        )
     losses: dict[str, DiffArray] = {}
-    for name in bundle.models:
-        terms = []
-        for j, i in enumerate(batch):
-            sup = supervised_loss(outs[name][j], sents[i], config.alpha,
-                                  config.aux_weight)
-            if lam >= 1.0:
-                terms.append(sup)
-            else:
-                kl = kl_to_ensemble(outs[name][j].tag_dist, targets[j])
-                if lam <= 0.0:
-                    terms.append(kl)
-                else:
-                    terms.append(tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam)))
-        total = terms[0]
-        for t in terms[1:]:
-            total = tc.add(total, t)
+    for name, out in outs.items():
+        if lam >= 1.0:
+            total = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
+        elif lam <= 0.0:
+            total = kl_to_ensemble(out.tag_dist, target, block.word_counts)
+        else:
+            sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
+            kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
+            total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
         losses[name] = tc.scale(total, 1.0 / len(batch))
     # All backwards run before any update so shared weights see the full
     # gradient; the optimizer then consumes (and clears) each gradient once.

@@ -7,18 +7,23 @@ connections. Noun states are then augmented with pooled dictionary-gloss
 embeddings, node states are initialized from token states (subsentence
 nodes pool their token range), and L graph-attention layers propagate
 information along the typed edges.
+
+A batch of sentences is encoded at once over its joined graph
+(``hetgraph.join_graphs``), each token attending only within its own
+sentence; a single sentence is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorcore as tc
 from .corpus import CLS_TOKEN, SEP_TOKEN, AnnotatedSentence, Vocabulary
-from .hetgraph import HeteroGraph
+from .hetgraph import BlockGraph, HeteroGraph
 from .tensorcore import DiffArray, ParamStore
 
 
@@ -95,23 +100,43 @@ def init_encoder_params(
     return p
 
 
+def as_batch(
+    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
+) -> list[AnnotatedSentence]:
+    """A sentence, or a batch of sentences, as a list; one sentence is a batch of one."""
+    if isinstance(sentences, AnnotatedSentence):
+        return [sentences]
+    return list(sentences)
+
+
 def encode_tokens(
-    sentence: AnnotatedSentence,
+    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
     vocab: Vocabulary,
     params: dict[str, DiffArray],
     config: EncoderConfig,
 ) -> DiffArray:
-    """Contextual states, one row per position: CLS, tokens 1..N, SEP."""
-    n = len(sentence.tokens)
-    if n > config.max_tokens:
-        raise ValueError(f"sentence has {n} tokens, limit is {config.max_tokens}")
-    ids = (
-        [vocab.token_to_id[CLS_TOKEN]]
-        + [vocab.token_id(t.surface) for t in sentence.tokens]
-        + [vocab.token_to_id[SEP_TOKEN]]
-    )
+    """Contextual states, one block of rows per sentence: CLS, tokens 1..N, SEP.
+
+    A batch attends block-diagonally: one score matrix over all of its rows,
+    with each row's softmax restricted to its own sentence's block.
+    """
+    sents = as_batch(sentences)
+    ids: list[int] = []
+    positions: list[int] = []
+    for sent in sents:
+        n = len(sent.tokens)
+        if n > config.max_tokens:
+            raise ValueError(f"sentence has {n} tokens, limit is {config.max_tokens}")
+        ids.append(vocab.token_to_id[CLS_TOKEN])
+        ids.extend(vocab.token_id(t.surface) for t in sent.tokens)
+        ids.append(vocab.token_to_id[SEP_TOKEN])
+        positions.extend(range(n + 2))
+    mask = None
+    if len(sents) > 1:
+        owner = np.repeat(np.arange(len(sents)), [len(s.tokens) + 2 for s in sents])
+        mask = owner[:, None] == owner[None, :]
     rows = tc.pick_rows(params["tok_emb"], ids)
-    pos = tc.pick_rows(params["pos_emb"], list(range(len(ids))))
+    pos = tc.pick_rows(params["pos_emb"], positions)
     h = tc.add(rows, pos)
     inv_sqrt_d = 1.0 / math.sqrt(config.d_model)
     for layer in range(config.n_selfattn_layers):
@@ -119,58 +144,50 @@ def encode_tokens(
         k = tc.matmul(h, params[f"sa{layer}/wk"])
         v = tc.matmul(h, params[f"sa{layer}/wv"])
         scores = tc.scale(tc.matmul(q, tc.transpose(k)), inv_sqrt_d)
-        att = tc.softmax(scores, axis=-1)
+        att = tc.softmax(scores, axis=-1, mask=mask)
         h = tc.add(h, tc.matmul(att, v))
     return h
 
 
 def fuse_definitions(
-    sentence: AnnotatedSentence,
+    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
     h: DiffArray,
     vocab: Vocabulary,
     params: dict[str, DiffArray],
 ) -> DiffArray:
     """Add a projected mean-pooled gloss embedding to each glossed noun row."""
-    if not sentence.glosses:
+    gloss_ids: list[int] = []
+    pool_ids: list[int] = []
+    noun_rows: list[int] = []
+    first_row = 0  # the CLS row of the current sentence in h
+    for sent in as_batch(sentences):
+        for i in sorted(sent.glosses):
+            gloss = sent.glosses[i]
+            gloss_ids.extend(vocab.token_id(w) for w in gloss)
+            pool_ids.extend([len(noun_rows)] * len(gloss))
+            # Token i sits i rows below its sentence's CLS row.
+            noun_rows.append(first_row + i)
+        first_row += len(sent.tokens) + 2
+    if not noun_rows:
         return h
-    noun_indices = sorted(sentence.glosses)
-    pooled = []
-    for i in noun_indices:
-        gloss_ids = [vocab.token_id(w) for w in sentence.glosses[i]]
-        pooled.append(tc.mean_pool(tc.pick_rows(params["tok_emb"], gloss_ids),
-                                   list(range(len(gloss_ids)))))
-    stacked = pooled[0] if len(pooled) == 1 else tc.concat(pooled, axis=0)
-    delta = tc.add(tc.matmul(stacked, params["gloss/w"]), params["gloss/b"])
-    # Token i sits at row i of h (row 0 is the CLS surrogate).
-    return tc.add_rows_at(h, noun_indices, delta)
+    pooled = tc.mean_pool(params["tok_emb"], gloss_ids, pool_ids, len(noun_rows))
+    delta = tc.add(tc.matmul(pooled, params["gloss/w"]), params["gloss/b"])
+    return tc.add_rows_at(h, noun_rows, delta)
 
 
-def init_node_states(h: DiffArray, graph: HeteroGraph) -> DiffArray:
+def init_node_states(h: DiffArray, graph: HeteroGraph | BlockGraph) -> DiffArray:
     """g^(0): word node i takes h_i; subsentence nodes mean-pool their range.
 
     A merged graph has one global node instead of the two subsentence
-    nodes; it starts from the CLS-surrogate state (row 0 of h).
+    nodes; it starts from the CLS-surrogate state (row 0 of h).  The graph
+    lists these rows (``pool_rows``), so a joined batch pools in one op.
     """
-    n = graph.n_tokens
-    words = tc.pick_rows(h, list(range(1, n + 1)))
-    if graph.merged:
-        whole = tc.pick_rows(h, [0])
-        return tc.concat([whole, words], axis=0)
-    left = tc.mean_pool(h, _range_rows(graph.left_range))
-    right = tc.mean_pool(h, _range_rows(graph.right_range))
-    return tc.concat([left, words, right], axis=0)
-
-
-def _range_rows(token_range: tuple[int, int] | None) -> list[int]:
-    if token_range is None:
-        return []
-    lo, hi = token_range
-    return list(range(lo, hi + 1))
+    return tc.mean_pool(h, graph.pool_rows, graph.pool_nodes, graph.n_nodes)
 
 
 def gat_layer(
     g: DiffArray,
-    graph: HeteroGraph,
+    graph: HeteroGraph | BlockGraph,
     params: dict[str, DiffArray],
     layer: int,
     config: EncoderConfig,
@@ -190,22 +207,25 @@ def gat_layer(
     feat = tc.concat([tc.pick_rows(q, graph.dst_ids), tc.pick_rows(k, graph.src_ids), e],
                      axis=1)
     z = tc.leaky_relu(tc.matmul(feat, params[f"gat{layer}/wa"]), config.leaky_slope)
-    alpha = tc.segment_softmax(tc.reshape(z, (len(graph.edges),)), graph.dst_ids, m)
+    alpha = tc.segment_softmax(tc.reshape(z, (len(graph.src_ids),)), graph.dst_ids, m)
     agg = tc.segment_aggregate(alpha, v, graph.src_ids, graph.dst_ids, m)
     return tc.sigmoid(agg)
 
 
 def encode_graph(
-    sentence: AnnotatedSentence,
-    graph: HeteroGraph,
+    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
+    graph: HeteroGraph | BlockGraph,
     vocab: Vocabulary,
     params: dict[str, DiffArray],
     config: EncoderConfig,
 ) -> list[DiffArray]:
-    """Full pipeline; returns node states per layer, g^(0) through g^(L)."""
-    h = encode_tokens(sentence, vocab, params, config)
+    """Full pipeline; returns node states per layer, g^(0) through g^(L).
+
+    A batch passes its sentences with their ``join_graphs`` graph.
+    """
+    h = encode_tokens(sentences, vocab, params, config)
     if config.use_gloss_fusion:
-        h = fuse_definitions(sentence, h, vocab, params)
+        h = fuse_definitions(sentences, h, vocab, params)
     states = [init_node_states(h, graph)]
     for layer in range(config.n_gat_layers):
         states.append(gat_layer(states[-1], graph, params, layer, config))

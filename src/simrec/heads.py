@@ -14,6 +14,7 @@ element-wise absolute difference, projected into a label-embedding space.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .encoder import (
     glorot,
     init_encoder_params,
 )
-from .hetgraph import HeteroGraph
+from .hetgraph import BlockGraph, HeteroGraph
 from .tensorcore import DiffArray, ParamStore
 
 CLASSES = ("literal", "simile")
@@ -146,17 +147,21 @@ def init_model(
 # heads
 # ---------------------------------------------------------------------------
 
-def classify(g_final: DiffArray, graph: HeteroGraph, head: dict[str, DiffArray]) -> DiffArray:
-    """(1, 2) distribution over {literal, simile} from the subsentence states."""
-    g_left = tc.pick_rows(g_final, [graph.left_node])
-    g_right = tc.pick_rows(g_final, [graph.right_node])
+def classify(
+    g_final: DiffArray, graph: HeteroGraph | BlockGraph, head: dict[str, DiffArray]
+) -> DiffArray:
+    """Distribution over {literal, simile} from the subsentence states, one
+    (1, 2) row per sentence of the graph."""
+    g_left = tc.pick_rows(g_final, graph.left_nodes)
+    g_right = tc.pick_rows(g_final, graph.right_nodes)
     feat = tc.concat([g_left, g_right, tc.abs_(tc.sub(g_left, g_right))], axis=1)
     logits = tc.matmul(tc.matmul(feat, head["cls/w"]), tc.transpose(head["cls/emb"]))
     return tc.softmax(logits, axis=-1)
 
 
-def word_states(g_final: DiffArray, graph: HeteroGraph) -> DiffArray:
-    return tc.pick_rows(g_final, list(range(1, graph.n_tokens + 1)))
+def word_states(g_final: DiffArray, graph: HeteroGraph | BlockGraph) -> DiffArray:
+    """The word rows of every sentence, sentence by sentence."""
+    return tc.pick_rows(g_final, graph.word_nodes)
 
 
 def tag_logits_parallel(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
@@ -167,16 +172,37 @@ def tag_logits_first(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
     return tc.add(tc.matmul(words, head["first/w"]), head["first/b"])
 
 
-def pool_component(words: DiffArray, row_indices: list[int]) -> DiffArray:
-    """Mean state over the selected word rows; zero row when none selected."""
-    return tc.mean_pool(words, row_indices)
+def _counts(words: DiffArray, word_counts: np.ndarray | None) -> np.ndarray:
+    """Words per sentence; without counts all rows are one sentence."""
+    if word_counts is None:
+        return np.array([words.data.shape[0]], dtype=np.int64)
+    return np.asarray(word_counts, dtype=np.int64)
+
+
+def pool_component(
+    words: DiffArray, row_indices: list[int], word_counts: np.ndarray | None = None
+) -> DiffArray:
+    """Per sentence, the mean state of its selected word rows; a zero row
+    for a sentence with none selected.
+
+    ``words`` stacks the word rows of sentences with ``word_counts`` words
+    each (one sentence by default).
+    """
+    counts = _counts(words, word_counts)
+    rows = np.asarray(row_indices, dtype=np.int64)
+    sentence_of = np.repeat(np.arange(counts.size), counts)
+    return tc.mean_pool(words, rows, sentence_of[rows], counts.size)
 
 
 def tag_logits_second(
-    words: DiffArray, g_c1: DiffArray, head: dict[str, DiffArray]
+    words: DiffArray,
+    g_c1: DiffArray,
+    head: dict[str, DiffArray],
+    word_counts: np.ndarray | None = None,
 ) -> DiffArray:
-    n = words.data.shape[0]
-    feat = tc.concat([words, tc.repeat_row(g_c1, n)], axis=1)
+    """Second stage: each word row next to its sentence's pooled component."""
+    cond = tc.repeat_row(g_c1, _counts(words, word_counts))
+    feat = tc.concat([words, cond], axis=1)
     return tc.add(tc.matmul(feat, head["second/w"]), head["second/b"])
 
 
@@ -197,12 +223,15 @@ class TagForward:
 def forward_tagger(
     model: SimileModel,
     words: DiffArray,
-    gold_tags: tuple[str, ...] | None,
+    gold_tags: Sequence[str] | None,
+    word_counts: np.ndarray | None = None,
 ) -> TagForward:
-    """Final 3-way logits for any mode.
+    """Final 3-way logits for any mode, over the word rows of a batch.
 
-    Sequential modes pool the first component from gold tags when provided
-    (teacher forcing) and from the first stage's argmax otherwise.
+    ``word_counts`` splits the rows into sentences (one by default), and
+    ``gold_tags`` runs over all of them.  Sequential modes pool each
+    sentence's first component from gold tags when provided (teacher
+    forcing) and from the first stage's argmax otherwise.
     """
     if model.mode == "parallel":
         return TagForward(final_logits=tag_logits_parallel(words, model.head))
@@ -215,8 +244,8 @@ def forward_tagger(
         picked = first_logits.data.argmax(axis=1)
         rows = [i for i, c in enumerate(picked) if c == FIRST_C1]
         first_golds = None
-    g_c1 = pool_component(words, rows)
-    final_logits = tag_logits_second(words, g_c1, model.head)
+    g_c1 = pool_component(words, rows, word_counts)
+    final_logits = tag_logits_second(words, g_c1, model.head, word_counts)
     return TagForward(
         final_logits=final_logits, first_logits=first_logits, first_golds=first_golds
     )

@@ -9,10 +9,16 @@ Dependency arcs become bidirectional edges sharing one label; nouns emit a
 directed edge to each subsentence node labeled by containment (``con`` for
 the side holding the noun, ``not-con`` for the other).  Every node carries
 a self-loop so no attention neighborhood is empty.
+
+A training batch is one graph: ``join_graphs`` places the batch's graphs
+side by side, PyTorch Geometric style, shifting each sentence's node ids
+and token rows past those of the sentences before it.  A single graph is
+a batch of one and is used as it is.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -73,10 +79,17 @@ class HeteroGraph:
     right_range: tuple[int, int] | None
     merged: bool
     n_edge_labels: int
-    # dense views for the encoder
+    # dense views for the encoder, the same fields a BlockGraph carries;
+    # token row 0 is the CLS surrogate, row i is word i, row N+1 the SEP
     src_ids: np.ndarray = field(repr=False, default=None)
     dst_ids: np.ndarray = field(repr=False, default=None)
     label_ids: np.ndarray = field(repr=False, default=None)
+    word_nodes: np.ndarray = field(repr=False, default=None)
+    word_counts: np.ndarray = field(repr=False, default=None)
+    left_nodes: np.ndarray = field(repr=False, default=None)
+    right_nodes: np.ndarray = field(repr=False, default=None)
+    pool_rows: np.ndarray = field(repr=False, default=None)
+    pool_nodes: np.ndarray = field(repr=False, default=None)
     _incoming: list[list[tuple[int, EdgeLabel]]] = field(repr=False, default=None)
 
     @property
@@ -95,6 +108,55 @@ class HeteroGraph:
             key = label.display()
             counts[key] = counts.get(key, 0) + 1
         return dict(sorted(counts.items()))
+
+
+@dataclass(frozen=True)
+class BlockGraph:
+    """The graphs of a batch joined into one graph with a block-diagonal adjacency.
+
+    It carries the dense views of a ``HeteroGraph``: edges, the node of each
+    word, and the token rows (``pool_rows``) whose mean starts each node
+    (``pool_nodes``).  Sentence b's node ids and token rows follow those of
+    sentences 0..b-1, and the per-sentence fields (``word_counts``,
+    ``left_nodes``, ``right_nodes``) have one entry per sentence.
+    """
+
+    n_nodes: int
+    src_ids: np.ndarray = field(repr=False)
+    dst_ids: np.ndarray = field(repr=False)
+    label_ids: np.ndarray = field(repr=False)
+    word_nodes: np.ndarray = field(repr=False)
+    word_counts: np.ndarray
+    left_nodes: np.ndarray
+    right_nodes: np.ndarray
+    pool_rows: np.ndarray = field(repr=False)
+    pool_nodes: np.ndarray = field(repr=False)
+
+
+def join_graphs(graphs: Sequence[HeteroGraph]) -> HeteroGraph | BlockGraph:
+    """One graph for a batch; a batch of one is its own graph."""
+    if not graphs:
+        raise ValueError("join_graphs: empty batch")
+    if len(graphs) == 1:
+        return graphs[0]
+    node_off = np.cumsum([0] + [g.n_nodes for g in graphs[:-1]])
+    row_off = np.cumsum([0] + [g.n_tokens + 2 for g in graphs[:-1]])
+
+    def shifted(name: str, offsets: np.ndarray) -> np.ndarray:
+        return np.concatenate([getattr(g, name) + off for g, off in zip(graphs, offsets)])
+
+    return BlockGraph(
+        n_nodes=int(node_off[-1] + graphs[-1].n_nodes),
+        src_ids=shifted("src_ids", node_off),
+        dst_ids=shifted("dst_ids", node_off),
+        label_ids=np.concatenate([g.label_ids for g in graphs]),
+        word_nodes=shifted("word_nodes", node_off),
+        word_counts=np.array([g.n_tokens for g in graphs], dtype=np.int64),
+        left_nodes=shifted("left_nodes", node_off),
+        right_nodes=shifted("right_nodes", node_off),
+        pool_rows=shifted("pool_rows", row_off),
+        pool_nodes=shifted("pool_nodes", node_off),
+    )
 
 
 def edge_label_index(vocab: Vocabulary, top_k: int = 8) -> dict[EdgeLabel, int]:
@@ -182,6 +244,18 @@ def build_graph(
     for src, dst, label in edges:
         incoming[dst].append((src, label))
 
+    # Initial node states pool token rows: a word node its own row, a
+    # subsentence node its side's rows (none when the side is empty), the
+    # merged global node the CLS surrogate.
+    words = list(range(1, n + 1))
+    if opts.no_subsentence_nodes:
+        pools = [(0, [0])] + [(i, [i]) for i in words]
+    else:
+        pools = ([(left_node, _range_rows(left_range))] + [(i, [i]) for i in words]
+                 + [(right_node, _range_rows(right_range))])
+    pool_rows = [r for _, rows in pools for r in rows]
+    pool_nodes = [node for node, rows in pools for _ in rows]
+
     return HeteroGraph(
         n_tokens=n,
         node_kinds=node_kinds,
@@ -195,8 +269,21 @@ def build_graph(
         src_ids=np.array([e[0] for e in edges], dtype=np.int64),
         dst_ids=np.array([e[1] for e in edges], dtype=np.int64),
         label_ids=np.array([label_ids_map[e[2]] for e in edges], dtype=np.int64),
+        word_nodes=np.array(words, dtype=np.int64),
+        word_counts=np.array([n], dtype=np.int64),
+        left_nodes=np.array([left_node], dtype=np.int64),
+        right_nodes=np.array([right_node], dtype=np.int64),
+        pool_rows=np.array(pool_rows, dtype=np.int64),
+        pool_nodes=np.array(pool_nodes, dtype=np.int64),
         _incoming=incoming,
     )
+
+
+def _range_rows(token_range: tuple[int, int] | None) -> list[int]:
+    if token_range is None:
+        return []
+    lo, hi = token_range
+    return list(range(lo, hi + 1))
 
 
 def neighbors(graph: HeteroGraph, node_id: int) -> set[tuple[int, EdgeLabel]]:

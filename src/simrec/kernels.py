@@ -3,8 +3,9 @@
 These inner loops run once per edge per graph-attention layer in both the
 forward and backward pass, which makes them the hottest code in training.
 Each kernel has a numba ``@njit`` build and a pure-numpy fallback; the
-fallback is selected by setting the environment variable ``SIMREC_NO_NUMBA``
-to a truthy value before import (or automatically when numba is absent).
+fallback runs when numba is not installed (it is the optional ``numba``
+extra) or when the environment variable ``SIMREC_NO_NUMBA`` is set to a
+truthy value before import.
 
 All kernels are deterministic: no ``parallel=True``, no ``fastmath``, and
 accumulation follows edge order exactly like ``np.add.at``.
@@ -20,7 +21,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional (the "numba" extra); numpy builds run without it
     HAS_NUMBA = False
 
     def njit(*args, **kwargs):

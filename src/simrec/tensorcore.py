@@ -2,8 +2,11 @@
 
 Every tensor is a float64 ``DiffArray``. Operations build a tape of parent
 links and backward closures; ``backward`` walks the tape in reverse
-topological order and accumulates exact analytic gradients. Non-finite
-values are trapped at the op that produced them.
+topological order and accumulates exact analytic gradients. A closure
+receives its output's gradient as an argument rather than holding the
+output, so the tape has no reference cycles and is freed as soon as its
+loss is dropped. Non-finite values are trapped at the op that produced
+them.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation) dispatch to the compiled kernels in :mod:`simrec.kernels`.
@@ -12,6 +15,7 @@ aggregation) dispatch to the compiled kernels in :mod:`simrec.kernels`.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -30,7 +34,10 @@ EPS_LOG = 1e-12
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    # A NaN or an infinity anywhere makes the sum non-finite, so the sum is
+    # a cheap first test; the element-wise check runs only when it fails,
+    # which also lets through a finite array whose sum overflows.
+    if not math.isfinite(np.add.reduce(data, None)) and not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -100,7 +107,7 @@ def backward(loss: DiffArray) -> None:
     loss.accum_grad(np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +119,9 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
     out = _result(a.data @ b.data, (a, b), None, "matmul")
 
-    def bwd():
-        a.accum_grad(out.grad @ b.data.T)
-        b.accum_grad(a.data.T @ out.grad)
+    def bwd(grad):
+        a.accum_grad(grad @ b.data.T)
+        b.accum_grad(a.data.T @ grad)
 
     out._backward = bwd
     return out
@@ -125,8 +132,8 @@ def transpose(a: DiffArray) -> DiffArray:
         raise ShapeError(f"transpose: expected 2-D, got {a.data.shape}")
     out = _result(a.data.T.copy(), (a,), None, "transpose")
 
-    def bwd():
-        a.accum_grad(out.grad.T)
+    def bwd(grad):
+        a.accum_grad(grad.T)
 
     out._backward = bwd
     return out
@@ -140,12 +147,12 @@ def add(a: DiffArray, b: DiffArray) -> DiffArray:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} + {b.data.shape}")
     out = _result(a.data + b.data, (a, b), None, "add")
 
-    def bwd():
-        a.accum_grad(out.grad)
+    def bwd(grad):
+        a.accum_grad(grad)
         if bias_bcast:
-            b.accum_grad(out.grad.sum(axis=0))
+            b.accum_grad(grad.sum(axis=0))
         else:
-            b.accum_grad(out.grad)
+            b.accum_grad(grad)
 
     out._backward = bwd
     return out
@@ -156,9 +163,9 @@ def sub(a: DiffArray, b: DiffArray) -> DiffArray:
         raise ShapeError(f"sub: incompatible shapes {a.data.shape} - {b.data.shape}")
     out = _result(a.data - b.data, (a, b), None, "sub")
 
-    def bwd():
-        a.accum_grad(out.grad)
-        b.accum_grad(-out.grad)
+    def bwd(grad):
+        a.accum_grad(grad)
+        b.accum_grad(-grad)
 
     out._backward = bwd
     return out
@@ -168,8 +175,8 @@ def scale(a: DiffArray, c: float) -> DiffArray:
     c = float(c)
     out = _result(a.data * c, (a,), None, "scale")
 
-    def bwd():
-        a.accum_grad(out.grad * c)
+    def bwd(grad):
+        a.accum_grad(grad * c)
 
     out._backward = bwd
     return out
@@ -183,11 +190,11 @@ def concat(parts: list[DiffArray], axis: int) -> DiffArray:
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bwd():
+    def bwd(grad):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.grad.ndim
+            idx = [slice(None)] * grad.ndim
             idx[axis] = slice(lo, hi)
-            p.accum_grad(out.grad[tuple(idx)])
+            p.accum_grad(grad[tuple(idx)])
 
     out._backward = bwd
     return out
@@ -196,8 +203,8 @@ def concat(parts: list[DiffArray], axis: int) -> DiffArray:
 def reshape(a: DiffArray, shape: tuple[int, ...]) -> DiffArray:
     out = _result(a.data.reshape(shape), (a,), None, "reshape")
 
-    def bwd():
-        a.accum_grad(out.grad.reshape(a.data.shape))
+    def bwd(grad):
+        a.accum_grad(grad.reshape(a.data.shape))
 
     out._backward = bwd
     return out
@@ -207,8 +214,8 @@ def leaky_relu(a: DiffArray, slope: float = 0.01) -> DiffArray:
     out_data = np.where(a.data > 0, a.data, slope * a.data)
     out = _result(out_data, (a,), None, "leaky_relu")
 
-    def bwd():
-        a.accum_grad(np.where(a.data > 0, 1.0, slope) * out.grad)
+    def bwd(grad):
+        a.accum_grad(np.where(a.data > 0, 1.0, slope) * grad)
 
     out._backward = bwd
     return out
@@ -218,22 +225,28 @@ def sigmoid(a: DiffArray) -> DiffArray:
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = _result(s, (a,), None, "sigmoid")
 
-    def bwd():
-        a.accum_grad(s * (1.0 - s) * out.grad)
+    def bwd(grad):
+        a.accum_grad(s * (1.0 - s) * grad)
 
     out._backward = bwd
     return out
 
 
-def softmax(a: DiffArray, axis: int = -1) -> DiffArray:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> DiffArray:
+    """Softmax along ``axis``.
+
+    Where the constant boolean ``mask`` is False an entry gets probability 0
+    and no gradient; every slice along ``axis`` must keep at least one entry.
+    """
+    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
     out = _result(s, (a,), None, "softmax")
 
-    def bwd():
-        dot = (out.grad * s).sum(axis=axis, keepdims=True)
-        a.accum_grad(s * (out.grad - dot))
+    def bwd(grad):
+        dot = (grad * s).sum(axis=axis, keepdims=True)
+        a.accum_grad(s * (grad - dot))
 
     out._backward = bwd
     return out
@@ -243,8 +256,8 @@ def log(a: DiffArray) -> DiffArray:
     clamped = np.maximum(a.data, EPS_LOG)
     out = _result(np.log(clamped), (a,), None, "log")
 
-    def bwd():
-        a.accum_grad(out.grad / clamped)
+    def bwd(grad):
+        a.accum_grad(grad / clamped)
 
     out._backward = bwd
     return out
@@ -253,8 +266,8 @@ def log(a: DiffArray) -> DiffArray:
 def abs_(a: DiffArray) -> DiffArray:
     out = _result(np.abs(a.data), (a,), None, "abs")
 
-    def bwd():
-        a.accum_grad(np.sign(a.data) * out.grad)
+    def bwd(grad):
+        a.accum_grad(np.sign(a.data) * grad)
 
     out._backward = bwd
     return out
@@ -263,8 +276,8 @@ def abs_(a: DiffArray) -> DiffArray:
 def sum_all(a: DiffArray) -> DiffArray:
     out = _result(np.asarray(a.data.sum()), (a,), None, "sum_all")
 
-    def bwd():
-        a.accum_grad(np.full_like(a.data, out.grad))
+    def bwd(grad):
+        a.accum_grad(np.full_like(a.data, grad))
 
     out._backward = bwd
     return out
@@ -285,45 +298,59 @@ def pick_rows(a: DiffArray, indices) -> DiffArray:
         raise ShapeError(f"pick_rows: index out of range for {a.data.shape[0]} rows")
     out = _result(a.data[idx], (a,), None, "pick_rows")
 
-    def bwd():
+    def bwd(grad):
         a.accum_grad(
-            kernels.scatter_add_rows(idx, out.grad, a.data.shape[0], a.data.shape[1])
+            kernels.scatter_add_rows(idx, grad, a.data.shape[0], a.data.shape[1])
         )
 
     out._backward = bwd
     return out
 
 
-def mean_pool(a: DiffArray, indices) -> DiffArray:
-    """Mean of selected rows as a (1, d) row; empty selection pools to zero."""
+def mean_pool(a: DiffArray, indices, pool_ids=None, n_pools: int = 1) -> DiffArray:
+    """Means of groups of rows, one (n_pools, d) row per group.
+
+    Row ``indices[k]`` joins group ``pool_ids[k]`` (group 0 when no ids are
+    given); a group with no rows pools to zero.
+    """
     if a.data.ndim != 2:
         raise ShapeError(f"mean_pool: expected 2-D, got {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        out = _result(np.zeros((1, a.data.shape[1])), (a,), None, "mean_pool")
-        out._backward = lambda: None
-        return out
-    if idx.min() < 0 or idx.max() >= a.data.shape[0]:
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    pools = (np.zeros(idx.size, dtype=np.int64) if pool_ids is None
+             else np.asarray(pool_ids, dtype=np.int64).reshape(-1))
+    if pools.size != idx.size:
+        raise ShapeError(f"mean_pool: {pools.size} pool ids for {idx.size} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ShapeError(f"mean_pool: index out of range for {a.data.shape[0]} rows")
-    out = _result(a.data[idx].mean(axis=0, keepdims=True), (a,), None, "mean_pool")
+    if pools.size and (pools.min() < 0 or pools.max() >= n_pools):
+        raise ShapeError(f"mean_pool: pool id out of range for {n_pools} pools")
+    # Each picked row is one column of a (n_pools, k) averaging matrix.
+    counts = np.bincount(pools, minlength=n_pools)
+    weights = np.zeros((n_pools, idx.size))
+    weights[pools, np.arange(idx.size)] = 1.0 / counts[pools]
+    out = _result(weights @ a.data[idx], (a,), None, "mean_pool")
 
-    def bwd():
-        share = np.repeat(out.grad / idx.size, idx.size, axis=0)
+    def bwd(grad):
         a.accum_grad(
-            kernels.scatter_add_rows(idx, share, a.data.shape[0], a.data.shape[1])
+            kernels.scatter_add_rows(idx, weights.T @ grad, a.data.shape[0], a.data.shape[1])
         )
 
     out._backward = bwd
     return out
 
 
-def repeat_row(a: DiffArray, n: int) -> DiffArray:
-    if a.data.shape[0] != 1 or a.data.ndim != 2:
-        raise ShapeError(f"repeat_row: expected (1, d), got {a.data.shape}")
-    out = _result(np.repeat(a.data, n, axis=0), (a,), None, "repeat_row")
+def repeat_row(a: DiffArray, counts) -> DiffArray:
+    """Row r of ``a`` repeated ``counts[r]`` times; an int repeats a (1, d) row."""
+    reps = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if a.data.ndim != 2 or reps.size != a.data.shape[0]:
+        raise ShapeError(f"repeat_row: {reps.size} counts for rows of {a.data.shape}")
+    owner = np.repeat(np.arange(reps.size), reps)
+    out = _result(a.data[owner], (a,), None, "repeat_row")
 
-    def bwd():
-        a.accum_grad(out.grad.sum(axis=0, keepdims=True))
+    def bwd(grad):
+        a.accum_grad(
+            kernels.scatter_add_rows(owner, grad, a.data.shape[0], a.data.shape[1])
+        )
 
     out._backward = bwd
     return out
@@ -350,9 +377,9 @@ def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
     out_data[idx] += rows.data
     out = _result(out_data, (base, rows), None, "add_rows_at")
 
-    def bwd():
-        base.accum_grad(out.grad)
-        rows.accum_grad(out.grad[idx])
+    def bwd(grad):
+        base.accum_grad(grad)
+        rows.accum_grad(grad[idx])
 
     out._backward = bwd
     return out
@@ -370,8 +397,8 @@ def segment_softmax(scores: DiffArray, seg: np.ndarray, n_segments: int) -> Diff
     alpha = kernels.segment_softmax(scores.data, seg, n_segments)
     out = _result(alpha, (scores,), None, "segment_softmax")
 
-    def bwd():
-        scores.accum_grad(kernels.segment_softmax_grad(alpha, out.grad, seg, n_segments))
+    def bwd(grad):
+        scores.accum_grad(kernels.segment_softmax_grad(alpha, grad, seg, n_segments))
 
     out._backward = bwd
     return out
@@ -395,9 +422,9 @@ def segment_aggregate(
     out_data = kernels.attention_aggregate(alpha.data, values.data, src, dst, n_out)
     out = _result(out_data, (alpha, values), None, "segment_aggregate")
 
-    def bwd():
+    def bwd(grad):
         d_alpha, d_values = kernels.attention_aggregate_grad(
-            out.grad, alpha.data, values.data, src, dst
+            grad, alpha.data, values.data, src, dst
         )
         alpha.accum_grad(d_alpha)
         values.accum_grad(d_values)
@@ -410,56 +437,54 @@ def segment_aggregate(
 # losses
 # ---------------------------------------------------------------------------
 
-def cross_entropy(dist: DiffArray, gold: int) -> DiffArray:
-    """-log dist[gold] for a single probability vector (1-D or a (1, k) row)."""
-    flat = dist.data.reshape(-1)
-    if abs(flat.sum() - 1.0) > 1e-6:
-        raise ShapeError(f"cross_entropy: distribution sums to {flat.sum()!r}, not 1")
-    if not 0 <= gold < flat.size:
-        raise ShapeError(f"cross_entropy: gold index {gold} out of range {flat.size}")
-    p = max(flat[gold], EPS_LOG)
-    out = _result(np.asarray(-np.log(p)), (dist,), None, "cross_entropy")
+def cross_entropy(dist: DiffArray, gold) -> DiffArray:
+    """-log dist[gold] for a single probability vector (1-D or a (1, k) row).
 
-    def bwd():
-        g = np.zeros_like(dist.data)
-        g.reshape(-1)[gold] = -out.grad / p
-        dist.accum_grad(g)
-
-    out._backward = bwd
-    return out
+    With a sequence of golds, one per row of a 2-D ``dist``, it is the sum
+    of -log dist[i, gold[i]] over the rows.
+    """
+    if np.ndim(gold) == 0:
+        return _nll(dist, dist.data.reshape(1, -1), [gold], "cross_entropy")
+    return _nll(dist, dist.data, gold, "cross_entropy")
 
 
 def cross_entropy_rows(dist: DiffArray, golds) -> DiffArray:
     """Sum over rows of -log dist[i, golds[i]]."""
-    if dist.data.ndim != 2:
-        raise ShapeError(f"cross_entropy_rows: expected 2-D, got {dist.data.shape}")
-    idx = np.asarray(golds, dtype=np.int64)
-    if idx.size != dist.data.shape[0]:
-        raise ShapeError(
-            f"cross_entropy_rows: {idx.size} gold labels for {dist.data.shape[0]} rows"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= dist.data.shape[1]):
-        raise ShapeError(f"cross_entropy_rows: gold index out of range {dist.data.shape[1]}")
-    rows_sum = dist.data.sum(axis=1)
-    if idx.size and np.abs(rows_sum - 1.0).max() > 1e-6:
-        raise ShapeError("cross_entropy_rows: rows do not sum to 1")
-    picked = np.maximum(dist.data[np.arange(idx.size), idx], EPS_LOG)
-    out = _result(np.asarray(-np.log(picked).sum()), (dist,), None, "cross_entropy_rows")
+    return _nll(dist, dist.data, golds, "cross_entropy_rows")
 
-    def bwd():
-        g = np.zeros_like(dist.data)
-        g[np.arange(idx.size), idx] = -out.grad / picked
-        dist.accum_grad(g)
+
+def _nll(dist: DiffArray, rows: np.ndarray, golds, op: str) -> DiffArray:
+    """Sum over rows of -log rows[i, golds[i]]; ``rows`` is a 2-D view of dist."""
+    if rows.ndim != 2:
+        raise ShapeError(f"{op}: expected 2-D, got {rows.shape}")
+    idx = np.asarray(golds, dtype=np.int64).reshape(-1)
+    if idx.size != rows.shape[0]:
+        raise ShapeError(f"{op}: {idx.size} gold labels for {rows.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[1]):
+        raise ShapeError(f"{op}: gold index out of range {rows.shape[1]}")
+    sums = rows.sum(axis=1)
+    worst = sums[np.abs(sums - 1.0).argmax()] if idx.size else 1.0
+    if abs(worst - 1.0) > 1e-6:
+        raise ShapeError(f"{op}: distribution sums to {float(worst)!r}, not 1")
+    at = np.arange(idx.size)
+    picked = np.maximum(rows[at, idx], EPS_LOG)
+    out = _result(np.asarray(-np.log(picked).sum()), (dist,), None, op)
+
+    def bwd(grad):
+        g = np.zeros(rows.shape)
+        g[at, idx] = -grad / picked
+        dist.accum_grad(g.reshape(dist.data.shape))
 
     out._backward = bwd
     return out
 
 
-def kl_divergence(p: np.ndarray, q: DiffArray) -> DiffArray:
+def kl_divergence(p: np.ndarray, q: DiffArray, row_weights: np.ndarray | None = None) -> DiffArray:
     """Sum of p * log(p/q) over all entries; p is a constant target.
 
-    Zero entries of p contribute nothing (0 * log 0 = 0); q is clamped at
-    1e-12 so the value stays finite.
+    With ``row_weights`` row i of a 2-D p and q counts ``row_weights[i]``
+    times. Zero entries of p contribute nothing (0 * log 0 = 0); q is
+    clamped at 1e-12 so the value stays finite.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != q.data.shape:
@@ -467,12 +492,17 @@ def kl_divergence(p: np.ndarray, q: DiffArray) -> DiffArray:
     sums = p.sum(axis=-1)
     if np.abs(sums - 1.0).max() > 1e-6 or p.min() < 0:
         raise ShapeError("kl_divergence: p is not a distribution")
+    w = 1.0
+    if row_weights is not None:
+        w = np.asarray(row_weights, dtype=np.float64).reshape(-1, 1)
+        if p.ndim != 2 or w.shape[0] != p.shape[0]:
+            raise ShapeError(f"kl_divergence: {w.shape[0]} row weights for shape {p.shape}")
     q_clamped = np.maximum(q.data, EPS_LOG)
     terms = np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(q_clamped)), 0.0)
-    out = _result(np.asarray(terms.sum()), (q,), None, "kl_divergence")
+    out = _result(np.asarray((terms * w).sum()), (q,), None, "kl_divergence")
 
-    def bwd():
-        q.accum_grad(np.where(p > 0, -p / q_clamped, 0.0) * out.grad)
+    def bwd(grad):
+        q.accum_grad(np.where(p > 0, -p / q_clamped, 0.0) * w * grad)
 
     out._backward = bwd
     return out

@@ -1,0 +1,225 @@
+"""A training batch is one joined graph: it must agree with its sentences run one by one."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gradutil import check_grads
+from simrec import tensorcore as tc
+from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
+from simrec.distill import (
+    MODE_OF,
+    build_bundle,
+    ensemble_distribution,
+    forward_sentence,
+    kl_to_ensemble,
+    supervised_loss,
+)
+from simrec.encoder import EncoderConfig, encode_graph
+from simrec.hetgraph import GraphOptions, build_graph, join_graphs
+from simrec.tensorcore import DiffArray
+
+ENC = EncoderConfig(
+    d_model=8, n_selfattn_layers=2, n_gat_layers=2,
+    edge_emb_dim=4, max_tokens=20, max_positions=24,
+)
+LAM = 0.4
+VARIANTS = {
+    "glosses": (ENC, GraphOptions()),
+    "no-glosses": (dataclasses.replace(ENC, use_gloss_fusion=False), GraphOptions()),
+    "merged": (ENC, GraphOptions(no_subsentence_nodes=True)),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_synthetic(SyntheticConfig(n_sentences=12, seed=5))
+
+
+@pytest.fixture(scope="module")
+def vocab(corpus):
+    return build_vocab(corpus)
+
+
+def batch_of_four(corpus):
+    """Four sentences of different lengths, simile and literal mixed."""
+    by_length = {}
+    for sent in corpus:
+        by_length.setdefault(len(sent.tokens), sent)
+    sents = list(by_length.values())[:4]
+    assert len({len(s.tokens) for s in sents}) == 4
+    assert {s.label for s in sents} == {"simile", "literal"}
+    assert any(s.glosses for s in sents)
+    return sents
+
+
+def batch_loss(model, sents, graph, vocab, target):
+    """The trainer's loss for one model: the batch mean of the mixed loss."""
+    out = forward_sentence(model, sents, graph, vocab)
+    sup = supervised_loss(out, sents, 0.3, 1.0)
+    kl = kl_to_ensemble(out.tag_dist, target, graph.word_counts)
+    total = tc.add(tc.scale(sup, LAM), tc.scale(kl, 1.0 - LAM))
+    return tc.scale(total, 1.0 / len(sents))
+
+
+def sentence_targets(bundle, sents, graphs, vocab):
+    """Ensemble target of each sentence, from one-sentence forward passes."""
+    return [
+        ensemble_distribution(*(
+            forward_sentence(m, s, g, vocab).tag_fwd.final_logits.data
+            for m in bundle.models.values()
+        ))
+        for s, g in zip(sents, graphs)
+    ]
+
+
+def grads_of(model):
+    grads = {}
+    for name, p in model.store.params.items():
+        grads[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+    model.store.zero_grads()
+    return grads
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(MODE_OF))
+def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
+    enc, opts = VARIANTS[variant]
+    bundle = build_bundle(vocab, enc, np.random.default_rng(2), label_emb_dim=5)
+    model = bundle.models[name]
+    sents = batch_of_four(corpus)
+    graphs = [build_graph(s, vocab, opts) for s in sents]
+    targets = sentence_targets(bundle, sents, graphs, vocab)
+
+    joined = batch_loss(model, sents, join_graphs(graphs), vocab, np.concatenate(targets))
+    tc.backward(joined)
+    batch_grads = grads_of(model)
+
+    singles = []
+    for sent, graph, target in zip(sents, graphs, targets):
+        loss = tc.scale(batch_loss(model, [sent], graph, vocab, target), 1.0 / len(sents))
+        tc.backward(loss)
+        singles.append(float(loss.data))
+    single_grads = grads_of(model)
+
+    np.testing.assert_allclose(float(joined.data), sum(singles), rtol=1e-12)
+    # atol only absorbs roundoff (about 1e-17) on gradients that are zero in
+    # exact arithmetic, such as enc/gat1/wq of the vehicle-first model.
+    for pname, g in batch_grads.items():
+        np.testing.assert_allclose(g, single_grads[pname], rtol=1e-10, atol=1e-14,
+                                   err_msg=pname)
+
+
+def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(4), label_emb_dim=5)
+    params, config = bundle.models["t"].enc, bundle.config
+    sents = batch_of_four(corpus)
+    swapped = list(sents)
+    swapped[2] = next(s for s in corpus if len(s.tokens) != len(sents[2].tokens)
+                      and s not in sents)
+
+    def node_states(batch):
+        graphs = [build_graph(s, vocab) for s in batch]
+        states = encode_graph(batch, join_graphs(graphs), vocab, params, config)
+        bounds = np.cumsum([0] + [g.n_nodes for g in graphs])
+        return [[g.data[lo:hi] for g in states] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    before, after = node_states(sents), node_states(swapped)
+    for b in (0, 1, 3):
+        for layer_before, layer_after in zip(before[b], after[b]):
+            np.testing.assert_allclose(layer_after, layer_before, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(MODE_OF))
+def test_batch_gradients_match_finite_differences(corpus, vocab, name):
+    enc = EncoderConfig(d_model=4, n_selfattn_layers=1, n_gat_layers=1,
+                        edge_emb_dim=3, max_tokens=20, max_positions=24)
+    bundle = build_bundle(vocab, enc, np.random.default_rng(6), label_emb_dim=3)
+    model = bundle.models[name]
+    sents = batch_of_four(corpus)[:3]
+    graph = join_graphs([build_graph(s, vocab) for s in sents])
+    target = ensemble_distribution(*(
+        forward_sentence(m, sents, graph, vocab).tag_fwd.final_logits.data
+        for m in bundle.models.values()
+    ))
+
+    def build():
+        return batch_loss(model, sents, graph, vocab, target)
+
+    tc.backward(build())
+    check_grads(lambda: float(build().data), model.store.params, tol=1e-5)
+
+
+class TestGeneralisedOps:
+    def test_block_masked_softmax(self, rng):
+        x = DiffArray(rng.normal(size=(5, 5)), requires_grad=True)
+        w = DiffArray(rng.normal(size=(5, 5)))
+        owner = np.array([0, 0, 1, 1, 1])
+        mask = owner[:, None] == owner[None, :]
+
+        def build():
+            return tc.sum_all(tc.matmul(tc.softmax(x, mask=mask), w))
+
+        out = tc.softmax(x, mask=mask).data
+        assert (out[~mask] == 0).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-12)
+        tc.backward(build())
+        check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
+
+    def test_multi_group_mean_pool(self, rng):
+        x = DiffArray(rng.normal(size=(6, 3)), requires_grad=True)
+        w = DiffArray(rng.normal(size=(4, 3)))
+        rows, pools = [0, 2, 2, 5, 1], [0, 0, 2, 2, 3]
+
+        def build():
+            pooled = tc.mean_pool(x, rows, pools, 4)
+            return tc.sum_all(tc.sigmoid(tc.sub(pooled, w)))
+
+        out = tc.mean_pool(x, rows, pools, 4).data
+        np.testing.assert_allclose(out[0], x.data[[0, 2]].mean(axis=0), rtol=1e-12)
+        assert (out[1] == 0).all()
+        np.testing.assert_allclose(out[3], x.data[1], rtol=1e-12)
+        tc.backward(build())
+        check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
+
+    def test_repeat_row_with_per_row_counts(self, rng):
+        x = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
+        w = DiffArray(rng.normal(size=(6, 2)))
+        counts = [2, 0, 4]
+
+        def build():
+            return tc.sum_all(tc.sigmoid(tc.sub(tc.repeat_row(x, counts), w)))
+
+        np.testing.assert_array_equal(tc.repeat_row(x, counts).data,
+                                      x.data[[0, 0, 2, 2, 2, 2]])
+        tc.backward(build())
+        check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
+
+    def test_row_wise_cross_entropy(self, rng):
+        logits = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
+        golds = [1, 0, 1]
+
+        def build():
+            return tc.cross_entropy(tc.softmax(logits), golds)
+
+        dist = tc.softmax(logits).data
+        expected = -np.log(dist[[0, 1, 2], golds]).sum()
+        np.testing.assert_allclose(float(build().data), expected, rtol=1e-12)
+        tc.backward(build())
+        check_grads(lambda: float(build().data), {"logits": logits}, tol=1e-6)
+
+    def test_row_weighted_kl(self, rng):
+        logits = DiffArray(rng.normal(size=(4, 3)), requires_grad=True)
+        p = rng.uniform(0.1, 1.0, size=(4, 3))
+        p /= p.sum(axis=1, keepdims=True)
+        weights = [0.5, 0.5, 0.25, 1.0]
+
+        def build():
+            return tc.kl_divergence(p, tc.softmax(logits), weights)
+
+        q = tc.softmax(logits).data
+        expected = (np.asarray(weights)[:, None] * p * np.log(p / q)).sum()
+        np.testing.assert_allclose(float(build().data), expected, rtol=1e-12)
+        tc.backward(build())
+        check_grads(lambda: float(build().data), {"logits": logits}, tol=1e-6)

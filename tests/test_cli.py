@@ -127,6 +127,17 @@ class TestTrain:
         assert rc == 1
         assert "output directory" in capsys.readouterr().err
 
+    def test_empty_dev_corpus_fails_before_training(self, corpora, tmp_path, capsys):
+        train, _ = corpora
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "m"
+        rc = main(["train", "--train", train, "--dev", str(empty),
+                   "--out-dir", str(out), *TINY_FLAGS])
+        assert rc == 1
+        assert "empty dev corpus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, corpora, tmp_path, capsys):
         train, dev = corpora
         config = tmp_path / "config.json"

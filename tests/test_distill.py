@@ -21,7 +21,7 @@ from simrec.distill import (
     training_lambda,
 )
 from simrec.encoder import EncoderConfig
-from simrec.hetgraph import GraphOptions, build_graph
+from simrec.hetgraph import GraphOptions, build_graph, join_graphs
 from simrec.heads import TAG_TO_ID, TagForward
 from simrec.tensorcore import DiffArray
 
@@ -335,12 +335,13 @@ class TestFixedLambdaReduction:
         for _ in range(config.epochs):
             for batch in epoch_batches(len(sents), config.batch_size, rng):
                 for model in manual.models.values():
+                    batch_sents = [sents[i] for i in batch]
+                    block = join_graphs([graphs[i] for i in batch])
                     terms = [
                         supervised_loss(
-                            forward_sentence(model, sents[i], graphs[i], tiny_vocab),
-                            sents[i], config.alpha, config.aux_weight,
+                            forward_sentence(model, batch_sents, block, tiny_vocab),
+                            batch_sents, config.alpha, config.aux_weight,
                         )
-                        for i in batch
                     ]
                     total = terms[0]
                     for t in terms[1:]:
@@ -400,6 +401,19 @@ class TestTrainLoop:
         bundle = fresh_bundle(tiny_vocab)
         with pytest.raises(ValueError, match="empty training"):
             train(bundle, [], [], TrainConfig(epochs=1))
+
+    def test_over_long_sentence_rejected_before_training(self, tiny_corpus, tiny_vocab):
+        longest = max(tiny_corpus, key=lambda s: len(s.tokens))
+        n = len(longest.tokens)
+        enc = EncoderConfig(d_model=8, n_selfattn_layers=1, n_gat_layers=1,
+                            edge_emb_dim=4, max_tokens=n - 1, max_positions=n + 1)
+        bundle = build_bundle(tiny_vocab, enc, np.random.default_rng(0), label_emb_dim=6)
+        short = [s for s in tiny_corpus if len(s.tokens) < n]
+        before = {k: p.data.copy() for k, p in bundle.models["p"].store.params.items()}
+        with pytest.raises(ValueError, match=f"dev sentence 1 has {n} tokens"):
+            train(bundle, short, [short[0], longest], TrainConfig(epochs=1))
+        for k, p in bundle.models["p"].store.params.items():
+            assert np.array_equal(p.data, before[k])
 
     def test_kl_only_training_runs(self, tiny_corpus, tiny_vocab):
         config = TrainConfig(

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -77,6 +78,13 @@ class TestForwardValues:
         out = tc.add(x, b)
         np.testing.assert_allclose(out.data, x.data + b.data)
 
+    def test_finite_check_passes_overflowing_sum_and_catches_nan(self):
+        with np.errstate(over="ignore"):
+            out = tc.scale(DiffArray([1e308, 1e308]), 1.0)
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+        with pytest.raises(NonFiniteError, match="scale"):
+            tc.scale(DiffArray([1.0, np.nan]), 1.0)
+
     def test_nonfinite_trapped_at_op(self):
         big = DiffArray([1e308])
         with np.errstate(over="ignore"):
@@ -95,6 +103,20 @@ class TestBackwardMechanics:
         x = leaf(rng, 3, 2)
         tc.backward(tc.sum_all(x))
         np.testing.assert_allclose(x.grad, 1.0)
+
+    def test_tape_freed_without_cycle_collector(self, rng):
+        # Backward closures must not hold their own output, or every tape
+        # lives until the cycle collector runs and peak memory grows.
+        x = leaf(rng, 3, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = tc.sum_all(tc.softmax(tc.matmul(x, tc.transpose(x))))
+            tc.backward(loss)
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_grads_accumulate_across_backward_calls(self, rng):
         x = leaf(rng, 3)
