@@ -1,6 +1,5 @@
 """Simile sentence classification and component extraction over
 heterogeneous sentence graphs, with three-decoding-order ensemble
-distillation. Pure numpy numerics; edge-level hot loops compiled with
-numba (set SIMREC_NO_NUMBA=1 for the numpy fallback)."""
+distillation. Pure numpy numerics, including the edge-level kernels."""
 
 __version__ = "0.1.0"

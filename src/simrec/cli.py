@@ -207,13 +207,12 @@ def cmd_train(args) -> int:
     train_config = cfg.train_config()
     opts = cfg.graph_options()
     rng = np.random.default_rng(cfg.seed)
-    n_edge_labels = min(cfg.top_k_deprels, len(vocab.deprel_ranking)) + 4
     bundle = build_bundle(
         vocab, enc_config, rng,
         label_emb_dim=cfg.label_emb_dim,
         disabled_models=train_config.disabled_models,
         share_encoder=train_config.share_encoder,
-        n_edge_labels=n_edge_labels,
+        top_k_deprels=cfg.top_k_deprels,
     )
     result = train(
         bundle, train_sents, dev_sents, train_config,

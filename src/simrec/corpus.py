@@ -168,7 +168,7 @@ def save_corpus(path, sentences: Iterable[AnnotatedSentence]) -> None:
 
 @dataclass
 class Vocabulary:
-    """Token/POS lookup tables plus the frequency-ranked dependency relations.
+    """Token lookup table plus the frequency-ranked dependency relations.
 
     Ids 0..3 are reserved (pad, unk, cls-surrogate, sep-surrogate).  The
     relation ranking is frequency-descending with lexicographic tie-break,
@@ -176,7 +176,6 @@ class Vocabulary:
     """
 
     token_to_id: dict[str, int]
-    pos_to_id: dict[str, int]
     deprel_ranking: list[str]
 
     @property
@@ -192,15 +191,14 @@ class Vocabulary:
     def to_json(self) -> dict:
         return {
             "token_to_id": self.token_to_id,
-            "pos_to_id": self.pos_to_id,
             "deprel_ranking": self.deprel_ranking,
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "Vocabulary":
+        """Also reads older files, whose unused ``pos_to_id`` is ignored."""
         return cls(
             token_to_id=dict(payload["token_to_id"]),
-            pos_to_id=dict(payload["pos_to_id"]),
             deprel_ranking=list(payload["deprel_ranking"]),
         )
 
@@ -210,12 +208,10 @@ def build_vocab(corpus: Sequence[AnnotatedSentence], min_freq: int = 1) -> Vocab
     if not corpus:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     token_freq: dict[str, int] = {}
-    pos_seen: dict[str, None] = {}
     deprel_freq: dict[str, int] = {}
     for sent in corpus:
         for tok in sent.tokens:
             token_freq[tok.surface] = token_freq.get(tok.surface, 0) + 1
-            pos_seen.setdefault(tok.pos, None)
             deprel_freq[tok.deprel] = deprel_freq.get(tok.deprel, 0) + 1
         for gloss in sent.glosses.values():
             for word in gloss:
@@ -226,12 +222,8 @@ def build_vocab(corpus: Sequence[AnnotatedSentence], min_freq: int = 1) -> Vocab
         if token_freq[surface] >= min_freq:
             token_to_id[surface] = len(token_to_id)
 
-    pos_to_id = {UNK_TOKEN: 0}
-    for pos in sorted(pos_seen):
-        pos_to_id[pos] = len(pos_to_id)
-
     ranking = sorted(deprel_freq, key=lambda r: (-deprel_freq[r], r))
-    return Vocabulary(token_to_id=token_to_id, pos_to_id=pos_to_id, deprel_ranking=ranking)
+    return Vocabulary(token_to_id=token_to_id, deprel_ranking=ranking)
 
 
 # ---------------------------------------------------------------------------

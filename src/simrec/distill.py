@@ -23,7 +23,14 @@ from . import tensorcore as tc
 from .corpus import TAG_VALUES, AnnotatedSentence, Vocabulary
 from .encoder import EncoderConfig, as_batch, encode_graph
 from .evalkit import PRF, score_classification, score_extraction
-from .hetgraph import BlockGraph, GraphOptions, HeteroGraph, build_graph, join_graphs
+from .hetgraph import (
+    BlockGraph,
+    GraphOptions,
+    HeteroGraph,
+    build_graph,
+    edge_label_index,
+    join_graphs,
+)
 from .heads import (
     CLASS_LITERAL,
     CLASS_SIMILE,
@@ -34,7 +41,7 @@ from .heads import (
     forward_tagger,
     init_model,
     predict,
-    spans_from_gold,
+    spans_from_tags,
     word_states,
 )
 from .tensorcore import DiffArray, NonFiniteError, ParamStore
@@ -91,10 +98,10 @@ def build_bundle(
     label_emb_dim: int = 100,
     disabled_models: tuple[str, ...] = (),
     share_encoder: bool = False,
-    n_edge_labels: int | None = None,
+    top_k_deprels: int = 8,
 ) -> ModelBundle:
-    if n_edge_labels is None:
-        n_edge_labels = min(8, len(vocab.deprel_ranking)) + 4
+    """Fresh models; ``top_k_deprels`` must match the graphs' ``GraphOptions``."""
+    n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
     vocab_size = len(vocab.token_to_id)
     models: dict[str, SimileModel] = {}
     shared = None
@@ -128,15 +135,15 @@ def forward_sentence(
     sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
     graph: HeteroGraph | BlockGraph,
     vocab: Vocabulary,
-    teacher_forcing: bool = True,
 ) -> SentenceForward:
     """One model's forward pass over a sentence, or over a batch of sentences
-    and the graph ``join_graphs`` made of theirs."""
+    and the graph ``join_graphs`` made of theirs; sequential taggers are
+    teacher-forced with the gold tags."""
     sents = as_batch(sentences)
     g_final = encode_graph(sents, graph, vocab, model.enc, model.config)[-1]
     cls_dist = classify(g_final, graph, model.head)
     words = word_states(g_final, graph)
-    gold = [t for s in sents for t in s.tags] if teacher_forcing else None
+    gold = [t for s in sents for t in s.tags]
     tag_fwd = forward_tagger(model, words, gold, graph.word_counts)
     tag_dist = tc.softmax(tag_fwd.final_logits, axis=-1)
     return SentenceForward(cls_dist=cls_dist, tag_fwd=tag_fwd, tag_dist=tag_dist)
@@ -198,14 +205,6 @@ def kl_to_ensemble(
     return tc.kl_divergence(ensemble, tag_dist, per_row)
 
 
-def lambda_at(step: int, total_steps: int) -> float:
-    if total_steps < 1:
-        raise ValueError("lambda_at: total_steps must be >= 1")
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"lambda_at: step {step} outside [0, {total_steps}]")
-    return step / total_steps
-
-
 def training_lambda(config: TrainConfig, step: int, total_steps: int) -> float:
     """Lambda used at a 0-based optimization step.
 
@@ -214,7 +213,7 @@ def training_lambda(config: TrainConfig, step: int, total_steps: int) -> float:
     """
     if config.lambda_mode == "fixed":
         return config.lambda_fixed
-    lam = lambda_at(step, max(total_steps - 1, 1))
+    lam = step / max(total_steps - 1, 1)
     return lam if config.lambda_mode == "increase" else 1.0 - lam
 
 
@@ -415,7 +414,7 @@ def evaluate_model(
     preds = [predict(model, s, g, vocab) for s, g in zip(sents, graphs)]
     cls = score_classification([p.label for p in preds], [s.label for s in sents])
     ext = score_extraction(
-        [p.spans for p in preds], [spans_from_gold(s.tags) for s in sents]
+        [p.spans for p in preds], [spans_from_tags(list(s.tags)) for s in sents]
     )
     return {"classification": cls, "extraction": ext}
 
@@ -463,22 +462,14 @@ def mean_ensemble_kl(
     totals = {name: 0.0 for name in bundle.models}
     n_tokens = 0
     for sent, graph in zip(sents, graphs):
-        dists = {}
-        logits = []
-        for name, model in bundle.models.items():
-            out = forward_sentence(model, sent, graph, bundle.vocab)
-            dists[name] = out.tag_dist.data
-            logits.append(out.tag_fwd.final_logits.data)
-        target = ensemble_distribution(*logits)
+        outs = {
+            name: forward_sentence(model, sent, graph, bundle.vocab)
+            for name, model in bundle.models.items()
+        }
+        target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
         n_tokens += len(sent.tokens)
-        for name in bundle.models:
-            q = np.maximum(dists[name], tc.EPS_LOG)
-            terms = np.where(
-                target > 0,
-                target * (np.log(np.maximum(target, tc.EPS_LOG)) - np.log(q)),
-                0.0,
-            )
-            totals[name] += float(terms.sum())
+        for name, out in outs.items():
+            totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)
     return {name: total / max(n_tokens, 1) for name, total in totals.items()}
 
 

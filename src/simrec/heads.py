@@ -179,21 +179,6 @@ def _counts(words: DiffArray, word_counts: np.ndarray | None) -> np.ndarray:
     return np.asarray(word_counts, dtype=np.int64)
 
 
-def pool_component(
-    words: DiffArray, row_indices: list[int], word_counts: np.ndarray | None = None
-) -> DiffArray:
-    """Per sentence, the mean state of its selected word rows; a zero row
-    for a sentence with none selected.
-
-    ``words`` stacks the word rows of sentences with ``word_counts`` words
-    each (one sentence by default).
-    """
-    counts = _counts(words, word_counts)
-    rows = np.asarray(row_indices, dtype=np.int64)
-    sentence_of = np.repeat(np.arange(counts.size), counts)
-    return tc.mean_pool(words, rows, sentence_of[rows], counts.size)
-
-
 def tag_logits_second(
     words: DiffArray,
     g_c1: DiffArray,
@@ -244,8 +229,13 @@ def forward_tagger(
         picked = first_logits.data.argmax(axis=1)
         rows = [i for i, c in enumerate(picked) if c == FIRST_C1]
         first_golds = None
-    g_c1 = pool_component(words, rows, word_counts)
-    final_logits = tag_logits_second(words, g_c1, model.head, word_counts)
+    # Per sentence, the mean state of its first-component rows; a zero row
+    # for a sentence with none.
+    counts = _counts(words, word_counts)
+    rows = np.asarray(rows, dtype=np.int64)
+    sentence_of = np.repeat(np.arange(counts.size), counts)
+    g_c1 = tc.mean_pool(words, rows, sentence_of[rows], counts.size)
+    final_logits = tag_logits_second(words, g_c1, model.head, counts)
     return TagForward(
         final_logits=final_logits, first_logits=first_logits, first_golds=first_golds
     )
@@ -282,10 +272,6 @@ def spans_from_tags(tags: list[str]) -> list[Span]:
 
 def decode_spans(tag_dist: np.ndarray) -> list[Span]:
     return spans_from_tags(decode_tags(tag_dist))
-
-
-def spans_from_gold(tags: tuple[str, ...] | list[str]) -> list[Span]:
-    return spans_from_tags(list(tags))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ class HeteroGraph:
     right_nodes: np.ndarray = field(repr=False, default=None)
     pool_rows: np.ndarray = field(repr=False, default=None)
     pool_nodes: np.ndarray = field(repr=False, default=None)
-    _incoming: list[list[tuple[int, EdgeLabel]]] = field(repr=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -239,11 +238,6 @@ def build_graph(
     for node in range(len(node_kinds)):
         edges.append((node, node, self_loop))
 
-    m = len(node_kinds)
-    incoming: list[list[tuple[int, EdgeLabel]]] = [[] for _ in range(m)]
-    for src, dst, label in edges:
-        incoming[dst].append((src, label))
-
     # Initial node states pool token rows: a word node its own row, a
     # subsentence node its side's rows (none when the side is empty), the
     # merged global node the CLS surrogate.
@@ -275,7 +269,6 @@ def build_graph(
         right_nodes=np.array([right_node], dtype=np.int64),
         pool_rows=np.array(pool_rows, dtype=np.int64),
         pool_nodes=np.array(pool_nodes, dtype=np.int64),
-        _incoming=incoming,
     )
 
 
@@ -290,7 +283,7 @@ def neighbors(graph: HeteroGraph, node_id: int) -> set[tuple[int, EdgeLabel]]:
     """Sources of edges pointing into ``node_id`` (self included via its loop)."""
     if not (0 <= node_id < graph.n_nodes):
         raise ValueError(f"node id {node_id} out of range [0, {graph.n_nodes})")
-    return set(graph._incoming[node_id])
+    return {(src, label) for src, dst, label in graph.edges if dst == node_id}
 
 
 _KIND_STYLE = {

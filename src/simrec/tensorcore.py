@@ -9,7 +9,7 @@ loss is dropped. Non-finite values are trapped at the op that produced
 them.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
-aggregation) dispatch to the compiled kernels in :mod:`simrec.kernels`.
+aggregation) call the kernels in :mod:`simrec.kernels`.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class DiffArray:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-
-def as_diff(x) -> DiffArray:
-    return x if isinstance(x, DiffArray) else DiffArray(x)
 
 
 def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str) -> DiffArray:
@@ -571,11 +567,6 @@ class ParamStore:
             v_hat = v / (1.0 - beta2**t)
             p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
             p.grad = None
-
-
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    store.adam_step(lr, beta1, beta2, eps)
 
 
 CHECKPOINT_MAGIC = "simrec-checkpoint"

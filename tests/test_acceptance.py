@@ -27,11 +27,11 @@ from simrec.distill import (
     ensemble_distribution,
     forward_sentence,
     kl_to_ensemble,
-    lambda_at,
     mean_ensemble_kl,
     select_best,
     supervised_loss,
     train,
+    training_lambda,
 )
 from simrec.encoder import EncoderConfig
 from simrec.evalkit import score_extraction
@@ -239,8 +239,10 @@ def test_distribution_properties_hold():
 def test_mixing_schedule_is_linear():
     """The mixing weight runs 0 to 1, monotone and exactly linear."""
     total = 1000
-    endpoint_ok = lambda_at(0, total) == 0.0 and lambda_at(total, total) == 1.0
-    values = [lambda_at(s, total) for s in range(total + 1)]
+    config = TrainConfig(lambda_mode="increase")
+    endpoint_ok = (training_lambda(config, 0, total + 1) == 0.0
+                   and training_lambda(config, total, total + 1) == 1.0)
+    values = [training_lambda(config, s, total + 1) for s in range(total + 1)]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
     worst = max(abs(v - s / total) for s, v in enumerate(values))
     ok = endpoint_ok and monotone and worst <= 1e-12

@@ -15,14 +15,13 @@ from simrec.distill import (
     epoch_batches,
     forward_sentence,
     kl_to_ensemble,
-    lambda_at,
     supervised_loss,
     train,
     training_lambda,
 )
 from simrec.encoder import EncoderConfig
-from simrec.hetgraph import GraphOptions, build_graph, join_graphs
-from simrec.heads import TAG_TO_ID, TagForward
+from simrec.hetgraph import GraphOptions, build_graph, edge_label_index, join_graphs
+from simrec.heads import TAG_TO_ID, TagForward, predict
 from simrec.tensorcore import DiffArray
 
 
@@ -191,18 +190,11 @@ class TestKLToEnsemble:
 
 class TestLambdaSchedule:
     def test_endpoints_and_linearity(self):
-        assert lambda_at(0, 10) == 0.0
-        assert lambda_at(10, 10) == 1.0
+        config = TrainConfig(lambda_mode="increase")
+        assert training_lambda(config, 0, 11) == 0.0
+        assert training_lambda(config, 10, 11) == 1.0
         for k in range(11):
-            assert lambda_at(k, 10) == k / 10
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="total_steps"):
-            lambda_at(0, 0)
-        with pytest.raises(ValueError, match="outside"):
-            lambda_at(11, 10)
-        with pytest.raises(ValueError, match="outside"):
-            lambda_at(-1, 10)
+            assert training_lambda(config, k, 11) == k / 10
 
     def test_training_lambda_increase_spans_unit_interval(self):
         config = TrainConfig(lambda_mode="increase")
@@ -555,13 +547,41 @@ class TestPersistence:
                             selected_scores={"extraction_f1": 0.5})
         name, model, vocab, opts = distill.load_selected(tmp_path)
         assert name == "t" and model.mode == "tenor_first"
-        from simrec.heads import predict
-
         sent = tiny_corpus[0]
         graph = build_graph(sent, vocab, opts)
         a = predict(bundle.models["t"], sent, graph, tiny_vocab).to_record()
         b = predict(model, sent, graph, vocab).to_record()
         assert a == b
+
+    def test_vocab_with_pos_table_still_loads(self, tiny_corpus, tiny_vocab, tmp_path):
+        bundle = fresh_bundle(tiny_vocab)
+        distill.save_bundle(bundle, tmp_path, selected="v")
+        vocab_path = tmp_path / distill.VOCAB_FILE
+        payload = json.loads(vocab_path.read_text(encoding="utf-8"))
+        assert "pos_to_id" not in payload
+        # Older model directories also stored a POS table that nothing read.
+        tags = sorted({t.pos for s in tiny_corpus for t in s.tokens})
+        payload["pos_to_id"] = {"<unk>": 0, **{t: i + 1 for i, t in enumerate(tags)}}
+        vocab_path.write_text(json.dumps(payload), encoding="utf-8")
+        name, model, vocab, opts = distill.load_selected(tmp_path)
+        assert name == "v" and vocab.token_to_id == tiny_vocab.token_to_id
+        for sent in tiny_corpus[:3]:
+            graph = build_graph(sent, vocab, opts)
+            a = predict(bundle.models["v"], sent, graph, tiny_vocab).to_record()
+            assert predict(model, sent, graph, vocab).to_record() == a
+
+    def test_edge_embedding_sized_by_top_k(self, tiny_corpus, tiny_vocab, tmp_path):
+        bundle = fresh_bundle(tiny_vocab, top_k_deprels=1)
+        n_labels = len(edge_label_index(tiny_vocab, 1))
+        assert n_labels == 1 + 4
+        for model in bundle.models.values():
+            assert model.enc["edge_emb"].data.shape[0] == n_labels
+        opts = GraphOptions(top_k_deprels=1)
+        distill.save_bundle(bundle, tmp_path, graph_options=opts, selected="p")
+        _, model, vocab, loaded_opts = distill.load_selected(tmp_path)
+        graph = build_graph(tiny_corpus[0], vocab, loaded_opts)
+        assert graph.label_ids.max() < n_labels
+        predict(model, tiny_corpus[0], graph, vocab)
 
     def test_missing_selection_marker(self, tiny_vocab, tmp_path):
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path)

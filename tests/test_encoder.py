@@ -8,14 +8,14 @@ from simrec import encoder as enc
 from simrec import tensorcore as tc
 from simrec.corpus import AnnotatedSentence, TokenAnn, build_vocab, canonical_sentence
 from simrec.encoder import EncoderConfig
-from simrec.hetgraph import GraphOptions, build_graph
+from simrec.hetgraph import GraphOptions, build_graph, edge_label_index
 from simrec.tensorcore import ParamStore
 
 
 def make_params(vocab, config, seed=0, n_edge_labels=None):
     store = ParamStore()
     if n_edge_labels is None:
-        n_edge_labels = min(8, len(vocab.deprel_ranking)) + 4
+        n_edge_labels = len(edge_label_index(vocab))
     params = enc.init_encoder_params(
         store, vocab.size, n_edge_labels, config, np.random.default_rng(seed)
     )

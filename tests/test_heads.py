@@ -7,7 +7,7 @@ from simrec import tensorcore as tc
 from simrec.corpus import build_vocab
 from simrec.encoder import EncoderConfig
 from simrec.heads import Span, SpanPrediction
-from simrec.hetgraph import build_graph
+from simrec.hetgraph import build_graph, edge_label_index
 from simrec.tensorcore import DiffArray, ParamStore
 
 
@@ -106,22 +106,38 @@ class TestParallelTagger:
 
 
 class TestComponentPooling:
-    def test_singleton(self, rng):
-        words = DiffArray(rng.normal(size=(4, 6)))
-        np.testing.assert_allclose(
-            heads.pool_component(words, [2]).data, words.data[2:3]
-        )
+    """A sequential tagger conditions its second stage on the mean state of
+    each sentence's first-component words."""
 
-    def test_empty_gives_zero_row(self, rng):
-        words = DiffArray(rng.normal(size=(4, 6)))
-        out = heads.pool_component(words, []).data
-        assert out.shape == (1, 6)
+    @staticmethod
+    def pooled_condition(words, gold, config):
+        # With the word rows of second/w zeroed and an identity block on the
+        # condition rows, the logits are the pooled state's first 3 columns.
+        store, head = head_only("tenor_first", config)
+        d = config.d_model
+        head["second/w"].data[:] = 0.0
+        head["second/w"].data[d:d + 3] = np.eye(3)
+        model = heads.SimileModel(
+            mode="tenor_first", store=store, enc={}, head=head, config=config
+        )
+        return heads.forward_tagger(model, words, gold).final_logits.data
+
+    def test_singleton(self, tiny_config, rng):
+        words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
+        out = self.pooled_condition(words, ("O", "O", "T", "O"), tiny_config)
+        np.testing.assert_allclose(out, np.tile(words.data[2, :3], (4, 1)))
+
+    def test_empty_gives_zero_row(self, tiny_config, rng):
+        words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
+        out = self.pooled_condition(words, ("O", "V", "O", "O"), tiny_config)
+        assert out.shape == (4, 3)
         assert (out == 0).all()
 
-    def test_mean_of_selected(self, rng):
-        words = DiffArray(rng.normal(size=(5, 6)))
-        out = heads.pool_component(words, [1, 4]).data
-        np.testing.assert_allclose(out[0], words.data[[1, 4]].mean(axis=0))
+    def test_mean_of_selected(self, tiny_config, rng):
+        words = DiffArray(rng.normal(size=(5, tiny_config.d_model)))
+        out = self.pooled_condition(words, ("O", "T", "O", "O", "T"), tiny_config)
+        expected = words.data[[1, 4], :3].mean(axis=0)
+        np.testing.assert_allclose(out, np.tile(expected, (5, 1)), rtol=1e-12)
 
 
 class TestSequentialStages:
@@ -169,7 +185,7 @@ class TestSequentialStages:
         _, head = head_only("tenor_first", tiny_config)
         head["second/w"].data[d:] = 0.0
         words = DiffArray(rng.normal(size=(5, d)))
-        g_c1 = heads.pool_component(words, [0, 3])
+        g_c1 = tc.mean_pool(words, [0, 3])
         logits = heads.tag_logits_second(words, g_c1, head)
         reduced = words.data @ head["second/w"].data[:d] + head["second/b"].data
         np.testing.assert_allclose(logits.data, reduced, atol=1e-12)
@@ -233,7 +249,7 @@ class TestDecoding:
             assert rebuilt == tags
 
     def test_gold_tags_decode_directly(self, fig_sentence):
-        spans = heads.spans_from_gold(fig_sentence.tags)
+        spans = heads.spans_from_tags(list(fig_sentence.tags))
         assert spans == [Span(2, 2, "tenor"), Span(6, 6, "vehicle")]
 
 
@@ -244,9 +260,8 @@ class TestPredict:
             edge_emb_dim=4, max_tokens=10, max_positions=12,
         )
         vocab = build_vocab([fig_sentence])
-        n_edge_labels = min(8, len(vocab.deprel_ranking)) + 4
         model = heads.init_model(
-            "parallel", vocab.size, n_edge_labels, config,
+            "parallel", vocab.size, len(edge_label_index(vocab)), config,
             np.random.default_rng(seed), label_emb_dim=6,
         )
         return model, vocab, build_graph(fig_sentence, vocab)
