@@ -86,10 +86,6 @@ class RunConfig:
             seed=self.seed,
             lambda_mode=self.lambda_mode,
             lambda_fixed=self.lambda_fixed,
-            disabled_models=tuple(self.disable_model),
-            share_encoder=self.share_encoder,
-            # per-model rollback is undefined when the encoder is shared
-            restore_best=not self.share_encoder,
         )
 
     def graph_options(self) -> GraphOptions:
@@ -101,7 +97,17 @@ class RunConfig:
         )
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+# what a config-file value of each RunConfig field type must be; bool is an
+# int to Python, so the number checks exclude it
+_FILE_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+_FIELD_TYPES = {f.name: _FILE_TYPES[f.type] for f in fields(RunConfig)}
 
 
 def load_run_config(
@@ -117,10 +123,15 @@ def load_run_config(
                 raise ValueError(f"{config_path}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(data) - _CONFIG_FIELDS)
+        unknown = sorted(set(data) - _FIELD_TYPES.keys())
         if unknown:
             raise ValueError(f"{config_path}: unknown config keys {unknown}")
         for key, value in data.items():
+            expected, accepts = _FIELD_TYPES[key]
+            if not accepts(value):
+                raise ValueError(
+                    f"{config_path}: '{key}' must be {expected}, got {json.dumps(value)}"
+                )
             setattr(cfg, key, tuple(value) if key == "disable_model" else value)
     env = os.environ if env is None else env
     if "SIMREC_SEED" in env:
@@ -131,7 +142,7 @@ def load_run_config(
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config override '{key}'")
         setattr(cfg, key, tuple(value) if key == "disable_model" else value)
     return cfg
@@ -201,19 +212,20 @@ def cmd_train(args) -> int:
     dev_sents = load_corpus(args.dev)
     if not dev_sents:
         raise ValueError(f"{args.dev}: empty dev corpus; model selection needs dev sentences")
-    os.makedirs(out_dir, exist_ok=True)
     vocab = build_vocab(train_sents, min_freq=cfg.min_freq)
     enc_config = cfg.encoder_config()
     train_config = cfg.train_config()
+    train_config.validate()  # build_bundle validates the rest, all before any output
     opts = cfg.graph_options()
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(
         vocab, enc_config, rng,
         label_emb_dim=cfg.label_emb_dim,
-        disabled_models=train_config.disabled_models,
-        share_encoder=train_config.share_encoder,
+        disabled_models=cfg.disable_model,
+        share_encoder=cfg.share_encoder,
         top_k_deprels=cfg.top_k_deprels,
     )
+    os.makedirs(out_dir, exist_ok=True)
     result = train(
         bundle, train_sents, dev_sents, train_config,
         graph_options=opts,

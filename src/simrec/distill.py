@@ -15,13 +15,14 @@ import json
 import math
 import os
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensorcore as tc
 from .corpus import TAG_VALUES, AnnotatedSentence, Vocabulary
-from .encoder import EncoderConfig, as_batch, encode_graph
+from .encoder import EncoderConfig, encode_graph
 from .evalkit import PRF, score_classification, score_extraction
 from .hetgraph import (
     BlockGraph,
@@ -60,9 +61,6 @@ class TrainConfig:
     seed: int = 0
     lambda_mode: str = "increase"  # increase | decrease | fixed
     lambda_fixed: float = 1.0
-    disabled_models: tuple[str, ...] = ()
-    share_encoder: bool = False
-    restore_best: bool = True  # reload each model's best dev snapshot at the end
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -73,11 +71,6 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: unknown lambda_mode '{self.lambda_mode}'")
         if not 0.0 <= self.lambda_fixed <= 1.0:
             raise ValueError("TrainConfig: lambda_fixed must lie in [0, 1]")
-        bad = set(self.disabled_models) - set(MODEL_ORDER)
-        if bad:
-            raise ValueError(f"TrainConfig: unknown model names {sorted(bad)}")
-        if set(self.disabled_models) >= set(MODEL_ORDER):
-            raise ValueError("TrainConfig: at least one model must stay enabled")
 
 
 @dataclass
@@ -101,6 +94,11 @@ def build_bundle(
     top_k_deprels: int = 8,
 ) -> ModelBundle:
     """Fresh models; ``top_k_deprels`` must match the graphs' ``GraphOptions``."""
+    bad = set(disabled_models) - set(MODEL_ORDER)
+    if bad:
+        raise ValueError(f"build_bundle: unknown model names {sorted(bad)}")
+    if set(disabled_models) >= set(MODEL_ORDER):
+        raise ValueError("build_bundle: at least one model must stay enabled")
     n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
     vocab_size = len(vocab.token_to_id)
     models: dict[str, SimileModel] = {}
@@ -132,18 +130,17 @@ class SentenceForward:
 
 def forward_sentence(
     model: SimileModel,
-    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
-    graph: HeteroGraph | BlockGraph,
+    sentences: Sequence[AnnotatedSentence],
+    graph: BlockGraph,
     vocab: Vocabulary,
 ) -> SentenceForward:
-    """One model's forward pass over a sentence, or over a batch of sentences
-    and the graph ``join_graphs`` made of theirs; sequential taggers are
-    teacher-forced with the gold tags."""
-    sents = as_batch(sentences)
-    g_final = encode_graph(sents, graph, vocab, model.enc, model.config)[-1]
+    """One model's forward pass over a batch of sentences and the graph
+    ``join_graphs`` made of theirs; sequential taggers are teacher-forced
+    with the gold tags."""
+    g_final = encode_graph(sentences, graph, vocab, model.enc, model.config)[-1]
     cls_dist = classify(g_final, graph, model.head)
     words = word_states(g_final, graph)
-    gold = [t for s in sents for t in s.tags]
+    gold = [t for s in sentences for t in s.tags]
     tag_fwd = forward_tagger(model, words, gold, graph.word_counts)
     tag_dist = tc.softmax(tag_fwd.final_logits, axis=-1)
     return SentenceForward(cls_dist=cls_dist, tag_fwd=tag_fwd, tag_dist=tag_dist)
@@ -151,7 +148,7 @@ def forward_sentence(
 
 def supervised_loss(
     out: SentenceForward,
-    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
+    sentences: Sequence[AnnotatedSentence],
     alpha: float,
     aux_weight: float = 1.0,
 ) -> DiffArray:
@@ -159,13 +156,12 @@ def supervised_loss(
 
     The tagging loss sums per-token cross entropy of the final 3-way
     distribution; sequential models add their first-stage 2-way cross
-    entropy, scaled by aux_weight, into the same term.  Over a batch both
-    terms are sums over its sentences.
+    entropy, scaled by aux_weight, into the same term.  Both terms are sums
+    over the batch's sentences.
     """
-    sents = as_batch(sentences)
-    gold_classes = [CLASS_SIMILE if s.is_simile else CLASS_LITERAL for s in sents]
+    gold_classes = [CLASS_SIMILE if s.is_simile else CLASS_LITERAL for s in sentences]
     j_sc = tc.cross_entropy(out.cls_dist, gold_classes)
-    gold_ids = [TAG_TO_ID[t] for s in sents for t in s.tags]
+    gold_ids = [TAG_TO_ID[t] for s in sentences for t in s.tags]
     j_ce = tc.cross_entropy_rows(out.tag_dist, gold_ids)
     if out.tag_fwd.first_logits is not None:
         first_dist = tc.softmax(out.tag_fwd.first_logits, axis=-1)
@@ -193,15 +189,14 @@ def ensemble_distribution(*logits: np.ndarray) -> np.ndarray:
 
 
 def kl_to_ensemble(
-    tag_dist: DiffArray, ensemble: np.ndarray, word_counts: np.ndarray | None = None
+    tag_dist: DiffArray, ensemble: np.ndarray, word_counts: np.ndarray
 ) -> DiffArray:
     """Mean over tokens of KL(ensemble || model); target is constant.
 
     ``word_counts`` splits the rows into sentences: each takes the mean over
     its own tokens and the batch the sum of those means.
     """
-    counts = [tag_dist.data.shape[0]] if word_counts is None else word_counts
-    per_row = np.repeat(1.0 / np.asarray(counts, dtype=np.float64), counts)
+    per_row = np.repeat(1.0 / np.asarray(word_counts, dtype=np.float64), word_counts)
     return tc.kl_divergence(ensemble, tag_dist, per_row)
 
 
@@ -250,9 +245,10 @@ def train(
 
     Per epoch the log gains one JSON record with the epoch-end lambda, the
     mean batch loss per model, and dev P/R/F1 per model for both subtasks.
-    Non-finite values abort with the offending epoch and batch named.  When
-    ``restore_best`` is set each model's weights are rolled back to its best
-    dev extraction epoch after the schedule finishes.
+    Non-finite values abort with the offending epoch and batch named.  After
+    the schedule each model's weights are rolled back to its best dev
+    extraction epoch, unless the models share an encoder: one model's
+    snapshot would then overwrite the others' encoder.
     """
     config.validate()
     if not train_sents:
@@ -265,13 +261,8 @@ def train(
                     f"train: {corpus_name} sentence {i} has {len(sent.tokens)} tokens, "
                     f"max_tokens is {limit}"
                 )
-    if config.restore_best and dev_sents and len(bundle.models) > 1:
-        enc_ids = {id(model.enc["tok_emb"]) for model in bundle.models.values()}
-        if len(enc_ids) < len(bundle.models):
-            raise ValueError(
-                "train: restore_best needs per-model encoders; disable it or "
-                "build the bundle without a shared encoder"
-            )
+    encoders = {id(model.enc["tok_emb"]) for model in bundle.models.values()}
+    restore_best = len(encoders) == len(bundle.models)
     rng = np.random.default_rng(config.seed)
     opts = graph_options or GraphOptions()
     train_graphs = [build_graph(s, bundle.vocab, opts) for s in train_sents]
@@ -320,7 +311,7 @@ def train(
             if log_file:
                 log_file.write(json.dumps(record, sort_keys=True) + "\n")
                 log_file.flush()
-        if config.restore_best:
+        if restore_best:
             for name, info in result.best.items():
                 store = bundle.models[name].store
                 for pname, data in info["params"].items():
@@ -463,7 +454,7 @@ def mean_ensemble_kl(
     n_tokens = 0
     for sent, graph in zip(sents, graphs):
         outs = {
-            name: forward_sentence(model, sent, graph, bundle.vocab)
+            name: forward_sentence(model, [sent], graph.block, bundle.vocab)
             for name, model in bundle.models.items()
         }
         target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
@@ -535,29 +526,54 @@ def save_bundle(
             )
 
 
-def _load_meta(model_dir: str | os.PathLike) -> tuple[dict, Vocabulary, GraphOptions]:
+@contextmanager
+def _reading(path: str):
+    """A missing key or a wrong-typed value read from ``path``: a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed ({exc})") from exc
+
+
+def _read_json(path: str, what: str):
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{path}: missing {what}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _load_meta(
+    model_dir: str | os.PathLike,
+) -> tuple[dict[str, str], ModelBundle, GraphOptions]:
+    """Each model's mode, a bundle of no models with the shared settings, graph options."""
     meta_path = os.path.join(model_dir, BUNDLE_META)
-    if not os.path.exists(meta_path):
-        raise FileNotFoundError(f"{meta_path}: missing bundle metadata")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    with open(os.path.join(model_dir, VOCAB_FILE), "r", encoding="utf-8") as fh:
-        vocab = Vocabulary.from_json(json.load(fh))
-    return meta, vocab, _graph_options_from_record(meta["graph_options"])
+    with _reading(meta_path):
+        meta = _read_json(meta_path, "bundle metadata")
+        modes = dict(meta["models"])
+        config = EncoderConfig(**meta["encoder"])
+        label_emb_dim = int(meta["label_emb_dim"])
+        opts = _graph_options_from_record(meta["graph_options"])
+    vocab_path = os.path.join(model_dir, VOCAB_FILE)
+    with _reading(vocab_path):
+        vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
+    shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
+    return modes, shell, opts
 
 
 def _load_one_model(
-    model_dir: str | os.PathLike, name: str, meta: dict, vocab: Vocabulary
+    model_dir: str | os.PathLike, name: str, mode: str, shell: ModelBundle
 ) -> SimileModel:
-    config = EncoderConfig(**meta["encoder"])
     path = os.path.join(model_dir, f"model_{name}.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path}: missing model checkpoint")
     arrays, _ = tc.load_checkpoint(path)
-    n_edge_labels = arrays["enc/edge_emb"].shape[0]
+    with _reading(path):
+        n_edge_labels = arrays["enc/edge_emb"].shape[0]
     model = init_model(
-        meta["models"][name], len(vocab.token_to_id), n_edge_labels, config,
-        np.random.default_rng(0), label_emb_dim=meta["label_emb_dim"],
+        mode, len(shell.vocab.token_to_id), n_edge_labels, shell.config,
+        np.random.default_rng(0), label_emb_dim=shell.label_emb_dim,
     )
     if set(arrays) != set(model.store.params):
         missing = sorted(set(model.store.params) - set(arrays))
@@ -580,23 +596,20 @@ def load_selected(
     model_dir: str | os.PathLike,
 ) -> tuple[str, SimileModel, Vocabulary, GraphOptions]:
     """Load only the dev-selected model, per the single-model inference rule."""
-    meta, vocab, opts = _load_meta(model_dir)
+    modes, shell, opts = _load_meta(model_dir)
     sel_path = os.path.join(model_dir, SELECTED_FILE)
-    if not os.path.exists(sel_path):
-        raise FileNotFoundError(f"{sel_path}: missing selected-model marker")
-    with open(sel_path, "r", encoding="utf-8") as fh:
-        name = json.load(fh)["selected"]
-    return name, _load_one_model(model_dir, name, meta, vocab), vocab, opts
+    with _reading(sel_path):
+        name = _read_json(sel_path, "selected-model marker")["selected"]
+        known = name in modes
+    if not known:
+        raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
+    return name, _load_one_model(model_dir, name, modes[name], shell), shell.vocab, opts
 
 
 def load_bundle(
     model_dir: str | os.PathLike,
 ) -> tuple[ModelBundle, GraphOptions]:
-    meta, vocab, opts = _load_meta(model_dir)
-    models = {
-        name: _load_one_model(model_dir, name, meta, vocab) for name in meta["models"]
-    }
-    config = EncoderConfig(**meta["encoder"])
-    bundle = ModelBundle(models=models, vocab=vocab, config=config,
-                         label_emb_dim=meta["label_emb_dim"])
+    modes, bundle, opts = _load_meta(model_dir)
+    for name, mode in modes.items():
+        bundle.models[name] = _load_one_model(model_dir, name, mode, bundle)
     return bundle, opts

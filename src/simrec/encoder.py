@@ -8,9 +8,9 @@ embeddings, node states are initialized from token states (subsentence
 nodes pool their token range), and L graph-attention layers propagate
 information along the typed edges.
 
-A batch of sentences is encoded at once over its joined graph
-(``hetgraph.join_graphs``), each token attending only within its own
-sentence; a single sentence is a batch of one.
+Every function takes a list of sentences and their ``BlockGraph`` and
+encodes them at once, each token attending only within its own sentence;
+a single sentence is the block of one that ``build_graph`` made.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensorcore as tc
 from .corpus import CLS_TOKEN, SEP_TOKEN, AnnotatedSentence, Vocabulary
-from .hetgraph import BlockGraph, HeteroGraph
+from .hetgraph import BlockGraph
 from .tensorcore import DiffArray, ParamStore
 
 
@@ -100,30 +100,20 @@ def init_encoder_params(
     return p
 
 
-def as_batch(
-    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
-) -> list[AnnotatedSentence]:
-    """A sentence, or a batch of sentences, as a list; one sentence is a batch of one."""
-    if isinstance(sentences, AnnotatedSentence):
-        return [sentences]
-    return list(sentences)
-
-
 def encode_tokens(
-    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
+    sentences: Sequence[AnnotatedSentence],
     vocab: Vocabulary,
     params: dict[str, DiffArray],
     config: EncoderConfig,
 ) -> DiffArray:
     """Contextual states, one block of rows per sentence: CLS, tokens 1..N, SEP.
 
-    A batch attends block-diagonally: one score matrix over all of its rows,
-    with each row's softmax restricted to its own sentence's block.
+    The batch attends block-diagonally: one score matrix over all of its
+    rows, with each row's softmax restricted to its own sentence's block.
     """
-    sents = as_batch(sentences)
     ids: list[int] = []
     positions: list[int] = []
-    for sent in sents:
+    for sent in sentences:
         n = len(sent.tokens)
         if n > config.max_tokens:
             raise ValueError(f"sentence has {n} tokens, limit is {config.max_tokens}")
@@ -131,10 +121,8 @@ def encode_tokens(
         ids.extend(vocab.token_id(t.surface) for t in sent.tokens)
         ids.append(vocab.token_to_id[SEP_TOKEN])
         positions.extend(range(n + 2))
-    mask = None
-    if len(sents) > 1:
-        owner = np.repeat(np.arange(len(sents)), [len(s.tokens) + 2 for s in sents])
-        mask = owner[:, None] == owner[None, :]
+    owner = np.repeat(np.arange(len(sentences)), [len(s.tokens) + 2 for s in sentences])
+    mask = owner[:, None] == owner[None, :]
     rows = tc.pick_rows(params["tok_emb"], ids)
     pos = tc.pick_rows(params["pos_emb"], positions)
     h = tc.add(rows, pos)
@@ -150,7 +138,7 @@ def encode_tokens(
 
 
 def fuse_definitions(
-    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
+    sentences: Sequence[AnnotatedSentence],
     h: DiffArray,
     vocab: Vocabulary,
     params: dict[str, DiffArray],
@@ -160,7 +148,7 @@ def fuse_definitions(
     pool_ids: list[int] = []
     noun_rows: list[int] = []
     first_row = 0  # the CLS row of the current sentence in h
-    for sent in as_batch(sentences):
+    for sent in sentences:
         for i in sorted(sent.glosses):
             gloss = sent.glosses[i]
             gloss_ids.extend(vocab.token_id(w) for w in gloss)
@@ -175,19 +163,19 @@ def fuse_definitions(
     return tc.add_rows_at(h, noun_rows, delta)
 
 
-def init_node_states(h: DiffArray, graph: HeteroGraph | BlockGraph) -> DiffArray:
+def init_node_states(h: DiffArray, graph: BlockGraph) -> DiffArray:
     """g^(0): word node i takes h_i; subsentence nodes mean-pool their range.
 
     A merged graph has one global node instead of the two subsentence
     nodes; it starts from the CLS-surrogate state (row 0 of h).  The graph
-    lists these rows (``pool_rows``), so a joined batch pools in one op.
+    lists these rows (``pool_rows``), so a batch pools in one op.
     """
     return tc.mean_pool(h, graph.pool_rows, graph.pool_nodes, graph.n_nodes)
 
 
 def gat_layer(
     g: DiffArray,
-    graph: HeteroGraph | BlockGraph,
+    graph: BlockGraph,
     params: dict[str, DiffArray],
     layer: int,
     config: EncoderConfig,
@@ -213,16 +201,13 @@ def gat_layer(
 
 
 def encode_graph(
-    sentences: AnnotatedSentence | Sequence[AnnotatedSentence],
-    graph: HeteroGraph | BlockGraph,
+    sentences: Sequence[AnnotatedSentence],
+    graph: BlockGraph,
     vocab: Vocabulary,
     params: dict[str, DiffArray],
     config: EncoderConfig,
 ) -> list[DiffArray]:
-    """Full pipeline; returns node states per layer, g^(0) through g^(L).
-
-    A batch passes its sentences with their ``join_graphs`` graph.
-    """
+    """Full pipeline; returns node states per layer, g^(0) through g^(L)."""
     h = encode_tokens(sentences, vocab, params, config)
     if config.use_gloss_fusion:
         h = fuse_definitions(sentences, h, vocab, params)

@@ -147,9 +147,7 @@ def init_model(
 # heads
 # ---------------------------------------------------------------------------
 
-def classify(
-    g_final: DiffArray, graph: HeteroGraph | BlockGraph, head: dict[str, DiffArray]
-) -> DiffArray:
+def classify(g_final: DiffArray, graph: BlockGraph, head: dict[str, DiffArray]) -> DiffArray:
     """Distribution over {literal, simile} from the subsentence states, one
     (1, 2) row per sentence of the graph."""
     g_left = tc.pick_rows(g_final, graph.left_nodes)
@@ -159,7 +157,7 @@ def classify(
     return tc.softmax(logits, axis=-1)
 
 
-def word_states(g_final: DiffArray, graph: HeteroGraph | BlockGraph) -> DiffArray:
+def word_states(g_final: DiffArray, graph: BlockGraph) -> DiffArray:
     """The word rows of every sentence, sentence by sentence."""
     return tc.pick_rows(g_final, graph.word_nodes)
 
@@ -172,21 +170,14 @@ def tag_logits_first(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
     return tc.add(tc.matmul(words, head["first/w"]), head["first/b"])
 
 
-def _counts(words: DiffArray, word_counts: np.ndarray | None) -> np.ndarray:
-    """Words per sentence; without counts all rows are one sentence."""
-    if word_counts is None:
-        return np.array([words.data.shape[0]], dtype=np.int64)
-    return np.asarray(word_counts, dtype=np.int64)
-
-
 def tag_logits_second(
     words: DiffArray,
     g_c1: DiffArray,
     head: dict[str, DiffArray],
-    word_counts: np.ndarray | None = None,
+    word_counts: np.ndarray,
 ) -> DiffArray:
     """Second stage: each word row next to its sentence's pooled component."""
-    cond = tc.repeat_row(g_c1, _counts(words, word_counts))
+    cond = tc.repeat_row(g_c1, word_counts)
     feat = tc.concat([words, cond], axis=1)
     return tc.add(tc.matmul(feat, head["second/w"]), head["second/b"])
 
@@ -209,11 +200,11 @@ def forward_tagger(
     model: SimileModel,
     words: DiffArray,
     gold_tags: Sequence[str] | None,
-    word_counts: np.ndarray | None = None,
+    word_counts: np.ndarray,
 ) -> TagForward:
     """Final 3-way logits for any mode, over the word rows of a batch.
 
-    ``word_counts`` splits the rows into sentences (one by default), and
+    ``word_counts`` splits the rows into sentences, and
     ``gold_tags`` runs over all of them.  Sequential modes pool each
     sentence's first component from gold tags when provided (teacher
     forcing) and from the first stage's argmax otherwise.
@@ -231,11 +222,10 @@ def forward_tagger(
         first_golds = None
     # Per sentence, the mean state of its first-component rows; a zero row
     # for a sentence with none.
-    counts = _counts(words, word_counts)
     rows = np.asarray(rows, dtype=np.int64)
-    sentence_of = np.repeat(np.arange(counts.size), counts)
-    g_c1 = tc.mean_pool(words, rows, sentence_of[rows], counts.size)
-    final_logits = tag_logits_second(words, g_c1, model.head, counts)
+    sentence_of = np.repeat(np.arange(word_counts.size), word_counts)
+    g_c1 = tc.mean_pool(words, rows, sentence_of[rows], word_counts.size)
+    final_logits = tag_logits_second(words, g_c1, model.head, word_counts)
     return TagForward(
         final_logits=final_logits, first_logits=first_logits, first_golds=first_golds
     )
@@ -288,12 +278,12 @@ def predict(
     vocab: Vocabulary,
 ) -> SpanPrediction:
     """Classify, then extract spans only for sentences judged similes."""
-    g_final = encode_graph(sentence, graph, vocab, model.enc, model.config)[-1]
-    cls = classify(g_final, graph, model.head)
+    g_final = encode_graph([sentence], graph.block, vocab, model.enc, model.config)[-1]
+    cls = classify(g_final, graph.block, model.head)
     p_simile = float(cls.data[0, CLASS_SIMILE])
     if p_simile <= SIMILE_THRESHOLD:
         return SpanPrediction(label="literal", p_simile=p_simile)
-    words = word_states(g_final, graph)
-    fwd = forward_tagger(model, words, gold_tags=None)
+    words = word_states(g_final, graph.block)
+    fwd = forward_tagger(model, words, None, graph.block.word_counts)
     dist = tc.softmax(fwd.final_logits, axis=-1)
     return SpanPrediction(label="simile", p_simile=p_simile, spans=decode_spans(dist.data))

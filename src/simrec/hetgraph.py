@@ -10,10 +10,10 @@ directed edge to each subsentence node labeled by containment (``con`` for
 the side holding the noun, ``not-con`` for the other).  Every node carries
 a self-loop so no attention neighborhood is empty.
 
-A training batch is one graph: ``join_graphs`` places the batch's graphs
-side by side, PyTorch Geometric style, shifting each sentence's node ids
-and token rows past those of the sentences before it.  A single graph is
-a batch of one and is used as it is.
+The model reads a ``BlockGraph``: one or more graphs side by side, PyTorch
+Geometric style, each sentence's node ids and token rows shifted past those
+of the sentences before it.  ``build_graph`` makes a sentence's block of one
+(``HeteroGraph.block``); ``join_graphs`` joins a batch's blocks.
 """
 
 from __future__ import annotations
@@ -68,6 +68,29 @@ class GraphOptions:
     no_subsentence_nodes: bool = False
 
 
+@dataclass(frozen=True)
+class BlockGraph:
+    """One or more sentence graphs side by side, with a block-diagonal adjacency.
+
+    Edges, the node of each word, and the token rows (``pool_rows``) whose
+    mean starts each node (``pool_nodes``); a sentence's token rows are CLS,
+    words 1..N, SEP.  Sentence b's node ids and token rows follow those of
+    sentences 0..b-1, and the per-sentence fields (``word_counts``,
+    ``left_nodes``, ``right_nodes``) have one entry per sentence.
+    """
+
+    n_nodes: int
+    src_ids: np.ndarray = field(repr=False)
+    dst_ids: np.ndarray = field(repr=False)
+    label_ids: np.ndarray = field(repr=False)
+    word_nodes: np.ndarray = field(repr=False)
+    word_counts: np.ndarray
+    left_nodes: np.ndarray
+    right_nodes: np.ndarray
+    pool_rows: np.ndarray = field(repr=False)
+    pool_nodes: np.ndarray = field(repr=False)
+
+
 @dataclass
 class HeteroGraph:
     n_tokens: int
@@ -78,18 +101,7 @@ class HeteroGraph:
     left_range: tuple[int, int] | None  # inclusive 1-based token range, None if empty
     right_range: tuple[int, int] | None
     merged: bool
-    n_edge_labels: int
-    # dense views for the encoder, the same fields a BlockGraph carries;
-    # token row 0 is the CLS surrogate, row i is word i, row N+1 the SEP
-    src_ids: np.ndarray = field(repr=False, default=None)
-    dst_ids: np.ndarray = field(repr=False, default=None)
-    label_ids: np.ndarray = field(repr=False, default=None)
-    word_nodes: np.ndarray = field(repr=False, default=None)
-    word_counts: np.ndarray = field(repr=False, default=None)
-    left_nodes: np.ndarray = field(repr=False, default=None)
-    right_nodes: np.ndarray = field(repr=False, default=None)
-    pool_rows: np.ndarray = field(repr=False, default=None)
-    pool_nodes: np.ndarray = field(repr=False, default=None)
+    block: BlockGraph = field(repr=False)  # the model's view: a block of one
 
     @property
     def n_nodes(self) -> int:
@@ -109,48 +121,26 @@ class HeteroGraph:
         return dict(sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class BlockGraph:
-    """The graphs of a batch joined into one graph with a block-diagonal adjacency.
-
-    It carries the dense views of a ``HeteroGraph``: edges, the node of each
-    word, and the token rows (``pool_rows``) whose mean starts each node
-    (``pool_nodes``).  Sentence b's node ids and token rows follow those of
-    sentences 0..b-1, and the per-sentence fields (``word_counts``,
-    ``left_nodes``, ``right_nodes``) have one entry per sentence.
-    """
-
-    n_nodes: int
-    src_ids: np.ndarray = field(repr=False)
-    dst_ids: np.ndarray = field(repr=False)
-    label_ids: np.ndarray = field(repr=False)
-    word_nodes: np.ndarray = field(repr=False)
-    word_counts: np.ndarray
-    left_nodes: np.ndarray
-    right_nodes: np.ndarray
-    pool_rows: np.ndarray = field(repr=False)
-    pool_nodes: np.ndarray = field(repr=False)
-
-
-def join_graphs(graphs: Sequence[HeteroGraph]) -> HeteroGraph | BlockGraph:
-    """One graph for a batch; a batch of one is its own graph."""
+def join_graphs(graphs: Sequence[HeteroGraph]) -> BlockGraph:
+    """One block graph for a batch; a batch of one is its graph's own block."""
     if not graphs:
         raise ValueError("join_graphs: empty batch")
     if len(graphs) == 1:
-        return graphs[0]
-    node_off = np.cumsum([0] + [g.n_nodes for g in graphs[:-1]])
+        return graphs[0].block
+    blocks = [g.block for g in graphs]
+    node_off = np.cumsum([0] + [b.n_nodes for b in blocks[:-1]])
     row_off = np.cumsum([0] + [g.n_tokens + 2 for g in graphs[:-1]])
 
     def shifted(name: str, offsets: np.ndarray) -> np.ndarray:
-        return np.concatenate([getattr(g, name) + off for g, off in zip(graphs, offsets)])
+        return np.concatenate([getattr(b, name) + off for b, off in zip(blocks, offsets)])
 
     return BlockGraph(
-        n_nodes=int(node_off[-1] + graphs[-1].n_nodes),
+        n_nodes=int(node_off[-1] + blocks[-1].n_nodes),
         src_ids=shifted("src_ids", node_off),
         dst_ids=shifted("dst_ids", node_off),
-        label_ids=np.concatenate([g.label_ids for g in graphs]),
+        label_ids=np.concatenate([b.label_ids for b in blocks]),
         word_nodes=shifted("word_nodes", node_off),
-        word_counts=np.array([g.n_tokens for g in graphs], dtype=np.int64),
+        word_counts=np.concatenate([b.word_counts for b in blocks]),
         left_nodes=shifted("left_nodes", node_off),
         right_nodes=shifted("right_nodes", node_off),
         pool_rows=shifted("pool_rows", row_off),
@@ -259,16 +249,18 @@ def build_graph(
         left_range=left_range,
         right_range=right_range,
         merged=opts.no_subsentence_nodes,
-        n_edge_labels=len(label_ids_map),
-        src_ids=np.array([e[0] for e in edges], dtype=np.int64),
-        dst_ids=np.array([e[1] for e in edges], dtype=np.int64),
-        label_ids=np.array([label_ids_map[e[2]] for e in edges], dtype=np.int64),
-        word_nodes=np.array(words, dtype=np.int64),
-        word_counts=np.array([n], dtype=np.int64),
-        left_nodes=np.array([left_node], dtype=np.int64),
-        right_nodes=np.array([right_node], dtype=np.int64),
-        pool_rows=np.array(pool_rows, dtype=np.int64),
-        pool_nodes=np.array(pool_nodes, dtype=np.int64),
+        block=BlockGraph(
+            n_nodes=len(node_kinds),
+            src_ids=np.array([e[0] for e in edges], dtype=np.int64),
+            dst_ids=np.array([e[1] for e in edges], dtype=np.int64),
+            label_ids=np.array([label_ids_map[e[2]] for e in edges], dtype=np.int64),
+            word_nodes=np.array(words, dtype=np.int64),
+            word_counts=np.array([n], dtype=np.int64),
+            left_nodes=np.array([left_node], dtype=np.int64),
+            right_nodes=np.array([right_node], dtype=np.int64),
+            pool_rows=np.array(pool_rows, dtype=np.int64),
+            pool_nodes=np.array(pool_nodes, dtype=np.int64),
+        ),
     )
 
 

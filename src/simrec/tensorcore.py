@@ -592,13 +592,20 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray], extra: dict | Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Parameters and extra record; a damaged file raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a recognized checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
     arrays = {}
-    for name, rec in payload["params"].items():
-        arrays[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
+    try:
+        for name, rec in payload["params"].items():
+            arrays[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed parameter record ({exc!r})") from exc
     return arrays, payload.get("extra", {})

@@ -17,6 +17,7 @@ from simrec.distill import (
     supervised_loss,
 )
 from simrec.encoder import EncoderConfig, encode_graph
+from simrec.heads import CLASS_SIMILE, predict
 from simrec.hetgraph import GraphOptions, build_graph, join_graphs
 from simrec.tensorcore import DiffArray
 
@@ -67,7 +68,7 @@ def sentence_targets(bundle, sents, graphs, vocab):
     """Ensemble target of each sentence, from one-sentence forward passes."""
     return [
         ensemble_distribution(*(
-            forward_sentence(m, s, g, vocab).tag_fwd.final_logits.data
+            forward_sentence(m, [s], g.block, vocab).tag_fwd.final_logits.data
             for m in bundle.models.values()
         ))
         for s, g in zip(sents, graphs)
@@ -98,7 +99,7 @@ def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
 
     singles = []
     for sent, graph, target in zip(sents, graphs, targets):
-        loss = tc.scale(batch_loss(model, [sent], graph, vocab, target), 1.0 / len(sents))
+        loss = tc.scale(batch_loss(model, [sent], graph.block, vocab, target), 1.0 / len(sents))
         tc.backward(loss)
         singles.append(float(loss.data))
     single_grads = grads_of(model)
@@ -109,6 +110,24 @@ def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
     for pname, g in batch_grads.items():
         np.testing.assert_allclose(g, single_grads[pname], rtol=1e-10, atol=1e-14,
                                    err_msg=pname)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(MODE_OF))
+def test_predict_reads_the_training_forward(corpus, vocab, variant, name):
+    # Serving runs a sentence as the block of one that build_graph made;
+    # its p(simile) is that sentence's row of the batched training forward.
+    enc, opts = VARIANTS[variant]
+    bundle = build_bundle(vocab, enc, np.random.default_rng(3), label_emb_dim=5)
+    model = bundle.models[name]
+    sents = batch_of_four(corpus)
+    graphs = [build_graph(s, vocab, opts) for s in sents]
+    out = forward_sentence(model, sents, join_graphs(graphs), vocab)
+    for b, (sent, graph) in enumerate(zip(sents, graphs)):
+        assert join_graphs([graph]) is graph.block
+        pred = predict(model, sent, graph, vocab)
+        np.testing.assert_allclose(pred.p_simile, out.cls_dist.data[b, CLASS_SIMILE],
+                                   rtol=0, atol=1e-12)
 
 
 def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):

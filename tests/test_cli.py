@@ -176,6 +176,24 @@ class TestTrain:
         assert set(meta["models"]) == {"p", "t"}
         assert not (out / "model_v.json").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"disable_model": ["q"]}, "unknown model names ['q']"),
+        ({"alpha": 2.0}, "alpha must lie in [0, 1]"),
+        ({"max_tokens": 0}, "max_tokens must be positive"),
+    ])
+    def test_bad_value_fails_before_output(
+        self, corpora, tmp_path, capsys, setting, message
+    ):
+        train, dev = corpora
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(setting), encoding="utf-8")
+        out = tmp_path / "m"
+        rc = main(["train", "--train", train, "--dev", dev, "--out-dir", str(out),
+                   "--config", str(config), *TINY_FLAGS])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_share_encoder_trains_without_rollback(self, corpora, tmp_path, capsys):
         # Per-model best rollback is skipped for a shared encoder; the run
         # must still finish and write the bundle.
@@ -234,6 +252,50 @@ class TestEvaluate:
                    "--data", dev])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestDamagedModelDir:
+    """A model directory missing a required key fails with one line, never a
+    traceback.  ``SELECTED`` stands for the selected model's checkpoint, and
+    a key path descends through nested records at each dot."""
+
+    @pytest.mark.parametrize("file, key_path", [
+        ("bundle.json", "encoder"),
+        ("bundle.json", "models"),
+        ("bundle.json", "label_emb_dim"),
+        ("bundle.json", "graph_options.no_pos"),
+        ("vocab.json", "token_to_id"),
+        ("vocab.json", "deprel_ranking"),
+        ("selected.json", "selected"),
+        ("SELECTED", "params"),
+        ("SELECTED", "params.enc/edge_emb"),
+        ("SELECTED", "params.enc/tok_emb.values"),
+        ("SELECTED", "params.head/cls/w.shape"),
+    ])
+    def test_missing_key_is_one_error_line(
+        self, trained_dir, corpora, tmp_path, capsys, file, key_path
+    ):
+        _, dev = corpora
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        if file == "SELECTED":
+            selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+            file = f"model_{selected}.json"
+        path = model_dir / file
+        record = json.loads(path.read_text(encoding="utf-8"))
+        *parents, last = key_path.split(".")
+        parent = record
+        for key in parents:
+            parent = parent[key]
+        del parent[last]
+        path.write_text(json.dumps(record), encoding="utf-8")
+        for argv in (["predict", "--input", dev, "--out", str(tmp_path / "p.jsonl")],
+                     ["evaluate", "--data", dev]):
+            rc = main([argv[0], "--model-dir", str(model_dir), *argv[1:]])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert file in err and "Traceback" not in err
 
 
 class TestPredict:
@@ -345,6 +407,38 @@ class TestRunConfig:
         config.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON"):
             load_run_config(str(config), {}, env={})
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("batch_size", "4", "an integer"),
+        ("epochs", True, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("learning_rate", "0.1", "a number"),
+        ("alpha", False, "a number"),
+        ("no_pos", "false", "true or false"),
+        ("share_encoder", 1, "true or false"),
+        ("lambda_mode", 1, "a string"),
+        ("disable_model", "v", "a list of strings"),
+        ("disable_model", ["v", 2], "a list of strings"),
+    ])
+    def test_wrong_type_fails_before_training(
+        self, corpora, tmp_path, capsys, key, value, expected
+    ):
+        train, dev = corpora
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "m"
+        rc = main(["train", "--train", train, "--dev", dev, "--out-dir", str(out),
+                   "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {config}: '{key}' must be {expected}, got {json.dumps(value)}\n"
+        assert not out.exists()
+
+    def test_float_field_accepts_integer(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"learning_rate": 1, "alpha": 0}), encoding="utf-8")
+        cfg = load_run_config(str(config), {}, env={})
+        assert cfg.learning_rate == 1 and cfg.alpha == 0
 
     def test_non_object_config(self, tmp_path):
         config = tmp_path / "c.json"

@@ -74,7 +74,7 @@ class TestSupervisedLoss:
             cls_row=[0.5, 0.5],
             tag_rows=[[0.25, 0.25, 0.5]] * 6,
         )
-        loss = supervised_loss(out, fig_sentence, alpha=0.1)
+        loss = supervised_loss(out, [fig_sentence], alpha=0.1)
         # gold class simile -> ln 2; tags O,T,O,O,O,V -> per-token CE:
         # five O tokens at p=0.5 and T,V tokens at p=0.25.
         j_sc = math.log(2)
@@ -85,7 +85,7 @@ class TestSupervisedLoss:
 
     def test_alpha_one_keeps_only_classification(self, fig_sentence):
         out = self._forward([0.25, 0.75], [[0.2, 0.3, 0.5]] * 6)
-        loss = supervised_loss(out, fig_sentence, alpha=1.0)
+        loss = supervised_loss(out, [fig_sentence], alpha=1.0)
         np.testing.assert_allclose(float(loss.data), math.log(1 / 0.75), rtol=1e-12)
 
     def test_perfect_prediction_is_zero(self, fig_sentence):
@@ -95,7 +95,7 @@ class TestSupervisedLoss:
             row[TAG_TO_ID[tag]] = 1.0
             rows.append(row)
         out = self._forward([0.0, 1.0], rows)
-        assert float(supervised_loss(out, fig_sentence, alpha=0.1).data) == 0.0
+        assert float(supervised_loss(out, [fig_sentence], alpha=0.1).data) == 0.0
 
     def test_aux_term_scales_with_weight(self, fig_sentence):
         golds = [1 if t == "T" else 0 for t in fig_sentence.tags]
@@ -105,9 +105,9 @@ class TestSupervisedLoss:
             first_rows=[[0.5, 0.5]] * 6,
             first_golds=golds,
         )
-        base = supervised_loss(self._forward(**kwargs), fig_sentence, 0.1, aux_weight=0.0)
-        one = supervised_loss(self._forward(**kwargs), fig_sentence, 0.1, aux_weight=1.0)
-        two = supervised_loss(self._forward(**kwargs), fig_sentence, 0.1, aux_weight=2.0)
+        base = supervised_loss(self._forward(**kwargs), [fig_sentence], 0.1, aux_weight=0.0)
+        one = supervised_loss(self._forward(**kwargs), [fig_sentence], 0.1, aux_weight=1.0)
+        two = supervised_loss(self._forward(**kwargs), [fig_sentence], 0.1, aux_weight=2.0)
         aux = 6 * math.log(2)  # six tokens at p=0.5
         np.testing.assert_allclose(float(one.data) - float(base.data), 0.9 * aux, rtol=1e-10)
         np.testing.assert_allclose(float(two.data) - float(one.data), 0.9 * aux, rtol=1e-10)
@@ -161,29 +161,31 @@ class TestKLToEnsemble:
         z = rng.normal(size=(4, 3))
         dist = DiffArray(softmax_np(z))
         target = ensemble_distribution(z)
-        assert abs(float(kl_to_ensemble(dist, target).data)) < 1e-12
+        assert abs(float(kl_to_ensemble(dist, target, np.array([4])).data)) < 1e-12
 
     def test_nonnegative(self, rng):
         for _ in range(50):
             dist = DiffArray(softmax_np(rng.normal(size=(3, 3))))
             target = ensemble_distribution(rng.normal(size=(3, 3)))
-            assert float(kl_to_ensemble(dist, target).data) >= 0.0
+            assert float(kl_to_ensemble(dist, target, np.array([3])).data) >= 0.0
 
     def test_mean_over_tokens(self, rng):
         # Repeating one row must leave the value unchanged.
         z = rng.normal(size=(1, 3))
         t = rng.normal(size=(1, 3))
-        one = kl_to_ensemble(DiffArray(softmax_np(z)), ensemble_distribution(t))
+        one = kl_to_ensemble(DiffArray(softmax_np(z)), ensemble_distribution(t),
+                             np.array([1]))
         four = kl_to_ensemble(
             DiffArray(softmax_np(np.tile(z, (4, 1)))),
             ensemble_distribution(np.tile(t, (4, 1))),
+            np.array([4]),
         )
         np.testing.assert_allclose(float(one.data), float(four.data), rtol=1e-12)
 
     def test_gradient_reaches_logits(self, rng):
         logits = DiffArray(rng.normal(size=(3, 3)), requires_grad=True)
         target = ensemble_distribution(rng.normal(size=(3, 3)))
-        loss = kl_to_ensemble(tc.softmax(logits), target)
+        loss = kl_to_ensemble(tc.softmax(logits), target, np.array([3]))
         tc.backward(loss)
         assert logits.grad is not None and np.abs(logits.grad).max() > 0
 
@@ -233,13 +235,24 @@ class TestTrainConfig:
             ({"batch_size": 0}, "batch_size"),
             ({"lambda_mode": "wavy"}, "lambda_mode"),
             ({"lambda_fixed": -0.1}, "lambda_fixed"),
-            ({"disabled_models": ("q",)}, "unknown model"),
-            ({"disabled_models": ("p", "t", "v")}, "stay enabled"),
         ],
     )
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs).validate()
+
+
+class TestBuildBundle:
+    @pytest.mark.parametrize(
+        "disabled, message",
+        [
+            (("q",), "unknown model"),
+            (("p", "t", "v"), "stay enabled"),
+        ],
+    )
+    def test_rejects(self, tiny_vocab, disabled, message):
+        with pytest.raises(ValueError, match=message):
+            fresh_bundle(tiny_vocab, disabled_models=disabled)
 
 
 class TestEpochBatches:
@@ -265,15 +278,16 @@ class TestGradientIsolation:
         sent = tiny_corpus[0]
         graph = build_graph(sent, tiny_vocab)
         outs = {
-            name: forward_sentence(m, sent, graph, tiny_vocab)
+            name: forward_sentence(m, [sent], graph.block, tiny_vocab)
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
             *(outs[n].tag_fwd.final_logits.data for n in bundle.models)
         )
         loss = tc.add(
-            tc.scale(supervised_loss(outs["p"], sent, 0.1), 0.5),
-            tc.scale(kl_to_ensemble(outs["p"].tag_dist, target), 0.5),
+            tc.scale(supervised_loss(outs["p"], [sent], 0.1), 0.5),
+            tc.scale(kl_to_ensemble(outs["p"].tag_dist, target, graph.block.word_counts),
+                     0.5),
         )
         tc.backward(loss)
         for other in ("t", "v"):
@@ -290,11 +304,11 @@ class TestGradientIsolation:
         graph = build_graph(sent, tiny_vocab)
 
         def p_loss(target):
-            out = forward_sentence(bundle.models["p"], sent, graph, tiny_vocab)
-            return float(kl_to_ensemble(out.tag_dist, target).data)
+            out = forward_sentence(bundle.models["p"], [sent], graph.block, tiny_vocab)
+            return float(kl_to_ensemble(out.tag_dist, target, graph.block.word_counts).data)
 
         outs = {
-            name: forward_sentence(m, sent, graph, tiny_vocab)
+            name: forward_sentence(m, [sent], graph.block, tiny_vocab)
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
@@ -417,7 +431,7 @@ class TestTrainLoop:
             assert math.isfinite(value) and value >= 0
 
     def test_disabled_model_shrinks_ensemble(self, tiny_corpus, tiny_vocab):
-        config = TrainConfig(epochs=1, batch_size=4, seed=0, disabled_models=("v",))
+        config = TrainConfig(epochs=1, batch_size=4, seed=0)
         bundle = fresh_bundle(tiny_vocab, disabled_models=("v",))
         assert bundle.names() == ("p", "t")
         result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
@@ -429,7 +443,7 @@ class TestTrainLoop:
         assert models[1].enc is models[0].enc
         assert models[2].enc is models[0].enc
         before = models[0].enc["tok_emb"].data.copy()
-        config = TrainConfig(epochs=1, batch_size=4, seed=0, share_encoder=True)
+        config = TrainConfig(epochs=1, batch_size=4, seed=0)
         train(bundle, tiny_corpus[:8], [], config)
         assert not np.array_equal(models[0].enc["tok_emb"].data, before)
         for model in models:
@@ -456,24 +470,20 @@ class TestTrainLoop:
                 assert np.array_equal(params[pname].data, want)
 
     def test_restore_best_off_matches_devless_run(self, tiny_corpus, tiny_vocab):
-        # Dev scoring consumes no randomness, so turning restore off must give
-        # the exact weights of an identically seeded run without a dev set.
-        config = TrainConfig(epochs=2, batch_size=4, seed=3, restore_best=False)
-        with_dev = fresh_bundle(tiny_vocab, seed=9)
-        train(with_dev, tiny_corpus[:8], tiny_corpus[8:], config)
-        without = fresh_bundle(tiny_vocab, seed=9)
+        # Models sharing an encoder are not rolled back, and dev scoring
+        # consumes no randomness, so a dev set must change no weight: the
+        # result equals an identically seeded run without a dev set.
+        config = TrainConfig(epochs=2, batch_size=4, seed=3)
+        with_dev = fresh_bundle(tiny_vocab, seed=9, share_encoder=True)
+        result = train(with_dev, tiny_corpus[:8], tiny_corpus[8:], config)
+        assert set(result.best) == {"p", "t", "v"}
+        without = fresh_bundle(tiny_vocab, seed=9, share_encoder=True)
         train(without, tiny_corpus[:8], [], config)
         for name in with_dev.models:
             got = with_dev.models[name].store.params
             want = without.models[name].store.params
             for pname in got:
                 assert np.array_equal(got[pname].data, want[pname].data)
-
-    def test_restore_best_with_shared_encoder_rejected(self, tiny_corpus, tiny_vocab):
-        bundle = fresh_bundle(tiny_vocab, share_encoder=True)
-        config = TrainConfig(epochs=1, batch_size=4, seed=0, share_encoder=True)
-        with pytest.raises(ValueError, match="restore_best"):
-            train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
 
 
 class TestSelection:
@@ -580,7 +590,7 @@ class TestPersistence:
         distill.save_bundle(bundle, tmp_path, graph_options=opts, selected="p")
         _, model, vocab, loaded_opts = distill.load_selected(tmp_path)
         graph = build_graph(tiny_corpus[0], vocab, loaded_opts)
-        assert graph.label_ids.max() < n_labels
+        assert graph.block.label_ids.max() < n_labels
         predict(model, tiny_corpus[0], graph, vocab)
 
     def test_missing_selection_marker(self, tiny_vocab, tmp_path):

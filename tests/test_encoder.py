@@ -59,7 +59,7 @@ class TestTokenEncoder:
     def test_row_layout(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens(fig_sentence, vocab, params, tiny_config)
+        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
         assert h.data.shape == (len(fig_sentence.tokens) + 2, tiny_config.d_model)
 
     def test_zero_layers_is_embedding_sum(self, fig_sentence):
@@ -69,7 +69,7 @@ class TestTokenEncoder:
         )
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, config)
-        h = enc.encode_tokens(fig_sentence, vocab, params, config)
+        h = enc.encode_tokens([fig_sentence], vocab, params, config)
         from simrec.corpus import CLS_TOKEN, SEP_TOKEN
 
         ids = [vocab.token_to_id[CLS_TOKEN]] + [
@@ -81,7 +81,7 @@ class TestTokenEncoder:
     def test_token_identity_matters(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens(fig_sentence, vocab, params, tiny_config)
+        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
         swapped_tokens = list(fig_sentence.tokens)
         swapped_tokens[1], swapped_tokens[5] = (
             dataclasses.replace(swapped_tokens[5], head=swapped_tokens[1].head,
@@ -90,7 +90,7 @@ class TestTokenEncoder:
                                 deprel=swapped_tokens[5].deprel),
         )
         other = dataclasses.replace(fig_sentence, tokens=tuple(swapped_tokens))
-        h2 = enc.encode_tokens(other, vocab, params, tiny_config)
+        h2 = enc.encode_tokens([other], vocab, params, tiny_config)
         assert not np.array_equal(h.data, h2.data)
 
     def test_too_long_sentence_rejected(self, fig_sentence):
@@ -98,7 +98,7 @@ class TestTokenEncoder:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, config)
         with pytest.raises(ValueError, match="limit"):
-            enc.encode_tokens(fig_sentence, vocab, params, config)
+            enc.encode_tokens([fig_sentence], vocab, params, config)
 
 
 class TestGlossFusion:
@@ -106,14 +106,14 @@ class TestGlossFusion:
         sent = nounless_sentence()
         vocab = build_vocab([sent])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens(sent, vocab, params, tiny_config)
-        assert enc.fuse_definitions(sent, h, vocab, params) is h
+        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        assert enc.fuse_definitions([sent], h, vocab, params) is h
 
     def test_only_glossed_rows_change(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens(fig_sentence, vocab, params, tiny_config)
-        fused = enc.fuse_definitions(fig_sentence, h, vocab, params)
+        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        fused = enc.fuse_definitions([fig_sentence], h, vocab, params)
         changed = {
             i for i in range(h.data.shape[0])
             if not np.array_equal(h.data[i], fused.data[i])
@@ -123,8 +123,8 @@ class TestGlossFusion:
     def test_delta_matches_numpy_oracle(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens(fig_sentence, vocab, params, tiny_config)
-        fused = enc.fuse_definitions(fig_sentence, h, vocab, params)
+        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        fused = enc.fuse_definitions([fig_sentence], h, vocab, params)
         tok = params["tok_emb"].data
         w, b = params["gloss/w"].data, params["gloss/b"].data
         for i, gloss in fig_sentence.glosses.items():
@@ -138,8 +138,8 @@ class TestGlossFusion:
         sent = dataclasses.replace(fig_sentence, glosses={2: gloss, 6: gloss})
         vocab = build_vocab([sent])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens(sent, vocab, params, tiny_config)
-        fused = enc.fuse_definitions(sent, h, vocab, params)
+        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        fused = enc.fuse_definitions([sent], h, vocab, params)
         d2 = fused.data[2] - h.data[2]
         d6 = fused.data[6] - h.data[6]
         np.testing.assert_allclose(d2, d6, rtol=1e-12)
@@ -150,8 +150,8 @@ class TestNodeStates:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        h = enc.encode_tokens(fig_sentence, vocab, params, tiny_config)
-        g0 = enc.init_node_states(h, graph)
+        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        g0 = enc.init_node_states(h, graph.block)
         assert g0.data.shape == (8, tiny_config.d_model)
         np.testing.assert_allclose(g0.data[0], h.data[1:4].mean(axis=0), rtol=1e-12)
         np.testing.assert_array_equal(g0.data[1:7], h.data[1:7])
@@ -173,8 +173,8 @@ class TestNodeStates:
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(sent, vocab)
         assert graph.left_range is None
-        h = enc.encode_tokens(sent, vocab, params, tiny_config)
-        g0 = enc.init_node_states(h, graph)
+        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        g0 = enc.init_node_states(h, graph.block)
         assert (g0.data[graph.left_node] == 0).all()
 
     def test_singleton_side_equals_token_state(self, tiny_config):
@@ -183,8 +183,8 @@ class TestNodeStates:
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(sent, vocab)
         assert graph.right_range == (4, 4)
-        h = enc.encode_tokens(sent, vocab, params, tiny_config)
-        g0 = enc.init_node_states(h, graph)
+        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        g0 = enc.init_node_states(h, graph.block)
         np.testing.assert_allclose(g0.data[graph.right_node], h.data[4], rtol=1e-12)
 
     def test_merged_graph_uses_whole_sentence_row(self, fig_sentence, tiny_config):
@@ -193,8 +193,8 @@ class TestNodeStates:
         graph = build_graph(
             fig_sentence, vocab, GraphOptions(no_subsentence_nodes=True)
         )
-        h = enc.encode_tokens(fig_sentence, vocab, params, tiny_config)
-        g0 = enc.init_node_states(h, graph)
+        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        g0 = enc.init_node_states(h, graph.block)
         assert g0.data.shape == (7, tiny_config.d_model)
         np.testing.assert_array_equal(g0.data[0], h.data[0])
         np.testing.assert_array_equal(g0.data[1:], h.data[1:7])
@@ -228,10 +228,10 @@ class TestGatLayer:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph(fig_sentence, graph, vocab, params, tiny_config)
+        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
         g = states[0].data
         for layer in (0, 1):
-            expected = gat_oracle(g, graph, params, layer, tiny_config.leaky_slope)
+            expected = gat_oracle(g, graph.block, params, layer, tiny_config.leaky_slope)
             np.testing.assert_allclose(states[layer + 1].data, expected, atol=1e-12)
             g = states[layer + 1].data
 
@@ -239,7 +239,7 @@ class TestGatLayer:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph(fig_sentence, graph, vocab, params, tiny_config)
+        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
         for g in states[1:]:
             assert (g.data > 0).all() and (g.data < 1).all()
 
@@ -253,9 +253,9 @@ class TestGatLayer:
         for node in (graph.left_node, graph.right_node):
             incoming = [e for e in graph.edges if e[1] == node]
             assert len(incoming) == 1 and incoming[0][0] == node
-        h = enc.encode_tokens(sent, vocab, params, tiny_config)
-        g0 = enc.init_node_states(h, graph)
-        g1 = enc.gat_layer(g0, graph, params, 0, tiny_config)
+        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        g0 = enc.init_node_states(h, graph.block)
+        g1 = enc.gat_layer(g0, graph.block, params, 0, tiny_config)
         wv = params["gat0/wv"].data
         for node in (graph.left_node, graph.right_node):
             expected = 1.0 / (1.0 + np.exp(-(g0.data[node] @ wv)))
@@ -267,7 +267,7 @@ class TestEncodeGraph:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph(fig_sentence, graph, vocab, params, tiny_config)
+        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
         assert len(states) == tiny_config.n_gat_layers + 1
         for g in states:
             assert g.data.shape == (graph.n_nodes, tiny_config.d_model)
@@ -280,7 +280,7 @@ class TestEncodeGraph:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph(fig_sentence, graph, vocab, params, config)
+        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, config)
         assert len(states) == 1
 
     def test_gloss_fusion_toggle(self, fig_sentence, tiny_config):
@@ -288,12 +288,12 @@ class TestEncodeGraph:
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
         off = dataclasses.replace(tiny_config, use_gloss_fusion=False)
-        with_gloss = enc.encode_graph(fig_sentence, graph, vocab, params, tiny_config)
-        without = enc.encode_graph(fig_sentence, graph, vocab, params, off)
+        with_gloss = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
+        without = enc.encode_graph([fig_sentence], graph.block, vocab, params, off)
         assert not np.array_equal(with_gloss[-1].data, without[-1].data)
-        h = enc.encode_tokens(fig_sentence, vocab, params, off)
+        h = enc.encode_tokens([fig_sentence], vocab, params, off)
         np.testing.assert_array_equal(
-            without[0].data, enc.init_node_states(h, graph).data
+            without[0].data, enc.init_node_states(h, graph.block).data
         )
 
     def test_dependency_ablation_changes_output(self, fig_sentence, tiny_config):
@@ -301,16 +301,16 @@ class TestEncodeGraph:
         _, params = make_params(vocab, tiny_config)
         full = build_graph(fig_sentence, vocab)
         ablated = build_graph(fig_sentence, vocab, GraphOptions(no_dependency=True))
-        a = enc.encode_graph(fig_sentence, full, vocab, params, tiny_config)
-        b = enc.encode_graph(fig_sentence, ablated, vocab, params, tiny_config)
+        a = enc.encode_graph([fig_sentence], full.block, vocab, params, tiny_config)
+        b = enc.encode_graph([fig_sentence], ablated.block, vocab, params, tiny_config)
         assert not np.array_equal(a[-1].data, b[-1].data)
 
     def test_bitwise_deterministic(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        a = enc.encode_graph(fig_sentence, graph, vocab, params, tiny_config)
-        b = enc.encode_graph(fig_sentence, graph, vocab, params, tiny_config)
+        a = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
+        b = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
         for ga, gb in zip(a, b):
             assert np.array_equal(ga.data, gb.data)
 
@@ -326,7 +326,7 @@ class TestGradients:
         graph = build_graph(fig_sentence, vocab)
 
         def build():
-            states = enc.encode_graph(fig_sentence, graph, vocab, params, config)
+            states = enc.encode_graph([fig_sentence], graph.block, vocab, params, config)
             return tc.sum_all(states[-1])
 
         tc.backward(build())

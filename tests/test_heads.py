@@ -39,14 +39,14 @@ class TestClassify:
     def test_is_valid_distribution(self, graph_and_states, tiny_config):
         graph, g_final = graph_and_states
         _, head = head_only("parallel", tiny_config)
-        dist = heads.classify(g_final, graph, head)
+        dist = heads.classify(g_final, graph.block, head)
         assert dist.data.shape == (1, 2)
         np.testing.assert_allclose(dist.data.sum(), 1.0, atol=1e-12)
 
     def test_matches_numpy_oracle(self, graph_and_states, tiny_config):
         graph, g_final = graph_and_states
         _, head = head_only("parallel", tiny_config)
-        dist = heads.classify(g_final, graph, head)
+        dist = heads.classify(g_final, graph.block, head)
         gl = g_final.data[graph.left_node]
         gr = g_final.data[graph.right_node]
         feat = np.concatenate([gl, gr, np.abs(gl - gr)])[None, :]
@@ -59,7 +59,7 @@ class TestClassify:
         graph, g_final = graph_and_states
         _, head = head_only("parallel", tiny_config)
         g_final.data[graph.right_node] = g_final.data[graph.left_node]
-        dist = heads.classify(g_final, graph, head)
+        dist = heads.classify(g_final, graph.block, head)
         g = g_final.data[graph.left_node]
         feat = np.concatenate([g, g, np.zeros_like(g)])[None, :]
         logits = feat @ head["cls/w"].data @ head["cls/emb"].data.T
@@ -71,7 +71,7 @@ class TestClassify:
 
         def build():
             return tc.cross_entropy(
-                tc.reshape(heads.classify(g_final, graph, head), (2,)), 1
+                tc.reshape(heads.classify(g_final, graph.block, head), (2,)), 1
             )
 
         tc.backward(build())
@@ -120,7 +120,8 @@ class TestComponentPooling:
         model = heads.SimileModel(
             mode="tenor_first", store=store, enc={}, head=head, config=config
         )
-        return heads.forward_tagger(model, words, gold).final_logits.data
+        fwd = heads.forward_tagger(model, words, gold, np.array([len(gold)]))
+        return fwd.final_logits.data
 
     def test_singleton(self, tiny_config, rng):
         words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
@@ -153,7 +154,7 @@ class TestSequentialStages:
         )
         words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
         gold = ("O", "T", "T", "O")
-        fwd = heads.forward_tagger(model, words, gold)
+        fwd = heads.forward_tagger(model, words, gold, np.array([4]))
         assert fwd.first_golds == [0, 1, 1, 0]
         g_c1 = words.data[[1, 2]].mean(axis=0)
         feat = np.concatenate([words.data, np.tile(g_c1, (4, 1))], axis=1)
@@ -166,7 +167,7 @@ class TestSequentialStages:
             mode="vehicle_first", store=store, enc={}, head=head, config=tiny_config
         )
         words = DiffArray(rng.normal(size=(6, tiny_config.d_model)))
-        fwd = heads.forward_tagger(model, words, gold_tags=None)
+        fwd = heads.forward_tagger(model, words, None, np.array([6]))
         assert fwd.first_golds is None
         picked = fwd.first_logits.data.argmax(axis=1)
         rows = [i for i, c in enumerate(picked) if c == heads.FIRST_C1]
@@ -186,7 +187,7 @@ class TestSequentialStages:
         head["second/w"].data[d:] = 0.0
         words = DiffArray(rng.normal(size=(5, d)))
         g_c1 = tc.mean_pool(words, [0, 3])
-        logits = heads.tag_logits_second(words, g_c1, head)
+        logits = heads.tag_logits_second(words, g_c1, head, np.array([5]))
         reduced = words.data @ head["second/w"].data[:d] + head["second/b"].data
         np.testing.assert_allclose(logits.data, reduced, atol=1e-12)
 
@@ -199,7 +200,7 @@ class TestSequentialStages:
         gold = ("O", "T", "T", "O")
 
         def build():
-            fwd = heads.forward_tagger(model, words, gold)
+            fwd = heads.forward_tagger(model, words, gold, np.array([4]))
             dist = tc.softmax(fwd.final_logits, axis=-1)
             first = tc.softmax(fwd.first_logits, axis=-1)
             return tc.add(

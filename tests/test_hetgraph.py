@@ -110,7 +110,7 @@ class TestCanonicalOracle:
         a = build_graph(fig_sentence, vocab)
         b = build_graph(fig_sentence, vocab)
         assert a.edges == b.edges
-        assert (a.label_ids == b.label_ids).all()
+        assert (a.block.label_ids == b.block.label_ids).all()
 
 
 class TestEdgeLabelIndex:
@@ -130,7 +130,7 @@ class TestEdgeLabelIndex:
         kinds_all = [lbl.kind for _, _, lbl in graph_all.edges]
         kinds_one = [lbl.kind for _, _, lbl in graph_one.edges]
         assert kinds_one.count(EdgeKind.DEP_OTHER) >= kinds_all.count(EdgeKind.DEP_OTHER)
-        assert graph_one.n_edge_labels == 1 + 4
+        assert len(edge_label_index(small_vocab, top_k=1)) == 1 + 4
 
 
 class TestStructuralRules:
