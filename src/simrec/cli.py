@@ -230,13 +230,9 @@ def cmd_train(args) -> int:
         bundle, train_sents, dev_sents, train_config,
         graph_options=opts,
         log_path=os.path.join(out_dir, "train_log.jsonl"),
-        checkpoint_dir=out_dir,
     )
     selected, scores = select_best(bundle, dev_sents, opts)
-    score_record = {
-        name: {task: prf.to_record() for task, prf in tasks.items()}
-        for name, tasks in scores.items()
-    }
+    score_record = {name: evalkit.report_record(tasks) for name, tasks in scores.items()}
     distill.save_bundle(bundle, out_dir, opts, selected=selected,
                         selected_scores=score_record)
     print(json.dumps(
@@ -265,10 +261,7 @@ def cmd_evaluate(args) -> int:
         }
         print(json.dumps(
             {"model": name, "folds": args.folds,
-             "per_fold": [
-                 {task: prf.to_record() for task, prf in fs.items()}
-                 for fs in fold_scores
-             ],
+             "per_fold": [evalkit.report_record(fs) for fs in fold_scores],
              "aggregate": agg},
             sort_keys=True,
         ))
@@ -278,8 +271,7 @@ def cmd_evaluate(args) -> int:
         return 0
     scores = _score_sentences(model, sents, vocab, opts)
     print(json.dumps(
-        {"model": name,
-         "scores": {task: prf.to_record() for task, prf in scores.items()}},
+        {"model": name, "scores": evalkit.report_record(scores)},
         sort_keys=True,
     ))
     print(evalkit.render_report(scores))

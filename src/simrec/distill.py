@@ -16,14 +16,14 @@ import math
 import os
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensorcore as tc
 from .corpus import TAG_VALUES, AnnotatedSentence, Vocabulary
 from .encoder import EncoderConfig, encode_graph
-from .evalkit import PRF, score_classification, score_extraction
+from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (
     BlockGraph,
     GraphOptions,
@@ -35,6 +35,7 @@ from .hetgraph import (
 from .heads import (
     CLASS_LITERAL,
     CLASS_SIMILE,
+    MODES,
     TAG_TO_ID,
     SimileModel,
     TagForward,
@@ -239,7 +240,6 @@ def train(
     config: TrainConfig,
     graph_options: GraphOptions | None = None,
     log_path: str | os.PathLike | None = None,
-    checkpoint_dir: str | os.PathLike | None = None,
 ) -> TrainResult:
     """Run the full distillation schedule; deterministic under the seed.
 
@@ -303,10 +303,9 @@ def train(
                     for name, model in bundle.models.items()
                 }
                 record["dev"] = {
-                    name: {task: prf.to_record() for task, prf in scores.items()}
-                    for name, scores in dev_scores.items()
+                    name: report_record(scores) for name, scores in dev_scores.items()
                 }
-                _track_best(result, bundle, dev_scores, epoch, checkpoint_dir)
+                _track_best(result, bundle, dev_scores, epoch)
             result.epoch_logs.append(record)
             if log_file:
                 log_file.write(json.dumps(record, sort_keys=True) + "\n")
@@ -368,7 +367,6 @@ def _track_best(
     bundle: ModelBundle,
     dev_scores: dict[str, dict[str, PRF]],
     epoch: int,
-    checkpoint_dir: str | os.PathLike | None,
 ) -> None:
     for name, scores in dev_scores.items():
         f1 = scores["extraction"].f1
@@ -384,12 +382,6 @@ def _track_best(
             "classification_f1": scores["classification"].f1,
             "params": snapshot,
         }
-        if checkpoint_dir:
-            tc.save_checkpoint(
-                os.path.join(checkpoint_dir, f"model_{name}.best.json"),
-                snapshot,
-                extra={"model": name, "mode": bundle.models[name].mode, "epoch": epoch},
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +465,26 @@ VOCAB_FILE = "vocab.json"
 SELECTED_FILE = "selected.json"
 
 
-def _graph_options_record(opts: GraphOptions) -> dict:
+def _config_record(config) -> dict:
+    """A config dataclass as a JSON record; a frozenset field becomes a sorted list."""
     return {
-        "top_k_deprels": opts.top_k_deprels,
-        "noun_tags": sorted(opts.noun_tags),
-        "no_dependency": opts.no_dependency,
-        "no_pos": opts.no_pos,
-        "no_subsentence_nodes": opts.no_subsentence_nodes,
+        key: sorted(value) if isinstance(value, frozenset) else value
+        for key, value in asdict(config).items()
     }
 
 
-def _graph_options_from_record(rec: dict) -> GraphOptions:
-    return GraphOptions(
-        top_k_deprels=rec["top_k_deprels"],
-        noun_tags=frozenset(rec["noun_tags"]),
-        no_dependency=rec["no_dependency"],
-        no_pos=rec["no_pos"],
-        no_subsentence_nodes=rec["no_subsentence_nodes"],
-    )
+def _config_from_record(cls, meta: dict, key: str):
+    """The ``cls`` instance that ``meta[key]`` records; every field is
+    required and an unknown key is an error."""
+    record = meta[key]
+    unknown = sorted(set(record) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in '{key}'")
+    return cls(**{
+        f.name: frozenset(record[f.name]) if isinstance(f.default, frozenset)
+        else record[f.name]
+        for f in fields(cls)
+    })
 
 
 def save_bundle(
@@ -500,35 +494,35 @@ def save_bundle(
     selected: str | None = None,
     selected_scores: dict | None = None,
 ) -> None:
+    """Write the model directory, each file atomically; the selection marker
+    goes first and comes back last, so a failed save leaves no loadable one."""
     os.makedirs(out_dir, exist_ok=True)
-    opts = graph_options or GraphOptions()
+    sel_path = os.path.join(out_dir, SELECTED_FILE)
+    if os.path.exists(sel_path):
+        os.remove(sel_path)
     meta = {
-        "encoder": asdict(bundle.config),
+        "encoder": _config_record(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
         "models": {name: m.mode for name, m in bundle.models.items()},
-        "graph_options": _graph_options_record(opts),
+        "graph_options": _config_record(graph_options or GraphOptions()),
     }
-    with open(os.path.join(out_dir, BUNDLE_META), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, VOCAB_FILE), "w", encoding="utf-8") as fh:
-        json.dump(bundle.vocab.to_json(), fh, sort_keys=True)
+    tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
+    tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), bundle.vocab.to_json(),
+                         sort_keys=True)
     for name, model in bundle.models.items():
         tc.save_checkpoint(
             os.path.join(out_dir, f"model_{name}.json"),
             {pname: p.data for pname, p in model.store.params.items()},
-            extra={"model": name, "mode": model.mode},
         )
     if selected is not None:
-        with open(os.path.join(out_dir, SELECTED_FILE), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"selected": selected, "scores": selected_scores or {}},
-                fh, indent=2, sort_keys=True,
-            )
+        tc.write_json_atomic(sel_path, {"selected": selected, "scores": selected_scores or {}},
+                             indent=2, sort_keys=True)
 
 
 @contextmanager
 def _reading(path: str):
-    """A missing key or a wrong-typed value read from ``path``: a ValueError naming it."""
+    """A missing key or a wrong-typed or unknown value read from ``path``:
+    a ValueError naming it."""
     try:
         yield
     except KeyError as exc:
@@ -552,9 +546,13 @@ def _load_meta(
     with _reading(meta_path):
         meta = _read_json(meta_path, "bundle metadata")
         modes = dict(meta["models"])
-        config = EncoderConfig(**meta["encoder"])
+        for name, mode in modes.items():
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r} for model {name!r}")
+        config = _config_from_record(EncoderConfig, meta, "encoder")
+        config.validate()
         label_emb_dim = int(meta["label_emb_dim"])
-        opts = _graph_options_from_record(meta["graph_options"])
+        opts = _config_from_record(GraphOptions, meta, "graph_options")
     vocab_path = os.path.join(model_dir, VOCAB_FILE)
     with _reading(vocab_path):
         vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
@@ -563,16 +561,16 @@ def _load_meta(
 
 
 def _load_one_model(
-    model_dir: str | os.PathLike, name: str, mode: str, shell: ModelBundle
+    model_dir: str | os.PathLike, name: str, mode: str, shell: ModelBundle,
+    opts: GraphOptions,
 ) -> SimileModel:
     path = os.path.join(model_dir, f"model_{name}.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path}: missing model checkpoint")
-    arrays, _ = tc.load_checkpoint(path)
-    with _reading(path):
-        n_edge_labels = arrays["enc/edge_emb"].shape[0]
+    arrays = tc.load_checkpoint(path)
     model = init_model(
-        mode, len(shell.vocab.token_to_id), n_edge_labels, shell.config,
+        mode, len(shell.vocab.token_to_id),
+        len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
         np.random.default_rng(0), label_emb_dim=shell.label_emb_dim,
     )
     if set(arrays) != set(model.store.params):
@@ -603,7 +601,8 @@ def load_selected(
         known = name in modes
     if not known:
         raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
-    return name, _load_one_model(model_dir, name, modes[name], shell), shell.vocab, opts
+    model = _load_one_model(model_dir, name, modes[name], shell, opts)
+    return name, model, shell.vocab, opts
 
 
 def load_bundle(
@@ -611,5 +610,5 @@ def load_bundle(
 ) -> tuple[ModelBundle, GraphOptions]:
     modes, bundle, opts = _load_meta(model_dir)
     for name, mode in modes.items():
-        bundle.models[name] = _load_one_model(model_dir, name, mode, bundle)
+        bundle.models[name] = _load_one_model(model_dir, name, mode, bundle, opts)
     return bundle, opts

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -122,7 +121,3 @@ def render_fold_report(agg: dict[str, dict[str, float]]) -> str:
     for metric, stats in agg.items():
         lines.append(f"{metric:<9}  {stats['mean']:>8.4f}  {stats['std']:>8.4f}")
     return "\n".join(lines)
-
-
-def dump_report(sections: dict[str, PRF]) -> str:
-    return json.dumps(report_record(sections), indent=2, sort_keys=True)

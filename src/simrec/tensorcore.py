@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -573,12 +574,25 @@ CHECKPOINT_MAGIC = "simrec-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, named_arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
+def write_json_atomic(path, obj, **dump_args) -> None:
+    """``json.dump`` ``obj`` to a temp file beside ``path``, then rename it
+    into place; a failed write removes the temp file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, **dump_args)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
     """Write parameters as versioned JSON: name -> shape + row-major values."""
     payload = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "extra": extra or {},
         "params": {
             name: {
                 "shape": list(np.asarray(a).shape),
@@ -587,12 +601,12 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray], extra: dict | Non
             for name, a in named_arrays.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json_atomic(path, payload)
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Parameters and extra record; a damaged file raises a ValueError naming it."""
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Parameters by name; a damaged file raises a ValueError naming it.
+    Other keys, such as the ``extra`` record of older files, are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -608,4 +622,4 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             arrays[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed parameter record ({exc!r})") from exc
-    return arrays, payload.get("extra", {})
+    return arrays

@@ -2,8 +2,10 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+from simrec import distill, tensorcore as tc
 from simrec.cli import load_run_config, main
 from simrec.corpus import (
     SyntheticConfig,
@@ -89,7 +91,7 @@ class TestTrain:
             "bundle.json", "vocab.json", "selected.json", "train_log.jsonl",
             "model_p.json", "model_t.json", "model_v.json",
         }
-        assert expected <= files
+        assert files == expected
 
     def test_log_has_one_line_per_epoch(self, trained_dir):
         import os
@@ -254,16 +256,47 @@ class TestEvaluate:
         assert "error:" in capsys.readouterr().err
 
 
+def _edit_copy(trained_dir, tmp_path, file, key_path, edit):
+    """A copy of ``trained_dir`` whose ``file`` has the record at ``key_path``
+    passed to ``edit(parent, last_key)``; ``SELECTED`` stands for the selected
+    model's checkpoint, and a key path descends through nested records at
+    each dot.  Returns the copy and the edited file's name."""
+    model_dir = tmp_path / "model"
+    shutil.copytree(trained_dir, model_dir)
+    if file == "SELECTED":
+        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        file = f"model_{selected}.json"
+    path = model_dir / file
+    record = json.loads(path.read_text(encoding="utf-8"))
+    *parents, last = key_path.split(".")
+    parent = record
+    for key in parents:
+        parent = parent[key]
+    edit(parent, last)
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return model_dir, file
+
+
+def _assert_one_error_line(model_dir, dev, tmp_path, capsys, needle):
+    for argv in (["predict", "--input", dev, "--out", str(tmp_path / "p.jsonl")],
+                 ["evaluate", "--data", dev]):
+        rc = main([argv[0], "--model-dir", str(model_dir), *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err and "Traceback" not in err
+
+
 class TestDamagedModelDir:
-    """A model directory missing a required key fails with one line, never a
-    traceback.  ``SELECTED`` stands for the selected model's checkpoint, and
-    a key path descends through nested records at each dot."""
+    """A damaged model directory fails with one line, never a traceback."""
 
     @pytest.mark.parametrize("file, key_path", [
         ("bundle.json", "encoder"),
+        ("bundle.json", "encoder.d_model"),
         ("bundle.json", "models"),
         ("bundle.json", "label_emb_dim"),
         ("bundle.json", "graph_options.no_pos"),
+        ("bundle.json", "graph_options.top_k_deprels"),
         ("vocab.json", "token_to_id"),
         ("vocab.json", "deprel_ranking"),
         ("selected.json", "selected"),
@@ -276,26 +309,59 @@ class TestDamagedModelDir:
         self, trained_dir, corpora, tmp_path, capsys, file, key_path
     ):
         _, dev = corpora
+
+        def drop(parent, key):
+            del parent[key]
+
+        model_dir, file = _edit_copy(trained_dir, tmp_path, file, key_path, drop)
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, file)
+
+    @pytest.mark.parametrize("key_path, value, message", [
+        ("models.v", "sideways", "bundle.json: malformed (unknown mode 'sideways'"),
+        ("graph_options.colour", "red", "bundle.json: malformed (unknown keys ['colour']"),
+        ("encoder.depth", 3, "bundle.json: malformed (unknown keys ['depth']"),
+        ("graph_options.top_k_deprels", 2,
+         "model_{selected}.json: shape mismatch for 'enc/edge_emb'"),
+    ], ids=["unknown-mode", "unknown-graph-option", "unknown-encoder-field", "edited-top-k"])
+    def test_wrong_meaning_is_one_error_line(
+        self, trained_dir, corpora, tmp_path, capsys, key_path, value, message
+    ):
+        _, dev = corpora
+
+        def assign(parent, key):
+            parent[key] = value
+
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", key_path, assign)
+        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        message = message.format(selected=selected)
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, message)
+
+    def test_interrupted_save_leaves_a_directory_that_fails_cleanly(
+        self, trained_dir, corpora, tmp_path, capsys, monkeypatch
+    ):
+        # A second bundle of the same configuration saved over a trained
+        # directory, with the write after the first checkpoint failing.
+        _, dev = corpora
         model_dir = tmp_path / "model"
         shutil.copytree(trained_dir, model_dir)
-        if file == "SELECTED":
-            selected = json.loads((model_dir / "selected.json").read_text())["selected"]
-            file = f"model_{selected}.json"
-        path = model_dir / file
-        record = json.loads(path.read_text(encoding="utf-8"))
-        *parents, last = key_path.split(".")
-        parent = record
-        for key in parents:
-            parent = parent[key]
-        del parent[last]
-        path.write_text(json.dumps(record), encoding="utf-8")
-        for argv in (["predict", "--input", dev, "--out", str(tmp_path / "p.jsonl")],
-                     ["evaluate", "--data", dev]):
-            rc = main([argv[0], "--model-dir", str(model_dir), *argv[1:]])
-            err = capsys.readouterr().err
-            assert rc == 1
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert file in err and "Traceback" not in err
+        bundle, opts = distill.load_bundle(model_dir)
+        again = distill.build_bundle(
+            bundle.vocab, bundle.config, np.random.default_rng(1),
+            label_emb_dim=bundle.label_emb_dim, top_k_deprels=opts.top_k_deprels,
+        )
+        write_json_atomic = tc.write_json_atomic
+
+        def failing(path, obj, **dump_args):
+            if str(path).endswith("model_t.json"):
+                obj = {**obj, "params": object()}  # fails part-way through the dump
+            write_json_atomic(path, obj, **dump_args)
+
+        monkeypatch.setattr(tc, "write_json_atomic", failing)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            distill.save_bundle(again, model_dir, opts, selected="p")
+        monkeypatch.undo()
+        assert not [p.name for p in model_dir.iterdir() if p.name.endswith(".tmp")]
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, "selected.json")
 
 
 class TestPredict:

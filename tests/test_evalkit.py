@@ -144,7 +144,7 @@ class TestReports:
             "classification": prf_from_counts(4, 1, 2),
             "extraction": prf_from_counts(0, 0, 0),
         }
-        parsed = json.loads(evalkit.dump_report(sections))
+        parsed = json.loads(json.dumps(evalkit.report_record(sections)))
         assert parsed["classification"]["tp"] == 4
         assert parsed["extraction"]["degenerate"] is True
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 
 import numpy as np
@@ -352,12 +353,32 @@ class TestCheckpoints:
     def test_round_trip(self, tmp_path, rng):
         arrays = {"enc/w": rng.normal(size=(3, 4)), "head/b": rng.normal(size=5)}
         path = tmp_path / "model.json"
-        tc.save_checkpoint(path, arrays, extra={"mode": "parallel"})
-        loaded, extra = tc.load_checkpoint(path)
-        assert extra == {"mode": "parallel"}
+        tc.save_checkpoint(path, arrays)
+        loaded = tc.load_checkpoint(path)
         assert set(loaded) == set(arrays)
         for k in arrays:
             np.testing.assert_array_equal(loaded[k], arrays[k])
+
+    def test_file_with_extra_record_still_loads(self, tmp_path):
+        # Older writers added an ``extra`` record that nothing read.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "magic": "simrec-checkpoint", "version": 1,
+            "extra": {"model": "p", "mode": "parallel"},
+            "params": {"w": {"shape": [2], "values": [1.0, 2.0]}},
+        }), encoding="utf-8")
+        loaded = tc.load_checkpoint(path)
+        assert set(loaded) == {"w"}
+        np.testing.assert_array_equal(loaded["w"], [1.0, 2.0])
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "model.json"
+        tc.save_checkpoint(path, {"w": np.ones(2)})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            tc.write_json_atomic(path, {"w": [1.0, 2.0], "bad": object()})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
