@@ -36,13 +36,14 @@ from .heads import (
     CLASS_LITERAL,
     CLASS_SIMILE,
     MODES,
+    PREDICT_CHUNK,
     TAG_TO_ID,
     SimileModel,
     TagForward,
     classify,
     forward_tagger,
     init_model,
-    predict,
+    predict_batch,
     spans_from_tags,
     word_states,
 )
@@ -394,7 +395,7 @@ def evaluate_model(
     graphs: list[HeteroGraph],
     vocab: Vocabulary,
 ) -> dict[str, PRF]:
-    preds = [predict(model, s, g, vocab) for s, g in zip(sents, graphs)]
+    preds = predict_batch(model, sents, graphs, vocab)
     cls = score_classification([p.label for p in preds], [s.label for s in sents])
     ext = score_extraction(
         [p.spans for p in preds], [spans_from_tags(list(s.tags)) for s in sents]
@@ -441,18 +442,20 @@ def mean_ensemble_kl(
     sents: list[AnnotatedSentence],
     graphs: list[HeteroGraph],
 ) -> dict[str, float]:
-    """Mean per-token KL(ensemble || model) over a corpus, per model."""
+    """Mean per-token KL(ensemble || model) over a corpus, per model; the
+    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences."""
     totals = {name: 0.0 for name in bundle.models}
-    n_tokens = 0
-    for sent, graph in zip(sents, graphs):
+    for lo in range(0, len(sents), PREDICT_CHUNK):
+        chunk = sents[lo:lo + PREDICT_CHUNK]
+        block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
         outs = {
-            name: forward_sentence(model, [sent], graph.block, bundle.vocab)
+            name: forward_sentence(model, chunk, block, bundle.vocab)
             for name, model in bundle.models.items()
         }
         target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
-        n_tokens += len(sent.tokens)
         for name, out in outs.items():
             totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)
+    n_tokens = sum(len(s.tokens) for s in sents)
     return {name: total / max(n_tokens, 1) for name, total in totals.items()}
 
 
@@ -495,16 +498,30 @@ def save_bundle(
     selected_scores: dict | None = None,
 ) -> None:
     """Write the model directory, each file atomically; the selection marker
-    goes first and comes back last, so a failed save leaves no loadable one."""
+    goes first and comes back last, so a failed save leaves no loadable one.
+    Checkpoints of models the bundle lacks are removed with the marker."""
+    opts = graph_options or GraphOptions()
+    n_edge_labels = len(edge_label_index(bundle.vocab, opts.top_k_deprels))
+    for name, model in bundle.models.items():
+        rows = model.enc["edge_emb"].data.shape[0]
+        if rows != n_edge_labels:
+            raise ValueError(
+                f"save_bundle: model {name!r} has {rows} edge labels, but "
+                f"top_k_deprels={opts.top_k_deprels} gives {n_edge_labels}"
+            )
     os.makedirs(out_dir, exist_ok=True)
     sel_path = os.path.join(out_dir, SELECTED_FILE)
     if os.path.exists(sel_path):
         os.remove(sel_path)
+    for name in MODEL_ORDER:
+        stale = os.path.join(out_dir, f"model_{name}.json")
+        if name not in bundle.models and os.path.exists(stale):
+            os.remove(stale)
     meta = {
         "encoder": _config_record(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
         "models": {name: m.mode for name, m in bundle.models.items()},
-        "graph_options": _config_record(graph_options or GraphOptions()),
+        "graph_options": _config_record(opts),
     }
     tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
     tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), bundle.vocab.to_json(),

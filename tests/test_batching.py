@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
+from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
 from simrec.distill import (
@@ -17,7 +18,7 @@ from simrec.distill import (
     supervised_loss,
 )
 from simrec.encoder import EncoderConfig, encode_graph
-from simrec.heads import CLASS_SIMILE, predict
+from simrec.heads import CLASS_SIMILE, PREDICT_CHUNK, predict, predict_batch
 from simrec.hetgraph import GraphOptions, build_graph, join_graphs
 from simrec.tensorcore import DiffArray
 
@@ -112,9 +113,24 @@ def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
                                    err_msg=pname)
 
 
+def split_at(monkeypatch, p_values, n_literal):
+    """Move the simile threshold halfway between the ``n_literal``-th lowest
+    p(simile) and the next, so exactly ``n_literal`` sentences read literal."""
+    low, high = sorted(p_values)[n_literal - 1:n_literal + 1]
+    assert high - low > 1e-9
+    monkeypatch.setattr(heads, "SIMILE_THRESHOLD", (low + high) / 2)
+
+
+def assert_same_predictions(batch, singles):
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        np.testing.assert_allclose(got.p_simile, want.p_simile, rtol=0, atol=1e-12)
+        assert (got.label, got.spans) == (want.label, want.spans)
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("name", sorted(MODE_OF))
-def test_predict_reads_the_training_forward(corpus, vocab, variant, name):
+def test_predict_reads_the_training_forward(corpus, vocab, variant, name, monkeypatch):
     # Serving runs a sentence as the block of one that build_graph made;
     # its p(simile) is that sentence's row of the batched training forward.
     enc, opts = VARIANTS[variant]
@@ -123,11 +139,71 @@ def test_predict_reads_the_training_forward(corpus, vocab, variant, name):
     sents = batch_of_four(corpus)
     graphs = [build_graph(s, vocab, opts) for s in sents]
     out = forward_sentence(model, sents, join_graphs(graphs), vocab)
+    split_at(monkeypatch, out.cls_dist.data[:, CLASS_SIMILE], 2)
+    singles = []
     for b, (sent, graph) in enumerate(zip(sents, graphs)):
         assert join_graphs([graph]) is graph.block
         pred = predict(model, sent, graph, vocab)
         np.testing.assert_allclose(pred.p_simile, out.cls_dist.data[b, CLASS_SIMILE],
                                    rtol=0, atol=1e-12)
+        singles.append(pred)
+    assert sorted(p.label for p in singles) == ["literal", "literal", "simile", "simile"]
+    # One joined block serves the same predictions, the two similes sharing
+    # one tagger pass.
+    assert_same_predictions(predict_batch(model, sents, graphs, vocab), singles)
+
+
+@pytest.mark.parametrize("name", sorted(MODE_OF))
+def test_predict_batch_over_a_corpus_of_partial_chunks(vocab, name, monkeypatch):
+    sents = generate_synthetic(SyntheticConfig(n_sentences=2 * PREDICT_CHUNK + 3, seed=7))
+    assert len(sents) % PREDICT_CHUNK
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
+    model = bundle.models[name]
+    graphs = [build_graph(s, vocab) for s in sents]
+    p_values = [predict(model, s, g, vocab).p_simile for s, g in zip(sents, graphs)]
+    split_at(monkeypatch, p_values, len(sents) // 2)
+    singles = [predict(model, s, g, vocab) for s, g in zip(sents, graphs)]
+    assert_same_predictions(predict_batch(model, sents, graphs, vocab), singles)
+
+
+def test_predict_batch_skips_the_tagger_for_a_chunk_without_similes(vocab, monkeypatch):
+    sents = generate_synthetic(SyntheticConfig(n_sentences=2 * PREDICT_CHUNK, seed=7))
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
+    model = bundle.models["t"]
+    graphs = [build_graph(s, vocab) for s in sents]
+    # Order the corpus by p(simile) and put the threshold after the first
+    # chunk: it reads all literal, the second all simile.
+    p_values = [predict(model, s, g, vocab).p_simile for s, g in zip(sents, graphs)]
+    order = np.argsort(p_values)
+    sents, graphs = [sents[i] for i in order], [graphs[i] for i in order]
+    split_at(monkeypatch, p_values, PREDICT_CHUNK)
+    singles = [predict(model, s, g, vocab) for s, g in zip(sents, graphs)]
+    assert [p.label for p in singles] == ["literal"] * PREDICT_CHUNK + ["simile"] * PREDICT_CHUNK
+
+    tagged_rows = []
+    forward_tagger = heads.forward_tagger
+
+    def counting(model, words, gold_tags, word_counts):
+        tagged_rows.append(words.data.shape[0])
+        return forward_tagger(model, words, gold_tags, word_counts)
+
+    monkeypatch.setattr(heads, "forward_tagger", counting)
+    batch = predict_batch(model, sents, graphs, vocab)
+    assert tagged_rows == [sum(len(s.tokens) for s in sents[PREDICT_CHUNK:])]
+    assert_same_predictions(batch, singles)
+
+
+def test_predict_batch_of_nothing(vocab):
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
+    assert predict_batch(bundle.models["p"], [], [], vocab) == []
+
+
+def test_predict_batch_rejects_unpaired_graphs(corpus, vocab):
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
+    sents = corpus[:3]
+    graphs = [build_graph(s, vocab) for s in sents[:2]]
+    with pytest.raises(ValueError, match="3 sentences but 2 graphs"):
+        predict_batch(bundle.models["p"], sents, graphs, vocab)
 
 
 def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):

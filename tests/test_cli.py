@@ -178,6 +178,22 @@ class TestTrain:
         assert set(meta["models"]) == {"p", "t"}
         assert not (out / "model_v.json").exists()
 
+    def test_retrain_removes_checkpoints_of_dropped_models(
+        self, trained_dir, corpora, tmp_path, capsys
+    ):
+        train, dev = corpora
+        out = tmp_path / "m"
+        shutil.copytree(trained_dir, out)
+        rc = main(["train", "--train", train, "--dev", dev,
+                   "--out-dir", str(out), *TINY_FLAGS,
+                   "--epochs", "1", "--disable-model", "v"])
+        capsys.readouterr()
+        assert rc == 0
+        assert {p.name for p in out.iterdir()} == {
+            "bundle.json", "vocab.json", "selected.json", "train_log.jsonl",
+            "model_p.json", "model_t.json",
+        }
+
     @pytest.mark.parametrize("setting, message", [
         ({"disable_model": ["q"]}, "unknown model names ['q']"),
         ({"alpha": 2.0}, "alpha must lie in [0, 1]"),

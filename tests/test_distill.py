@@ -21,7 +21,7 @@ from simrec.distill import (
 )
 from simrec.encoder import EncoderConfig
 from simrec.hetgraph import GraphOptions, build_graph, edge_label_index, join_graphs
-from simrec.heads import TAG_TO_ID, TagForward, predict
+from simrec.heads import PREDICT_CHUNK, TAG_TO_ID, TagForward, predict
 from simrec.tensorcore import DiffArray
 
 
@@ -531,6 +531,23 @@ class TestMeanEnsembleKL:
         for value in kl.values():
             assert value > -1e-12
 
+    def test_chunks_match_the_sentence_by_sentence_mean(self):
+        sents = generate_synthetic(SyntheticConfig(n_sentences=PREDICT_CHUNK + 5, seed=4))
+        vocab = build_vocab(sents)
+        bundle = fresh_bundle(vocab)
+        graphs = [build_graph(s, vocab) for s in sents]
+        totals = {name: 0.0 for name in bundle.models}
+        for sent, graph in zip(sents, graphs):
+            outs = {name: forward_sentence(m, [sent], graph.block, vocab)
+                    for name, m in bundle.models.items()}
+            target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
+            for name, out in outs.items():
+                totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)
+        n_tokens = sum(len(s.tokens) for s in sents)
+        kl = distill.mean_ensemble_kl(bundle, sents, graphs)
+        for name, total in totals.items():
+            np.testing.assert_allclose(kl[name], total / n_tokens, rtol=1e-12)
+
 
 class TestPersistence:
     def test_bundle_round_trip(self, tiny_vocab, tmp_path):
@@ -590,6 +607,14 @@ class TestPersistence:
         graph = build_graph(tiny_corpus[0], vocab, loaded_opts)
         assert graph.block.label_ids.max() < n_labels
         predict(model, tiny_corpus[0], graph, vocab)
+
+    def test_edge_table_mismatch_rejected_before_writing(self, tiny_vocab, tmp_path):
+        distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path, selected="p")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="top_k_deprels=5"):
+            distill.save_bundle(fresh_bundle(tiny_vocab, seed=12), tmp_path,
+                                graph_options=GraphOptions(top_k_deprels=5), selected="t")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_selection_marker(self, tiny_vocab, tmp_path):
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path)
