@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .distill import TrainConfig, build_bundle, select_best, train
 from .encoder import EncoderConfig
-from .heads import predict_batch
+from .heads import PREDICT_CHUNK, predict_batch
 from .hetgraph import GraphOptions, build_graph, to_dot
 
 
@@ -281,11 +281,12 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     _, model, vocab, opts = distill.load_selected(args.model_dir)
     sents = load_corpus(args.input)
-    graphs = [build_graph(s, vocab, opts) for s in sents]
-    preds = predict_batch(model, sents, graphs, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for pred in preds:
-            fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
+        for lo in range(0, len(sents), PREDICT_CHUNK):
+            chunk = sents[lo:lo + PREDICT_CHUNK]
+            graphs = [build_graph(s, vocab, opts) for s in chunk]
+            for pred in predict_batch(model, chunk, graphs, vocab):
+                fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
     print(json.dumps({"sentences": len(sents), "path": args.out}, sort_keys=True))
     return 0
 

@@ -157,15 +157,9 @@ def classify(g_final: DiffArray, graph: BlockGraph, head: dict[str, DiffArray]) 
     return tc.softmax(logits, axis=-1)
 
 
-def word_states(
-    g_final: DiffArray, graph: BlockGraph, keep: Sequence[bool] | None = None
-) -> DiffArray:
-    """The word rows of every sentence, sentence by sentence; with a boolean
-    ``keep`` per sentence, those of the kept sentences only."""
-    rows = graph.word_nodes
-    if keep is not None:
-        rows = rows[np.repeat(keep, graph.word_counts)]
-    return tc.pick_rows(g_final, rows)
+def word_states(g_final: DiffArray, graph: BlockGraph) -> DiffArray:
+    """The word rows of every sentence, sentence by sentence."""
+    return tc.pick_rows(g_final, graph.word_nodes)
 
 
 def tag_logits_parallel(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
@@ -321,18 +315,13 @@ def _predict_block(
     """Classify every sentence of the block, then tag the words of those
     judged similes in one tagger pass."""
     g_final = encode_graph(sentences, block, vocab, model.enc, model.config)[-1]
-    p_simile = classify(g_final, block, model.head).data[:, CLASS_SIMILE].tolist()
-    preds = [SpanPrediction(label="literal", p_simile=p) for p in p_simile]
-    judged = [p > SIMILE_THRESHOLD for p in p_simile]
-    if not any(judged):
+    p_simile = classify(g_final, block, model.head).data[:, CLASS_SIMILE]
+    preds = [SpanPrediction(label="literal", p_simile=p) for p in p_simile.tolist()]
+    judged = p_simile > SIMILE_THRESHOLD
+    if not judged.any():
         return preds
-    # With every sentence a simile, as always in a ``predict`` block of one,
-    # the tagger reads all word rows and no row selection is built.
-    if all(judged):
-        words, counts = word_states(g_final, block), block.word_counts
-    else:
-        words, counts = word_states(g_final, block, judged), block.word_counts[judged]
-    fwd = forward_tagger(model, words, None, counts)
+    words = tc.pick_rows(g_final, block.word_nodes[np.repeat(judged, block.word_counts)])
+    fwd = forward_tagger(model, words, None, block.word_counts[judged])
     dist = tc.softmax(fwd.final_logits, axis=-1).data
     lo = 0
     for pred, simile, n in zip(preds, judged, block.word_counts.tolist()):

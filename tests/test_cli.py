@@ -14,6 +14,8 @@ from simrec.corpus import (
     load_corpus,
     save_corpus,
 )
+from simrec.heads import PREDICT_CHUNK, predict
+from simrec.hetgraph import build_graph
 
 TINY_FLAGS = [
     "--d-model", "8", "--n-selfattn-layers", "1", "--n-gat-layers", "1",
@@ -405,6 +407,21 @@ class TestPredict:
         main(["predict", "--model-dir", trained_dir, "--input", dev, "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_several_chunks_match_one_sentence_at_a_time(self, trained_dir, tmp_path, capsys):
+        sents = generate_synthetic(SyntheticConfig(n_sentences=2 * PREDICT_CHUNK + 3, seed=9))
+        path, out = tmp_path / "many.jsonl", tmp_path / "preds.jsonl"
+        save_corpus(path, sents)
+        assert main(["predict", "--model-dir", trained_dir, "--input", str(path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, model, vocab, opts = distill.load_selected(trained_dir)
+        want = [predict(model, s, build_graph(s, vocab, opts), vocab).to_record() for s in sents]
+        got = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert len(got) == len(want)
+        for rec, ref in zip(got, want):
+            np.testing.assert_allclose(rec["p_simile"], ref["p_simile"], rtol=0, atol=1e-12)
+            assert (rec["label"], rec["spans"]) == (ref["label"], ref["spans"])
 
 
 class TestInspectGraph:
