@@ -65,49 +65,52 @@ class RunConfig:
     disable_model: tuple[str, ...] = ()
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            d_model=self.d_model,
-            n_selfattn_layers=self.n_selfattn_layers,
-            n_gat_layers=self.n_gat_layers,
-            edge_emb_dim=self.edge_emb_dim,
-            leaky_slope=self.leaky_slope,
-            max_tokens=self.max_tokens,
-            max_positions=self.max_positions,
-            use_gloss_fusion=not self.no_definitions,
-        )
+        return _shared_fields(self, EncoderConfig, use_gloss_fusion=not self.no_definitions)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            alpha=self.alpha,
-            aux_weight=self.aux_weight,
-            seed=self.seed,
-            lambda_mode=self.lambda_mode,
-            lambda_fixed=self.lambda_fixed,
-        )
+        return _shared_fields(self, TrainConfig)
 
     def graph_options(self) -> GraphOptions:
-        return GraphOptions(
-            top_k_deprels=self.top_k_deprels,
-            no_dependency=self.no_dependency,
-            no_pos=self.no_pos,
-            no_subsentence_nodes=self.no_subsentence_nodes,
-        )
+        return _shared_fields(self, GraphOptions)
 
 
-# what a config-file value of each RunConfig field type must be; bool is an
-# int to Python, so the number checks exclude it
+def _shared_fields(cfg: RunConfig, cls, **derived):
+    """A ``cls`` holding every field it shares with ``cfg``, plus ``derived``."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)}
+    return cls(**shared, **derived)
+
+
+# per RunConfig field type: what a config-file value must be, the test it
+# must pass, and how its flag parses (bool is an int to Python, so the number
+# checks exclude it); every flag defaults to None, which means "not given"
 _FILE_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool),
+            {"type": int}),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+              {"type": float}),
+    "bool": ("true or false", lambda v: isinstance(v, bool), {"action": "store_true"}),
+    "str": ("a string", lambda v: isinstance(v, str), {"type": str}),
     "tuple[str, ...]": ("a list of strings",
-                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                        {"action": "append", "type": str}),
 }
 _FIELD_TYPES = {f.name: _FILE_TYPES[f.type] for f in fields(RunConfig)}
+# flag settings beyond the type's, by field
+_FLAG_EXTRAS = {
+    "lambda_mode": {"choices": ("increase", "decrease", "fixed")},
+    "disable_model": {"choices": distill.MODEL_ORDER,
+                      "help": "drop a model from the bundle (repeatable)"},
+}
+
+
+def _env_seed(env, default: int) -> int:
+    """SIMREC_SEED from ``env`` as an integer, or ``default`` when it is unset."""
+    if "SIMREC_SEED" not in env:
+        return default
+    try:
+        return int(env["SIMREC_SEED"])
+    except ValueError as exc:
+        raise ValueError(f"SIMREC_SEED must be an integer: {exc}") from exc
 
 
 def load_run_config(
@@ -127,24 +130,19 @@ def load_run_config(
         if unknown:
             raise ValueError(f"{config_path}: unknown config keys {unknown}")
         for key, value in data.items():
-            expected, accepts = _FIELD_TYPES[key]
+            expected, accepts, _ = _FIELD_TYPES[key]
             if not accepts(value):
                 raise ValueError(
                     f"{config_path}: '{key}' must be {expected}, got {json.dumps(value)}"
                 )
-            setattr(cfg, key, tuple(value) if key == "disable_model" else value)
-    env = os.environ if env is None else env
-    if "SIMREC_SEED" in env:
-        try:
-            cfg.seed = int(env["SIMREC_SEED"])
-        except ValueError as exc:
-            raise ValueError(f"SIMREC_SEED must be an integer: {exc}") from exc
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
+    cfg.seed = _env_seed(os.environ if env is None else env, cfg.seed)
     for key, value in overrides.items():
         if value is None:
             continue
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config override '{key}'")
-        setattr(cfg, key, tuple(value) if key == "disable_model" else value)
+        setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
     return cfg
 
 
@@ -155,31 +153,10 @@ def _out_dir(args) -> str:
     return out
 
 
-def _config_overrides(args) -> dict:
-    pairs = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "alpha": args.alpha,
-        "aux_weight": args.aux_weight,
-        "seed": args.seed,
-        "lambda_mode": args.lambda_mode,
-        "lambda_fixed": args.lambda_fixed,
-        "d_model": args.d_model,
-        "n_selfattn_layers": args.n_selfattn_layers,
-        "n_gat_layers": args.n_gat_layers,
-        "edge_emb_dim": args.edge_emb_dim,
-        "label_emb_dim": args.label_emb_dim,
-        "top_k_deprels": args.top_k_deprels,
-        "min_freq": args.min_freq,
-    }
-    for toggle in ("share_encoder", "no_dependency", "no_pos", "no_definitions",
-                   "no_subsentence_nodes"):
-        if getattr(args, toggle):
-            pairs[toggle] = True
-    if args.disable_model:
-        pairs["disable_model"] = tuple(args.disable_model)
-    return pairs
+def _given_flags(args, cls) -> dict:
+    """The values of the flags for ``cls``'s fields that the command line set."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +166,7 @@ def _config_overrides(args) -> dict:
 def cmd_generate_data(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SIMREC_SEED", "0"))
+    seed = args.seed if args.seed is not None else _env_seed(os.environ, 0)
     corpus = generate_synthetic(
         SyntheticConfig(n_sentences=args.n, seed=seed, noise_rate=args.noise)
     )
@@ -206,7 +181,7 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, _config_overrides(args))
+    cfg = load_run_config(args.config, _given_flags(args, RunConfig))
     out_dir = _out_dir(args)
     train_sents = load_corpus(args.train)
     dev_sents = load_corpus(args.dev)
@@ -251,7 +226,7 @@ def _score_sentences(model, sents, vocab, opts):
 def cmd_evaluate(args) -> int:
     name, model, vocab, opts = distill.load_selected(args.model_dir)
     sents = load_corpus(args.data)
-    if args.folds:
+    if args.folds is not None:
         fold_scores = []
         for _, test in split_folds(sents, args.folds, seed=args.seed or 0):
             fold_scores.append(_score_sentences(model, test, vocab, opts))
@@ -299,13 +274,7 @@ def cmd_inspect_graph(args) -> int:
         )
     sent = sents[args.index]
     vocab = build_vocab(sents)
-    opts = GraphOptions(
-        top_k_deprels=args.top_k_deprels if args.top_k_deprels is not None else 8,
-        no_dependency=args.no_dependency,
-        no_pos=args.no_pos,
-        no_subsentence_nodes=args.no_subsentence_nodes,
-    )
-    graph = build_graph(sent, vocab, opts)
+    graph = build_graph(sent, vocab, GraphOptions(**_given_flags(args, GraphOptions)))
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph, sent))
@@ -327,33 +296,13 @@ def cmd_inspect_graph(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--aux-weight", type=float, dest="aux_weight")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lambda-mode", choices=("increase", "decrease", "fixed"),
-                   dest="lambda_mode")
-    p.add_argument("--lambda-fixed", type=float, dest="lambda_fixed")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--n-selfattn-layers", type=int, dest="n_selfattn_layers")
-    p.add_argument("--n-gat-layers", type=int, dest="n_gat_layers")
-    p.add_argument("--edge-emb-dim", type=int, dest="edge_emb_dim")
-    p.add_argument("--label-emb-dim", type=int, dest="label_emb_dim")
-    p.add_argument("--top-k-deprels", type=int, dest="top_k_deprels")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--share-encoder", action="store_true", dest="share_encoder")
-    p.add_argument("--no-dependency", action="store_true", dest="no_dependency")
-    p.add_argument("--no-pos", action="store_true", dest="no_pos")
-    p.add_argument("--no-definitions", action="store_true", dest="no_definitions")
-    p.add_argument("--no-subsentence-nodes", action="store_true",
-                   dest="no_subsentence_nodes")
-    p.add_argument("--disable-model", action="append", choices=("p", "t", "v"),
-                   dest="disable_model", default=None,
-                   help="drop a model from the bundle (repeatable)")
+def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of ``cls``, each a RunConfig field: ``--`` plus the
+    name with dashes."""
+    for f in fields(cls):
+        *_, parsing = _FIELD_TYPES[f.name]
+        p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                       **parsing, **_FLAG_EXTRAS.get(f.name, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--out-dir", dest="out_dir")
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON config file")
+    _add_field_flags(p, RunConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score the selected model on a corpus")
@@ -394,11 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--dot-out", dest="dot_out")
-    p.add_argument("--top-k-deprels", type=int, dest="top_k_deprels", default=None)
-    p.add_argument("--no-dependency", action="store_true", dest="no_dependency")
-    p.add_argument("--no-pos", action="store_true", dest="no_pos")
-    p.add_argument("--no-subsentence-nodes", action="store_true",
-                   dest="no_subsentence_nodes")
+    _add_field_flags(p, GraphOptions)
     p.set_defaults(func=cmd_inspect_graph)
 
     return parser

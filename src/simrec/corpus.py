@@ -434,6 +434,8 @@ def generate_synthetic(config: SyntheticConfig) -> list[AnnotatedSentence]:
     """
     if config.n_sentences < 2:
         raise CorpusError("n_sentences must be >= 2")
+    if not 0.0 <= config.noise_rate <= 1.0:
+        raise CorpusError(f"noise_rate must lie in [0, 1], got {config.noise_rate}")
     rng = np.random.default_rng(config.seed)
     categories = sorted(CATEGORY_NOUNS)
     sentences = []

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensorcore as tc
-from .corpus import TAG_VALUES, AnnotatedSentence, Vocabulary
+from .corpus import DEFAULT_NOUN_TAGS, TAG_VALUES, AnnotatedSentence, Vocabulary
 from .encoder import EncoderConfig, encode_graph
 from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (
@@ -45,7 +45,6 @@ from .heads import (
     init_model,
     predict_batch,
     spans_from_tags,
-    word_states,
 )
 from .tensorcore import DiffArray, NonFiniteError, ParamStore
 
@@ -141,7 +140,7 @@ def forward_sentence(
     with the gold tags."""
     g_final = encode_graph(sentences, graph, vocab, model.enc, model.config)[-1]
     cls_dist = classify(g_final, graph, model.head)
-    words = word_states(g_final, graph)
+    words = tc.pick_rows(g_final, graph.word_nodes)
     gold = [t for s in sentences for t in s.tags]
     tag_fwd = forward_tagger(model, words, gold, graph.word_counts)
     tag_dist = tc.softmax(tag_fwd.final_logits, axis=-1)
@@ -231,7 +230,6 @@ class TrainResult:
     bundle: ModelBundle
     epoch_logs: list[dict] = field(default_factory=list)
     best: dict[str, dict] = field(default_factory=dict)
-    total_steps: int = 0
 
 
 def train(
@@ -270,7 +268,7 @@ def train(
     dev_graphs = [build_graph(s, bundle.vocab, opts) for s in dev_sents]
     n_batches = math.ceil(len(train_sents) / config.batch_size)
     total_steps = config.epochs * n_batches
-    result = TrainResult(bundle=bundle, total_steps=total_steps)
+    result = TrainResult(bundle=bundle)
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     step = 0
     try:
@@ -468,14 +466,6 @@ VOCAB_FILE = "vocab.json"
 SELECTED_FILE = "selected.json"
 
 
-def _config_record(config) -> dict:
-    """A config dataclass as a JSON record; a frozenset field becomes a sorted list."""
-    return {
-        key: sorted(value) if isinstance(value, frozenset) else value
-        for key, value in asdict(config).items()
-    }
-
-
 def _config_from_record(cls, meta: dict, key: str):
     """The ``cls`` instance that ``meta[key]`` records; every field is
     required and an unknown key is an error."""
@@ -483,11 +473,7 @@ def _config_from_record(cls, meta: dict, key: str):
     unknown = sorted(set(record) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown keys {unknown} in '{key}'")
-    return cls(**{
-        f.name: frozenset(record[f.name]) if isinstance(f.default, frozenset)
-        else record[f.name]
-        for f in fields(cls)
-    })
+    return cls(**{f.name: record[f.name] for f in fields(cls)})
 
 
 def save_bundle(
@@ -518,10 +504,10 @@ def save_bundle(
         if name not in bundle.models and os.path.exists(stale):
             os.remove(stale)
     meta = {
-        "encoder": _config_record(bundle.config),
+        "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
         "models": {name: m.mode for name, m in bundle.models.items()},
-        "graph_options": _config_record(opts),
+        "graph_options": asdict(opts),
     }
     tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
     tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), bundle.vocab.to_json(),
@@ -569,6 +555,11 @@ def _load_meta(
         config = _config_from_record(EncoderConfig, meta, "encoder")
         config.validate()
         label_emb_dim = int(meta["label_emb_dim"])
+        # older files record graph_options.noun_tags, now always the default
+        noun_tags = meta["graph_options"].pop("noun_tags", None)
+        if noun_tags not in (None, sorted(DEFAULT_NOUN_TAGS)):
+            raise ValueError(f"graph_options.noun_tags {noun_tags} is not the default "
+                             f"{sorted(DEFAULT_NOUN_TAGS)}")
         opts = _config_from_record(GraphOptions, meta, "graph_options")
     vocab_path = os.path.join(model_dir, VOCAB_FILE)
     with _reading(vocab_path):

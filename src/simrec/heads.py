@@ -157,11 +157,6 @@ def classify(g_final: DiffArray, graph: BlockGraph, head: dict[str, DiffArray]) 
     return tc.softmax(logits, axis=-1)
 
 
-def word_states(g_final: DiffArray, graph: BlockGraph) -> DiffArray:
-    """The word rows of every sentence, sentence by sentence."""
-    return tc.pick_rows(g_final, graph.word_nodes)
-
-
 def tag_logits_parallel(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
     return tc.add(tc.matmul(words, head["ext/w"]), head["ext/b"])
 

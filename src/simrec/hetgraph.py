@@ -62,7 +62,6 @@ class GraphOptions:
     """Graph-construction switches; the last three implement ablation variants."""
 
     top_k_deprels: int = 8
-    noun_tags: frozenset[str] = DEFAULT_NOUN_TAGS
     no_dependency: bool = False
     no_pos: bool = False
     no_subsentence_nodes: bool = False
@@ -177,7 +176,7 @@ def build_graph(
         ns_sources = list(range(1, n + 1))
     else:
         word_kinds = [
-            NodeKind.NOUN if tok.pos in opts.noun_tags else NodeKind.NON_NOUN
+            NodeKind.NOUN if tok.pos in DEFAULT_NOUN_TAGS else NodeKind.NON_NOUN
             for tok in sentence.tokens
         ]
         ns_sources = [i for i in range(1, n + 1) if word_kinds[i - 1] is NodeKind.NOUN]

@@ -45,12 +45,11 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class DiffArray:
     """A float64 array with a gradient slot and a tape record."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "name", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self.name = name
         self._parents: tuple[DiffArray, ...] = ()
         self._backward = None
@@ -521,7 +520,7 @@ class ParamStore:
     def add(self, name: str, data: np.ndarray) -> DiffArray:
         if name in self.params:
             raise ValueError(f"duplicate parameter name '{name}'")
-        p = DiffArray(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+        p = DiffArray(np.asarray(data, dtype=np.float64), name=name)
         self.params[name] = p
         self._m[name] = np.zeros_like(p.data)
         self._v[name] = np.zeros_like(p.data)

@@ -248,7 +248,7 @@ def test_batch_gradients_match_finite_differences(corpus, vocab, name):
 
 class TestGeneralisedOps:
     def test_block_masked_softmax(self, rng):
-        x = DiffArray(rng.normal(size=(5, 5)), requires_grad=True)
+        x = DiffArray(rng.normal(size=(5, 5)))
         w = DiffArray(rng.normal(size=(5, 5)))
         owner = np.array([0, 0, 1, 1, 1])
         mask = owner[:, None] == owner[None, :]
@@ -263,7 +263,7 @@ class TestGeneralisedOps:
         check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
 
     def test_multi_group_mean_pool(self, rng):
-        x = DiffArray(rng.normal(size=(6, 3)), requires_grad=True)
+        x = DiffArray(rng.normal(size=(6, 3)))
         w = DiffArray(rng.normal(size=(4, 3)))
         rows, pools = [0, 2, 2, 5, 1], [0, 0, 2, 2, 3]
 
@@ -279,7 +279,7 @@ class TestGeneralisedOps:
         check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
 
     def test_repeat_row_with_per_row_counts(self, rng):
-        x = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
+        x = DiffArray(rng.normal(size=(3, 2)))
         w = DiffArray(rng.normal(size=(6, 2)))
         counts = [2, 0, 4]
 
@@ -292,7 +292,7 @@ class TestGeneralisedOps:
         check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
 
     def test_row_wise_cross_entropy(self, rng):
-        logits = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
+        logits = DiffArray(rng.normal(size=(3, 2)))
         golds = [1, 0, 1]
 
         def build():
@@ -305,7 +305,7 @@ class TestGeneralisedOps:
         check_grads(lambda: float(build().data), {"logits": logits}, tol=1e-6)
 
     def test_row_weighted_kl(self, rng):
-        logits = DiffArray(rng.normal(size=(4, 3)), requires_grad=True)
+        logits = DiffArray(rng.normal(size=(4, 3)))
         p = rng.uniform(0.1, 1.0, size=(4, 3))
         p /= p.sum(axis=1, keepdims=True)
         weights = [0.5, 0.5, 0.25, 1.0]

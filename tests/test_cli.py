@@ -1,13 +1,18 @@
+import argparse
 import json
+import shlex
 import shutil
 import subprocess
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from simrec import distill, tensorcore as tc
-from simrec.cli import load_run_config, main
+from simrec.cli import RunConfig, _given_flags, build_parser, load_run_config, main
 from simrec.corpus import (
+    DEFAULT_NOUN_TAGS,
     SyntheticConfig,
     canonical_sentence,
     generate_synthetic,
@@ -75,6 +80,23 @@ class TestGenerateData:
         main(["generate-data", "--out", str(env_based), "--n", "10"])
         capsys.readouterr()
         assert flagged.read_bytes() == env_based.read_bytes()
+
+    def test_non_integer_env_seed_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIMREC_SEED", "soon")
+        rc = main(["generate-data", "--out", str(tmp_path / "x.jsonl"), "--n", "5"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: SIMREC_SEED must be an integer") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("noise", ["3", "-0.1", "nan"])
+    def test_noise_outside_unit_interval_rejected(self, tmp_path, capsys, noise):
+        rc = main(["generate-data", "--out", str(tmp_path / "x.jsonl"), "--n", "5",
+                   "--noise", noise])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: noise_rate must lie in [0, 1]") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_rejects_empty_request(self, tmp_path, capsys):
         rc = main(["generate-data", "--out", str(tmp_path / "x.jsonl"), "--n", "0"])
@@ -266,6 +288,14 @@ class TestEvaluate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_folds_rejected(self, trained_dir, corpora, capsys):
+        _, dev = corpora
+        rc = main(["evaluate", "--model-dir", trained_dir, "--data", dev, "--folds", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: k must be >= 2\n"
+        assert captured.out == ""
+
     def test_missing_model_dir(self, corpora, tmp_path, capsys):
         _, dev = corpora
         rc = main(["evaluate", "--model-dir", str(tmp_path / "nowhere"),
@@ -340,7 +370,10 @@ class TestDamagedModelDir:
         ("encoder.depth", 3, "bundle.json: malformed (unknown keys ['depth']"),
         ("graph_options.top_k_deprels", 2,
          "model_{selected}.json: shape mismatch for 'enc/edge_emb'"),
-    ], ids=["unknown-mode", "unknown-graph-option", "unknown-encoder-field", "edited-top-k"])
+        ("graph_options.noun_tags", ["NN"],
+         "bundle.json: malformed (graph_options.noun_tags ['NN'] is not the default"),
+    ], ids=["unknown-mode", "unknown-graph-option", "unknown-encoder-field", "edited-top-k",
+            "edited-noun-tags"])
     def test_wrong_meaning_is_one_error_line(
         self, trained_dir, corpora, tmp_path, capsys, key_path, value, message
     ):
@@ -353,6 +386,24 @@ class TestDamagedModelDir:
         selected = json.loads((model_dir / "selected.json").read_text())["selected"]
         message = message.format(selected=selected)
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, message)
+
+    def test_older_noun_tags_key_loads_and_predicts_the_same(
+        self, trained_dir, corpora, tmp_path, capsys
+    ):
+        # Older bundle.json files record the noun tags, which are now fixed.
+        _, dev = corpora
+
+        def add_default(parent, key):
+            parent[key] = sorted(DEFAULT_NOUN_TAGS)
+
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json",
+                                  "graph_options.noun_tags", add_default)
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(["predict", "--model-dir", trained_dir, "--input", dev, "--out", str(a)]) == 0
+        assert main(["predict", "--model-dir", str(model_dir), "--input", dev,
+                     "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_interrupted_save_leaves_a_directory_that_fails_cleanly(
         self, trained_dir, corpora, tmp_path, capsys, monkeypatch
@@ -544,6 +595,63 @@ class TestRunConfig:
         config.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON object"):
             load_run_config(str(config), {}, env={})
+
+
+def _subcommands(parser):
+    """Each subcommand's parser, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _train_flag(name):
+    """The action of ``simrec train``'s flag for RunConfig field ``name``."""
+    return next(a for a in _subcommands(build_parser())["train"]._actions if a.dest == name)
+
+
+def _train_run_config(config, flag_argv):
+    args = build_parser().parse_args(
+        ["train", "--train", "t.jsonl", "--dev", "d.jsonl", "--config", str(config), *flag_argv]
+    )
+    return load_run_config(args.config, _given_flags(args, RunConfig), env={})
+
+
+def _as_field(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+def test_every_field_is_a_flag_that_beats_the_file_that_beats_the_default(f, tmp_path):
+    option = "--" + f.name.replace("_", "-")
+    flag = _train_flag(f.name)
+    assert flag.option_strings == [option]
+    default = getattr(RunConfig(), f.name)
+    if f.type == "bool":  # a switch can only turn a file's false on
+        in_file, beaten, flag_argv, by_flag = True, False, [option], True
+    else:
+        if flag.choices:
+            a, b, *_ = [c for c in flag.choices if c != default]
+            in_file, by_flag = (a, b) if f.type == "str" else ([a], [b])
+        else:
+            in_file, by_flag = default + 1, default + 2
+        beaten = in_file
+        values = by_flag if isinstance(by_flag, list) else [by_flag]
+        flag_argv = [token for v in values for token in (option, str(v))]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({f.name: in_file}), encoding="utf-8")
+    assert getattr(_train_run_config(config, []), f.name) == _as_field(in_file) != default
+    config.write_text(json.dumps({f.name: beaten}), encoding="utf-8")
+    got = getattr(_train_run_config(config, flag_argv), f.name)
+    assert got == _as_field(by_flag) != _as_field(beaten)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("simrec ")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == set(_subcommands(parser))
 
 
 @pytest.mark.skipif(shutil.which("simrec") is None,

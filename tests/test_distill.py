@@ -183,7 +183,7 @@ class TestKLToEnsemble:
         np.testing.assert_allclose(float(one.data), float(four.data), rtol=1e-12)
 
     def test_gradient_reaches_logits(self, rng):
-        logits = DiffArray(rng.normal(size=(3, 3)), requires_grad=True)
+        logits = DiffArray(rng.normal(size=(3, 3)))
         target = ensemble_distribution(rng.normal(size=(3, 3)))
         loss = kl_to_ensemble(tc.softmax(logits), target, np.array([3]))
         tc.backward(loss)

@@ -28,10 +28,7 @@ def softmax_np(x):
 def graph_and_states(fig_sentence, tiny_config, rng):
     vocab = build_vocab([fig_sentence])
     graph = build_graph(fig_sentence, vocab)
-    g_final = DiffArray(
-        rng.uniform(0.0, 1.0, size=(graph.n_nodes, tiny_config.d_model)),
-        requires_grad=True,
-    )
+    g_final = DiffArray(rng.uniform(0.0, 1.0, size=(graph.n_nodes, tiny_config.d_model)))
     return graph, g_final
 
 
@@ -196,7 +193,7 @@ class TestSequentialStages:
         model = heads.SimileModel(
             mode="tenor_first", store=store, enc={}, head=head, config=tiny_config
         )
-        words = DiffArray(rng.normal(size=(4, tiny_config.d_model)), requires_grad=True)
+        words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
         gold = ("O", "T", "T", "O")
 
         def build():

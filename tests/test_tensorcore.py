@@ -11,7 +11,7 @@ from simrec.tensorcore import DiffArray, NonFiniteError, ParamStore, ShapeError
 
 
 def leaf(rng, *shape):
-    return DiffArray(rng.normal(size=shape), requires_grad=True)
+    return DiffArray(rng.normal(size=shape))
 
 
 class TestForwardValues:
@@ -24,7 +24,7 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, [-0.01, 2.0])
 
     def test_leaky_relu_gradient_on_negative_side(self):
-        x = DiffArray([-1.0], requires_grad=True)
+        x = DiffArray([-1.0])
         tc.backward(tc.sum_all(tc.leaky_relu(x, slope=0.01)))
         np.testing.assert_allclose(x.grad, [0.01])
 
@@ -135,8 +135,8 @@ class TestBackwardMechanics:
     def test_backward_deterministic(self, rng):
         def run():
             r = np.random.default_rng(5)
-            a = DiffArray(r.normal(size=(4, 3)), requires_grad=True)
-            b = DiffArray(r.normal(size=(3, 2)), requires_grad=True)
+            a = DiffArray(r.normal(size=(4, 3)))
+            b = DiffArray(r.normal(size=(3, 2)))
             loss = tc.sum_all(tc.sigmoid(tc.matmul(a, b)))
             tc.backward(loss)
             return a.grad.copy(), b.grad.copy()
@@ -206,7 +206,7 @@ class TestFiniteDifferenceOracle:
         self._check(build, {"x": x})
 
     def test_log(self, rng):
-        x = DiffArray(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
+        x = DiffArray(rng.uniform(0.5, 2.0, size=(3, 3)))
         self._check(lambda: tc.sum_all(tc.log(x)), {"x": x})
 
     def test_pick_rows_and_mean_pool(self, rng):
