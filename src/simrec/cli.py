@@ -113,6 +113,11 @@ def _env_seed(env, default: int) -> int:
         raise ValueError(f"SIMREC_SEED must be an integer: {exc}") from exc
 
 
+def _seed_flag_or_env(args) -> int:
+    """``--seed`` when given, else SIMREC_SEED, else 0."""
+    return args.seed if args.seed is not None else _env_seed(os.environ, 0)
+
+
 def load_run_config(
     config_path: str | None, overrides: dict, env: dict | None = None
 ) -> RunConfig:
@@ -164,11 +169,11 @@ def _given_flags(args, cls) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_generate_data(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    seed = args.seed if args.seed is not None else _env_seed(os.environ, 0)
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2, got {args.n}")
     corpus = generate_synthetic(
-        SyntheticConfig(n_sentences=args.n, seed=seed, noise_rate=args.noise)
+        SyntheticConfig(n_sentences=args.n, seed=_seed_flag_or_env(args),
+                        noise_rate=args.noise)
     )
     save_corpus(args.out, corpus)
     n_simile = sum(1 for s in corpus if s.is_simile)
@@ -228,7 +233,7 @@ def cmd_evaluate(args) -> int:
     sents = load_corpus(args.data)
     if args.folds is not None:
         fold_scores = []
-        for _, test in split_folds(sents, args.folds, seed=args.seed or 0):
+        for _, test in split_folds(sents, args.folds, seed=_seed_flag_or_env(args)):
             fold_scores.append(_score_sentences(model, test, vocab, opts))
         agg = {
             task: evalkit.aggregate_folds([fs[task] for fs in fold_scores])

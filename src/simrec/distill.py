@@ -313,7 +313,7 @@ def train(
             for name, info in result.best.items():
                 store = bundle.models[name].store
                 for pname, data in info["params"].items():
-                    store.params[pname].data = data.copy()
+                    store.params[pname].data[...] = data
     finally:
         if log_file:
             log_file.close()
@@ -594,7 +594,7 @@ def _load_one_model(
                 f"{path}: shape mismatch for '{pname}': "
                 f"{arr.shape} vs expected {p.data.shape}"
             )
-        p.data = arr
+        p.data[...] = arr
     return model
 
 

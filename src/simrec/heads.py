@@ -126,11 +126,12 @@ def init_model(
     label_emb_dim: int = 100,
     shared_encoder: dict[str, DiffArray] | None = None,
 ) -> SimileModel:
-    """Fresh model with its own ParamStore.
+    """Fresh model with its own ParamStore, its parameter block built.
 
     Passing ``shared_encoder`` reuses another model's encoder weights; the
-    store registers them so checkpoints stay complete, and the optimizer's
-    skip-on-empty-grad rule keeps shared weights from double updates.
+    store registers them so checkpoints stay complete, and they stay in the
+    block of the store that created them, whose ``adam_step`` alone moves
+    them.
     """
     store = ParamStore()
     if shared_encoder is None:
@@ -140,6 +141,7 @@ def init_model(
         for key, param in shared_encoder.items():
             store.register(f"enc/{key}", param)
     head = init_head_params(store, mode, config, rng, label_emb_dim)
+    store.build_block()
     return SimileModel(mode=mode, store=store, enc=enc, head=head, config=config)
 
 

@@ -98,6 +98,14 @@ class TestGenerateData:
         assert err.startswith("error: noise_rate must lie in [0, 1]") and err.count("\n") == 1
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_single_sentence_rejected_naming_the_flag(self, tmp_path, capsys):
+        # generate_synthetic needs two sentences; the error names the flag.
+        rc = main(["generate-data", "--out", str(tmp_path / "x.jsonl"), "--n", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: --n must be >= 2, got 1\n"
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_rejects_empty_request(self, tmp_path, capsys):
         rc = main(["generate-data", "--out", str(tmp_path / "x.jsonl"), "--n", "0"])
         assert rc == 1
@@ -280,6 +288,28 @@ class TestEvaluate:
             assert set(info["aggregate"][task]) == {"precision", "recall", "f1"}
             for stats in info["aggregate"][task].values():
                 assert set(stats) == {"mean", "std"}
+
+    def test_fold_seed_from_environment(self, trained_dir, corpora, capsys, monkeypatch):
+        train, _ = corpora
+
+        def folds(*extra):
+            rc = main(["evaluate", "--model-dir", trained_dir, "--data", train,
+                       "--folds", "5", *extra])
+            captured = capsys.readouterr()
+            assert rc == 0, captured.err
+            return captured.out
+
+        flagged = folds("--seed", "3")
+        assert flagged != folds("--seed", "0")
+        monkeypatch.setenv("SIMREC_SEED", "3")
+        assert folds() == flagged
+        assert folds("--seed", "0") != flagged  # the flag still wins
+        monkeypatch.setenv("SIMREC_SEED", "soon")
+        rc = main(["evaluate", "--model-dir", trained_dir, "--data", train, "--folds", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: SIMREC_SEED must be an integer")
+        assert captured.err.count("\n") == 1
 
     def test_single_fold_rejected(self, trained_dir, corpora, capsys):
         _, dev = corpora

@@ -484,6 +484,92 @@ class TestTrainLoop:
                 assert np.array_equal(got[pname].data, want[pname].data)
 
 
+def assert_params_in_block(model):
+    """Every parameter the model's store owns is a view into its block."""
+    store = model.store
+    for pname, p in store.params.items():
+        if pname not in store.shared:
+            assert np.shares_memory(p.data, store.block), pname
+            assert np.shares_memory(p.grad_home, store.block), pname
+
+
+class TestParamBlocks:
+    @pytest.mark.parametrize("share_encoder", [False, True])
+    def test_built_bundle_lives_in_blocks(self, tiny_vocab, share_encoder):
+        bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
+        for model in bundle.models.values():
+            assert_params_in_block(model)
+
+    def test_loaded_models_live_in_blocks(self, tiny_vocab, tmp_path):
+        bundle = fresh_bundle(tiny_vocab)
+        distill.save_bundle(bundle, tmp_path, selected="t")
+        _, model, _, _ = distill.load_selected(tmp_path)
+        assert_params_in_block(model)
+        for pname, p in model.store.params.items():
+            np.testing.assert_array_equal(p.data, bundle.models["t"].store.params[pname].data)
+        loaded, _ = distill.load_bundle(tmp_path)
+        for model in loaded.models.values():
+            assert_params_in_block(model)
+
+    def test_rolled_back_models_live_in_blocks(self, tiny_corpus, tiny_vocab):
+        config = TrainConfig(epochs=3, batch_size=4, seed=0)
+        bundle = fresh_bundle(tiny_vocab)
+        result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
+        for name, model in bundle.models.items():
+            assert_params_in_block(model)
+            for pname, p in model.store.params.items():
+                np.testing.assert_array_equal(p.data, result.best[name]["params"][pname])
+
+    def test_shared_encoder_updated_once_per_step(self, tiny_corpus, tiny_vocab):
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        bundle = fresh_bundle(tiny_vocab, share_encoder=True)
+        owner, *borrowers = bundle.models.values()
+        shared = owner.enc
+        for model in borrowers:
+            store = model.store
+            assert store.shared == {f"enc/{key}" for key in shared}
+            head_floats = sum(p.data.size for p in model.head.values())
+            assert store.block.shape == (4, head_floats)
+            for p in shared.values():
+                assert not np.shares_memory(p.data, store.block)
+        sents = tiny_corpus[:4]
+        block = join_graphs([build_graph(s, tiny_vocab) for s in sents])
+        for model in bundle.models.values():
+            out = forward_sentence(model, sents, block, tiny_vocab)
+            tc.backward(supervised_loss(out, sents, 0.3))
+        expected = {}
+        for key, p in shared.items():
+            m = (1.0 - b1) * p.grad
+            v = (1.0 - b2) * p.grad * p.grad
+            expected[key] = p.data - lr * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
+        for model in bundle.models.values():
+            model.store.adam_step(lr, b1, b2, eps)
+        for key, p in shared.items():
+            np.testing.assert_array_equal(p.data, expected[key], err_msg=key)
+            assert p.grad is None
+
+    def test_adam_step_runs_once_per_model_per_batch(self, tiny_corpus, tiny_vocab,
+                                                     monkeypatch):
+        # perfbench/workloads.py closes a training step every n_models calls
+        # of ParamStore.adam_step, so the count and order must hold.
+        calls = []
+        adam_step = tc.ParamStore.adam_step
+
+        def counted(store, *args, **kwargs):
+            calls.append(store)
+            adam_step(store, *args, **kwargs)
+
+        monkeypatch.setattr(tc.ParamStore, "adam_step", counted)
+        config = TrainConfig(epochs=1, batch_size=4, seed=0)
+        bundle = fresh_bundle(tiny_vocab)
+        train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
+        stores = [model.store for model in bundle.models.values()]
+        batches = 8 // config.batch_size
+        assert len(calls) == config.epochs * batches * len(stores)
+        for i in range(0, len(calls), len(stores)):
+            assert calls[i:i + len(stores)] == stores
+
+
 class TestSelection:
     def test_picks_highest_extraction_f1(self):
         scores = {"p": (0.80, 0.9), "t": (0.85, 0.1), "v": (0.83, 0.99)}

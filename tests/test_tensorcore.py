@@ -349,6 +349,81 @@ class TestParamStoreAdam:
         np.testing.assert_array_equal(p.data, after_owner)
 
 
+class TestParamBlock:
+    SHAPES = {"a": (3, 4), "big": (200, 201), "c": (5,), "d": (7, 2)}
+
+    def _store(self, rng):
+        store = ParamStore()
+        for name, shape in self.SHAPES.items():
+            store.add(name, rng.normal(size=shape))
+        return store
+
+    def test_params_and_grad_homes_are_views_into_one_block(self, rng):
+        store = self._store(rng)
+        before = {k: p.data.copy() for k, p in store.params.items()}
+        store.build_block()
+        n = sum(int(np.prod(s)) for s in self.SHAPES.values())
+        assert store.block.shape == (4, n)
+        for name, p in store.params.items():
+            np.testing.assert_array_equal(p.data, before[name])
+            assert np.shares_memory(p.data, store.block)
+            assert np.shares_memory(p.grad_home, store.block)
+        p = store.params["a"]
+        x = leaf(rng, 4, 2)
+        tc.backward(tc.sum_all(tc.matmul(p, x)))
+        assert p.grad is p.grad_home
+        np.testing.assert_array_equal(p.grad, np.ones((3, 2)) @ x.data.T)
+
+    def test_add_after_build_rejected(self, rng):
+        store = self._store(rng)
+        store.build_block()
+        with pytest.raises(ValueError, match="already built"):
+            store.add("late", np.zeros(2))
+
+    def test_matches_per_parameter_reference_bit_for_bit(self, rng):
+        # The parent's per-parameter update, one temporary per operation,
+        # over random steps in which parameter "c" sometimes has no gradient.
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        store = self._store(rng)
+        store.build_block()
+        ref = {k: p.data.copy() for k, p in store.params.items()}
+        m = {k: np.zeros_like(x) for k, x in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        c_lo = 12 + 200 * 201  # "c" follows "a" and "big" in the block
+        skipped = 0
+        for t in range(1, 8):
+            grads = {k: rng.normal(size=x.shape) * 10.0 ** rng.integers(-4, 2)
+                     for k, x in ref.items()}
+            if t % 3 == 0:
+                del grads["c"]
+            for i, (k, g) in enumerate(grads.items()):
+                if i % 2:
+                    store.params[k].grad = g.copy()  # assigned, not accumulated
+                else:
+                    store.params[k].accum_grad(g)
+            c_moments = store.block[tc.MOMENT1:, c_lo:c_lo + 5].copy()
+            store.adam_step(lr, b1, b2, eps)
+            assert store.step_count == t
+            for k, g in grads.items():
+                m[k] *= b1
+                m[k] += (1.0 - b1) * g
+                v[k] *= b2
+                v[k] += (1.0 - b2) * g * g
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v[k] / (1.0 - b2**t)
+                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for k, p in store.params.items():
+                np.testing.assert_array_equal(p.data, ref[k], err_msg=f"step {t} {k}")
+                assert p.grad is None
+            if "c" not in grads:
+                skipped += 1
+                np.testing.assert_array_equal(
+                    store.block[tc.MOMENT1:, c_lo:c_lo + 5], c_moments)
+        assert skipped == 2
+        np.testing.assert_array_equal(store.block[tc.MOMENT1, c_lo:c_lo + 5], m["c"])
+        np.testing.assert_array_equal(store.block[tc.MOMENT2, c_lo:c_lo + 5], v["c"])
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path, rng):
         arrays = {"enc/w": rng.normal(size=(3, 4)), "head/b": rng.normal(size=5)}
