@@ -46,7 +46,7 @@ from .heads import (
     predict_batch,
     spans_from_tags,
 )
-from .tensorcore import DiffArray, NonFiniteError, ParamStore
+from .tensorcore import DiffArray, NonFiniteError
 
 MODEL_ORDER = ("p", "t", "v")
 MODE_OF = {"p": "parallel", "t": "tenor_first", "v": "vehicle_first"}
@@ -81,9 +81,6 @@ class ModelBundle:
     config: EncoderConfig
     label_emb_dim: int
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.models)
-
 
 def build_bundle(
     vocab: Vocabulary,
@@ -101,14 +98,13 @@ def build_bundle(
     if set(disabled_models) >= set(MODEL_ORDER):
         raise ValueError("build_bundle: at least one model must stay enabled")
     n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
-    vocab_size = len(vocab.token_to_id)
     models: dict[str, SimileModel] = {}
     shared = None
     for name in MODEL_ORDER:
         if name in disabled_models:
             continue
         model = init_model(
-            MODE_OF[name], vocab_size, n_edge_labels, config, rng,
+            MODE_OF[name], vocab.size, n_edge_labels, config, rng,
             label_emb_dim=label_emb_dim, shared_encoder=shared,
         )
         if share_encoder and shared is None:
@@ -552,6 +548,9 @@ def _load_meta(
         for name, mode in modes.items():
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r} for model {name!r}")
+            if mode != MODE_OF.get(name):
+                raise ValueError(f"model {name!r} cannot have mode {mode!r}; "
+                                 f"the models are {MODE_OF}")
         config = _config_from_record(EncoderConfig, meta, "encoder")
         config.validate()
         label_emb_dim = int(meta["label_emb_dim"])
@@ -577,7 +576,7 @@ def _load_one_model(
         raise FileNotFoundError(f"{path}: missing model checkpoint")
     arrays = tc.load_checkpoint(path)
     model = init_model(
-        mode, len(shell.vocab.token_to_id),
+        mode, shell.vocab.size,
         len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
         np.random.default_rng(0), label_emb_dim=shell.label_emb_dim,
     )

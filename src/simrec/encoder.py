@@ -24,7 +24,7 @@ import numpy as np
 from . import tensorcore as tc
 from .corpus import CLS_TOKEN, SEP_TOKEN, AnnotatedSentence, Vocabulary
 from .hetgraph import BlockGraph
-from .tensorcore import DiffArray, ParamStore
+from .tensorcore import DiffArray
 
 
 @dataclass(frozen=True)
@@ -69,34 +69,29 @@ GLOSS_W_GAIN = 8.0
 
 
 def init_encoder_params(
-    store: ParamStore,
     vocab_size: int,
     n_edge_labels: int,
     config: EncoderConfig,
     rng: np.random.Generator,
-    prefix: str = "enc",
-) -> dict[str, DiffArray]:
-    """Create all encoder weights in ``store`` and return them keyed locally."""
+) -> dict[str, np.ndarray]:
+    """Fresh encoder weights keyed locally, drawn from ``rng`` in key order."""
     config.validate()
     d = config.d_model
-    p: dict[str, DiffArray] = {}
-
-    def add(key: str, data: np.ndarray) -> None:
-        p[key] = store.add(f"{prefix}/{key}", data)
-
-    add("tok_emb", rng.normal(0.0, EMB_INIT_STD, (vocab_size, d)))
-    add("pos_emb", rng.normal(0.0, EMB_INIT_STD, (config.max_positions, d)))
+    p = {
+        "tok_emb": rng.normal(0.0, EMB_INIT_STD, (vocab_size, d)),
+        "pos_emb": rng.normal(0.0, EMB_INIT_STD, (config.max_positions, d)),
+    }
     for layer in range(config.n_selfattn_layers):
         for w in ("wq", "wk", "wv"):
-            add(f"sa{layer}/{w}", glorot(rng, d, d))
-    add("gloss/w", glorot(rng, d, d) * GLOSS_W_GAIN)
-    add("gloss/b", np.zeros(d))
-    add("edge_emb", rng.normal(0.0, EDGE_EMB_INIT_STD, (n_edge_labels, config.edge_emb_dim)))
+            p[f"sa{layer}/{w}"] = glorot(rng, d, d)
+    p["gloss/w"] = glorot(rng, d, d) * GLOSS_W_GAIN
+    p["gloss/b"] = np.zeros(d)
+    p["edge_emb"] = rng.normal(0.0, EDGE_EMB_INIT_STD, (n_edge_labels, config.edge_emb_dim))
     for layer in range(config.n_gat_layers):
-        add(f"gat{layer}/wq", glorot(rng, d, d))
-        add(f"gat{layer}/wk", glorot(rng, d, d))
-        add(f"gat{layer}/wv", glorot(rng, d, d) * GAT_VALUE_GAIN)
-        add(f"gat{layer}/wa", glorot(rng, 2 * d + config.edge_emb_dim, 1) * GAT_SCORE_GAIN)
+        p[f"gat{layer}/wq"] = glorot(rng, d, d)
+        p[f"gat{layer}/wk"] = glorot(rng, d, d)
+        p[f"gat{layer}/wv"] = glorot(rng, d, d) * GAT_VALUE_GAIN
+        p[f"gat{layer}/wa"] = glorot(rng, 2 * d + config.edge_emb_dim, 1) * GAT_SCORE_GAIN
     return p
 
 

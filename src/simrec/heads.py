@@ -89,31 +89,28 @@ class SimileModel:
 
 
 def init_head_params(
-    store: ParamStore,
     mode: str,
     config: EncoderConfig,
     rng: np.random.Generator,
     label_emb_dim: int = 100,
-    prefix: str = "head",
-) -> dict[str, DiffArray]:
+) -> dict[str, np.ndarray]:
+    """Fresh head weights for ``mode`` keyed locally, drawn from ``rng`` in
+    key order."""
     if mode not in MODES:
         raise ValueError(f"unknown model mode '{mode}'")
     d = config.d_model
-    p: dict[str, DiffArray] = {}
-
-    def add(key: str, data: np.ndarray) -> None:
-        p[key] = store.add(f"{prefix}/{key}", data)
-
-    add("cls/w", glorot(rng, 3 * d, label_emb_dim))
-    add("cls/emb", rng.normal(0.0, EMB_INIT_STD, (len(CLASSES), label_emb_dim)))
+    p = {
+        "cls/w": glorot(rng, 3 * d, label_emb_dim),
+        "cls/emb": rng.normal(0.0, EMB_INIT_STD, (len(CLASSES), label_emb_dim)),
+    }
     if mode == "parallel":
-        add("ext/w", glorot(rng, d, 3) * TAGGER_INIT_GAIN)
-        add("ext/b", np.zeros(3))
+        p["ext/w"] = glorot(rng, d, 3) * TAGGER_INIT_GAIN
+        p["ext/b"] = np.zeros(3)
     else:
-        add("first/w", glorot(rng, d, 2) * TAGGER_INIT_GAIN)
-        add("first/b", np.zeros(2))
-        add("second/w", glorot(rng, 2 * d, 3) * TAGGER_INIT_GAIN)
-        add("second/b", np.zeros(3))
+        p["first/w"] = glorot(rng, d, 2) * TAGGER_INIT_GAIN
+        p["first/b"] = np.zeros(2)
+        p["second/w"] = glorot(rng, 2 * d, 3) * TAGGER_INIT_GAIN
+        p["second/b"] = np.zeros(3)
     return p
 
 
@@ -126,22 +123,24 @@ def init_model(
     label_emb_dim: int = 100,
     shared_encoder: dict[str, DiffArray] | None = None,
 ) -> SimileModel:
-    """Fresh model with its own ParamStore, its parameter block built.
+    """Fresh model whose ParamStore is made in one call from its weights.
 
-    Passing ``shared_encoder`` reuses another model's encoder weights; the
-    store registers them so checkpoints stay complete, and they stay in the
-    block of the store that created them, whose ``adam_step`` alone moves
-    them.
+    The store's parameters are the encoder's under ``enc/`` and then the
+    head's under ``head/``, drawn from ``rng`` in that order; this is also
+    the key order of a saved checkpoint. Passing ``shared_encoder`` reuses
+    another model's encoder weights: the store lists them as shared, so
+    checkpoints stay complete, and they stay in the block of the store that
+    created them, whose ``adam_step`` alone moves them.
     """
-    store = ParamStore()
+    enc = shared_encoder
+    if enc is None:
+        enc = init_encoder_params(vocab_size, n_edge_labels, config, rng)
+    head = init_head_params(mode, config, rng, label_emb_dim)
+    store = ParamStore({**{f"enc/{k}": a for k, a in enc.items()},
+                        **{f"head/{k}": a for k, a in head.items()}})
     if shared_encoder is None:
-        enc = init_encoder_params(store, vocab_size, n_edge_labels, config, rng)
-    else:
-        enc = shared_encoder
-        for key, param in shared_encoder.items():
-            store.register(f"enc/{key}", param)
-    head = init_head_params(store, mode, config, rng, label_emb_dim)
-    store.build_block()
+        enc = {k: store.params[f"enc/{k}"] for k in enc}
+    head = {k: store.params[f"head/{k}"] for k in head}
     return SimileModel(mode=mode, store=store, enc=enc, head=head, config=config)
 
 

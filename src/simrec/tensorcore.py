@@ -1,21 +1,23 @@
 """Dense-array reverse-mode autodiff, just large enough for this model.
 
-Every tensor is a float64 ``DiffArray``. Operations build a tape of parent
-links and backward closures; ``backward`` walks the tape in reverse
-topological order and accumulates exact analytic gradients. A closure
-receives its output's gradient as an argument rather than holding the
-output, so the tape has no reference cycles and is freed as soon as its
-loss is dropped. Non-finite values are trapped at the op that produced
-them.
+Every tensor is a float64 ``DiffArray``. Each op computes its output,
+defines its backward closure and hands both to ``_result``, which checks
+the output and makes the whole tape node: output, parents and closure.
+``backward`` walks the tape in reverse topological order and accumulates
+exact analytic gradients. A closure receives its output's gradient as an
+argument rather than holding the output, so the tape has no reference
+cycles and is freed as soon as its loss is dropped. Non-finite values are
+trapped at the op that produced them.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation) call the kernels in :mod:`simrec.kernels`.
 
-A ``ParamStore`` keeps the parameters it owns in one float64 block of
-shape (4, N) whose rows hold data, gradient and the two Adam moments.
-Each parameter's ``.data`` and gradient are views into the block, so one
-Adam update is a few in-place numpy calls per cache-sized chunk of each
-contiguous run of parameters that received a gradient.
+A ``ParamStore`` is made in one call from its named arrays. It keeps the
+parameters it owns in one float64 block of shape (4, N) whose rows hold
+data, gradient and the two Adam moments. Each parameter's ``.data`` and
+gradient are views into the block, so one Adam update is a few in-place
+numpy calls per cache-sized chunk of each contiguous run of parameters
+that received a gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -126,26 +129,22 @@ def backward(loss: DiffArray) -> None:
 def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    out = _result(a.data @ b.data, (a, b), None, "matmul")
 
     def bwd(grad):
         a.accum_grad(grad @ b.data.T)
         b.accum_grad(a.data.T @ grad)
 
-    out._backward = bwd
-    return out
+    return _result(a.data @ b.data, (a, b), bwd, "matmul")
 
 
 def transpose(a: DiffArray) -> DiffArray:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected 2-D, got {a.data.shape}")
-    out = _result(a.data.T.copy(), (a,), None, "transpose")
 
     def bwd(grad):
         a.accum_grad(grad.T)
 
-    out._backward = bwd
-    return out
+    return _result(a.data.T.copy(), (a,), bwd, "transpose")
 
 
 def add(a: DiffArray, b: DiffArray) -> DiffArray:
@@ -154,7 +153,6 @@ def add(a: DiffArray, b: DiffArray) -> DiffArray:
     )
     if not bias_bcast and a.data.shape != b.data.shape:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} + {b.data.shape}")
-    out = _result(a.data + b.data, (a, b), None, "add")
 
     def bwd(grad):
         a.accum_grad(grad)
@@ -163,39 +161,33 @@ def add(a: DiffArray, b: DiffArray) -> DiffArray:
         else:
             b.accum_grad(grad)
 
-    out._backward = bwd
-    return out
+    return _result(a.data + b.data, (a, b), bwd, "add")
 
 
 def sub(a: DiffArray, b: DiffArray) -> DiffArray:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: incompatible shapes {a.data.shape} - {b.data.shape}")
-    out = _result(a.data - b.data, (a, b), None, "sub")
 
     def bwd(grad):
         a.accum_grad(grad)
         b.accum_grad(-grad)
 
-    out._backward = bwd
-    return out
+    return _result(a.data - b.data, (a, b), bwd, "sub")
 
 
 def scale(a: DiffArray, c: float) -> DiffArray:
     c = float(c)
-    out = _result(a.data * c, (a,), None, "scale")
 
     def bwd(grad):
         a.accum_grad(grad * c)
 
-    out._backward = bwd
-    return out
+    return _result(a.data * c, (a,), bwd, "scale")
 
 
 def concat(parts: list[DiffArray], axis: int) -> DiffArray:
     if not parts:
         raise ShapeError("concat: empty input list")
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    out = _result(out_data, tuple(parts), None, "concat")
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -205,40 +197,32 @@ def concat(parts: list[DiffArray], axis: int) -> DiffArray:
             idx[axis] = slice(lo, hi)
             p.accum_grad(grad[tuple(idx)])
 
-    out._backward = bwd
-    return out
+    return _result(out_data, tuple(parts), bwd, "concat")
 
 
 def reshape(a: DiffArray, shape: tuple[int, ...]) -> DiffArray:
-    out = _result(a.data.reshape(shape), (a,), None, "reshape")
-
     def bwd(grad):
         a.accum_grad(grad.reshape(a.data.shape))
 
-    out._backward = bwd
-    return out
+    return _result(a.data.reshape(shape), (a,), bwd, "reshape")
 
 
 def leaky_relu(a: DiffArray, slope: float = 0.01) -> DiffArray:
     out_data = np.where(a.data > 0, a.data, slope * a.data)
-    out = _result(out_data, (a,), None, "leaky_relu")
 
     def bwd(grad):
         a.accum_grad(np.where(a.data > 0, 1.0, slope) * grad)
 
-    out._backward = bwd
-    return out
+    return _result(out_data, (a,), bwd, "leaky_relu")
 
 
 def sigmoid(a: DiffArray) -> DiffArray:
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = _result(s, (a,), None, "sigmoid")
 
     def bwd(grad):
         a.accum_grad(s * (1.0 - s) * grad)
 
-    out._backward = bwd
-    return out
+    return _result(s, (a,), bwd, "sigmoid")
 
 
 def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> DiffArray:
@@ -251,45 +235,35 @@ def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> Dif
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _result(s, (a,), None, "softmax")
 
     def bwd(grad):
         dot = (grad * s).sum(axis=axis, keepdims=True)
         a.accum_grad(s * (grad - dot))
 
-    out._backward = bwd
-    return out
+    return _result(s, (a,), bwd, "softmax")
 
 
 def log(a: DiffArray) -> DiffArray:
     clamped = np.maximum(a.data, EPS_LOG)
-    out = _result(np.log(clamped), (a,), None, "log")
 
     def bwd(grad):
         a.accum_grad(grad / clamped)
 
-    out._backward = bwd
-    return out
+    return _result(np.log(clamped), (a,), bwd, "log")
 
 
 def abs_(a: DiffArray) -> DiffArray:
-    out = _result(np.abs(a.data), (a,), None, "abs")
-
     def bwd(grad):
         a.accum_grad(np.sign(a.data) * grad)
 
-    out._backward = bwd
-    return out
+    return _result(np.abs(a.data), (a,), bwd, "abs")
 
 
 def sum_all(a: DiffArray) -> DiffArray:
-    out = _result(np.asarray(a.data.sum()), (a,), None, "sum_all")
-
     def bwd(grad):
         a.accum_grad(np.full_like(a.data, grad))
 
-    out._backward = bwd
-    return out
+    return _result(np.asarray(a.data.sum()), (a,), bwd, "sum_all")
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +279,13 @@ def pick_rows(a: DiffArray, indices) -> DiffArray:
         raise ShapeError(f"pick_rows: indices must be 1-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ShapeError(f"pick_rows: index out of range for {a.data.shape[0]} rows")
-    out = _result(a.data[idx], (a,), None, "pick_rows")
 
     def bwd(grad):
         a.accum_grad(
             kernels.scatter_add_rows(idx, grad, a.data.shape[0], a.data.shape[1])
         )
 
-    out._backward = bwd
-    return out
+    return _result(a.data[idx], (a,), bwd, "pick_rows")
 
 
 def mean_pool(a: DiffArray, indices, pool_ids=None, n_pools: int = 1) -> DiffArray:
@@ -337,15 +309,13 @@ def mean_pool(a: DiffArray, indices, pool_ids=None, n_pools: int = 1) -> DiffArr
     counts = np.bincount(pools, minlength=n_pools)
     weights = np.zeros((n_pools, idx.size))
     weights[pools, np.arange(idx.size)] = 1.0 / counts[pools]
-    out = _result(weights @ a.data[idx], (a,), None, "mean_pool")
 
     def bwd(grad):
         a.accum_grad(
             kernels.scatter_add_rows(idx, weights.T @ grad, a.data.shape[0], a.data.shape[1])
         )
 
-    out._backward = bwd
-    return out
+    return _result(weights @ a.data[idx], (a,), bwd, "mean_pool")
 
 
 def repeat_row(a: DiffArray, counts) -> DiffArray:
@@ -354,15 +324,13 @@ def repeat_row(a: DiffArray, counts) -> DiffArray:
     if a.data.ndim != 2 or reps.size != a.data.shape[0]:
         raise ShapeError(f"repeat_row: {reps.size} counts for rows of {a.data.shape}")
     owner = np.repeat(np.arange(reps.size), reps)
-    out = _result(a.data[owner], (a,), None, "repeat_row")
 
     def bwd(grad):
         a.accum_grad(
             kernels.scatter_add_rows(owner, grad, a.data.shape[0], a.data.shape[1])
         )
 
-    out._backward = bwd
-    return out
+    return _result(a.data[owner], (a,), bwd, "repeat_row")
 
 
 def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
@@ -384,14 +352,12 @@ def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
         raise ShapeError("add_rows_at: duplicate target indices")
     out_data = base.data.copy()
     out_data[idx] += rows.data
-    out = _result(out_data, (base, rows), None, "add_rows_at")
 
     def bwd(grad):
         base.accum_grad(grad)
         rows.accum_grad(grad[idx])
 
-    out._backward = bwd
-    return out
+    return _result(out_data, (base, rows), bwd, "add_rows_at")
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +370,11 @@ def segment_softmax(scores: DiffArray, seg: np.ndarray, n_segments: int) -> Diff
         raise ShapeError(f"segment_softmax: expected 1-D scores, got {scores.data.shape}")
     seg = np.asarray(seg, dtype=np.int64)
     alpha = kernels.segment_softmax(scores.data, seg, n_segments)
-    out = _result(alpha, (scores,), None, "segment_softmax")
 
     def bwd(grad):
         scores.accum_grad(kernels.segment_softmax_grad(alpha, grad, seg, n_segments))
 
-    out._backward = bwd
-    return out
+    return _result(alpha, (scores,), bwd, "segment_softmax")
 
 
 def segment_aggregate(
@@ -429,7 +393,6 @@ def segment_aggregate(
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     out_data = kernels.attention_aggregate(alpha.data, values.data, src, dst, n_out)
-    out = _result(out_data, (alpha, values), None, "segment_aggregate")
 
     def bwd(grad):
         d_alpha, d_values = kernels.attention_aggregate_grad(
@@ -438,8 +401,7 @@ def segment_aggregate(
         alpha.accum_grad(d_alpha)
         values.accum_grad(d_values)
 
-    out._backward = bwd
-    return out
+    return _result(out_data, (alpha, values), bwd, "segment_aggregate")
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +439,13 @@ def _nll(dist: DiffArray, rows: np.ndarray, golds, op: str) -> DiffArray:
         raise ShapeError(f"{op}: distribution sums to {float(worst)!r}, not 1")
     at = np.arange(idx.size)
     picked = np.maximum(rows[at, idx], EPS_LOG)
-    out = _result(np.asarray(-np.log(picked).sum()), (dist,), None, op)
 
     def bwd(grad):
         g = np.zeros(rows.shape)
         g[at, idx] = -grad / picked
         dist.accum_grad(g.reshape(dist.data.shape))
 
-    out._backward = bwd
-    return out
+    return _result(np.asarray(-np.log(picked).sum()), (dist,), bwd, op)
 
 
 def kl_divergence(p: np.ndarray, q: DiffArray, row_weights: np.ndarray | None = None) -> DiffArray:
@@ -508,13 +468,11 @@ def kl_divergence(p: np.ndarray, q: DiffArray, row_weights: np.ndarray | None = 
             raise ShapeError(f"kl_divergence: {w.shape[0]} row weights for shape {p.shape}")
     q_clamped = np.maximum(q.data, EPS_LOG)
     terms = np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(q_clamped)), 0.0)
-    out = _result(np.asarray((terms * w).sum()), (q,), None, "kl_divergence")
 
     def bwd(grad):
         q.accum_grad(np.where(p > 0, -p / q_clamped, 0.0) * w * grad)
 
-    out._backward = bwd
-    return out
+    return _result(np.asarray((terms * w).sum()), (q,), bwd, "kl_divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -535,66 +493,43 @@ DATA, GRAD, MOMENT1, MOMENT2 = range(4)
 class ParamStore:
     """Named parameters plus Adam moment state in one flat block.
 
-    ``add`` creates a parameter this store owns; ``register`` adopts one that
-    another store owns (two models sharing weights), and keeps no moments
-    for it. ``build_block`` then allocates ``block``, one (4, N) float64
-    array over the N floats of the owned parameters, in insertion order:
-    its rows hold data, gradient and the first and second Adam moments.
-    Every owned parameter's ``.data`` and gradient home are views into it,
-    so code that replaces a parameter's values must copy into ``.data``
-    rather than rebind it.
+    ``params`` maps each name, in order, to either a fresh array, which the
+    store owns, or a ``DiffArray`` that another store owns (two models
+    sharing weights), which goes into ``shared`` and gets no moments.
+    ``block`` is one (4, N) float64 array over the N floats of the owned
+    parameters, in that order: its rows hold data, gradient and the first
+    and second Adam moments. Every owned parameter's ``.data`` and gradient
+    home are views into it, so code that replaces a parameter's values must
+    copy into ``.data`` rather than rebind it.
+
+    A parameter's span of the gradient row holds its gradient only while
+    ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``.
+    ``adam_step`` leaves the spent Adam numerator in the span of every
+    parameter it moves; a parameter without a gradient keeps a stale span.
     """
 
-    def __init__(self):
+    def __init__(self, params: Mapping[str, np.ndarray | DiffArray]):
         self.params: dict[str, DiffArray] = {}
-        self.shared: set[str] = set()  # names adopted through ``register``
-        self.block: np.ndarray | None = None
+        self.shared: set[str] = set()  # names of parameters another store owns
         self.step_count = 0
         self._spans: list[tuple[DiffArray, int, int]] = []  # owned: (param, lo, hi)
-        self._scratch: np.ndarray | None = None
-
-    def add(self, name: str, data: np.ndarray) -> DiffArray:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        if self.block is not None:
-            raise ValueError(f"cannot add '{name}': the parameter block is already built")
-        p = DiffArray(np.asarray(data, dtype=np.float64), name=name)
-        self.params[name] = p
-        return p
-
-    def register(self, name: str, p: DiffArray) -> DiffArray:
-        """Adopt an existing parameter (used when two stores share weights).
-
-        It stays in its owner's block; only the owner's ``adam_step`` moves it.
-        """
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        self.params[name] = p
-        self.shared.add(name)
-        return p
-
-    def build_block(self) -> None:
-        """Move the owned parameters into one (4, N) block, once, after the
-        last ``add``: data row filled, gradient and moment rows zero."""
-        if self.block is not None:
-            raise ValueError("the parameter block is already built")
-        owned = [p for name, p in self.params.items() if name not in self.shared]
-        n = sum(p.data.size for p in owned)
+        n = sum(np.size(a) for a in params.values() if not isinstance(a, DiffArray))
         self.block = np.zeros((4, n))
         self._scratch = np.empty(min(n, ADAM_CHUNK))
         lo = 0
-        for p in owned:
-            hi = lo + p.data.size
-            shape = p.data.shape
-            self.block[DATA, lo:hi] = p.data.reshape(-1)
-            p.data = self.block[DATA, lo:hi].reshape(shape)
+        for name, value in params.items():
+            if isinstance(value, DiffArray):
+                self.params[name] = value
+                self.shared.add(name)
+                continue
+            shape = np.shape(value)
+            hi = lo + np.size(value)
+            p = DiffArray(self.block[DATA, lo:hi].reshape(shape), name=name)
+            p.data[...] = value
             p.grad_home = self.block[GRAD, lo:hi].reshape(shape)
+            self.params[name] = p
             self._spans.append((p, lo, hi))
             lo = hi
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def adam_step(
         self,
@@ -606,17 +541,14 @@ class ParamStore:
         """One bias-corrected Adam update; grads are consumed (cleared).
 
         Owned parameters with no accumulated gradient are skipped: neither
-        their moments nor their values change. A weight adopted through
-        ``register`` is left to the store that owns it, so it is updated
-        exactly once per step. The touched parameters are grouped into
-        contiguous runs of the block, and each run is updated in place, one
-        chunk of ADAM_CHUNK floats at a time, with the operation order of
-        the per-parameter update ``m = b1*m + (1-b1)*g``,
-        ``v = b2*v + ((1-b2)*g)*g``, ``x -= m/c1*lr / (sqrt(v/c2) + eps)``.
-        A store whose block was never built builds it here.
+        their moments nor their values change. A shared weight is left to
+        the store that owns it, so it is updated exactly once per step. The
+        touched parameters are grouped into contiguous runs of the block,
+        and each run is updated in place, one chunk of ADAM_CHUNK floats at
+        a time, with the operation order of the per-parameter update
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+        ``x -= m/c1*lr / (sqrt(v/c2) + eps)``.
         """
-        if self.block is None:
-            self.build_block()
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - beta1**t

@@ -80,7 +80,7 @@ def grads_of(model):
     grads = {}
     for name, p in model.store.params.items():
         grads[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-    model.store.zero_grads()
+        p.grad = None
     return grads
 
 

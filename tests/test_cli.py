@@ -402,8 +402,11 @@ class TestDamagedModelDir:
          "model_{selected}.json: shape mismatch for 'enc/edge_emb'"),
         ("graph_options.noun_tags", ["NN"],
          "bundle.json: malformed (graph_options.noun_tags ['NN'] is not the default"),
+        ("models", {"p": "parallel", "t": "vehicle_first", "v": "tenor_first"},
+         "bundle.json: malformed (model 't' cannot have mode 'vehicle_first'"),
+        ("models.x", "parallel", "bundle.json: malformed (model 'x' cannot have mode 'parallel'"),
     ], ids=["unknown-mode", "unknown-graph-option", "unknown-encoder-field", "edited-top-k",
-            "edited-noun-tags"])
+            "edited-noun-tags", "swapped-order", "unknown-name"])
     def test_wrong_meaning_is_one_error_line(
         self, trained_dir, corpora, tmp_path, capsys, key_path, value, message
     ):

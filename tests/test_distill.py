@@ -433,7 +433,7 @@ class TestTrainLoop:
     def test_disabled_model_shrinks_ensemble(self, tiny_corpus, tiny_vocab):
         config = TrainConfig(epochs=1, batch_size=4, seed=0)
         bundle = fresh_bundle(tiny_vocab, disabled_models=("v",))
-        assert bundle.names() == ("p", "t")
+        assert tuple(bundle.models) == ("p", "t")
         result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
         assert set(result.epoch_logs[0]["losses"]) == {"p", "t"}
 
@@ -642,7 +642,7 @@ class TestPersistence:
         distill.save_bundle(bundle, tmp_path, graph_options=opts)
         loaded, loaded_opts = distill.load_bundle(tmp_path)
         assert loaded_opts == opts
-        assert loaded.names() == bundle.names()
+        assert tuple(loaded.models) == tuple(bundle.models)
         assert loaded.config == bundle.config
         assert loaded.vocab.token_to_id == bundle.vocab.token_to_id
         for name in bundle.models:

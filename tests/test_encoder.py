@@ -13,13 +13,12 @@ from simrec.tensorcore import ParamStore
 
 
 def make_params(vocab, config, seed=0, n_edge_labels=None):
-    store = ParamStore()
     if n_edge_labels is None:
         n_edge_labels = len(edge_label_index(vocab))
-    params = enc.init_encoder_params(
-        store, vocab.size, n_edge_labels, config, np.random.default_rng(seed)
-    )
-    return store, params
+    store = ParamStore(enc.init_encoder_params(
+        vocab.size, n_edge_labels, config, np.random.default_rng(seed)
+    ))
+    return store, store.params
 
 
 def nounless_sentence():

@@ -12,11 +12,10 @@ from simrec.tensorcore import DiffArray, ParamStore
 
 
 def head_only(mode, config, seed=0, label_emb_dim=7):
-    store = ParamStore()
-    params = heads.init_head_params(
-        store, mode, config, np.random.default_rng(seed), label_emb_dim
-    )
-    return store, params
+    store = ParamStore(heads.init_head_params(
+        mode, config, np.random.default_rng(seed), label_emb_dim
+    ))
+    return store, store.params
 
 
 def softmax_np(x):
@@ -308,6 +307,35 @@ class TestModelSetup:
         assert other.enc is base.enc
         for key, param in base.enc.items():
             assert other.store.params[f"enc/{key}"] is param
+
+    def test_parameter_order_is_the_checkpoint_key_order(self, tiny_config):
+        # One self-attention layer and two GAT layers (tiny_config).
+        enc_names = [
+            "enc/tok_emb", "enc/pos_emb", "enc/sa0/wq", "enc/sa0/wk", "enc/sa0/wv",
+            "enc/gloss/w", "enc/gloss/b", "enc/edge_emb",
+            "enc/gat0/wq", "enc/gat0/wk", "enc/gat0/wv", "enc/gat0/wa",
+            "enc/gat1/wq", "enc/gat1/wk", "enc/gat1/wv", "enc/gat1/wa",
+        ]
+        cls_names = ["head/cls/w", "head/cls/emb"]
+        sequential = [*enc_names, *cls_names,
+                      "head/first/w", "head/first/b", "head/second/w", "head/second/b"]
+        want = {
+            "parallel": [*enc_names, *cls_names, "head/ext/w", "head/ext/b"],
+            "tenor_first": sequential,
+            "vehicle_first": sequential,
+        }
+        rng = np.random.default_rng(0)
+        models = {mode: heads.init_model(mode, 20, 10, tiny_config, rng, label_emb_dim=6)
+                  for mode in heads.MODES}
+        for mode, model in models.items():
+            assert list(model.store.params) == want[mode]
+            assert model.store.shared == set()
+        shared = heads.init_model(
+            "vehicle_first", 20, 10, tiny_config, rng, label_emb_dim=6,
+            shared_encoder=models["parallel"].enc,
+        )
+        assert list(shared.store.params) == sequential
+        assert shared.store.shared == set(enc_names)
 
     def test_sequential_head_param_names(self, tiny_config):
         _, head = head_only("vehicle_first", tiny_config)

@@ -291,40 +291,34 @@ class TestDistributionProperties:
 
 
 class TestParamStoreAdam:
-    def test_duplicate_name_rejected(self, rng):
-        store = ParamStore()
-        store.add("w", rng.normal(size=(2, 2)))
-        with pytest.raises(ValueError, match="duplicate"):
-            store.add("w", rng.normal(size=(2, 2)))
-
     def test_first_step_moves_by_lr(self):
         # With g=1 the bias-corrected first Adam step is
         # -lr * 1 / (1 + eps) regardless of beta values.
-        store = ParamStore()
-        p = store.add("w", np.array([0.5]))
+        store = ParamStore({"w": np.array([0.5])})
+        p = store.params["w"]
         p.grad = np.array([1.0])
         store.adam_step(lr=0.001)
         expected = 0.5 - 0.001 * 1.0 / (1.0 + 1e-8)
         np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 
     def test_grads_cleared_after_step(self, rng):
-        store = ParamStore()
-        p = store.add("w", rng.normal(size=(3,)))
+        store = ParamStore({"w": rng.normal(size=(3,))})
+        p = store.params["w"]
         p.grad = np.ones(3)
         store.adam_step(lr=0.01)
         assert p.grad is None
 
     def test_step_skips_params_without_grads(self, rng):
-        store = ParamStore()
-        p = store.add("w", rng.normal(size=(3,)))
+        store = ParamStore({"w": rng.normal(size=(3,))})
+        p = store.params["w"]
         before = p.data.copy()
         store.adam_step(lr=0.1)
         np.testing.assert_array_equal(p.data, before)
 
     def test_adam_two_steps_match_reference(self):
         # Hand-rolled Adam recurrence on a fixed gradient sequence.
-        store = ParamStore()
-        p = store.add("w", np.array([1.0]))
+        store = ParamStore({"w": np.array([1.0])})
+        p = store.params["w"]
         grads = [0.3, -0.2]
         m = v = 0.0
         x = 1.0
@@ -338,10 +332,10 @@ class TestParamStoreAdam:
         np.testing.assert_allclose(p.data, [x], rtol=1e-12)
 
     def test_shared_param_updated_once(self, rng):
-        owner = ParamStore()
-        borrower = ParamStore()
-        p = owner.add("w", np.array([1.0]))
-        borrower.register("w", p)
+        owner = ParamStore({"w": np.array([1.0])})
+        p = owner.params["w"]
+        borrower = ParamStore({"w": p})
+        assert borrower.shared == {"w"} and borrower.block.shape == (4, 0)
         p.grad = np.array([1.0])
         owner.adam_step(lr=0.001)
         after_owner = p.data.copy()
@@ -352,16 +346,13 @@ class TestParamStoreAdam:
 class TestParamBlock:
     SHAPES = {"a": (3, 4), "big": (200, 201), "c": (5,), "d": (7, 2)}
 
-    def _store(self, rng):
-        store = ParamStore()
-        for name, shape in self.SHAPES.items():
-            store.add(name, rng.normal(size=shape))
-        return store
+    def _arrays(self, rng):
+        return {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
 
     def test_params_and_grad_homes_are_views_into_one_block(self, rng):
-        store = self._store(rng)
-        before = {k: p.data.copy() for k, p in store.params.items()}
-        store.build_block()
+        before = self._arrays(rng)
+        store = ParamStore(before)
+        assert list(store.params) == list(self.SHAPES)
         n = sum(int(np.prod(s)) for s in self.SHAPES.values())
         assert store.block.shape == (4, n)
         for name, p in store.params.items():
@@ -374,18 +365,11 @@ class TestParamBlock:
         assert p.grad is p.grad_home
         np.testing.assert_array_equal(p.grad, np.ones((3, 2)) @ x.data.T)
 
-    def test_add_after_build_rejected(self, rng):
-        store = self._store(rng)
-        store.build_block()
-        with pytest.raises(ValueError, match="already built"):
-            store.add("late", np.zeros(2))
-
     def test_matches_per_parameter_reference_bit_for_bit(self, rng):
         # The parent's per-parameter update, one temporary per operation,
         # over random steps in which parameter "c" sometimes has no gradient.
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        store = self._store(rng)
-        store.build_block()
+        store = ParamStore(self._arrays(rng))
         ref = {k: p.data.copy() for k, p in store.params.items()}
         m = {k: np.zeros_like(x) for k, x in ref.items()}
         v = {k: np.zeros_like(x) for k, x in ref.items()}
