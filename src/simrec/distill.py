@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensorcore as tc
-from .corpus import DEFAULT_NOUN_TAGS, TAG_VALUES, AnnotatedSentence, Vocabulary
+from .corpus import DEFAULT_NOUN_TAGS, AnnotatedSentence, Vocabulary
 from .encoder import EncoderConfig, encode_graph
 from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (

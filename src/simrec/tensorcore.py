@@ -61,7 +61,7 @@ class DiffArray:
         self.grad: np.ndarray | None = None
         self.name = name
         # A parameter's view of the gradient row of its store's block; the
-        # first gradient of a step is accumulated there.
+        # first gradient of a step is written there.
         self.grad_home: np.ndarray | None = None
         self._parents: tuple[DiffArray, ...] = ()
         self._backward = None
@@ -76,12 +76,12 @@ class DiffArray:
 
     def accum_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            if self.grad_home is None:
-                self.grad = np.zeros_like(self.data)
-            else:
-                self.grad_home.fill(0.0)
-                self.grad = self.grad_home
-        self.grad += g
+            # g + 0.0 has the bits of 0.0 + g (a -0.0 becomes +0.0), so the
+            # first gradient is written in one pass, not zero-filled and added.
+            home = np.empty_like(self.data) if self.grad_home is None else self.grad_home
+            self.grad = np.add(g, 0.0, out=home)
+        else:
+            self.grad += g
 
 
 def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str) -> DiffArray:
@@ -95,9 +95,9 @@ def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str)
 def backward(loss: DiffArray) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate into ``.grad`` of every reachable node; call sites
-    clear parameter grads between optimizer steps. Deterministic: the visit
-    order depends only on tape structure.
+    Gradients accumulate into ``.grad`` of every reachable node;
+    ``ParamStore.adam_step`` consumes and clears parameter grads.
+    Deterministic: the visit order depends only on tape structure.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")

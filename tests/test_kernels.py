@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from simrec import kernels
 
@@ -131,3 +132,170 @@ class TestDeterminism:
         agg = kernels.attention_aggregate(alpha, values, src, dst, 30)
         agg2 = kernels.attention_aggregate(alpha, values.copy(), src, dst, 30)
         assert (agg == agg2).all()
+
+
+# Reference forms of the kernels, each sum an np.add.at into zeros; the
+# kernels must match them bit for bit.
+
+def ref_segment_softmax(scores, seg, n_segments):
+    seg_max = np.full(n_segments, -np.inf)
+    np.maximum.at(seg_max, seg, scores)
+    exp = np.exp(scores - seg_max[seg])
+    denom = np.zeros(n_segments)
+    np.add.at(denom, seg, exp)
+    return exp / denom[seg]
+
+
+def ref_segment_softmax_grad(alpha, d_alpha, seg, n_segments):
+    seg_dot = np.zeros(n_segments)
+    np.add.at(seg_dot, seg, alpha * d_alpha)
+    return alpha * (d_alpha - seg_dot[seg])
+
+
+def ref_attention_aggregate(alpha, values, src, dst, n_out):
+    out = np.zeros((n_out, values.shape[1]))
+    np.add.at(out, dst, alpha[:, None] * values[src])
+    return out
+
+
+def ref_attention_aggregate_grad(d_out, alpha, values, src, dst):
+    d_alpha = (d_out[dst] * values[src]).sum(axis=1)
+    d_values = np.zeros_like(values)
+    np.add.at(d_values, src, alpha[:, None] * d_out[dst])
+    return d_alpha, d_values
+
+
+def ref_scatter_add_rows(indices, rows, n_rows, n_cols):
+    out = np.zeros((n_rows, n_cols))
+    np.add.at(out, indices, rows)
+    return out
+
+
+N_NODES, D = 12, 5
+
+
+def edge_problem(rng, variant):
+    """Edges with duplicate ids; the last 4 destination and 3 source rows get none."""
+    n_edges = 0 if variant == "empty" else 60
+    dst = rng.integers(0, N_NODES - 4, size=n_edges)
+    src = rng.integers(0, N_NODES - 3, size=n_edges)
+    dst[:1] = src[:1] = 0
+    wide = variant == "non_contiguous"
+    cols = 2 * D if wide else D
+    p = {
+        "scores": rng.normal(size=2 * n_edges if wide else n_edges),
+        "d_alpha": rng.normal(size=2 * n_edges if wide else n_edges),
+        "values": rng.normal(size=(N_NODES, cols)),
+        "d_out": rng.normal(size=(N_NODES, cols)),
+        "rows": rng.normal(size=(n_edges, cols)),
+    }
+    if wide:
+        p = {k: v[::2] if v.ndim == 1 else v[:, ::2] for k, v in p.items()}
+        assert not p["values"].flags.contiguous and not p["rows"].flags.contiguous
+    if variant == "negative_zero":
+        # Row 0 receives only -0.0 terms; add.at sums them to +0.0.
+        p["d_alpha"][::3] = -0.0
+        p["values"][src[dst == 0]] = -0.0
+        p["d_out"][dst[src == 0]] = -0.0
+        p["rows"][::4] = -0.0
+        p["rows"][dst == 0] = -0.0
+    p["alpha"] = ref_segment_softmax(p["scores"], dst, N_NODES)
+    p["src"], p["dst"] = src, dst
+    return p
+
+
+def assert_same_bits(got, want, variant):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if variant == "negative_zero" and got.ndim == 2:
+        assert (got[0] == 0).all() and not np.signbit(got[0]).any()
+
+
+VARIANTS = ["duplicates", "negative_zero", "non_contiguous", "empty"]
+
+
+class TestMatchesAddAt:
+    def test_problem_has_duplicates_and_untouched_rows(self, rng):
+        p = edge_problem(rng, "duplicates")
+        assert np.unique(p["dst"]).size < p["dst"].size
+        assert np.unique(p["src"]).size < p["src"].size
+        got = kernels.scatter_add_rows(p["dst"], p["rows"], N_NODES, D)
+        assert (got[-4:] == 0).all() and not np.signbit(got[-4:]).any()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_segment_softmax(self, rng, variant):
+        p = edge_problem(rng, variant)
+        assert_same_bits(
+            kernels.segment_softmax(p["scores"], p["dst"], N_NODES),
+            ref_segment_softmax(p["scores"], p["dst"], N_NODES),
+            variant,
+        )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_segment_softmax_grad(self, rng, variant):
+        p = edge_problem(rng, variant)
+        args = (p["alpha"], p["d_alpha"], p["dst"], N_NODES)
+        assert_same_bits(
+            kernels.segment_softmax_grad(*args), ref_segment_softmax_grad(*args), variant
+        )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_attention_aggregate(self, rng, variant):
+        p = edge_problem(rng, variant)
+        args = (p["alpha"], p["values"], p["src"], p["dst"], N_NODES)
+        assert_same_bits(
+            kernels.attention_aggregate(*args), ref_attention_aggregate(*args), variant
+        )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_attention_aggregate_grad(self, rng, variant):
+        p = edge_problem(rng, variant)
+        args = (p["d_out"], p["alpha"], p["values"], p["src"], p["dst"])
+        for got, want in zip(kernels.attention_aggregate_grad(*args),
+                             ref_attention_aggregate_grad(*args)):
+            assert_same_bits(got, want, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scatter_add_rows(self, rng, variant):
+        p = edge_problem(rng, variant)
+        args = (p["dst"], p["rows"], N_NODES, D)
+        assert_same_bits(kernels.scatter_add_rows(*args), ref_scatter_add_rows(*args), variant)
+
+
+def call_with_scattered_ids(kernel, ids, rng):
+    """Call ``kernel`` on N_NODES rows with ``ids`` as its scattered ids."""
+    n = ids.size
+    other = np.zeros(n, dtype=np.int64)
+    values = rng.normal(size=(N_NODES, D))
+    if kernel == "segment_softmax":
+        return kernels.segment_softmax(rng.normal(size=n), ids, N_NODES)
+    if kernel == "segment_softmax_grad":
+        return kernels.segment_softmax_grad(np.full(n, 0.5), rng.normal(size=n), ids, N_NODES)
+    if kernel == "attention_aggregate":
+        return kernels.attention_aggregate(np.full(n, 0.5), values, other, ids, N_NODES)
+    if kernel == "attention_aggregate_grad":
+        return kernels.attention_aggregate_grad(values, np.full(n, 0.5), values, ids, other)
+    return kernels.scatter_add_rows(ids, rng.normal(size=(n, D)), N_NODES, D)
+
+
+KERNELS = ["segment_softmax", "segment_softmax_grad", "attention_aggregate",
+           "attention_aggregate_grad", "scatter_add_rows"]
+
+
+class TestOutOfRangeIds:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_id_equal_to_n_raises(self, rng, kernel):
+        ids = np.array([0, N_NODES, 1], dtype=np.int64)
+        if kernel in ("segment_softmax", "attention_aggregate_grad"):
+            # np.maximum.at, or the gather values[src], meets the id first.
+            with pytest.raises(IndexError):
+                call_with_scattered_ids(kernel, ids, rng)
+        else:
+            with pytest.raises(ValueError, match=rf"{kernel}: id {N_NODES} out of range"):
+                call_with_scattered_ids(kernel, ids, rng)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_negative_id_raises(self, rng, kernel):
+        with pytest.raises(ValueError):
+            call_with_scattered_ids(kernel, np.array([0, -1, 1], dtype=np.int64), rng)

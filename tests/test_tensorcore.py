@@ -343,6 +343,29 @@ class TestParamStoreAdam:
         np.testing.assert_array_equal(p.data, after_owner)
 
 
+class TestAccumGrad:
+    """A first gradient has the bits and layout of zeros_like(data) plus it."""
+
+    def test_first_gradient_matches_zeros_plus_add(self, rng):
+        g = rng.normal(size=(4, 6))
+        g[::2, 1::3] = -0.0
+        node = leaf(rng, 4, 6)
+        node.accum_grad(g)
+        ref = np.zeros_like(node.data)
+        ref += g
+        assert node.grad.tobytes() == ref.tobytes()
+        assert (node.grad[::2, 1::3] == 0).all()
+        assert not np.signbit(node.grad[::2, 1::3]).any()
+        assert node.grad is not g and not np.shares_memory(node.grad, g)
+
+    def test_transposed_gradient_keeps_node_layout(self, rng):
+        node = leaf(rng, 3, 5)
+        g = rng.normal(size=(5, 3))
+        node.accum_grad(g.T)
+        assert node.grad.flags.c_contiguous
+        assert node.grad.tobytes() == np.ascontiguousarray(g.T).tobytes()
+
+
 class TestParamBlock:
     SHAPES = {"a": (3, 4), "big": (200, 201), "c": (5,), "d": (7, 2)}
 
@@ -363,7 +386,12 @@ class TestParamBlock:
         x = leaf(rng, 4, 2)
         tc.backward(tc.sum_all(tc.matmul(p, x)))
         assert p.grad is p.grad_home
-        np.testing.assert_array_equal(p.grad, np.ones((3, 2)) @ x.data.T)
+        first = np.ones((3, 2)) @ x.data.T
+        np.testing.assert_array_equal(p.grad, first)
+        g = rng.normal(size=(3, 4))
+        p.accum_grad(g)
+        assert p.grad is p.grad_home
+        np.testing.assert_array_equal(p.grad, first + g)
 
     def test_matches_per_parameter_reference_bit_for_bit(self, rng):
         # The parent's per-parameter update, one temporary per operation,
