@@ -10,6 +10,7 @@ rejected. Diagnostics go to stderr and the exit code is 0 only on success.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,9 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import distill, evalkit, tensorcore as tc
+from . import distill, evalkit
 from .corpus import (
-    CorpusError,
     SyntheticConfig,
     build_vocab,
     generate_synthetic,
@@ -206,6 +206,10 @@ def cmd_train(args) -> int:
         top_k_deprels=cfg.top_k_deprels,
     )
     os.makedirs(out_dir, exist_ok=True)
+    # An older model in out_dir must not stay loadable next to a run that
+    # stops before save_bundle.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, distill.SELECTED_FILE))
     result = train(
         bundle, train_sents, dev_sents, train_config,
         graph_options=opts,
@@ -359,8 +363,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, ValueError, FileNotFoundError, OSError, RuntimeError,
-            tc.NonFiniteError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

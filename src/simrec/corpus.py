@@ -16,7 +16,7 @@ JSON objects cannot carry integer keys.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -143,7 +143,7 @@ def sentence_from_record(record: dict, where: str = "record") -> AnnotatedSenten
 def load_corpus(path) -> list[AnnotatedSentence]:
     """Read a JSON Lines corpus, validating every record.
 
-    Errors carry the 1-based line number of the offending record.
+    Errors name the file and the 1-based line number of the offending record.
     """
     sentences = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -154,8 +154,8 @@ def load_corpus(path) -> list[AnnotatedSentence]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise CorpusError(f"line {lineno}: invalid JSON ({err})") from err
-            sentences.append(sentence_from_record(record, where=f"line {lineno}"))
+                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({err})") from err
+            sentences.append(sentence_from_record(record, where=f"{path}: line {lineno}"))
     return sentences
 
 
@@ -187,12 +187,6 @@ class Vocabulary:
 
     def top_deprels(self, k: int = 8) -> list[str]:
         return self.deprel_ranking[:k]
-
-    def to_json(self) -> dict:
-        return {
-            "token_to_id": self.token_to_id,
-            "deprel_ranking": self.deprel_ranking,
-        }
 
     @classmethod
     def from_json(cls, payload: dict) -> "Vocabulary":
@@ -410,19 +404,22 @@ def _fill_template(
         TokenAnn(surface=words[slot], pos=pos, head=head, deprel=rel)
         for slot, pos, head, rel in zip(tpl.slots, tpl.pos, tpl.heads, tpl.deprels)
     )
-    if simile:
-        tags = tuple(
-            "T" if i == tpl.noun_a else "V" if i == tpl.noun_b else "O"
-            for i in range(1, len(tokens) + 1)
-        )
-    else:
-        tags = tuple("O" for _ in tokens)
     return AnnotatedSentence(
         tokens=tokens,
         comparator_index=tpl.comparator_index,
         glosses=dict(glosses),
         label=LABEL_SIMILE if simile else LABEL_LITERAL,
-        tags=tags,
+        tags=_template_tags(tpl, simile),
+    )
+
+
+def _template_tags(tpl: _Template, simile: bool) -> tuple[str, ...]:
+    """T on noun A and V on noun B of a simile; all O for a literal."""
+    if not simile:
+        return ("O",) * len(tpl.slots)
+    return tuple(
+        "T" if i == tpl.noun_a else "V" if i == tpl.noun_b else "O"
+        for i in range(1, len(tpl.slots) + 1)
     )
 
 
@@ -477,25 +474,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[AnnotatedSentence]:
 
 
 def _flip_label(sent: AnnotatedSentence, tpl: _Template) -> AnnotatedSentence:
-    if sent.is_simile:
-        return AnnotatedSentence(
-            tokens=sent.tokens,
-            comparator_index=sent.comparator_index,
-            glosses=sent.glosses,
-            label=LABEL_LITERAL,
-            tags=tuple("O" for _ in sent.tokens),
-        )
-    tags = tuple(
-        "T" if i == tpl.noun_a else "V" if i == tpl.noun_b else "O"
-        for i in range(1, len(sent.tokens) + 1)
-    )
-    return AnnotatedSentence(
-        tokens=sent.tokens,
-        comparator_index=sent.comparator_index,
-        glosses=sent.glosses,
-        label=LABEL_SIMILE,
-        tags=tags,
-    )
+    simile = not sent.is_simile
+    return replace(sent, label=LABEL_SIMILE if simile else LABEL_LITERAL,
+                   tags=_template_tags(tpl, simile))
 
 
 def split_folds(

@@ -233,7 +233,7 @@ def train(
     train_sents: list[AnnotatedSentence],
     dev_sents: list[AnnotatedSentence],
     config: TrainConfig,
-    graph_options: GraphOptions | None = None,
+    graph_options: GraphOptions = GraphOptions(),
     log_path: str | os.PathLike | None = None,
 ) -> TrainResult:
     """Run the full distillation schedule; deterministic under the seed.
@@ -259,9 +259,8 @@ def train(
     encoders = {id(model.enc["tok_emb"]) for model in bundle.models.values()}
     restore_best = len(encoders) == len(bundle.models)
     rng = np.random.default_rng(config.seed)
-    opts = graph_options or GraphOptions()
-    train_graphs = [build_graph(s, bundle.vocab, opts) for s in train_sents]
-    dev_graphs = [build_graph(s, bundle.vocab, opts) for s in dev_sents]
+    train_graphs = [build_graph(s, bundle.vocab, graph_options) for s in train_sents]
+    dev_graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
     n_batches = math.ceil(len(train_sents) / config.batch_size)
     total_steps = config.epochs * n_batches
     result = TrainResult(bundle=bundle)
@@ -414,12 +413,11 @@ def select_from_scores(scores: dict[str, tuple[float, float]]) -> str:
 def select_best(
     bundle: ModelBundle,
     dev_sents: list[AnnotatedSentence],
-    graph_options: GraphOptions | None = None,
+    graph_options: GraphOptions = GraphOptions(),
 ) -> tuple[str, dict[str, dict[str, PRF]]]:
     if not dev_sents:
         raise ValueError("select_best: empty dev set")
-    opts = graph_options or GraphOptions()
-    graphs = [build_graph(s, bundle.vocab, opts) for s in dev_sents]
+    graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
     all_scores = {
         name: evaluate_model(model, dev_sents, graphs, bundle.vocab)
         for name, model in bundle.models.items()
@@ -475,21 +473,21 @@ def _config_from_record(cls, meta: dict, key: str):
 def save_bundle(
     bundle: ModelBundle,
     out_dir: str | os.PathLike,
-    graph_options: GraphOptions | None = None,
+    graph_options: GraphOptions = GraphOptions(),
     selected: str | None = None,
     selected_scores: dict | None = None,
 ) -> None:
     """Write the model directory, each file atomically; the selection marker
     goes first and comes back last, so a failed save leaves no loadable one.
     Checkpoints of models the bundle lacks are removed with the marker."""
-    opts = graph_options or GraphOptions()
-    n_edge_labels = len(edge_label_index(bundle.vocab, opts.top_k_deprels))
+    top_k = graph_options.top_k_deprels
+    n_edge_labels = len(edge_label_index(bundle.vocab, top_k))
     for name, model in bundle.models.items():
         rows = model.enc["edge_emb"].data.shape[0]
         if rows != n_edge_labels:
             raise ValueError(
                 f"save_bundle: model {name!r} has {rows} edge labels, but "
-                f"top_k_deprels={opts.top_k_deprels} gives {n_edge_labels}"
+                f"top_k_deprels={top_k} gives {n_edge_labels}"
             )
     os.makedirs(out_dir, exist_ok=True)
     sel_path = os.path.join(out_dir, SELECTED_FILE)
@@ -503,10 +501,10 @@ def save_bundle(
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
         "models": {name: m.mode for name, m in bundle.models.items()},
-        "graph_options": asdict(opts),
+        "graph_options": asdict(graph_options),
     }
     tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
-    tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), bundle.vocab.to_json(),
+    tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), asdict(bundle.vocab),
                          sort_keys=True)
     for name, model in bundle.models.items():
         tc.save_checkpoint(
@@ -539,8 +537,9 @@ def _read_json(path: str, what: str):
 
 def _load_meta(
     model_dir: str | os.PathLike,
-) -> tuple[dict[str, str], ModelBundle, GraphOptions]:
-    """Each model's mode, a bundle of no models with the shared settings, graph options."""
+) -> tuple[list[str], ModelBundle, GraphOptions]:
+    """The model names, a bundle of no models with the shared settings, graph
+    options; each model's recorded mode must be ``MODE_OF[name]``."""
     meta_path = os.path.join(model_dir, BUNDLE_META)
     with _reading(meta_path):
         meta = _read_json(meta_path, "bundle metadata")
@@ -564,11 +563,11 @@ def _load_meta(
     with _reading(vocab_path):
         vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
     shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
-    return modes, shell, opts
+    return list(modes), shell, opts
 
 
 def _load_one_model(
-    model_dir: str | os.PathLike, name: str, mode: str, shell: ModelBundle,
+    model_dir: str | os.PathLike, name: str, shell: ModelBundle,
     opts: GraphOptions,
 ) -> SimileModel:
     path = os.path.join(model_dir, f"model_{name}.json")
@@ -576,7 +575,7 @@ def _load_one_model(
         raise FileNotFoundError(f"{path}: missing model checkpoint")
     arrays = tc.load_checkpoint(path)
     model = init_model(
-        mode, shell.vocab.size,
+        MODE_OF[name], shell.vocab.size,
         len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
         np.random.default_rng(0), label_emb_dim=shell.label_emb_dim,
     )
@@ -601,21 +600,21 @@ def load_selected(
     model_dir: str | os.PathLike,
 ) -> tuple[str, SimileModel, Vocabulary, GraphOptions]:
     """Load only the dev-selected model, per the single-model inference rule."""
-    modes, shell, opts = _load_meta(model_dir)
+    names, shell, opts = _load_meta(model_dir)
     sel_path = os.path.join(model_dir, SELECTED_FILE)
     with _reading(sel_path):
         name = _read_json(sel_path, "selected-model marker")["selected"]
-        known = name in modes
+        known = name in names
     if not known:
         raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
-    model = _load_one_model(model_dir, name, modes[name], shell, opts)
+    model = _load_one_model(model_dir, name, shell, opts)
     return name, model, shell.vocab, opts
 
 
 def load_bundle(
     model_dir: str | os.PathLike,
 ) -> tuple[ModelBundle, GraphOptions]:
-    modes, bundle, opts = _load_meta(model_dir)
-    for name, mode in modes.items():
-        bundle.models[name] = _load_one_model(model_dir, name, mode, bundle, opts)
+    names, bundle, opts = _load_meta(model_dir)
+    for name in names:
+        bundle.models[name] = _load_one_model(model_dir, name, bundle, opts)
     return bundle, opts

@@ -49,10 +49,9 @@ class EncoderConfig:
             raise ValueError("EncoderConfig: max_positions must cover max_tokens + 2")
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape: tuple[int, ...] | None = None) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, shape if shape is not None else (fan_in, fan_out))
+    return rng.normal(0.0, std, (fan_in, fan_out))
 
 
 EMB_INIT_STD = 0.1

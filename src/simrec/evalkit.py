@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .heads import Span
 
@@ -17,17 +17,6 @@ class PRF:
     recall: float
     f1: float
     degenerate: bool  # no predictions and no gold anywhere
-
-    def to_record(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate": self.degenerate,
-        }
 
 
 def prf_from_counts(tp: int, fp: int, fn: int) -> PRF:
@@ -97,7 +86,7 @@ def aggregate_folds(folds: list[PRF]) -> dict[str, dict[str, float]]:
 
 
 def report_record(sections: dict[str, PRF]) -> dict:
-    return {name: prf.to_record() for name, prf in sections.items()}
+    return {name: asdict(prf) for name, prf in sections.items()}
 
 
 def render_report(sections: dict[str, PRF]) -> str:

@@ -15,7 +15,7 @@ element-wise absolute difference, projected into a label-embedding space.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,10 @@ TAG_T, TAG_V, TAG_O = TAG_TO_ID["T"], TAG_TO_ID["V"], TAG_TO_ID["O"]
 
 FIRST_O, FIRST_C1 = 0, 1
 
-MODES = ("parallel", "tenor_first", "vehicle_first")
+# Each decoding order by the tag its first stage extracts; parallel has no
+# first stage.
+FIRST_COMPONENT = {"parallel": None, "tenor_first": "T", "vehicle_first": "V"}
+MODES = tuple(FIRST_COMPONENT)
 # Word states live in (0, 1), so plain glorot taggers start nearly flat and
 # the fresh ensemble has no content to teach; a wider init gives each
 # decoding order a distinct, confident starting opinion.
@@ -62,13 +65,7 @@ class SpanPrediction:
     spans: list[Span] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return {
-            "label": self.label,
-            "p_simile": self.p_simile,
-            "spans": [
-                {"start": s.start, "end": s.end, "role": s.role} for s in self.spans
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -78,14 +75,6 @@ class SimileModel:
     enc: dict[str, DiffArray]
     head: dict[str, DiffArray]
     config: EncoderConfig
-
-    @property
-    def first_component(self) -> str | None:
-        if self.mode == "tenor_first":
-            return "T"
-        if self.mode == "vehicle_first":
-            return "V"
-        return None
 
 
 def init_head_params(
@@ -158,12 +147,10 @@ def classify(g_final: DiffArray, graph: BlockGraph, head: dict[str, DiffArray]) 
     return tc.softmax(logits, axis=-1)
 
 
-def tag_logits_parallel(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
-    return tc.add(tc.matmul(words, head["ext/w"]), head["ext/b"])
-
-
-def tag_logits_first(words: DiffArray, head: dict[str, DiffArray]) -> DiffArray:
-    return tc.add(tc.matmul(words, head["first/w"]), head["first/b"])
+def tag_logits(feat: DiffArray, head: dict[str, DiffArray], stage: str) -> DiffArray:
+    """The affine map of one tagger stage: ``ext`` (parallel), ``first`` or
+    ``second``."""
+    return tc.add(tc.matmul(feat, head[f"{stage}/w"]), head[f"{stage}/b"])
 
 
 def tag_logits_second(
@@ -175,7 +162,7 @@ def tag_logits_second(
     """Second stage: each word row next to its sentence's pooled component."""
     cond = tc.repeat_row(g_c1, word_counts)
     feat = tc.concat([words, cond], axis=1)
-    return tc.add(tc.matmul(feat, head["second/w"]), head["second/b"])
+    return tag_logits(feat, head, "second")
 
 
 def project_first_golds(tags: tuple[str, ...] | list[str], component: str) -> list[int]:
@@ -205,10 +192,10 @@ def forward_tagger(
     sentence's first component from gold tags when provided (teacher
     forcing) and from the first stage's argmax otherwise.
     """
-    if model.mode == "parallel":
-        return TagForward(final_logits=tag_logits_parallel(words, model.head))
-    component = model.first_component
-    first_logits = tag_logits_first(words, model.head)
+    component = FIRST_COMPONENT[model.mode]
+    if component is None:
+        return TagForward(final_logits=tag_logits(words, model.head, "ext"))
+    first_logits = tag_logits(words, model.head, "first")
     if gold_tags is not None:
         rows = [i for i, t in enumerate(gold_tags) if t == component]
         first_golds = project_first_golds(gold_tags, component)

@@ -162,16 +162,15 @@ def edge_label_index(vocab: Vocabulary, top_k: int = 8) -> dict[EdgeLabel, int]:
 def build_graph(
     sentence: AnnotatedSentence,
     vocab: Vocabulary,
-    options: GraphOptions | None = None,
+    options: GraphOptions = GraphOptions(),
 ) -> HeteroGraph:
     """Construct the typed sentence graph; deterministic and label-blind."""
-    opts = options or GraphOptions()
     n = len(sentence.tokens)
     c = sentence.comparator_index
-    top = set(vocab.top_deprels(opts.top_k_deprels))
-    label_ids_map = edge_label_index(vocab, opts.top_k_deprels)
+    top = set(vocab.top_deprels(options.top_k_deprels))
+    label_ids_map = edge_label_index(vocab, options.top_k_deprels)
 
-    if opts.no_pos:
+    if options.no_pos:
         word_kinds = [NodeKind.NON_NOUN] * n
         ns_sources = list(range(1, n + 1))
     else:
@@ -182,7 +181,7 @@ def build_graph(
         ns_sources = [i for i in range(1, n + 1) if word_kinds[i - 1] is NodeKind.NOUN]
 
     # Word node id always equals the 1-based token index.
-    if opts.no_subsentence_nodes:
+    if options.no_subsentence_nodes:
         node_kinds = [NodeKind.SUBSENTENCE] + word_kinds
         left_node = right_node = 0
     else:
@@ -193,7 +192,7 @@ def build_graph(
     right_range = (c + 1, n) if c < n else None
 
     edges: list[tuple[int, int, EdgeLabel]] = []
-    if opts.no_dependency:
+    if options.no_dependency:
         # Ablation: fully connect word nodes, dropping arc identities.
         other = EdgeLabel(EdgeKind.DEP_OTHER)
         for i in range(1, n + 1):
@@ -214,7 +213,7 @@ def build_graph(
     con = EdgeLabel(EdgeKind.NS_CON)
     not_con = EdgeLabel(EdgeKind.NS_NOT_CON)
     for i in ns_sources:
-        if opts.no_subsentence_nodes:
+        if options.no_subsentence_nodes:
             edges.append((i, 0, con))
             continue
         in_left = left_range is not None and left_range[0] <= i <= left_range[1]
@@ -231,7 +230,7 @@ def build_graph(
     # subsentence node its side's rows (none when the side is empty), the
     # merged global node the CLS surrogate.
     words = list(range(1, n + 1))
-    if opts.no_subsentence_nodes:
+    if options.no_subsentence_nodes:
         pools = [(0, [0])] + [(i, [i]) for i in words]
     else:
         pools = ([(left_node, _range_rows(left_range))] + [(i, [i]) for i in words]
@@ -247,7 +246,7 @@ def build_graph(
         right_node=right_node,
         left_range=left_range,
         right_range=right_range,
-        merged=opts.no_subsentence_nodes,
+        merged=options.no_subsentence_nodes,
         block=BlockGraph(
             n_nodes=len(node_kinds),
             src_ids=np.array([e[0] for e in edges], dtype=np.int64),
@@ -284,8 +283,14 @@ _KIND_STYLE = {
 }
 
 
+def _dot_escape(text: str) -> str:
+    """``text`` fit for a quoted DOT label: backslashes and quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(graph: HeteroGraph, sentence: AnnotatedSentence) -> str:
-    """Deterministic DOT rendering with node kinds and edge labels."""
+    """Deterministic DOT rendering with node kinds and edge labels; token
+    surfaces and relations come from the corpus, so labels are escaped."""
     lines = ["digraph sentence_graph {", "  rankdir=LR;"]
     for node, kind in enumerate(graph.node_kinds):
         if kind is NodeKind.SUBSENTENCE:
@@ -297,10 +302,10 @@ def to_dot(graph: HeteroGraph, sentence: AnnotatedSentence) -> str:
             text = f"{node}:{sentence.tokens[node - 1].surface}"
         shape, color = _KIND_STYLE[kind]
         lines.append(
-            f'  n{node} [label="{text}", kind="{kind.value}", shape={shape},'
+            f'  n{node} [label="{_dot_escape(text)}", kind="{kind.value}", shape={shape},'
             f' style=filled, fillcolor={color}];'
         )
     for src, dst, label in graph.edges:
-        lines.append(f'  n{src} -> n{dst} [label="{label.display()}"];')
+        lines.append(f'  n{src} -> n{dst} [label="{_dot_escape(label.display())}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

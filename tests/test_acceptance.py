@@ -34,7 +34,7 @@ from simrec.distill import (
     training_lambda,
 )
 from simrec.encoder import EncoderConfig
-from simrec.evalkit import score_extraction
+from simrec.evalkit import report_record, score_extraction
 from simrec.heads import Span
 from simrec.hetgraph import (
     EdgeKind,
@@ -326,8 +326,7 @@ def test_training_is_deterministic():
         logs.append(json.dumps(result.epoch_logs, sort_keys=True))
         _, scores = select_best(bundle, dev_sents)
         finals.append(json.dumps({
-            name: {task: prf.to_record() for task, prf in tasks.items()}
-            for name, tasks in scores.items()
+            name: report_record(tasks) for name, tasks in scores.items()
         }, sort_keys=True))
     ok = logs[0] == logs[1] and finals[0] == finals[1]
     verdict(ok, "determinism",

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import shlex
 import shutil
@@ -14,13 +15,17 @@ from simrec.cli import RunConfig, _given_flags, build_parser, load_run_config, m
 from simrec.corpus import (
     DEFAULT_NOUN_TAGS,
     SyntheticConfig,
+    build_vocab,
     canonical_sentence,
     generate_synthetic,
     load_corpus,
     save_corpus,
+    sentence_to_record,
 )
+from simrec.distill import TrainConfig, build_bundle
+from simrec.encoder import EncoderConfig
 from simrec.heads import PREDICT_CHUNK, predict
-from simrec.hetgraph import build_graph
+from simrec.hetgraph import GraphOptions, build_graph
 
 TINY_FLAGS = [
     "--d-model", "8", "--n-selfattn-layers", "1", "--n-gat-layers", "1",
@@ -256,6 +261,33 @@ class TestTrain:
         assert rc == 0
         assert (out / "bundle.json").exists()
 
+    def test_interrupted_retrain_leaves_no_loadable_model(
+        self, trained_dir, corpora, tmp_path, capsys, monkeypatch
+    ):
+        # A re-train into a finished model directory that fails in epoch 2
+        # (8 sentences in batches of 4: the third step) must not leave the
+        # old model loadable next to the new run's partial log.
+        train, dev = corpora
+        out = tmp_path / "m"
+        shutil.copytree(trained_dir, out)
+        batch_step = distill._batch_step
+        steps = []
+
+        def failing_in_epoch_2(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                raise RuntimeError("interrupted")
+            return batch_step(*args)
+
+        monkeypatch.setattr(distill, "_batch_step", failing_in_epoch_2)
+        rc = main(["train", "--train", train, "--dev", dev, "--out-dir", str(out),
+                   *TINY_FLAGS])
+        assert rc == 1 and capsys.readouterr().err == "error: interrupted\n"
+        monkeypatch.undo()
+        log = (out / "train_log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["epoch"] for line in log] == [1]
+        _assert_one_error_line(out, dev, tmp_path, capsys, "selected.json")
+
     def test_bad_flag_value_is_an_argparse_error(self, corpora):
         train, dev = corpora
         with pytest.raises(SystemExit):
@@ -466,6 +498,36 @@ class TestDamagedModelDir:
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, "selected.json")
 
 
+class TestCorpusErrorsNameTheFile:
+    @pytest.fixture
+    def bad_corpus(self, tmp_path):
+        record = sentence_to_record(canonical_sentence())
+        del record["comparator_index"]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["train --train", "train --dev",
+                                         "evaluate --data", "predict --input"])
+    def test_malformed_record(self, trained_dir, corpora, bad_corpus, tmp_path, capsys,
+                              command):
+        train, dev = corpora
+        name, flag = command.split()
+        given = {"--train": train, "--dev": dev, "--data": dev, "--input": dev, flag: bad_corpus}
+        if name == "train":
+            argv = ["--train", given["--train"], "--dev", given["--dev"],
+                    "--out-dir", str(tmp_path / "m"), *TINY_FLAGS]
+        else:
+            argv = ["--model-dir", trained_dir, flag, bad_corpus]
+            if name == "predict":
+                argv += ["--out", str(tmp_path / "p.jsonl")]
+        rc = main([name, *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad_corpus}: line 1: malformed field ('comparator_index')\n")
+        assert not (tmp_path / "m").exists() and not (tmp_path / "p.jsonl").exists()
+
+
 class TestPredict:
     def test_jsonl_schema(self, trained_dir, corpora, tmp_path, capsys):
         _, dev = corpora
@@ -558,6 +620,24 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = load_run_config(None, {}, env={})
         assert cfg.d_model == 300 and cfg.epochs == 30
+
+    def test_defaults_match_the_library_defaults(self):
+        # RunConfig declares each setting a second time for the command line.
+        cfg = RunConfig()
+        library = [(cls.__name__, f.name, f.default)
+                   for cls in (EncoderConfig, TrainConfig, GraphOptions)
+                   for f in fields(cls) if hasattr(cfg, f.name)]
+        for fn, names in ((build_bundle, ("label_emb_dim", "top_k_deprels", "share_encoder")),
+                          (build_vocab, ("min_freq",))):
+            params = inspect.signature(fn).parameters
+            library += [(fn.__name__, name, params[name].default) for name in names]
+        for where, name, default in library:
+            assert getattr(cfg, name) == default, (where, name)
+        assert (not cfg.no_definitions) == EncoderConfig().use_gloss_fusion
+        assert cfg.disable_model == inspect.signature(build_bundle).parameters[
+            "disabled_models"].default
+        checked = {name for _, name, _ in library} | {"no_definitions", "disable_model"}
+        assert checked == {f.name for f in fields(RunConfig)}
 
     def test_file_then_env_then_flags(self, tmp_path):
         config = tmp_path / "c.json"

@@ -66,9 +66,7 @@ class TestClassify:
         _, head = head_only("parallel", tiny_config)
 
         def build():
-            return tc.cross_entropy(
-                tc.reshape(heads.classify(g_final, graph.block, head), (2,)), 1
-            )
+            return tc.cross_entropy(heads.classify(g_final, graph.block, head), [1])
 
         tc.backward(build())
         params = {"g": g_final, "w": head["cls/w"], "emb": head["cls/emb"]}
@@ -80,21 +78,21 @@ class TestParallelTagger:
         _, head = head_only("parallel", tiny_config)
         head["ext/w"].data[:] = 0.0
         words = DiffArray(rng.normal(size=(5, tiny_config.d_model)))
-        dist = tc.softmax(heads.tag_logits_parallel(words, head), axis=-1)
+        dist = tc.softmax(heads.tag_logits(words, head, "ext"), axis=-1)
         np.testing.assert_allclose(dist.data, 1 / 3, atol=1e-12)
 
     def test_identical_rows_identical_distributions(self, tiny_config, rng):
         _, head = head_only("parallel", tiny_config)
         row = rng.normal(size=tiny_config.d_model)
         words = DiffArray(np.stack([row, row, row]))
-        dist = tc.softmax(heads.tag_logits_parallel(words, head), axis=-1).data
+        dist = tc.softmax(heads.tag_logits(words, head, "ext"), axis=-1).data
         np.testing.assert_array_equal(dist[0], dist[1])
         np.testing.assert_array_equal(dist[1], dist[2])
 
     def test_matches_affine_oracle(self, tiny_config, rng):
         _, head = head_only("parallel", tiny_config)
         words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
-        logits = heads.tag_logits_parallel(words, head)
+        logits = heads.tag_logits(words, head, "ext")
         np.testing.assert_allclose(
             logits.data, words.data @ head["ext/w"].data + head["ext/b"].data,
             rtol=1e-12,
@@ -182,7 +180,7 @@ class TestSequentialStages:
         _, head = head_only("tenor_first", tiny_config)
         head["second/w"].data[d:] = 0.0
         words = DiffArray(rng.normal(size=(5, d)))
-        g_c1 = tc.mean_pool(words, [0, 3])
+        g_c1 = tc.mean_pool(words, [0, 3], [0, 0], 1)
         logits = heads.tag_logits_second(words, g_c1, head, np.array([5]))
         reduced = words.data @ head["second/w"].data[:d] + head["second/b"].data
         np.testing.assert_allclose(logits.data, reduced, atol=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -231,3 +232,28 @@ class TestDot:
         defined = set(re.findall(r"^  n(\d+) \[", dot, flags=re.M))
         for a, b in re.findall(r"^  n(\d+) -> n(\d+) ", dot, flags=re.M):
             assert a in defined and b in defined
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        sent = AnnotatedSentence(
+            tokens=(TokenAnn('say "hi', "VV", 0, "root"), TokenAnn("like", "CS", 1, 'a"b'),
+                    TokenAnn("c:\\", "NN", 2, "pobj")),
+            comparator_index=2, tags=("O", "O", "O"),
+        )
+        dot = to_dot(build_graph(sent, build_vocab([sent])), sent)
+        assert '[label="1:say \\"hi",' in dot
+        assert '[label="3:c:\\\\",' in dot
+        assert 'n2 -> n1 [label="a\\"b"];' in dot
+        # With every quoted string taken out, no quote is left over.
+        for line in dot.splitlines():
+            assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line), line
+
+    @pytest.mark.parametrize("options, digest", [
+        (GraphOptions(), "27ea33b354e968e8e3261413bd37ca0c8cad8e38647f576f63e167e66697bde0"),
+        (GraphOptions(no_subsentence_nodes=True),
+         "7ed3f002d42c7f927394d6dd4fce7f3a59ae57bf39bbeb13ae98321cb0dbdab2"),
+    ])
+    def test_canonical_bytes_unchanged(self, fig_sentence, options, digest):
+        # The canonical sentence has nothing to escape, so escaping must leave
+        # its DOT byte for byte as pinned here.
+        graph = build_graph(fig_sentence, build_vocab([fig_sentence]), options)
+        assert hashlib.sha256(to_dot(graph, fig_sentence).encode()).hexdigest() == digest

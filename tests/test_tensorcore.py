@@ -29,19 +29,19 @@ class TestForwardValues:
         np.testing.assert_allclose(x.grad, [0.01])
 
     def test_cross_entropy_perfect_prediction(self):
-        assert float(tc.cross_entropy(DiffArray([1.0, 0.0]), 0).data) == 0.0
+        assert float(tc.cross_entropy(DiffArray([[1.0, 0.0]]), [0]).data) == 0.0
 
     def test_cross_entropy_half(self):
-        out = tc.cross_entropy(DiffArray([0.5, 0.5]), 1)
+        out = tc.cross_entropy(DiffArray([[0.5, 0.5]]), [1])
         np.testing.assert_allclose(float(out.data), math.log(2), rtol=1e-12)
 
     def test_cross_entropy_requires_distribution(self):
         with pytest.raises(ShapeError, match="sums to"):
-            tc.cross_entropy(DiffArray([0.9, 0.3]), 0)
+            tc.cross_entropy(DiffArray([[0.9, 0.3]]), [0])
 
     def test_cross_entropy_gold_out_of_range(self):
         with pytest.raises(ShapeError, match="out of range"):
-            tc.cross_entropy(DiffArray([0.5, 0.5]), 2)
+            tc.cross_entropy(DiffArray([[0.5, 0.5]]), [2])
 
     def test_kl_identical_distributions_is_zero(self):
         p = np.array([[0.3, 0.7]])
@@ -60,13 +60,13 @@ class TestForwardValues:
             tc.kl_divergence(np.array([0.9, 0.4]), DiffArray([0.5, 0.5]))
 
     def test_mean_pool_empty_selection_is_zero(self):
-        out = tc.mean_pool(DiffArray(np.ones((4, 3))), [])
+        out = tc.mean_pool(DiffArray(np.ones((4, 3))), [], [], 1)
         assert out.data.shape == (1, 3)
         assert (out.data == 0).all()
 
     def test_mean_pool_singleton_is_identity_row(self, rng):
         x = leaf(rng, 4, 3)
-        out = tc.mean_pool(x, [2])
+        out = tc.mean_pool(x, [2], [0], 1)
         np.testing.assert_allclose(out.data, x.data[2:3])
 
     def test_matmul_shape_error_names_shapes(self, rng):
@@ -91,6 +91,35 @@ class TestForwardValues:
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError, match="scale"):
                 tc.scale(big, 1e308)
+
+
+class TestSegmentOpIds:
+    """The edge-segment ops reject an id outside its range before any kernel
+    runs, naming the op, as ``pick_rows`` does."""
+
+    def test_negative_src_is_not_gathered_as_the_last_row(self, rng):
+        with pytest.raises(ShapeError, match=r"segment_aggregate: src id out of range for 4 rows"):
+            tc.segment_aggregate(DiffArray(np.full(3, 0.5)), leaf(rng, 4, 2),
+                                 np.array([0, -1, 1]), np.array([0, 1, 1]), 4)
+
+    def test_src_equal_to_n(self, rng):
+        with pytest.raises(ShapeError, match=r"segment_aggregate: src id out of range for 4 rows"):
+            tc.segment_aggregate(DiffArray(np.full(3, 0.5)), leaf(rng, 4, 2),
+                                 np.array([0, 4, 1]), np.array([0, 1, 1]), 4)
+
+    def test_dst_equal_to_n_out(self, rng):
+        with pytest.raises(ShapeError, match=r"segment_aggregate: dst id out of range for 2 rows"):
+            tc.segment_aggregate(DiffArray(np.full(3, 0.5)), leaf(rng, 4, 2),
+                                 np.array([0, 3, 1]), np.array([0, 2, 1]), 2)
+
+    def test_seg_equal_to_n(self, rng):
+        with pytest.raises(ShapeError,
+                           match=r"segment_softmax: segment id out of range for 3 segments"):
+            tc.segment_softmax(leaf(rng, 4), np.array([0, 1, 3, 2]), 3)
+
+    def test_negative_seg(self, rng):
+        with pytest.raises(ShapeError, match=r"segment_softmax: segment id out of range"):
+            tc.segment_softmax(leaf(rng, 4), np.array([0, -1, 1, 2]), 3)
 
 
 class TestBackwardMechanics:
@@ -214,7 +243,7 @@ class TestFiniteDifferenceOracle:
 
         def build():
             picked = tc.pick_rows(x, [0, 2, 2, 5])
-            pooled = tc.mean_pool(x, [1, 3, 4])
+            pooled = tc.mean_pool(x, [1, 3, 4], [0, 0, 0], 1)
             return tc.sum_all(tc.sigmoid(tc.concat([picked, tc.repeat_row(pooled, 4)], axis=1)))
 
         self._check(build, {"x": x})
@@ -243,7 +272,7 @@ class TestFiniteDifferenceOracle:
         logits = leaf(rng, 4)
 
         def build():
-            return tc.cross_entropy(tc.softmax(tc.reshape(logits, (1, 4))), 2)
+            return tc.cross_entropy(tc.softmax(tc.reshape(logits, (1, 4))), [2])
 
         self._check(build, {"logits": logits})
 
