@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import distill, evalkit
+from . import tensorcore as tc
 from .corpus import (
     SyntheticConfig,
     build_vocab,
@@ -188,14 +189,17 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, _given_flags(args, RunConfig))
     out_dir = _out_dir(args)
-    train_sents = load_corpus(args.train)
-    dev_sents = load_corpus(args.dev)
+    enc_config = cfg.encoder_config()
+    train_config = cfg.train_config()
+    # Both are checked before max_tokens caps the corpora, and build_bundle
+    # checks the rest, all before any output.
+    train_config.validate()
+    enc_config.validate()
+    train_sents = load_corpus(args.train, enc_config.max_tokens)
+    dev_sents = load_corpus(args.dev, enc_config.max_tokens)
     if not dev_sents:
         raise ValueError(f"{args.dev}: empty dev corpus; model selection needs dev sentences")
     vocab = build_vocab(train_sents, min_freq=cfg.min_freq)
-    enc_config = cfg.encoder_config()
-    train_config = cfg.train_config()
-    train_config.validate()  # build_bundle validates the rest, all before any output
     opts = cfg.graph_options()
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(
@@ -229,12 +233,12 @@ def cmd_train(args) -> int:
 
 def _score_sentences(model, sents, vocab, opts):
     graphs = [build_graph(s, vocab, opts) for s in sents]
-    return distill.evaluate_model(model, sents, graphs, vocab)
+    return distill.evaluate_model(model, sents, graphs)
 
 
 def cmd_evaluate(args) -> int:
     name, model, vocab, opts = distill.load_selected(args.model_dir)
-    sents = load_corpus(args.data)
+    sents = load_corpus(args.data, model.config.max_tokens)
     if args.folds is not None:
         fold_scores = []
         for _, test in split_folds(sents, args.folds, seed=_seed_flag_or_env(args)):
@@ -264,12 +268,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     _, model, vocab, opts = distill.load_selected(args.model_dir)
-    sents = load_corpus(args.input)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    sents = load_corpus(args.input, model.config.max_tokens)
+    with tc.open_atomic(args.out) as fh:
         for lo in range(0, len(sents), PREDICT_CHUNK):
             chunk = sents[lo:lo + PREDICT_CHUNK]
             graphs = [build_graph(s, vocab, opts) for s in chunk]
-            for pred in predict_batch(model, chunk, graphs, vocab):
+            for pred in predict_batch(model, graphs):
                 fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
     print(json.dumps({"sentences": len(sents), "path": args.out}, sort_keys=True))
     return 0

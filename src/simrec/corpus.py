@@ -66,19 +66,21 @@ class AnnotatedSentence:
     label: str = LABEL_LITERAL
     tags: tuple[str, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     @property
     def is_simile(self) -> bool:
         return self.label == LABEL_SIMILE
 
 
-def validate_sentence(sent: AnnotatedSentence, where: str = "sentence") -> None:
-    """Check every AnnotatedSentence invariant; raise CorpusError naming the field."""
+def validate_sentence(
+    sent: AnnotatedSentence, where: str = "sentence", max_tokens: int = MAX_TOKENS
+) -> None:
+    """Check every AnnotatedSentence invariant; raise CorpusError naming the
+    field.  A sentence may hold at most ``max_tokens`` tokens, and never
+    more than ``MAX_TOKENS``."""
     n = len(sent.tokens)
-    if n < 1 or n > MAX_TOKENS:
-        raise CorpusError(f"{where}: token count {n} outside [1, {MAX_TOKENS}]")
+    limit = min(max_tokens, MAX_TOKENS)
+    if n < 1 or n > limit:
+        raise CorpusError(f"{where}: token count {n} outside [1, {limit}]")
     if not (1 <= sent.comparator_index <= n):
         raise CorpusError(f"{where}: comparator_index out of range ({sent.comparator_index} for N={n})")
     if sent.label not in (LABEL_SIMILE, LABEL_LITERAL):
@@ -115,7 +117,9 @@ def sentence_to_record(sent: AnnotatedSentence) -> dict:
     }
 
 
-def sentence_from_record(record: dict, where: str = "record") -> AnnotatedSentence:
+def sentence_from_record(
+    record: dict, where: str = "record", max_tokens: int = MAX_TOKENS
+) -> AnnotatedSentence:
     try:
         tokens = tuple(
             TokenAnn(
@@ -136,12 +140,13 @@ def sentence_from_record(record: dict, where: str = "record") -> AnnotatedSenten
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CorpusError(f"{where}: malformed field ({err})") from err
-    validate_sentence(sent, where)
+    validate_sentence(sent, where, max_tokens)
     return sent
 
 
-def load_corpus(path) -> list[AnnotatedSentence]:
-    """Read a JSON Lines corpus, validating every record.
+def load_corpus(path, max_tokens: int = MAX_TOKENS) -> list[AnnotatedSentence]:
+    """Read a JSON Lines corpus, validating every record; a model's
+    ``max_tokens`` caps the sentence length.
 
     Errors name the file and the 1-based line number of the offending record.
     """
@@ -155,7 +160,8 @@ def load_corpus(path) -> list[AnnotatedSentence]:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({err})") from err
-            sentences.append(sentence_from_record(record, where=f"{path}: line {lineno}"))
+            sentences.append(
+                sentence_from_record(record, f"{path}: line {lineno}", max_tokens))
     return sentences
 
 

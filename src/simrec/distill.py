@@ -129,12 +129,11 @@ def forward_sentence(
     model: SimileModel,
     sentences: Sequence[AnnotatedSentence],
     graph: BlockGraph,
-    vocab: Vocabulary,
 ) -> SentenceForward:
-    """One model's forward pass over a batch of sentences and the graph
-    ``join_graphs`` made of theirs; sequential taggers are teacher-forced
-    with the gold tags."""
-    g_final = encode_graph(sentences, graph, vocab, model.enc, model.config)[-1]
+    """One model's forward pass over the graph ``join_graphs`` made of a
+    batch's sentences; sequential taggers are teacher-forced with the
+    sentences' gold tags."""
+    g_final = encode_graph(graph, model.enc, model.config)[-1]
     cls_dist = classify(g_final, graph, model.head)
     words = tc.pick_rows(g_final, graph.word_nodes)
     gold = [t for s in sentences for t in s.tags]
@@ -293,7 +292,7 @@ def train(
             }
             if dev_sents:
                 dev_scores = {
-                    name: evaluate_model(model, dev_sents, dev_graphs, bundle.vocab)
+                    name: evaluate_model(model, dev_sents, dev_graphs)
                     for name, model in bundle.models.items()
                 }
                 record["dev"] = {
@@ -328,7 +327,7 @@ def _batch_step(
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
     outs = {
-        name: forward_sentence(model, batch_sents, block, bundle.vocab)
+        name: forward_sentence(model, batch_sents, block)
         for name, model in bundle.models.items()
     }
     target = None
@@ -386,9 +385,8 @@ def evaluate_model(
     model: SimileModel,
     sents: list[AnnotatedSentence],
     graphs: list[HeteroGraph],
-    vocab: Vocabulary,
 ) -> dict[str, PRF]:
-    preds = predict_batch(model, sents, graphs, vocab)
+    preds = predict_batch(model, graphs)
     cls = score_classification([p.label for p in preds], [s.label for s in sents])
     ext = score_extraction(
         [p.spans for p in preds], [spans_from_tags(list(s.tags)) for s in sents]
@@ -419,7 +417,7 @@ def select_best(
         raise ValueError("select_best: empty dev set")
     graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
     all_scores = {
-        name: evaluate_model(model, dev_sents, graphs, bundle.vocab)
+        name: evaluate_model(model, dev_sents, graphs)
         for name, model in bundle.models.items()
     }
     compact = {
@@ -441,7 +439,7 @@ def mean_ensemble_kl(
         chunk = sents[lo:lo + PREDICT_CHUNK]
         block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
         outs = {
-            name: forward_sentence(model, chunk, block, bundle.vocab)
+            name: forward_sentence(model, chunk, block)
             for name, model in bundle.models.items()
         }
         target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))

@@ -8,21 +8,20 @@ embeddings, node states are initialized from token states (subsentence
 nodes pool their token range), and L graph-attention layers propagate
 information along the typed edges.
 
-Every function takes a list of sentences and their ``BlockGraph`` and
-encodes them at once, each token attending only within its own sentence;
-a single sentence is the block of one that ``build_graph`` made.
+Every function reads only a ``BlockGraph``, which holds the token and gloss
+ids of its sentences, and encodes them at once, each token attending only
+within its own sentence; a single sentence is the block of one that
+``build_graph`` made.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorcore as tc
-from .corpus import CLS_TOKEN, SEP_TOKEN, AnnotatedSentence, Vocabulary
 from .hetgraph import BlockGraph
 from .tensorcore import DiffArray
 
@@ -95,8 +94,7 @@ def init_encoder_params(
 
 
 def encode_tokens(
-    sentences: Sequence[AnnotatedSentence],
-    vocab: Vocabulary,
+    graph: BlockGraph,
     params: dict[str, DiffArray],
     config: EncoderConfig,
 ) -> DiffArray:
@@ -105,20 +103,13 @@ def encode_tokens(
     The batch attends block-diagonally: one score matrix over all of its
     rows, with each row's softmax restricted to its own sentence's block.
     """
-    ids: list[int] = []
-    positions: list[int] = []
-    for sent in sentences:
-        n = len(sent.tokens)
-        if n > config.max_tokens:
-            raise ValueError(f"sentence has {n} tokens, limit is {config.max_tokens}")
-        ids.append(vocab.token_to_id[CLS_TOKEN])
-        ids.extend(vocab.token_id(t.surface) for t in sent.tokens)
-        ids.append(vocab.token_to_id[SEP_TOKEN])
-        positions.extend(range(n + 2))
-    owner = np.repeat(np.arange(len(sentences)), [len(s.tokens) + 2 for s in sentences])
+    n = int(graph.word_counts.max())
+    if n > config.max_tokens:
+        raise ValueError(f"sentence has {n} tokens, limit is {config.max_tokens}")
+    owner = np.repeat(np.arange(graph.word_counts.size), graph.word_counts + 2)
     mask = owner[:, None] == owner[None, :]
-    rows = tc.pick_rows(params["tok_emb"], ids)
-    pos = tc.pick_rows(params["pos_emb"], positions)
+    rows = tc.pick_rows(params["tok_emb"], graph.token_ids)
+    pos = tc.pick_rows(params["pos_emb"], graph.positions)
     h = tc.add(rows, pos)
     inv_sqrt_d = 1.0 / math.sqrt(config.d_model)
     for layer in range(config.n_selfattn_layers):
@@ -132,29 +123,17 @@ def encode_tokens(
 
 
 def fuse_definitions(
-    sentences: Sequence[AnnotatedSentence],
+    graph: BlockGraph,
     h: DiffArray,
-    vocab: Vocabulary,
     params: dict[str, DiffArray],
 ) -> DiffArray:
     """Add a projected mean-pooled gloss embedding to each glossed noun row."""
-    gloss_ids: list[int] = []
-    pool_ids: list[int] = []
-    noun_rows: list[int] = []
-    first_row = 0  # the CLS row of the current sentence in h
-    for sent in sentences:
-        for i in sorted(sent.glosses):
-            gloss = sent.glosses[i]
-            gloss_ids.extend(vocab.token_id(w) for w in gloss)
-            pool_ids.extend([len(noun_rows)] * len(gloss))
-            # Token i sits i rows below its sentence's CLS row.
-            noun_rows.append(first_row + i)
-        first_row += len(sent.tokens) + 2
-    if not noun_rows:
+    n_glossed = graph.gloss_rows.size
+    if not n_glossed:
         return h
-    pooled = tc.mean_pool(params["tok_emb"], gloss_ids, pool_ids, len(noun_rows))
+    pooled = tc.mean_pool(params["tok_emb"], graph.gloss_ids, graph.gloss_pools, n_glossed)
     delta = tc.add(tc.matmul(pooled, params["gloss/w"]), params["gloss/b"])
-    return tc.add_rows_at(h, noun_rows, delta)
+    return tc.add_rows_at(h, graph.gloss_rows, delta)
 
 
 def init_node_states(h: DiffArray, graph: BlockGraph) -> DiffArray:
@@ -195,16 +174,14 @@ def gat_layer(
 
 
 def encode_graph(
-    sentences: Sequence[AnnotatedSentence],
     graph: BlockGraph,
-    vocab: Vocabulary,
     params: dict[str, DiffArray],
     config: EncoderConfig,
 ) -> list[DiffArray]:
     """Full pipeline; returns node states per layer, g^(0) through g^(L)."""
-    h = encode_tokens(sentences, vocab, params, config)
+    h = encode_tokens(graph, params, config)
     if config.use_gloss_fusion:
-        h = fuse_definitions(sentences, h, vocab, params)
+        h = fuse_definitions(graph, h, params)
     states = [init_node_states(h, graph)]
     for layer in range(config.n_gat_layers):
         states.append(gat_layer(states[-1], graph, params, layer, config))

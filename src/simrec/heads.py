@@ -269,35 +269,22 @@ def predict(
     vocab: Vocabulary,
 ) -> SpanPrediction:
     """Classify, then extract spans only if the sentence is judged a simile."""
-    return _predict_block(model, [sentence], graph.block, vocab)[0]
+    # The benchmark in perfbench/ calls this form; the graph alone is read.
+    return _predict_block(model, graph.block)[0]
 
 
-def predict_batch(
-    model: SimileModel,
-    sentences: Sequence[AnnotatedSentence],
-    graphs: Sequence[HeteroGraph],
-    vocab: Vocabulary,
-) -> list[SpanPrediction]:
-    """``predict`` for each sentence, run on joined blocks of ``PREDICT_CHUNK``."""
-    if len(sentences) != len(graphs):
-        raise ValueError(f"predict_batch: {len(sentences)} sentences but {len(graphs)} graphs")
+def predict_batch(model: SimileModel, graphs: Sequence[HeteroGraph]) -> list[SpanPrediction]:
+    """``predict`` for each graph, run on joined blocks of ``PREDICT_CHUNK``."""
     preds: list[SpanPrediction] = []
-    for lo in range(0, len(sentences), PREDICT_CHUNK):
-        chunk = sentences[lo:lo + PREDICT_CHUNK]
-        block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-        preds.extend(_predict_block(model, chunk, block, vocab))
+    for lo in range(0, len(graphs), PREDICT_CHUNK):
+        preds.extend(_predict_block(model, join_graphs(graphs[lo:lo + PREDICT_CHUNK])))
     return preds
 
 
-def _predict_block(
-    model: SimileModel,
-    sentences: Sequence[AnnotatedSentence],
-    block: BlockGraph,
-    vocab: Vocabulary,
-) -> list[SpanPrediction]:
+def _predict_block(model: SimileModel, block: BlockGraph) -> list[SpanPrediction]:
     """Classify every sentence of the block, then tag the words of those
     judged similes in one tagger pass."""
-    g_final = encode_graph(sentences, block, vocab, model.enc, model.config)[-1]
+    g_final = encode_graph(block, model.enc, model.config)[-1]
     p_simile = classify(g_final, block, model.head).data[:, CLASS_SIMILE]
     preds = [SpanPrediction(label="literal", p_simile=p) for p in p_simile.tolist()]
     judged = p_simile > SIMILE_THRESHOLD

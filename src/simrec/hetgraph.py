@@ -10,10 +10,11 @@ directed edge to each subsentence node labeled by containment (``con`` for
 the side holding the noun, ``not-con`` for the other).  Every node carries
 a self-loop so no attention neighborhood is empty.
 
-The model reads a ``BlockGraph``: one or more graphs side by side, PyTorch
-Geometric style, each sentence's node ids and token rows shifted past those
-of the sentences before it.  ``build_graph`` makes a sentence's block of one
-(``HeteroGraph.block``); ``join_graphs`` joins a batch's blocks.
+The model reads only a ``BlockGraph``: one or more graphs side by side,
+PyTorch Geometric style, each sentence's node ids, token rows and glossed
+nouns shifted past those of the sentences before it.  ``build_graph`` makes
+a sentence's block of one (``HeteroGraph.block``), looking up its token and
+gloss ids in the vocabulary; ``join_graphs`` joins a batch's blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import DEFAULT_NOUN_TAGS, AnnotatedSentence, Vocabulary
+from .corpus import CLS_TOKEN, DEFAULT_NOUN_TAGS, SEP_TOKEN, AnnotatedSentence, Vocabulary
 
 
 class NodeKind(Enum):
@@ -71,11 +72,15 @@ class GraphOptions:
 class BlockGraph:
     """One or more sentence graphs side by side, with a block-diagonal adjacency.
 
-    Edges, the node of each word, and the token rows (``pool_rows``) whose
-    mean starts each node (``pool_nodes``); a sentence's token rows are CLS,
-    words 1..N, SEP.  Sentence b's node ids and token rows follow those of
-    sentences 0..b-1, and the per-sentence fields (``word_counts``,
-    ``left_nodes``, ``right_nodes``) have one entry per sentence.
+    Everything the model reads: edges, the node of each word, and the
+    token rows.  A sentence's token rows are CLS, words 1..N, SEP
+    (``token_ids`` and their ``positions``); ``pool_rows`` lists the rows
+    whose mean starts each node (``pool_nodes``), and the gloss words
+    (``gloss_ids``) pool per glossed noun (``gloss_pools``) into that
+    noun's row (``gloss_rows``).  Sentence b's node ids, token rows and
+    glossed nouns follow those of sentences 0..b-1, and the per-sentence
+    fields (``word_counts``, ``left_nodes``, ``right_nodes``) have one
+    entry per sentence.
     """
 
     n_nodes: int
@@ -88,6 +93,11 @@ class BlockGraph:
     right_nodes: np.ndarray
     pool_rows: np.ndarray = field(repr=False)
     pool_nodes: np.ndarray = field(repr=False)
+    token_ids: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+    gloss_ids: np.ndarray = field(repr=False)
+    gloss_pools: np.ndarray = field(repr=False)
+    gloss_rows: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -97,8 +107,6 @@ class HeteroGraph:
     edges: list[tuple[int, int, EdgeLabel]]
     left_node: int
     right_node: int
-    left_range: tuple[int, int] | None  # inclusive 1-based token range, None if empty
-    right_range: tuple[int, int] | None
     merged: bool
     block: BlockGraph = field(repr=False)  # the model's view: a block of one
 
@@ -128,7 +136,11 @@ def join_graphs(graphs: Sequence[HeteroGraph]) -> BlockGraph:
         return graphs[0].block
     blocks = [g.block for g in graphs]
     node_off = np.cumsum([0] + [b.n_nodes for b in blocks[:-1]])
-    row_off = np.cumsum([0] + [g.n_tokens + 2 for g in graphs[:-1]])
+    row_off = np.cumsum([0] + [b.token_ids.size for b in blocks[:-1]])
+    noun_off = np.cumsum([0] + [b.gloss_rows.size for b in blocks[:-1]])
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(b, name) for b in blocks])
 
     def shifted(name: str, offsets: np.ndarray) -> np.ndarray:
         return np.concatenate([getattr(b, name) + off for b, off in zip(blocks, offsets)])
@@ -137,13 +149,18 @@ def join_graphs(graphs: Sequence[HeteroGraph]) -> BlockGraph:
         n_nodes=int(node_off[-1] + blocks[-1].n_nodes),
         src_ids=shifted("src_ids", node_off),
         dst_ids=shifted("dst_ids", node_off),
-        label_ids=np.concatenate([b.label_ids for b in blocks]),
+        label_ids=joined("label_ids"),
         word_nodes=shifted("word_nodes", node_off),
-        word_counts=np.concatenate([b.word_counts for b in blocks]),
+        word_counts=joined("word_counts"),
         left_nodes=shifted("left_nodes", node_off),
         right_nodes=shifted("right_nodes", node_off),
         pool_rows=shifted("pool_rows", row_off),
         pool_nodes=shifted("pool_nodes", node_off),
+        token_ids=joined("token_ids"),
+        positions=joined("positions"),
+        gloss_ids=joined("gloss_ids"),
+        gloss_pools=shifted("gloss_pools", noun_off),
+        gloss_rows=shifted("gloss_rows", row_off),
     )
 
 
@@ -164,7 +181,8 @@ def build_graph(
     vocab: Vocabulary,
     options: GraphOptions = GraphOptions(),
 ) -> HeteroGraph:
-    """Construct the typed sentence graph; deterministic and label-blind."""
+    """Construct the typed sentence graph, with the token and gloss ids the
+    model reads; deterministic and label-blind."""
     n = len(sentence.tokens)
     c = sentence.comparator_index
     top = set(vocab.top_deprels(options.top_k_deprels))
@@ -180,23 +198,25 @@ def build_graph(
         ]
         ns_sources = [i for i in range(1, n + 1) if word_kinds[i - 1] is NodeKind.NOUN]
 
-    # Word node id always equals the 1-based token index.
+    # Each subsentence node as (node, member words, pooled token rows).  The
+    # comparator belongs to neither side, and an empty side pools no rows;
+    # the merged global node holds every word and pools the CLS surrogate.
+    words = range(1, n + 1)
     if options.no_subsentence_nodes:
-        node_kinds = [NodeKind.SUBSENTENCE] + word_kinds
-        left_node = right_node = 0
+        sides = [(0, words, [0])]
     else:
-        node_kinds = [NodeKind.SUBSENTENCE] + word_kinds + [NodeKind.SUBSENTENCE]
-        left_node, right_node = 0, n + 1
-
-    left_range = (1, c - 1) if c > 1 else None
-    right_range = (c + 1, n) if c < n else None
+        left, right = range(1, c), range(c + 1, n + 1)
+        sides = [(0, left, left), (n + 1, right, right)]
+    left_node, right_node = sides[0][0], sides[-1][0]
+    # Word node id always equals the 1-based token index.
+    node_kinds = [NodeKind.SUBSENTENCE] + word_kinds + [NodeKind.SUBSENTENCE] * (len(sides) - 1)
 
     edges: list[tuple[int, int, EdgeLabel]] = []
     if options.no_dependency:
         # Ablation: fully connect word nodes, dropping arc identities.
         other = EdgeLabel(EdgeKind.DEP_OTHER)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+        for i in words:
+            for j in words:
                 if i != j:
                     edges.append((i, j, other))
     else:
@@ -213,30 +233,19 @@ def build_graph(
     con = EdgeLabel(EdgeKind.NS_CON)
     not_con = EdgeLabel(EdgeKind.NS_NOT_CON)
     for i in ns_sources:
-        if options.no_subsentence_nodes:
-            edges.append((i, 0, con))
-            continue
-        in_left = left_range is not None and left_range[0] <= i <= left_range[1]
-        in_right = right_range is not None and right_range[0] <= i <= right_range[1]
-        # The comparator itself belongs to neither side.
-        edges.append((i, left_node, con if in_left else not_con))
-        edges.append((i, right_node, con if in_right else not_con))
+        for node, members, _ in sides:
+            edges.append((i, node, con if i in members else not_con))
 
     self_loop = EdgeLabel(EdgeKind.SELF_LOOP)
     for node in range(len(node_kinds)):
         edges.append((node, node, self_loop))
 
     # Initial node states pool token rows: a word node its own row, a
-    # subsentence node its side's rows (none when the side is empty), the
-    # merged global node the CLS surrogate.
-    words = list(range(1, n + 1))
-    if options.no_subsentence_nodes:
-        pools = [(0, [0])] + [(i, [i]) for i in words]
-    else:
-        pools = ([(left_node, _range_rows(left_range))] + [(i, [i]) for i in words]
-                 + [(right_node, _range_rows(right_range))])
-    pool_rows = [r for _, rows in pools for r in rows]
-    pool_nodes = [node for node, rows in pools for _ in rows]
+    # subsentence node its side's rows.
+    first, *rest = [(node, rows) for node, _, rows in sides]
+    pools = [first] + [(i, [i]) for i in words] + rest
+    glossed = sorted(sentence.glosses)
+    word_ids = [vocab.token_id(t.surface) for t in sentence.tokens]
 
     return HeteroGraph(
         n_tokens=n,
@@ -244,36 +253,29 @@ def build_graph(
         edges=edges,
         left_node=left_node,
         right_node=right_node,
-        left_range=left_range,
-        right_range=right_range,
         merged=options.no_subsentence_nodes,
         block=BlockGraph(
             n_nodes=len(node_kinds),
             src_ids=np.array([e[0] for e in edges], dtype=np.int64),
             dst_ids=np.array([e[1] for e in edges], dtype=np.int64),
             label_ids=np.array([label_ids_map[e[2]] for e in edges], dtype=np.int64),
-            word_nodes=np.array(words, dtype=np.int64),
+            word_nodes=np.arange(1, n + 1, dtype=np.int64),
             word_counts=np.array([n], dtype=np.int64),
             left_nodes=np.array([left_node], dtype=np.int64),
             right_nodes=np.array([right_node], dtype=np.int64),
-            pool_rows=np.array(pool_rows, dtype=np.int64),
-            pool_nodes=np.array(pool_nodes, dtype=np.int64),
+            pool_rows=np.array([r for _, rows in pools for r in rows], dtype=np.int64),
+            pool_nodes=np.array([node for node, rows in pools for _ in rows], dtype=np.int64),
+            token_ids=np.array([vocab.token_to_id[CLS_TOKEN], *word_ids,
+                                vocab.token_to_id[SEP_TOKEN]], dtype=np.int64),
+            positions=np.arange(n + 2, dtype=np.int64),
+            gloss_ids=np.array([vocab.token_id(w) for i in glossed for w in sentence.glosses[i]],
+                               dtype=np.int64),
+            gloss_pools=np.array([k for k, i in enumerate(glossed) for _ in sentence.glosses[i]],
+                                 dtype=np.int64),
+            # Token i sits at row i, below its sentence's CLS row.
+            gloss_rows=np.array(glossed, dtype=np.int64),
         ),
     )
-
-
-def _range_rows(token_range: tuple[int, int] | None) -> list[int]:
-    if token_range is None:
-        return []
-    lo, hi = token_range
-    return list(range(lo, hi + 1))
-
-
-def neighbors(graph: HeteroGraph, node_id: int) -> set[tuple[int, EdgeLabel]]:
-    """Sources of edges pointing into ``node_id`` (self included via its loop)."""
-    if not (0 <= node_id < graph.n_nodes):
-        raise ValueError(f"node id {node_id} out of range [0, {graph.n_nodes})")
-    return {(src, label) for src, dst, label in graph.edges if dst == node_id}
 
 
 _KIND_STYLE = {

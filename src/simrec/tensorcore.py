@@ -26,6 +26,7 @@ import json
 import math
 import os
 from collections.abc import Mapping
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -249,15 +250,6 @@ def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> Dif
         a.accum_grad(s * (grad - dot))
 
     return _result(s, (a,), bwd, "softmax")
-
-
-def log(a: DiffArray) -> DiffArray:
-    clamped = np.maximum(a.data, EPS_LOG)
-
-    def bwd(grad):
-        a.accum_grad(grad / clamped)
-
-    return _result(np.log(clamped), (a,), bwd, "log")
 
 
 def abs_(a: DiffArray) -> DiffArray:
@@ -594,18 +586,25 @@ CHECKPOINT_MAGIC = "simrec-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def write_json_atomic(path, obj, **dump_args) -> None:
-    """``json.dump`` ``obj`` to a temp file beside ``path``, then rename it
-    into place; a failed write removes the temp file."""
+@contextmanager
+def open_atomic(path):
+    """A text file to write ``path`` through: a temp file beside it, renamed
+    into place when the block ends and removed when the block fails."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, **dump_args)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_json_atomic(path, obj, **dump_args) -> None:
+    """``json.dump`` ``obj`` to ``path`` through ``open_atomic``."""
+    with open_atomic(path) as fh:
+        json.dump(obj, fh, **dump_args)
 
 
 def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:

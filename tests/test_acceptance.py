@@ -108,7 +108,7 @@ def test_gradient_integrity_full_pipeline():
     bundle = build_bundle(vocab, enc, rng, label_emb_dim=5)
     graph = build_graph(sent, vocab)
     outs = {
-        name: forward_sentence(model, [sent], graph.block, vocab)
+        name: forward_sentence(model, [sent], graph.block)
         for name, model in bundle.models.items()
     }
     target = ensemble_distribution(
@@ -116,7 +116,7 @@ def test_gradient_integrity_full_pipeline():
     )
 
     def loss_of(name):
-        out = forward_sentence(bundle.models[name], [sent], graph.block, vocab)
+        out = forward_sentence(bundle.models[name], [sent], graph.block)
         sup = supervised_loss(out, [sent], 0.3, 1.0)
         kl = kl_to_ensemble(out.tag_dist, target, graph.block.word_counts)
         return tc.add(tc.scale(sup, 0.5), tc.scale(kl, 0.5))

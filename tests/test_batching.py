@@ -13,6 +13,7 @@ from simrec.distill import (
     MODE_OF,
     build_bundle,
     ensemble_distribution,
+    evaluate_model,
     forward_sentence,
     kl_to_ensemble,
     supervised_loss,
@@ -56,20 +57,20 @@ def batch_of_four(corpus):
     return sents
 
 
-def batch_loss(model, sents, graph, vocab, target):
+def batch_loss(model, sents, graph, target):
     """The trainer's loss for one model: the batch mean of the mixed loss."""
-    out = forward_sentence(model, sents, graph, vocab)
+    out = forward_sentence(model, sents, graph)
     sup = supervised_loss(out, sents, 0.3, 1.0)
     kl = kl_to_ensemble(out.tag_dist, target, graph.word_counts)
     total = tc.add(tc.scale(sup, LAM), tc.scale(kl, 1.0 - LAM))
     return tc.scale(total, 1.0 / len(sents))
 
 
-def sentence_targets(bundle, sents, graphs, vocab):
+def sentence_targets(bundle, sents, graphs):
     """Ensemble target of each sentence, from one-sentence forward passes."""
     return [
         ensemble_distribution(*(
-            forward_sentence(m, [s], g.block, vocab).tag_fwd.final_logits.data
+            forward_sentence(m, [s], g.block).tag_fwd.final_logits.data
             for m in bundle.models.values()
         ))
         for s, g in zip(sents, graphs)
@@ -92,15 +93,20 @@ def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
     model = bundle.models[name]
     sents = batch_of_four(corpus)
     graphs = [build_graph(s, vocab, opts) for s in sents]
-    targets = sentence_targets(bundle, sents, graphs, vocab)
+    targets = sentence_targets(bundle, sents, graphs)
+    block = join_graphs(graphs)
+    # Every sentence of the batch is glossed, so the joined gloss rows and
+    # pools are shifted past earlier sentences'; only the no-glosses variant
+    # turns gloss fusion off.
+    assert block.gloss_rows.size == sum(len(s.glosses) for s in sents) > len(sents[0].glosses)
 
-    joined = batch_loss(model, sents, join_graphs(graphs), vocab, np.concatenate(targets))
+    joined = batch_loss(model, sents, block, np.concatenate(targets))
     tc.backward(joined)
     batch_grads = grads_of(model)
 
     singles = []
     for sent, graph, target in zip(sents, graphs, targets):
-        loss = tc.scale(batch_loss(model, [sent], graph.block, vocab, target), 1.0 / len(sents))
+        loss = tc.scale(batch_loss(model, [sent], graph.block, target), 1.0 / len(sents))
         tc.backward(loss)
         singles.append(float(loss.data))
     single_grads = grads_of(model)
@@ -138,7 +144,7 @@ def test_predict_reads_the_training_forward(corpus, vocab, variant, name, monkey
     model = bundle.models[name]
     sents = batch_of_four(corpus)
     graphs = [build_graph(s, vocab, opts) for s in sents]
-    out = forward_sentence(model, sents, join_graphs(graphs), vocab)
+    out = forward_sentence(model, sents, join_graphs(graphs))
     split_at(monkeypatch, out.cls_dist.data[:, CLASS_SIMILE], 2)
     singles = []
     for b, (sent, graph) in enumerate(zip(sents, graphs)):
@@ -150,7 +156,7 @@ def test_predict_reads_the_training_forward(corpus, vocab, variant, name, monkey
     assert sorted(p.label for p in singles) == ["literal", "literal", "simile", "simile"]
     # One joined block serves the same predictions, the two similes sharing
     # one tagger pass.
-    assert_same_predictions(predict_batch(model, sents, graphs, vocab), singles)
+    assert_same_predictions(predict_batch(model, graphs), singles)
 
 
 @pytest.mark.parametrize("name", sorted(MODE_OF))
@@ -163,7 +169,7 @@ def test_predict_batch_over_a_corpus_of_partial_chunks(vocab, name, monkeypatch)
     p_values = [predict(model, s, g, vocab).p_simile for s, g in zip(sents, graphs)]
     split_at(monkeypatch, p_values, len(sents) // 2)
     singles = [predict(model, s, g, vocab) for s, g in zip(sents, graphs)]
-    assert_same_predictions(predict_batch(model, sents, graphs, vocab), singles)
+    assert_same_predictions(predict_batch(model, graphs), singles)
 
 
 def test_predict_batch_skips_the_tagger_for_a_chunk_without_similes(vocab, monkeypatch):
@@ -188,22 +194,22 @@ def test_predict_batch_skips_the_tagger_for_a_chunk_without_similes(vocab, monke
         return forward_tagger(model, words, gold_tags, word_counts)
 
     monkeypatch.setattr(heads, "forward_tagger", counting)
-    batch = predict_batch(model, sents, graphs, vocab)
+    batch = predict_batch(model, graphs)
     assert tagged_rows == [sum(len(s.tokens) for s in sents[PREDICT_CHUNK:])]
     assert_same_predictions(batch, singles)
 
 
 def test_predict_batch_of_nothing(vocab):
     bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
-    assert predict_batch(bundle.models["p"], [], [], vocab) == []
+    assert predict_batch(bundle.models["p"], []) == []
 
 
-def test_predict_batch_rejects_unpaired_graphs(corpus, vocab):
+def test_evaluate_model_rejects_unpaired_graphs(corpus, vocab):
     bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
     sents = corpus[:3]
     graphs = [build_graph(s, vocab) for s in sents[:2]]
-    with pytest.raises(ValueError, match="3 sentences but 2 graphs"):
-        predict_batch(bundle.models["p"], sents, graphs, vocab)
+    with pytest.raises(ValueError, match="2 predictions for 3 gold labels"):
+        evaluate_model(bundle.models["p"], sents, graphs)
 
 
 def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):
@@ -216,7 +222,7 @@ def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):
 
     def node_states(batch):
         graphs = [build_graph(s, vocab) for s in batch]
-        states = encode_graph(batch, join_graphs(graphs), vocab, params, config)
+        states = encode_graph(join_graphs(graphs), params, config)
         bounds = np.cumsum([0] + [g.n_nodes for g in graphs])
         return [[g.data[lo:hi] for g in states] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -235,12 +241,12 @@ def test_batch_gradients_match_finite_differences(corpus, vocab, name):
     sents = batch_of_four(corpus)[:3]
     graph = join_graphs([build_graph(s, vocab) for s in sents])
     target = ensemble_distribution(*(
-        forward_sentence(m, sents, graph, vocab).tag_fwd.final_logits.data
+        forward_sentence(m, sents, graph).tag_fwd.final_logits.data
         for m in bundle.models.values()
     ))
 
     def build():
-        return batch_loss(model, sents, graph, vocab, target)
+        return batch_loss(model, sents, graph, target)
 
     tc.backward(build())
     check_grads(lambda: float(build().data), model.store.params, tol=1e-5)

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simrec import distill, tensorcore as tc
+from simrec import cli, distill, tensorcore as tc
 from simrec.cli import RunConfig, _given_flags, build_parser, load_run_config, main
 from simrec.corpus import (
     DEFAULT_NOUN_TAGS,
+    AnnotatedSentence,
     SyntheticConfig,
+    TokenAnn,
     build_vocab,
     canonical_sentence,
     generate_synthetic,
@@ -526,6 +528,72 @@ class TestCorpusErrorsNameTheFile:
         assert capsys.readouterr().err == (
             f"error: {bad_corpus}: line 1: malformed field ('comparator_index')\n")
         assert not (tmp_path / "m").exists() and not (tmp_path / "p.jsonl").exists()
+
+
+def nine_token_sentence():
+    words = [("the", "DT", 2, "other"), ("sheep", "NN", 3, "nsubj"), ("looks", "VV", 0, "root"),
+             ("like", "CS", 3, "prep"), ("white", "JJ", 6, "amod"), ("clouds", "NN", 4, "pobj"),
+             ("slowly", "AD", 3, "advmod"), ("today", "AD", 3, "advmod"),
+             ("gently", "AD", 3, "advmod")]
+    return AnnotatedSentence(tokens=tuple(TokenAnn(*w) for w in words), comparator_index=4,
+                             tags=("O",) * len(words))
+
+
+class TestOverLongSentence:
+    """A sentence longer than the model's max_tokens fails before any output."""
+
+    @pytest.fixture(scope="class")
+    def short_model_dir(self, tmp_path_factory, corpora):
+        train, dev = corpora
+        out = tmp_path_factory.mktemp("short")
+        assert main(["train", "--train", train, "--dev", dev, "--out-dir", str(out),
+                     *TINY_FLAGS, "--max-tokens", "8"]) == 0
+        return str(out)
+
+    @pytest.fixture
+    def long_corpus(self, tmp_path):
+        sents = generate_synthetic(SyntheticConfig(n_sentences=20, seed=11))
+        assert max(len(s.tokens) for s in sents) <= 8
+        path = tmp_path / "long.jsonl"
+        save_corpus(path, sents[:12] + [nine_token_sentence()] + sents[12:])
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["train --train", "train --dev",
+                                         "evaluate --data", "predict --input"])
+    def test_rejected_naming_file_and_line(self, short_model_dir, corpora, long_corpus,
+                                           tmp_path, capsys, command):
+        train, dev = corpora
+        name, flag = command.split()
+        given = {"--train": train, "--dev": dev, flag: long_corpus}
+        if name == "train":
+            argv = ["--train", given["--train"], "--dev", given["--dev"],
+                    "--out-dir", str(tmp_path / "m"), *TINY_FLAGS, "--max-tokens", "8"]
+        else:
+            argv = ["--model-dir", short_model_dir, flag, long_corpus]
+            if name == "predict":
+                argv += ["--out", str(tmp_path / "p.jsonl")]
+        capsys.readouterr()
+        assert main([name, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {long_corpus}: line 13: token count 9 outside [1, 8]\n"
+        assert captured.out == ""
+        assert not (tmp_path / "m").exists() and not (tmp_path / "p.jsonl").exists()
+
+    def test_failed_predict_leaves_the_old_output(self, trained_dir, corpora, tmp_path,
+                                                  capsys, monkeypatch):
+        _, dev = corpora
+        out = tmp_path / "p.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+
+        def failing(*args):
+            raise RuntimeError("serving failed")
+
+        monkeypatch.setattr(cli, "predict_batch", failing)
+        assert main(["predict", "--model-dir", trained_dir, "--input", dev,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: serving failed\n"
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl"]
 
 
 class TestPredict:

@@ -278,7 +278,7 @@ class TestGradientIsolation:
         sent = tiny_corpus[0]
         graph = build_graph(sent, tiny_vocab)
         outs = {
-            name: forward_sentence(m, [sent], graph.block, tiny_vocab)
+            name: forward_sentence(m, [sent], graph.block)
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
@@ -304,11 +304,11 @@ class TestGradientIsolation:
         graph = build_graph(sent, tiny_vocab)
 
         def p_loss(target):
-            out = forward_sentence(bundle.models["p"], [sent], graph.block, tiny_vocab)
+            out = forward_sentence(bundle.models["p"], [sent], graph.block)
             return float(kl_to_ensemble(out.tag_dist, target, graph.block.word_counts).data)
 
         outs = {
-            name: forward_sentence(m, [sent], graph.block, tiny_vocab)
+            name: forward_sentence(m, [sent], graph.block)
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
@@ -345,7 +345,7 @@ class TestFixedLambdaReduction:
                     block = join_graphs([graphs[i] for i in batch])
                     terms = [
                         supervised_loss(
-                            forward_sentence(model, batch_sents, block, tiny_vocab),
+                            forward_sentence(model, batch_sents, block),
                             batch_sents, config.alpha, config.aux_weight,
                         )
                     ]
@@ -535,7 +535,7 @@ class TestParamBlocks:
         sents = tiny_corpus[:4]
         block = join_graphs([build_graph(s, tiny_vocab) for s in sents])
         for model in bundle.models.values():
-            out = forward_sentence(model, sents, block, tiny_vocab)
+            out = forward_sentence(model, sents, block)
             tc.backward(supervised_loss(out, sents, 0.3))
         expected = {}
         for key, p in shared.items():
@@ -624,7 +624,7 @@ class TestMeanEnsembleKL:
         graphs = [build_graph(s, vocab) for s in sents]
         totals = {name: 0.0 for name in bundle.models}
         for sent, graph in zip(sents, graphs):
-            outs = {name: forward_sentence(m, [sent], graph.block, vocab)
+            outs = {name: forward_sentence(m, [sent], graph.block)
                     for name, m in bundle.models.items()}
             target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
             for name, out in outs.items():

@@ -12,6 +12,10 @@ from simrec.hetgraph import GraphOptions, build_graph, edge_label_index
 from simrec.tensorcore import ParamStore
 
 
+def block_of(sent, vocab):
+    return build_graph(sent, vocab).block
+
+
 def make_params(vocab, config, seed=0, n_edge_labels=None):
     if n_edge_labels is None:
         n_edge_labels = len(edge_label_index(vocab))
@@ -58,7 +62,7 @@ class TestTokenEncoder:
     def test_row_layout(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        h = enc.encode_tokens(block_of(fig_sentence, vocab), params, tiny_config)
         assert h.data.shape == (len(fig_sentence.tokens) + 2, tiny_config.d_model)
 
     def test_zero_layers_is_embedding_sum(self, fig_sentence):
@@ -68,7 +72,7 @@ class TestTokenEncoder:
         )
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, config)
-        h = enc.encode_tokens([fig_sentence], vocab, params, config)
+        h = enc.encode_tokens(block_of(fig_sentence, vocab), params, config)
         from simrec.corpus import CLS_TOKEN, SEP_TOKEN
 
         ids = [vocab.token_to_id[CLS_TOKEN]] + [
@@ -80,7 +84,7 @@ class TestTokenEncoder:
     def test_token_identity_matters(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        h = enc.encode_tokens(block_of(fig_sentence, vocab), params, tiny_config)
         swapped_tokens = list(fig_sentence.tokens)
         swapped_tokens[1], swapped_tokens[5] = (
             dataclasses.replace(swapped_tokens[5], head=swapped_tokens[1].head,
@@ -89,7 +93,7 @@ class TestTokenEncoder:
                                 deprel=swapped_tokens[5].deprel),
         )
         other = dataclasses.replace(fig_sentence, tokens=tuple(swapped_tokens))
-        h2 = enc.encode_tokens([other], vocab, params, tiny_config)
+        h2 = enc.encode_tokens(block_of(other, vocab), params, tiny_config)
         assert not np.array_equal(h.data, h2.data)
 
     def test_too_long_sentence_rejected(self, fig_sentence):
@@ -97,7 +101,7 @@ class TestTokenEncoder:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, config)
         with pytest.raises(ValueError, match="limit"):
-            enc.encode_tokens([fig_sentence], vocab, params, config)
+            enc.encode_tokens(block_of(fig_sentence, vocab), params, config)
 
 
 class TestGlossFusion:
@@ -105,14 +109,16 @@ class TestGlossFusion:
         sent = nounless_sentence()
         vocab = build_vocab([sent])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens([sent], vocab, params, tiny_config)
-        assert enc.fuse_definitions([sent], h, vocab, params) is h
+        block = block_of(sent, vocab)
+        h = enc.encode_tokens(block, params, tiny_config)
+        assert enc.fuse_definitions(block, h, params) is h
 
     def test_only_glossed_rows_change(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
-        fused = enc.fuse_definitions([fig_sentence], h, vocab, params)
+        block = block_of(fig_sentence, vocab)
+        h = enc.encode_tokens(block, params, tiny_config)
+        fused = enc.fuse_definitions(block, h, params)
         changed = {
             i for i in range(h.data.shape[0])
             if not np.array_equal(h.data[i], fused.data[i])
@@ -122,8 +128,9 @@ class TestGlossFusion:
     def test_delta_matches_numpy_oracle(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
-        fused = enc.fuse_definitions([fig_sentence], h, vocab, params)
+        block = block_of(fig_sentence, vocab)
+        h = enc.encode_tokens(block, params, tiny_config)
+        fused = enc.fuse_definitions(block, h, params)
         tok = params["tok_emb"].data
         w, b = params["gloss/w"].data, params["gloss/b"].data
         for i, gloss in fig_sentence.glosses.items():
@@ -137,8 +144,9 @@ class TestGlossFusion:
         sent = dataclasses.replace(fig_sentence, glosses={2: gloss, 6: gloss})
         vocab = build_vocab([sent])
         _, params = make_params(vocab, tiny_config)
-        h = enc.encode_tokens([sent], vocab, params, tiny_config)
-        fused = enc.fuse_definitions([sent], h, vocab, params)
+        block = block_of(sent, vocab)
+        h = enc.encode_tokens(block, params, tiny_config)
+        fused = enc.fuse_definitions(block, h, params)
         d2 = fused.data[2] - h.data[2]
         d6 = fused.data[6] - h.data[6]
         np.testing.assert_allclose(d2, d6, rtol=1e-12)
@@ -149,7 +157,7 @@ class TestNodeStates:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
         assert g0.data.shape == (8, tiny_config.d_model)
         np.testing.assert_allclose(g0.data[0], h.data[1:4].mean(axis=0), rtol=1e-12)
@@ -171,8 +179,8 @@ class TestNodeStates:
         vocab = build_vocab([sent])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(sent, vocab)
-        assert graph.left_range is None
-        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        assert graph.block.pool_rows[graph.block.pool_nodes == graph.left_node].size == 0
+        h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
         assert (g0.data[graph.left_node] == 0).all()
 
@@ -181,8 +189,8 @@ class TestNodeStates:
         vocab = build_vocab([sent])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(sent, vocab)
-        assert graph.right_range == (4, 4)
-        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        assert graph.block.pool_rows[graph.block.pool_nodes == graph.right_node].tolist() == [4]
+        h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
         np.testing.assert_allclose(g0.data[graph.right_node], h.data[4], rtol=1e-12)
 
@@ -192,7 +200,7 @@ class TestNodeStates:
         graph = build_graph(
             fig_sentence, vocab, GraphOptions(no_subsentence_nodes=True)
         )
-        h = enc.encode_tokens([fig_sentence], vocab, params, tiny_config)
+        h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
         assert g0.data.shape == (7, tiny_config.d_model)
         np.testing.assert_array_equal(g0.data[0], h.data[0])
@@ -227,7 +235,7 @@ class TestGatLayer:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
+        states = enc.encode_graph(graph.block, params, tiny_config)
         g = states[0].data
         for layer in (0, 1):
             expected = gat_oracle(g, graph.block, params, layer, tiny_config.leaky_slope)
@@ -238,7 +246,7 @@ class TestGatLayer:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
+        states = enc.encode_graph(graph.block, params, tiny_config)
         for g in states[1:]:
             assert (g.data > 0).all() and (g.data < 1).all()
 
@@ -252,7 +260,7 @@ class TestGatLayer:
         for node in (graph.left_node, graph.right_node):
             incoming = [e for e in graph.edges if e[1] == node]
             assert len(incoming) == 1 and incoming[0][0] == node
-        h = enc.encode_tokens([sent], vocab, params, tiny_config)
+        h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
         g1 = enc.gat_layer(g0, graph.block, params, 0, tiny_config)
         wv = params["gat0/wv"].data
@@ -266,7 +274,7 @@ class TestEncodeGraph:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
+        states = enc.encode_graph(graph.block, params, tiny_config)
         assert len(states) == tiny_config.n_gat_layers + 1
         for g in states:
             assert g.data.shape == (graph.n_nodes, tiny_config.d_model)
@@ -279,7 +287,7 @@ class TestEncodeGraph:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, config)
         graph = build_graph(fig_sentence, vocab)
-        states = enc.encode_graph([fig_sentence], graph.block, vocab, params, config)
+        states = enc.encode_graph(graph.block, params, config)
         assert len(states) == 1
 
     def test_gloss_fusion_toggle(self, fig_sentence, tiny_config):
@@ -287,10 +295,10 @@ class TestEncodeGraph:
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
         off = dataclasses.replace(tiny_config, use_gloss_fusion=False)
-        with_gloss = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
-        without = enc.encode_graph([fig_sentence], graph.block, vocab, params, off)
+        with_gloss = enc.encode_graph(graph.block, params, tiny_config)
+        without = enc.encode_graph(graph.block, params, off)
         assert not np.array_equal(with_gloss[-1].data, without[-1].data)
-        h = enc.encode_tokens([fig_sentence], vocab, params, off)
+        h = enc.encode_tokens(graph.block, params, off)
         np.testing.assert_array_equal(
             without[0].data, enc.init_node_states(h, graph.block).data
         )
@@ -300,16 +308,16 @@ class TestEncodeGraph:
         _, params = make_params(vocab, tiny_config)
         full = build_graph(fig_sentence, vocab)
         ablated = build_graph(fig_sentence, vocab, GraphOptions(no_dependency=True))
-        a = enc.encode_graph([fig_sentence], full.block, vocab, params, tiny_config)
-        b = enc.encode_graph([fig_sentence], ablated.block, vocab, params, tiny_config)
+        a = enc.encode_graph(full.block, params, tiny_config)
+        b = enc.encode_graph(ablated.block, params, tiny_config)
         assert not np.array_equal(a[-1].data, b[-1].data)
 
     def test_bitwise_deterministic(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         graph = build_graph(fig_sentence, vocab)
-        a = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
-        b = enc.encode_graph([fig_sentence], graph.block, vocab, params, tiny_config)
+        a = enc.encode_graph(graph.block, params, tiny_config)
+        b = enc.encode_graph(graph.block, params, tiny_config)
         for ga, gb in zip(a, b):
             assert np.array_equal(ga.data, gb.data)
 
@@ -325,7 +333,7 @@ class TestGradients:
         graph = build_graph(fig_sentence, vocab)
 
         def build():
-            states = enc.encode_graph([fig_sentence], graph.block, vocab, params, config)
+            states = enc.encode_graph(graph.block, params, config)
             return tc.sum_all(states[-1])
 
         tc.backward(build())

@@ -1,6 +1,7 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
 from simrec.corpus import TokenAnn, AnnotatedSentence, build_vocab, canonical_sentence
@@ -11,7 +12,7 @@ from simrec.hetgraph import (
     NodeKind,
     build_graph,
     edge_label_index,
-    neighbors,
+    join_graphs,
     to_dot,
 )
 
@@ -86,25 +87,24 @@ class TestCanonicalOracle:
     def test_subsentence_ranges(self, fig_graph):
         assert fig_graph.left_node == 0
         assert fig_graph.right_node == 7
-        assert fig_graph.left_range == (1, 3)
-        assert fig_graph.right_range == (5, 6)
+        # left pools tokens 1..3, each word its own row, right tokens 5..6
+        assert fig_graph.block.pool_rows.tolist() == [1, 2, 3, 1, 2, 3, 4, 5, 6, 5, 6]
+        assert fig_graph.block.pool_nodes.tolist() == [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7]
 
-    def test_neighbors_of_the_tenor_noun(self, fig_graph):
-        assert neighbors(fig_graph, 2) == {
-            (1, dep("other")),
-            (3, dep("nsubj")),
-            (2, SELF),
-        }
-
-    def test_neighbors_out_of_range(self, fig_graph):
-        with pytest.raises(ValueError, match="out of range"):
-            neighbors(fig_graph, 8)
-        with pytest.raises(ValueError, match="out of range"):
-            neighbors(fig_graph, -1)
+    def test_token_and_gloss_ids(self, fig_graph, fig_sentence):
+        vocab = build_vocab([fig_sentence])
+        block = fig_graph.block
+        surfaces = ["<cls>", "the", "sheep", "looks", "like", "white", "clouds", "<sep>"]
+        assert block.token_ids.tolist() == [vocab.token_to_id[t] for t in surfaces]
+        assert block.positions.tolist() == list(range(8))
+        gloss = ["woolly", "farm", "animal", "drifting", "airy", "sky"]
+        assert block.gloss_ids.tolist() == [vocab.token_to_id[w] for w in gloss]
+        assert block.gloss_pools.tolist() == [0, 0, 0, 1, 1, 1]
+        assert block.gloss_rows.tolist() == [2, 6]
 
     def test_every_node_has_a_self_loop(self, fig_graph):
         for node in range(fig_graph.n_nodes):
-            assert (node, SELF) in neighbors(fig_graph, node)
+            assert (node, node, SELF) in fig_graph.edges
 
     def test_deterministic_construction(self, fig_sentence):
         vocab = build_vocab([fig_sentence])
@@ -161,10 +161,24 @@ class TestStructuralRules:
         sent = AnnotatedSentence(tokens=tokens, comparator_index=1, tags=("O", "O"))
         vocab = build_vocab([sent])
         graph = build_graph(sent, vocab)
-        assert graph.left_range is None
-        assert graph.right_range == (2, 2)
+        # the left node (0) pools no rows, the right node (3) token 2's row
+        assert graph.block.pool_rows.tolist() == [1, 2, 2]
+        assert graph.block.pool_nodes.tolist() == [1, 2, 3]
         assert (2, 0, NOT_CON) in graph.edges
         assert (2, 3, CON) in graph.edges
+
+    def test_comparator_at_last_token_leaves_right_side_empty(self):
+        tokens = (
+            TokenAnn("rivers", "NN", 0, "root"),
+            TokenAnn("like", "CS", 1, "prep"),
+        )
+        sent = AnnotatedSentence(tokens=tokens, comparator_index=2, tags=("O", "O"))
+        graph = build_graph(sent, build_vocab([sent]))
+        # the left node (0) pools token 1's row, the right node (3) no rows
+        assert graph.block.pool_rows.tolist() == [1, 1, 2]
+        assert graph.block.pool_nodes.tolist() == [0, 1, 2]
+        assert (1, 0, CON) in graph.edges
+        assert (1, 3, NOT_CON) in graph.edges
 
 
 class TestAblations:
@@ -193,6 +207,36 @@ class TestAblations:
         assert graph.left_node == graph.right_node == 0
         ns = [e for e in graph.edges if e[2].kind in (EdgeKind.NS_CON, EdgeKind.NS_NOT_CON)]
         assert all(dst == 0 and lbl == CON for _, dst, lbl in ns)
+        # the global node pools the CLS row, each word its own row
+        assert graph.block.pool_rows.tolist() == list(range(7))
+        assert graph.block.pool_nodes.tolist() == list(range(7))
+
+
+class TestJoinGraphs:
+    def test_token_and_gloss_fields_shift_by_row_and_noun_offsets(self, fig_sentence):
+        unglossed = AnnotatedSentence(
+            tokens=(TokenAnn("it", "PN", 2, "nsubj"), TokenAnn("looks", "VV", 0, "root"),
+                    TokenAnn("like", "P", 2, "prep"), TokenAnn("that", "PN", 3, "pobj")),
+            comparator_index=3, tags=("O",) * 4,
+        )
+        short = AnnotatedSentence(
+            tokens=(TokenAnn("like", "CS", 2, "prep"), TokenAnn("rivers", "NN", 0, "root")),
+            comparator_index=1, glosses={2: ("flowing", "wet", "water")}, tags=("O", "O"),
+        )
+        sents = [fig_sentence, unglossed, short]
+        vocab = build_vocab(sents)
+        blocks = [build_graph(s, vocab).block for s in sents]
+        joined = join_graphs([build_graph(s, vocab) for s in sents])
+        # token rows: 8, 6 and 4; glossed nouns: 2, 0 and 1
+        for name in ("token_ids", "positions", "gloss_ids"):
+            np.testing.assert_array_equal(
+                getattr(joined, name), np.concatenate([getattr(b, name) for b in blocks]))
+        np.testing.assert_array_equal(
+            joined.gloss_pools, np.concatenate([b.gloss_pools + off
+                                                for b, off in zip(blocks, (0, 2, 2))]))
+        np.testing.assert_array_equal(
+            joined.gloss_rows, np.concatenate([b.gloss_rows + off
+                                               for b, off in zip(blocks, (0, 8, 14))]))
 
 
 DOT_NODE = re.compile(

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from simrec import kernels
+from simrec import encoder, heads, hetgraph, kernels
 from simrec import tensorcore as tc
+from simrec.corpus import build_vocab, canonical_sentence
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +51,15 @@ def test_traced_methods_exist(layers):
     for module, cls, method in tracer.METHODS:
         owner = getattr(importlib.import_module(f"simrec.{module}"), cls)
         assert inspect.isfunction(getattr(owner, method, None)), f"{cls}.{method}"
+
+
+def test_traced_call_shapes():
+    # tracer.py reads gat_layer's layer as args[3], workloads.py calls
+    # heads.predict(model, sentence, graph, vocab), and the tracer counts
+    # the edges of what build_graph returns.
+    assert list(inspect.signature(encoder.gat_layer).parameters)[3] == "layer"
+    assert list(inspect.signature(heads.predict).parameters) == [
+        "model", "sentence", "graph", "vocab"]
+    sentence = canonical_sentence()
+    graph = hetgraph.build_graph(sentence, build_vocab([sentence]))
+    assert len(graph.edges) == 22

@@ -234,10 +234,6 @@ class TestFiniteDifferenceOracle:
 
         self._check(build, {"x": x})
 
-    def test_log(self, rng):
-        x = DiffArray(rng.uniform(0.5, 2.0, size=(3, 3)))
-        self._check(lambda: tc.sum_all(tc.log(x)), {"x": x})
-
     def test_pick_rows_and_mean_pool(self, rng):
         x = leaf(rng, 6, 4)
 
