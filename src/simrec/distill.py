@@ -4,8 +4,9 @@ Each batch runs every model forward, sums their per-token tag logits into a
 constant ensemble target, and optimizes each model on the batch mean of
 lambda * supervised + (1 - lambda) * KL(ensemble || model), where lambda
 rises linearly from 0 to 1 over training (direction and fixed values are
-configurable). A model sees the whole batch as one joined graph, so each
-batch builds one tape per model. Model selection afterwards keeps the
+configurable). The models see the whole batch as one joined graph, and each
+batch is one tape: one pass of the models' encoders stacked on a model axis,
+then each model's heads on its slice. Model selection afterwards keeps the
 single model with the best dev extraction F1.
 """
 
@@ -14,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .heads import (
     TagForward,
     classify,
     forward_tagger,
-    init_model,
+    init_models,
     predict_batch,
     spans_from_tags,
 )
@@ -80,6 +81,7 @@ class ModelBundle:
     vocab: Vocabulary
     config: EncoderConfig
     label_emb_dim: int
+    enc: dict[str, DiffArray]  # the models' encoders stacked (``init_models``)
 
 
 def build_bundle(
@@ -97,21 +99,13 @@ def build_bundle(
         raise ValueError(f"build_bundle: unknown model names {sorted(bad)}")
     if set(disabled_models) >= set(MODEL_ORDER):
         raise ValueError("build_bundle: at least one model must stay enabled")
-    n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
-    models: dict[str, SimileModel] = {}
-    shared = None
-    for name in MODEL_ORDER:
-        if name in disabled_models:
-            continue
-        model = init_model(
-            MODE_OF[name], vocab.size, n_edge_labels, config, rng,
-            label_emb_dim=label_emb_dim, shared_encoder=shared,
-        )
-        if share_encoder and shared is None:
-            shared = model.enc
-        models[name] = model
-    return ModelBundle(models=models, vocab=vocab, config=config,
-                       label_emb_dim=label_emb_dim)
+    names = [name for name in MODEL_ORDER if name not in disabled_models]
+    models, enc = init_models(
+        [MODE_OF[name] for name in names], vocab.size,
+        len(edge_label_index(vocab, top_k_deprels)), config, rng, label_emb_dim, share_encoder,
+    )
+    return ModelBundle(models=dict(zip(names, models)), vocab=vocab, config=config,
+                       label_emb_dim=label_emb_dim, enc=enc)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +123,39 @@ def forward_sentence(
     model: SimileModel,
     sentences: Sequence[AnnotatedSentence],
     graph: BlockGraph,
+    g_final: DiffArray | None = None,
 ) -> SentenceForward:
     """One model's forward pass over the graph ``join_graphs`` made of a
-    batch's sentences; sequential taggers are teacher-forced with the
-    sentences' gold tags."""
-    g_final = encode_graph(graph, model.enc, model.config)[-1]
+    batch's sentences, from the final node states ``g_final`` if given;
+    sequential taggers are teacher-forced with the sentences' gold tags."""
+    if g_final is None:
+        g_final = encode_graph(graph, model.enc, model.config)[-1]
     cls_dist = classify(g_final, graph, model.head)
     words = tc.pick_rows(g_final, graph.word_nodes)
     gold = [t for s in sentences for t in s.tags]
     tag_fwd = forward_tagger(model, words, gold, graph.word_counts)
     tag_dist = tc.softmax(tag_fwd.final_logits, axis=-1)
     return SentenceForward(cls_dist=cls_dist, tag_fwd=tag_fwd, tag_dist=tag_dist)
+
+
+def ensemble_forward(bundle: ModelBundle, sentences: Sequence[AnnotatedSentence],
+                     graph: BlockGraph) -> dict[str, SentenceForward]:
+    """Every model's ``forward_sentence`` on one tape: one pass of the stacked
+    encoders, then each model's heads on its slice (0 for a shared encoder)."""
+    g_final = encode_graph(graph, bundle.enc, bundle.config)[-1]
+    return {name: forward_sentence(model, sentences, graph,
+                                   tc.model_slice(g_final, m if g_final.shape[0] > 1 else 0))
+            for m, (name, model) in enumerate(bundle.models.items())}
+
+
+def ensemble_backward(bundle: ModelBundle, losses: Iterable[DiffArray]) -> None:
+    """One sweep from an ``ensemble_forward`` tape's losses; stacked gradients go to each model."""
+    tc.backward(*losses)
+    for key, w in bundle.enc.items():
+        if w.grad is not None:
+            w.grad = None
+            for model in bundle.models.values():
+                model.enc[key].grad = model.enc[key].grad_home
 
 
 def supervised_loss(
@@ -322,14 +338,11 @@ def _batch_step(
     lam: float,
     config: TrainConfig,
 ) -> dict[str, float]:
-    """One optimizer step per model; each model's batch is one tape over the
-    batch's joined graph."""
+    """One optimizer step per model; the batch is one tape over its joined
+    graph (``ensemble_forward``) and one backward sweep."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
-    outs = {
-        name: forward_sentence(model, batch_sents, block)
-        for name, model in bundle.models.items()
-    }
+    outs = ensemble_forward(bundle, batch_sents, block)
     target = None
     if lam < 1.0:
         target = ensemble_distribution(
@@ -346,10 +359,7 @@ def _batch_step(
             kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
             total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
         losses[name] = tc.scale(total, 1.0 / len(batch))
-    # All backwards run before any update so shared weights see the full
-    # gradient; the optimizer then consumes (and clears) each gradient once.
-    for name in bundle.models:
-        tc.backward(losses[name])
+    ensemble_backward(bundle, losses.values())
     for model in bundle.models.values():
         model.store.adam_step(config.learning_rate)
     return {name: float(loss.data) for name, loss in losses.items()}
@@ -436,12 +446,8 @@ def mean_ensemble_kl(
     corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences."""
     totals = {name: 0.0 for name in bundle.models}
     for lo in range(0, len(sents), PREDICT_CHUNK):
-        chunk = sents[lo:lo + PREDICT_CHUNK]
         block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-        outs = {
-            name: forward_sentence(model, chunk, block)
-            for name, model in bundle.models.items()
-        }
+        outs = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
         target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
         for name, out in outs.items():
             totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)
@@ -560,38 +566,35 @@ def _load_meta(
     vocab_path = os.path.join(model_dir, VOCAB_FILE)
     with _reading(vocab_path):
         vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
-    shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
+    shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim,
+                        enc={})
     return list(modes), shell, opts
 
 
-def _load_one_model(
-    model_dir: str | os.PathLike, name: str, shell: ModelBundle,
-    opts: GraphOptions,
-) -> SimileModel:
-    path = os.path.join(model_dir, f"model_{name}.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{path}: missing model checkpoint")
-    arrays = tc.load_checkpoint(path)
-    model = init_model(
-        MODE_OF[name], shell.vocab.size,
+def _load_models(model_dir: str | os.PathLike, names: list[str], shell: ModelBundle,
+                 opts: GraphOptions) -> ModelBundle:
+    """``shell`` holding the models ``names``, each read from its checkpoint."""
+    models, enc = init_models(
+        [MODE_OF[name] for name in names], shell.vocab.size,
         len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
-        np.random.default_rng(0), label_emb_dim=shell.label_emb_dim,
+        np.random.default_rng(0), shell.label_emb_dim,
     )
-    if set(arrays) != set(model.store.params):
-        missing = sorted(set(model.store.params) - set(arrays))
-        extra = sorted(set(arrays) - set(model.store.params))
-        raise ValueError(
-            f"{path}: parameter names do not match (missing {missing}, extra {extra})"
-        )
-    for pname, arr in arrays.items():
-        p = model.store.params[pname]
-        if p.data.shape != arr.shape:
+    for name, model in zip(names, models):
+        path = os.path.join(model_dir, f"model_{name}.json")
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"{path}: missing model checkpoint")
+        arrays, params = tc.load_checkpoint(path), model.store.params
+        if set(arrays) != set(params):
+            missing, extra = sorted(set(params) - set(arrays)), sorted(set(arrays) - set(params))
             raise ValueError(
-                f"{path}: shape mismatch for '{pname}': "
-                f"{arr.shape} vs expected {p.data.shape}"
+                f"{path}: parameter names do not match (missing {missing}, extra {extra})"
             )
-        p.data[...] = arr
-    return model
+        for pname, arr in arrays.items():
+            if params[pname].data.shape != arr.shape:
+                raise ValueError(f"{path}: shape mismatch for '{pname}': "
+                                 f"{arr.shape} vs expected {params[pname].data.shape}")
+            params[pname].data[...] = arr
+    return replace(shell, models=dict(zip(names, models)), enc=enc)
 
 
 def load_selected(
@@ -605,14 +608,12 @@ def load_selected(
         known = name in names
     if not known:
         raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
-    model = _load_one_model(model_dir, name, shell, opts)
+    model = _load_models(model_dir, [name], shell, opts).models[name]
     return name, model, shell.vocab, opts
 
 
 def load_bundle(
     model_dir: str | os.PathLike,
 ) -> tuple[ModelBundle, GraphOptions]:
-    names, bundle, opts = _load_meta(model_dir)
-    for name in names:
-        bundle.models[name] = _load_one_model(model_dir, name, bundle, opts)
-    return bundle, opts
+    names, shell, opts = _load_meta(model_dir)
+    return _load_models(model_dir, names, shell, opts), opts

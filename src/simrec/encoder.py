@@ -11,7 +11,8 @@ information along the typed edges.
 Every function reads only a ``BlockGraph``, which holds the token and gloss
 ids of its sentences, and encodes them at once, each token attending only
 within its own sentence; a single sentence is the block of one that
-``build_graph`` made.
+``build_graph`` made. Stacked weights (``ModelBundle.enc``) encode all models
+of an ensemble in one pass, of shape (M, rows, d).
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ def gat_layer(
     v = tc.matmul(g, params[f"gat{layer}/wv"])
     e = tc.pick_rows(params["edge_emb"], graph.label_ids)
     feat = tc.concat([tc.pick_rows(q, graph.dst_ids), tc.pick_rows(k, graph.src_ids), e],
-                     axis=1)
+                     axis=-1)
     z = tc.leaky_relu(tc.matmul(feat, params[f"gat{layer}/wa"]), config.leaky_slope)
-    alpha = tc.segment_softmax(tc.reshape(z, (len(graph.src_ids),)), graph.dst_ids, m)
+    alpha = tc.segment_softmax(tc.reshape(z, z.shape[:-1]), graph.dst_ids, m)
     agg = tc.segment_aggregate(alpha, v, graph.src_ids, graph.dst_ids, m)
     return tc.sigmoid(agg)
 

@@ -29,7 +29,7 @@ from .encoder import (
     init_encoder_params,
 )
 from .hetgraph import BlockGraph, HeteroGraph, join_graphs
-from .tensorcore import DiffArray, ParamStore
+from .tensorcore import DATA, GRAD, DiffArray, ParamStore
 
 CLASSES = ("literal", "simile")
 CLASS_LITERAL, CLASS_SIMILE = 0, 1
@@ -103,34 +103,45 @@ def init_head_params(
     return p
 
 
-def init_model(
-    mode: str,
+def init_models(
+    modes: Sequence[str],
     vocab_size: int,
     n_edge_labels: int,
     config: EncoderConfig,
     rng: np.random.Generator,
     label_emb_dim: int = 100,
-    shared_encoder: dict[str, DiffArray] | None = None,
-) -> SimileModel:
-    """Fresh model whose ParamStore is made in one call from its weights.
+    share_encoder: bool = False,
+) -> tuple[list[SimileModel], dict[str, DiffArray]]:
+    """Fresh models, one per mode, and their encoder weights stacked on a
+    model axis: views of the stores, which are rows of one (M, 4, N) buffer.
 
-    The store's parameters are the encoder's under ``enc/`` and then the
-    head's under ``head/``, drawn from ``rng`` in that order; this is also
-    the key order of a saved checkpoint. Passing ``shared_encoder`` reuses
-    another model's encoder weights: the store lists them as shared, so
-    checkpoints stay complete, and they stay in the block of the store that
-    created them, whose ``adam_step`` alone moves them.
+    Each model draws its encoder, then its head, from ``rng``; its store lists
+    them so (``enc/``, ``head/``), as a checkpoint does. With ``share_encoder``
+    the others list the first model's encoder as shared: a stack of one.
     """
-    enc = shared_encoder
-    if enc is None:
-        enc = init_encoder_params(vocab_size, n_edge_labels, config, rng)
-    head = init_head_params(mode, config, rng, label_emb_dim)
-    store = ParamStore({**{f"enc/{k}": a for k, a in enc.items()},
-                        **{f"head/{k}": a for k, a in head.items()}})
-    if shared_encoder is None:
-        enc = {k: store.params[f"enc/{k}"] for k in enc}
-    head = {k: store.params[f"head/{k}"] for k in head}
-    return SimileModel(mode=mode, store=store, enc=enc, head=head, config=config)
+    drawn = []
+    for mode in modes:
+        enc = {} if share_encoder and drawn else init_encoder_params(
+            vocab_size, n_edge_labels, config, rng)
+        drawn.append((enc, init_head_params(mode, config, rng, label_emb_dim)))
+    sizes = [sum(a.size for part in pair for a in part.values()) for pair in drawn]
+    buf = np.zeros((len(modes), 4, max(sizes)))
+    models: list[SimileModel] = []
+    for i, (mode, (enc, head)) in enumerate(zip(modes, drawn)):
+        store = ParamStore({**{f"enc/{k}": a for k, a in (enc or models[0].enc).items()},
+                            **{f"head/{k}": a for k, a in head.items()}}, buf[i, :, :sizes[i]])
+        models.append(SimileModel(
+            mode=mode, store=store,
+            enc={k: store.params[f"enc/{k}"] for k in enc} if enc else models[0].enc,
+            head={k: store.params[f"head/{k}"] for k in head}, config=config,
+        ))
+    stacked, lo, n = {}, 0, 1 if share_encoder else len(modes)
+    for k, p in models[0].enc.items():
+        hi = lo + p.data.size
+        stacked[k] = w = DiffArray(buf[:n, DATA, lo:hi].reshape(n, *p.shape), name=k)
+        w.grad_home = buf[:n, GRAD, lo:hi].reshape(w.shape)
+        lo = hi
+    return models, stacked
 
 
 # ---------------------------------------------------------------------------

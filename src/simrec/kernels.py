@@ -5,6 +5,8 @@ backward pass. They are plain numpy. Every sum over shared ids is one
 ``np.bincount``: each bin starts at 0.0 and takes its terms in input (edge)
 order, so every kernel is deterministic. A scattered id outside the output
 raises.
+Arrays stacked on a leading model axis share the ids: model m's are offset
+into its own rows of the output, so one bincount sums every model in order.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ def _sum_by_id(
     ``ids[k] * n_cols + j``. A negative id makes ``np.bincount`` raise; an id
     of ``n_rows`` or more lengthens its output, which is caught here.
     """
+    ids = ids.ravel()
     if n_cols is None:
         flat, size = ids, n_rows
     else:
-        flat, size = (ids[:, None] * n_cols + np.arange(n_cols)).ravel(), n_rows * n_cols
+        flat, size = np.add.outer(ids * n_cols, np.arange(n_cols)).ravel(), n_rows * n_cols
     out = np.bincount(flat, weights=weights.ravel(), minlength=size)
     if out.size != size:
         top = (out.size - 1) // (n_cols or 1)
@@ -34,30 +37,43 @@ def _sum_by_id(
     return out if n_cols is None else out.reshape(n_rows, n_cols)
 
 
+def _by_model(kernel: str, ids: np.ndarray, n: int, models: tuple[int, ...]):
+    """(ids, rows) into n rows per model of the leading model axis ``models``, () or (M,)."""
+    if models and ids.size and ids.view(np.uint64).max() >= n:
+        raise ValueError(f"{kernel}: id out of range for {n} rows")
+    return (np.arange(models[0])[:, None] * n + ids, models[0] * n) if models else (ids, n)
+
+
 def segment_softmax(scores: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
     """Softmax over entries sharing a segment id (max-shifted for stability)."""
-    seg_max = np.full(n_segments, -np.inf)
-    np.maximum.at(seg_max, seg, scores)
-    exp = np.exp(scores - seg_max[seg])
-    denom = _sum_by_id("segment_softmax", seg, exp, n_segments)
-    return exp / denom[seg]
+    ids, size = _by_model("segment_softmax", seg, n_segments, scores.shape[:-1])
+    seg_max = np.full(size, -np.inf)
+    np.maximum.at(seg_max, ids, scores)
+    exp = np.exp(scores - seg_max.take(ids))
+    denom = _sum_by_id("segment_softmax", ids, exp, size)
+    return exp / denom.take(ids)
 
 
 def segment_softmax_grad(
     alpha: np.ndarray, d_alpha: np.ndarray, seg: np.ndarray, n_segments: int
 ) -> np.ndarray:
     """d(scores) given d(alpha): alpha * (d_alpha - sum_seg alpha*d_alpha)."""
-    seg_dot = _sum_by_id("segment_softmax_grad", seg, alpha * d_alpha, n_segments)
-    return alpha * (d_alpha - seg_dot[seg])
+    ids, size = _by_model("segment_softmax_grad", seg, n_segments, alpha.shape[:-1])
+    seg_dot = _sum_by_id("segment_softmax_grad", ids, alpha * d_alpha, size)
+    return alpha * (d_alpha - seg_dot.take(ids))
 
 
 def attention_aggregate(
     alpha: np.ndarray, values: np.ndarray, src: np.ndarray, dst: np.ndarray, n_out: int
 ) -> np.ndarray:
     """out[i] = sum over edges e with dst[e]==i of alpha[e] * values[src[e]]."""
-    return _sum_by_id(
-        "attention_aggregate", dst, alpha[:, None] * values[src], n_out, values.shape[1]
-    )
+    models, d = alpha.shape[:-1], values.shape[-1]
+    src, _ = _by_model("attention_aggregate", src, values.shape[-2], models)
+    dst, size = _by_model("attention_aggregate", dst, n_out, models)
+    rows = values.reshape(-1, d).take(src, axis=0)
+    rows *= alpha[..., None]
+    out = _sum_by_id("attention_aggregate", dst, rows, size, d)
+    return out.reshape(models + (n_out, d))
 
 
 def attention_aggregate_grad(
@@ -68,16 +84,22 @@ def attention_aggregate_grad(
     dst: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d_alpha, d_values) of ``attention_aggregate`` given d(out)."""
-    d_alpha = (d_out[dst] * values[src]).sum(axis=1)
-    d_values = _sum_by_id(
-        "attention_aggregate_grad", src, alpha[:, None] * d_out[dst],
-        values.shape[0], values.shape[1],
-    )
-    return d_alpha, d_values
+    models, d = alpha.shape[:-1], values.shape[-1]
+    src, size = _by_model("attention_aggregate_grad", src, values.shape[-2], models)
+    dst, _ = _by_model("attention_aggregate_grad", dst, d_out.shape[-2], models)
+    d_rows = d_out.reshape(-1, d).take(dst, axis=0)
+    d_alpha = (d_rows * values.reshape(-1, d).take(src, axis=0)).sum(axis=-1)
+    d_rows *= alpha[..., None]
+    d_values = _sum_by_id("attention_aggregate_grad", src, d_rows, size, d)
+    return d_alpha, d_values.reshape(values.shape)
 
 
 def scatter_add_rows(
     indices: np.ndarray, rows: np.ndarray, n_rows: int, n_cols: int
 ) -> np.ndarray:
-    """A (n_rows, n_cols) zero array with rows[k] added at row indices[k]."""
-    return _sum_by_id("scatter_add_rows", indices, rows, n_rows, n_cols)
+    """A (n_rows, n_cols) zero array with rows[k] added at row indices[k]; for
+    rows (M, k, n_cols), one such array per model."""
+    models = rows.shape[:-2]
+    ids, size = _by_model("scatter_add_rows", indices, n_rows, models)
+    out = _sum_by_id("scatter_add_rows", ids, rows, size, n_cols)
+    return out.reshape(models + (n_rows, n_cols))

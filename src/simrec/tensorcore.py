@@ -12,6 +12,10 @@ trapped at the op that produced them.
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation) call the kernels in :mod:`simrec.kernels`.
 
+The encoder's ops also take an ensemble's arrays stacked on a leading model
+axis (M, ...), each slice getting the bits of its own 2-D call;
+``model_slice`` takes one model's slice and ``backward`` sweeps every loss.
+
 A ``ParamStore`` is made in one call from its named arrays. It keeps the
 parameters it owns in one float64 block of shape (4, N) whose rows hold
 data, gradient and the two Adam moments. Each parameter's ``.data`` and
@@ -101,18 +105,19 @@ def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str)
     return out
 
 
-def backward(loss: DiffArray) -> None:
-    """Reverse-mode sweep from a scalar loss.
+def backward(*losses: DiffArray) -> None:
+    """One reverse-mode sweep from one or more scalar losses.
 
     Gradients accumulate into ``.grad`` of every reachable node;
     ``ParamStore.adam_step`` consumes and clears parameter grads.
     Deterministic: the visit order depends only on tape structure.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    for loss in losses:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo: list[DiffArray] = []
     seen: set[int] = set()
-    stack: list[tuple[DiffArray, bool]] = [(loss, False)]
+    stack: list[tuple[DiffArray, bool]] = [(loss, False) for loss in reversed(losses)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -125,7 +130,8 @@ def backward(loss: DiffArray) -> None:
         for p in reversed(node._parents):
             if id(p) not in seen:
                 stack.append((p, False))
-    loss.accum_grad(np.ones_like(loss.data))
+    for loss in losses:
+        loss.accum_grad(np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
@@ -136,41 +142,44 @@ def backward(loss: DiffArray) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
+    x, y = a.data, b.data
+    if (x.ndim != y.ndim or x.ndim < 2 or x.shape[-1] != y.shape[-2]
+            or x.ndim > 2 and x.shape[:-2] != y.shape[:-2]):
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} x {y.shape}")
 
     def bwd(grad):
-        a.accum_grad(grad @ b.data.T)
-        b.accum_grad(a.data.T @ grad)
+        a.accum_grad(grad @ y.mT)
+        b.accum_grad(x.mT @ grad)
 
-    return _result(a.data @ b.data, (a, b), bwd, "matmul")
+    return _result(x @ y, (a, b), bwd, "matmul")
 
 
 def transpose(a: DiffArray) -> DiffArray:
-    if a.data.ndim != 2:
+    if a.data.ndim < 2:
         raise ShapeError(f"transpose: expected 2-D, got {a.data.shape}")
 
     def bwd(grad):
-        a.accum_grad(grad.T)
+        a.accum_grad(grad.mT)
 
-    return _result(a.data.T.copy(), (a,), bwd, "transpose")
+    return _result(a.data.mT.copy(), (a,), bwd, "transpose")
 
 
 def add(a: DiffArray, b: DiffArray) -> DiffArray:
-    bias_bcast = (
-        a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-    )
+    """a + b, or a bias b (one per model if stacked) added to every row of a."""
+    bias_bcast = (b.data.ndim == a.data.ndim - 1 > 0
+                  and b.data.shape == a.data.shape[:-2] + a.data.shape[-1:])
     if not bias_bcast and a.data.shape != b.data.shape:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} + {b.data.shape}")
 
     def bwd(grad):
         a.accum_grad(grad)
         if bias_bcast:
-            b.accum_grad(grad.sum(axis=0))
+            b.accum_grad(grad.sum(axis=-2))
         else:
             b.accum_grad(grad)
 
-    return _result(a.data + b.data, (a, b), bwd, "add")
+    bias = b.data[..., None, :] if bias_bcast else b.data
+    return _result(a.data + bias, (a, b), bwd, "add")
 
 
 def sub(a: DiffArray, b: DiffArray) -> DiffArray:
@@ -270,21 +279,24 @@ def sum_all(a: DiffArray) -> DiffArray:
 # row selection and pooling
 # ---------------------------------------------------------------------------
 
+def _rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of axis -2; ``take`` would copy a strided stacked weight whole."""
+    return x.take(idx, axis=-2) if x.flags.c_contiguous else x[..., idx, :]
+
+
 def pick_rows(a: DiffArray, indices) -> DiffArray:
-    """Gather rows of a 2-D array; backward scatter-adds into the source."""
-    if a.data.ndim != 2:
+    """Gather rows (axis -2); backward scatter-adds into the source."""
+    if a.data.ndim < 2:
         raise ShapeError(f"pick_rows: expected 2-D, got {a.data.shape}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"pick_rows: indices must be 1-D, got {idx.shape}")
-    _check_ids(idx, a.data.shape[0], "pick_rows", "index")
+    _check_ids(idx, a.data.shape[-2], "pick_rows", "index")
 
     def bwd(grad):
-        a.accum_grad(
-            kernels.scatter_add_rows(idx, grad, a.data.shape[0], a.data.shape[1])
-        )
+        a.accum_grad(kernels.scatter_add_rows(idx, grad, *a.data.shape[-2:]))
 
-    return _result(a.data[idx], (a,), bwd, "pick_rows")
+    return _result(_rows(a.data, idx), (a,), bwd, "pick_rows")
 
 
 def mean_pool(a: DiffArray, indices, pool_ids, n_pools: int) -> DiffArray:
@@ -293,13 +305,13 @@ def mean_pool(a: DiffArray, indices, pool_ids, n_pools: int) -> DiffArray:
     Row ``indices[k]`` joins group ``pool_ids[k]``; a group with no rows
     pools to zero.
     """
-    if a.data.ndim != 2:
+    if a.data.ndim < 2:
         raise ShapeError(f"mean_pool: expected 2-D, got {a.data.shape}")
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     pools = np.asarray(pool_ids, dtype=np.int64).reshape(-1)
     if pools.size != idx.size:
         raise ShapeError(f"mean_pool: {pools.size} pool ids for {idx.size} rows")
-    _check_ids(idx, a.data.shape[0], "mean_pool", "index")
+    _check_ids(idx, a.data.shape[-2], "mean_pool", "index")
     _check_ids(pools, n_pools, "mean_pool", "pool id", "pools")
     # Each picked row is one column of a (n_pools, k) averaging matrix.
     counts = np.bincount(pools, minlength=n_pools)
@@ -307,11 +319,9 @@ def mean_pool(a: DiffArray, indices, pool_ids, n_pools: int) -> DiffArray:
     weights[pools, np.arange(idx.size)] = 1.0 / counts[pools]
 
     def bwd(grad):
-        a.accum_grad(
-            kernels.scatter_add_rows(idx, weights.T @ grad, a.data.shape[0], a.data.shape[1])
-        )
+        a.accum_grad(kernels.scatter_add_rows(idx, weights.T @ grad, *a.data.shape[-2:]))
 
-    return _result(weights @ a.data[idx], (a,), bwd, "mean_pool")
+    return _result(weights @ _rows(a.data, idx), (a,), bwd, "mean_pool")
 
 
 def repeat_row(a: DiffArray, counts) -> DiffArray:
@@ -330,16 +340,16 @@ def repeat_row(a: DiffArray, counts) -> DiffArray:
 
 
 def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
-    """Copy of ``base`` with ``rows[k]`` added to row ``indices[k]``.
+    """Copy of ``base`` with ``rows[k]`` added to row (axis -2) ``indices[k]``.
 
     Indices must be distinct (each target row receives one delta).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    if base.data.ndim != 2 or rows.data.ndim != 2:
+    if base.data.ndim < 2 or rows.data.ndim != base.data.ndim:
         raise ShapeError(
             f"add_rows_at: expected 2-D base and rows, got {base.data.shape}, {rows.data.shape}"
         )
-    if rows.data.shape[0] != idx.size or rows.data.shape[1] != base.data.shape[1]:
+    if rows.data.shape != base.data.shape[:-2] + (idx.size, base.data.shape[-1]):
         raise ShapeError(
             f"add_rows_at: rows {rows.data.shape} do not fit base {base.data.shape} "
             f"at {idx.size} indices"
@@ -347,13 +357,24 @@ def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
     if len(set(idx.tolist())) != idx.size:
         raise ShapeError("add_rows_at: duplicate target indices")
     out_data = base.data.copy()
-    out_data[idx] += rows.data
+    out_data[..., idx, :] += rows.data
 
     def bwd(grad):
         base.accum_grad(grad)
-        rows.accum_grad(grad[idx])
+        rows.accum_grad(_rows(grad, idx))
 
     return _result(out_data, (base, rows), bwd, "add_rows_at")
+
+
+def model_slice(a: DiffArray, m: int) -> DiffArray:
+    """Model m's slice of a stacked array; backward adds into slice m only."""
+
+    def bwd(grad):
+        if a.grad is None:
+            a.accum_grad(np.broadcast_to(0.0, a.data.shape))
+        a.grad[m] += grad
+
+    return _result(a.data[m], (a,), bwd, "model_slice")
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +382,8 @@ def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
 # ---------------------------------------------------------------------------
 
 def segment_softmax(scores: DiffArray, seg: np.ndarray, n_segments: int) -> DiffArray:
-    """Softmax of a flat score vector within groups given by ``seg``."""
-    if scores.data.ndim != 1:
+    """Softmax of a flat score vector (one per model) within groups by ``seg``."""
+    if scores.data.ndim not in (1, 2):
         raise ShapeError(f"segment_softmax: expected 1-D scores, got {scores.data.shape}")
     seg = np.asarray(seg, dtype=np.int64)
     _check_ids(seg, n_segments, "segment_softmax", "segment id", "segments")
@@ -382,14 +403,14 @@ def segment_aggregate(
     n_out: int,
 ) -> DiffArray:
     """out[i] = sum over edges e into i of alpha[e] * values[src[e]]."""
-    if alpha.data.ndim != 1 or values.data.ndim != 2:
+    if alpha.data.ndim not in (1, 2) or values.data.ndim != alpha.data.ndim + 1:
         raise ShapeError(
             f"segment_aggregate: expected 1-D alpha and 2-D values, "
             f"got {alpha.data.shape}, {values.data.shape}"
         )
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    _check_ids(src, values.data.shape[0], "segment_aggregate", "src id")
+    _check_ids(src, values.data.shape[-2], "segment_aggregate", "src id")
     _check_ids(dst, n_out, "segment_aggregate", "dst id")
     out_data = kernels.attention_aggregate(alpha.data, values.data, src, dst, n_out)
 
@@ -500,15 +521,17 @@ class ParamStore:
     ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``.
     ``adam_step`` leaves the spent Adam numerator in the span of every
     parameter it moves; a parameter without a gradient keeps a stale span.
+    ``block``, if given, is the zeroed (4, N) array to use: a row of a shared buffer.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray | DiffArray]):
+    def __init__(self, params: Mapping[str, np.ndarray | DiffArray],
+                 block: np.ndarray | None = None):
         self.params: dict[str, DiffArray] = {}
         self.shared: set[str] = set()  # names of parameters another store owns
         self.step_count = 0
         self._spans: list[tuple[DiffArray, int, int]] = []  # owned: (param, lo, hi)
         n = sum(np.size(a) for a in params.values() if not isinstance(a, DiffArray))
-        self.block = np.zeros((4, n))
+        self.block = np.zeros((4, n)) if block is None else block
         self._scratch = np.empty(min(n, ADAM_CHUNK))
         lo = 0
         for name, value in params.items():

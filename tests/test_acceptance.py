@@ -24,8 +24,9 @@ from simrec.corpus import (
 from simrec.distill import (
     TrainConfig,
     build_bundle,
+    ensemble_backward,
     ensemble_distribution,
-    forward_sentence,
+    ensemble_forward,
     kl_to_ensemble,
     mean_ensemble_kl,
     select_best,
@@ -107,25 +108,25 @@ def test_gradient_integrity_full_pipeline():
     rng = np.random.default_rng(12)
     bundle = build_bundle(vocab, enc, rng, label_emb_dim=5)
     graph = build_graph(sent, vocab)
-    outs = {
-        name: forward_sentence(model, [sent], graph.block)
-        for name, model in bundle.models.items()
-    }
+    outs = ensemble_forward(bundle, [sent], graph.block)
     target = ensemble_distribution(
         *(outs[name].tag_fwd.final_logits.data for name in bundle.models)
     )
 
-    def loss_of(name):
-        out = forward_sentence(bundle.models[name], [sent], graph.block)
-        sup = supervised_loss(out, [sent], 0.3, 1.0)
-        kl = kl_to_ensemble(out.tag_dist, target, graph.block.word_counts)
-        return tc.add(tc.scale(sup, 0.5), tc.scale(kl, 0.5))
+    def losses():
+        # The training step's tape: the stacked encoders, then every head.
+        result = {}
+        for name, out in ensemble_forward(bundle, [sent], graph.block).items():
+            sup = supervised_loss(out, [sent], 0.3, 1.0)
+            kl = kl_to_ensemble(out.tag_dist, target, graph.block.word_counts)
+            result[name] = tc.add(tc.scale(sup, 0.5), tc.scale(kl, 0.5))
+        return result
 
     eps = 1e-5
     worst = 0.0
     checked = 0
+    ensemble_backward(bundle, losses().values())
     for name, model in bundle.models.items():
-        tc.backward(loss_of(name))
         for param in model.store.params.values():
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
             flat = param.data.reshape(-1)
@@ -133,9 +134,9 @@ def test_gradient_integrity_full_pipeline():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                hi = float(loss_of(name).data)
+                hi = float(losses()[name].data)
                 flat[i] = orig - eps
-                lo = float(loss_of(name).data)
+                lo = float(losses()[name].data)
                 flat[i] = orig
                 fd = (hi - lo) / (2.0 * eps)
                 rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)

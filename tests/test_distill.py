@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -568,6 +569,84 @@ class TestParamBlocks:
         assert len(calls) == config.epochs * batches * len(stores)
         for i in range(0, len(calls), len(stores)):
             assert calls[i:i + len(stores)] == stores
+
+
+def per_model_step(bundle, sents, graphs, batch, lam, config):
+    """The training step with one 2-D tape and one backward per model: the
+    reference the stacked ``_batch_step`` must match bit for bit."""
+    batch_sents = [sents[i] for i in batch]
+    block = join_graphs([graphs[i] for i in batch])
+    outs = {name: forward_sentence(model, batch_sents, block)
+            for name, model in bundle.models.items()}
+    target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
+    losses = {}
+    for name, out in outs.items():
+        sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
+        kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
+        if lam >= 1.0:
+            total = sup
+        elif lam <= 0.0:
+            total = kl
+        else:
+            total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
+        losses[name] = tc.scale(total, 1.0 / len(batch))
+    for loss in losses.values():
+        tc.backward(loss)
+    for model in bundle.models.values():
+        model.store.adam_step(config.learning_rate)
+    return {name: float(loss.data) for name, loss in losses.items()}
+
+
+STEP_CASES = {
+    **{f"lam{lam}-{'glosses' if gloss else 'no-glosses'}": (lam, gloss, (), GraphOptions())
+       for lam in (0.0, 0.5, 1.0) for gloss in (True, False)},
+    "disabled-v": (0.5, True, ("v",), GraphOptions()),
+    "merged": (0.5, True, (), GraphOptions(no_subsentence_nodes=True)),
+}
+
+
+class TestStackedStep:
+    """One training step is one tape: the models' encoders stacked on a
+    model axis, then each model's heads on its slice."""
+
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_matches_per_model_tapes_bit_for_bit(self, case, tiny_corpus, tiny_vocab):
+        lam, gloss, disabled, options = STEP_CASES[case]
+        enc = replace(SMALL_ENC, use_gloss_fusion=gloss)
+        config = TrainConfig(batch_size=4, alpha=0.3)
+        sents = tiny_corpus[:8]
+        graphs = [build_graph(s, tiny_vocab, options) for s in sents]
+        assert join_graphs(graphs).gloss_rows.size > 0
+        kwargs = dict(disabled_models=disabled, top_k_deprels=options.top_k_deprels)
+        stacked = build_bundle(tiny_vocab, enc, np.random.default_rng(4), 6, **kwargs)
+        reference = build_bundle(tiny_vocab, enc, np.random.default_rng(4), 6, **kwargs)
+        for batch in ([0, 1, 2, 3], [4, 5, 6, 7], [2, 5, 7]):
+            got = distill._batch_step(stacked, sents, graphs, batch, lam, config)
+            want = per_model_step(reference, sents, graphs, batch, lam, config)
+            assert got == want
+        for name, model in stacked.models.items():
+            for pname, p in model.store.params.items():
+                want = reference.models[name].store.params[pname]
+                assert p.data.tobytes() == want.data.tobytes(), f"{name}:{pname}"
+            assert model.store.block.tobytes() == reference.models[name].store.block.tobytes()
+
+    @pytest.mark.parametrize("disabled", [(), ("v",)])
+    def test_stacked_weights_are_views_of_every_store(self, tiny_vocab, disabled):
+        bundle = fresh_bundle(tiny_vocab, disabled_models=disabled)
+        assert set(bundle.enc) == set(bundle.models["p"].enc)
+        for key, w in bundle.enc.items():
+            assert w.shape[0] == len(bundle.models)
+            for m, model in enumerate(bundle.models.values()):
+                assert np.shares_memory(w.data, model.store.block), key
+                assert np.shares_memory(w.grad_home, model.store.block), key
+                np.testing.assert_array_equal(w.data[m], model.enc[key].data)
+
+    def test_shared_encoder_is_an_axis_of_one(self, tiny_vocab):
+        bundle = fresh_bundle(tiny_vocab, share_encoder=True)
+        owner = bundle.models["p"]
+        for key, w in bundle.enc.items():
+            assert w.shape == (1, *owner.enc[key].shape)
+            assert np.shares_memory(w.data, owner.store.block)
 
 
 class TestSelection:

@@ -255,8 +255,8 @@ class TestPredict:
             edge_emb_dim=4, max_tokens=10, max_positions=12,
         )
         vocab = build_vocab([fig_sentence])
-        model = heads.init_model(
-            "parallel", vocab.size, len(edge_label_index(vocab)), config,
+        (model,), _ = heads.init_models(
+            ["parallel"], vocab.size, len(edge_label_index(vocab)), config,
             np.random.default_rng(seed), label_emb_dim=6,
         )
         return model, vocab, build_graph(fig_sentence, vocab)
@@ -297,10 +297,9 @@ class TestModelSetup:
 
     def test_shared_encoder_is_registered_not_copied(self, tiny_config):
         rng = np.random.default_rng(0)
-        base = heads.init_model("parallel", 20, 10, tiny_config, rng, label_emb_dim=6)
-        other = heads.init_model(
-            "tenor_first", 20, 10, tiny_config, rng, label_emb_dim=6,
-            shared_encoder=base.enc,
+        (base, other), _ = heads.init_models(
+            ["parallel", "tenor_first"], 20, 10, tiny_config, rng, label_emb_dim=6,
+            share_encoder=True,
         )
         assert other.enc is base.enc
         for key, param in base.enc.items():
@@ -323,14 +322,13 @@ class TestModelSetup:
             "vehicle_first": sequential,
         }
         rng = np.random.default_rng(0)
-        models = {mode: heads.init_model(mode, 20, 10, tiny_config, rng, label_emb_dim=6)
-                  for mode in heads.MODES}
-        for mode, model in models.items():
+        models, _ = heads.init_models(heads.MODES, 20, 10, tiny_config, rng, label_emb_dim=6)
+        for mode, model in zip(heads.MODES, models):
             assert list(model.store.params) == want[mode]
             assert model.store.shared == set()
-        shared = heads.init_model(
-            "vehicle_first", 20, 10, tiny_config, rng, label_emb_dim=6,
-            shared_encoder=models["parallel"].enc,
+        (_, shared), _ = heads.init_models(
+            ["parallel", "vehicle_first"], 20, 10, tiny_config, rng, label_emb_dim=6,
+            share_encoder=True,
         )
         assert list(shared.store.params) == sequential
         assert shared.store.shared == set(enc_names)

@@ -291,6 +291,111 @@ class TestFiniteDifferenceOracle:
         self._check(build, {"logits": logits}, tol=1e-5)
 
 
+M = 3  # models on the stacked axis
+SEG = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3], dtype=np.int64)
+SRC = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1], dtype=np.int64)
+BLOCK_MASK = np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool))[:5, :5]
+
+# op -> (per-model input shapes, op applied to its inputs)
+STACKED_OPS = {
+    "matmul": ([(5, 4), (4, 3)], tc.matmul),
+    "transpose": ([(5, 4)], tc.transpose),
+    "add": ([(5, 4), (5, 4)], tc.add),
+    "add_bias": ([(5, 4), (4,)], tc.add),
+    "scale": ([(5, 4)], lambda a: tc.scale(a, 0.7)),
+    "concat": ([(5, 4), (5, 2)], lambda a, b: tc.concat([a, b], axis=-1)),
+    "reshape": ([(6, 1)], lambda a: tc.reshape(a, a.shape[:-1])),
+    "leaky_relu": ([(5, 4)], lambda a: tc.leaky_relu(a, 0.1)),
+    "sigmoid": ([(5, 4)], tc.sigmoid),
+    "softmax": ([(5, 5)], lambda a: tc.softmax(a, axis=-1, mask=BLOCK_MASK)),
+    "pick_rows": ([(6, 4)], lambda a: tc.pick_rows(a, [0, 2, 2, 5, 1])),
+    "mean_pool": ([(6, 4)], lambda a: tc.mean_pool(a, [1, 3, 4, 0], [0, 0, 2, 2], 3)),
+    "add_rows_at": ([(6, 4), (2, 4)], lambda a, r: tc.add_rows_at(a, [1, 4], r)),
+    "segment_softmax": ([(10,)], lambda s: tc.segment_softmax(s, SEG, 4)),
+    "segment_aggregate": ([(10,), (4, 3)],
+                          lambda al, v: tc.segment_aggregate(al, v, SRC, SEG, 4)),
+}
+
+
+def strided_stack(rng, shape):
+    """(M, *shape) random values laid out like a stacked weight: each model's
+    slice is contiguous, and the slices lie apart in one buffer."""
+    size = int(np.prod(shape))
+    return rng.normal(size=(M, 2, size + 3))[:, 0, :size].reshape(M, *shape)
+
+
+class TestStackedOps:
+    """Every op the encoder runs on a leading model axis gives, per slice,
+    the bits of its 2-D form, forward and backward, and its stacked
+    backward matches central differences."""
+
+    @pytest.mark.parametrize("op", STACKED_OPS)
+    def test_slices_equal_the_2d_op_bit_for_bit(self, op, rng):
+        shapes, fn = STACKED_OPS[op]
+        xs = [strided_stack(rng, shape) for shape in shapes]
+        stacked = [DiffArray(x) for x in xs]
+        out = fn(*stacked)
+        grad_out = rng.normal(size=out.shape)
+        out._backward(grad_out)
+        for m in range(M):
+            flat = [DiffArray(x[m]) for x in xs]
+            out_m = fn(*flat)
+            out_m._backward(grad_out[m])
+            assert out.data[m].tobytes() == out_m.data.tobytes()
+            for leaf_s, leaf_m in zip(stacked, flat):
+                assert leaf_s.grad[m].tobytes() == leaf_m.grad.tobytes()
+
+    @pytest.mark.parametrize("op", STACKED_OPS)
+    def test_stacked_gradient_matches_finite_differences(self, op, rng):
+        shapes, fn = STACKED_OPS[op]
+        leaves = {f"x{i}": leaf(rng, M, *shape) for i, shape in enumerate(shapes)}
+        out = fn(*leaves.values())
+        grad_out = rng.normal(size=out.shape)
+        out._backward(grad_out)
+        check_grads(lambda: (fn(*leaves.values()).data * grad_out).sum(), leaves, tol=1e-6)
+
+    def test_model_slice_reads_and_writes_only_its_slice(self, rng):
+        a = DiffArray(strided_stack(rng, (4, 3)))
+        out = tc.model_slice(a, 1)
+        assert out.data.tobytes() == a.data[1].tobytes()
+        grad_out = rng.normal(size=out.shape)
+        out._backward(grad_out)
+        assert a.grad[1].tobytes() == (grad_out + 0.0).tobytes()
+        assert not a.grad[[0, 2]].any()
+
+    def test_model_slices_equal_2d_tapes_bit_for_bit(self, rng):
+        # One sweep from every slice's loss gives each slice the gradient of
+        # its own 2-D tape.
+        x = strided_stack(rng, (4, 3))
+        stacked = DiffArray(x)
+        tc.backward(*(tc.sum_all(tc.sigmoid(tc.model_slice(stacked, m))) for m in range(M)))
+        for m in range(M):
+            flat = DiffArray(x[m])
+            tc.backward(tc.sum_all(tc.sigmoid(flat)))
+            assert stacked.grad[m].tobytes() == flat.grad.tobytes()
+
+    def test_model_slice_gradient_matches_finite_differences(self, rng):
+        a = leaf(rng, M, 4, 3)
+        weights = rng.normal(size=(M, 4, 3))
+
+        def loss():
+            return sum((tc.model_slice(a, m).data * weights[m]).sum() for m in range(M))
+
+        for m in range(M):
+            tc.model_slice(a, m)._backward(weights[m])
+        check_grads(loss, {"a": a}, tol=1e-6)
+
+    def test_backward_from_several_roots_sums_their_gradients(self, rng):
+        x = leaf(rng, 3, 2)
+        tc.backward(tc.sum_all(x), tc.sum_all(tc.scale(x, 2.0)))
+        np.testing.assert_array_equal(x.grad, 3.0)
+
+    def test_backward_rejects_a_non_scalar_root(self, rng):
+        x = leaf(rng, 2, 2)
+        with pytest.raises(ShapeError, match="scalar"):
+            tc.backward(tc.sum_all(x), x)
+
+
 class TestDistributionProperties:
     def test_softmax_rows_sum_to_one(self, rng):
         for _ in range(50):
