@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,22 +120,27 @@ def init_models(
     them so (``enc/``, ``head/``), as a checkpoint does. With ``share_encoder``
     the others list the first model's encoder as shared: a stack of one.
     """
-    drawn = []
-    for mode in modes:
-        enc = {} if share_encoder and drawn else init_encoder_params(
-            vocab_size, n_edge_labels, config, rng)
-        drawn.append((enc, init_head_params(mode, config, rng, label_emb_dim)))
-    sizes = [sum(a.size for part in pair for a in part.values()) for pair in drawn]
-    buf = np.zeros((len(modes), 4, max(sizes)))
+    # Heads are sized by a stand-in rng that draws nothing, so the buffer can
+    # be made after the first encoder and one model's draws live at a time.
+    undrawn = SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size))
+    head_max = max(sum(a.size for a in init_head_params(
+        m, config, undrawn, label_emb_dim).values()) for m in modes)
     models: list[SimileModel] = []
-    for i, (mode, (enc, head)) in enumerate(zip(modes, drawn)):
+    for i, mode in enumerate(modes):
+        enc = {} if share_encoder and models else init_encoder_params(
+            vocab_size, n_edge_labels, config, rng)
+        head = init_head_params(mode, config, rng, label_emb_dim)
+        if not models:
+            buf = np.zeros((len(modes), 4, sum(a.size for a in enc.values()) + head_max))
+        size = sum(a.size for part in (enc, head) for a in part.values())
         store = ParamStore({**{f"enc/{k}": a for k, a in (enc or models[0].enc).items()},
-                            **{f"head/{k}": a for k, a in head.items()}}, buf[i, :, :sizes[i]])
+                            **{f"head/{k}": a for k, a in head.items()}}, buf[i, :, :size])
         models.append(SimileModel(
             mode=mode, store=store,
             enc={k: store.params[f"enc/{k}"] for k in enc} if enc else models[0].enc,
             head={k: store.params[f"head/{k}"] for k in head}, config=config,
         ))
+        del enc, head  # before the next model's draws
     stacked, lo, n = {}, 0, 1 if share_encoder else len(modes)
     for k, p in models[0].enc.items():
         hi = lo + p.data.size

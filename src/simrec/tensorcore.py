@@ -16,12 +16,12 @@ The encoder's ops also take an ensemble's arrays stacked on a leading model
 axis (M, ...), each slice getting the bits of its own 2-D call;
 ``model_slice`` takes one model's slice and ``backward`` sweeps every loss.
 
-A ``ParamStore`` is made in one call from its named arrays. It keeps the
-parameters it owns in one float64 block of shape (4, N) whose rows hold
-data, gradient and the two Adam moments. Each parameter's ``.data`` and
-gradient are views into the block, so one Adam update is a few in-place
-numpy calls per cache-sized chunk of each contiguous run of parameters
-that received a gradient.
+A ``ParamStore`` is made in one call from its named arrays and a float64
+block of shape (4, N), which may be a row of a buffer that several stores
+share. The rows hold its parameters' data, gradient and two Adam moments.
+Each parameter's ``.data`` and gradient are views into the block, so one
+Adam update is a few in-place numpy calls per cache-sized chunk of each
+contiguous run of parameters that received a gradient.
 """
 
 from __future__ import annotations
@@ -511,8 +511,9 @@ class ParamStore:
     ``params`` maps each name, in order, to either a fresh array, which the
     store owns, or a ``DiffArray`` that another store owns (two models
     sharing weights), which goes into ``shared`` and gets no moments.
-    ``block`` is one (4, N) float64 array over the N floats of the owned
-    parameters, in that order: its rows hold data, gradient and the first
+    ``block`` is a zeroed (4, N) float64 array, which may be a row of a buffer
+    several stores share, over the N floats of the owned parameters, in that
+    order: its rows hold data, gradient and the first
     and second Adam moments. Every owned parameter's ``.data`` and gradient
     home are views into it, so code that replaces a parameter's values must
     copy into ``.data`` rather than rebind it.
@@ -521,18 +522,15 @@ class ParamStore:
     ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``.
     ``adam_step`` leaves the spent Adam numerator in the span of every
     parameter it moves; a parameter without a gradient keeps a stale span.
-    ``block``, if given, is the zeroed (4, N) array to use: a row of a shared buffer.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray | DiffArray],
-                 block: np.ndarray | None = None):
+    def __init__(self, params: Mapping[str, np.ndarray | DiffArray], block: np.ndarray):
         self.params: dict[str, DiffArray] = {}
         self.shared: set[str] = set()  # names of parameters another store owns
         self.step_count = 0
         self._spans: list[tuple[DiffArray, int, int]] = []  # owned: (param, lo, hi)
-        n = sum(np.size(a) for a in params.values() if not isinstance(a, DiffArray))
-        self.block = np.zeros((4, n)) if block is None else block
-        self._scratch = np.empty(min(n, ADAM_CHUNK))
+        self.block = block
+        self._scratch = np.empty(min(block.shape[1], ADAM_CHUNK))
         lo = 0
         for name, value in params.items():
             if isinstance(value, DiffArray):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
+from modelutil import forward_one
 from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
@@ -14,7 +15,6 @@ from simrec.distill import (
     build_bundle,
     ensemble_distribution,
     evaluate_model,
-    forward_sentence,
     kl_to_ensemble,
     supervised_loss,
 )
@@ -59,7 +59,7 @@ def batch_of_four(corpus):
 
 def batch_loss(model, sents, graph, target):
     """The trainer's loss for one model: the batch mean of the mixed loss."""
-    out = forward_sentence(model, sents, graph)
+    out = forward_one(model, sents, graph)
     sup = supervised_loss(out, sents, 0.3, 1.0)
     kl = kl_to_ensemble(out.tag_dist, target, graph.word_counts)
     total = tc.add(tc.scale(sup, LAM), tc.scale(kl, 1.0 - LAM))
@@ -70,7 +70,7 @@ def sentence_targets(bundle, sents, graphs):
     """Ensemble target of each sentence, from one-sentence forward passes."""
     return [
         ensemble_distribution(*(
-            forward_sentence(m, [s], g.block).tag_fwd.final_logits.data
+            forward_one(m, [s], g.block).tag_fwd.final_logits.data
             for m in bundle.models.values()
         ))
         for s, g in zip(sents, graphs)
@@ -144,7 +144,7 @@ def test_predict_reads_the_training_forward(corpus, vocab, variant, name, monkey
     model = bundle.models[name]
     sents = batch_of_four(corpus)
     graphs = [build_graph(s, vocab, opts) for s in sents]
-    out = forward_sentence(model, sents, join_graphs(graphs))
+    out = forward_one(model, sents, join_graphs(graphs))
     split_at(monkeypatch, out.cls_dist.data[:, CLASS_SIMILE], 2)
     singles = []
     for b, (sent, graph) in enumerate(zip(sents, graphs)):
@@ -241,7 +241,7 @@ def test_batch_gradients_match_finite_differences(corpus, vocab, name):
     sents = batch_of_four(corpus)[:3]
     graph = join_graphs([build_graph(s, vocab) for s in sents])
     target = ensemble_distribution(*(
-        forward_sentence(m, sents, graph).tag_fwd.final_logits.data
+        forward_one(m, sents, graph).tag_fwd.final_logits.data
         for m in bundle.models.values()
     ))
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modelutil import forward_one
 from simrec import distill
 from simrec import tensorcore as tc
 from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
@@ -14,7 +15,6 @@ from simrec.distill import (
     build_bundle,
     ensemble_distribution,
     epoch_batches,
-    forward_sentence,
     kl_to_ensemble,
     supervised_loss,
     train,
@@ -279,7 +279,7 @@ class TestGradientIsolation:
         sent = tiny_corpus[0]
         graph = build_graph(sent, tiny_vocab)
         outs = {
-            name: forward_sentence(m, [sent], graph.block)
+            name: forward_one(m, [sent], graph.block)
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
@@ -305,11 +305,11 @@ class TestGradientIsolation:
         graph = build_graph(sent, tiny_vocab)
 
         def p_loss(target):
-            out = forward_sentence(bundle.models["p"], [sent], graph.block)
+            out = forward_one(bundle.models["p"], [sent], graph.block)
             return float(kl_to_ensemble(out.tag_dist, target, graph.block.word_counts).data)
 
         outs = {
-            name: forward_sentence(m, [sent], graph.block)
+            name: forward_one(m, [sent], graph.block)
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
@@ -346,7 +346,7 @@ class TestFixedLambdaReduction:
                     block = join_graphs([graphs[i] for i in batch])
                     terms = [
                         supervised_loss(
-                            forward_sentence(model, batch_sents, block),
+                            forward_one(model, batch_sents, block),
                             batch_sents, config.alpha, config.aux_weight,
                         )
                     ]
@@ -366,7 +366,22 @@ class TestFixedLambdaReduction:
                 )
 
 
+def _no_c_library(name):
+    raise OSError("no C library to open")
+
+
 class TestTrainLoop:
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                             ids=["no-mallopt", "no-libc"])
+    def test_trains_the_same_without_mallopt(self, cdll, monkeypatch, tiny_corpus, tiny_vocab):
+        """Without glibc's mallopt the allocator setting is skipped, and the
+        run is the same."""
+        config = TrainConfig(epochs=1, batch_size=4, seed=1)
+        want = train(fresh_bundle(tiny_vocab, seed=7), tiny_corpus[:8], [], config).epoch_logs
+        monkeypatch.setattr(distill.ctypes, "CDLL", cdll)
+        got = train(fresh_bundle(tiny_vocab, seed=7), tiny_corpus[:8], [], config).epoch_logs
+        assert got == want
+
     def test_two_runs_are_bit_identical(self, tiny_corpus, tiny_vocab):
         config = TrainConfig(epochs=2, batch_size=4, seed=1)
         logs = []
@@ -536,7 +551,7 @@ class TestParamBlocks:
         sents = tiny_corpus[:4]
         block = join_graphs([build_graph(s, tiny_vocab) for s in sents])
         for model in bundle.models.values():
-            out = forward_sentence(model, sents, block)
+            out = forward_one(model, sents, block)
             tc.backward(supervised_loss(out, sents, 0.3))
         expected = {}
         for key, p in shared.items():
@@ -576,7 +591,7 @@ def per_model_step(bundle, sents, graphs, batch, lam, config):
     reference the stacked ``_batch_step`` must match bit for bit."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
-    outs = {name: forward_sentence(model, batch_sents, block)
+    outs = {name: forward_one(model, batch_sents, block)
             for name, model in bundle.models.items()}
     target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
     losses = {}
@@ -703,7 +718,7 @@ class TestMeanEnsembleKL:
         graphs = [build_graph(s, vocab) for s in sents]
         totals = {name: 0.0 for name in bundle.models}
         for sent, graph in zip(sents, graphs):
-            outs = {name: forward_sentence(m, [sent], graph.block)
+            outs = {name: forward_one(m, [sent], graph.block)
                     for name, m in bundle.models.items()}
             target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
             for name, out in outs.items():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
+from modelutil import param_store
 from simrec import encoder as enc
 from simrec import tensorcore as tc
 from simrec.corpus import AnnotatedSentence, TokenAnn, build_vocab, canonical_sentence
 from simrec.encoder import EncoderConfig
 from simrec.hetgraph import GraphOptions, build_graph, edge_label_index
-from simrec.tensorcore import ParamStore
+
 
 
 def block_of(sent, vocab):
@@ -19,7 +20,7 @@ def block_of(sent, vocab):
 def make_params(vocab, config, seed=0, n_edge_labels=None):
     if n_edge_labels is None:
         n_edge_labels = len(edge_label_index(vocab))
-    store = ParamStore(enc.init_encoder_params(
+    store = param_store(enc.init_encoder_params(
         vocab.size, n_edge_labels, config, np.random.default_rng(seed)
     ))
     return store, store.params

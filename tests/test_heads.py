@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
+from modelutil import param_store
 from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import build_vocab
 from simrec.encoder import EncoderConfig
 from simrec.heads import Span, SpanPrediction
 from simrec.hetgraph import build_graph, edge_label_index
-from simrec.tensorcore import DiffArray, ParamStore
+from simrec.tensorcore import DiffArray
 
 
 def head_only(mode, config, seed=0, label_emb_dim=7):
-    store = ParamStore(heads.init_head_params(
+    store = param_store(heads.init_head_params(
         mode, config, np.random.default_rng(seed), label_emb_dim
     ))
     return store, store.params

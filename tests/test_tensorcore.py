@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads, numeric_grads, relative_error
+from modelutil import param_store
 from simrec import tensorcore as tc
-from simrec.tensorcore import DiffArray, NonFiniteError, ParamStore, ShapeError
+from simrec.tensorcore import DiffArray, NonFiniteError, ShapeError
 
 
 def leaf(rng, *shape):
@@ -424,7 +425,7 @@ class TestParamStoreAdam:
     def test_first_step_moves_by_lr(self):
         # With g=1 the bias-corrected first Adam step is
         # -lr * 1 / (1 + eps) regardless of beta values.
-        store = ParamStore({"w": np.array([0.5])})
+        store = param_store({"w": np.array([0.5])})
         p = store.params["w"]
         p.grad = np.array([1.0])
         store.adam_step(lr=0.001)
@@ -432,14 +433,14 @@ class TestParamStoreAdam:
         np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 
     def test_grads_cleared_after_step(self, rng):
-        store = ParamStore({"w": rng.normal(size=(3,))})
+        store = param_store({"w": rng.normal(size=(3,))})
         p = store.params["w"]
         p.grad = np.ones(3)
         store.adam_step(lr=0.01)
         assert p.grad is None
 
     def test_step_skips_params_without_grads(self, rng):
-        store = ParamStore({"w": rng.normal(size=(3,))})
+        store = param_store({"w": rng.normal(size=(3,))})
         p = store.params["w"]
         before = p.data.copy()
         store.adam_step(lr=0.1)
@@ -447,7 +448,7 @@ class TestParamStoreAdam:
 
     def test_adam_two_steps_match_reference(self):
         # Hand-rolled Adam recurrence on a fixed gradient sequence.
-        store = ParamStore({"w": np.array([1.0])})
+        store = param_store({"w": np.array([1.0])})
         p = store.params["w"]
         grads = [0.3, -0.2]
         m = v = 0.0
@@ -462,9 +463,9 @@ class TestParamStoreAdam:
         np.testing.assert_allclose(p.data, [x], rtol=1e-12)
 
     def test_shared_param_updated_once(self, rng):
-        owner = ParamStore({"w": np.array([1.0])})
+        owner = param_store({"w": np.array([1.0])})
         p = owner.params["w"]
-        borrower = ParamStore({"w": p})
+        borrower = param_store({"w": p})
         assert borrower.shared == {"w"} and borrower.block.shape == (4, 0)
         p.grad = np.array([1.0])
         owner.adam_step(lr=0.001)
@@ -504,7 +505,7 @@ class TestParamBlock:
 
     def test_params_and_grad_homes_are_views_into_one_block(self, rng):
         before = self._arrays(rng)
-        store = ParamStore(before)
+        store = param_store(before)
         assert list(store.params) == list(self.SHAPES)
         n = sum(int(np.prod(s)) for s in self.SHAPES.values())
         assert store.block.shape == (4, n)
@@ -527,7 +528,7 @@ class TestParamBlock:
         # The parent's per-parameter update, one temporary per operation,
         # over random steps in which parameter "c" sometimes has no gradient.
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        store = ParamStore(self._arrays(rng))
+        store = param_store(self._arrays(rng))
         ref = {k: p.data.copy() for k, p in store.params.items()}
         m = {k: np.zeros_like(x) for k, x in ref.items()}
         v = {k: np.zeros_like(x) for k, x in ref.items()}
