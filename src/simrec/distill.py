@@ -48,7 +48,7 @@ from .heads import (
     predict_batch,
     spans_from_tags,
 )
-from .tensorcore import DiffArray, NonFiniteError
+from .tensorcore import GRAD, DiffArray, NonFiniteError
 
 MODEL_ORDER = ("p", "t", "v")
 MODE_OF = {"p": "parallel", "t": "tenor_first", "v": "vehicle_first"}
@@ -138,13 +138,13 @@ def forward_sentence(
 
 
 def ensemble_forward(bundle: ModelBundle, sentences: Sequence[AnnotatedSentence],
-                     graph: BlockGraph) -> dict[str, SentenceForward]:
-    """Every model's ``forward_sentence`` on one tape: one pass of the stacked
-    encoders, then each model's heads on its slice (0 for a shared encoder)."""
+                     graph: BlockGraph) -> tuple[DiffArray, dict[str, SentenceForward]]:
+    """The stacked final node states, and every model's ``forward_sentence`` on
+    their tape: each model's heads read its slice (0 for a shared encoder)."""
     g_final = encode_graph(graph, bundle.enc, bundle.config)[-1]
-    return {name: forward_sentence(model, sentences, graph,
-                                   tc.model_slice(g_final, m if g_final.shape[0] > 1 else 0))
-            for m, (name, model) in enumerate(bundle.models.items())}
+    return g_final, {name: forward_sentence(
+        model, sentences, graph, tc.model_slice(g_final, m if g_final.shape[0] > 1 else 0))
+        for m, (name, model) in enumerate(bundle.models.items())}
 
 
 def ensemble_backward(bundle: ModelBundle, losses: Iterable[DiffArray]) -> None:
@@ -269,7 +269,8 @@ def train(
 
     Per epoch the log gains one JSON record with the epoch-end lambda, the
     mean batch loss per model, and dev P/R/F1 per model for both subtasks.
-    Non-finite values abort with the offending epoch and batch named.  After
+    A non-finite value aborts naming the epoch, the batch and the op or the
+    parameter gradient that holds it (``_batch_step``); that step moves nothing. After
     the schedule each model's weights are rolled back to its best dev
     extraction epoch, unless the models share an encoder: one model's
     snapshot would then overwrite the others' encoder.
@@ -353,29 +354,49 @@ def _batch_step(
     config: TrainConfig,
 ) -> dict[str, float]:
     """One optimizer step per model; the batch is one tape over its joined
-    graph (``ensemble_forward``) and one backward sweep."""
+    graph (``ensemble_forward``) and one backward sweep, run unchecked. Then
+    the final node states, each model's distributions, first-stage logits and
+    loss, and each store's gradient row are checked once. A failure runs the
+    forward again with op checks on, which raises at the op; a finite forward
+    names the first non-finite gradient. Either way no step is taken."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
-    outs = ensemble_forward(bundle, batch_sents, block)
-    target = None
-    if lam < 1.0:
-        target = ensemble_distribution(
-            *(outs[name].tag_fwd.final_logits.data for name in bundle.models)
-        )
-    losses: dict[str, DiffArray] = {}
-    for name, out in outs.items():
-        if lam >= 1.0:
-            total = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
-        elif lam <= 0.0:
-            total = kl_to_ensemble(out.tag_dist, target, block.word_counts)
-        else:
-            sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
-            kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
-            total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
-        losses[name] = tc.scale(total, 1.0 / len(batch))
-    ensemble_backward(bundle, losses.values())
-    for model in bundle.models.values():
-        model.store.adam_step(config.learning_rate)
+
+    def forward() -> tuple[list[np.ndarray], dict[str, DiffArray]]:
+        g_final, outs = ensemble_forward(bundle, batch_sents, block)
+        target = None if lam >= 1.0 else ensemble_distribution(
+            *(out.tag_fwd.final_logits.data for out in outs.values()))
+        checked = [g_final.data]
+        losses: dict[str, DiffArray] = {}
+        for name, out in outs.items():
+            if lam >= 1.0:
+                total = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
+            elif lam <= 0.0:
+                total = kl_to_ensemble(out.tag_dist, target, block.word_counts)
+            else:
+                sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
+                kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
+                total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
+            losses[name] = tc.scale(total, 1.0 / len(batch))
+            checked += [a.data for a in (out.cls_dist, out.tag_dist, out.tag_fwd.first_logits,
+                                         losses[name]) if a is not None]
+        return checked, losses
+
+    with tc.unchecked():
+        checked, losses = forward()
+        ensemble_backward(bundle, losses.values())
+    stores = [model.store for model in bundle.models.values()]
+    if not all(map(tc.all_finite, checked + [store.block[GRAD] for store in stores])):
+        forward()  # op checks on: raises at the op that made a non-finite value
+        name, pname = next((name, pname) for name, model in bundle.models.items() for pname, p
+                           in model.store.params.items() if not tc.all_finite(p.grad_home))
+        for store in stores:
+            store.block[GRAD] = 0.0
+            for p in store.params.values():
+                p.grad = None
+        raise NonFiniteError(f"non-finite gradient of model {name!r} parameter {pname!r}")
+    for store in stores:
+        store.adam_step(config.learning_rate)
     return {name: float(loss.data) for name, loss in losses.items()}
 
 
@@ -461,7 +482,7 @@ def mean_ensemble_kl(
     totals = {name: 0.0 for name in bundle.models}
     for lo in range(0, len(sents), PREDICT_CHUNK):
         block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-        outs = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
+        _, outs = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
         target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
         for name, out in outs.items():
             totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)

@@ -299,21 +299,31 @@ def predict_batch(model: SimileModel, graphs: Sequence[HeteroGraph]) -> list[Spa
 
 
 def _predict_block(model: SimileModel, block: BlockGraph) -> list[SpanPrediction]:
-    """Classify every sentence of the block, then tag the words of those
-    judged similes in one tagger pass."""
-    g_final = encode_graph(block, model.enc, model.config)[-1]
-    p_simile = classify(g_final, block, model.head).data[:, CLASS_SIMILE]
+    """``_block_dists`` run unchecked, its arrays checked once; a failure runs
+    it again with op checks on, which raises at the op."""
+    with tc.unchecked():
+        dists = _block_dists(model, block)
+    if not all(map(tc.all_finite, dists)):
+        _block_dists(model, block)
+    p_simile = dists[1][:, CLASS_SIMILE]
     preds = [SpanPrediction(label="literal", p_simile=p) for p in p_simile.tolist()]
-    judged = p_simile > SIMILE_THRESHOLD
-    if not judged.any():
-        return preds
-    words = tc.pick_rows(g_final, block.word_nodes[np.repeat(judged, block.word_counts)])
-    fwd = forward_tagger(model, words, None, block.word_counts[judged])
-    dist = tc.softmax(fwd.final_logits, axis=-1).data
     lo = 0
-    for pred, simile, n in zip(preds, judged, block.word_counts.tolist()):
+    for pred, simile, n in zip(preds, p_simile > SIMILE_THRESHOLD, block.word_counts.tolist()):
         if simile:
             pred.label = "simile"
-            pred.spans = decode_spans(dist[lo:lo + n])
+            pred.spans = decode_spans(dists[2][lo:lo + n])
             lo += n
     return preds
+
+
+def _block_dists(model: SimileModel, block: BlockGraph) -> tuple[np.ndarray, ...]:
+    """Final node states and class distribution of every sentence of the block,
+    and the tag distribution of the words of those judged similes (one pass)."""
+    g_final = encode_graph(block, model.enc, model.config)[-1]
+    cls_dist = classify(g_final, block, model.head).data
+    judged = cls_dist[:, CLASS_SIMILE] > SIMILE_THRESHOLD
+    if not judged.any():
+        return g_final.data, cls_dist, np.empty((0, len(TAG_VALUES)))
+    words = tc.pick_rows(g_final, block.word_nodes[np.repeat(judged, block.word_counts)])
+    fwd = forward_tagger(model, words, None, block.word_counts[judged])
+    return g_final.data, cls_dist, tc.softmax(fwd.final_logits, axis=-1).data

@@ -6,8 +6,9 @@ the output and makes the whole tape node: output, parents and closure.
 ``backward`` walks the tape in reverse topological order and accumulates
 exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
-cycles and is freed as soon as its loss is dropped. Non-finite values are
-trapped at the op that produced them.
+cycles and is freed as soon as its loss is dropped. A non-finite output
+raises at its op, except inside ``unchecked()``, whose caller checks what it
+hands on once and on a failure runs again outside it, so the op is named.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation) call the kernels in :mod:`simrec.kernels`.
@@ -46,14 +47,27 @@ class NonFiniteError(RuntimeError):
 
 
 EPS_LOG = 1e-12
+_op_checks = True  # whether ``_result`` checks each op's output (see ``unchecked``)
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
-    # A NaN or an infinity anywhere makes the sum non-finite, so the sum is
-    # a cheap first test; the element-wise check runs only when it fails,
-    # which also lets through a finite array whose sum overflows.
-    if not math.isfinite(np.add.reduce(data, None)) and not np.isfinite(data).all():
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
+def all_finite(data: np.ndarray) -> bool:
+    """Whether every entry is finite. A NaN or an infinity makes the sum
+    non-finite, so the sum is a cheap first test; the element-wise test runs
+    only when it fails, which lets through a finite array whose sum overflows."""
+    return math.isfinite(np.add.reduce(data, None)) or bool(np.isfinite(data).all())
+
+
+@contextmanager
+def unchecked():
+    """Ops inside the block skip their finite check and numpy's floating-point
+    warnings; the previous state comes back on exit, also when the block raised."""
+    global _op_checks
+    outer, _op_checks = _op_checks, False
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _op_checks = outer
 
 
 def _check_ids(ids: np.ndarray, n: int, op: str, what: str, unit: str = "rows") -> None:
@@ -98,7 +112,8 @@ class DiffArray:
 
 
 def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str) -> DiffArray:
-    _check_finite(data, op)
+    if _op_checks and not all_finite(data):
+        raise NonFiniteError(f"non-finite values produced by op '{op}'")
     out = DiffArray(data)
     out._parents = parents
     out._backward = backward
@@ -645,8 +660,8 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parameters by name; a damaged file raises a ValueError naming it.
-    Other keys, such as the ``extra`` record of older files, are ignored."""
+    """Parameters by name; a damaged file or a non-finite value raises a
+    ValueError naming it. Other keys, such as older files' ``extra``, are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -662,4 +677,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             arrays[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed parameter record ({exc!r})") from exc
+    for name, a in arrays.items():
+        if not all_finite(a):
+            raise ValueError(f"{path}: non-finite value in parameter '{name}'")
     return arrays

@@ -108,7 +108,7 @@ def test_gradient_integrity_full_pipeline():
     rng = np.random.default_rng(12)
     bundle = build_bundle(vocab, enc, rng, label_emb_dim=5)
     graph = build_graph(sent, vocab)
-    outs = ensemble_forward(bundle, [sent], graph.block)
+    _, outs = ensemble_forward(bundle, [sent], graph.block)
     target = ensemble_distribution(
         *(outs[name].tag_fwd.final_logits.data for name in bundle.models)
     )
@@ -116,7 +116,7 @@ def test_gradient_integrity_full_pipeline():
     def losses():
         # The training step's tape: the stacked encoders, then every head.
         result = {}
-        for name, out in ensemble_forward(bundle, [sent], graph.block).items():
+        for name, out in ensemble_forward(bundle, [sent], graph.block)[1].items():
             sup = supervised_loss(out, [sent], 0.3, 1.0)
             kl = kl_to_ensemble(out.tag_dist, target, graph.block.word_counts)
             result[name] = tc.add(tc.scale(sup, 0.5), tc.scale(kl, 0.5))

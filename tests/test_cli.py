@@ -472,6 +472,22 @@ class TestDamagedModelDir:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_one_error_line_before_any_output(
+        self, trained_dir, corpora, tmp_path, capsys, value
+    ):
+        # json.load reads NaN and Infinity; the checkpoint loader refuses them.
+        _, dev = corpora
+
+        def poison(parent, key):
+            parent[key]["values"][3] = value
+
+        model_dir, file = _edit_copy(trained_dir, tmp_path, "SELECTED", "params.head/cls/w",
+                                     poison)
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys,
+                               f"{file}: non-finite value in parameter 'head/cls/w'")
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_interrupted_save_leaves_a_directory_that_fails_cleanly(
         self, trained_dir, corpora, tmp_path, capsys, monkeypatch
     ):

@@ -419,6 +419,52 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match=r"epoch 1, batch 1"):
             train(bundle, tiny_corpus[:8], [], config)
 
+    @staticmethod
+    def _state(bundle):
+        """Every model's weights, Adam moments and step count."""
+        return [(m.store.block[[tc.DATA, tc.MOMENT1, tc.MOMENT2]].copy(), m.store.step_count)
+                for m in bundle.models.values()]
+
+    def _assert_state(self, bundle, before):
+        for (rows, steps), (rows_before, steps_before) in zip(self._state(bundle), before):
+            np.testing.assert_array_equal(rows, rows_before)
+            assert steps == steps_before
+
+    def test_nan_seen_only_by_the_class_check_aborts_at_its_op(self, tiny_corpus, tiny_vocab):
+        # At lambda 0 the loss is the KL term alone, so cls/w gets no gradient
+        # and only the checked class distribution carries the NaN.
+        config = TrainConfig(epochs=1, batch_size=4, seed=0, lambda_mode="fixed",
+                             lambda_fixed=0.0)
+        bundle = fresh_bundle(tiny_vocab)
+        bundle.models["p"].head["cls/w"].data[0, 0] = np.nan
+        before = self._state(bundle)
+        with pytest.raises(RuntimeError,
+                           match=r"epoch 1, batch 1: non-finite values produced by op 'matmul'"):
+            train(bundle, tiny_corpus[:8], [], config)
+        self._assert_state(bundle, before)
+
+    def test_nonfinite_gradient_aborts_before_adam_step(self, tiny_corpus, tiny_vocab,
+                                                        monkeypatch):
+        real_backward = distill.ensemble_backward
+
+        def poisoned(bundle, losses):
+            real_backward(bundle, losses)
+            bundle.models["t"].head["second/w"].grad[0, 0] = np.inf
+
+        monkeypatch.setattr(distill, "ensemble_backward", poisoned)
+        bundle = fresh_bundle(tiny_vocab)
+        before = self._state(bundle)
+        with pytest.raises(RuntimeError, match=r"epoch 1, batch 1: non-finite gradient "
+                                               r"of model 't' parameter 'head/second/w'"):
+            train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1, batch_size=4, seed=0))
+        self._assert_state(bundle, before)
+        # The failed step's gradients are dropped, so training can go on.
+        for model in bundle.models.values():
+            assert all(p.grad is None for p in model.store.params.values())
+            assert not model.store.block[tc.GRAD].any()
+        monkeypatch.undo()
+        train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1, batch_size=4, seed=0))
+
     def test_empty_training_set_rejected(self, tiny_vocab):
         bundle = fresh_bundle(tiny_vocab)
         with pytest.raises(ValueError, match="empty training"):

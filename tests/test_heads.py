@@ -291,6 +291,13 @@ class TestPredict:
         assert a.to_record() == b.to_record()
 
 
+    def test_nonfinite_encoder_weight_is_named_by_its_op(self, fig_sentence):
+        model, _, graph = self.make_model(fig_sentence)
+        model.enc["gat0/wv"].data[0, 0] = np.nan
+        with pytest.raises(tc.NonFiniteError, match="op 'matmul'"):
+            heads.predict_batch(model, [graph, graph])
+
+
 class TestModelSetup:
     def test_unknown_mode_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="mode"):

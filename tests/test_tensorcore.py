@@ -93,6 +93,35 @@ class TestForwardValues:
             with pytest.raises(NonFiniteError, match="scale"):
                 tc.scale(big, 1e308)
 
+    def test_unchecked_block_passes_nonfinite_and_checks_return_after_it(self):
+        with tc.unchecked():
+            out = tc.scale(DiffArray([1.0, np.nan]), 1.0)
+        assert not tc.all_finite(out.data)
+        with pytest.raises(NonFiniteError, match="scale"):
+            tc.scale(DiffArray([1.0, np.nan]), 1.0)
+
+    def test_checks_return_after_a_block_that_raised(self):
+        with pytest.raises(KeyError):
+            with tc.unchecked():
+                raise KeyError("inside")
+        with pytest.raises(NonFiniteError, match="scale"):
+            tc.scale(DiffArray([np.inf]), 1.0)
+
+    def test_nested_block_restores_the_outer_state(self):
+        with tc.unchecked():
+            with tc.unchecked():
+                pass
+            tc.scale(DiffArray([np.nan]), 1.0)  # the outer block is still unchecked
+        with pytest.raises(NonFiniteError, match="scale"):
+            tc.scale(DiffArray([np.nan]), 1.0)
+
+    def test_all_finite(self):
+        with np.errstate(over="ignore"):
+            assert tc.all_finite(np.array([1e308, 1e308]))
+        assert tc.all_finite(np.zeros(0))
+        assert not tc.all_finite(np.array([[1.0], [-np.inf]]))
+        assert not tc.all_finite(np.array(np.nan))
+
 
 class TestSegmentOpIds:
     """The edge-segment ops reject an id outside its range before any kernel
@@ -597,6 +626,14 @@ class TestCheckpoints:
             tc.write_json_atomic(path, {"w": [1.0, 2.0], "bad": object()})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected_naming_the_parameter(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        tc.save_checkpoint(path, {"enc/w": np.ones(2), "head/b": np.array([1.0, value])})
+        with pytest.raises(ValueError,
+                           match=r"model\.json: non-finite value in parameter 'head/b'"):
+            tc.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
