@@ -289,7 +289,7 @@ def cmd_inspect_graph(args) -> int:
     vocab = build_vocab(sents)
     graph = build_graph(sent, vocab, GraphOptions(**_given_flags(args, GraphOptions)))
     if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
+        with tc.open_atomic(args.dot_out) as fh:
             fh.write(to_dot(graph, sent))
     kinds = graph.kind_counts()
     print(json.dumps(

@@ -356,9 +356,10 @@ def _batch_step(
     """One optimizer step per model; the batch is one tape over its joined
     graph (``ensemble_forward``) and one backward sweep, run unchecked. Then
     the final node states, each model's distributions, first-stage logits and
-    loss, and each store's gradient row are checked once. A failure runs the
-    forward again with op checks on, which raises at the op; a finite forward
-    names the first non-finite gradient. Either way no step is taken."""
+    loss are checked once, and each store's gradient row by its sum of squares,
+    which Adam must be able to form. A failure runs the forward again with op
+    checks on, which raises at the op; a finite forward names the parameter
+    whose gradient failed. Either way no step is taken."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
 
@@ -382,19 +383,26 @@ def _batch_step(
                                          losses[name]) if a is not None]
         return checked, losses
 
+    stores = [model.store for model in bundle.models.values()]
     with tc.unchecked():
         checked, losses = forward()
         ensemble_backward(bundle, losses.values())
-    stores = [model.store for model in bundle.models.values()]
-    if not all(map(tc.all_finite, checked + [store.block[GRAD] for store in stores])):
+        # Adam squares each gradient, so a gradient row needs a finite sum of
+        # squares, which also rules out a NaN or an infinity in it.
+        checked += [np.dot(store.block[GRAD], store.block[GRAD]) for store in stores]
+    if not all(map(tc.all_finite, checked)):
         forward()  # op checks on: raises at the op that made a non-finite value
-        name, pname = next((name, pname) for name, model in bundle.models.items() for pname, p
-                           in model.store.params.items() if not tc.all_finite(p.grad_home))
+        grads = {(name, pname): p.grad_home.reshape(-1) for name, model in bundle.models.items()
+                 for pname, p in model.store.params.items()}
+        bad = [key for key, g in grads.items() if not tc.all_finite(g)]
+        with np.errstate(over="ignore"):
+            name, pname = bad[0] if bad else max(grads, key=lambda k: np.dot(grads[k], grads[k]))
         for store in stores:
             store.block[GRAD] = 0.0
             for p in store.params.values():
                 p.grad = None
-        raise NonFiniteError(f"non-finite gradient of model {name!r} parameter {pname!r}")
+        what = "non-finite gradient" if bad else "gradient too large to square"
+        raise NonFiniteError(f"{what} of model {name!r} parameter {pname!r}")
     for store in stores:
         store.adam_step(config.learning_rate)
     return {name: float(loss.data) for name, loss in losses.items()}

@@ -103,12 +103,16 @@ def encode_tokens(
 
     The batch attends block-diagonally: one score matrix over all of its
     rows, with each row's softmax restricted to its own sentence's block.
+    A block of one sentence attends without a mask, which gives the bits of
+    an all-True one.
     """
     n = int(graph.word_counts.max())
     if n > config.max_tokens:
         raise ValueError(f"sentence has {n} tokens, limit is {config.max_tokens}")
-    owner = np.repeat(np.arange(graph.word_counts.size), graph.word_counts + 2)
-    mask = owner[:, None] == owner[None, :]
+    mask = None
+    if graph.word_counts.size > 1:
+        owner = np.repeat(np.arange(graph.word_counts.size), graph.word_counts + 2)
+        mask = owner[:, None] == owner[None, :]
     rows = tc.pick_rows(params["tok_emb"], graph.token_ids)
     pos = tc.pick_rows(params["pos_emb"], graph.positions)
     h = tc.add(rows, pos)

@@ -236,14 +236,12 @@ def forward_tagger(
 # ---------------------------------------------------------------------------
 
 def decode_tags(tag_dist: np.ndarray) -> list[str]:
-    """Per-token argmax over {T, V, O}; any tie involving O resolves to O."""
-    tags = []
-    for row in np.asarray(tag_dist):
-        if row[TAG_O] >= row.max():
-            tags.append("O")
-        else:
-            tags.append(TAG_VALUES[int(row.argmax())])
-    return tags
+    """Per-token argmax over the (N, 3) rows {T, V, O}, all rows in one pass:
+    any tie involving O resolves to O, and a T-V tie to T (the first)."""
+    rows = np.asarray(tag_dist)
+    best = rows.argmax(axis=1)
+    best[rows[:, TAG_O] >= np.maximum.reduce(rows, axis=1)] = TAG_O
+    return [TAG_VALUES[i] for i in best.tolist()]
 
 
 def spans_from_tags(tags: list[str]) -> list[Span]:

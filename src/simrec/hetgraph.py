@@ -102,9 +102,13 @@ class BlockGraph:
 
 @dataclass
 class HeteroGraph:
+    """A sentence's typed graph. Its edges live once, in its block of one:
+    ``edges`` reads them back from ``block.src_ids``, ``dst_ids`` and
+    ``label_ids`` as (src, dst, label) tuples, in the order they were made."""
+
     n_tokens: int
     node_kinds: list[NodeKind]
-    edges: list[tuple[int, int, EdgeLabel]]
+    deprels: list[str]  # the relations whose labels take the first label ids
     left_node: int
     right_node: int
     merged: bool
@@ -113,6 +117,13 @@ class HeteroGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_kinds)
+
+    @property
+    def edges(self) -> list[tuple[int, int, EdgeLabel]]:
+        labels = _edge_labels(self.deprels)
+        b = self.block
+        return [(src, dst, labels[i]) for src, dst, i in
+                zip(b.src_ids.tolist(), b.dst_ids.tolist(), b.label_ids.tolist())]
 
     def kind_counts(self) -> dict[str, int]:
         counts = {k.value: 0 for k in NodeKind}
@@ -164,16 +175,16 @@ def join_graphs(graphs: Sequence[HeteroGraph]) -> BlockGraph:
     )
 
 
+def _edge_labels(deprels: Sequence[str]) -> list[EdgeLabel]:
+    """Each edge label at its dense id: the relations, then other/con/not-con/self."""
+    return [EdgeLabel(EdgeKind.DEP, rel) for rel in deprels] + [
+        EdgeLabel(kind) for kind in
+        (EdgeKind.DEP_OTHER, EdgeKind.NS_CON, EdgeKind.NS_NOT_CON, EdgeKind.SELF_LOOP)]
+
+
 def edge_label_index(vocab: Vocabulary, top_k: int = 8) -> dict[EdgeLabel, int]:
     """Dense id per edge label: top-k relations, then other/con/not-con/self."""
-    top = vocab.top_deprels(top_k)
-    index = {EdgeLabel(EdgeKind.DEP, rel): i for i, rel in enumerate(top)}
-    base = len(top)
-    index[EdgeLabel(EdgeKind.DEP_OTHER)] = base
-    index[EdgeLabel(EdgeKind.NS_CON)] = base + 1
-    index[EdgeLabel(EdgeKind.NS_NOT_CON)] = base + 2
-    index[EdgeLabel(EdgeKind.SELF_LOOP)] = base + 3
-    return index
+    return {label: i for i, label in enumerate(_edge_labels(vocab.top_deprels(top_k)))}
 
 
 def build_graph(
@@ -182,11 +193,15 @@ def build_graph(
     options: GraphOptions = GraphOptions(),
 ) -> HeteroGraph:
     """Construct the typed sentence graph, with the token and gloss ids the
-    model reads; deterministic and label-blind."""
+    model reads; deterministic and label-blind.
+
+    Each edge takes its dense label id (``edge_label_index``) as it is made,
+    and the edge list is kept only as the block's id arrays."""
     n = len(sentence.tokens)
     c = sentence.comparator_index
-    top = set(vocab.top_deprels(options.top_k_deprels))
-    label_ids_map = edge_label_index(vocab, options.top_k_deprels)
+    top = vocab.top_deprels(options.top_k_deprels)
+    rank = {rel: i for i, rel in enumerate(top)}
+    other, con, not_con, self_loop = range(len(top), len(top) + 4)  # as in _edge_labels
 
     if options.no_pos:
         word_kinds = [NodeKind.NON_NOUN] * n
@@ -211,34 +226,28 @@ def build_graph(
     # Word node id always equals the 1-based token index.
     node_kinds = [NodeKind.SUBSENTENCE] + word_kinds + [NodeKind.SUBSENTENCE] * (len(sides) - 1)
 
-    edges: list[tuple[int, int, EdgeLabel]] = []
+    # Each edge as three ints: source, destination, label id.
+    edges: list[int] = []
     if options.no_dependency:
         # Ablation: fully connect word nodes, dropping arc identities.
-        other = EdgeLabel(EdgeKind.DEP_OTHER)
         for i in words:
             for j in words:
                 if i != j:
-                    edges.append((i, j, other))
+                    edges += (i, j, other)
     else:
         for i, tok in enumerate(sentence.tokens, start=1):
             if tok.head == 0:
                 continue
-            if tok.deprel in top:
-                label = EdgeLabel(EdgeKind.DEP, tok.deprel)
-            else:
-                label = EdgeLabel(EdgeKind.DEP_OTHER)
-            edges.append((i, tok.head, label))
-            edges.append((tok.head, i, label))
+            label = rank.get(tok.deprel, other)
+            edges += (i, tok.head, label, tok.head, i, label)
 
-    con = EdgeLabel(EdgeKind.NS_CON)
-    not_con = EdgeLabel(EdgeKind.NS_NOT_CON)
     for i in ns_sources:
         for node, members, _ in sides:
-            edges.append((i, node, con if i in members else not_con))
+            edges += (i, node, con if i in members else not_con)
 
-    self_loop = EdgeLabel(EdgeKind.SELF_LOOP)
     for node in range(len(node_kinds)):
-        edges.append((node, node, self_loop))
+        edges += (node, node, self_loop)
+    src_ids, dst_ids, label_ids = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
 
     # Initial node states pool token rows: a word node its own row, a
     # subsentence node its side's rows.
@@ -250,15 +259,15 @@ def build_graph(
     return HeteroGraph(
         n_tokens=n,
         node_kinds=node_kinds,
-        edges=edges,
+        deprels=top,
         left_node=left_node,
         right_node=right_node,
         merged=options.no_subsentence_nodes,
         block=BlockGraph(
             n_nodes=len(node_kinds),
-            src_ids=np.array([e[0] for e in edges], dtype=np.int64),
-            dst_ids=np.array([e[1] for e in edges], dtype=np.int64),
-            label_ids=np.array([label_ids_map[e[2]] for e in edges], dtype=np.int64),
+            src_ids=src_ids,
+            dst_ids=dst_ids,
+            label_ids=label_ids,
             word_nodes=np.arange(1, n + 1, dtype=np.int64),
             word_counts=np.array([n], dtype=np.int64),
             left_nodes=np.array([left_node], dtype=np.int64),

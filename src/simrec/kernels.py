@@ -27,7 +27,7 @@ def _sum_by_id(
     if n_cols is None:
         flat, size = ids, n_rows
     else:
-        flat, size = np.add.outer(ids * n_cols, np.arange(n_cols)).ravel(), n_rows * n_cols
+        flat, size = ((ids * n_cols)[:, None] + np.arange(n_cols)).ravel(), n_rows * n_cols
     out = np.bincount(flat, weights=weights.ravel(), minlength=size)
     if out.size != size:
         top = (out.size - 1) // (n_cols or 1)
@@ -39,9 +39,11 @@ def _sum_by_id(
 
 def _by_model(kernel: str, ids: np.ndarray, n: int, models: tuple[int, ...]):
     """(ids, rows) into n rows per model of the leading model axis ``models``, () or (M,)."""
-    if models and ids.size and ids.view(np.uint64).max() >= n:
+    if not models:
+        return ids, n
+    if ids.size and np.maximum.reduce(ids.view(np.uint64)) >= n:
         raise ValueError(f"{kernel}: id out of range for {n} rows")
-    return (np.arange(models[0])[:, None] * n + ids, models[0] * n) if models else (ids, n)
+    return np.arange(models[0])[:, None] * n + ids, models[0] * n
 
 
 def segment_softmax(scores: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:

@@ -32,6 +32,7 @@ import math
 import os
 from collections.abc import Mapping
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,9 +73,9 @@ def unchecked():
 
 def _check_ids(ids: np.ndarray, n: int, op: str, what: str, unit: str = "rows") -> None:
     """A ShapeError naming ``op`` unless every int64 id lies in [0, n)."""
-    # Read as unsigned, a negative id exceeds any n, so one max() tests both
+    # Read as unsigned, a negative id exceeds any n, so one max tests both
     # ends: 2.8 us against 4.9 us for min() and max() of 22 ids (2-vCPU Xeon VM).
-    if ids.size and ids.view(np.uint64).max() >= n:
+    if ids.size and np.maximum.reduce(ids.view(np.uint64)) >= n:
         raise ShapeError(f"{op}: {what} out of range for {n} {unit}")
 
 
@@ -221,8 +222,7 @@ def concat(parts: list[DiffArray], axis: int) -> DiffArray:
     if not parts:
         raise ShapeError("concat: empty input list")
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((p.data.shape[axis] for p in parts), initial=0))
 
     def bwd(grad):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -265,12 +265,12 @@ def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> Dif
     and no gradient; every slice along ``axis`` must keep at least one entry.
     """
     x = a.data if mask is None else np.where(mask, a.data, -np.inf)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    # The ufunc reductions behind ndarray.max and sum, without their wrappers.
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    s = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def bwd(grad):
-        dot = (grad * s).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(grad * s, axis=axis, keepdims=True)
         a.accum_grad(s * (grad - dot))
 
     return _result(s, (a,), bwd, "softmax")

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import shlex
@@ -654,6 +655,19 @@ class TestPredict:
             assert (rec["label"], rec["spans"]) == (ref["label"], ref["spans"])
 
 
+    def test_served_records_keep_their_digest(self, trained_dir):
+        # Every model of the trained fixture serves each sentence through
+        # heads.predict; the digest of the records, floats at their exact repr,
+        # was recorded before the serving path was streamlined (numpy 2.4.6,
+        # BLAS at one thread), which must not move a bit.
+        bundle, opts = distill.load_bundle(trained_dir)
+        sents = generate_synthetic(SyntheticConfig(n_sentences=40, seed=7))
+        records = [repr(predict(model, s, build_graph(s, bundle.vocab, opts), bundle.vocab)
+                        .to_record()) for model in bundle.models.values() for s in sents]
+        assert sum("'simile'" in r for r in records) >= 10
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == "b5d4d48581def1f643c405c8e40757479f4af9032da2ab81db93e3089923923f"
+
 class TestInspectGraph:
     @pytest.fixture
     def canonical_file(self, tmp_path):
@@ -686,6 +700,20 @@ class TestInspectGraph:
         assert rc == 0
         text = dot.read_text(encoding="utf-8")
         assert text.startswith("digraph") and text.rstrip().endswith("}")
+
+    def test_failed_dot_write_leaves_the_old_file(self, canonical_file, tmp_path, capsys,
+                                                  monkeypatch):
+        dot = tmp_path / "graph.dot"
+        dot.write_text("old\n", encoding="utf-8")
+
+        def failing(*args):
+            raise RuntimeError("rendering failed")
+
+        monkeypatch.setattr(cli, "to_dot", failing)
+        assert main(["inspect-graph", "--input", canonical_file, "--dot-out", str(dot)]) == 1
+        assert capsys.readouterr().err == "error: rendering failed\n"
+        assert dot.read_text(encoding="utf-8") == "old\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_merged_graph_option(self, canonical_file, capsys):
         rc = main(["inspect-graph", "--input", canonical_file,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -464,6 +465,21 @@ class TestTrainLoop:
             assert not model.store.block[tc.GRAD].any()
         monkeypatch.undo()
         train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1, batch_size=4, seed=0))
+
+    def test_gradient_too_large_to_square_aborts_before_adam_step(self, tiny_corpus,
+                                                                  tiny_vocab):
+        # Finite everywhere, but Adam's squared gradient would overflow.
+        config = TrainConfig(epochs=1, batch_size=4, seed=0, lambda_mode="fixed",
+                             lambda_fixed=1.0)
+        bundle = fresh_bundle(tiny_vocab)
+        bundle.models["p"].head["cls/emb"].data[...] = 1e300
+        before = self._state(bundle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"epoch 1, batch 1: gradient too large to "
+                                                   r"square of model 'p' parameter '[^']+'$"):
+                train(bundle, tiny_corpus[:8], [], config)
+        self._assert_state(bundle, before)
 
     def test_empty_training_set_rejected(self, tiny_vocab):
         bundle = fresh_bundle(tiny_vocab)

@@ -9,7 +9,7 @@ from simrec import encoder as enc
 from simrec import tensorcore as tc
 from simrec.corpus import AnnotatedSentence, TokenAnn, build_vocab, canonical_sentence
 from simrec.encoder import EncoderConfig
-from simrec.hetgraph import GraphOptions, build_graph, edge_label_index
+from simrec.hetgraph import GraphOptions, build_graph, edge_label_index, join_graphs
 
 
 
@@ -96,6 +96,30 @@ class TestTokenEncoder:
         other = dataclasses.replace(fig_sentence, tokens=tuple(swapped_tokens))
         h2 = enc.encode_tokens(block_of(other, vocab), params, tiny_config)
         assert not np.array_equal(h.data, h2.data)
+
+    def test_block_of_one_attends_without_a_mask(self, fig_sentence, tiny_config,
+                                                 monkeypatch):
+        # Unmasked, a block of one gets the bits an all-True mask gives; a
+        # joined block keeps its block-diagonal mask.
+        vocab = build_vocab([fig_sentence])
+        _, params = make_params(vocab, tiny_config)
+        block = block_of(fig_sentence, vocab)
+        masks, softmax = [], tc.softmax
+
+        def all_true_mask(a, axis=-1, mask=None):
+            masks.append(mask)
+            return softmax(a, axis, np.ones(a.shape, dtype=bool) if mask is None else mask)
+
+        h = enc.encode_tokens(block, params, tiny_config)
+        monkeypatch.setattr(tc, "softmax", all_true_mask)
+        np.testing.assert_array_equal(
+            enc.encode_tokens(block, params, tiny_config).data, h.data)
+        assert masks == [None] * tiny_config.n_selfattn_layers
+        enc.encode_tokens(join_graphs([build_graph(fig_sentence, vocab)] * 2), params,
+                          tiny_config)
+        rows = len(fig_sentence.tokens) + 2
+        want = np.kron(np.eye(2, dtype=bool), np.ones((rows, rows), dtype=bool))
+        np.testing.assert_array_equal(masks[-1], want)
 
     def test_too_long_sentence_rejected(self, fig_sentence):
         config = EncoderConfig(d_model=8, max_tokens=3, max_positions=5)

@@ -215,8 +215,14 @@ class TestSequentialStages:
 
 class TestDecoding:
     def test_tie_with_o_resolves_to_o(self):
-        dist = np.array([[1 / 3, 1 / 3, 1 / 3], [0.4, 0.2, 0.4]])
-        assert heads.decode_tags(dist) == ["O", "O"]
+        dist = np.array([[1 / 3, 1 / 3, 1 / 3], [0.4, 0.2, 0.4], [0.2, 0.4, 0.4]])
+        assert heads.decode_tags(dist) == ["O", "O", "O"]
+
+    def test_tie_of_t_and_v_resolves_to_t(self):
+        assert heads.decode_tags(np.array([[0.4, 0.4, 0.2]])) == ["T"]
+
+    def test_zero_rows_decode_to_no_tags(self):
+        assert heads.decode_tags(np.empty((0, 3))) == []
 
     def test_clear_winners(self):
         dist = np.array([[0.7, 0.1, 0.2], [0.1, 0.7, 0.2], [0.1, 0.2, 0.7]])

@@ -1,10 +1,17 @@
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simrec.corpus import TokenAnn, AnnotatedSentence, build_vocab, canonical_sentence
+from simrec.corpus import (
+    DEFAULT_NOUN_TAGS,
+    AnnotatedSentence,
+    TokenAnn,
+    build_vocab,
+    canonical_sentence,
+)
 from simrec.hetgraph import (
     EdgeKind,
     EdgeLabel,
@@ -114,12 +121,55 @@ class TestCanonicalOracle:
         assert (a.block.label_ids == b.block.label_ids).all()
 
 
+def reference_edges(sentence, vocab, options):
+    """The edge list made the long way: one ``EdgeLabel`` per edge, in the
+    order ``build_graph`` makes its edges."""
+    n, c = len(sentence.tokens), sentence.comparator_index
+    top = set(vocab.top_deprels(options.top_k_deprels))
+    other = EdgeLabel(EdgeKind.DEP_OTHER)
+    words = range(1, n + 1)
+    edges = []
+    if options.no_dependency:
+        edges += [(i, j, other) for i in words for j in words if i != j]
+    else:
+        for i, tok in enumerate(sentence.tokens, start=1):
+            if tok.head:
+                label = dep(tok.deprel) if tok.deprel in top else other
+                edges += [(i, tok.head, label), (tok.head, i, label)]
+    if options.no_subsentence_nodes:
+        sides = [(0, words)]
+    else:
+        sides = [(0, range(1, c)), (n + 1, range(c + 1, n + 1))]
+    nouns = [i for i in words if options.no_pos or sentence.tokens[i - 1].pos in DEFAULT_NOUN_TAGS]
+    edges += [(i, node, CON if i in members else NOT_CON) for i in nouns for node, members in sides]
+    return edges + [(v, v, SELF) for v in range(n + len(sides))]
+
+
+ABLATIONS = [GraphOptions(), GraphOptions(no_dependency=True), GraphOptions(no_pos=True),
+             GraphOptions(no_subsentence_nodes=True)]
+
+
 class TestEdgeLabelIndex:
     def test_dense_ids_cover_all_labels(self, small_vocab):
         index = edge_label_index(small_vocab, top_k=8)
         n_rels = min(8, len(small_vocab.deprel_ranking))
         assert set(index.values()) == set(range(n_rels + 4))
         assert index[EdgeLabel(EdgeKind.SELF_LOOP)] == n_rels + 3
+
+    @pytest.mark.parametrize("top_k", [0, 2, 8])
+    @pytest.mark.parametrize("options", ABLATIONS)
+    def test_each_edge_gets_the_index_of_its_label(self, small_corpus, small_vocab, options,
+                                                   top_k):
+        options = replace(options, top_k_deprels=top_k)
+        index = edge_label_index(small_vocab, top_k)
+        for sent in small_corpus:
+            graph = build_graph(sent, small_vocab, options)
+            want = reference_edges(sent, small_vocab, options)
+            assert graph.edges == want
+            block = graph.block
+            assert block.src_ids.tolist() == [src for src, _, _ in want]
+            assert block.dst_ids.tolist() == [dst for _, dst, _ in want]
+            assert block.label_ids.tolist() == [index[label] for _, _, label in want]
 
     def test_rare_relation_buckets_to_other(self, small_corpus, small_vocab):
         graph_all = build_graph(
