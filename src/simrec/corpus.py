@@ -138,7 +138,7 @@ def sentence_from_record(
             label=str(record["label"]),
             tags=tuple(str(t) for t in record["tags"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CorpusError(f"{where}: malformed field ({err})") from err
     validate_sentence(sent, where, max_tokens)
     return sent

@@ -507,14 +507,32 @@ VOCAB_FILE = "vocab.json"
 SELECTED_FILE = "selected.json"
 
 
+# The JSON types a bundle.json value of each settings field type may have;
+# ``type(True)`` is ``bool``, so a bool passes as no int.
+_RECORD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` if its JSON type suits a field of type ``kind``; else a ValueError."""
+    if type(value) not in _RECORD_TYPES[kind]:
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
 def _config_from_record(cls, meta: dict, key: str):
     """The ``cls`` instance that ``meta[key]`` records; every field is
-    required and an unknown key is an error."""
+    required and typed, and an unknown key is an error."""
     record = meta[key]
     unknown = sorted(set(record) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown keys {unknown} in '{key}'")
-    return cls(**{f.name: record[f.name] for f in fields(cls)})
+    return cls(**{f.name: _typed(record[f.name], f.type, f"{key}.{f.name}")
+                  for f in fields(cls)})
+
+
+def _layout(store: tc.ParamStore) -> list[list]:
+    """``[name, shape]`` of each parameter, in checkpoint order."""
+    return [[pname, list(p.shape)] for pname, p in store.params.items()]
 
 
 def save_bundle(
@@ -526,7 +544,9 @@ def save_bundle(
 ) -> None:
     """Write the model directory, each file atomically; the selection marker
     goes first and comes back last, so a failed save leaves no loadable one.
-    Checkpoints of models the bundle lacks are removed with the marker."""
+    Checkpoints of models the bundle lacks, and JSON checkpoints of an older
+    format, are removed with the marker. ``bundle.json`` records each model's
+    parameter names and shapes in checkpoint order (``layouts``)."""
     top_k = graph_options.top_k_deprels
     n_edge_labels = len(edge_label_index(bundle.vocab, top_k))
     for name, model in bundle.models.items():
@@ -541,23 +561,22 @@ def save_bundle(
     if os.path.exists(sel_path):
         os.remove(sel_path)
     for name in MODEL_ORDER:
-        stale = os.path.join(out_dir, f"model_{name}.json")
-        if name not in bundle.models and os.path.exists(stale):
-            os.remove(stale)
+        stale = [f"model_{name}.json"] + ([] if name in bundle.models else [f"model_{name}.npy"])
+        for path in (os.path.join(out_dir, file) for file in stale):
+            if os.path.exists(path):
+                os.remove(path)
     meta = {
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
         "models": {name: m.mode for name, m in bundle.models.items()},
+        "layouts": {name: _layout(m.store) for name, m in bundle.models.items()},
         "graph_options": asdict(graph_options),
     }
     tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
     tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), asdict(bundle.vocab),
                          sort_keys=True)
     for name, model in bundle.models.items():
-        tc.save_checkpoint(
-            os.path.join(out_dir, f"model_{name}.json"),
-            {pname: p.data for pname, p in model.store.params.items()},
-        )
+        tc.save_checkpoint(os.path.join(out_dir, f"model_{name}.npy"), model.store)
     if selected is not None:
         tc.write_json_atomic(sel_path, {"selected": selected, "scores": selected_scores or {}},
                              indent=2, sort_keys=True)
@@ -584,9 +603,15 @@ def _read_json(path: str, what: str):
 
 def _load_meta(
     model_dir: str | os.PathLike,
-) -> tuple[list[str], ModelBundle, GraphOptions]:
-    """The model names, a bundle of no models with the shared settings, graph
-    options; each model's recorded mode must be ``MODE_OF[name]``."""
+) -> tuple[dict[str, list], ModelBundle, GraphOptions]:
+    """Each model's recorded layout by name, a bundle of no models with the
+    shared settings, graph options; each model's recorded mode must be
+    ``MODE_OF[name]``. A directory of JSON checkpoints is refused."""
+    for name in MODEL_ORDER:
+        old = os.path.join(model_dir, f"model_{name}.json")
+        if os.path.exists(old):
+            raise ValueError(f"{old}: a JSON checkpoint, a format no longer read; "
+                             f"train again to write model_{name}.npy")
     meta_path = os.path.join(model_dir, BUNDLE_META)
     with _reading(meta_path):
         meta = _read_json(meta_path, "bundle metadata")
@@ -597,9 +622,14 @@ def _load_meta(
             if mode != MODE_OF.get(name):
                 raise ValueError(f"model {name!r} cannot have mode {mode!r}; "
                                  f"the models are {MODE_OF}")
+        layouts = dict(meta["layouts"])
+        if list(layouts) != list(modes) or not all(type(v) is list for v in layouts.values()):
+            raise ValueError(f"'layouts' must hold one list per model {list(modes)}")
         config = _config_from_record(EncoderConfig, meta, "encoder")
         config.validate()
-        label_emb_dim = int(meta["label_emb_dim"])
+        label_emb_dim = _typed(meta["label_emb_dim"], "int", "label_emb_dim")
+        if label_emb_dim < 1:
+            raise ValueError(f"label_emb_dim must be positive, not {label_emb_dim}")
         # older files record graph_options.noun_tags, now always the default
         noun_tags = meta["graph_options"].pop("noun_tags", None)
         if noun_tags not in (None, sorted(DEFAULT_NOUN_TAGS)):
@@ -609,33 +639,36 @@ def _load_meta(
     vocab_path = os.path.join(model_dir, VOCAB_FILE)
     with _reading(vocab_path):
         vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
+        if not all(type(rel) is str for rel in vocab.deprel_ranking):
+            raise ValueError("deprel_ranking must hold only strings")
     shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
-    return list(modes), shell, opts
+    return layouts, shell, opts
 
 
-def _load_models(model_dir: str | os.PathLike, names: list[str], shell: ModelBundle,
+def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: ModelBundle,
                  opts: GraphOptions) -> ModelBundle:
-    """``shell`` holding the models ``names``, each read from its checkpoint."""
+    """``shell`` holding the models that ``layouts`` names, each read from its
+    checkpoint once its recorded layout matches the one its settings give."""
+    names = list(layouts)
     models, enc = init_models(
         [MODE_OF[name] for name in names], shell.vocab.size,
         len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
         np.random.default_rng(0), shell.label_emb_dim,
     )
+    meta_path = os.path.join(model_dir, BUNDLE_META)
     for name, model in zip(names, models):
-        path = os.path.join(model_dir, f"model_{name}.json")
+        recorded, expected = layouts[name], _layout(model.store)
+        if recorded != expected:
+            i = next((i for i, pair in enumerate(zip(recorded, expected)) if pair[0] != pair[1]),
+                     min(len(recorded), len(expected)))
+            got, want = (entries[i] if i < len(entries) else "nothing"
+                         for entries in (recorded, expected))
+            raise ValueError(f"{meta_path}: layout of model {name!r} disagrees at parameter "
+                             f"{i}: recorded {got}, expected {want}")
+        path = os.path.join(model_dir, f"model_{name}.npy")
         if not os.path.exists(path):
             raise FileNotFoundError(f"{path}: missing model checkpoint")
-        arrays, params = tc.load_checkpoint(path), model.store.params
-        if set(arrays) != set(params):
-            missing, extra = sorted(set(params) - set(arrays)), sorted(set(arrays) - set(params))
-            raise ValueError(
-                f"{path}: parameter names do not match (missing {missing}, extra {extra})"
-            )
-        for pname, arr in arrays.items():
-            if params[pname].data.shape != arr.shape:
-                raise ValueError(f"{path}: shape mismatch for '{pname}': "
-                                 f"{arr.shape} vs expected {params[pname].data.shape}")
-            params[pname].data[...] = arr
+        tc.load_checkpoint(path, model.store)
     return replace(shell, models=dict(zip(names, models)), enc=enc)
 
 
@@ -643,19 +676,19 @@ def load_selected(
     model_dir: str | os.PathLike,
 ) -> tuple[str, SimileModel, Vocabulary, GraphOptions]:
     """Load only the dev-selected model, per the single-model inference rule."""
-    names, shell, opts = _load_meta(model_dir)
+    layouts, shell, opts = _load_meta(model_dir)
     sel_path = os.path.join(model_dir, SELECTED_FILE)
     with _reading(sel_path):
         name = _read_json(sel_path, "selected-model marker")["selected"]
-        known = name in names
+        known = name in layouts
     if not known:
         raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
-    model = _load_models(model_dir, [name], shell, opts).models[name]
+    model = _load_models(model_dir, {name: layouts[name]}, shell, opts).models[name]
     return name, model, shell.vocab, opts
 
 
 def load_bundle(
     model_dir: str | os.PathLike,
 ) -> tuple[ModelBundle, GraphOptions]:
-    names, shell, opts = _load_meta(model_dir)
-    return _load_models(model_dir, names, shell, opts), opts
+    layouts, shell, opts = _load_meta(model_dir)
+    return _load_models(model_dir, layouts, shell, opts), opts

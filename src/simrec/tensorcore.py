@@ -618,17 +618,14 @@ class ParamStore:
                 data[a:b] -= g
 
 
-CHECKPOINT_MAGIC = "simrec-checkpoint"
-CHECKPOINT_VERSION = 1
-
-
 @contextmanager
-def open_atomic(path):
-    """A text file to write ``path`` through: a temp file beside it, renamed
-    into place when the block ends and removed when the block fails."""
+def open_atomic(path, mode: str = "w"):
+    """A file to write ``path`` through, opened in ``mode`` (``"w"`` text,
+    ``"wb"`` binary): a temp file beside it, renamed into place when the
+    block ends and removed when the block fails."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -643,41 +640,37 @@ def write_json_atomic(path, obj, **dump_args) -> None:
         json.dump(obj, fh, **dump_args)
 
 
-def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
-    """Write parameters as versioned JSON: name -> shape + row-major values."""
-    payload = {
-        "magic": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "params": {
-            name: {
-                "shape": list(np.asarray(a).shape),
-                "values": np.asarray(a, dtype=np.float64).reshape(-1).tolist(),
-            }
-            for name, a in named_arrays.items()
-        },
-    }
-    write_json_atomic(path, payload)
+def save_checkpoint(path, store: ParamStore) -> None:
+    """Write ``store``'s parameters, shared ones included, through
+    ``open_atomic`` as one ``.npy`` file: a 1-D float64 vector of the
+    parameters' values, concatenated in ``store.params`` order."""
+    vector = np.concatenate([p.data.reshape(-1) for p in store.params.values()])
+    with open_atomic(path, "wb") as fh:
+        np.save(fh, vector, allow_pickle=False)
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parameters by name; a damaged file or a non-finite value raises a
-    ValueError naming it. Other keys, such as older files' ``extra``, are ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a recognized checkpoint file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    arrays = {}
+def load_checkpoint(path, store: ParamStore) -> None:
+    """Fill ``store``, which owns all its parameters, from a ``save_checkpoint``
+    file, as one assignment to its DATA row.
+
+    The file is memory-mapped, so its header is checked before any data is
+    read and a header cannot ask for more memory than the file holds. A file
+    that is not a float64 vector of the store's length, or that holds a NaN or
+    an infinity, raises a ValueError naming it (and the parameter).
+    """
+    n = store.block.shape[1]
     try:
-        for name, rec in payload["params"].items():
-            arrays[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed parameter record ({exc!r})") from exc
-    for name, a in arrays.items():
-        if not all_finite(a):
-            raise ValueError(f"{path}: non-finite value in parameter '{name}'")
-    return arrays
+        vector = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError, OSError) as exc:
+        raise ValueError(f"{path}: not a .npy checkpoint ({exc})") from exc
+    if not isinstance(vector, np.ndarray):  # a zip archive of arrays (.npz)
+        vector.close()
+        raise ValueError(f"{path}: a .npz archive, not a .npy checkpoint")
+    if vector.dtype != np.float64 or vector.shape != (n,):
+        raise ValueError(f"{path}: holds {vector.dtype} of shape {vector.shape}, "
+                         f"expected float64 of shape ({n},)")
+    if not all_finite(vector):
+        first = np.flatnonzero(~np.isfinite(vector))[0]
+        name = next(p.name for p, lo, hi in store._spans if lo <= first < hi)
+        raise ValueError(f"{path}: non-finite value in parameter '{name}'")
+    store.block[DATA] = vector

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import shlex
 import shutil
 import subprocess
@@ -129,7 +130,7 @@ class TestTrain:
         files = set(os.listdir(trained_dir))
         expected = {
             "bundle.json", "vocab.json", "selected.json", "train_log.jsonl",
-            "model_p.json", "model_t.json", "model_v.json",
+            "model_p.npy", "model_t.npy", "model_v.npy",
         }
         assert files == expected
 
@@ -215,15 +216,18 @@ class TestTrain:
         capsys.readouterr()
         assert rc == 0
         meta = json.loads((out / "bundle.json").read_text())
-        assert set(meta["models"]) == {"p", "t"}
-        assert not (out / "model_v.json").exists()
+        assert set(meta["models"]) == set(meta["layouts"]) == {"p", "t"}
+        assert not (out / "model_v.npy").exists()
 
     def test_retrain_removes_checkpoints_of_dropped_models(
         self, trained_dir, corpora, tmp_path, capsys
     ):
+        # Also the JSON checkpoints an older version wrote.
         train, dev = corpora
         out = tmp_path / "m"
         shutil.copytree(trained_dir, out)
+        for name in "ptv":
+            (out / f"model_{name}.json").write_text("{}", encoding="utf-8")
         rc = main(["train", "--train", train, "--dev", dev,
                    "--out-dir", str(out), *TINY_FLAGS,
                    "--epochs", "1", "--disable-model", "v"])
@@ -231,7 +235,7 @@ class TestTrain:
         assert rc == 0
         assert {p.name for p in out.iterdir()} == {
             "bundle.json", "vocab.json", "selected.json", "train_log.jsonl",
-            "model_p.json", "model_t.json",
+            "model_p.npy", "model_t.npy",
         }
 
     @pytest.mark.parametrize("setting, message", [
@@ -371,14 +375,13 @@ class TestEvaluate:
 
 def _edit_copy(trained_dir, tmp_path, file, key_path, edit):
     """A copy of ``trained_dir`` whose ``file`` has the record at ``key_path``
-    passed to ``edit(parent, last_key)``; ``SELECTED`` stands for the selected
-    model's checkpoint, and a key path descends through nested records at
-    each dot.  Returns the copy and the edited file's name."""
+    passed to ``edit(parent, last_key)``; ``SELECTED`` in the key path stands
+    for the selected model's name, and a key path descends through nested
+    records at each dot.  Returns the copy and the edited file's name."""
     model_dir = tmp_path / "model"
     shutil.copytree(trained_dir, model_dir)
-    if file == "SELECTED":
-        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
-        file = f"model_{selected}.json"
+    selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+    key_path = key_path.replace("SELECTED", selected)
     path = model_dir / file
     record = json.loads(path.read_text(encoding="utf-8"))
     *parents, last = key_path.split(".")
@@ -413,10 +416,8 @@ class TestDamagedModelDir:
         ("vocab.json", "token_to_id"),
         ("vocab.json", "deprel_ranking"),
         ("selected.json", "selected"),
-        ("SELECTED", "params"),
-        ("SELECTED", "params.enc/edge_emb"),
-        ("SELECTED", "params.enc/tok_emb.values"),
-        ("SELECTED", "params.head/cls/w.shape"),
+        ("bundle.json", "layouts"),
+        ("bundle.json", "layouts.SELECTED"),
     ])
     def test_missing_key_is_one_error_line(
         self, trained_dir, corpora, tmp_path, capsys, file, key_path
@@ -434,7 +435,8 @@ class TestDamagedModelDir:
         ("graph_options.colour", "red", "bundle.json: malformed (unknown keys ['colour']"),
         ("encoder.depth", 3, "bundle.json: malformed (unknown keys ['depth']"),
         ("graph_options.top_k_deprels", 2,
-         "model_{selected}.json: shape mismatch for 'enc/edge_emb'"),
+         "bundle.json: layout of model '{selected}' disagrees at parameter 7: "
+         "recorded ['enc/edge_emb', [11, 4]], expected ['enc/edge_emb', [6, 4]]"),
         ("graph_options.noun_tags", ["NN"],
          "bundle.json: malformed (graph_options.noun_tags ['NN'] is not the default"),
         ("models", {"p": "parallel", "t": "vehicle_first", "v": "tenor_first"},
@@ -477,23 +479,121 @@ class TestDamagedModelDir:
     def test_non_finite_weight_is_one_error_line_before_any_output(
         self, trained_dir, corpora, tmp_path, capsys, value
     ):
-        # json.load reads NaN and Infinity; the checkpoint loader refuses them.
+        # A .npy file holds any float64; the checkpoint loader refuses NaN and
+        # infinity, naming the parameter that holds one.
         _, dev = corpora
-
-        def poison(parent, key):
-            parent[key]["values"][3] = value
-
-        model_dir, file = _edit_copy(trained_dir, tmp_path, "SELECTED", "params.head/cls/w",
-                                     poison)
+        model_dir, file, weights, layout = _selected_checkpoint(trained_dir, tmp_path)
+        names = [pname for pname, _ in layout]
+        weights[sum(math.prod(shape) for _, shape in layout[:names.index("head/cls/w")]) + 3] = value
+        np.save(model_dir / file, weights)
         _assert_one_error_line(model_dir, dev, tmp_path, capsys,
                                f"{file}: non-finite value in parameter 'head/cls/w'")
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda path, w: path.write_bytes(path.read_bytes()[:-100]), "not a .npy checkpoint"),
+        (lambda path, w: path.write_bytes(b""), "not a .npy checkpoint"),
+        (lambda path, w: path.write_text(json.dumps(w.tolist())), "not a .npy checkpoint"),
+        (lambda path, w: np.save(path, np.array(list(w), dtype=object), allow_pickle=True),
+         "not a .npy checkpoint"),
+        (lambda path, w: np.savez(path.with_suffix(""), weights=w)
+         or path.with_suffix(".npz").replace(path), "a .npz archive"),
+        (lambda path, w: np.save(path, w.astype(np.float32)), "holds float32"),
+        (lambda path, w: np.save(path, w.astype(">f8")), "holds >f8"),
+        (lambda path, w: np.save(path, w.reshape(1, -1)), "holds float64 of shape (1, "),
+        (lambda path, w: np.save(path, w[:-1]),
+         "holds float64 of shape ({short},), expected float64 of shape ({n},)"),
+        (lambda path, w: np.save(path, np.append(w, 0.0)),
+         "holds float64 of shape ({long},), expected float64 of shape ({n},)"),
+        (lambda path, w: _write_header(path, (10**15,)),
+         "not a .npy checkpoint (mmap length is greater than file size)"),
+    ], ids=["truncated", "empty", "json-text", "object-array", "npz", "float32",
+            "big-endian", "2-d", "one-float-short", "one-float-long", "huge-header"])
+    def test_damaged_checkpoint_is_one_error_line(
+        self, trained_dir, corpora, tmp_path, capsys, damage, message
+    ):
+        _, dev = corpora
+        model_dir, file, weights, _ = _selected_checkpoint(trained_dir, tmp_path)
+        damage(model_dir / file, weights)
+        n = len(weights)
+        message = message.format(n=n, short=n - 1, long=n + 1)
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, f"{file}: {message}")
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda layout: layout.pop(1),
+         "1: recorded ['enc/sa0/wq', [8, 8]], expected ['enc/pos_emb', [128, 8]]"),
+        (lambda layout: layout[3][1].append(1),
+         "3: recorded ['enc/sa0/wk', [8, 8, 1]], expected ['enc/sa0/wk', [8, 8]]"),
+        (lambda layout: layout.pop(), "{last}: recorded nothing, expected {last_entry}"),
+        (lambda layout: layout.append(["head/extra", [2]]),
+         "{end}: recorded ['head/extra', [2]], expected nothing"),
+    ], ids=["dropped-name", "changed-shape", "dropped-last", "extra-name"])
+    def test_layout_edit_is_one_error_line(
+        self, trained_dir, corpora, tmp_path, capsys, edit, message
+    ):
+        _, dev = corpora
+
+        def apply(parent, key):
+            edit(parent[key])
+
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", "layouts.SELECTED", apply)
+        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        layout = json.loads((Path(trained_dir) / "bundle.json").read_text())["layouts"][selected]
+        message = message.format(last=len(layout) - 1, last_entry=layout[-1], end=len(layout))
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, f"bundle.json: layout of "
+                               f"model '{selected}' disagrees at parameter {message}")
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("file, key_path, value, message", [
+        ("bundle.json", "encoder.d_model", 8.0, "encoder.d_model must be int, not 8.0"),
+        ("bundle.json", "encoder.d_model", True, "encoder.d_model must be int, not True"),
+        ("bundle.json", "encoder.n_gat_layers", 1.0, "encoder.n_gat_layers must be int"),
+        ("bundle.json", "encoder.edge_emb_dim", "4", "encoder.edge_emb_dim must be int"),
+        ("bundle.json", "encoder.use_gloss_fusion", 1, "encoder.use_gloss_fusion must be bool"),
+        ("bundle.json", "encoder.leaky_slope", "0.01", "encoder.leaky_slope must be float"),
+        ("bundle.json", "graph_options.top_k_deprels", 8.0,
+         "graph_options.top_k_deprels must be int, not 8.0"),
+        ("bundle.json", "graph_options.no_pos", None, "graph_options.no_pos must be bool"),
+        ("bundle.json", "label_emb_dim", 4.9, "label_emb_dim must be int, not 4.9"),
+        ("bundle.json", "label_emb_dim", False, "label_emb_dim must be int, not False"),
+        ("bundle.json", "label_emb_dim", 0, "label_emb_dim must be positive"),
+        ("vocab.json", "deprel_ranking.0", 7, "deprel_ranking must hold only strings"),
+    ], ids=["float-d-model", "bool-d-model", "float-gat-layers", "string-edge-dim",
+            "int-gloss-fusion", "string-slope", "float-top-k", "null-no-pos",
+            "float-label-dim", "bool-label-dim", "zero-label-dim", "int-deprel"])
+    def test_wrong_type_is_one_error_line(
+        self, trained_dir, corpora, tmp_path, capsys, file, key_path, value, message
+    ):
+        _, dev = corpora
+
+        def assign(parent, key):
+            parent[int(key) if isinstance(parent, list) else key] = value
+
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, file, key_path, assign)
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys,
+                               f"{file}: malformed ({message}")
+
+    def test_json_checkpoint_directory_is_refused(
+        self, trained_dir, corpora, tmp_path, capsys
+    ):
+        # Older versions wrote each model as model_<name>.json.
+        _, dev = corpora
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        for name in "ptv":
+            (model_dir / f"model_{name}.npy").unlink()
+            (model_dir / f"model_{name}.json").write_text(
+                '{"magic": "simrec-checkpoint", "version": 1, "params": {}}', encoding="utf-8")
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys,
+                               "model_p.json: a JSON checkpoint, a format no longer read")
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_interrupted_save_leaves_a_directory_that_fails_cleanly(
         self, trained_dir, corpora, tmp_path, capsys, monkeypatch
     ):
         # A second bundle of the same configuration saved over a trained
-        # directory, with the write after the first checkpoint failing.
+        # directory, with the write of the second checkpoint failing part-way.
         _, dev = corpora
         model_dir = tmp_path / "model"
         shutil.copytree(trained_dir, model_dir)
@@ -502,19 +602,42 @@ class TestDamagedModelDir:
             bundle.vocab, bundle.config, np.random.default_rng(1),
             label_emb_dim=bundle.label_emb_dim, top_k_deprels=opts.top_k_deprels,
         )
-        write_json_atomic = tc.write_json_atomic
+        save = np.save
+        partial = []
 
-        def failing(path, obj, **dump_args):
-            if str(path).endswith("model_t.json"):
-                obj = {**obj, "params": object()}  # fails part-way through the dump
-            write_json_atomic(path, obj, **dump_args)
+        def failing(file, arr, **kwargs):
+            if file.name.endswith("model_t.npy.tmp"):
+                file.write(b"\x93NUMPY\x01\x00")
+                partial.append(file.name)
+                raise OSError("no space left on device")
+            save(file, arr, **kwargs)
 
-        monkeypatch.setattr(tc, "write_json_atomic", failing)
-        with pytest.raises(TypeError, match="not JSON serializable"):
+        monkeypatch.setattr(np, "save", failing)
+        with pytest.raises(OSError, match="no space left"):
             distill.save_bundle(again, model_dir, opts, selected="p")
         monkeypatch.undo()
+        assert partial
         assert not [p.name for p in model_dir.iterdir() if p.name.endswith(".tmp")]
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, "selected.json")
+
+
+def _write_header(path, shape):
+    """A .npy file at ``path`` whose header claims ``shape`` and which holds 8 bytes of data."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        fh.write(bytes(8))
+
+
+def _selected_checkpoint(trained_dir, tmp_path):
+    """A copy of ``trained_dir``, the selected model's checkpoint file name,
+    its weights and its recorded layout."""
+    model_dir = tmp_path / "model"
+    shutil.copytree(trained_dir, model_dir)
+    selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+    file = f"model_{selected}.npy"
+    layout = json.loads((model_dir / "bundle.json").read_text())["layouts"][selected]
+    return model_dir, file, np.load(model_dir / file), layout
 
 
 class TestCorpusErrorsNameTheFile:
@@ -530,21 +653,38 @@ class TestCorpusErrorsNameTheFile:
                                          "evaluate --data", "predict --input"])
     def test_malformed_record(self, trained_dir, corpora, bad_corpus, tmp_path, capsys,
                               command):
-        train, dev = corpora
-        name, flag = command.split()
-        given = {"--train": train, "--dev": dev, "--data": dev, "--input": dev, flag: bad_corpus}
-        if name == "train":
-            argv = ["--train", given["--train"], "--dev", given["--dev"],
-                    "--out-dir", str(tmp_path / "m"), *TINY_FLAGS]
-        else:
-            argv = ["--model-dir", trained_dir, flag, bad_corpus]
-            if name == "predict":
-                argv += ["--out", str(tmp_path / "p.jsonl")]
-        rc = main([name, *argv])
-        assert rc == 1
+        _run_on_corpus(command, bad_corpus, trained_dir, corpora, tmp_path)
         assert capsys.readouterr().err == (
             f"error: {bad_corpus}: line 1: malformed field ('comparator_index')\n")
         assert not (tmp_path / "m").exists() and not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train --train", "predict --input"])
+    @pytest.mark.parametrize("glosses", ["clouds", [["6", ["white"]]]], ids=["string", "list"])
+    def test_glosses_not_an_object(self, trained_dir, corpora, tmp_path, capsys, command,
+                                   glosses):
+        record = {**sentence_to_record(canonical_sentence()), "glosses": glosses}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        _run_on_corpus(command, str(bad), trained_dir, corpora, tmp_path)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 1: malformed field (") and err.count("\n") == 1
+        assert not (tmp_path / "m").exists() and not (tmp_path / "p.jsonl").exists()
+
+
+def _run_on_corpus(command, bad_corpus, trained_dir, corpora, tmp_path):
+    """Run ``command`` ("train --dev", say) with ``bad_corpus`` for its flag;
+    it must exit 1."""
+    train, dev = corpora
+    name, flag = command.split()
+    given = {"--train": train, "--dev": dev, "--data": dev, "--input": dev, flag: bad_corpus}
+    if name == "train":
+        argv = ["--train", given["--train"], "--dev", given["--dev"],
+                "--out-dir", str(tmp_path / "m"), *TINY_FLAGS]
+    else:
+        argv = ["--model-dir", trained_dir, flag, bad_corpus]
+        if name == "predict":
+            argv += ["--out", str(tmp_path / "p.jsonl")]
+    assert main([name, *argv]) == 1
 
 
 def nine_token_sentence():

@@ -870,16 +870,44 @@ class TestPersistence:
     def test_missing_model_checkpoint(self, tiny_vocab, tmp_path):
         bundle = fresh_bundle(tiny_vocab)
         distill.save_bundle(bundle, tmp_path)
-        (tmp_path / "model_v.json").unlink()
+        (tmp_path / "model_v.npy").unlink()
         with pytest.raises(FileNotFoundError, match="model_v"):
             distill.load_bundle(tmp_path)
 
     def test_dropped_parameter_detected(self, tiny_vocab, tmp_path):
         bundle = fresh_bundle(tiny_vocab)
         distill.save_bundle(bundle, tmp_path)
-        path = tmp_path / "model_p.json"
-        blob = json.loads(path.read_text(encoding="utf-8"))
-        blob["params"].pop("head/cls/w")
-        path.write_text(json.dumps(blob), encoding="utf-8")
-        with pytest.raises(ValueError, match="parameter names"):
+        path = tmp_path / distill.BUNDLE_META
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        layout = meta["layouts"]["p"]
+        i = [pname for pname, _ in layout].index("head/cls/w")
+        del layout[i]
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bundle\.json: layout of model 'p' disagrees at "
+                                             rf"parameter {i}: .* expected \['head/cls/w'"):
             distill.load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"share_encoder": True},
+                                        {"disabled_models": ("v",)}],
+                             ids=["plain", "share-encoder", "disable-v"])
+    def test_checkpoint_round_trip_is_bit_identical(self, tiny_vocab, tmp_path, kwargs):
+        # A shared encoder lives in the first model's store; the others'
+        # checkpoints carry it too, and loading puts it in their own rows.
+        bundle = fresh_bundle(tiny_vocab, **kwargs)
+        rng = np.random.default_rng(5)
+        for model in bundle.models.values():  # weights unlike a fresh draw's
+            for p in model.store.params.values():
+                p.data[...] = rng.normal(size=p.shape)
+        distill.save_bundle(bundle, tmp_path, selected=next(iter(bundle.models)))
+        loaded, _ = distill.load_bundle(tmp_path)
+        assert tuple(loaded.models) == tuple(bundle.models)
+        for name, model in bundle.models.items():
+            want = np.concatenate([p.data.reshape(-1) for p in model.store.params.values()])
+            got = loaded.models[name].store
+            assert got.shared == set()
+            assert got.block[tc.DATA].tobytes() == want.tobytes()
+            saved = np.load(tmp_path / f"model_{name}.npy", allow_pickle=False)
+            assert saved.dtype == np.float64 and saved.tobytes() == want.tobytes()
+        if kwargs.get("share_encoder"):
+            assert len(bundle.enc["tok_emb"].data) == 1
+            assert len(loaded.enc["tok_emb"].data) == len(bundle.models)

@@ -1,5 +1,4 @@
 import gc
-import json
 import math
 
 import numpy as np
@@ -599,53 +598,66 @@ class TestParamBlock:
 class TestCheckpoints:
     def test_round_trip(self, tmp_path, rng):
         arrays = {"enc/w": rng.normal(size=(3, 4)), "head/b": rng.normal(size=5)}
-        path = tmp_path / "model.json"
-        tc.save_checkpoint(path, arrays)
-        loaded = tc.load_checkpoint(path)
-        assert set(loaded) == set(arrays)
+        path = tmp_path / "model.npy"
+        tc.save_checkpoint(path, param_store(arrays))
+        loaded = param_store({name: np.zeros_like(a) for name, a in arrays.items()})
+        tc.load_checkpoint(path, loaded)
         for k in arrays:
-            np.testing.assert_array_equal(loaded[k], arrays[k])
+            np.testing.assert_array_equal(loaded.params[k].data, arrays[k])
+        assert np.load(path, allow_pickle=False).shape == (17,)
 
-    def test_file_with_extra_record_still_loads(self, tmp_path):
-        # Older writers added an ``extra`` record that nothing read.
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({
-            "magic": "simrec-checkpoint", "version": 1,
-            "extra": {"model": "p", "mode": "parallel"},
-            "params": {"w": {"shape": [2], "values": [1.0, 2.0]}},
-        }), encoding="utf-8")
-        loaded = tc.load_checkpoint(path)
-        assert set(loaded) == {"w"}
-        np.testing.assert_array_equal(loaded["w"], [1.0, 2.0])
-
-    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
-        path = tmp_path / "model.json"
-        tc.save_checkpoint(path, {"w": np.ones(2)})
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npy"
+        tc.save_checkpoint(path, param_store({"w": np.ones(2)}))
         before = path.read_bytes()
+        save = np.save
+
+        def failing(file, arr, **kwargs):
+            file.write(b"\x93NUMPY")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "save", failing)
+        with pytest.raises(OSError, match="no space left"):
+            tc.save_checkpoint(path, param_store({"w": np.zeros(2)}))
+        monkeypatch.setattr(np, "save", save)
         with pytest.raises(TypeError, match="not JSON serializable"):
             tc.write_json_atomic(path, {"w": [1.0, 2.0], "bad": object()})
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npy"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected_naming_the_parameter(self, tmp_path, value):
-        path = tmp_path / "model.json"
-        tc.save_checkpoint(path, {"enc/w": np.ones(2), "head/b": np.array([1.0, value])})
+        path = tmp_path / "model.npy"
+        params = {"enc/w": np.ones(2), "head/b": np.array([1.0, value])}
+        tc.save_checkpoint(path, param_store(params))
+        loaded = param_store({"enc/w": np.zeros(2), "head/b": np.zeros(2)})
         with pytest.raises(ValueError,
-                           match=r"model\.json: non-finite value in parameter 'head/b'"):
-            tc.load_checkpoint(path)
+                           match=r"model\.npy: non-finite value in parameter 'head/b'"):
+            tc.load_checkpoint(path, loaded)
+        assert not loaded.block.any()  # nothing was copied in
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"magic": "something-else", "params": {}}', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a recognized checkpoint"):
-            tc.load_checkpoint(path)
+        path = tmp_path / "junk.npy"
+        path.write_text('{"magic": "simrec-checkpoint", "params": {}}', encoding="utf-8")
+        # Without the .npy magic, numpy takes the file for a pickle, which it refuses.
+        with pytest.raises(ValueError, match=r"junk\.npy: not a \.npy checkpoint \(.*pickled"):
+            tc.load_checkpoint(path, param_store({"w": np.zeros(2)}))
 
     def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text(
-            '{"magic": "simrec-checkpoint", "version": 99, "params": {}}',
-            encoding="utf-8",
-        )
-        with pytest.raises(ValueError, match="version"):
-            tc.load_checkpoint(path)
+        path = tmp_path / "future.npy"
+        np.save(path, np.ones(2))
+        data = bytearray(path.read_bytes())
+        data[6] = 99  # the major format version follows the six magic bytes
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"future\.npy: not a \.npy checkpoint \(.*version"):
+            tc.load_checkpoint(path, param_store({"w": np.zeros(2)}))
+
+    def test_header_is_checked_before_any_data_is_read(self, tmp_path):
+        # A header that claims 10**15 floats is refused without allocating them.
+        path = tmp_path / "huge.npy"
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (10**15,)})
+            fh.write(bytes(16))
+        with pytest.raises(ValueError, match=r"huge\.npy: not a \.npy checkpoint \(mmap length"):
+            tc.load_checkpoint(path, param_store({"w": np.zeros(2)}))
