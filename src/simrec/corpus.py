@@ -11,13 +11,18 @@ The on-disk corpus format is JSON Lines, one sentence per line:
 Token indices (comparator, gloss keys, dependency heads) are 1-based;
 head 0 marks the dependency root.  Gloss keys are decimal strings because
 JSON objects cannot carry integer keys.
+
+In memory a token is a named tuple (``TokenAnn``): immutable, hashable,
+equal by value (also to a plain 4-tuple) and cheap to build by the
+thousand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +31,7 @@ MAX_TOKENS = 100
 LABEL_SIMILE = "simile"
 LABEL_LITERAL = "literal"
 TAG_VALUES = ("T", "V", "O")
+_TAG_SET = frozenset(TAG_VALUES)
 
 # POS tags treated as nouns when typing graph nodes and validating glosses.
 # Pronouns are deliberately absent.
@@ -42,8 +48,7 @@ class CorpusError(ValueError):
     """Raised for malformed corpus records or violated sentence invariants."""
 
 
-@dataclass(frozen=True)
-class TokenAnn:
+class TokenAnn(NamedTuple):
     """One token with its POS tag and dependency arc (head 0 = root)."""
 
     surface: str
@@ -87,15 +92,18 @@ def validate_sentence(
         raise CorpusError(f"{where}: label must be 'simile' or 'literal', got {sent.label!r}")
     if len(sent.tags) != n:
         raise CorpusError(f"{where}: tags length {len(sent.tags)} != token count {n}")
-    for i, tag in enumerate(sent.tags, start=1):
-        if tag not in TAG_VALUES:
-            raise CorpusError(f"{where}: tags[{i}] = {tag!r} not in {TAG_VALUES}")
-    if sent.label == LABEL_LITERAL and any(t != "O" for t in sent.tags):
+    # Each check runs once over the sentence; only a failure walks it again
+    # to name the first culprit.
+    tag_set = set(sent.tags)
+    if not tag_set <= _TAG_SET:
+        i, tag = next((i, t) for i, t in enumerate(sent.tags, start=1) if t not in TAG_VALUES)
+        raise CorpusError(f"{where}: tags[{i}] = {tag!r} not in {TAG_VALUES}")
+    if sent.label == LABEL_LITERAL and tag_set != {"O"}:
         raise CorpusError(f"{where}: literal sentence carries non-O tags")
-    for i, tok in enumerate(sent.tokens, start=1):
-        if not (0 <= tok.head <= n):
-            raise CorpusError(f"{where}: head of token {i} out of range ({tok.head})")
-        if tok.head == i:
+    for i, (_, _, head, _) in enumerate(sent.tokens, start=1):
+        if not 0 <= head <= n or head == i:
+            if head != i:
+                raise CorpusError(f"{where}: head of token {i} out of range ({head})")
             raise CorpusError(f"{where}: token {i} depends on itself")
     for idx in sent.glosses:
         if not (1 <= idx <= n):
@@ -121,23 +129,14 @@ def sentence_from_record(
     record: dict, where: str = "record", max_tokens: int = MAX_TOKENS
 ) -> AnnotatedSentence:
     try:
-        tokens = tuple(
-            TokenAnn(
-                surface=str(t["surface"]),
-                pos=str(t["pos"]),
-                head=int(t["head"]),
-                deprel=str(t["deprel"]),
-            )
+        tokens = tuple([
+            TokenAnn(str(t["surface"]), str(t["pos"]), int(t["head"]), str(t["deprel"]))
             for t in record["tokens"]
-        )
-        glosses = {int(k): tuple(str(w) for w in v) for k, v in record.get("glosses", {}).items()}
-        sent = AnnotatedSentence(
-            tokens=tokens,
-            comparator_index=int(record["comparator_index"]),
-            glosses=glosses,
-            label=str(record["label"]),
-            tags=tuple(str(t) for t in record["tags"]),
-        )
+        ])
+        glosses = {int(k): tuple([str(w) for w in v])
+                   for k, v in record.get("glosses", {}).items()}
+        sent = AnnotatedSentence(tokens, int(record["comparator_index"]), glosses,
+                                 str(record["label"]), tuple([str(t) for t in record["tags"]]))
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CorpusError(f"{where}: malformed field ({err})") from err
     validate_sentence(sent, where, max_tokens)
@@ -309,11 +308,11 @@ class _Template:
     deprels: tuple[str, ...]
     comparator_index: int
 
-    @property
+    @cached_property
     def noun_a(self) -> int:
         return self.slots.index("NOUN_A") + 1
 
-    @property
+    @cached_property
     def noun_b(self) -> int:
         return self.slots.index("NOUN_B") + 1
 
@@ -406,10 +405,10 @@ def _fill_template(
         "ADV": adv,
         "CMP": cmp_word,
     }
-    tokens = tuple(
-        TokenAnn(surface=words[slot], pos=pos, head=head, deprel=rel)
+    tokens = tuple([
+        TokenAnn(words[slot], pos, head, rel)
         for slot, pos, head, rel in zip(tpl.slots, tpl.pos, tpl.heads, tpl.deprels)
-    )
+    ])
     return AnnotatedSentence(
         tokens=tokens,
         comparator_index=tpl.comparator_index,
@@ -421,12 +420,10 @@ def _fill_template(
 
 def _template_tags(tpl: _Template, simile: bool) -> tuple[str, ...]:
     """T on noun A and V on noun B of a simile; all O for a literal."""
-    if not simile:
-        return ("O",) * len(tpl.slots)
-    return tuple(
-        "T" if i == tpl.noun_a else "V" if i == tpl.noun_b else "O"
-        for i in range(1, len(tpl.slots) + 1)
-    )
+    tags = ["O"] * len(tpl.slots)
+    if simile:
+        tags[tpl.noun_a - 1], tags[tpl.noun_b - 1] = "T", "V"
+    return tuple(tags)
 
 
 def generate_synthetic(config: SyntheticConfig) -> list[AnnotatedSentence]:

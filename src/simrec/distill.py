@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import tensorcore as tc
-from .corpus import DEFAULT_NOUN_TAGS, AnnotatedSentence, Vocabulary
+from .corpus import DEFAULT_NOUN_TAGS, RESERVED_TOKENS, AnnotatedSentence, Vocabulary
 from .encoder import EncoderConfig, encode_graph
 from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (
@@ -40,6 +40,7 @@ from .heads import (
     MODES,
     PREDICT_CHUNK,
     TAG_TO_ID,
+    UNDRAWN,
     SimileModel,
     TagForward,
     classify,
@@ -641,6 +642,16 @@ def _load_meta(
         vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
         if not all(type(rel) is str for rel in vocab.deprel_ranking):
             raise ValueError("deprel_ranking must hold only strings")
+        ids = vocab.token_to_id
+        for token, i in ids.items():
+            if type(i) is not int:
+                raise ValueError(f"token_to_id[{token!r}] must be int, not {i!r}")
+        if sorted(ids.values()) != list(range(len(ids))):
+            raise ValueError(f"token_to_id ids must be 0..{len(ids) - 1}, each once")
+        reserved = [ids.get(token) for token in RESERVED_TOKENS]
+        if reserved != list(range(len(RESERVED_TOKENS))):
+            raise ValueError(f"token_to_id must give {list(RESERVED_TOKENS)} the ids "
+                             f"0-{len(RESERVED_TOKENS) - 1}, not {reserved}")
     shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
     return layouts, shell, opts
 
@@ -648,12 +659,13 @@ def _load_meta(
 def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: ModelBundle,
                  opts: GraphOptions) -> ModelBundle:
     """``shell`` holding the models that ``layouts`` names, each read from its
-    checkpoint once its recorded layout matches the one its settings give."""
+    checkpoint once its recorded layout matches the one its settings give.
+    The stores are sized with ``UNDRAWN``: no weight is drawn to be overwritten."""
     names = list(layouts)
     models, enc = init_models(
         [MODE_OF[name] for name in names], shell.vocab.size,
         len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
-        np.random.default_rng(0), shell.label_emb_dim,
+        UNDRAWN, shell.label_emb_dim,
     )
     meta_path = os.path.join(model_dir, BUNDLE_META)
     for name, model in zip(names, models):

@@ -104,6 +104,11 @@ def init_head_params(
     return p
 
 
+# A stand-in rng that draws nothing: every weight it gives is zeros of the
+# drawn shape, so it sizes parameters and stores without the cost of drawing.
+UNDRAWN = SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size))
+
+
 def init_models(
     modes: Sequence[str],
     vocab_size: int,
@@ -120,11 +125,10 @@ def init_models(
     them so (``enc/``, ``head/``), as a checkpoint does. With ``share_encoder``
     the others list the first model's encoder as shared: a stack of one.
     """
-    # Heads are sized by a stand-in rng that draws nothing, so the buffer can
-    # be made after the first encoder and one model's draws live at a time.
-    undrawn = SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size))
+    # Heads are sized with UNDRAWN, so the buffer can be made after the first
+    # encoder and one model's draws live at a time.
     head_max = max(sum(a.size for a in init_head_params(
-        m, config, undrawn, label_emb_dim).values()) for m in modes)
+        m, config, UNDRAWN, label_emb_dim).values()) for m in modes)
     models: list[SimileModel] = []
     for i, mode in enumerate(modes):
         enc = {} if share_encoder and models else init_encoder_params(

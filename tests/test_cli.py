@@ -457,6 +457,37 @@ class TestDamagedModelDir:
         message = message.format(selected=selected)
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids, last: ids.update({last: None}), "token_to_id[{last!r}] must be int, not None"),
+        (lambda ids, last: ids.update({last: "5"}), "token_to_id[{last!r}] must be int, not '5'"),
+        (lambda ids, last: ids.update({last: 5.5}), "token_to_id[{last!r}] must be int, not 5.5"),
+        (lambda ids, last: ids.update({last: True}), "token_to_id[{last!r}] must be int, not True"),
+        (lambda ids, last: ids.update({last: -1}), "token_to_id ids must be 0..{top}, each once"),
+        (lambda ids, last: ids.update({last: 10000}), "token_to_id ids must be 0..{top}, each once"),
+        (lambda ids, last: ids.update({last: 4}), "token_to_id ids must be 0..{top}, each once"),
+        (lambda ids, last: ids.pop("<cls>"), "token_to_id ids must be 0..{top}, each once"),
+        (lambda ids, last: ids.update({"<cls>": 3, "<sep>": 2}),
+         "token_to_id must give ['<pad>', '<unk>', '<cls>', '<sep>'] the ids 0-3, "
+         "not [0, 1, 3, 2]"),
+    ], ids=["null", "string", "float", "bool", "negative", "too-large", "duplicate",
+            "missing-cls", "swapped-reserved"])
+    def test_bad_token_id_is_one_error_line_before_any_output(
+        self, trained_dir, corpora, tmp_path, capsys, edit, message
+    ):
+        _, dev = corpora
+        edited = {}
+
+        def edit_ids(parent, key):
+            ids = parent[key]
+            edited["last"] = max(ids, key=ids.get)
+            edit(ids, edited["last"])
+            edited["top"] = len(ids) - 1
+
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, "vocab.json", "token_to_id", edit_ids)
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys,
+                               f"vocab.json: malformed ({message.format(**edited)})\n")
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_older_noun_tags_key_loads_and_predicts_the_same(
         self, trained_dir, corpora, tmp_path, capsys
     ):

@@ -98,6 +98,25 @@ class TestValidation:
             validate_sentence(make_sentence(glosses={9: ("far", "thing")}))
 
 
+class TestTokenAnn:
+    def test_fields_cannot_be_set(self):
+        tok = TokenAnn("sheep", "NN", 3, "nsubj")
+        with pytest.raises(AttributeError):
+            tok.head = 2
+
+    def test_equal_tokens_hash_equal(self):
+        a, b = TokenAnn("sheep", "NN", 3, "nsubj"), TokenAnn("sheep", "NN", 3, "nsubj")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TokenAnn("sheep", "NN", 2, "nsubj")
+        assert a == ("sheep", "NN", 3, "nsubj")
+
+    def test_replace_makes_a_new_token(self):
+        tok = TokenAnn("sheep", "NN", 3, "nsubj")
+        moved = tok._replace(head=0, deprel="root")
+        assert moved == TokenAnn("sheep", "NN", 0, "root")
+        assert tok.head == 3 and tok.deprel == "nsubj"
+
+
 class TestSerialization:
     def test_record_round_trip(self):
         sent = canonical_sentence()
@@ -271,3 +290,132 @@ class TestFolds:
     def test_k_below_two_rejected(self, small_corpus):
         with pytest.raises(CorpusError):
             split_folds(small_corpus, 1)
+
+
+def _tokens(*heads, pos="NN"):
+    return tuple(TokenAnn(f"w{i}", pos, h, "dep") for i, h in enumerate(heads, start=1))
+
+
+def _sentence(heads=(0, 1, 1, 1), comparator=2, label="literal", tags=None, glosses=None):
+    return AnnotatedSentence(tokens=_tokens(*heads), comparator_index=comparator,
+                             glosses=glosses or {}, label=label,
+                             tags=tuple(tags) if tags else ("O",) * len(heads))
+
+
+def _record(**edits):
+    record = sentence_to_record(canonical_sentence())
+    for key, value in edits.items():
+        if key.startswith("tok2_"):
+            record["tokens"][1][key[5:]] = value
+        else:
+            record[key] = value
+    return record
+
+
+class TestErrorMessagesArePinned:
+    """The whole text of every corpus error, so that a faster reader keeps
+    each message and the order in which the checks fire."""
+
+    @pytest.mark.parametrize("sent, max_tokens, message", [
+        (AnnotatedSentence(tokens=(), comparator_index=1), 100,
+         "s: token count 0 outside [1, 100]"),
+        (_sentence(), 3, "s: token count 4 outside [1, 3]"),
+        (_sentence(heads=(0,) + (1,) * 100, tags=("O",) * 101), 500,
+         "s: token count 101 outside [1, 100]"),
+        (_sentence(comparator=9), 100, "s: comparator_index out of range (9 for N=4)"),
+        (_sentence(comparator=0), 100, "s: comparator_index out of range (0 for N=4)"),
+        (_sentence(label="metaphor"), 100,
+         "s: label must be 'simile' or 'literal', got 'metaphor'"),
+        (_sentence(tags=("O", "O")), 100, "s: tags length 2 != token count 4"),
+        (_sentence(label="simile", tags=("T", "X", "V", "y")), 100,
+         "s: tags[2] = 'X' not in ('T', 'V', 'O')"),
+        # a literal sentence with a bad tag value after a non-O tag: the value fires
+        (_sentence(tags=("O", "T", "", "O")), 100, "s: tags[3] = '' not in ('T', 'V', 'O')"),
+        (_sentence(tags=("O", "O", "O", "V")), 100, "s: literal sentence carries non-O tags"),
+        (_sentence(heads=(0, 5, 1, 1)), 100, "s: head of token 2 out of range (5)"),
+        (_sentence(heads=(0, 1, -1, 1)), 100, "s: head of token 3 out of range (-1)"),
+        (_sentence(heads=(0, 2, 1, 1)), 100, "s: token 2 depends on itself"),
+        # a self-dependent head before an out-of-range one, and the reverse
+        (_sentence(heads=(1, 0, 9, 1)), 100, "s: token 1 depends on itself"),
+        (_sentence(heads=(0, 7, 3, 1)), 100, "s: head of token 2 out of range (7)"),
+        (_sentence(glosses={9: ("far",)}), 100, "s: gloss key 9 out of range"),
+        (_sentence(glosses={0: ("far",)}), 100, "s: gloss key 0 out of range"),
+        (AnnotatedSentence(tokens=_tokens(0, 1, pos="VV"), comparator_index=1,
+                           glosses={2: ("verb",)}, tags=("O", "O")), 100,
+         "s: gloss key 2 points at non-noun POS 'VV'"),
+    ])
+    def test_validate_sentence(self, sent, max_tokens, message):
+        with pytest.raises(CorpusError) as err:
+            validate_sentence(sent, "s", max_tokens)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("record, message", [
+        ({}, "r: malformed field ('tokens')"),
+        ([], "r: malformed field (list indices must be integers or slices, not str)"),
+        (_record(tokens=3), "r: malformed field ('int' object is not iterable)"),
+        (_record(tokens=["w"]),
+         "r: malformed field (string indices must be integers, not 'str')"),
+        (_record(tok2_head="x"),
+         "r: malformed field (invalid literal for int() with base 10: 'x')"),
+        (_record(tok2_head=None), "r: malformed field (int() argument must be a string, "
+         "a bytes-like object or a real number, not 'NoneType')"),
+        (_record(tok2_head=[2]), "r: malformed field (int() argument must be a string, "
+         "a bytes-like object or a real number, not 'list')"),
+        (_record(tok2_deprel=None, tok2_head="x"),
+         "r: malformed field (invalid literal for int() with base 10: 'x')"),
+        (_record(glosses="clouds"), "r: malformed field ('str' object has no attribute 'items')"),
+        (_record(glosses={"two": ["w"]}),
+         "r: malformed field (invalid literal for int() with base 10: 'two')"),
+        (_record(glosses={"2": 5}), "r: malformed field ('int' object is not iterable)"),
+        (_record(comparator_index="four"),
+         "r: malformed field (invalid literal for int() with base 10: 'four')"),
+        (_record(comparator_index="four", glosses="x"),
+         "r: malformed field ('str' object has no attribute 'items')"),
+        (_record(label=None, tags=None), "r: malformed field ('NoneType' object is not iterable)"),
+        ({k: v for k, v in _record().items() if k != "label"}, "r: malformed field ('label')"),
+        ({k: v for k, v in _record().items() if k != "tags"}, "r: malformed field ('tags')"),
+        (_record(tok2_head=2), "r: token 2 depends on itself"),
+        (_record(tags=["O", "T", "O", "O", "Q", "V"]), "r: tags[5] = 'Q' not in ('T', 'V', 'O')"),
+        (_record(label="literal"), "r: literal sentence carries non-O tags"),
+    ])
+    def test_sentence_from_record(self, record, message):
+        with pytest.raises(CorpusError) as err:
+            sentence_from_record(record, "r")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edits, loaded", [
+        ({"tok2_head": "3"}, 3),
+        ({"tok2_head": 3.9}, 3),
+        ({"tok2_head": True}, 1),
+        ({"tok2_surface": None}, "None"),
+        ({"tok2_deprel": 7}, "7"),
+        ({"comparator_index": "4"}, 4),
+        ({"comparator_index": 4.5}, 4),
+    ])
+    def test_coerced_records_still_load(self, edits, loaded):
+        sent = sentence_from_record(_record(**edits), "r")
+        (key, _), = edits.items()
+        got = getattr(sent, key) if key == "comparator_index" else getattr(sent.tokens[1], key[5:])
+        assert got == loaded
+
+    @pytest.mark.parametrize("lines, max_tokens, message", [
+        (["GOOD", "{not json"], 100, "line 2: invalid JSON (Expecting property name enclosed "
+         "in double quotes: line 1 column 2 (char 1))"),
+        (["GOOD", "", "  ", "[1, 2]"], 100,
+         "line 4: malformed field (list indices must be integers or slices, not str)"),
+        (["GOOD", '{"a": 1} {"b": 2}'], 100,
+         "line 2: invalid JSON (Extra data: line 1 column 10 (char 9))"),
+        (["GOOD", "GOOD", json.dumps(_record(comparator_index=99))], 100,
+         "line 3: comparator_index out of range (99 for N=6)"),
+        (["GOOD", json.dumps(_record(tok2_head=2)), "{oops"], 100,
+         "line 2: token 2 depends on itself"),
+        (["GOOD"], 5, "line 1: token count 6 outside [1, 5]"),
+    ])
+    def test_load_corpus(self, tmp_path, lines, max_tokens, message):
+        good = json.dumps(sentence_to_record(canonical_sentence()))
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join((good if line == "GOOD" else line) + "\n" for line in lines),
+                        encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, max_tokens)
+        assert str(err.value) == f"{path}: {message}"

@@ -88,10 +88,10 @@ class TestTokenEncoder:
         h = enc.encode_tokens(block_of(fig_sentence, vocab), params, tiny_config)
         swapped_tokens = list(fig_sentence.tokens)
         swapped_tokens[1], swapped_tokens[5] = (
-            dataclasses.replace(swapped_tokens[5], head=swapped_tokens[1].head,
-                                deprel=swapped_tokens[1].deprel),
-            dataclasses.replace(swapped_tokens[1], head=swapped_tokens[5].head,
-                                deprel=swapped_tokens[5].deprel),
+            swapped_tokens[5]._replace(head=swapped_tokens[1].head,
+                                       deprel=swapped_tokens[1].deprel),
+            swapped_tokens[1]._replace(head=swapped_tokens[5].head,
+                                       deprel=swapped_tokens[5].deprel),
         )
         other = dataclasses.replace(fig_sentence, tokens=tuple(swapped_tokens))
         h2 = enc.encode_tokens(block_of(other, vocab), params, tiny_config)
