@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -560,6 +561,57 @@ class TestTrainLoop:
             want = without.models[name].store.params
             for pname in got:
                 assert np.array_equal(got[pname].data, want[pname].data)
+
+
+class TestTrainingBits:
+    """The bits of a short seeded run, recorded before the backward sweep
+    stopped copying gradients (numpy 2.4.6, BLAS at one thread). Lambda rises
+    from 0 to 1, so the run takes KL-only, mixed and supervised-only steps."""
+
+    ENC = EncoderConfig(d_model=12, n_selfattn_layers=1, n_gat_layers=2,
+                        edge_emb_dim=5, max_tokens=20, max_positions=24)
+    DIGESTS = {
+        "plain": {
+            "log": "520ec0475e84e6dabd46b1525016db3bf666bb54f4e13f4749c2fac640981c70",
+            "p/data": "1237e337bee84a52fe9ce17bfb1cdfa5f3b0d47e1f020752539922ae23a14e1f",
+            "p/m1": "2abdaac49d6550297f3e551f94ce4b3fb0e0c7505b79150d49e975e39fe1c6f4",
+            "p/m2": "a9c910ad973d378215a9cd38becaa6f1774f60d15dd1ed214ae0fe59ab0d4d27",
+            "t/data": "4d02a6a846be94befdd7175222f7494f0eab638d130a6ebd86b5b23954695cff",
+            "t/m1": "2d8b2d3bddcba8ea0e02e8054d8575038dd817fab8bf8917790e8a56398fdfe1",
+            "t/m2": "963dd2292788e8c0e7bf016c7fd12d40f4915ddf9c9fdef764805e0fde188c36",
+            "v/data": "cec19816b76869381eecd12aa820e567a654508117c79ba965247037567397fe",
+            "v/m1": "6384c522d368b3bca1e052f4a16e50aaa9ae1008590ce30bc45c84bd76501589",
+            "v/m2": "0ce803936e64a589bdaa03a0e03bcad3e6a57a0de7b0ea15dd32f79cf78082e3",
+        },
+        "share-encoder": {
+            "log": "7a5f3fd6e26b3b3e25c10774d5302b9b29c9573f997ae23dd63d02dff3dc759e",
+            "p/data": "c7b37877c3b50e537b044a926712b69ac4b4d80eedae36562c9da72b8fdbfe3a",
+            "p/m1": "50bb8c14012f17e15923a00d941963aee9401c2f4ad7b8eb897739e617b87767",
+            "p/m2": "56bbd08d3627301100f43b60dab732eaa85b72f9d7f02211f4f4582ef80a0b6c",
+            "t/data": "9118a315f823bd36e7517fc966b7638dcf7caca57145d23015a79f7160fc4924",
+            "t/m1": "a2fbf60fe0ba08c927794211916f74828c44c692b79bb6200dd49e04fdadf810",
+            "t/m2": "94f1fa3133c7af13b3d57e9fdfaf220c01f36298c7d86f9245348c8b74a23dec",
+            "v/data": "ec76e38b711b881731b1070d15f634a1eff84fa0fb8424e3a91d4f1d1ee7e420",
+            "v/m1": "68c8d50bae40c76c03c79c1063be78ff1f015a7d3b22195f3970bb7a28652038",
+            "v/m2": "fabc0c1bfafc6f3369f1913ecbc9c924aec682bf675e5d698b428d405584c648",
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["plain", "share-encoder"])
+    def test_training_keeps_its_digest(self, case, tmp_path):
+        sents = generate_synthetic(SyntheticConfig(n_sentences=24, seed=13))
+        vocab = build_vocab(sents)
+        bundle = build_bundle(vocab, self.ENC, np.random.default_rng(4), label_emb_dim=6,
+                              share_encoder=case == "share-encoder")
+        log_path = tmp_path / "train_log.jsonl"
+        train(bundle, sents[:16], sents[16:], TrainConfig(epochs=3, batch_size=4, seed=2),
+              log_path=log_path)
+        got = {"log": hashlib.sha256(log_path.read_bytes()).hexdigest()}
+        for name, model in bundle.models.items():
+            for row, label in ((tc.DATA, "data"), (tc.MOMENT1, "m1"), (tc.MOMENT2, "m2")):
+                got[f"{name}/{label}"] = hashlib.sha256(
+                    model.store.block[row].tobytes()).hexdigest()
+        assert got == self.DIGESTS[case]
 
 
 def assert_params_in_block(model):
