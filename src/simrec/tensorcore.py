@@ -6,9 +6,32 @@ the output and makes the whole tape node: output, parents and closure.
 ``backward`` walks the tape in reverse topological order and accumulates
 exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
-cycles and is freed as soon as its loss is dropped. A non-finite output
-raises at its op, except inside ``unchecked()``, whose caller checks what it
-hands on once and on a failure runs again outside it, so the op is named.
+cycles and is freed as soon as its loss is dropped.
+
+Each gradient is written once, where it will live. ``matmul`` writes a
+weight's first gradient straight into its store's GRAD row, and
+``accum_grad`` writes any other first gradient of a parameter there as
+g + 0.0. An intermediate keeps its first gradient as it comes, without a
+copy, when that is a C-contiguous float64 array of its shape; otherwise it
+copies it into its data's layout, so every gradient that a BLAS call
+reads is laid out as a copy would be. One array may so be the gradient of
+several nodes (``add`` hands its gradient to both operands), so an
+intermediate's later gradients are added out of place, and ``model_slice``
+copies an intermediate's gradient before it adds into one slice of it.
+Only a parameter's gradient, which its store owns, is added to in place.
+
+A zero in an intermediate's gradient may so carry either sign, and so
+may one in a weight gradient that ``matmul`` writes with the bits of
+``x.mT @ grad``. That sign never reaches a weight or its moments, for three
+reasons: ``accum_grad`` still adds 0.0 on a parameter's first write; adding
+a zero of either sign leaves a nonzero x as it is, and a sum is -0.0 only
+when both addends are; and Adam never makes a -0.0 moment, since both
+moments start at +0.0, and the second adds (1 - beta2) * g * g, which is
+never -0.0.
+
+A non-finite output raises at its op, except inside ``unchecked()``, whose
+caller checks what it hands on once and on a failure runs again outside it,
+so the op is named.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation) call the kernels in :mod:`simrec.kernels`.
@@ -82,7 +105,7 @@ def _check_ids(ids: np.ndarray, n: int, op: str, what: str, unit: str = "rows") 
 class DiffArray:
     """A float64 array with a gradient slot and a tape record."""
 
-    __slots__ = ("data", "grad", "name", "grad_home", "_parents", "_backward")
+    __slots__ = ("data", "grad", "name", "grad_home", "_parents", "_backward", "_visit")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -93,6 +116,7 @@ class DiffArray:
         self.grad_home: np.ndarray | None = None
         self._parents: tuple[DiffArray, ...] = ()
         self._backward = None
+        self._visit = None  # the token of the last ``backward`` sweep that reached it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,11 +127,26 @@ class DiffArray:
         return f"DiffArray(shape={self.data.shape}{tag})"
 
     def accum_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to this node's gradient.
+
+        A parameter's first gradient is written into ``grad_home`` as g + 0.0,
+        which has the bits of 0.0 + g (a -0.0 becomes +0.0), and later ones
+        are added in place. An intermediate keeps its first gradient as it
+        comes when that is a C-contiguous float64 ndarray of its own shape,
+        and otherwise a copy laid out like its data. ``g`` may be an array
+        that other nodes hold as well, so an intermediate's later gradients
+        are added out of place.
+        """
         if self.grad is None:
-            # g + 0.0 has the bits of 0.0 + g (a -0.0 becomes +0.0), so the
-            # first gradient is written in one pass, not zero-filled and added.
-            home = np.empty_like(self.data) if self.grad_home is None else self.grad_home
-            self.grad = np.add(g, 0.0, out=home)
+            if self.grad_home is not None:
+                self.grad = np.add(g, 0.0, out=self.grad_home)
+            elif (type(g) is np.ndarray and g.dtype == np.float64
+                  and g.shape == self.data.shape and g.flags.c_contiguous):
+                self.grad = g
+            else:
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        elif self.grad_home is None:
+            self.grad = self.grad + g
         else:
             self.grad += g
 
@@ -132,19 +171,19 @@ def backward(*losses: DiffArray) -> None:
         if loss.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo: list[DiffArray] = []
-    seen: set[int] = set()
+    token = object()  # marks the nodes this sweep has reached
     stack: list[tuple[DiffArray, bool]] = [(loss, False) for loss in reversed(losses)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node._visit is token:
             continue
-        seen.add(id(node))
+        node._visit = token
         stack.append((node, True))
         for p in reversed(node._parents):
-            if id(p) not in seen:
+            if p._visit is not token:
                 stack.append((p, False))
     for loss in losses:
         loss.accum_grad(np.ones_like(loss.data))
@@ -165,7 +204,11 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
 
     def bwd(grad):
         a.accum_grad(grad @ y.mT)
-        b.accum_grad(x.mT @ grad)
+        if b.grad is None and b.grad_home is not None:
+            # A weight's first gradient goes straight into its GRAD row.
+            b.grad = np.matmul(x.mT, grad, out=b.grad_home)
+        else:
+            b.accum_grad(x.mT @ grad)
 
     return _result(x @ y, (a, b), bwd, "matmul")
 
@@ -369,7 +412,11 @@ def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
             f"add_rows_at: rows {rows.data.shape} do not fit base {base.data.shape} "
             f"at {idx.size} indices"
         )
-    if len(set(idx.tolist())) != idx.size:
+    ids = idx.tolist()
+    n = base.data.shape[-2]
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        raise ShapeError(f"add_rows_at: index out of range for {n} rows")
+    if len(set(ids)) != idx.size:
         raise ShapeError("add_rows_at: duplicate target indices")
     out_data = base.data.copy()
     out_data[..., idx, :] += rows.data
@@ -386,7 +433,9 @@ def model_slice(a: DiffArray, m: int) -> DiffArray:
 
     def bwd(grad):
         if a.grad is None:
-            a.accum_grad(np.broadcast_to(0.0, a.data.shape))
+            a.accum_grad(np.zeros_like(a.data))
+        elif a.grad is not a.grad_home:  # an array that another node may hold
+            a.grad = a.grad.copy("K")
         a.grad[m] += grad
 
     return _result(a.data[m], (a,), bwd, "model_slice")
@@ -534,9 +583,12 @@ class ParamStore:
     copy into ``.data`` rather than rebind it.
 
     A parameter's span of the gradient row holds its gradient only while
-    ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``.
-    ``adam_step`` leaves the spent Adam numerator in the span of every
-    parameter it moves; a parameter without a gradient keeps a stale span.
+    ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``:
+    ``backward`` writes a parameter's first gradient of a step into the span
+    (``matmul`` straight from BLAS, other ops through ``accum_grad``) and adds
+    later ones there in place. ``adam_step`` leaves the spent Adam numerator
+    in the span of every parameter it moves; a parameter without a gradient
+    keeps a stale span.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray | DiffArray], block: np.ndarray):

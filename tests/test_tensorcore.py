@@ -151,6 +151,18 @@ class TestSegmentOpIds:
             tc.segment_softmax(leaf(rng, 4), np.array([0, -1, 1, 2]), 3)
 
 
+class TestAddRowsAtIds:
+    """``add_rows_at`` names itself for a target row outside the base."""
+
+    @pytest.mark.parametrize("indices", [[1, -1], [0, 5]], ids=["negative", "equal-to-n"])
+    def test_out_of_range_index(self, indices, rng):
+        with pytest.raises(ShapeError, match=r"add_rows_at: index out of range for 5 rows"):
+            tc.add_rows_at(leaf(rng, 5, 3), indices, leaf(rng, 2, 3))
+
+    def test_duplicate_index(self, rng):
+        with pytest.raises(ShapeError, match=r"add_rows_at: duplicate target indices"):
+            tc.add_rows_at(leaf(rng, 5, 3), [2, 2], leaf(rng, 2, 3))
+
 class TestBackwardMechanics:
     def test_backward_requires_scalar(self, rng):
         x = leaf(rng, 2, 2)
@@ -503,19 +515,30 @@ class TestParamStoreAdam:
 
 
 class TestAccumGrad:
-    """A first gradient has the bits and layout of zeros_like(data) plus it."""
+    """Each gradient is written once, where it will live: a parameter's into
+    its GRAD row, an intermediate's first one kept as it comes, and no array
+    that another node may hold is written."""
 
-    def test_first_gradient_matches_zeros_plus_add(self, rng):
-        g = rng.normal(size=(4, 6))
+    @staticmethod
+    def signed_zeros(rng, *shape):
+        g = rng.normal(size=shape)
         g[::2, 1::3] = -0.0
+        return g
+
+    def test_parameter_first_gradient_lands_in_grad_home_without_negative_zeros(self, rng):
+        p = param_store({"w": rng.normal(size=(4, 6))}).params["w"]
+        g = self.signed_zeros(rng, 4, 6)
+        p.accum_grad(g)
+        assert p.grad is p.grad_home
+        assert p.grad.tobytes() == (g + 0.0).tobytes()
+        assert (p.grad[::2, 1::3] == 0).all()
+        assert not np.signbit(p.grad[::2, 1::3]).any()
+
+    def test_intermediate_keeps_its_first_gradient_as_it_comes(self, rng):
         node = leaf(rng, 4, 6)
+        g = self.signed_zeros(rng, 4, 6)
         node.accum_grad(g)
-        ref = np.zeros_like(node.data)
-        ref += g
-        assert node.grad.tobytes() == ref.tobytes()
-        assert (node.grad[::2, 1::3] == 0).all()
-        assert not np.signbit(node.grad[::2, 1::3]).any()
-        assert node.grad is not g and not np.shares_memory(node.grad, g)
+        assert node.grad is g
 
     def test_transposed_gradient_keeps_node_layout(self, rng):
         node = leaf(rng, 3, 5)
@@ -523,6 +546,96 @@ class TestAccumGrad:
         node.accum_grad(g.T)
         assert node.grad.flags.c_contiguous
         assert node.grad.tobytes() == np.ascontiguousarray(g.T).tobytes()
+
+    def test_second_contribution_leaves_the_array_add_shared(self, rng):
+        a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+        out = tc.add(a, b)
+        g, h = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        kept = g.copy()
+        out._backward(g)
+        assert a.grad is g and b.grad is g
+        a.accum_grad(h)
+        assert a.grad is not g and a.grad.tobytes() == (kept + h).tobytes()
+        assert b.grad is g and g.tobytes() == kept.tobytes()
+
+    def test_matmul_writes_weight_gradient_into_grad_home(self, rng):
+        w = param_store({"w": rng.normal(size=(4, 3))}).params["w"]
+        x = leaf(rng, 5, 4)
+        grad = rng.normal(size=(5, 3))
+        tc.matmul(x, w)._backward(grad)
+        assert w.grad is w.grad_home
+        assert w.grad.tobytes() == (x.data.mT @ grad).tobytes()
+        grad2 = rng.normal(size=(5, 3))
+        tc.matmul(x, w)._backward(grad2)  # a second use adds in place
+        assert w.grad is w.grad_home
+        assert w.grad.tobytes() == (x.data.mT @ grad + x.data.mT @ grad2).tobytes()
+
+    def test_matmul_writes_stacked_weight_gradient_into_every_grad_row(self, rng):
+        # A stacked weight's gradient home spans the GRAD rows of M stores.
+        buf = np.zeros((M, 4, 15))
+        w = DiffArray(buf[:, tc.DATA, 1:13].reshape(M, 4, 3))
+        w.data[...] = rng.normal(size=w.shape)
+        w.grad_home = buf[:, tc.GRAD, 1:13].reshape(M, 4, 3)
+        x = leaf(rng, M, 5, 4)
+        grad = rng.normal(size=(M, 5, 3))
+        tc.matmul(x, w)._backward(grad)
+        assert w.grad is w.grad_home
+        assert w.grad.tobytes() == (x.data.mT @ grad).tobytes()
+        assert not buf[:, tc.GRAD, [0, 13, 14]].any()
+
+
+class TestModelSliceGradient:
+    """``model_slice`` backward gives the bits of a zeroed gradient with each
+    slice's gradient added in turn, and writes no array it may not own."""
+
+    @staticmethod
+    def grads(rng, n, shape):
+        out = []
+        for _ in range(n):
+            g = rng.normal(size=shape)
+            g[::2, ::2] = -0.0
+            out.append(g)
+        return out
+
+    @pytest.mark.parametrize("slices", [[0, 1, 2], [2, 0, 1], [0, 0, 0]],
+                             ids=["separate", "reordered", "shared"])
+    def test_same_bits_as_adding_into_zeros(self, slices, rng):
+        a = DiffArray(strided_stack(rng, (4, 3)))
+        ref = np.zeros(a.shape)
+        for m, g in zip(slices, self.grads(rng, len(slices), (4, 3))):
+            tc.model_slice(a, m)._backward(g)
+            ref[m] += g
+        assert a.grad.tobytes() == ref.tobytes()
+
+    def test_shared_encoder_axis_of_one(self, rng):
+        a = leaf(rng, 1, 4, 3)
+        ref = np.zeros(a.shape)
+        for g in self.grads(rng, 3, (4, 3)):
+            tc.model_slice(a, 0)._backward(g)
+            ref[0] += g
+        assert a.grad.tobytes() == ref.tobytes()
+
+    def test_does_not_write_a_gradient_another_node_holds(self, rng):
+        a, b = leaf(rng, M, 4, 3), leaf(rng, M, 4, 3)
+        shared = rng.normal(size=(M, 4, 3))
+        kept = shared.copy()
+        tc.add(a, b)._backward(shared)
+        g = rng.normal(size=(4, 3))
+        tc.model_slice(a, 1)._backward(g)
+        assert b.grad is shared and shared.tobytes() == kept.tobytes()
+        kept[1] += g
+        assert a.grad.tobytes() == kept.tobytes()
+
+    def test_stacked_parameter_gradient_stays_in_grad_home(self, rng):
+        buf = np.zeros((M, 4, 12))
+        w = DiffArray(buf[:, tc.DATA].reshape(M, 4, 3))
+        w.grad_home = buf[:, tc.GRAD].reshape(M, 4, 3)
+        ref = np.zeros(w.shape)
+        for m, g in zip([1, 0, 1], self.grads(rng, 3, (4, 3))):
+            tc.model_slice(w, m)._backward(g)
+            ref[m] += g
+        assert w.grad is w.grad_home
+        assert w.grad.tobytes() == ref.tobytes()
 
 
 class TestParamBlock:
