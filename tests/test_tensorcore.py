@@ -14,6 +14,13 @@ def leaf(rng, *shape):
     return DiffArray(rng.normal(size=shape))
 
 
+def signed_zeros(rng, *shape):
+    """Normal draws with -0.0 at every other row's every third column."""
+    g = rng.normal(size=shape)
+    g[..., ::2, 1::3] = -0.0
+    return g
+
+
 class TestForwardValues:
     def test_softmax_uniform_on_equal_logits(self):
         out = tc.softmax(DiffArray([[0.0, 0.0, 0.0]]))
@@ -519,15 +526,9 @@ class TestAccumGrad:
     its GRAD row, an intermediate's first one kept as it comes, and no array
     that another node may hold is written."""
 
-    @staticmethod
-    def signed_zeros(rng, *shape):
-        g = rng.normal(size=shape)
-        g[::2, 1::3] = -0.0
-        return g
-
     def test_parameter_first_gradient_lands_in_grad_home_without_negative_zeros(self, rng):
         p = param_store({"w": rng.normal(size=(4, 6))}).params["w"]
-        g = self.signed_zeros(rng, 4, 6)
+        g = signed_zeros(rng, 4, 6)
         p.accum_grad(g)
         assert p.grad is p.grad_home
         assert p.grad.tobytes() == (g + 0.0).tobytes()
@@ -536,7 +537,7 @@ class TestAccumGrad:
 
     def test_intermediate_keeps_its_first_gradient_as_it_comes(self, rng):
         node = leaf(rng, 4, 6)
-        g = self.signed_zeros(rng, 4, 6)
+        g = signed_zeros(rng, 4, 6)
         node.accum_grad(g)
         assert node.grad is g
 
@@ -588,21 +589,12 @@ class TestModelSliceGradient:
     """``model_slice`` backward gives the bits of a zeroed gradient with each
     slice's gradient added in turn, and writes no array it may not own."""
 
-    @staticmethod
-    def grads(rng, n, shape):
-        out = []
-        for _ in range(n):
-            g = rng.normal(size=shape)
-            g[::2, ::2] = -0.0
-            out.append(g)
-        return out
-
     @pytest.mark.parametrize("slices", [[0, 1, 2], [2, 0, 1], [0, 0, 0]],
                              ids=["separate", "reordered", "shared"])
     def test_same_bits_as_adding_into_zeros(self, slices, rng):
         a = DiffArray(strided_stack(rng, (4, 3)))
         ref = np.zeros(a.shape)
-        for m, g in zip(slices, self.grads(rng, len(slices), (4, 3))):
+        for m, g in zip(slices, (signed_zeros(rng, 4, 3) for _ in slices)):
             tc.model_slice(a, m)._backward(g)
             ref[m] += g
         assert a.grad.tobytes() == ref.tobytes()
@@ -610,7 +602,7 @@ class TestModelSliceGradient:
     def test_shared_encoder_axis_of_one(self, rng):
         a = leaf(rng, 1, 4, 3)
         ref = np.zeros(a.shape)
-        for g in self.grads(rng, 3, (4, 3)):
+        for g in (signed_zeros(rng, 4, 3) for _ in range(3)):
             tc.model_slice(a, 0)._backward(g)
             ref[0] += g
         assert a.grad.tobytes() == ref.tobytes()
@@ -631,7 +623,7 @@ class TestModelSliceGradient:
         w = DiffArray(buf[:, tc.DATA].reshape(M, 4, 3))
         w.grad_home = buf[:, tc.GRAD].reshape(M, 4, 3)
         ref = np.zeros(w.shape)
-        for m, g in zip([1, 0, 1], self.grads(rng, 3, (4, 3))):
+        for m, g in zip([1, 0, 1], (signed_zeros(rng, 4, 3) for _ in range(3))):
             tc.model_slice(w, m)._backward(g)
             ref[m] += g
         assert w.grad is w.grad_home
