@@ -25,6 +25,8 @@ from .corpus import (
     build_vocab,
     generate_synthetic,
     load_corpus,
+    read_json,
+    read_record,
     save_corpus,
     split_folds,
 )
@@ -81,21 +83,14 @@ def _shared_fields(cfg: RunConfig, cls, **derived):
     return cls(**shared, **derived)
 
 
-# per RunConfig field type: what a config-file value must be, the test it
-# must pass, and how its flag parses (bool is an int to Python, so the number
-# checks exclude it); every flag defaults to None, which means "not given"
-_FILE_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool),
-            {"type": int}),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-              {"type": float}),
-    "bool": ("true or false", lambda v: isinstance(v, bool), {"action": "store_true"}),
-    "str": ("a string", lambda v: isinstance(v, str), {"type": str}),
-    "tuple[str, ...]": ("a list of strings",
-                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-                        {"action": "append", "type": str}),
+# how the flag of each field type parses; every flag defaults to None: "not given"
+_FLAG_TYPES = {
+    "int": {"type": int},
+    "float": {"type": float},
+    "bool": {"action": "store_true"},
+    "str": {"type": str},
+    "tuple[str, ...]": {"action": "append", "type": str},
 }
-_FIELD_TYPES = {f.name: _FILE_TYPES[f.type] for f in fields(RunConfig)}
 # flag settings beyond the type's, by field
 _FLAG_EXTRAS = {
     "lambda_mode": {"choices": ("increase", "decrease", "fixed")},
@@ -123,33 +118,17 @@ def load_run_config(
     config_path: str | None, overrides: dict, env: dict | None = None
 ) -> RunConfig:
     """Defaults, then config file, then environment, then explicit flags."""
-    cfg = RunConfig()
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{config_path}: not valid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(data) - _FIELD_TYPES.keys())
-        if unknown:
-            raise ValueError(f"{config_path}: unknown config keys {unknown}")
-        for key, value in data.items():
-            expected, accepts, _ = _FIELD_TYPES[key]
-            if not accepts(value):
-                raise ValueError(
-                    f"{config_path}: '{key}' must be {expected}, got {json.dumps(value)}"
-                )
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-    cfg.seed = _env_seed(os.environ if env is None else env, cfg.seed)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config override '{key}'")
-        setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-    return cfg
+    kinds = RunConfig.__annotations__
+    values = read_record(read_json(config_path), kinds, config_path,
+                         optional=kinds) if config_path else {}
+    values["seed"] = _env_seed(os.environ if env is None else env,
+                               values.get("seed", RunConfig.seed))
+    given = {key: value for key, value in overrides.items() if value is not None}
+    if not given.keys() <= kinds.keys():
+        raise ValueError(f"unknown config overrides {sorted(given.keys() - kinds.keys())}")
+    values.update(given)
+    return RunConfig(**{key: tuple(value) if isinstance(value, list) else value
+                        for key, value in values.items()})
 
 
 def _out_dir(args) -> str:
@@ -313,9 +292,8 @@ def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
     """One flag per field of ``cls``, each a RunConfig field: ``--`` plus the
     name with dashes."""
     for f in fields(cls):
-        *_, parsing = _FIELD_TYPES[f.name]
         p.add_argument("--" + f.name.replace("_", "-"), default=None,
-                       **parsing, **_FLAG_EXTRAS.get(f.name, {}))
+                       **_FLAG_TYPES[f.type], **_FLAG_EXTRAS.get(f.name, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:

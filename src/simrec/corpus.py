@@ -1,16 +1,11 @@
 """Annotated-sentence ingestion, vocabularies and synthetic corpora.
 
-The on-disk corpus format is JSON Lines, one sentence per line:
-
-    {"tokens": [{"surface": "the", "pos": "DT", "head": 2, "deprel": "other"}, ...],
-     "comparator_index": 4,
-     "glosses": {"2": ["woolly", "farm", "animal"]},
-     "label": "simile",
-     "tags": ["O", "T", "O", "O", "O", "V"]}
-
-Token indices (comparator, gloss keys, dependency heads) are 1-based;
-head 0 marks the dependency root.  Gloss keys are decimal strings because
-JSON objects cannot carry integer keys.
+The on-disk corpus format is JSON Lines, one sentence per line: an object
+of the fields in ``_RECORD_FIELDS`` (the README's "Corpus format" shows a
+record). Token indices (comparator, gloss keys, dependency heads) are
+1-based; head 0 marks the dependency root.  Gloss keys are decimal strings
+because JSON objects cannot carry integer keys. ``read_record`` types this
+and every other record that simrec reads; nothing is coerced.
 
 In memory a token is a named tuple (``TokenAnn``): immutable, hashable,
 equal by value (also to a plain 4-tuple) and cheap to build by the
@@ -20,9 +15,12 @@ thousand.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +43,69 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN)
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus records or violated sentence invariants."""
+    """Raised for a malformed record or a violated sentence invariant."""
+
+
+# What an error calls the JSON value of each annotation's outer type, and its
+# exact Python types: a JSON true (Python counts a bool as an int) is no number.
+# An ``int`` key of a JSON object is a decimal integer, written as ``str`` writes it.
+_JSON_KINDS = {
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "bool": ("true or false", (bool,)),
+    "str": ("a string", (str,)),
+    "list": ("a list", (list,)),
+    "tuple": ("a list", (list,)),
+    "dict": ("an object", (dict,)),
+}
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def check_json(value, kind: str, where: str, path: str):
+    """Raise a CorpusError naming ``where`` (the file, and a corpus line) and the
+    field ``path`` unless ``value`` is JSON of the kind annotated ``kind``. The
+    items of a ``list[T]``, ``tuple[T, ...]`` (from 1) or ``dict[str|int, T]`` are Ts."""
+    outer, _, inner = kind.partition("[")
+    what, types = _JSON_KINDS[outer]
+    if type(value) not in types:
+        raise CorpusError(f"{where}: {path} must be {what}, got {json.dumps(value)}")
+    if outer == "dict" and inner:
+        keys, item = inner[:-1].split(", ", 1)
+        for k, x in value.items():
+            if keys == "int" and not _DECIMAL.fullmatch(k):
+                raise CorpusError(f"{where}: {path} key must be a decimal integer, "
+                                  f"got {json.dumps(k)}")
+            check_json(x, item, where, f"{path}[{json.dumps(k)}]")
+    elif inner:
+        item = inner[:-1].removesuffix(", ...")
+        for i, x in enumerate(value, start=1):
+            check_json(x, item, where, f"{path}[{i}]")
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; a CorpusError names a bad file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise CorpusError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def read_record(record, kinds: Mapping[str, str], where: str, path: str = "",
+                optional: Collection[str] = ()) -> dict:
+    """``record`` once it is a JSON object of fields of ``kinds`` (a dataclass's
+    ``__annotations__``, say), each of its kind, none missing but ``optional``."""
+    check_json(record, "dict", where, path or "record")
+    unknown = sorted(record.keys() - kinds.keys())
+    if unknown:
+        raise CorpusError(f"{where}: {path or 'record'} has unknown keys {unknown}")
+    for name, kind in kinds.items():
+        field_path = f"{path}.{name}" if path else name
+        if name in record:
+            check_json(record[name], kind, where, field_path)
+        elif name not in optional:
+            raise CorpusError(f"{where}: {field_path} is missing")
+    return record
 
 
 class TokenAnn(NamedTuple):
@@ -125,20 +185,40 @@ def sentence_to_record(sent: AnnotatedSentence) -> dict:
     }
 
 
+# The JSON kind of each field of a corpus record (``glosses`` is optional) and of a token.
+_RECORD_FIELDS = {"tokens": "list", "comparator_index": "int",
+                  "glosses": "dict[int, list[str]]", "label": "str", "tags": "list[str]"}
+_TOKEN_FIELDS = {"surface": "str", "pos": "str", "head": "int", "deprel": "str"}
+_TOKEN_VALUES = itemgetter(*TokenAnn._fields)  # four values, so TokenAnn._make's check is moot
+
+
 def sentence_from_record(
     record: dict, where: str = "record", max_tokens: int = MAX_TOKENS
 ) -> AnnotatedSentence:
+    """The sentence a corpus record holds, typed in one pass; only a fault walks
+    the record again, with ``read_record``, to name the first field at fault."""
     try:
-        tokens = tuple([
-            TokenAnn(str(t["surface"]), str(t["pos"]), int(t["head"]), str(t["deprel"]))
-            for t in record["tokens"]
-        ])
-        glosses = {int(k): tuple([str(w) for w in v])
-                   for k, v in record.get("glosses", {}).items()}
-        sent = AnnotatedSentence(tokens, int(record["comparator_index"]), glosses,
-                                 str(record["label"]), tuple([str(t) for t in record["tags"]]))
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise CorpusError(f"{where}: malformed field ({err})") from err
+        toks, tags, glosses = record["tokens"], record["tags"], record.get("glosses", {})
+        tokens = tuple(map(tuple.__new__, repeat(TokenAnn), map(_TOKEN_VALUES, toks)))
+        surfaces, pos, heads, rels = zip(*tokens) if tokens else ((),) * 4
+        sent = AnnotatedSentence(tokens, record["comparator_index"],
+                                 {int(k): tuple(v) for k, v in glosses.items()},
+                                 record["label"], tuple(tags))
+        "".join(chain(surfaces, pos, rels, tags, *sent.glosses.values()))  # str items only
+        # A record or token with no more keys than were read above has no other key.
+        typed = ((type(toks), type(tags), type(sent.label)) == (list, list, str)
+                 and len(record) == 4 + ("glosses" in record)
+                 and sum(map(len, toks)) == 4 * len(toks)
+                 and {*map(type, heads), type(sent.comparator_index)} == {int}
+                 and {*map(type, glosses.values())} <= {list}
+                 and all(map(_DECIMAL.fullmatch, glosses)))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        typed = False
+    if not typed:
+        read_record(record, _RECORD_FIELDS, where, optional=("glosses",))
+        for i, token in enumerate(record["tokens"], start=1):
+            read_record(token, _TOKEN_FIELDS, where, f"tokens[{i}]")
+        raise CorpusError(f"{where}: malformed record")  # the walk names every fault first
     validate_sentence(sent, where, max_tokens)
     return sent
 
@@ -192,14 +272,6 @@ class Vocabulary:
 
     def top_deprels(self, k: int = 8) -> list[str]:
         return self.deprel_ranking[:k]
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Vocabulary":
-        """Also reads older files, whose unused ``pos_to_id`` is ignored."""
-        return cls(
-            token_to_id=dict(payload["token_to_id"]),
-            deprel_ranking=list(payload["deprel_ranking"]),
-        )
 
 
 def build_vocab(corpus: Sequence[AnnotatedSentence], min_freq: int = 1) -> Vocabulary:

@@ -17,13 +17,12 @@ import json
 import math
 import os
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import tensorcore as tc
-from .corpus import DEFAULT_NOUN_TAGS, RESERVED_TOKENS, AnnotatedSentence, Vocabulary
+from .corpus import RESERVED_TOKENS, AnnotatedSentence, Vocabulary, read_json, read_record
 from .encoder import EncoderConfig, encode_graph
 from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (
@@ -37,7 +36,6 @@ from .hetgraph import (
 from .heads import (
     CLASS_LITERAL,
     CLASS_SIMILE,
-    MODES,
     PREDICT_CHUNK,
     TAG_TO_ID,
     UNDRAWN,
@@ -508,27 +506,9 @@ VOCAB_FILE = "vocab.json"
 SELECTED_FILE = "selected.json"
 
 
-# The JSON types a bundle.json value of each settings field type may have;
-# ``type(True)`` is ``bool``, so a bool passes as no int.
-_RECORD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
-
-
-def _typed(value, kind: str, what: str):
-    """``value`` if its JSON type suits a field of type ``kind``; else a ValueError."""
-    if type(value) not in _RECORD_TYPES[kind]:
-        raise ValueError(f"{what} must be {kind}, not {value!r}")
-    return value
-
-
-def _config_from_record(cls, meta: dict, key: str):
-    """The ``cls`` instance that ``meta[key]`` records; every field is
-    required and typed, and an unknown key is an error."""
-    record = meta[key]
-    unknown = sorted(set(record) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} in '{key}'")
-    return cls(**{f.name: _typed(record[f.name], f.type, f"{key}.{f.name}")
-                  for f in fields(cls)})
+# The JSON kind of each field of ``bundle.json``.
+_BUNDLE_FIELDS = {"encoder": "dict", "label_emb_dim": "int", "models": "dict[str, str]",
+                  "layouts": "dict[str, list]", "graph_options": "dict"}
 
 
 def _layout(store: tc.ParamStore) -> list[list]:
@@ -583,25 +563,6 @@ def save_bundle(
                              indent=2, sort_keys=True)
 
 
-@contextmanager
-def _reading(path: str):
-    """A missing key or a wrong-typed or unknown value read from ``path``:
-    a ValueError naming it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed ({exc})") from exc
-
-
-def _read_json(path: str, what: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{path}: missing {what}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_meta(
     model_dir: str | os.PathLike,
 ) -> tuple[dict[str, list], ModelBundle, GraphOptions]:
@@ -614,46 +575,36 @@ def _load_meta(
             raise ValueError(f"{old}: a JSON checkpoint, a format no longer read; "
                              f"train again to write model_{name}.npy")
     meta_path = os.path.join(model_dir, BUNDLE_META)
-    with _reading(meta_path):
-        meta = _read_json(meta_path, "bundle metadata")
-        modes = dict(meta["models"])
-        for name, mode in modes.items():
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r} for model {name!r}")
-            if mode != MODE_OF.get(name):
-                raise ValueError(f"model {name!r} cannot have mode {mode!r}; "
-                                 f"the models are {MODE_OF}")
-        layouts = dict(meta["layouts"])
-        if list(layouts) != list(modes) or not all(type(v) is list for v in layouts.values()):
-            raise ValueError(f"'layouts' must hold one list per model {list(modes)}")
-        config = _config_from_record(EncoderConfig, meta, "encoder")
+    meta = read_record(read_json(meta_path), _BUNDLE_FIELDS, meta_path)
+    modes = meta["models"]
+    for name, mode in modes.items():
+        if mode != MODE_OF.get(name):
+            raise ValueError(f"{meta_path}: model {name!r} cannot have mode {mode!r}; "
+                             f"the models are {MODE_OF}")
+    if list(meta["layouts"]) != list(modes):
+        raise ValueError(f"{meta_path}: 'layouts' must hold one list per model {list(modes)}")
+    config = EncoderConfig(**read_record(meta["encoder"], EncoderConfig.__annotations__,
+                                         meta_path, "encoder"))
+    label_emb_dim = meta["label_emb_dim"]
+    try:
         config.validate()
-        label_emb_dim = _typed(meta["label_emb_dim"], "int", "label_emb_dim")
         if label_emb_dim < 1:
             raise ValueError(f"label_emb_dim must be positive, not {label_emb_dim}")
-        # older files record graph_options.noun_tags, now always the default
-        noun_tags = meta["graph_options"].pop("noun_tags", None)
-        if noun_tags not in (None, sorted(DEFAULT_NOUN_TAGS)):
-            raise ValueError(f"graph_options.noun_tags {noun_tags} is not the default "
-                             f"{sorted(DEFAULT_NOUN_TAGS)}")
-        opts = _config_from_record(GraphOptions, meta, "graph_options")
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    opts = GraphOptions(**read_record(meta["graph_options"], GraphOptions.__annotations__,
+                                      meta_path, "graph_options"))
     vocab_path = os.path.join(model_dir, VOCAB_FILE)
-    with _reading(vocab_path):
-        vocab = Vocabulary.from_json(_read_json(vocab_path, "vocabulary"))
-        if not all(type(rel) is str for rel in vocab.deprel_ranking):
-            raise ValueError("deprel_ranking must hold only strings")
-        ids = vocab.token_to_id
-        for token, i in ids.items():
-            if type(i) is not int:
-                raise ValueError(f"token_to_id[{token!r}] must be int, not {i!r}")
-        if sorted(ids.values()) != list(range(len(ids))):
-            raise ValueError(f"token_to_id ids must be 0..{len(ids) - 1}, each once")
-        reserved = [ids.get(token) for token in RESERVED_TOKENS]
-        if reserved != list(range(len(RESERVED_TOKENS))):
-            raise ValueError(f"token_to_id must give {list(RESERVED_TOKENS)} the ids "
-                             f"0-{len(RESERVED_TOKENS) - 1}, not {reserved}")
+    vocab = Vocabulary(**read_record(read_json(vocab_path), Vocabulary.__annotations__, vocab_path))
+    ids = vocab.token_to_id
+    if sorted(ids.values()) != list(range(len(ids))):
+        raise ValueError(f"{vocab_path}: token_to_id ids must be 0..{len(ids) - 1}, each once")
+    reserved = [ids.get(token) for token in RESERVED_TOKENS]
+    if reserved != list(range(len(RESERVED_TOKENS))):
+        raise ValueError(f"{vocab_path}: token_to_id must give {list(RESERVED_TOKENS)} the ids "
+                         f"0-{len(RESERVED_TOKENS) - 1}, not {reserved}")
     shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
-    return layouts, shell, opts
+    return meta["layouts"], shell, opts
 
 
 def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: ModelBundle,
@@ -690,10 +641,10 @@ def load_selected(
     """Load only the dev-selected model, per the single-model inference rule."""
     layouts, shell, opts = _load_meta(model_dir)
     sel_path = os.path.join(model_dir, SELECTED_FILE)
-    with _reading(sel_path):
-        name = _read_json(sel_path, "selected-model marker")["selected"]
-        known = name in layouts
-    if not known:
+    name = read_record(read_json(sel_path),
+                       {"selected": "str", "scores": "dict"}, sel_path,
+                       optional=("scores",))["selected"]
+    if name not in layouts:
         raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
     model = _load_models(model_dir, {name: layouts[name]}, shell, opts).models[name]
     return name, model, shell.vocab, opts

@@ -574,7 +574,7 @@ class ParamStore:
 
     ``params`` maps each name, in order, to either a fresh array, which the
     store owns, or a ``DiffArray`` that another store owns (two models
-    sharing weights), which goes into ``shared`` and gets no moments.
+    sharing weights), which gets no span and no moments.
     ``block`` is a zeroed (4, N) float64 array, which may be a row of a buffer
     several stores share, over the N floats of the owned parameters, in that
     order: its rows hold data, gradient and the first
@@ -593,7 +593,6 @@ class ParamStore:
 
     def __init__(self, params: Mapping[str, np.ndarray | DiffArray], block: np.ndarray):
         self.params: dict[str, DiffArray] = {}
-        self.shared: set[str] = set()  # names of parameters another store owns
         self.step_count = 0
         self._spans: list[tuple[DiffArray, int, int]] = []  # owned: (param, lo, hi)
         self.block = block
@@ -602,7 +601,6 @@ class ParamStore:
         for name, value in params.items():
             if isinstance(value, DiffArray):
                 self.params[name] = value
-                self.shared.add(name)
                 continue
             shape = np.shape(value)
             hi = lo + np.size(value)

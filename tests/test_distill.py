@@ -614,11 +614,14 @@ class TestTrainingBits:
         assert got == self.DIGESTS[case]
 
 
-def assert_params_in_block(model):
-    """Every parameter the model's store owns is a view into its block."""
+def assert_params_in_block(model, owner=None):
+    """Every parameter of the model's store is a view into its block, unless
+    it is ``owner``'s parameter of that name: an encoder weight it shares."""
     store = model.store
     for pname, p in store.params.items():
-        if pname not in store.shared:
+        if owner not in (None, model) and p is owner.store.params.get(pname):
+            assert not np.shares_memory(p.data, store.block), pname
+        else:
             assert np.shares_memory(p.data, store.block), pname
             assert np.shares_memory(p.grad_home, store.block), pname
 
@@ -627,8 +630,9 @@ class TestParamBlocks:
     @pytest.mark.parametrize("share_encoder", [False, True])
     def test_built_bundle_lives_in_blocks(self, tiny_vocab, share_encoder):
         bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
+        owner = next(iter(bundle.models.values()))
         for model in bundle.models.values():
-            assert_params_in_block(model)
+            assert_params_in_block(model, owner)
 
     def test_loaded_models_live_in_blocks(self, tiny_vocab, tmp_path):
         bundle = fresh_bundle(tiny_vocab)
@@ -657,7 +661,7 @@ class TestParamBlocks:
         shared = owner.enc
         for model in borrowers:
             store = model.store
-            assert store.shared == {f"enc/{key}" for key in shared}
+            assert all(store.params[f"enc/{key}"] is p for key, p in shared.items())
             head_floats = sum(p.data.size for p in model.head.values())
             assert store.block.shape == (4, head_floats)
             for p in shared.values():
@@ -872,22 +876,19 @@ class TestPersistence:
         b = predict(model, sent, graph, vocab).to_record()
         assert a == b
 
-    def test_vocab_with_pos_table_still_loads(self, tiny_corpus, tiny_vocab, tmp_path):
+    def test_vocab_with_pos_table_is_refused(self, tiny_vocab, tmp_path):
+        # Directories that stored a POS table also hold JSON checkpoints,
+        # which are refused first; the key is unknown like any other.
         bundle = fresh_bundle(tiny_vocab)
         distill.save_bundle(bundle, tmp_path, selected="v")
         vocab_path = tmp_path / distill.VOCAB_FILE
         payload = json.loads(vocab_path.read_text(encoding="utf-8"))
         assert "pos_to_id" not in payload
-        # Older model directories also stored a POS table that nothing read.
-        tags = sorted({t.pos for s in tiny_corpus for t in s.tokens})
-        payload["pos_to_id"] = {"<unk>": 0, **{t: i + 1 for i, t in enumerate(tags)}}
+        payload["pos_to_id"] = {"<unk>": 0, "NN": 1}
         vocab_path.write_text(json.dumps(payload), encoding="utf-8")
-        name, model, vocab, opts = distill.load_selected(tmp_path)
-        assert name == "v" and vocab.token_to_id == tiny_vocab.token_to_id
-        for sent in tiny_corpus[:3]:
-            graph = build_graph(sent, vocab, opts)
-            a = predict(bundle.models["v"], sent, graph, tiny_vocab).to_record()
-            assert predict(model, sent, graph, vocab).to_record() == a
+        with pytest.raises(ValueError) as err:
+            distill.load_selected(tmp_path)
+        assert str(err.value) == f"{vocab_path}: record has unknown keys ['pos_to_id']"
 
     def test_edge_embedding_sized_by_top_k(self, tiny_corpus, tiny_vocab, tmp_path):
         bundle = fresh_bundle(tiny_vocab, top_k_deprels=1)
@@ -956,7 +957,7 @@ class TestPersistence:
         for name, model in bundle.models.items():
             want = np.concatenate([p.data.reshape(-1) for p in model.store.params.values()])
             got = loaded.models[name].store
-            assert got.shared == set()
+            assert all(np.shares_memory(p.data, got.block) for p in got.params.values())
             assert got.block[tc.DATA].tobytes() == want.tobytes()
             saved = np.load(tmp_path / f"model_{name}.npy", allow_pickle=False)
             assert saved.dtype == np.float64 and saved.tobytes() == want.tobytes()

@@ -339,13 +339,17 @@ class TestModelSetup:
         models, _ = heads.init_models(heads.MODES, 20, 10, tiny_config, rng, label_emb_dim=6)
         for mode, model in zip(heads.MODES, models):
             assert list(model.store.params) == want[mode]
-            assert model.store.shared == set()
-        (_, shared), _ = heads.init_models(
+            assert all(np.shares_memory(p.data, model.store.block)
+                       for p in model.store.params.values())
+        (first, shared), _ = heads.init_models(
             ["parallel", "vehicle_first"], 20, 10, tiny_config, rng, label_emb_dim=6,
             share_encoder=True,
         )
         assert list(shared.store.params) == sequential
-        assert shared.store.shared == set(enc_names)
+        borrowed = [name for name, p in shared.store.params.items()
+                    if not np.shares_memory(p.data, shared.store.block)]
+        assert borrowed == enc_names
+        assert all(shared.store.params[name] is first.store.params[name] for name in enc_names)
 
     def test_sequential_head_param_names(self, tiny_config):
         _, head = head_only("vehicle_first", tiny_config)

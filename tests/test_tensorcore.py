@@ -513,7 +513,7 @@ class TestParamStoreAdam:
         owner = param_store({"w": np.array([1.0])})
         p = owner.params["w"]
         borrower = param_store({"w": p})
-        assert borrower.shared == {"w"} and borrower.block.shape == (4, 0)
+        assert borrower.params["w"] is p and borrower.block.shape == (4, 0)
         p.grad = np.array([1.0])
         owner.adam_step(lr=0.001)
         after_owner = p.data.copy()
