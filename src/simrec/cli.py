@@ -76,6 +76,10 @@ class RunConfig:
     def graph_options(self) -> GraphOptions:
         return _shared_fields(self, GraphOptions)
 
+    def validate(self) -> None:
+        self.train_config().validate()
+        self.encoder_config().validate()
+
 
 def _shared_fields(cfg: RunConfig, cls, **derived):
     """A ``cls`` holding every field it shares with ``cfg``, plus ``derived``."""
@@ -166,14 +170,17 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, _given_flags(args, RunConfig))
+    given = _given_flags(args, RunConfig)
+    cfg = load_run_config(args.config, given)
     out_dir = _out_dir(args)
+    # Checked before max_tokens caps the corpora and before any output. A fault
+    # the flags make alone (with no config file, any fault) names no file.
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        RunConfig(**given).validate()
+        raise ValueError(f"{args.config}: {exc}") from exc
     enc_config = cfg.encoder_config()
-    train_config = cfg.train_config()
-    # Both are checked before max_tokens caps the corpora, and build_bundle
-    # checks the rest, all before any output.
-    train_config.validate()
-    enc_config.validate()
     train_sents = load_corpus(args.train, enc_config.max_tokens)
     dev_sents = load_corpus(args.dev, enc_config.max_tokens)
     if not dev_sents:
@@ -194,7 +201,7 @@ def cmd_train(args) -> int:
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, distill.SELECTED_FILE))
     result = train(
-        bundle, train_sents, dev_sents, train_config,
+        bundle, train_sents, dev_sents, cfg.train_config(),
         graph_options=opts,
         log_path=os.path.join(out_dir, "train_log.jsonl"),
     )

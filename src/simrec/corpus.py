@@ -69,17 +69,20 @@ def check_json(value, kind: str, where: str, path: str):
     what, types = _JSON_KINDS[outer]
     if type(value) not in types:
         raise CorpusError(f"{where}: {path} must be {what}, got {json.dumps(value)}")
-    if outer == "dict" and inner:
-        keys, item = inner[:-1].split(", ", 1)
-        for k, x in value.items():
-            if keys == "int" and not _DECIMAL.fullmatch(k):
-                raise CorpusError(f"{where}: {path} key must be a decimal integer, "
-                                  f"got {json.dumps(k)}")
-            check_json(x, item, where, f"{path}[{json.dumps(k)}]")
-    elif inner:
-        item = inner[:-1].removesuffix(", ...")
-        for i, x in enumerate(value, start=1):
-            check_json(x, item, where, f"{path}[{i}]")
+    if not inner:
+        return
+    keys, item = inner[:-1].split(", ", 1) if outer == "dict" else ("", inner[:-1])
+    item = item.removesuffix(", ...")
+    # Plain items are typed as one set; only a fault walks them, to name it.
+    if ("[" not in item
+            and {*map(type, value.values() if keys else value)} <= {*_JSON_KINDS[item][1]}
+            and (keys != "int" or all(map(_DECIMAL.fullmatch, value)))):
+        return
+    for k, x in value.items() if keys else enumerate(value, start=1):
+        if keys == "int" and not _DECIMAL.fullmatch(k):
+            raise CorpusError(f"{where}: {path} key must be a decimal integer, "
+                              f"got {json.dumps(k)}")
+        check_json(x, item, where, f"{path}[{json.dumps(k)}]")
 
 
 def read_json(path):
@@ -231,16 +234,19 @@ def load_corpus(path, max_tokens: int = MAX_TOKENS) -> list[AnnotatedSentence]:
     """
     sentences = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({err})") from err
-            sentences.append(
-                sentence_from_record(record, f"{path}: line {lineno}", max_tokens))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({err})") from err
+                sentences.append(
+                    sentence_from_record(record, f"{path}: line {lineno}", max_tokens))
+        except UnicodeDecodeError as err:
+            raise CorpusError(f"{path}: not UTF-8 text ({err})") from err
     return sentences
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensorcore as tc
 from .corpus import RESERVED_TOKENS, AnnotatedSentence, Vocabulary, read_json, read_record
-from .encoder import EncoderConfig, encode_graph
+from .encoder import EncoderConfig, Param, encode_graph
 from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (
     BlockGraph,
@@ -38,12 +38,12 @@ from .heads import (
     CLASS_SIMILE,
     PREDICT_CHUNK,
     TAG_TO_ID,
-    UNDRAWN,
     SimileModel,
     TagForward,
     classify,
     forward_tagger,
     init_models,
+    model_layout,
     predict_batch,
     spans_from_tags,
 )
@@ -73,6 +73,12 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: unknown lambda_mode '{self.lambda_mode}'")
         if not 0.0 <= self.lambda_fixed <= 1.0:
             raise ValueError("TrainConfig: lambda_fixed must lie in [0, 1]")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"TrainConfig: learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
+        if not 0.0 <= self.aux_weight < math.inf:
+            raise ValueError(f"TrainConfig: aux_weight must be finite and non-negative, "
+                             f"got {self.aux_weight!r}")
 
 
 @dataclass
@@ -100,10 +106,10 @@ def build_bundle(
     if set(disabled_models) >= set(MODEL_ORDER):
         raise ValueError("build_bundle: at least one model must stay enabled")
     names = [name for name in MODEL_ORDER if name not in disabled_models]
-    models, enc = init_models(
-        [MODE_OF[name] for name in names], vocab.size,
-        len(edge_label_index(vocab, top_k_deprels)), config, rng, label_emb_dim, share_encoder,
-    )
+    modes = [MODE_OF[name] for name in names]
+    n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
+    layouts = [model_layout(m, vocab.size, n_edge_labels, config, label_emb_dim) for m in modes]
+    models, enc = init_models(modes, layouts, config, rng, share_encoder)
     return ModelBundle(models=dict(zip(names, models)), vocab=vocab, config=config,
                        label_emb_dim=label_emb_dim, enc=enc)
 
@@ -511,11 +517,6 @@ _BUNDLE_FIELDS = {"encoder": "dict", "label_emb_dim": "int", "models": "dict[str
                   "layouts": "dict[str, list]", "graph_options": "dict"}
 
 
-def _layout(store: tc.ParamStore) -> list[list]:
-    """``[name, shape]`` of each parameter, in checkpoint order."""
-    return [[pname, list(p.shape)] for pname, p in store.params.items()]
-
-
 def save_bundle(
     bundle: ModelBundle,
     out_dir: str | os.PathLike,
@@ -550,7 +551,9 @@ def save_bundle(
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
         "models": {name: m.mode for name, m in bundle.models.items()},
-        "layouts": {name: _layout(m.store) for name, m in bundle.models.items()},
+        "layouts": {name: [[p.name, list(p.shape)] for p in model_layout(
+            m.mode, bundle.vocab.size, n_edge_labels, bundle.config, bundle.label_emb_dim)]
+            for name, m in bundle.models.items()},
         "graph_options": asdict(graph_options),
     }
     tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
@@ -609,18 +612,15 @@ def _load_meta(
 
 def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: ModelBundle,
                  opts: GraphOptions) -> ModelBundle:
-    """``shell`` holding the models that ``layouts`` names, each read from its
-    checkpoint once its recorded layout matches the one its settings give.
-    The stores are sized with ``UNDRAWN``: no weight is drawn to be overwritten."""
+    """``shell`` holding the models that ``layouts`` names. Each recorded layout
+    must equal the ``model_layout`` of its settings; only then are the stores
+    built from it, drawing nothing, and each checkpoint read into its DATA row."""
     names = list(layouts)
-    models, enc = init_models(
-        [MODE_OF[name] for name in names], shell.vocab.size,
-        len(edge_label_index(shell.vocab, opts.top_k_deprels)), shell.config,
-        UNDRAWN, shell.label_emb_dim,
-    )
+    n_edge_labels = len(edge_label_index(shell.vocab, opts.top_k_deprels))
     meta_path = os.path.join(model_dir, BUNDLE_META)
-    for name, model in zip(names, models):
-        recorded, expected = layouts[name], _layout(model.store)
+    for name in names:
+        recorded, expected = layouts[name], [[p.name, list(p.shape)] for p in model_layout(
+            MODE_OF[name], shell.vocab.size, n_edge_labels, shell.config, shell.label_emb_dim)]
         if recorded != expected:
             i = next((i for i, pair in enumerate(zip(recorded, expected)) if pair[0] != pair[1]),
                      min(len(recorded), len(expected)))
@@ -628,6 +628,11 @@ def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: 
                          for entries in (recorded, expected))
             raise ValueError(f"{meta_path}: layout of model {name!r} disagrees at parameter "
                              f"{i}: recorded {got}, expected {want}")
+    models, enc = init_models(
+        [MODE_OF[name] for name in names],
+        [[Param(pname, tuple(shape)) for pname, shape in layouts[name]] for name in names],
+        shell.config, None)
+    for name, model in zip(names, models):
         path = os.path.join(model_dir, f"model_{name}.npy")
         if not os.path.exists(path):
             raise FileNotFoundError(f"{path}: missing model checkpoint")

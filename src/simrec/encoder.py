@@ -18,6 +18,7 @@ of an ensemble in one pass, of shape (M, rows, d).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,20 @@ class EncoderConfig:
             raise ValueError("EncoderConfig: max_tokens must be positive")
         if self.max_positions < self.max_tokens + 2:
             raise ValueError("EncoderConfig: max_positions must cover max_tokens + 2")
+        # Below 0 the GAT score is not monotonic in its logit; from 1 on, not damped.
+        if not 0.0 <= self.leaky_slope < 1.0:
+            raise ValueError(f"EncoderConfig: leaky_slope must lie in [0, 1), "
+                             f"got {self.leaky_slope!r}")
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, (fan_in, fan_out))
+# A parameter of a layout: its name, its shape and the std of the normal draw
+# that fills it, times ``gain``. A std of 0.0 draws nothing and leaves zeros.
+Param = namedtuple("Param", "name shape std gain", defaults=(0.0, 1.0))
+
+
+def glorot(name: str, fan_in: int, fan_out: int, gain: float = 1.0) -> Param:
+    """A (fan_in, fan_out) weight drawn with the Glorot-normal std, times ``gain``."""
+    return Param(name, (fan_in, fan_out), math.sqrt(2.0 / (fan_in + fan_out)), gain)
 
 
 EMB_INIT_STD = 0.1
@@ -67,31 +77,21 @@ GAT_SCORE_GAIN = 2.0
 GLOSS_W_GAIN = 8.0
 
 
-def init_encoder_params(
-    vocab_size: int,
-    n_edge_labels: int,
-    config: EncoderConfig,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Fresh encoder weights keyed locally, drawn from ``rng`` in key order."""
+def encoder_layout(vocab_size: int, n_edge_labels: int, config: EncoderConfig) -> list[Param]:
+    """The encoder's parameters, keyed locally, in checkpoint order."""
     config.validate()
     d = config.d_model
-    p = {
-        "tok_emb": rng.normal(0.0, EMB_INIT_STD, (vocab_size, d)),
-        "pos_emb": rng.normal(0.0, EMB_INIT_STD, (config.max_positions, d)),
-    }
+    layout = [Param("tok_emb", (vocab_size, d), EMB_INIT_STD),
+              Param("pos_emb", (config.max_positions, d), EMB_INIT_STD)]
     for layer in range(config.n_selfattn_layers):
-        for w in ("wq", "wk", "wv"):
-            p[f"sa{layer}/{w}"] = glorot(rng, d, d)
-    p["gloss/w"] = glorot(rng, d, d) * GLOSS_W_GAIN
-    p["gloss/b"] = np.zeros(d)
-    p["edge_emb"] = rng.normal(0.0, EDGE_EMB_INIT_STD, (n_edge_labels, config.edge_emb_dim))
+        layout += [glorot(f"sa{layer}/{w}", d, d) for w in ("wq", "wk", "wv")]
+    layout += [glorot("gloss/w", d, d, GLOSS_W_GAIN), Param("gloss/b", (d,)),
+               Param("edge_emb", (n_edge_labels, config.edge_emb_dim), EDGE_EMB_INIT_STD)]
     for layer in range(config.n_gat_layers):
-        p[f"gat{layer}/wq"] = glorot(rng, d, d)
-        p[f"gat{layer}/wk"] = glorot(rng, d, d)
-        p[f"gat{layer}/wv"] = glorot(rng, d, d) * GAT_VALUE_GAIN
-        p[f"gat{layer}/wa"] = glorot(rng, 2 * d + config.edge_emb_dim, 1) * GAT_SCORE_GAIN
-    return p
+        layout += [glorot(f"gat{layer}/wq", d, d), glorot(f"gat{layer}/wk", d, d),
+                   glorot(f"gat{layer}/wv", d, d, GAT_VALUE_GAIN),
+                   glorot(f"gat{layer}/wa", 2 * d + config.edge_emb_dim, 1, GAT_SCORE_GAIN)]
+    return layout
 
 
 def encode_tokens(

@@ -14,9 +14,9 @@ element-wise absolute difference, projected into a label-embedding space.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .corpus import TAG_VALUES, AnnotatedSentence, Vocabulary
 from .encoder import (
     EMB_INIT_STD,
     EncoderConfig,
+    Param,
     encode_graph,
+    encoder_layout,
     glorot,
-    init_encoder_params,
 )
 from .hetgraph import BlockGraph, HeteroGraph, join_graphs
 from .tensorcore import DATA, GRAD, DiffArray, ParamStore
@@ -78,73 +79,55 @@ class SimileModel:
     config: EncoderConfig
 
 
-def init_head_params(
-    mode: str,
-    config: EncoderConfig,
-    rng: np.random.Generator,
-    label_emb_dim: int = 100,
-) -> dict[str, np.ndarray]:
-    """Fresh head weights for ``mode`` keyed locally, drawn from ``rng`` in
-    key order."""
+def head_layout(mode: str, config: EncoderConfig, label_emb_dim: int = 100) -> list[Param]:
+    """The head of ``mode``'s parameters, keyed locally, in checkpoint order."""
     if mode not in MODES:
         raise ValueError(f"unknown model mode '{mode}'")
     d = config.d_model
-    p = {
-        "cls/w": glorot(rng, 3 * d, label_emb_dim),
-        "cls/emb": rng.normal(0.0, EMB_INIT_STD, (len(CLASSES), label_emb_dim)),
-    }
+    layout = [glorot("cls/w", 3 * d, label_emb_dim),
+              Param("cls/emb", (len(CLASSES), label_emb_dim), EMB_INIT_STD)]
     if mode == "parallel":
-        p["ext/w"] = glorot(rng, d, 3) * TAGGER_INIT_GAIN
-        p["ext/b"] = np.zeros(3)
-    else:
-        p["first/w"] = glorot(rng, d, 2) * TAGGER_INIT_GAIN
-        p["first/b"] = np.zeros(2)
-        p["second/w"] = glorot(rng, 2 * d, 3) * TAGGER_INIT_GAIN
-        p["second/b"] = np.zeros(3)
-    return p
+        return layout + [glorot("ext/w", d, 3, TAGGER_INIT_GAIN), Param("ext/b", (3,))]
+    return layout + [glorot("first/w", d, 2, TAGGER_INIT_GAIN), Param("first/b", (2,)),
+                     glorot("second/w", 2 * d, 3, TAGGER_INIT_GAIN), Param("second/b", (3,))]
 
 
-# A stand-in rng that draws nothing: every weight it gives is zeros of the
-# drawn shape, so it sizes parameters and stores without the cost of drawing.
-UNDRAWN = SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size))
+def model_layout(mode: str, vocab_size: int, n_edge_labels: int, config: EncoderConfig,
+                 label_emb_dim: int = 100) -> list[Param]:
+    """A model's parameters in the order of its store, checkpoint and
+    ``bundle.json`` layout: its encoder's (``enc/``), then its head's (``head/``)."""
+    parts = {"enc": encoder_layout(vocab_size, n_edge_labels, config),
+             "head": head_layout(mode, config, label_emb_dim)}
+    return [p._replace(name=f"{part}/{p.name}") for part, ps in parts.items() for p in ps]
 
 
 def init_models(
     modes: Sequence[str],
-    vocab_size: int,
-    n_edge_labels: int,
+    layouts: Sequence[list[Param]],
     config: EncoderConfig,
-    rng: np.random.Generator,
-    label_emb_dim: int = 100,
+    rng: np.random.Generator | None,
     share_encoder: bool = False,
 ) -> tuple[list[SimileModel], dict[str, DiffArray]]:
-    """Fresh models, one per mode, and their encoder weights stacked on a
-    model axis: views of the stores, which are rows of one (M, 4, N) buffer.
-
-    Each model draws its encoder, then its head, from ``rng``; its store lists
-    them so (``enc/``, ``head/``), as a checkpoint does. With ``share_encoder``
-    the others list the first model's encoder as shared: a stack of one.
-    """
-    # Heads are sized with UNDRAWN, so the buffer can be made after the first
-    # encoder and one model's draws live at a time.
-    head_max = max(sum(a.size for a in init_head_params(
-        m, config, UNDRAWN, label_emb_dim).values()) for m in modes)
+    """Models, one per mode and its ``model_layout``, and their encoder weights
+    stacked on a model axis: views of the stores, rows of one (M, 4, N) buffer
+    of zeros. Each model draws its encoder, then its head, from ``rng`` in
+    layout order, each weight straight into its view as
+    ``rng.normal(0.0, std, shape) * gain``. With ``share_encoder`` the others
+    borrow the first model's encoder: a stack of one. Names and shapes alone,
+    as ``bundle.json`` records them, draw nothing."""
+    buf = np.zeros((len(modes), 4, max(sum(math.prod(p.shape) for p in layout)
+                                       for layout in layouts)))
     models: list[SimileModel] = []
-    for i, mode in enumerate(modes):
-        enc = {} if share_encoder and models else init_encoder_params(
-            vocab_size, n_edge_labels, config, rng)
-        head = init_head_params(mode, config, rng, label_emb_dim)
-        if not models:
-            buf = np.zeros((len(modes), 4, sum(a.size for a in enc.values()) + head_max))
-        size = sum(a.size for part in (enc, head) for a in part.values())
-        store = ParamStore({**{f"enc/{k}": a for k, a in (enc or models[0].enc).items()},
-                            **{f"head/{k}": a for k, a in head.items()}}, buf[i, :, :size])
-        models.append(SimileModel(
-            mode=mode, store=store,
-            enc={k: store.params[f"enc/{k}"] for k in enc} if enc else models[0].enc,
-            head={k: store.params[f"head/{k}"] for k in head}, config=config,
-        ))
-        del enc, head  # before the next model's draws
+    for i, (mode, layout) in enumerate(zip(modes, layouts)):
+        lent = {f"enc/{k}": p for k, p in models[0].enc.items()} if share_encoder and i else {}
+        store = ParamStore({p.name: lent.get(p.name, p.shape) for p in layout}, buf[i])
+        for p in layout[len(lent):]:  # a borrowed encoder comes first and is not drawn
+            if p.std:
+                np.multiply(rng.normal(0.0, p.std, p.shape), p.gain, out=store.params[p.name].data)
+        enc, head = ({k[len(side):]: p for k, p in store.params.items() if k.startswith(side)}
+                     for side in ("enc/", "head/"))
+        models.append(SimileModel(mode=mode, store=store, enc=models[0].enc if lent else enc,
+                                  head=head, config=config))
     stacked, lo, n = {}, 0, 1 if share_encoder else len(modes)
     for k, p in models[0].enc.items():
         hi = lo + p.data.size

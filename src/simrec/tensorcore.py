@@ -40,12 +40,10 @@ The encoder's ops also take an ensemble's arrays stacked on a leading model
 axis (M, ...), each slice getting the bits of its own 2-D call;
 ``model_slice`` takes one model's slice and ``backward`` sweeps every loss.
 
-A ``ParamStore`` is made in one call from its named arrays and a float64
-block of shape (4, N), which may be a row of a buffer that several stores
-share. The rows hold its parameters' data, gradient and two Adam moments.
-Each parameter's ``.data`` and gradient are views into the block, so one
-Adam update is a few in-place numpy calls per cache-sized chunk of each
-contiguous run of parameters that received a gradient.
+A ``ParamStore`` holds its parameters' data, gradients and two Adam moments
+as the rows of one block, so one Adam update is a few in-place numpy calls
+per cache-sized chunk of each contiguous run of parameters that received a
+gradient.
 """
 
 from __future__ import annotations
@@ -572,15 +570,15 @@ DATA, GRAD, MOMENT1, MOMENT2 = range(4)
 class ParamStore:
     """Named parameters plus Adam moment state in one flat block.
 
-    ``params`` maps each name, in order, to either a fresh array, which the
-    store owns, or a ``DiffArray`` that another store owns (two models
-    sharing weights), which gets no span and no moments.
-    ``block`` is a zeroed (4, N) float64 array, which may be a row of a buffer
-    several stores share, over the N floats of the owned parameters, in that
-    order: its rows hold data, gradient and the first
-    and second Adam moments. Every owned parameter's ``.data`` and gradient
-    home are views into it, so code that replaces a parameter's values must
-    copy into ``.data`` rather than rebind it.
+    ``params`` maps each name, in order, to either a shape, for a parameter
+    the store owns, or a ``DiffArray`` that another store owns (two models
+    sharing weights), which gets no span and no moments. ``block`` is a
+    zeroed float64 array of 4 rows, which may be a row of a buffer several
+    stores share; the store keeps the first N columns, the floats of the
+    owned parameters in order, and copies nothing in. Its rows hold data,
+    gradient and the first and second Adam moments. Every owned parameter's
+    ``.data`` and gradient home are views into it, so code that replaces a
+    parameter's values must copy into ``.data`` rather than rebind it.
 
     A parameter's span of the gradient row holds its gradient only while
     ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``:
@@ -591,25 +589,23 @@ class ParamStore:
     keeps a stale span.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray | DiffArray], block: np.ndarray):
+    def __init__(self, params: Mapping[str, tuple[int, ...] | DiffArray], block: np.ndarray):
         self.params: dict[str, DiffArray] = {}
         self.step_count = 0
         self._spans: list[tuple[DiffArray, int, int]] = []  # owned: (param, lo, hi)
-        self.block = block
-        self._scratch = np.empty(min(block.shape[1], ADAM_CHUNK))
         lo = 0
-        for name, value in params.items():
-            if isinstance(value, DiffArray):
-                self.params[name] = value
+        for name, shape in params.items():
+            if isinstance(shape, DiffArray):
+                self.params[name] = shape
                 continue
-            shape = np.shape(value)
-            hi = lo + np.size(value)
-            p = DiffArray(self.block[DATA, lo:hi].reshape(shape), name=name)
-            p.data[...] = value
-            p.grad_home = self.block[GRAD, lo:hi].reshape(shape)
+            hi = lo + math.prod(shape)
+            p = DiffArray(block[DATA, lo:hi].reshape(shape), name=name)
+            p.grad_home = block[GRAD, lo:hi].reshape(shape)
             self.params[name] = p
             self._spans.append((p, lo, hi))
             lo = hi
+        self.block = block[:, :lo]
+        self._scratch = np.empty(min(lo, ADAM_CHUNK))
 
     def adam_step(
         self,

@@ -256,6 +256,27 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_meaningless_flag_value_is_not_blamed_on_the_config_file(
+        self, corpora, tmp_path, capsys
+    ):
+        train, dev = corpora
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"learning_rate": float("nan"), "epochs": 1}),
+                          encoding="utf-8")
+        out = tmp_path / "m"
+        argv = ["train", "--train", train, "--dev", dev, "--out-dir", str(out),
+                "--config", str(config), *TINY_FLAGS]
+        assert main([*argv, "--aux-weight", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: TrainConfig: aux_weight must be finite and non-negative, got -1.0\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: TrainConfig: learning_rate must be finite and positive, "
+            f"got nan\n")
+        assert not out.exists()
+        assert main([*argv, "--learning-rate", "0.01"]) == 0  # the flag beats the file
+        capsys.readouterr()
+
     def test_share_encoder_trains_without_rollback(self, corpora, tmp_path, capsys):
         # Per-model best rollback is skipped for a shared encoder; the run
         # must still finish and write the bundle.
@@ -707,6 +728,20 @@ class TestCorpusErrorsNameTheFile:
             f"error: {bad}: line 1: glosses must be an object, got {json.dumps(glosses)}\n")
         assert not (tmp_path / "m").exists() and not (tmp_path / "p.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train --train", "predict --input",
+                                         "inspect-graph --input"])
+    def test_not_utf8(self, trained_dir, corpora, tmp_path, capsys, command):
+        # A UTF-16 file starts with the byte order mark ff fe.
+        record = json.dumps(sentence_to_record(canonical_sentence()))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes((record + "\n").encode("utf-16"))
+        assert bad.read_bytes()[:2] == b"\xff\xfe"
+        _run_on_corpus(command, str(bad), trained_dir, corpora, tmp_path)
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+            f"position 0: invalid start byte)\n")
+        assert not any((tmp_path / made).exists() for made in ("m", "p.jsonl", "g.dot"))
+
 
 def _run_on_corpus(command, bad_corpus, trained_dir, corpora, tmp_path):
     """Run ``command`` ("train --dev", say) with ``bad_corpus`` for its flag;
@@ -717,6 +752,8 @@ def _run_on_corpus(command, bad_corpus, trained_dir, corpora, tmp_path):
     if name == "train":
         argv = ["--train", given["--train"], "--dev", given["--dev"],
                 "--out-dir", str(tmp_path / "m"), *TINY_FLAGS]
+    elif name == "inspect-graph":
+        argv = [flag, bad_corpus, "--dot-out", str(tmp_path / "g.dot")]
     else:
         argv = ["--model-dir", trained_dir, flag, bad_corpus]
         if name == "predict":

@@ -13,6 +13,7 @@ from simrec.corpus import (
     UNK_TOKEN,
     build_vocab,
     canonical_sentence,
+    check_json,
     generate_synthetic,
     load_corpus,
     save_corpus,
@@ -378,6 +379,28 @@ class TestErrorMessagesArePinned:
         with pytest.raises(CorpusError) as err:
             sentence_from_record(record, "r")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("value, kind, message", [
+        ([*"abcd", 5, None], "list[str]", "f[5] must be a string, got 5"),
+        ([*"abcd", None], "tuple[str, ...]", "f[5] must be a string, got null"),
+        ({**{f"t{i}": i for i in range(1000)}, "t500": True}, "dict[str, int]",
+         'f["t500"] must be an integer, got true'),
+        ({"a": 1, "b": 2.5, "c": "x"}, "dict[str, float]", 'f["c"] must be a number, got "x"'),
+        ({"1": "a", "2": "b", "03": "c", "4": "d"}, "dict[int, str]",
+         'f key must be a decimal integer, got "03"'),
+        ({"1": "a", "2": 2, "03": "c"}, "dict[int, str]", 'f["2"] must be a string, got 2'),
+    ])
+    def test_check_json_names_the_first_item_at_fault(self, value, kind, message):
+        with pytest.raises(CorpusError) as err:
+            check_json(value, kind, "r", "f")
+        assert str(err.value) == f"r: {message}"
+
+    @pytest.mark.parametrize("value, kind", [
+        ([], "list[str]"), ({}, "dict[int, str]"), ({"1": "a", "-2": "b"}, "dict[int, str]"),
+        ({"a": 1, "b": 2.5}, "dict[str, float]"), ([["x"], []], "list[list[str]]"),
+    ])
+    def test_check_json_passes_items_of_their_kind(self, value, kind):
+        check_json(value, kind, "r", "f")
 
     @pytest.mark.parametrize("edits, message", [
         ({"tok2_head": "3"}, 'tokens[2].head must be an integer, got "3"'),

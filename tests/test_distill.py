@@ -24,7 +24,7 @@ from simrec.distill import (
 )
 from simrec.encoder import EncoderConfig
 from simrec.hetgraph import GraphOptions, build_graph, edge_label_index, join_graphs
-from simrec.heads import PREDICT_CHUNK, TAG_TO_ID, TagForward, predict
+from simrec.heads import PREDICT_CHUNK, TAG_TO_ID, TagForward, model_layout, predict
 from simrec.tensorcore import DiffArray
 
 
@@ -238,11 +238,18 @@ class TestTrainConfig:
             ({"batch_size": 0}, "batch_size"),
             ({"lambda_mode": "wavy"}, "lambda_mode"),
             ({"lambda_fixed": -0.1}, "lambda_fixed"),
+            *(({"learning_rate": v}, rf"learning_rate must be finite and positive, got {v!r}")
+              for v in (math.nan, math.inf, -math.inf, -1e-3, 0.0)),
+            *(({"aux_weight": v}, rf"aux_weight must be finite and non-negative, got {v!r}")
+              for v in (math.nan, math.inf, -math.inf, -1.0)),
         ],
     )
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs).validate()
+
+    def test_zero_aux_weight_is_valid(self):
+        TrainConfig(aux_weight=0.0).validate()
 
 
 class TestBuildBundle:
@@ -964,3 +971,18 @@ class TestPersistence:
         if kwargs.get("share_encoder"):
             assert len(bundle.enc["tok_emb"].data) == 1
             assert len(loaded.enc["tok_emb"].data) == len(bundle.models)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"share_encoder": True},
+                                        {"disabled_models": ("v",)}],
+                             ids=["plain", "share-encoder", "disable-v"])
+    def test_recorded_layouts_are_the_model_layouts(self, tiny_vocab, tmp_path, kwargs):
+        bundle = fresh_bundle(tiny_vocab, **kwargs)
+        distill.save_bundle(bundle, tmp_path)
+        meta = json.loads((tmp_path / distill.BUNDLE_META).read_text(encoding="utf-8"))
+        assert list(meta["layouts"]) == list(bundle.models)
+        n_edge_labels = len(edge_label_index(tiny_vocab))
+        for name, model in bundle.models.items():
+            layout = model_layout(model.mode, tiny_vocab.size, n_edge_labels, SMALL_ENC, 6)
+            assert meta["layouts"][name] == [[p.name, list(p.shape)] for p in layout]
+            assert meta["layouts"][name] == [[pname, list(p.shape)]
+                                             for pname, p in model.store.params.items()]

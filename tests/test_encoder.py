@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
-from modelutil import param_store
+from modelutil import drawn_store
 from simrec import encoder as enc
 from simrec import tensorcore as tc
 from simrec.corpus import AnnotatedSentence, TokenAnn, build_vocab, canonical_sentence
@@ -20,9 +20,8 @@ def block_of(sent, vocab):
 def make_params(vocab, config, seed=0, n_edge_labels=None):
     if n_edge_labels is None:
         n_edge_labels = len(edge_label_index(vocab))
-    store = param_store(enc.init_encoder_params(
-        vocab.size, n_edge_labels, config, np.random.default_rng(seed)
-    ))
+    store = drawn_store(enc.encoder_layout(vocab.size, n_edge_labels, config),
+                        np.random.default_rng(seed))
     return store, store.params
 
 
@@ -57,6 +56,15 @@ class TestConfig:
     def test_rejects_short_position_table(self):
         with pytest.raises(ValueError, match="max_positions"):
             EncoderConfig(max_tokens=50, max_positions=51).validate()
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), float("-inf"), -0.01, 1.0])
+    def test_rejects_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match=rf"leaky_slope must lie in \[0, 1\), got {slope!r}"):
+            EncoderConfig(leaky_slope=slope).validate()
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.999])
+    def test_accepts_leaky_slope_in_unit_interval(self, slope):
+        EncoderConfig(leaky_slope=slope).validate()
 
 
 class TestTokenEncoder:

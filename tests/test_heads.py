@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
-from modelutil import param_store
+from modelutil import drawn_store
 from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import build_vocab
@@ -13,10 +13,15 @@ from simrec.tensorcore import DiffArray
 
 
 def head_only(mode, config, seed=0, label_emb_dim=7):
-    store = param_store(heads.init_head_params(
-        mode, config, np.random.default_rng(seed), label_emb_dim
-    ))
+    store = drawn_store(heads.head_layout(mode, config, label_emb_dim),
+                        np.random.default_rng(seed))
     return store, store.params
+
+
+def fresh_models(modes, config, rng, vocab_size=20, n_edge_labels=10, share_encoder=False):
+    """``init_models`` of the modes' ``model_layout``s, label embeddings of 6."""
+    layouts = [heads.model_layout(m, vocab_size, n_edge_labels, config, 6) for m in modes]
+    return heads.init_models(modes, layouts, config, rng, share_encoder)
 
 
 def softmax_np(x):
@@ -262,10 +267,8 @@ class TestPredict:
             edge_emb_dim=4, max_tokens=10, max_positions=12,
         )
         vocab = build_vocab([fig_sentence])
-        (model,), _ = heads.init_models(
-            ["parallel"], vocab.size, len(edge_label_index(vocab)), config,
-            np.random.default_rng(seed), label_emb_dim=6,
-        )
+        (model,), _ = fresh_models(["parallel"], config, np.random.default_rng(seed),
+                                   vocab.size, len(edge_label_index(vocab)))
         return model, vocab, build_graph(fig_sentence, vocab)
 
     def test_threshold_gates_extraction(self, fig_sentence):
@@ -311,10 +314,8 @@ class TestModelSetup:
 
     def test_shared_encoder_is_registered_not_copied(self, tiny_config):
         rng = np.random.default_rng(0)
-        (base, other), _ = heads.init_models(
-            ["parallel", "tenor_first"], 20, 10, tiny_config, rng, label_emb_dim=6,
-            share_encoder=True,
-        )
+        (base, other), _ = fresh_models(["parallel", "tenor_first"], tiny_config, rng,
+                                        share_encoder=True)
         assert other.enc is base.enc
         for key, param in base.enc.items():
             assert other.store.params[f"enc/{key}"] is param
@@ -335,17 +336,24 @@ class TestModelSetup:
             "tenor_first": sequential,
             "vehicle_first": sequential,
         }
+
+        def layout(mode):
+            return [(p.name, p.shape) for p in heads.model_layout(mode, 20, 10, tiny_config, 6)]
+
+        def params(model):
+            return [(name, p.shape) for name, p in model.store.params.items()]
+
         rng = np.random.default_rng(0)
-        models, _ = heads.init_models(heads.MODES, 20, 10, tiny_config, rng, label_emb_dim=6)
+        models, _ = fresh_models(heads.MODES, tiny_config, rng)
         for mode, model in zip(heads.MODES, models):
             assert list(model.store.params) == want[mode]
+            assert params(model) == layout(mode)
             assert all(np.shares_memory(p.data, model.store.block)
                        for p in model.store.params.values())
-        (first, shared), _ = heads.init_models(
-            ["parallel", "vehicle_first"], 20, 10, tiny_config, rng, label_emb_dim=6,
-            share_encoder=True,
-        )
+        (first, shared), _ = fresh_models(["parallel", "vehicle_first"], tiny_config, rng,
+                                          share_encoder=True)
         assert list(shared.store.params) == sequential
+        assert params(first) == layout("parallel") and params(shared) == layout("vehicle_first")
         borrowed = [name for name, p in shared.store.params.items()
                     if not np.shares_memory(p.data, shared.store.block)]
         assert borrowed == enc_names

@@ -5,9 +5,11 @@ For each record kind (a corpus line, the run config, ``bundle.json``,
 each value of ``MUTANTS``, and each required field is deleted. A value
 whose JSON type is not the type that the field holds in a file simrec
 wrote, and every deletion, must exit 1 with one ``error:`` line that names
-the file (and the line of a corpus) and the field. ``predict`` must write
-nothing and ``train`` must make no output directory. The cases are a fixed
-enumeration, so every run checks the same ones.
+the file (and the line of a corpus) and the field. So must each number of
+``MEANINGLESS``, which has the right type but no meaning for its field.
+``predict`` must write nothing and ``train`` must make no output
+directory. The cases are a fixed enumeration, so every run checks the same
+ones.
 """
 
 import json
@@ -46,6 +48,16 @@ VOCAB_FIELDS = ["token_to_id", 'token_to_id["<pad>"]', "deprel_ranking", "deprel
 SELECTED_FIELDS = ["selected", "scores"]
 # Fields that a record may leave out; every run-config key may be left out.
 OPTIONAL = {"glosses", "scores"}
+# Numbers of the right JSON type that mean nothing for a field, with the
+# message that refuses them; a value that the field takes is left out.
+MEANINGLESS = {
+    "learning_rate": ("TrainConfig: learning_rate must be finite and positive",
+                      (float("nan"), float("inf"), float("-inf"), -1, 0)),
+    "aux_weight": ("TrainConfig: aux_weight must be finite and non-negative",
+                   (float("nan"), float("inf"), float("-inf"), -1)),
+    "leaky_slope": ("EncoderConfig: leaky_slope must lie in [0, 1)",
+                    (float("nan"), float("inf"), float("-inf"), -1)),
+}
 
 _PART = re.compile(r'\.?(\w+)|\[(\d+)\]|\["([^"]*)"\]')
 
@@ -202,6 +214,38 @@ def test_every_model_dir_fault_is_one_line_before_any_output(
         if (rc, err) != (1, f"error: {path}: {message}\n") or out_file.exists():
             failures.append((message, err))
     path.write_text(text, encoding="utf-8")
+    assert _run(["predict", "--model-dir", str(model_dir), "--input", dev,
+                 "--out", str(out_file)], capsys)[0] == 0
+    assert not failures, failures[:5]
+
+
+def test_every_meaningless_number_is_one_line_before_any_output(
+    corpora, trained_dir, tmp_path, capsys
+):
+    # Python's json reads and writes NaN, Infinity and -Infinity.
+    train, dev = corpora
+    config, out_dir, out_file = tmp_path / "run.json", tmp_path / "m", tmp_path / "p.jsonl"
+    model_dir = tmp_path / "model"
+    shutil.copytree(trained_dir, model_dir)
+    meta = model_dir / "bundle.json"
+    text = meta.read_text(encoding="utf-8")
+    failures = []
+    for field, (message, values) in MEANINGLESS.items():
+        for value in values:
+            want = f"{message}, got {value!r}"
+            config.write_text(json.dumps({field: value}), encoding="utf-8")
+            rc, err = _run(["train", "--train", train, "--dev", dev, "--out-dir", str(out_dir),
+                            "--config", str(config)], capsys)
+            if (rc, err) != (1, f"error: {config}: {want}\n") or out_dir.exists():
+                failures.append((field, value, "run.json", err))
+            if field in EncoderConfig.__annotations__:
+                meta.write_text(json.dumps(_edited(json.loads(text), f"encoder.{field}", value)[0]),
+                                encoding="utf-8")
+                rc, err = _run(["predict", "--model-dir", str(model_dir), "--input", dev,
+                                "--out", str(out_file)], capsys)
+                if (rc, err) != (1, f"error: {meta}: {want}\n") or out_file.exists():
+                    failures.append((field, value, "bundle.json", err))
+    meta.write_text(text, encoding="utf-8")
     assert _run(["predict", "--model-dir", str(model_dir), "--input", dev,
                  "--out", str(out_file)], capsys)[0] == 0
     assert not failures, failures[:5]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads, numeric_grads, relative_error
-from modelutil import param_store
+from modelutil import filled_store, param_store
 from simrec import tensorcore as tc
 from simrec.tensorcore import DiffArray, NonFiniteError, ShapeError
 
@@ -472,7 +472,7 @@ class TestParamStoreAdam:
     def test_first_step_moves_by_lr(self):
         # With g=1 the bias-corrected first Adam step is
         # -lr * 1 / (1 + eps) regardless of beta values.
-        store = param_store({"w": np.array([0.5])})
+        store = filled_store({"w": np.array([0.5])})
         p = store.params["w"]
         p.grad = np.array([1.0])
         store.adam_step(lr=0.001)
@@ -480,14 +480,14 @@ class TestParamStoreAdam:
         np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 
     def test_grads_cleared_after_step(self, rng):
-        store = param_store({"w": rng.normal(size=(3,))})
+        store = filled_store({"w": rng.normal(size=(3,))})
         p = store.params["w"]
         p.grad = np.ones(3)
         store.adam_step(lr=0.01)
         assert p.grad is None
 
     def test_step_skips_params_without_grads(self, rng):
-        store = param_store({"w": rng.normal(size=(3,))})
+        store = filled_store({"w": rng.normal(size=(3,))})
         p = store.params["w"]
         before = p.data.copy()
         store.adam_step(lr=0.1)
@@ -495,7 +495,7 @@ class TestParamStoreAdam:
 
     def test_adam_two_steps_match_reference(self):
         # Hand-rolled Adam recurrence on a fixed gradient sequence.
-        store = param_store({"w": np.array([1.0])})
+        store = filled_store({"w": np.array([1.0])})
         p = store.params["w"]
         grads = [0.3, -0.2]
         m = v = 0.0
@@ -510,7 +510,7 @@ class TestParamStoreAdam:
         np.testing.assert_allclose(p.data, [x], rtol=1e-12)
 
     def test_shared_param_updated_once(self, rng):
-        owner = param_store({"w": np.array([1.0])})
+        owner = filled_store({"w": np.array([1.0])})
         p = owner.params["w"]
         borrower = param_store({"w": p})
         assert borrower.params["w"] is p and borrower.block.shape == (4, 0)
@@ -527,7 +527,7 @@ class TestAccumGrad:
     that another node may hold is written."""
 
     def test_parameter_first_gradient_lands_in_grad_home_without_negative_zeros(self, rng):
-        p = param_store({"w": rng.normal(size=(4, 6))}).params["w"]
+        p = filled_store({"w": rng.normal(size=(4, 6))}).params["w"]
         g = signed_zeros(rng, 4, 6)
         p.accum_grad(g)
         assert p.grad is p.grad_home
@@ -560,7 +560,7 @@ class TestAccumGrad:
         assert b.grad is g and g.tobytes() == kept.tobytes()
 
     def test_matmul_writes_weight_gradient_into_grad_home(self, rng):
-        w = param_store({"w": rng.normal(size=(4, 3))}).params["w"]
+        w = filled_store({"w": rng.normal(size=(4, 3))}).params["w"]
         x = leaf(rng, 5, 4)
         grad = rng.normal(size=(5, 3))
         tc.matmul(x, w)._backward(grad)
@@ -638,7 +638,7 @@ class TestParamBlock:
 
     def test_params_and_grad_homes_are_views_into_one_block(self, rng):
         before = self._arrays(rng)
-        store = param_store(before)
+        store = filled_store(before)
         assert list(store.params) == list(self.SHAPES)
         n = sum(int(np.prod(s)) for s in self.SHAPES.values())
         assert store.block.shape == (4, n)
@@ -661,7 +661,7 @@ class TestParamBlock:
         # The parent's per-parameter update, one temporary per operation,
         # over random steps in which parameter "c" sometimes has no gradient.
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        store = param_store(self._arrays(rng))
+        store = filled_store(self._arrays(rng))
         ref = {k: p.data.copy() for k, p in store.params.items()}
         m = {k: np.zeros_like(x) for k, x in ref.items()}
         v = {k: np.zeros_like(x) for k, x in ref.items()}
@@ -704,8 +704,8 @@ class TestCheckpoints:
     def test_round_trip(self, tmp_path, rng):
         arrays = {"enc/w": rng.normal(size=(3, 4)), "head/b": rng.normal(size=5)}
         path = tmp_path / "model.npy"
-        tc.save_checkpoint(path, param_store(arrays))
-        loaded = param_store({name: np.zeros_like(a) for name, a in arrays.items()})
+        tc.save_checkpoint(path, filled_store(arrays))
+        loaded = param_store({name: a.shape for name, a in arrays.items()})
         tc.load_checkpoint(path, loaded)
         for k in arrays:
             np.testing.assert_array_equal(loaded.params[k].data, arrays[k])
@@ -713,7 +713,7 @@ class TestCheckpoints:
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "model.npy"
-        tc.save_checkpoint(path, param_store({"w": np.ones(2)}))
+        tc.save_checkpoint(path, filled_store({"w": np.ones(2)}))
         before = path.read_bytes()
         save = np.save
 
@@ -723,7 +723,7 @@ class TestCheckpoints:
 
         monkeypatch.setattr(np, "save", failing)
         with pytest.raises(OSError, match="no space left"):
-            tc.save_checkpoint(path, param_store({"w": np.zeros(2)}))
+            tc.save_checkpoint(path, param_store({"w": (2,)}))
         monkeypatch.setattr(np, "save", save)
         with pytest.raises(TypeError, match="not JSON serializable"):
             tc.write_json_atomic(path, {"w": [1.0, 2.0], "bad": object()})
@@ -734,8 +734,8 @@ class TestCheckpoints:
     def test_non_finite_value_rejected_naming_the_parameter(self, tmp_path, value):
         path = tmp_path / "model.npy"
         params = {"enc/w": np.ones(2), "head/b": np.array([1.0, value])}
-        tc.save_checkpoint(path, param_store(params))
-        loaded = param_store({"enc/w": np.zeros(2), "head/b": np.zeros(2)})
+        tc.save_checkpoint(path, filled_store(params))
+        loaded = param_store({"enc/w": (2,), "head/b": (2,)})
         with pytest.raises(ValueError,
                            match=r"model\.npy: non-finite value in parameter 'head/b'"):
             tc.load_checkpoint(path, loaded)
@@ -746,7 +746,7 @@ class TestCheckpoints:
         path.write_text('{"magic": "simrec-checkpoint", "params": {}}', encoding="utf-8")
         # Without the .npy magic, numpy takes the file for a pickle, which it refuses.
         with pytest.raises(ValueError, match=r"junk\.npy: not a \.npy checkpoint \(.*pickled"):
-            tc.load_checkpoint(path, param_store({"w": np.zeros(2)}))
+            tc.load_checkpoint(path, param_store({"w": (2,)}))
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "future.npy"
@@ -755,7 +755,7 @@ class TestCheckpoints:
         data[6] = 99  # the major format version follows the six magic bytes
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"future\.npy: not a \.npy checkpoint \(.*version"):
-            tc.load_checkpoint(path, param_store({"w": np.zeros(2)}))
+            tc.load_checkpoint(path, param_store({"w": (2,)}))
 
     def test_header_is_checked_before_any_data_is_read(self, tmp_path):
         # A header that claims 10**15 floats is refused without allocating them.
@@ -765,4 +765,4 @@ class TestCheckpoints:
                 fh, {"descr": "<f8", "fortran_order": False, "shape": (10**15,)})
             fh.write(bytes(16))
         with pytest.raises(ValueError, match=r"huge\.npy: not a \.npy checkpoint \(mmap length"):
-            tc.load_checkpoint(path, param_store({"w": np.zeros(2)}))
+            tc.load_checkpoint(path, param_store({"w": (2,)}))
