@@ -79,6 +79,8 @@ class RunConfig:
     def validate(self) -> None:
         self.train_config().validate()
         self.encoder_config().validate()
+        self.graph_options().validate()
+        distill.check_label_emb_dim(self.label_emb_dim)
 
 
 def _shared_fields(cfg: RunConfig, cls, **derived):

@@ -90,6 +90,12 @@ class ModelBundle:
     enc: dict[str, DiffArray] = field(default_factory=dict)  # stacked encoders (``init_models``)
 
 
+def check_label_emb_dim(label_emb_dim: int) -> None:
+    """Refuse a label embedding width that no head can have."""
+    if label_emb_dim < 1:
+        raise ValueError(f"label_emb_dim must be positive, got {label_emb_dim!r}")
+
+
 def build_bundle(
     vocab: Vocabulary,
     config: EncoderConfig,
@@ -105,6 +111,8 @@ def build_bundle(
         raise ValueError(f"build_bundle: unknown model names {sorted(bad)}")
     if set(disabled_models) >= set(MODEL_ORDER):
         raise ValueError("build_bundle: at least one model must stay enabled")
+    check_label_emb_dim(label_emb_dim)
+    GraphOptions(top_k_deprels=top_k_deprels).validate()
     names = [name for name in MODEL_ORDER if name not in disabled_models]
     modes = [MODE_OF[name] for name in names]
     n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
@@ -281,6 +289,7 @@ def train(
     snapshot would then overwrite the others' encoder.
     """
     config.validate()
+    graph_options.validate()
     if not train_sents:
         raise ValueError("train: empty training corpus")
     _keep_freed_pages()
@@ -589,14 +598,14 @@ def _load_meta(
     config = EncoderConfig(**read_record(meta["encoder"], EncoderConfig.__annotations__,
                                          meta_path, "encoder"))
     label_emb_dim = meta["label_emb_dim"]
-    try:
-        config.validate()
-        if label_emb_dim < 1:
-            raise ValueError(f"label_emb_dim must be positive, not {label_emb_dim}")
-    except ValueError as exc:
-        raise ValueError(f"{meta_path}: {exc}") from exc
     opts = GraphOptions(**read_record(meta["graph_options"], GraphOptions.__annotations__,
                                       meta_path, "graph_options"))
+    try:
+        config.validate()
+        check_label_emb_dim(label_emb_dim)
+        opts.validate()
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
     vocab_path = os.path.join(model_dir, VOCAB_FILE)
     vocab = Vocabulary(**read_record(read_json(vocab_path), Vocabulary.__annotations__, vocab_path))
     ids = vocab.token_to_id

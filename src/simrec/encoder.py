@@ -161,18 +161,20 @@ def gat_layer(
     """One graph-attention step over incoming edges.
 
     For node i with incoming edges from j: score = LeakyReLU of a learned
-    map over [Wq g_i ; Wk g_j ; e_ij], attention is a softmax over i's
+    map ``wa`` over [Wq g_i ; Wk g_j ; e_ij], attention is a softmax over i's
     incoming edges, and the update is sigmoid of the attention-weighted sum
-    of Wv g_j.
+    of Wv g_j. The map is linear, so ``tc.gat_score`` splits it as in
+    Velickovic et al. 2018 (Graph Attention Networks, section 2.1): one
+    logit per node for each side, g_i . (Wq a_q) and g_j . (Wk a_k), and one
+    per edge label, e . a_e, gathered and added per edge. No (E, 2d) matrix
+    and no (n, d) query or key is formed.
     """
     m = graph.n_nodes
-    q = tc.matmul(g, params[f"gat{layer}/wq"])
-    k = tc.matmul(g, params[f"gat{layer}/wk"])
     v = tc.matmul(g, params[f"gat{layer}/wv"])
-    e = tc.pick_rows(params["edge_emb"], graph.label_ids)
-    feat = tc.concat([tc.pick_rows(q, graph.dst_ids), tc.pick_rows(k, graph.src_ids), e],
-                     axis=-1)
-    z = tc.leaky_relu(tc.matmul(feat, params[f"gat{layer}/wa"]), config.leaky_slope)
+    score = tc.gat_score(g, params[f"gat{layer}/wq"], params[f"gat{layer}/wk"],
+                         params[f"gat{layer}/wa"], params["edge_emb"],
+                         graph.src_ids, graph.dst_ids, graph.label_ids)
+    z = tc.leaky_relu(score, config.leaky_slope)
     alpha = tc.segment_softmax(tc.reshape(z, z.shape[:-1]), graph.dst_ids, m)
     agg = tc.segment_aggregate(alpha, v, graph.src_ids, graph.dst_ids, m)
     return tc.sigmoid(agg)

@@ -67,6 +67,12 @@ class GraphOptions:
     no_pos: bool = False
     no_subsentence_nodes: bool = False
 
+    def validate(self) -> None:
+        # A negative k would slice the ranking's end off: [:-1] drops the rarest relation.
+        if self.top_k_deprels < 0:
+            raise ValueError(f"GraphOptions: top_k_deprels must be non-negative, "
+                             f"got {self.top_k_deprels!r}")
+
 
 @dataclass(frozen=True)
 class BlockGraph:

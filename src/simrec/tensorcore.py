@@ -8,10 +8,10 @@ exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
 cycles and is freed as soon as its loss is dropped.
 
-Each gradient is written once, where it will live. ``matmul`` writes a
-weight's first gradient straight into its store's GRAD row, and
-``accum_grad`` writes any other first gradient of a parameter there as
-g + 0.0. An intermediate keeps its first gradient as it comes, without a
+Each gradient is written once, where it will live. ``matmul`` and
+``gat_score`` write a weight's first gradient straight into its store's
+GRAD row, and ``accum_grad`` writes any other first gradient of a
+parameter there as g + 0.0. An intermediate keeps its first gradient as it comes, without a
 copy, when that is a C-contiguous float64 array of its shape; otherwise it
 copies it into its data's layout, so every gradient that a BLAS call
 reads is laid out as a copy would be. One array may so be the gradient of
@@ -22,8 +22,8 @@ Only a parameter's gradient, which its store owns, is added to in place.
 
 A zero in an intermediate's gradient may so carry either sign, and so
 may one in a weight gradient that ``matmul`` writes with the bits of
-``x.mT @ grad``. That sign never reaches a weight or its moments, for three
-reasons: ``accum_grad`` still adds 0.0 on a parameter's first write; adding
+``x.mT @ grad``, or ``gat_score`` with those of an outer product. That
+sign never reaches a weight or its moments, for three reasons: ``accum_grad`` still adds 0.0 on a parameter's first write; adding
 a zero of either sign leaves a nonzero x as it is, and a sum is -0.0 only
 when both addends are; and Adam never makes a -0.0 moment, since both
 moments start at +0.0, and the second adds (1 - beta2) * g * g, which is
@@ -34,7 +34,8 @@ caller checks what it hands on once and on a failure runs again outside it,
 so the op is named.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
-aggregation) call the kernels in :mod:`simrec.kernels`.
+aggregation, the per-node sums of the GAT score's backward) call the
+kernels in :mod:`simrec.kernels`.
 
 The encoder's ops also take an ensemble's arrays stacked on a leading model
 axis (M, ...), each slice getting the bits of its own 2-D call;
@@ -254,7 +255,9 @@ def scale(a: DiffArray, c: float) -> DiffArray:
     c = float(c)
 
     def bwd(grad):
-        a.accum_grad(grad * c)
+        # Into an array: ``grad * c`` of a 0-d gradient is a numpy scalar,
+        # which ``accum_grad`` would copy.
+        a.accum_grad(np.multiply(grad, c, out=np.empty_like(grad)))
 
     return _result(a.data * c, (a,), bwd, "scale")
 
@@ -484,6 +487,69 @@ def segment_aggregate(
         values.accum_grad(d_values)
 
     return _result(out_data, (alpha, values), bwd, "segment_aggregate")
+
+
+def gat_score(
+    g: DiffArray,
+    wq: DiffArray,
+    wk: DiffArray,
+    wa: DiffArray,
+    edge_emb: DiffArray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    labels: np.ndarray,
+) -> DiffArray:
+    """The (E, 1) GAT scores ``[g[dst] @ wq ; g[src] @ wk ; edge_emb[labels]] @ wa``.
+
+    The score is linear, so with ``wa`` split into ``a_q``, ``a_k`` and ``a_e``
+    it is ``sq[dst] + sk[src] + se[labels]``: one logit per node for each side,
+    ``g @ (wq @ a_q)`` and ``g @ (wk @ a_k)``, and one per edge label,
+    ``edge_emb @ a_e``, gathered per edge. Backward sums the edge gradient
+    per node and per label, then runs the same small products in reverse.
+    """
+    fits = g.data.ndim in (2, 3) and edge_emb.data.ndim == g.data.ndim
+    if fits:
+        models, (n, d), (n_labels, de) = g.shape[:-2], g.shape[-2:], edge_emb.shape[-2:]
+        fits = wq.shape == wk.shape == models + (d, d) and wa.shape == models + (2 * d + de, 1)
+    if not fits:
+        raise ShapeError(f"gat_score: incompatible shapes g {g.shape}, wq {wq.shape}, "
+                         f"wk {wk.shape}, wa {wa.shape}, edge_emb {edge_emb.shape}")
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_ids(src, n, "gat_score", "src id")
+    _check_ids(dst, n, "gat_score", "dst id")
+    _check_ids(labels, n_labels, "gat_score", "label id", "labels")
+    a = wa.data
+    a_q, a_k, a_e = a[..., :d, :], a[..., d:2 * d, :], a[..., 2 * d:, :]
+    u = np.concatenate([wq.data @ a_q, wk.data @ a_k], axis=-1)  # (d, 2)
+    s = g.data @ u  # (n, 2): each node's logit as a destination, then as a source
+    se = (edge_emb.data @ a_e)[..., 0]
+    out = s[..., 0].take(dst, axis=-1) + s[..., 1].take(src, axis=-1) + se.take(labels, axis=-1)
+
+    def bwd(grad):
+        grad = grad[..., 0]
+        d_s = np.stack([_sum_over(grad, ids, n, models) for ids in (dst, src)], axis=-1)
+        d_se = _sum_over(grad, labels, n_labels, models)[..., None]
+        g.accum_grad(d_s @ u.mT)
+        d_u = g.data.mT @ d_s
+        d_uq, d_uk = d_u[..., :1], d_u[..., 1:]
+        for p, col, row in ((wq, d_uq, a_q), (wk, d_uk, a_k), (edge_emb, d_se, a_e)):
+            if p.grad is None and p.grad_home is not None:
+                # As in ``matmul``: a weight's first gradient goes straight into its GRAD row.
+                p.grad = np.multiply(col, row.mT, out=p.grad_home)
+            else:
+                p.accum_grad(col * row.mT)
+        wa.accum_grad(np.concatenate(
+            [wq.data.mT @ d_uq, wk.data.mT @ d_uk, edge_emb.data.mT @ d_se], axis=-2))
+
+    return _result(out[..., None], (g, wq, wk, wa, edge_emb), bwd, "gat_score")
+
+
+def _sum_over(grad: np.ndarray, ids: np.ndarray, n: int, models: tuple[int, ...]) -> np.ndarray:
+    """Sums of the (…, E) ``grad`` over equal ``ids`` into n bins per model."""
+    flat, size = kernels._by_model("gat_score", ids, n, models)
+    return kernels._sum_by_id("gat_score", flat, grad, size).reshape(models + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -571,36 +571,37 @@ class TestTrainLoop:
 
 
 class TestTrainingBits:
-    """The bits of a short seeded run, recorded before the backward sweep
-    stopped copying gradients (numpy 2.4.6, BLAS at one thread). Lambda rises
-    from 0 to 1, so the run takes KL-only, mixed and supervised-only steps."""
+    """The bits of a short seeded run (numpy 2.4.6, BLAS at one thread). Lambda
+    rises from 0 to 1, so the run takes KL-only, mixed and supervised-only
+    steps. Recorded again when the GAT score was split into per-node logits
+    (``tc.gat_score``), which moved every digest in the last bits."""
 
     ENC = EncoderConfig(d_model=12, n_selfattn_layers=1, n_gat_layers=2,
                         edge_emb_dim=5, max_tokens=20, max_positions=24)
     DIGESTS = {
         "plain": {
-            "log": "520ec0475e84e6dabd46b1525016db3bf666bb54f4e13f4749c2fac640981c70",
-            "p/data": "1237e337bee84a52fe9ce17bfb1cdfa5f3b0d47e1f020752539922ae23a14e1f",
-            "p/m1": "2abdaac49d6550297f3e551f94ce4b3fb0e0c7505b79150d49e975e39fe1c6f4",
-            "p/m2": "a9c910ad973d378215a9cd38becaa6f1774f60d15dd1ed214ae0fe59ab0d4d27",
-            "t/data": "4d02a6a846be94befdd7175222f7494f0eab638d130a6ebd86b5b23954695cff",
-            "t/m1": "2d8b2d3bddcba8ea0e02e8054d8575038dd817fab8bf8917790e8a56398fdfe1",
-            "t/m2": "963dd2292788e8c0e7bf016c7fd12d40f4915ddf9c9fdef764805e0fde188c36",
-            "v/data": "cec19816b76869381eecd12aa820e567a654508117c79ba965247037567397fe",
-            "v/m1": "6384c522d368b3bca1e052f4a16e50aaa9ae1008590ce30bc45c84bd76501589",
-            "v/m2": "0ce803936e64a589bdaa03a0e03bcad3e6a57a0de7b0ea15dd32f79cf78082e3",
+            "log": "48e4ffe2391aaa7bf96af6ebb333c11b60279543abc53fa127f2eae27de51800",
+            "p/data": "f57128baf40cc0605e798c1df96fb5d05da7992ef13f7614113661977c5773aa",
+            "p/m1": "69a3c083ab1ff7c0c308d3f3d3092657745cccfc2ca002251e06774eacb4ff73",
+            "p/m2": "7e8e88c530000da6561aca6ab34fc6f1e0ae091518971e8831c510dc2f1da741",
+            "t/data": "7db7c172240be616ec6391c839d126ba55afee554babb0b6597d78f1512fa60e",
+            "t/m1": "e84b1a8daea61ec432978f4dfa003be454b727123f6d9f9574e0c6ec509c5cfb",
+            "t/m2": "2588fc2756467044367c981db3e4201347cd37f7f7795cd260441fe99ad7fdee",
+            "v/data": "3736281d9c4ca5252a883b366816c25e6a8ba0aed1b17ddb41f7c20b5615e358",
+            "v/m1": "3be7fe9d7b70b9ec3d0a7da22072d330cbe7b4087e3b593ed568113190ffe394",
+            "v/m2": "f181238dfefb66b93c67c14b7a9ecbe189bb68bbf40748fd084db123d77d9164",
         },
         "share-encoder": {
-            "log": "7a5f3fd6e26b3b3e25c10774d5302b9b29c9573f997ae23dd63d02dff3dc759e",
-            "p/data": "c7b37877c3b50e537b044a926712b69ac4b4d80eedae36562c9da72b8fdbfe3a",
-            "p/m1": "50bb8c14012f17e15923a00d941963aee9401c2f4ad7b8eb897739e617b87767",
-            "p/m2": "56bbd08d3627301100f43b60dab732eaa85b72f9d7f02211f4f4582ef80a0b6c",
-            "t/data": "9118a315f823bd36e7517fc966b7638dcf7caca57145d23015a79f7160fc4924",
-            "t/m1": "a2fbf60fe0ba08c927794211916f74828c44c692b79bb6200dd49e04fdadf810",
-            "t/m2": "94f1fa3133c7af13b3d57e9fdfaf220c01f36298c7d86f9245348c8b74a23dec",
-            "v/data": "ec76e38b711b881731b1070d15f634a1eff84fa0fb8424e3a91d4f1d1ee7e420",
-            "v/m1": "68c8d50bae40c76c03c79c1063be78ff1f015a7d3b22195f3970bb7a28652038",
-            "v/m2": "fabc0c1bfafc6f3369f1913ecbc9c924aec682bf675e5d698b428d405584c648",
+            "log": "4635f00afd760a47a0e467cd9cb30cb5698dcd6ae6a20b0168e1e6d7d4f720ca",
+            "p/data": "aa1afa3d80c33cbd62bf9f5e4a2c89f509f3654737b66be09869bc2d579769ef",
+            "p/m1": "d64bab316b9e0f55cfa840bfedc6644779c723f70b16ce00581be1c2831447c7",
+            "p/m2": "af44877aac97848e6af41df3ec440323028e68c4f0df954aab5737fff5ac3843",
+            "t/data": "27cc651b1412326973cccefa95c3225b6d073a485a8d00d0603d2d64238849bf",
+            "t/m1": "0f111954c790d2879a7e3df92e50b8305a57ea128ec290befed64243524e77eb",
+            "t/m2": "ac83db6c791d0b94bd87b02067f49236a6446bf25f53bce9ffb44dec2fd43521",
+            "v/data": "715999f2791e8878c4b977f29cb66d3d577e5961f3667f5f994b55ff433c9cf7",
+            "v/m1": "19a0a644658e8a23266429e1eac9d85261416c5fa73d7e8fc0071e604adb5a7a",
+            "v/m2": "4cb20f7c05f87071e80a9d6d79576620af17e0f03e249cbe8bd176f3babcdcb4",
         },
     }
 

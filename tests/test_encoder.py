@@ -302,6 +302,46 @@ class TestGatLayer:
             np.testing.assert_allclose(g1.data[node], expected, rtol=1e-10)
 
 
+class TestGatScore:
+    """``tc.gat_score`` gives the score of the (E, 2d + edge_dim) formula it
+    replaced, built here from the ops that formed it, forward and backward."""
+
+    @pytest.mark.parametrize("models", [(), (3,)], ids=["one-model", "stacked"])
+    def test_matches_concat_and_matmul_on_a_block(self, small_corpus, small_vocab, models):
+        rng = np.random.default_rng(11)
+        picks = rng.choice(len(small_corpus), size=6, replace=False)
+        block = join_graphs([build_graph(small_corpus[i], small_vocab) for i in picks])
+        d, de, n_labels = 10, 4, len(edge_label_index(small_vocab))
+
+        def leaf(*shape):
+            return tc.DiffArray(rng.normal(size=models + shape))
+
+        g, wq, wk = leaf(block.n_nodes, d), leaf(d, d), leaf(d, d)
+        wa, edge_emb = leaf(2 * d + de, 1), leaf(n_labels, de)
+        weights = tc.DiffArray(rng.normal(size=models + (block.src_ids.size, 1)))
+        inputs = (g, wq, wk, wa, edge_emb)
+
+        def grads_of(score):
+            tc.backward(tc.sum_all(tc.matmul(tc.transpose(score), weights)))
+            grads = [p.grad for p in inputs]
+            for p in inputs:
+                p.grad = None
+            return grads
+
+        split = tc.gat_score(g, wq, wk, wa, edge_emb,
+                             block.src_ids, block.dst_ids, block.label_ids)
+        split_grads = grads_of(split)
+        feat = tc.concat([tc.pick_rows(tc.matmul(g, wq), block.dst_ids),
+                          tc.pick_rows(tc.matmul(g, wk), block.src_ids),
+                          tc.pick_rows(edge_emb, block.label_ids)], axis=-1)
+        joint = tc.matmul(feat, wa)
+        joint_grads = grads_of(joint)
+        assert split.shape == joint.shape == models + (block.src_ids.size, 1)
+        np.testing.assert_allclose(split.data, joint.data, rtol=0, atol=1e-12)
+        for got, want in zip(split_grads, joint_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestEncodeGraph:
     def test_state_count_and_shapes(self, fig_sentence, tiny_config):
         vocab = build_vocab([fig_sentence])

@@ -57,7 +57,12 @@ MEANINGLESS = {
                    (float("nan"), float("inf"), float("-inf"), -1)),
     "leaky_slope": ("EncoderConfig: leaky_slope must lie in [0, 1)",
                     (float("nan"), float("inf"), float("-inf"), -1)),
+    "label_emb_dim": ("label_emb_dim must be positive", (0, -1, -2)),
+    "top_k_deprels": ("GraphOptions: top_k_deprels must be non-negative", (-1, -2)),
 }
+# Where ``bundle.json`` holds each field of MEANINGLESS that it records.
+IN_BUNDLE = {"leaky_slope": "encoder.leaky_slope", "label_emb_dim": "label_emb_dim",
+             "top_k_deprels": "graph_options.top_k_deprels"}
 
 _PART = re.compile(r'\.?(\w+)|\[(\d+)\]|\["([^"]*)"\]')
 
@@ -238,8 +243,8 @@ def test_every_meaningless_number_is_one_line_before_any_output(
                             "--config", str(config)], capsys)
             if (rc, err) != (1, f"error: {config}: {want}\n") or out_dir.exists():
                 failures.append((field, value, "run.json", err))
-            if field in EncoderConfig.__annotations__:
-                meta.write_text(json.dumps(_edited(json.loads(text), f"encoder.{field}", value)[0]),
+            if field in IN_BUNDLE:
+                meta.write_text(json.dumps(_edited(json.loads(text), IN_BUNDLE[field], value)[0]),
                                 encoding="utf-8")
                 rc, err = _run(["predict", "--model-dir", str(model_dir), "--input", dev,
                                 "--out", str(out_file)], capsys)

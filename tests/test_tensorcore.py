@@ -158,6 +158,24 @@ class TestSegmentOpIds:
             tc.segment_softmax(leaf(rng, 4), np.array([0, -1, 1, 2]), 3)
 
 
+class TestGatScoreIds:
+    """``gat_score`` names itself for an edge id outside the nodes or labels."""
+
+    @pytest.mark.parametrize("what, bad", [("src id", 4), ("dst id", -1), ("label id", 5)])
+    def test_out_of_range_id(self, what, bad, rng):
+        ids = {"src id": SRC.copy(), "dst id": SEG.copy(), "label id": LABELS.copy()}
+        ids[what][3] = bad
+        unit = "5 labels" if what == "label id" else "4 rows"
+        with pytest.raises(ShapeError, match=rf"gat_score: {what} out of range for {unit}"):
+            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 8, 1),
+                         leaf(rng, 5, 2), *ids.values())
+
+    def test_mismatched_score_weight(self, rng):
+        with pytest.raises(ShapeError, match=r"gat_score: incompatible shapes"):
+            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 7, 1),
+                         leaf(rng, 5, 2), SRC, SEG, LABELS)
+
+
 class TestAddRowsAtIds:
     """``add_rows_at`` names itself for a target row outside the base."""
 
@@ -312,6 +330,17 @@ class TestFiniteDifferenceOracle:
 
         self._check(build, {"scores": scores, "values": values}, tol=1e-5)
 
+    def test_gat_score(self, rng):
+        g, wq, wk = leaf(rng, 4, 3), leaf(rng, 3, 3), leaf(rng, 3, 3)
+        wa, edge_emb = leaf(rng, 8, 1), leaf(rng, 5, 2)
+        params = {"g": g, "wq": wq, "wk": wk, "wa": wa, "edge_emb": edge_emb}
+
+        def build():
+            score = tc.gat_score(g, wq, wk, wa, edge_emb, SRC, SEG, LABELS)
+            return tc.sum_all(tc.sigmoid(score))
+
+        self._check(build, params)
+
     def test_cross_entropy_gradient(self, rng):
         logits = leaf(rng, 4)
 
@@ -342,6 +371,7 @@ class TestFiniteDifferenceOracle:
 M = 3  # models on the stacked axis
 SEG = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3], dtype=np.int64)
 SRC = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1], dtype=np.int64)
+LABELS = np.array([0, 4, 1, 1, 2, 3, 0, 4, 2, 2], dtype=np.int64)
 BLOCK_MASK = np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool))[:5, :5]
 
 # op -> (per-model input shapes, op applied to its inputs)
@@ -362,6 +392,8 @@ STACKED_OPS = {
     "segment_softmax": ([(10,)], lambda s: tc.segment_softmax(s, SEG, 4)),
     "segment_aggregate": ([(10,), (4, 3)],
                           lambda al, v: tc.segment_aggregate(al, v, SRC, SEG, 4)),
+    "gat_score": ([(4, 3), (3, 3), (3, 3), (8, 1), (5, 2)],
+                  lambda *xs: tc.gat_score(*xs, SRC, SEG, LABELS)),
 }
 
 
@@ -541,6 +573,21 @@ class TestAccumGrad:
         node.accum_grad(g)
         assert node.grad is g
 
+    def test_scaled_scalar_loss_hands_its_parent_an_array_it_keeps(self, rng, monkeypatch):
+        loss = tc.sum_all(leaf(rng, 3))
+        handed = []
+        keep = DiffArray.accum_grad
+
+        def record(node, g):
+            handed.append(g)
+            keep(node, g)
+
+        monkeypatch.setattr(DiffArray, "accum_grad", record)
+        tc.scale(loss, 0.3)._backward(np.ones(()))
+        assert type(handed[0]) is np.ndarray and handed[0].shape == ()
+        assert loss.grad is handed[0]
+        assert loss.grad.tobytes() == np.float64(0.3).tobytes()
+
     def test_transposed_gradient_keeps_node_layout(self, rng):
         node = leaf(rng, 3, 5)
         g = rng.normal(size=(5, 3))
@@ -570,6 +617,20 @@ class TestAccumGrad:
         tc.matmul(x, w)._backward(grad2)  # a second use adds in place
         assert w.grad is w.grad_home
         assert w.grad.tobytes() == (x.data.mT @ grad + x.data.mT @ grad2).tobytes()
+
+    def test_gat_score_writes_weight_gradients_into_grad_home(self, rng):
+        store = filled_store({"wq": rng.normal(size=(3, 3)), "wk": rng.normal(size=(3, 3)),
+                              "wa": rng.normal(size=(8, 1)), "emb": rng.normal(size=(5, 2))})
+        wq, wk, wa, emb = store.params.values()
+        g = leaf(rng, 4, 3)
+        grad = rng.normal(size=(10, 1))
+        tc.gat_score(g, wq, wk, wa, emb, SRC, SEG, LABELS)._backward(grad)
+        first = {name: p.grad.copy() for name, p in store.params.items()}
+        assert all(p.grad is p.grad_home for p in store.params.values())
+        tc.gat_score(g, wq, wk, wa, emb, SRC, SEG, LABELS)._backward(grad)  # adds in place
+        for name, p in store.params.items():
+            assert p.grad is p.grad_home
+            assert p.grad.tobytes() == (first[name] + first[name]).tobytes()
 
     def test_matmul_writes_stacked_weight_gradient_into_every_grad_row(self, rng):
         # A stacked weight's gradient home spans the GRAD rows of M stores.
