@@ -264,6 +264,14 @@ class TestBuildBundle:
         with pytest.raises(ValueError, match=message):
             fresh_bundle(tiny_vocab, disabled_models=disabled)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        *(({"label_emb_dim": n}, rf"^label_emb_dim must be positive, got {n}$") for n in (0, -2)),
+        ({"top_k_deprels": -1}, r"^GraphOptions: top_k_deprels must be non-negative, got -1$"),
+    ])
+    def test_rejects_sizes_no_model_can_have(self, tiny_vocab, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            build_bundle(tiny_vocab, SMALL_ENC, np.random.default_rng(0), **kwargs)
+
 
 class TestEpochBatches:
     def test_partitions_all_indices(self):
@@ -488,6 +496,12 @@ class TestTrainLoop:
                                                    r"square of model 'p' parameter '[^']+'$"):
                 train(bundle, tiny_corpus[:8], [], config)
         self._assert_state(bundle, before)
+
+    def test_negative_top_k_deprels_rejected_before_training(self, tiny_corpus, tiny_vocab):
+        bundle = fresh_bundle(tiny_vocab)
+        with pytest.raises(ValueError, match="top_k_deprels must be non-negative, got -1"):
+            train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1),
+                  graph_options=GraphOptions(top_k_deprels=-1))
 
     def test_empty_training_set_rejected(self, tiny_vocab):
         bundle = fresh_bundle(tiny_vocab)
