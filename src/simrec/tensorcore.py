@@ -23,11 +23,12 @@ Only a parameter's gradient, which its store owns, is added to in place.
 A zero in an intermediate's gradient may so carry either sign, and so
 may one in a weight gradient that ``matmul`` writes with the bits of
 ``x.mT @ grad``, or ``gat_score`` with those of an outer product. That
-sign never reaches a weight or its moments, for three reasons: ``accum_grad`` still adds 0.0 on a parameter's first write; adding
-a zero of either sign leaves a nonzero x as it is, and a sum is -0.0 only
-when both addends are; and Adam never makes a -0.0 moment, since both
-moments start at +0.0, and the second adds (1 - beta2) * g * g, which is
-never -0.0.
+sign never reaches a weight or its moments, for three reasons:
+``accum_grad`` still adds 0.0 on a parameter's first write; adding a zero
+of either sign leaves a nonzero x as it is, and a sum is -0.0 only when
+both addends are; and Adam never makes a -0.0 moment, since both moments
+start at +0.0, and the second adds (1 - beta2) * g * g, which is never
+-0.0.
 
 A non-finite output raises at its op, except inside ``unchecked()``, whose
 caller checks what it hands on once and on a failure runs again outside it,
