@@ -81,6 +81,8 @@ class RunConfig:
         self.encoder_config().validate()
         self.graph_options().validate()
         distill.check_label_emb_dim(self.label_emb_dim)
+        if self.min_freq < 1:
+            raise ValueError(f"RunConfig: min_freq must be at least 1, got {self.min_freq!r}")
 
 
 def _shared_fields(cfg: RunConfig, cls, **derived):
@@ -110,13 +112,18 @@ def _env_seed(env, default: int) -> int:
     if "SIMREC_SEED" not in env:
         return default
     try:
-        return int(env["SIMREC_SEED"])
+        seed = int(env["SIMREC_SEED"])
     except ValueError as exc:
         raise ValueError(f"SIMREC_SEED must be an integer: {exc}") from exc
+    if seed < 0:
+        raise ValueError(f"SIMREC_SEED must be non-negative, got {seed}")
+    return seed
 
 
 def _seed_flag_or_env(args) -> int:
     """``--seed`` when given, else SIMREC_SEED, else 0."""
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     return args.seed if args.seed is not None else _env_seed(os.environ, 0)
 
 

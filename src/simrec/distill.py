@@ -79,6 +79,8 @@ class TrainConfig:
         if not 0.0 <= self.aux_weight < math.inf:
             raise ValueError(f"TrainConfig: aux_weight must be finite and non-negative, "
                              f"got {self.aux_weight!r}")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig: seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass
@@ -535,9 +537,9 @@ def save_bundle(
 ) -> None:
     """Write the model directory, each file atomically; the selection marker
     goes first and comes back last, so a failed save leaves no loadable one.
-    Checkpoints of models the bundle lacks, and JSON checkpoints of an older
-    format, are removed with the marker. ``bundle.json`` records each model's
-    parameter names and shapes in checkpoint order (``layouts``)."""
+    Checkpoints of models the bundle lacks are removed with the marker.
+    ``bundle.json`` records each model's parameter names and shapes in
+    checkpoint order (``layouts``)."""
     top_k = graph_options.top_k_deprels
     n_edge_labels = len(edge_label_index(bundle.vocab, top_k))
     for name, model in bundle.models.items():
@@ -552,10 +554,9 @@ def save_bundle(
     if os.path.exists(sel_path):
         os.remove(sel_path)
     for name in MODEL_ORDER:
-        stale = [f"model_{name}.json"] + ([] if name in bundle.models else [f"model_{name}.npy"])
-        for path in (os.path.join(out_dir, file) for file in stale):
-            if os.path.exists(path):
-                os.remove(path)
+        path = os.path.join(out_dir, f"model_{name}.npy")
+        if name not in bundle.models and os.path.exists(path):
+            os.remove(path)
     meta = {
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
@@ -580,12 +581,7 @@ def _load_meta(
 ) -> tuple[dict[str, list], ModelBundle, GraphOptions]:
     """Each model's recorded layout by name, a bundle of no models with the
     shared settings, graph options; each model's recorded mode must be
-    ``MODE_OF[name]``. A directory of JSON checkpoints is refused."""
-    for name in MODEL_ORDER:
-        old = os.path.join(model_dir, f"model_{name}.json")
-        if os.path.exists(old):
-            raise ValueError(f"{old}: a JSON checkpoint, a format no longer read; "
-                             f"train again to write model_{name}.npy")
+    ``MODE_OF[name]``."""
     meta_path = os.path.join(model_dir, BUNDLE_META)
     meta = read_record(read_json(meta_path), _BUNDLE_FIELDS, meta_path)
     modes = meta["models"]

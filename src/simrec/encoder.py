@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorcore as tc
+from .corpus import MAX_TOKENS
 from .hetgraph import BlockGraph
 from .tensorcore import DiffArray
 
@@ -44,8 +45,9 @@ class EncoderConfig:
             raise ValueError("EncoderConfig: dimensions must be positive")
         if self.n_selfattn_layers < 0 or self.n_gat_layers < 0:
             raise ValueError("EncoderConfig: layer counts must be non-negative")
-        if self.max_tokens <= 0:
-            raise ValueError("EncoderConfig: max_tokens must be positive")
+        if not 0 < self.max_tokens <= MAX_TOKENS:
+            raise ValueError(f"EncoderConfig: max_tokens must be positive and at most "
+                             f"{MAX_TOKENS}, the corpus sentence cap, got {self.max_tokens!r}")
         if self.max_positions < self.max_tokens + 2:
             raise ValueError("EncoderConfig: max_positions must cover max_tokens + 2")
         # Below 0 the GAT score is not monotonic in its logit; from 1 on, not damped.

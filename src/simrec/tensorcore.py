@@ -36,7 +36,9 @@ so the op is named.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation, the per-node sums of the GAT score's backward) call the
-kernels in :mod:`simrec.kernels`.
+kernels in :mod:`simrec.kernels`. Every op that reads an id array checks
+it once, with ``_check_ids``, and raises a ShapeError naming the op; the
+kernels it calls trust those ids.
 
 The encoder's ops also take an ensemble's arrays stacked on a leading model
 axis (M, ...), each slice getting the bits of its own 2-D call;
@@ -414,11 +416,8 @@ def add_rows_at(base: DiffArray, indices, rows: DiffArray) -> DiffArray:
             f"add_rows_at: rows {rows.data.shape} do not fit base {base.data.shape} "
             f"at {idx.size} indices"
         )
-    ids = idx.tolist()
-    n = base.data.shape[-2]
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        raise ShapeError(f"add_rows_at: index out of range for {n} rows")
-    if len(set(ids)) != idx.size:
+    _check_ids(idx, base.data.shape[-2], "add_rows_at", "index")
+    if len(set(idx.tolist())) != idx.size:
         raise ShapeError("add_rows_at: duplicate target indices")
     out_data = base.data.copy()
     out_data[..., idx, :] += rows.data
@@ -549,8 +548,8 @@ def gat_score(
 
 def _sum_over(grad: np.ndarray, ids: np.ndarray, n: int, models: tuple[int, ...]) -> np.ndarray:
     """Sums of the (…, E) ``grad`` over equal ``ids`` into n bins per model."""
-    flat, size = kernels._by_model("gat_score", ids, n, models)
-    return kernels._sum_by_id("gat_score", flat, grad, size).reshape(models + (n,))
+    flat, size = kernels._by_model(ids, n, models)
+    return kernels._sum_by_id(flat, grad, size).reshape(models + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import argparse
 import hashlib
+import importlib
 import inspect
 import json
 import math
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -96,6 +99,17 @@ class TestGenerateData:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: SIMREC_SEED must be an integer") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--seed", "-1"], None, "--seed must be non-negative, got -1"),
+        ([], "-2", "SIMREC_SEED must be non-negative, got -2"),
+    ])
+    def test_negative_seed_is_named(self, tmp_path, capsys, monkeypatch, flag, env, message):
+        if env is not None:
+            monkeypatch.setenv("SIMREC_SEED", env)
+        rc = main(["generate-data", "--out", str(tmp_path / "x.jsonl"), "--n", "5", *flag])
+        assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
         assert not (tmp_path / "x.jsonl").exists()
 
     @pytest.mark.parametrize("noise", ["3", "-0.1", "nan"])
@@ -222,12 +236,9 @@ class TestTrain:
     def test_retrain_removes_checkpoints_of_dropped_models(
         self, trained_dir, corpora, tmp_path, capsys
     ):
-        # Also the JSON checkpoints an older version wrote.
         train, dev = corpora
         out = tmp_path / "m"
         shutil.copytree(trained_dir, out)
-        for name in "ptv":
-            (out / f"model_{name}.json").write_text("{}", encoding="utf-8")
         rc = main(["train", "--train", train, "--dev", dev,
                    "--out-dir", str(out), *TINY_FLAGS,
                    "--epochs", "1", "--disable-model", "v"])
@@ -635,7 +646,8 @@ class TestDamagedModelDir:
     def test_json_checkpoint_directory_is_refused(
         self, trained_dir, corpora, tmp_path, capsys
     ):
-        # Older versions wrote each model as model_<name>.json.
+        # Older versions wrote each model as model_<name>.json; no .npy
+        # checkpoint is there to load.
         _, dev = corpora
         model_dir = tmp_path / "model"
         shutil.copytree(trained_dir, model_dir)
@@ -644,7 +656,7 @@ class TestDamagedModelDir:
             (model_dir / f"model_{name}.json").write_text(
                 '{"magic": "simrec-checkpoint", "version": 1, "params": {}}', encoding="utf-8")
         _assert_one_error_line(model_dir, dev, tmp_path, capsys,
-                               "model_p.json: a JSON checkpoint, a format no longer read")
+                               "model_p.npy: missing model checkpoint")
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_interrupted_save_leaves_a_directory_that_fails_cleanly(
@@ -1108,3 +1120,26 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["sentences"] == 5
+
+
+def test_console_script_target_runs_without_an_install(tmp_path):
+    """The ``[project.scripts]`` entry resolves, and runs ``generate-data`` in a
+    fresh interpreter as the installed script would."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"simrec": "simrec.cli:main"}
+    module, func = project["scripts"]["simrec"].split(":")
+    assert getattr(importlib.import_module(module), func) is main
+    out = tmp_path / "c.jsonl"
+    src = str(root / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())",
+         "generate-data", "--out", str(out), "--n", "5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sentences"] == 5
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 5

@@ -261,41 +261,3 @@ class TestMatchesAddAt:
         p = edge_problem(rng, variant)
         args = (p["dst"], p["rows"], N_NODES, D)
         assert_same_bits(kernels.scatter_add_rows(*args), ref_scatter_add_rows(*args), variant)
-
-
-def call_with_scattered_ids(kernel, ids, rng):
-    """Call ``kernel`` on N_NODES rows with ``ids`` as its scattered ids."""
-    n = ids.size
-    other = np.zeros(n, dtype=np.int64)
-    values = rng.normal(size=(N_NODES, D))
-    if kernel == "segment_softmax":
-        return kernels.segment_softmax(rng.normal(size=n), ids, N_NODES)
-    if kernel == "segment_softmax_grad":
-        return kernels.segment_softmax_grad(np.full(n, 0.5), rng.normal(size=n), ids, N_NODES)
-    if kernel == "attention_aggregate":
-        return kernels.attention_aggregate(np.full(n, 0.5), values, other, ids, N_NODES)
-    if kernel == "attention_aggregate_grad":
-        return kernels.attention_aggregate_grad(values, np.full(n, 0.5), values, ids, other)
-    return kernels.scatter_add_rows(ids, rng.normal(size=(n, D)), N_NODES, D)
-
-
-KERNELS = ["segment_softmax", "segment_softmax_grad", "attention_aggregate",
-           "attention_aggregate_grad", "scatter_add_rows"]
-
-
-class TestOutOfRangeIds:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_id_equal_to_n_raises(self, rng, kernel):
-        ids = np.array([0, N_NODES, 1], dtype=np.int64)
-        if kernel in ("segment_softmax", "attention_aggregate_grad"):
-            # np.maximum.at, or the gather values[src], meets the id first.
-            with pytest.raises(IndexError):
-                call_with_scattered_ids(kernel, ids, rng)
-        else:
-            with pytest.raises(ValueError, match=rf"{kernel}: id {N_NODES} out of range"):
-                call_with_scattered_ids(kernel, ids, rng)
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_negative_id_raises(self, rng, kernel):
-        with pytest.raises(ValueError):
-            call_with_scattered_ids(kernel, np.array([0, -1, 1], dtype=np.int64), rng)

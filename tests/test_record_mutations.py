@@ -59,10 +59,14 @@ MEANINGLESS = {
                     (float("nan"), float("inf"), float("-inf"), -1)),
     "label_emb_dim": ("label_emb_dim must be positive", (0, -1, -2)),
     "top_k_deprels": ("GraphOptions: top_k_deprels must be non-negative", (-1, -2)),
+    "max_tokens": ("EncoderConfig: max_tokens must be positive and at most 100, "
+                   "the corpus sentence cap", (0, -1, 101, 150)),
+    "seed": ("TrainConfig: seed must be non-negative", (-1, -2)),
+    "min_freq": ("RunConfig: min_freq must be at least 1", (0, -3)),
 }
 # Where ``bundle.json`` holds each field of MEANINGLESS that it records.
 IN_BUNDLE = {"leaky_slope": "encoder.leaky_slope", "label_emb_dim": "label_emb_dim",
-             "top_k_deprels": "graph_options.top_k_deprels"}
+             "top_k_deprels": "graph_options.top_k_deprels", "max_tokens": "encoder.max_tokens"}
 
 _PART = re.compile(r'\.?(\w+)|\[(\d+)\]|\["([^"]*)"\]')
 

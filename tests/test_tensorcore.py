@@ -397,6 +397,46 @@ STACKED_OPS = {
 }
 
 
+# (op, id array) -> (valid ids, their bound n, the op on inputs stacked on a
+# model axis, given ``x(*shape)`` to make an input and the ids to pass)
+STACKED_ID_CALLS = {
+    ("segment_softmax", "segment id"): (
+        SEG, 4, lambda x, ids: tc.segment_softmax(x(10), ids, 4)),
+    ("segment_aggregate", "src id"): (
+        SRC, 4, lambda x, ids: tc.segment_aggregate(x(10), x(4, 3), ids, SEG, 4)),
+    ("segment_aggregate", "dst id"): (
+        SEG, 4, lambda x, ids: tc.segment_aggregate(x(10), x(4, 3), SRC, ids, 4)),
+    ("gat_score", "src id"): (
+        SRC, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 3), x(3, 3), x(8, 1), x(5, 2),
+                                            ids, SEG, LABELS)),
+    ("gat_score", "dst id"): (
+        SEG, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 3), x(3, 3), x(8, 1), x(5, 2),
+                                            SRC, ids, LABELS)),
+    ("gat_score", "label id"): (
+        LABELS, 5, lambda x, ids: tc.gat_score(x(4, 3), x(3, 3), x(3, 3), x(8, 1), x(5, 2),
+                                               SRC, SEG, ids)),
+    ("pick_rows", "index"): (SRC, 6, lambda x, ids: tc.pick_rows(x(6, 4), ids)),
+    ("mean_pool", "index"): (SRC, 6, lambda x, ids: tc.mean_pool(x(6, 4), ids, SEG, 4)),
+    ("mean_pool", "pool id"): (SEG, 4, lambda x, ids: tc.mean_pool(x(6, 4), SRC, ids, 4)),
+}
+
+
+class TestStackedOpIds:
+    """Offset per model, an id of n would read the next model's rows and -1
+    the previous one's; each op refuses both on stacked inputs, naming itself."""
+
+    @pytest.mark.parametrize("bad", ["n", "-1"])
+    @pytest.mark.parametrize("case", STACKED_ID_CALLS,
+                             ids=lambda case: "-".join(case).replace(" ", "_"))
+    def test_out_of_range_id(self, case, bad, rng):
+        op, what = case
+        valid, n, call = STACKED_ID_CALLS[case]
+        ids = valid.copy()
+        ids[3] = n if bad == "n" else -1
+        with pytest.raises(ShapeError, match=rf"{op}: {what} out of range for {n} "):
+            call(lambda *shape: leaf(rng, 2, *shape), ids)
+
+
 def strided_stack(rng, shape):
     """(M, *shape) random values laid out like a stacked weight: each model's
     slice is contiguous, and the slices lie apart in one buffer."""
