@@ -514,6 +514,8 @@ def generate_synthetic(config: SyntheticConfig) -> list[AnnotatedSentence]:
         raise CorpusError("n_sentences must be >= 2")
     if not 0.0 <= config.noise_rate <= 1.0:
         raise CorpusError(f"noise_rate must lie in [0, 1], got {config.noise_rate}")
+    if config.seed < 0:
+        raise CorpusError(f"seed must be non-negative, got {config.seed}")
     rng = np.random.default_rng(config.seed)
     categories = sorted(CATEGORY_NOUNS)
     sentences = []
@@ -568,6 +570,8 @@ def split_folds(
         raise CorpusError("k must be >= 2")
     if k > len(corpus):
         raise CorpusError(f"k={k} exceeds corpus size {len(corpus)}")
+    if seed < 0:
+        raise CorpusError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
     base, extra = divmod(len(corpus), k)

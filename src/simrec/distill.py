@@ -352,9 +352,7 @@ def train(
                 log_file.flush()
         if restore_best:
             for name, info in result.best.items():
-                store = bundle.models[name].store
-                for pname, data in info["params"].items():
-                    store.params[pname].data[...] = data
+                bundle.models[name].store.assign(info["params"])
     finally:
         if log_file:
             log_file.close()

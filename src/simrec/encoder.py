@@ -153,11 +153,18 @@ def init_node_states(h: DiffArray, graph: BlockGraph) -> DiffArray:
     return tc.mean_pool(h, graph.pool_rows, graph.pool_nodes, graph.n_nodes)
 
 
+def gat_vectors(params: dict[str, DiffArray], layer: int) -> DiffArray:
+    """GAT layer ``layer``'s ``tc.gat_node_vectors``, on the tape."""
+    return tc.gat_node_vectors(params[f"gat{layer}/wq"], params[f"gat{layer}/wk"],
+                               params[f"gat{layer}/wa"])
+
+
 def gat_layer(
     g: DiffArray,
     graph: BlockGraph,
     params: dict[str, DiffArray],
     layer: int,
+    vectors: DiffArray,
     config: EncoderConfig,
 ) -> DiffArray:
     """One graph-attention step over incoming edges.
@@ -169,12 +176,12 @@ def gat_layer(
     Velickovic et al. 2018 (Graph Attention Networks, section 2.1): one
     logit per node for each side, g_i . (Wq a_q) and g_j . (Wk a_k), and one
     per edge label, e . a_e, gathered and added per edge. No (E, 2d) matrix
-    and no (n, d) query or key is formed.
+    and no (n, d) query or key is formed. ``vectors`` is the layer's
+    ``gat_vectors``, [Wq a_q, Wk a_k], made on the tape or kept from it.
     """
     m = graph.n_nodes
     v = tc.matmul(g, params[f"gat{layer}/wv"])
-    score = tc.gat_score(g, params[f"gat{layer}/wq"], params[f"gat{layer}/wk"],
-                         params[f"gat{layer}/wa"], params["edge_emb"],
+    score = tc.gat_score(g, vectors, params[f"gat{layer}/wa"], params["edge_emb"],
                          graph.src_ids, graph.dst_ids, graph.label_ids)
     z = tc.leaky_relu(score, config.leaky_slope)
     alpha = tc.segment_softmax(tc.reshape(z, z.shape[:-1]), graph.dst_ids, m)
@@ -186,12 +193,17 @@ def encode_graph(
     graph: BlockGraph,
     params: dict[str, DiffArray],
     config: EncoderConfig,
+    vectors: list[DiffArray] | None = None,
 ) -> list[DiffArray]:
-    """Full pipeline; returns node states per layer, g^(0) through g^(L)."""
+    """Full pipeline; returns node states per layer, g^(0) through g^(L).
+
+    ``vectors`` holds each GAT layer's ``gat_vectors``; without it each
+    layer makes its own on the tape, as training needs."""
     h = encode_tokens(graph, params, config)
     if config.use_gloss_fusion:
         h = fuse_definitions(graph, h, params)
     states = [init_node_states(h, graph)]
     for layer in range(config.n_gat_layers):
-        states.append(gat_layer(states[-1], graph, params, layer, config))
+        u = gat_vectors(params, layer) if vectors is None else vectors[layer]
+        states.append(gat_layer(states[-1], graph, params, layer, u, config))
     return states

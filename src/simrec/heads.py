@@ -28,6 +28,7 @@ from .encoder import (
     Param,
     encode_graph,
     encoder_layout,
+    gat_vectors,
     glorot,
 )
 from .hetgraph import BlockGraph, HeteroGraph, join_graphs
@@ -77,6 +78,10 @@ class SimileModel:
     enc: dict[str, DiffArray]
     head: dict[str, DiffArray]
     config: EncoderConfig
+    # Serving's memo: ``ParamStore.data_writes`` when it was filled, and each
+    # GAT layer's finite ``gat_vectors`` then (``_served_vectors``).
+    _vectors: tuple[int, list[DiffArray]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def head_layout(mode: str, config: EncoderConfig, label_emb_dim: int = 100) -> list[Param]:
@@ -111,8 +116,9 @@ def init_models(
     """Models, one per mode and its ``model_layout``, and their encoder weights
     stacked on a model axis: views of the stores, rows of one (M, 4, N) buffer
     of zeros. Each model draws its encoder, then its head, from ``rng`` in
-    layout order, each weight straight into its view as
-    ``rng.normal(0.0, std, shape) * gain``. With ``share_encoder`` the others
+    layout order, each weight straight into its span of the DATA row as
+    ``rng.normal(0.0, std, shape) * gain``; then the views, each store's and
+    the stacked ones, are read-only. With ``share_encoder`` the others
     borrow the first model's encoder: a stack of one. Names and shapes alone,
     as ``bundle.json`` records them, draw nothing."""
     buf = np.zeros((len(modes), 4, max(sum(math.prod(p.shape) for p in layout)
@@ -120,10 +126,14 @@ def init_models(
     models: list[SimileModel] = []
     for i, (mode, layout) in enumerate(zip(modes, layouts)):
         lent = {f"enc/{k}": p for k, p in models[0].enc.items()} if share_encoder and i else {}
-        store = ParamStore({p.name: lent.get(p.name, p.shape) for p in layout}, buf[i])
+        lo = 0
         for p in layout[len(lent):]:  # a borrowed encoder comes first and is not drawn
-            if p.std:
-                np.multiply(rng.normal(0.0, p.std, p.shape), p.gain, out=store.params[p.name].data)
+            hi = lo + math.prod(p.shape)
+            if p.std:  # into the DATA row, before the store seals its views
+                np.multiply(rng.normal(0.0, p.std, p.shape), p.gain,
+                            out=buf[i, DATA, lo:hi].reshape(p.shape))
+            lo = hi
+        store = ParamStore({p.name: lent.get(p.name, p.shape) for p in layout}, buf[i])
         enc, head = ({k[len(side):]: p for k, p in store.params.items() if k.startswith(side)}
                      for side in ("enc/", "head/"))
         models.append(SimileModel(mode=mode, store=store, enc=models[0].enc if lent else enc,
@@ -132,6 +142,7 @@ def init_models(
     for k, p in models[0].enc.items():
         hi = lo + p.data.size
         stacked[k] = w = DiffArray(buf[:n, DATA, lo:hi].reshape(n, *p.shape), name=k)
+        w.data.flags.writeable = False
         w.grad_home = buf[:n, GRAD, lo:hi].reshape(w.shape)
         lo = hi
     return models, stacked
@@ -301,10 +312,23 @@ def _predict_block(model: SimileModel, block: BlockGraph) -> list[SpanPrediction
     return preds
 
 
+def _served_vectors(model: SimileModel) -> list[DiffArray]:
+    """Each GAT layer's ``gat_vectors``: the memo while no weight has been
+    written since it was filled, else made anew and, if finite, kept. A
+    non-finite one is left for the checked replay to name its op."""
+    memo = model._vectors
+    if memo is None or memo[0] != ParamStore.data_writes:
+        vectors = [gat_vectors(model.enc, layer) for layer in range(model.config.n_gat_layers)]
+        if not all(tc.all_finite(u.data) for u in vectors):
+            return vectors
+        memo = model._vectors = ParamStore.data_writes, [DiffArray(u.data) for u in vectors]
+    return memo[1]
+
+
 def _block_dists(model: SimileModel, block: BlockGraph) -> tuple[np.ndarray, ...]:
     """Final node states and class distribution of every sentence of the block,
     and the tag distribution of the words of those judged similes (one pass)."""
-    g_final = encode_graph(block, model.enc, model.config)[-1]
+    g_final = encode_graph(block, model.enc, model.config, _served_vectors(model))[-1]
     cls_dist = classify(g_final, block, model.head).data
     judged = cls_dist[:, CLASS_SIMILE] > SIMILE_THRESHOLD
     if not judged.any():

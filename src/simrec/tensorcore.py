@@ -8,10 +8,10 @@ exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
 cycles and is freed as soon as its loss is dropped.
 
-Each gradient is written once, where it will live. ``matmul`` and
-``gat_score`` write a weight's first gradient straight into its store's
-GRAD row, and ``accum_grad`` writes any other first gradient of a
-parameter there as g + 0.0. An intermediate keeps its first gradient as it comes, without a
+Each gradient is written once, where it will live. ``matmul`` and the GAT
+ops write a weight's first gradient straight into its store's GRAD row,
+and ``accum_grad`` writes any other first gradient of a parameter there as
+g + 0.0. An intermediate keeps its first gradient as it comes, without a
 copy, when that is a C-contiguous float64 array of its shape; otherwise it
 copies it into its data's layout, so every gradient that a BLAS call
 reads is laid out as a copy would be. One array may so be the gradient of
@@ -22,7 +22,7 @@ Only a parameter's gradient, which its store owns, is added to in place.
 
 A zero in an intermediate's gradient may so carry either sign, and so
 may one in a weight gradient that ``matmul`` writes with the bits of
-``x.mT @ grad``, or ``gat_score`` with those of an outer product. That
+``x.mT @ grad``, or a GAT op with those of an outer product. That
 sign never reaches a weight or its moments, for three reasons:
 ``accum_grad`` still adds 0.0 on a parameter's first write; adding a zero
 of either sign leaves a nonzero x as it is, and a sum is -0.0 only when
@@ -47,7 +47,9 @@ axis (M, ...), each slice getting the bits of its own 2-D call;
 A ``ParamStore`` holds its parameters' data, gradients and two Adam moments
 as the rows of one block, so one Adam update is a few in-place numpy calls
 per cache-sized chunk of each contiguous run of parameters that received a
-gradient.
+gradient. Weights change only through their store, whose every write
+bumps one counter, ``ParamStore.data_writes``; serving keeps each GAT
+layer's ``gat_node_vectors`` while that counter stands still.
 """
 
 from __future__ import annotations
@@ -489,41 +491,67 @@ def segment_aggregate(
     return _result(out_data, (alpha, values), bwd, "segment_aggregate")
 
 
+def gat_node_vectors(wq: DiffArray, wk: DiffArray, wa: DiffArray) -> DiffArray:
+    """The (…, d, 2) vectors ``[wq @ a_q, wk @ a_k]`` of a GAT layer, with
+    ``a_q`` and ``a_k`` the first two d-row blocks of ``wa``: a node state
+    times them gives its logits as a destination and as a source
+    (``gat_score``). They depend on the weights alone, so serving may keep
+    them while no weight is written (``ParamStore.data_writes``)."""
+    fits = wq.data.ndim in (2, 3) and wq.shape == wk.shape and wq.shape[-2] == wq.shape[-1]
+    if fits:
+        models, d = wq.shape[:-2], wq.shape[-1]
+        fits = wa.shape[:-2] == models and wa.shape[-1] == 1 and wa.shape[-2] >= 2 * d
+    if not fits:
+        raise ShapeError(f"gat_node_vectors: incompatible shapes wq {wq.shape}, "
+                         f"wk {wk.shape}, wa {wa.shape}")
+    a = wa.data
+    a_q, a_k = a[..., :d, :], a[..., d:2 * d, :]
+
+    def bwd(grad):
+        d_uq, d_uk = grad[..., :1], grad[..., 1:]
+        _add_outer(wq, d_uq, a_q)
+        _add_outer(wk, d_uk, a_k)
+        wa.accum_grad(np.concatenate([wq.data.mT @ d_uq, wk.data.mT @ d_uk,
+                                      np.zeros(models + (a.shape[-2] - 2 * d, 1))], axis=-2))
+
+    return _result(np.concatenate([wq.data @ a_q, wk.data @ a_k], axis=-1),
+                   (wq, wk, wa), bwd, "gat_node_vectors")
+
+
 def gat_score(
     g: DiffArray,
-    wq: DiffArray,
-    wk: DiffArray,
+    u: DiffArray,
     wa: DiffArray,
     edge_emb: DiffArray,
     src: np.ndarray,
     dst: np.ndarray,
     labels: np.ndarray,
 ) -> DiffArray:
-    """The (E, 1) GAT scores ``[g[dst] @ wq ; g[src] @ wk ; edge_emb[labels]] @ wa``.
+    """The (E, 1) GAT scores ``[g[dst] @ wq ; g[src] @ wk ; edge_emb[labels]] @ wa``,
+    from the layer's ``gat_node_vectors`` ``u``.
 
     The score is linear, so with ``wa`` split into ``a_q``, ``a_k`` and ``a_e``
     it is ``sq[dst] + sk[src] + se[labels]``: one logit per node for each side,
-    ``g @ (wq @ a_q)`` and ``g @ (wk @ a_k)``, and one per edge label,
-    ``edge_emb @ a_e``, gathered per edge. Backward sums the edge gradient
-    per node and per label, then runs the same small products in reverse.
+    ``g @ u``, and one per edge label, ``edge_emb @ a_e``, gathered per edge.
+    Backward sums the edge gradient per node and per label, then runs the same
+    small products in reverse; ``wa`` gets the ``a_e`` block of its gradient
+    here and the rest from ``gat_node_vectors``.
     """
     fits = g.data.ndim in (2, 3) and edge_emb.data.ndim == g.data.ndim
     if fits:
         models, (n, d), (n_labels, de) = g.shape[:-2], g.shape[-2:], edge_emb.shape[-2:]
-        fits = wq.shape == wk.shape == models + (d, d) and wa.shape == models + (2 * d + de, 1)
+        fits = u.shape == models + (d, 2) and wa.shape == models + (2 * d + de, 1)
     if not fits:
-        raise ShapeError(f"gat_score: incompatible shapes g {g.shape}, wq {wq.shape}, "
-                         f"wk {wk.shape}, wa {wa.shape}, edge_emb {edge_emb.shape}")
+        raise ShapeError(f"gat_score: incompatible shapes g {g.shape}, u {u.shape}, "
+                         f"wa {wa.shape}, edge_emb {edge_emb.shape}")
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     _check_ids(src, n, "gat_score", "src id")
     _check_ids(dst, n, "gat_score", "dst id")
     _check_ids(labels, n_labels, "gat_score", "label id", "labels")
-    a = wa.data
-    a_q, a_k, a_e = a[..., :d, :], a[..., d:2 * d, :], a[..., 2 * d:, :]
-    u = np.concatenate([wq.data @ a_q, wk.data @ a_k], axis=-1)  # (d, 2)
-    s = g.data @ u  # (n, 2): each node's logit as a destination, then as a source
+    a_e = wa.data[..., 2 * d:, :]
+    s = g.data @ u.data  # (n, 2): each node's logit as a destination, then as a source
     se = (edge_emb.data @ a_e)[..., 0]
     out = s[..., 0].take(dst, axis=-1) + s[..., 1].take(src, axis=-1) + se.take(labels, axis=-1)
 
@@ -531,19 +559,23 @@ def gat_score(
         grad = grad[..., 0]
         d_s = np.stack([_sum_over(grad, ids, n, models) for ids in (dst, src)], axis=-1)
         d_se = _sum_over(grad, labels, n_labels, models)[..., None]
-        g.accum_grad(d_s @ u.mT)
-        d_u = g.data.mT @ d_s
-        d_uq, d_uk = d_u[..., :1], d_u[..., 1:]
-        for p, col, row in ((wq, d_uq, a_q), (wk, d_uk, a_k), (edge_emb, d_se, a_e)):
-            if p.grad is None and p.grad_home is not None:
-                # As in ``matmul``: a weight's first gradient goes straight into its GRAD row.
-                p.grad = np.multiply(col, row.mT, out=p.grad_home)
-            else:
-                p.accum_grad(col * row.mT)
-        wa.accum_grad(np.concatenate(
-            [wq.data.mT @ d_uq, wk.data.mT @ d_uk, edge_emb.data.mT @ d_se], axis=-2))
+        g.accum_grad(d_s @ u.data.mT)
+        u.accum_grad(g.data.mT @ d_s)
+        _add_outer(edge_emb, d_se, a_e)
+        wa.accum_grad(np.concatenate([np.zeros(models + (2 * d, 1)), edge_emb.data.mT @ d_se],
+                                     axis=-2))
 
-    return _result(out[..., None], (g, wq, wk, wa, edge_emb), bwd, "gat_score")
+    return _result(out[..., None], (g, u, wa, edge_emb), bwd, "gat_score")
+
+
+def _add_outer(p: DiffArray, col: np.ndarray, row: np.ndarray) -> None:
+    """Add the outer products ``col @ row.mT`` of (…, k, 1) columns to ``p``'s
+    gradient. As in ``matmul``, a weight's first gradient goes straight into
+    its GRAD row, one product per entry."""
+    if p.grad is None and p.grad_home is not None:
+        p.grad = np.einsum("...ik,...jk->...ij", col, row, out=p.grad_home)
+    else:
+        p.accum_grad(col * row.mT)
 
 
 def _sum_over(grad: np.ndarray, ids: np.ndarray, n: int, models: tuple[int, ...]) -> np.ndarray:
@@ -643,8 +675,15 @@ class ParamStore:
     stores share; the store keeps the first N columns, the floats of the
     owned parameters in order, and copies nothing in. Its rows hold data,
     gradient and the first and second Adam moments. Every owned parameter's
-    ``.data`` and gradient home are views into it, so code that replaces a
-    parameter's values must copy into ``.data`` rather than rebind it.
+    ``.data`` and gradient home are views into it.
+
+    A parameter's ``.data`` is a read-only view: weights change only through
+    their store, by ``adam_step``, ``assign`` or ``load_checkpoint``, the only
+    writers of a DATA row. Each bumps the one counter ``ParamStore.data_writes``,
+    so a value made from weights alone (serving keeps each GAT layer's
+    ``gat_node_vectors``) stays valid while the counter is unchanged. One
+    counter for every store is coarse, but no store needs to know who reads
+    its weights: a borrowed encoder is read through several models.
 
     A parameter's span of the gradient row holds its gradient only while
     ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``:
@@ -655,10 +694,12 @@ class ParamStore:
     keeps a stale span.
     """
 
+    data_writes = 0  # writes to any store's DATA row so far
+
     def __init__(self, params: Mapping[str, tuple[int, ...] | DiffArray], block: np.ndarray):
         self.params: dict[str, DiffArray] = {}
         self.step_count = 0
-        self._spans: list[tuple[DiffArray, int, int]] = []  # owned: (param, lo, hi)
+        self._spans: dict[str, tuple[DiffArray, int, int]] = {}  # owned: (param, lo, hi)
         lo = 0
         for name, shape in params.items():
             if isinstance(shape, DiffArray):
@@ -666,12 +707,24 @@ class ParamStore:
                 continue
             hi = lo + math.prod(shape)
             p = DiffArray(block[DATA, lo:hi].reshape(shape), name=name)
+            p.data.flags.writeable = False
             p.grad_home = block[GRAD, lo:hi].reshape(shape)
             self.params[name] = p
-            self._spans.append((p, lo, hi))
+            self._spans[name] = (p, lo, hi)
             lo = hi
         self.block = block[:, :lo]
         self._scratch = np.empty(min(lo, ADAM_CHUNK))
+
+    def assign(self, values: Mapping[str, np.ndarray]) -> None:
+        """Copy each value into the owned parameter of its name, broadcast to
+        its shape."""
+        unknown = [name for name in values if name not in self._spans]
+        if unknown:
+            raise KeyError(f"assign: this store owns no parameter {unknown}")
+        ParamStore.data_writes += 1
+        for name, value in values.items():
+            p, lo, hi = self._spans[name]
+            self.block[DATA, lo:hi].reshape(p.shape)[...] = value
 
     def adam_step(
         self,
@@ -691,12 +744,13 @@ class ParamStore:
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
         ``x -= m/c1*lr / (sqrt(v/c2) + eps)``.
         """
+        ParamStore.data_writes += 1
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - beta1**t
         c2 = 1.0 - beta2**t
         runs: list[list[int]] = []
-        for p, lo, hi in self._spans:
+        for p, lo, hi in self._spans.values():
             g = p.grad
             if g is None:
                 continue
@@ -783,6 +837,7 @@ def load_checkpoint(path, store: ParamStore) -> None:
                          f"expected float64 of shape ({n},)")
     if not all_finite(vector):
         first = np.flatnonzero(~np.isfinite(vector))[0]
-        name = next(p.name for p, lo, hi in store._spans if lo <= first < hi)
+        name = next(name for name, (_, lo, hi) in store._spans.items() if lo <= first < hi)
         raise ValueError(f"{path}: non-finite value in parameter '{name}'")
+    ParamStore.data_writes += 1
     store.block[DATA] = vector

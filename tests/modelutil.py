@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from simrec.distill import forward_sentence
-from simrec.encoder import encode_graph
-from simrec.heads import init_models
+from simrec.encoder import Param, encode_graph
+from simrec.heads import _block_dists, init_models
 from simrec.tensorcore import DiffArray, ParamStore
 
 
@@ -17,11 +17,20 @@ def param_store(params):
     return ParamStore(params, np.zeros((4, n)))
 
 
+def set_param(store, name, value, index=...):
+    """Set ``store``'s parameter ``name``, or its entries at ``index``, to
+    ``value``. A parameter's own view is read-only: weights change only
+    through ``ParamStore.assign`` (or Adam, or a checkpoint load)."""
+    data = store.params[name].data.copy()
+    data[index] = value
+    store.assign({name: data})
+
+
 def filled_store(arrays):
     """A ``param_store`` of the arrays' shapes that holds their values."""
     store = param_store({name: a.shape for name, a in arrays.items()})
     for name, a in arrays.items():
-        store.params[name].data[...] = a
+        set_param(store, name, a)
     return store
 
 
@@ -36,3 +45,17 @@ def forward_one(model, sentences, graph):
     """``forward_sentence`` from the model's own 2-D encoder pass."""
     return forward_sentence(model, sentences, graph,
                             encode_graph(graph, model.enc, model.config)[-1])
+
+
+def rebuilt(model):
+    """A model built anew from ``model``'s current weights: no memo, and a
+    store of its own that owns every parameter, a borrowed encoder too."""
+    layout = [Param(name, p.shape) for name, p in model.store.params.items()]
+    (copy,), _ = init_models([model.mode], [layout], model.config, None)
+    copy.store.assign({name: p.data for name, p in model.store.params.items()})
+    return copy
+
+
+def served(model, block):
+    """The bytes of every array that serving ``block`` reads its predictions from."""
+    return [a.tobytes() for a in _block_dists(model, block)]

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from modelutil import set_param
 from simrec import tensorcore as tc
 from simrec.corpus import (
     SyntheticConfig,
@@ -127,19 +128,17 @@ def test_gradient_integrity_full_pipeline():
     checked = 0
     ensemble_backward(bundle, losses().values())
     for name, model in bundle.models.items():
-        for param in model.store.params.values():
+        for pname, param in model.store.params.items():
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
-            flat = param.data.reshape(-1)
-            gflat = np.asarray(grad).reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
+            for i in np.ndindex(param.shape):
+                orig = param.data[i]
+                set_param(model.store, pname, orig + eps, i)
                 hi = float(losses()[name].data)
-                flat[i] = orig - eps
+                set_param(model.store, pname, orig - eps, i)
                 lo = float(losses()[name].data)
-                flat[i] = orig
+                set_param(model.store, pname, orig, i)
                 fd = (hi - lo) / (2.0 * eps)
-                rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
+                rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6)
                 worst = max(worst, rel)
                 checked += 1
             param.grad = None

@@ -249,7 +249,7 @@ def test_batch_gradients_match_finite_differences(corpus, vocab, name):
         return batch_loss(model, sents, graph, target)
 
     tc.backward(build())
-    check_grads(lambda: float(build().data), model.store.params, tol=1e-5)
+    check_grads(lambda: float(build().data), model.store.params, tol=1e-5, store=model.store)
 
 
 class TestGeneralisedOps:

@@ -252,6 +252,10 @@ class TestSynthetic:
         with pytest.raises(CorpusError):
             generate_synthetic(SyntheticConfig(n_sentences=1, seed=0))
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(CorpusError, match="seed must be non-negative, got -1"):
+            generate_synthetic(SyntheticConfig(n_sentences=5, seed=-1))
+
     def test_canonical_sentence_shape(self, fig_sentence):
         assert len(fig_sentence.tokens) == 6
         assert fig_sentence.comparator_index == 4
@@ -291,6 +295,10 @@ class TestFolds:
     def test_k_below_two_rejected(self, small_corpus):
         with pytest.raises(CorpusError):
             split_folds(small_corpus, 1)
+
+    def test_negative_seed_is_named(self, small_corpus):
+        with pytest.raises(CorpusError, match="seed must be non-negative, got -1"):
+            split_folds(small_corpus, 2, seed=-1)
 
 
 def _tokens(*heads, pos="NN"):

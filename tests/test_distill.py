@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modelutil import forward_one
+from modelutil import forward_one, rebuilt, served, set_param
 from simrec import distill
 from simrec import tensorcore as tc
 from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
@@ -432,7 +432,7 @@ class TestTrainLoop:
     def test_nan_parameter_aborts_with_location(self, tiny_corpus, tiny_vocab):
         config = TrainConfig(epochs=1, batch_size=4, seed=0)
         bundle = fresh_bundle(tiny_vocab)
-        bundle.models["p"].head["cls/w"].data[0, 0] = np.nan
+        set_param(bundle.models["p"].store, "head/cls/w", np.nan, (0, 0))
         with pytest.raises(RuntimeError, match=r"epoch 1, batch 1"):
             train(bundle, tiny_corpus[:8], [], config)
 
@@ -453,7 +453,7 @@ class TestTrainLoop:
         config = TrainConfig(epochs=1, batch_size=4, seed=0, lambda_mode="fixed",
                              lambda_fixed=0.0)
         bundle = fresh_bundle(tiny_vocab)
-        bundle.models["p"].head["cls/w"].data[0, 0] = np.nan
+        set_param(bundle.models["p"].store, "head/cls/w", np.nan, (0, 0))
         before = self._state(bundle)
         with pytest.raises(RuntimeError,
                            match=r"epoch 1, batch 1: non-finite values produced by op 'matmul'"):
@@ -488,7 +488,7 @@ class TestTrainLoop:
         config = TrainConfig(epochs=1, batch_size=4, seed=0, lambda_mode="fixed",
                              lambda_fixed=1.0)
         bundle = fresh_bundle(tiny_vocab)
-        bundle.models["p"].head["cls/emb"].data[...] = 1e300
+        set_param(bundle.models["p"].store, "head/cls/emb", 1e300)
         before = self._state(bundle)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -566,6 +566,19 @@ class TestTrainLoop:
             params = bundle.models[name].store.params
             for pname, want in entry["params"].items():
                 assert np.array_equal(params[pname].data, want)
+
+    def test_roll_back_refreshes_served_vectors(self, tiny_corpus, tiny_vocab):
+        # Dev scoring fills each model's memo of its GAT vectors in the last
+        # epoch; serving after the roll-back must read the restored weights.
+        config = TrainConfig(epochs=3, batch_size=4, seed=2)
+        bundle = fresh_bundle(tiny_vocab)
+        result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
+        rolled = [name for name, entry in result.best.items() if entry["epoch"] < config.epochs]
+        assert rolled
+        block = join_graphs([build_graph(s, tiny_vocab) for s in tiny_corpus[8:]])
+        for name in rolled:
+            model = bundle.models[name]
+            assert served(model, block) == served(rebuilt(model), block)
 
     def test_restore_best_off_matches_devless_run(self, tiny_corpus, tiny_vocab):
         # Models sharing an encoder are not rolled back, and dev scoring
@@ -666,6 +679,19 @@ class TestParamBlocks:
         loaded, _ = distill.load_bundle(tmp_path)
         for model in loaded.models.values():
             assert_params_in_block(model)
+
+    @pytest.mark.parametrize("share_encoder", [False, True])
+    def test_views_are_read_only(self, tiny_vocab, tmp_path, share_encoder):
+        # Weights change only through their store: each model's views and
+        # the stacked ones, built or loaded.
+        bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
+        distill.save_bundle(bundle, tmp_path, selected="p")
+        for b in (bundle, distill.load_bundle(tmp_path)[0]):
+            views = [*b.enc.values(),
+                     *(p for model in b.models.values() for p in model.store.params.values())]
+            for p in views:
+                with pytest.raises(ValueError, match="read-only"):
+                    p.data[(0,) * p.data.ndim] = 1.0
 
     def test_rolled_back_models_live_in_blocks(self, tiny_corpus, tiny_vocab):
         config = TrainConfig(epochs=3, batch_size=4, seed=0)
@@ -971,8 +997,9 @@ class TestPersistence:
         bundle = fresh_bundle(tiny_vocab, **kwargs)
         rng = np.random.default_rng(5)
         for model in bundle.models.values():  # weights unlike a fresh draw's
-            for p in model.store.params.values():
-                p.data[...] = rng.normal(size=p.shape)
+            for name, p in model.store.params.items():  # a borrowed encoder is set by its owner
+                if np.shares_memory(p.data, model.store.block):
+                    set_param(model.store, name, rng.normal(size=p.shape))
         distill.save_bundle(bundle, tmp_path, selected=next(iter(bundle.models)))
         loaded, _ = distill.load_bundle(tmp_path)
         assert tuple(loaded.models) == tuple(bundle.models)

@@ -295,7 +295,7 @@ class TestGatLayer:
             assert len(incoming) == 1 and incoming[0][0] == node
         h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
-        g1 = enc.gat_layer(g0, graph.block, params, 0, tiny_config)
+        g1 = enc.gat_layer(g0, graph.block, params, 0, enc.gat_vectors(params, 0), tiny_config)
         wv = params["gat0/wv"].data
         for node in (graph.left_node, graph.right_node):
             expected = 1.0 / (1.0 + np.exp(-(g0.data[node] @ wv)))
@@ -303,8 +303,9 @@ class TestGatLayer:
 
 
 class TestGatScore:
-    """``tc.gat_score`` gives the score of the (E, 2d + edge_dim) formula it
-    replaced, built here from the ops that formed it, forward and backward."""
+    """``tc.gat_score`` of ``tc.gat_node_vectors`` gives the score of the
+    (E, 2d + edge_dim) formula it replaced, built here from the ops that
+    formed it, forward and backward."""
 
     @pytest.mark.parametrize("models", [(), (3,)], ids=["one-model", "stacked"])
     def test_matches_concat_and_matmul_on_a_block(self, small_corpus, small_vocab, models):
@@ -328,7 +329,7 @@ class TestGatScore:
                 p.grad = None
             return grads
 
-        split = tc.gat_score(g, wq, wk, wa, edge_emb,
+        split = tc.gat_score(g, tc.gat_node_vectors(wq, wk, wa), wa, edge_emb,
                              block.src_ids, block.dst_ids, block.label_ids)
         split_grads = grads_of(split)
         feat = tc.concat([tc.pick_rows(tc.matmul(g, wq), block.dst_ids),
@@ -410,4 +411,4 @@ class TestGradients:
             return tc.sum_all(states[-1])
 
         tc.backward(build())
-        check_grads(lambda: float(build().data), params, tol=1e-5)
+        check_grads(lambda: float(build().data), params, tol=1e-5, store=store)

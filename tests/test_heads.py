@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
-from modelutil import drawn_store
+from modelutil import drawn_store, rebuilt, served, set_param
 from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import build_vocab
-from simrec.encoder import EncoderConfig
+from simrec.encoder import EncoderConfig, encode_graph
 from simrec.heads import Span, SpanPrediction
 from simrec.hetgraph import build_graph, edge_label_index
 from simrec.tensorcore import DiffArray
@@ -69,20 +69,20 @@ class TestClassify:
 
     def test_gradient_against_finite_differences(self, graph_and_states, tiny_config):
         graph, g_final = graph_and_states
-        _, head = head_only("parallel", tiny_config)
+        store, head = head_only("parallel", tiny_config)
 
         def build():
             return tc.cross_entropy(heads.classify(g_final, graph.block, head), [1])
 
         tc.backward(build())
-        params = {"g": g_final, "w": head["cls/w"], "emb": head["cls/emb"]}
-        check_grads(lambda: float(build().data), params, tol=1e-5)
+        params = {"g": g_final, "cls/w": head["cls/w"], "cls/emb": head["cls/emb"]}
+        check_grads(lambda: float(build().data), params, tol=1e-5, store=store)
 
 
 class TestParallelTagger:
     def test_zero_parameters_give_uniform_rows(self, tiny_config, rng):
-        _, head = head_only("parallel", tiny_config)
-        head["ext/w"].data[:] = 0.0
+        store, head = head_only("parallel", tiny_config)
+        set_param(store, "ext/w", 0.0)
         words = DiffArray(rng.normal(size=(5, tiny_config.d_model)))
         dist = tc.softmax(heads.tag_logits(words, head, "ext"), axis=-1)
         np.testing.assert_allclose(dist.data, 1 / 3, atol=1e-12)
@@ -115,8 +115,8 @@ class TestComponentPooling:
         # condition rows, the logits are the pooled state's first 3 columns.
         store, head = head_only("tenor_first", config)
         d = config.d_model
-        head["second/w"].data[:] = 0.0
-        head["second/w"].data[d:d + 3] = np.eye(3)
+        set_param(store, "second/w", 0.0)
+        set_param(store, "second/w", np.eye(3), slice(d, d + 3))
         model = heads.SimileModel(
             mode="tenor_first", store=store, enc={}, head=head, config=config
         )
@@ -183,8 +183,8 @@ class TestSequentialStages:
         # Killing the pooled-component columns turns the second stage into
         # a per-token affine map, the parallel head's exact shape.
         d = tiny_config.d_model
-        _, head = head_only("tenor_first", tiny_config)
-        head["second/w"].data[d:] = 0.0
+        store, head = head_only("tenor_first", tiny_config)
+        set_param(store, "second/w", 0.0, slice(d, None))
         words = DiffArray(rng.normal(size=(5, d)))
         g_c1 = tc.mean_pool(words, [0, 3], [0, 0], 1)
         logits = heads.tag_logits_second(words, g_c1, head, np.array([5]))
@@ -215,7 +215,7 @@ class TestSequentialStages:
             "second/w": head["second/w"],
             "second/b": head["second/b"],
         }
-        check_grads(lambda: float(build().data), params, tol=1e-5)
+        check_grads(lambda: float(build().data), params, tol=1e-5, store=store)
 
 
 class TestDecoding:
@@ -276,7 +276,7 @@ class TestPredict:
         first = heads.predict(model, fig_sentence, graph, vocab)
         # Swap the class embeddings: the two logits trade places, so the
         # decision flips and both branches get exercised.
-        model.head["cls/emb"].data[:] = model.head["cls/emb"].data[::-1].copy()
+        set_param(model.store, "head/cls/emb", model.head["cls/emb"].data[::-1])
         second = heads.predict(model, fig_sentence, graph, vocab)
         np.testing.assert_allclose(
             first.p_simile + second.p_simile, 1.0, atol=1e-12
@@ -302,8 +302,86 @@ class TestPredict:
 
     def test_nonfinite_encoder_weight_is_named_by_its_op(self, fig_sentence):
         model, _, graph = self.make_model(fig_sentence)
-        model.enc["gat0/wv"].data[0, 0] = np.nan
+        set_param(model.store, "enc/gat0/wv", np.nan, (0, 0))
         with pytest.raises(tc.NonFiniteError, match="op 'matmul'"):
+            heads.predict_batch(model, [graph, graph])
+
+
+class TestServedVectors:
+    """Serving keeps each GAT layer's ``gat_node_vectors`` while no weight is
+    written, and makes them anew after any write through a store."""
+
+    CONFIG = EncoderConfig(d_model=10, n_selfattn_layers=1, n_gat_layers=2,
+                           edge_emb_dim=4, max_tokens=10, max_positions=12)
+
+    @pytest.fixture
+    def setup(self, fig_sentence):
+        # Two models of one layout and different weights.
+        vocab = build_vocab([fig_sentence])
+        models, _ = fresh_models(["parallel", "parallel"], self.CONFIG,
+                                 np.random.default_rng(3), vocab.size,
+                                 len(edge_label_index(vocab)))
+        return models, build_graph(fig_sentence, vocab)
+
+    def test_adam_step_refreshes_the_memo(self, setup):
+        (model, _), graph = setup
+        block = graph.block
+        before = served(model, block)
+        tc.backward(tc.sum_all(encode_graph(block, model.enc, model.config)[-1]))
+        model.store.adam_step(0.05)
+        after = served(model, block)
+        assert after != before
+        assert after == served(rebuilt(model), block)
+
+    def test_assign_refreshes_the_memo(self, setup):
+        (model, _), graph = setup
+        block = graph.block
+        before = served(model, block)
+        set_param(model.store, "enc/gat1/wk", 0.5)
+        after = served(model, block)
+        assert after != before
+        assert after == served(rebuilt(model), block)
+
+    def test_load_checkpoint_refreshes_the_memo(self, setup, tmp_path):
+        (model, other), graph = setup
+        block = graph.block
+        before = served(model, block)
+        tc.save_checkpoint(tmp_path / "other.npy", other.store)
+        tc.load_checkpoint(tmp_path / "other.npy", model.store)
+        after = served(model, block)
+        assert after != before
+        assert after == served(other, block) == served(rebuilt(model), block)
+
+    def test_vectors_are_made_once_per_model_and_layer_until_a_write(
+            self, setup, fig_sentence, monkeypatch):
+        models, graph = setup
+        made = []
+        real = tc.gat_node_vectors
+        monkeypatch.setattr(tc, "gat_node_vectors", lambda *w: made.append(w) or real(*w))
+        per_round = len(models) * self.CONFIG.n_gat_layers
+        for _ in range(5):
+            for model in models:
+                heads.predict(model, fig_sentence, graph, None)
+        assert len(made) == per_round
+        # Any write counts, even to a weight that no vector reads.
+        set_param(models[0].store, "head/cls/w", 0.0)
+        for _ in range(5):
+            for model in models:
+                heads.predict(model, fig_sentence, graph, None)
+        assert len(made) == 2 * per_round
+
+    def test_write_through_a_view_raises(self, setup):
+        (model, _), _ = setup
+        for p in (model.enc["gat0/wq"], model.head["cls/w"]):
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[0, 0] = 1.0
+
+    def test_non_finite_vectors_are_named_by_their_op(self, setup):
+        # Kept, they would reach the checked replay from the memo, which
+        # would then name the next op instead.
+        (model, _), graph = setup
+        set_param(model.store, "enc/gat1/wq", np.nan, (0, 0))
+        with pytest.raises(tc.NonFiniteError, match="op 'gat_node_vectors'"):
             heads.predict_batch(model, [graph, graph])
 
 

@@ -167,13 +167,15 @@ class TestGatScoreIds:
         ids[what][3] = bad
         unit = "5 labels" if what == "label id" else "4 rows"
         with pytest.raises(ShapeError, match=rf"gat_score: {what} out of range for {unit}"):
-            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 8, 1),
-                         leaf(rng, 5, 2), *ids.values())
+            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 8, 1), leaf(rng, 5, 2),
+                         *ids.values())
 
     def test_mismatched_score_weight(self, rng):
         with pytest.raises(ShapeError, match=r"gat_score: incompatible shapes"):
-            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 7, 1),
-                         leaf(rng, 5, 2), SRC, SEG, LABELS)
+            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 7, 1), leaf(rng, 5, 2),
+                         SRC, SEG, LABELS)
+        with pytest.raises(ShapeError, match=r"gat_node_vectors: incompatible shapes"):
+            tc.gat_node_vectors(leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 5, 1))
 
 
 class TestAddRowsAtIds:
@@ -336,7 +338,8 @@ class TestFiniteDifferenceOracle:
         params = {"g": g, "wq": wq, "wk": wk, "wa": wa, "edge_emb": edge_emb}
 
         def build():
-            score = tc.gat_score(g, wq, wk, wa, edge_emb, SRC, SEG, LABELS)
+            u = tc.gat_node_vectors(wq, wk, wa)
+            score = tc.gat_score(g, u, wa, edge_emb, SRC, SEG, LABELS)
             return tc.sum_all(tc.sigmoid(score))
 
         self._check(build, params)
@@ -392,7 +395,8 @@ STACKED_OPS = {
     "segment_softmax": ([(10,)], lambda s: tc.segment_softmax(s, SEG, 4)),
     "segment_aggregate": ([(10,), (4, 3)],
                           lambda al, v: tc.segment_aggregate(al, v, SRC, SEG, 4)),
-    "gat_score": ([(4, 3), (3, 3), (3, 3), (8, 1), (5, 2)],
+    "gat_node_vectors": ([(3, 3), (3, 3), (8, 1)], tc.gat_node_vectors),
+    "gat_score": ([(4, 3), (3, 2), (8, 1), (5, 2)],
                   lambda *xs: tc.gat_score(*xs, SRC, SEG, LABELS)),
 }
 
@@ -407,13 +411,13 @@ STACKED_ID_CALLS = {
     ("segment_aggregate", "dst id"): (
         SEG, 4, lambda x, ids: tc.segment_aggregate(x(10), x(4, 3), SRC, ids, 4)),
     ("gat_score", "src id"): (
-        SRC, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 3), x(3, 3), x(8, 1), x(5, 2),
+        SRC, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(8, 1), x(5, 2),
                                             ids, SEG, LABELS)),
     ("gat_score", "dst id"): (
-        SEG, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 3), x(3, 3), x(8, 1), x(5, 2),
+        SEG, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(8, 1), x(5, 2),
                                             SRC, ids, LABELS)),
     ("gat_score", "label id"): (
-        LABELS, 5, lambda x, ids: tc.gat_score(x(4, 3), x(3, 3), x(3, 3), x(8, 1), x(5, 2),
+        LABELS, 5, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(8, 1), x(5, 2),
                                                SRC, SEG, ids)),
     ("pick_rows", "index"): (SRC, 6, lambda x, ids: tc.pick_rows(x(6, 4), ids)),
     ("mean_pool", "index"): (SRC, 6, lambda x, ids: tc.mean_pool(x(6, 4), ids, SEG, 4)),
@@ -664,10 +668,20 @@ class TestAccumGrad:
         wq, wk, wa, emb = store.params.values()
         g = leaf(rng, 4, 3)
         grad = rng.normal(size=(10, 1))
-        tc.gat_score(g, wq, wk, wa, emb, SRC, SEG, LABELS)._backward(grad)
+
+        def sweep():
+            u = tc.gat_node_vectors(wq, wk, wa)
+            tc.gat_score(g, u, wa, emb, SRC, SEG, LABELS)._backward(grad)
+            u._backward(u.grad)
+            return u.grad
+
+        d_u = sweep()
         first = {name: p.grad.copy() for name, p in store.params.items()}
         assert all(p.grad is p.grad_home for p in store.params.values())
-        tc.gat_score(g, wq, wk, wa, emb, SRC, SEG, LABELS)._backward(grad)  # adds in place
+        # The rank-1 gradients of wq and wk: one product per entry.
+        assert np.array_equal(first["wq"], d_u[:, :1] * wa.data[:3].mT)
+        assert np.array_equal(first["wk"], d_u[:, 1:] * wa.data[3:6].mT)
+        sweep()  # adds in place
         for name, p in store.params.items():
             assert p.grad is p.grad_home
             assert p.grad.tobytes() == (first[name] + first[name]).tobytes()
