@@ -89,10 +89,13 @@ def encoder_layout(vocab_size: int, n_edge_labels: int, config: EncoderConfig) -
         layout += [glorot(f"sa{layer}/{w}", d, d) for w in ("wq", "wk", "wv")]
     layout += [glorot("gloss/w", d, d, GLOSS_W_GAIN), Param("gloss/b", (d,)),
                Param("edge_emb", (n_edge_labels, config.edge_emb_dim), EDGE_EMB_INIT_STD)]
+    # ``u`` (node parts) and ``wa`` (edge part) split one glorot score map
+    # over [g_i ; g_j ; e_ij], (2d + edge_emb_dim, 1), and share its std.
+    score_std = math.sqrt(2.0 / (2 * d + config.edge_emb_dim + 1))
     for layer in range(config.n_gat_layers):
-        layout += [glorot(f"gat{layer}/wq", d, d), glorot(f"gat{layer}/wk", d, d),
+        layout += [Param(f"gat{layer}/u", (d, 2), score_std, GAT_SCORE_GAIN),
                    glorot(f"gat{layer}/wv", d, d, GAT_VALUE_GAIN),
-                   glorot(f"gat{layer}/wa", 2 * d + config.edge_emb_dim, 1, GAT_SCORE_GAIN)]
+                   Param(f"gat{layer}/wa", (config.edge_emb_dim, 1), score_std, GAT_SCORE_GAIN)]
     return layout
 
 
@@ -153,36 +156,27 @@ def init_node_states(h: DiffArray, graph: BlockGraph) -> DiffArray:
     return tc.mean_pool(h, graph.pool_rows, graph.pool_nodes, graph.n_nodes)
 
 
-def gat_vectors(params: dict[str, DiffArray], layer: int) -> DiffArray:
-    """GAT layer ``layer``'s ``tc.gat_node_vectors``, on the tape."""
-    return tc.gat_node_vectors(params[f"gat{layer}/wq"], params[f"gat{layer}/wk"],
-                               params[f"gat{layer}/wa"])
-
-
 def gat_layer(
     g: DiffArray,
     graph: BlockGraph,
     params: dict[str, DiffArray],
     layer: int,
-    vectors: DiffArray,
     config: EncoderConfig,
 ) -> DiffArray:
     """One graph-attention step over incoming edges.
 
-    For node i with incoming edges from j: score = LeakyReLU of a learned
-    map ``wa`` over [Wq g_i ; Wk g_j ; e_ij], attention is a softmax over i's
-    incoming edges, and the update is sigmoid of the attention-weighted sum
-    of Wv g_j. The map is linear, so ``tc.gat_score`` splits it as in
-    Velickovic et al. 2018 (Graph Attention Networks, section 2.1): one
-    logit per node for each side, g_i . (Wq a_q) and g_j . (Wk a_k), and one
-    per edge label, e . a_e, gathered and added per edge. No (E, 2d) matrix
-    and no (n, d) query or key is formed. ``vectors`` is the layer's
-    ``gat_vectors``, [Wq a_q, Wk a_k], made on the tape or kept from it.
+    For node i with incoming edges from j: score = LeakyReLU(g_i . u_q +
+    g_j . u_k + e_ij . a_e), the split score of Velickovic et al. 2018 (Graph
+    Attention Networks, section 2.1), with ``u`` = [u_q, u_k] and ``wa`` = a_e
+    the layer's parameters. ``tc.gat_score`` forms one logit per node for each
+    side and one per edge label, and adds them per edge; no (E, 2d) matrix is
+    formed. Attention is a softmax over i's incoming edges, and the update is
+    sigmoid of the attention-weighted sum of Wv g_j.
     """
     m = graph.n_nodes
     v = tc.matmul(g, params[f"gat{layer}/wv"])
-    score = tc.gat_score(g, vectors, params[f"gat{layer}/wa"], params["edge_emb"],
-                         graph.src_ids, graph.dst_ids, graph.label_ids)
+    score = tc.gat_score(g, params[f"gat{layer}/u"], params[f"gat{layer}/wa"],
+                         params["edge_emb"], graph.src_ids, graph.dst_ids, graph.label_ids)
     z = tc.leaky_relu(score, config.leaky_slope)
     alpha = tc.segment_softmax(tc.reshape(z, z.shape[:-1]), graph.dst_ids, m)
     agg = tc.segment_aggregate(alpha, v, graph.src_ids, graph.dst_ids, m)
@@ -193,17 +187,12 @@ def encode_graph(
     graph: BlockGraph,
     params: dict[str, DiffArray],
     config: EncoderConfig,
-    vectors: list[DiffArray] | None = None,
 ) -> list[DiffArray]:
-    """Full pipeline; returns node states per layer, g^(0) through g^(L).
-
-    ``vectors`` holds each GAT layer's ``gat_vectors``; without it each
-    layer makes its own on the tape, as training needs."""
+    """Full pipeline; returns node states per layer, g^(0) through g^(L)."""
     h = encode_tokens(graph, params, config)
     if config.use_gloss_fusion:
         h = fuse_definitions(graph, h, params)
     states = [init_node_states(h, graph)]
     for layer in range(config.n_gat_layers):
-        u = gat_vectors(params, layer) if vectors is None else vectors[layer]
-        states.append(gat_layer(states[-1], graph, params, layer, u, config))
+        states.append(gat_layer(states[-1], graph, params, layer, config))
     return states

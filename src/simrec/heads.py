@@ -28,7 +28,6 @@ from .encoder import (
     Param,
     encode_graph,
     encoder_layout,
-    gat_vectors,
     glorot,
 )
 from .hetgraph import BlockGraph, HeteroGraph, join_graphs
@@ -78,10 +77,6 @@ class SimileModel:
     enc: dict[str, DiffArray]
     head: dict[str, DiffArray]
     config: EncoderConfig
-    # Serving's memo: ``ParamStore.data_writes`` when it was filled, and each
-    # GAT layer's finite ``gat_vectors`` then (``_served_vectors``).
-    _vectors: tuple[int, list[DiffArray]] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 def head_layout(mode: str, config: EncoderConfig, label_emb_dim: int = 100) -> list[Param]:
@@ -312,23 +307,10 @@ def _predict_block(model: SimileModel, block: BlockGraph) -> list[SpanPrediction
     return preds
 
 
-def _served_vectors(model: SimileModel) -> list[DiffArray]:
-    """Each GAT layer's ``gat_vectors``: the memo while no weight has been
-    written since it was filled, else made anew and, if finite, kept. A
-    non-finite one is left for the checked replay to name its op."""
-    memo = model._vectors
-    if memo is None or memo[0] != ParamStore.data_writes:
-        vectors = [gat_vectors(model.enc, layer) for layer in range(model.config.n_gat_layers)]
-        if not all(tc.all_finite(u.data) for u in vectors):
-            return vectors
-        memo = model._vectors = ParamStore.data_writes, [DiffArray(u.data) for u in vectors]
-    return memo[1]
-
-
 def _block_dists(model: SimileModel, block: BlockGraph) -> tuple[np.ndarray, ...]:
     """Final node states and class distribution of every sentence of the block,
     and the tag distribution of the words of those judged similes (one pass)."""
-    g_final = encode_graph(block, model.enc, model.config, _served_vectors(model))[-1]
+    g_final = encode_graph(block, model.enc, model.config)[-1]
     cls_dist = classify(g_final, block, model.head).data
     judged = cls_dist[:, CLASS_SIMILE] > SIMILE_THRESHOLD
     if not judged.any():

@@ -8,27 +8,27 @@ exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
 cycles and is freed as soon as its loss is dropped.
 
-Each gradient is written once, where it will live. ``matmul`` and the GAT
-ops write a weight's first gradient straight into its store's GRAD row,
-and ``accum_grad`` writes any other first gradient of a parameter there as
-g + 0.0. An intermediate keeps its first gradient as it comes, without a
-copy, when that is a C-contiguous float64 array of its shape; otherwise it
-copies it into its data's layout, so every gradient that a BLAS call
-reads is laid out as a copy would be. One array may so be the gradient of
-several nodes (``add`` hands its gradient to both operands), so an
-intermediate's later gradients are added out of place, and ``model_slice``
-copies an intermediate's gradient before it adds into one slice of it.
-Only a parameter's gradient, which its store owns, is added to in place.
+Each gradient is written once, where it will live. ``matmul`` and
+``gat_score`` write a weight's first gradient straight into its store's
+GRAD row, and ``accum_grad`` writes any other first gradient of a
+parameter there as g + 0.0. An intermediate keeps its first gradient as
+it comes, without a copy, when that is a C-contiguous float64 array of
+its shape; otherwise it copies it into its data's layout, so every
+gradient that a BLAS call reads is laid out as a copy would be. One array
+may so be the gradient of several nodes (``add`` hands its gradient to
+both operands), so an intermediate's later gradients are added out of
+place, and ``model_slice`` copies an intermediate's gradient before it
+adds into one slice of it. Only a parameter's gradient, which its store
+owns, is added to in place.
 
 A zero in an intermediate's gradient may so carry either sign, and so
-may one in a weight gradient that ``matmul`` writes with the bits of
-``x.mT @ grad``, or a GAT op with those of an outer product. That
-sign never reaches a weight or its moments, for three reasons:
-``accum_grad`` still adds 0.0 on a parameter's first write; adding a zero
-of either sign leaves a nonzero x as it is, and a sum is -0.0 only when
-both addends are; and Adam never makes a -0.0 moment, since both moments
-start at +0.0, and the second adds (1 - beta2) * g * g, which is never
--0.0.
+may one in a weight gradient that ``matmul`` or ``gat_score`` writes with
+the bits of ``x.mT @ grad`` or of an outer product. That sign never
+reaches a weight or its moments, for three reasons: ``accum_grad`` still
+adds 0.0 on a parameter's first write; adding a zero of either sign
+leaves a nonzero x as it is, and a sum is -0.0 only when both addends
+are; and Adam never makes a -0.0 moment, since both moments start at
++0.0, and the second adds (1 - beta2) * g * g, which is never -0.0.
 
 A non-finite output raises at its op, except inside ``unchecked()``, whose
 caller checks what it hands on once and on a failure runs again outside it,
@@ -47,9 +47,7 @@ axis (M, ...), each slice getting the bits of its own 2-D call;
 A ``ParamStore`` holds its parameters' data, gradients and two Adam moments
 as the rows of one block, so one Adam update is a few in-place numpy calls
 per cache-sized chunk of each contiguous run of parameters that received a
-gradient. Weights change only through their store, whose every write
-bumps one counter, ``ParamStore.data_writes``; serving keeps each GAT
-layer's ``gat_node_vectors`` while that counter stands still.
+gradient. Weights change only through their store.
 """
 
 from __future__ import annotations
@@ -208,11 +206,7 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
 
     def bwd(grad):
         a.accum_grad(grad @ y.mT)
-        if b.grad is None and b.grad_home is not None:
-            # A weight's first gradient goes straight into its GRAD row.
-            b.grad = np.matmul(x.mT, grad, out=b.grad_home)
-        else:
-            b.accum_grad(x.mT @ grad)
+        _add_product(b, x, grad)
 
     return _result(x @ y, (a, b), bwd, "matmul")
 
@@ -491,33 +485,6 @@ def segment_aggregate(
     return _result(out_data, (alpha, values), bwd, "segment_aggregate")
 
 
-def gat_node_vectors(wq: DiffArray, wk: DiffArray, wa: DiffArray) -> DiffArray:
-    """The (…, d, 2) vectors ``[wq @ a_q, wk @ a_k]`` of a GAT layer, with
-    ``a_q`` and ``a_k`` the first two d-row blocks of ``wa``: a node state
-    times them gives its logits as a destination and as a source
-    (``gat_score``). They depend on the weights alone, so serving may keep
-    them while no weight is written (``ParamStore.data_writes``)."""
-    fits = wq.data.ndim in (2, 3) and wq.shape == wk.shape and wq.shape[-2] == wq.shape[-1]
-    if fits:
-        models, d = wq.shape[:-2], wq.shape[-1]
-        fits = wa.shape[:-2] == models and wa.shape[-1] == 1 and wa.shape[-2] >= 2 * d
-    if not fits:
-        raise ShapeError(f"gat_node_vectors: incompatible shapes wq {wq.shape}, "
-                         f"wk {wk.shape}, wa {wa.shape}")
-    a = wa.data
-    a_q, a_k = a[..., :d, :], a[..., d:2 * d, :]
-
-    def bwd(grad):
-        d_uq, d_uk = grad[..., :1], grad[..., 1:]
-        _add_outer(wq, d_uq, a_q)
-        _add_outer(wk, d_uk, a_k)
-        wa.accum_grad(np.concatenate([wq.data.mT @ d_uq, wk.data.mT @ d_uk,
-                                      np.zeros(models + (a.shape[-2] - 2 * d, 1))], axis=-2))
-
-    return _result(np.concatenate([wq.data @ a_q, wk.data @ a_k], axis=-1),
-                   (wq, wk, wa), bwd, "gat_node_vectors")
-
-
 def gat_score(
     g: DiffArray,
     u: DiffArray,
@@ -527,20 +494,19 @@ def gat_score(
     dst: np.ndarray,
     labels: np.ndarray,
 ) -> DiffArray:
-    """The (E, 1) GAT scores ``[g[dst] @ wq ; g[src] @ wk ; edge_emb[labels]] @ wa``,
-    from the layer's ``gat_node_vectors`` ``u``.
+    """The (E, 1) GAT scores ``[g[dst] ; g[src] ; edge_emb[labels]] @ [u_q ; u_k ; wa]``,
+    with ``u_q`` and ``u_k`` the two columns of the (d, 2) ``u``.
 
-    The score is linear, so with ``wa`` split into ``a_q``, ``a_k`` and ``a_e``
-    it is ``sq[dst] + sk[src] + se[labels]``: one logit per node for each side,
-    ``g @ u``, and one per edge label, ``edge_emb @ a_e``, gathered per edge.
-    Backward sums the edge gradient per node and per label, then runs the same
-    small products in reverse; ``wa`` gets the ``a_e`` block of its gradient
-    here and the rest from ``gat_node_vectors``.
+    The score is ``s[dst, 0] + s[src, 1] + se[labels]``: one logit per node
+    for each side, ``s = g @ u``, and one per edge label, ``se = edge_emb @ wa``,
+    gathered per edge. Backward sums the edge gradient per node and per label,
+    then runs the same small products in reverse; as in ``matmul``, the first
+    gradient of ``u``, ``wa`` and ``edge_emb`` goes straight into its GRAD row.
     """
     fits = g.data.ndim in (2, 3) and edge_emb.data.ndim == g.data.ndim
     if fits:
         models, (n, d), (n_labels, de) = g.shape[:-2], g.shape[-2:], edge_emb.shape[-2:]
-        fits = u.shape == models + (d, 2) and wa.shape == models + (2 * d + de, 1)
+        fits = u.shape == models + (d, 2) and wa.shape == models + (de, 1)
     if not fits:
         raise ShapeError(f"gat_score: incompatible shapes g {g.shape}, u {u.shape}, "
                          f"wa {wa.shape}, edge_emb {edge_emb.shape}")
@@ -550,9 +516,8 @@ def gat_score(
     _check_ids(src, n, "gat_score", "src id")
     _check_ids(dst, n, "gat_score", "dst id")
     _check_ids(labels, n_labels, "gat_score", "label id", "labels")
-    a_e = wa.data[..., 2 * d:, :]
     s = g.data @ u.data  # (n, 2): each node's logit as a destination, then as a source
-    se = (edge_emb.data @ a_e)[..., 0]
+    se = (edge_emb.data @ wa.data)[..., 0]
     out = s[..., 0].take(dst, axis=-1) + s[..., 1].take(src, axis=-1) + se.take(labels, axis=-1)
 
     def bwd(grad):
@@ -560,12 +525,20 @@ def gat_score(
         d_s = np.stack([_sum_over(grad, ids, n, models) for ids in (dst, src)], axis=-1)
         d_se = _sum_over(grad, labels, n_labels, models)[..., None]
         g.accum_grad(d_s @ u.data.mT)
-        u.accum_grad(g.data.mT @ d_s)
-        _add_outer(edge_emb, d_se, a_e)
-        wa.accum_grad(np.concatenate([np.zeros(models + (2 * d, 1)), edge_emb.data.mT @ d_se],
-                                     axis=-2))
+        _add_product(u, g.data, d_s)
+        _add_outer(edge_emb, d_se, wa.data)
+        _add_product(wa, edge_emb.data, d_se)
 
     return _result(out[..., None], (g, u, wa, edge_emb), bwd, "gat_score")
+
+
+def _add_product(p: DiffArray, x: np.ndarray, grad: np.ndarray) -> None:
+    """Add ``x.mT @ grad`` to ``p``'s gradient, a weight's first one straight
+    into its GRAD row."""
+    if p.grad is None and p.grad_home is not None:
+        p.grad = np.matmul(x.mT, grad, out=p.grad_home)
+    else:
+        p.accum_grad(x.mT @ grad)
 
 
 def _add_outer(p: DiffArray, col: np.ndarray, row: np.ndarray) -> None:
@@ -679,11 +652,7 @@ class ParamStore:
 
     A parameter's ``.data`` is a read-only view: weights change only through
     their store, by ``adam_step``, ``assign`` or ``load_checkpoint``, the only
-    writers of a DATA row. Each bumps the one counter ``ParamStore.data_writes``,
-    so a value made from weights alone (serving keeps each GAT layer's
-    ``gat_node_vectors``) stays valid while the counter is unchanged. One
-    counter for every store is coarse, but no store needs to know who reads
-    its weights: a borrowed encoder is read through several models.
+    writers of a DATA row.
 
     A parameter's span of the gradient row holds its gradient only while
     ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``:
@@ -693,8 +662,6 @@ class ParamStore:
     in the span of every parameter it moves; a parameter without a gradient
     keeps a stale span.
     """
-
-    data_writes = 0  # writes to any store's DATA row so far
 
     def __init__(self, params: Mapping[str, tuple[int, ...] | DiffArray], block: np.ndarray):
         self.params: dict[str, DiffArray] = {}
@@ -721,7 +688,6 @@ class ParamStore:
         unknown = [name for name in values if name not in self._spans]
         if unknown:
             raise KeyError(f"assign: this store owns no parameter {unknown}")
-        ParamStore.data_writes += 1
         for name, value in values.items():
             p, lo, hi = self._spans[name]
             self.block[DATA, lo:hi].reshape(p.shape)[...] = value
@@ -744,7 +710,6 @@ class ParamStore:
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
         ``x -= m/c1*lr / (sqrt(v/c2) + eps)``.
         """
-        ParamStore.data_writes += 1
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - beta1**t
@@ -839,5 +804,4 @@ def load_checkpoint(path, store: ParamStore) -> None:
         first = np.flatnonzero(~np.isfinite(vector))[0]
         name = next(name for name, (_, lo, hi) in store._spans.items() if lo <= first < hi)
         raise ValueError(f"{path}: non-finite value in parameter '{name}'")
-    ParamStore.data_writes += 1
     store.block[DATA] = vector

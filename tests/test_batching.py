@@ -112,8 +112,8 @@ def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
     single_grads = grads_of(model)
 
     np.testing.assert_allclose(float(joined.data), sum(singles), rtol=1e-12)
-    # atol only absorbs roundoff (about 1e-17) on gradients that are zero in
-    # exact arithmetic, such as enc/gat1/wq of the vehicle-first model.
+    # atol only absorbs roundoff (about 1e-17) on a gradient entry that is
+    # zero in exact arithmetic.
     for pname, g in batch_grads.items():
         np.testing.assert_allclose(g, single_grads[pname], rtol=1e-10, atol=1e-14,
                                    err_msg=pname)

@@ -655,8 +655,31 @@ class TestDamagedModelDir:
             (model_dir / f"model_{name}.npy").unlink()
             (model_dir / f"model_{name}.json").write_text(
                 '{"magic": "simrec-checkpoint", "version": 1, "params": {}}', encoding="utf-8")
+        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
         _assert_one_error_line(model_dir, dev, tmp_path, capsys,
-                               "model_p.npy: missing model checkpoint")
+                               f"model_{selected}.npy: missing model checkpoint")
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_gat_query_key_layout_is_refused(self, trained_dir, corpora, tmp_path, capsys):
+        # Older versions kept each GAT layer's score vectors as products of a
+        # (d, d) query or key map, gat<l>/wq and gat<l>/wk, and the whole
+        # (2d + edge_dim, 1) score map as gat<l>/wa; such a directory must be
+        # trained again.
+        _, dev = corpora
+
+        def old_layout(layout, key):
+            entries = layout[key]
+            at = next(i for i, (name, _) in enumerate(entries) if name == "enc/gat0/u")
+            d, de = entries[at][1][0], entries[at + 2][1][0]
+            entries[at:at + 3] = [["enc/gat0/wq", [d, d]], ["enc/gat0/wk", [d, d]],
+                                  ["enc/gat0/wv", [d, d]], ["enc/gat0/wa", [2 * d + de, 1]]]
+
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", "layouts.SELECTED",
+                                  old_layout)
+        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, (
+            f"bundle.json: layout of model '{selected}' disagrees at parameter 8: "
+            "recorded ['enc/gat0/wq', [8, 8]], expected ['enc/gat0/u', [8, 2]]"))
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_interrupted_save_leaves_a_directory_that_fails_cleanly(
@@ -887,14 +910,17 @@ class TestPredict:
         # (numpy 2.4.6, BLAS at one thread), must not move a bit. It was first
         # recorded before the serving path was streamlined, and recorded again
         # when the GAT score was split into per-node logits, which moved
-        # p_simile by at most 1.2e-16 and no label or span.
+        # p_simile by at most 1.2e-16 and no label or span. Recorded again
+        # when each GAT layer's score vectors became parameters of their own
+        # (gat<l>/u, in place of products of two (d, d) maps): the fixture's
+        # models draw and train other weights, so every record may move.
         bundle, opts = distill.load_bundle(trained_dir)
         sents = generate_synthetic(SyntheticConfig(n_sentences=40, seed=7))
         records = [repr(predict(model, s, build_graph(s, bundle.vocab, opts), bundle.vocab)
                         .to_record()) for model in bundle.models.values() for s in sents]
         assert sum("'simile'" in r for r in records) >= 10
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-        assert digest == "628da4c188236a13b10df5bc88a8df1160c5e8a261bc403935dc4d5902718e99"
+        assert digest == "e6af8b6505f6c9dd7cf24ed524819887213c69f3b5f3f72ab0493befc4b9bce7"
 
 class TestInspectGraph:
     @pytest.fixture

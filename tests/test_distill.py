@@ -567,9 +567,10 @@ class TestTrainLoop:
             for pname, want in entry["params"].items():
                 assert np.array_equal(params[pname].data, want)
 
-    def test_roll_back_refreshes_served_vectors(self, tiny_corpus, tiny_vocab):
-        # Dev scoring fills each model's memo of its GAT vectors in the last
-        # epoch; serving after the roll-back must read the restored weights.
+    def test_serving_after_roll_back_matches_a_rebuilt_model(self, tiny_corpus, tiny_vocab):
+        # Dev scoring serves each model in the last epoch; serving after the
+        # roll-back must read the restored weights, as a model built anew from
+        # them does.
         config = TrainConfig(epochs=3, batch_size=4, seed=2)
         bundle = fresh_bundle(tiny_vocab)
         result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
@@ -601,34 +602,37 @@ class TestTrainingBits:
     """The bits of a short seeded run (numpy 2.4.6, BLAS at one thread). Lambda
     rises from 0 to 1, so the run takes KL-only, mixed and supervised-only
     steps. Recorded again when the GAT score was split into per-node logits
-    (``tc.gat_score``), which moved every digest in the last bits."""
+    (``tc.gat_score``), which moved every digest in the last bits, and again
+    when each GAT layer's score vectors became the parameter ``gat<l>/u`` and
+    ``gat<l>/wa`` shrank to its edge part: the layout, the draws and so every
+    trained weight changed."""
 
     ENC = EncoderConfig(d_model=12, n_selfattn_layers=1, n_gat_layers=2,
                         edge_emb_dim=5, max_tokens=20, max_positions=24)
     DIGESTS = {
         "plain": {
-            "log": "48e4ffe2391aaa7bf96af6ebb333c11b60279543abc53fa127f2eae27de51800",
-            "p/data": "f57128baf40cc0605e798c1df96fb5d05da7992ef13f7614113661977c5773aa",
-            "p/m1": "69a3c083ab1ff7c0c308d3f3d3092657745cccfc2ca002251e06774eacb4ff73",
-            "p/m2": "7e8e88c530000da6561aca6ab34fc6f1e0ae091518971e8831c510dc2f1da741",
-            "t/data": "7db7c172240be616ec6391c839d126ba55afee554babb0b6597d78f1512fa60e",
-            "t/m1": "e84b1a8daea61ec432978f4dfa003be454b727123f6d9f9574e0c6ec509c5cfb",
-            "t/m2": "2588fc2756467044367c981db3e4201347cd37f7f7795cd260441fe99ad7fdee",
-            "v/data": "3736281d9c4ca5252a883b366816c25e6a8ba0aed1b17ddb41f7c20b5615e358",
-            "v/m1": "3be7fe9d7b70b9ec3d0a7da22072d330cbe7b4087e3b593ed568113190ffe394",
-            "v/m2": "f181238dfefb66b93c67c14b7a9ecbe189bb68bbf40748fd084db123d77d9164",
+            "log": "6ba14a47b96e0a1dcc89e5d0442c594e2b3900a71183560cfbccf2c396a0ce6a",
+            "p/data": "29e06eea102a068f2592a29f32a79d1d2fc295abeaf0bba9ef82977fe643b634",
+            "p/m1": "2cb955a994ff15048543453b39d5c1503c7e46ab5ed0017819d59ccd9af1e37e",
+            "p/m2": "7e0ba1308da4fb2b9b0127b87a85011f66fd70974ccfdd3af1a2481522cd8338",
+            "t/data": "cd87a8f7c96dc6cb9eb0add84060dfcae72c40e62abc771010133b0f256462fc",
+            "t/m1": "f6422dd3681d53ad778ab8435993a42aabde329a6ba365fd0eb51304a96408d5",
+            "t/m2": "4cc2cad605c5dad8ed7b37257758eae7543b396e8929d2871ce9104f59b30f77",
+            "v/data": "449927a98f87266315d62e48688dfb7b49b22eb7064a8aff8644ec5e7245eda4",
+            "v/m1": "ac9ab57526abb3ccd623645ca64b0352639aba57c5e95330c121fc86923b5cb7",
+            "v/m2": "7d5c07b290194349f85d3313f75191b64fc2e957bccdf61a40583dff0d9e21b9",
         },
         "share-encoder": {
-            "log": "4635f00afd760a47a0e467cd9cb30cb5698dcd6ae6a20b0168e1e6d7d4f720ca",
-            "p/data": "aa1afa3d80c33cbd62bf9f5e4a2c89f509f3654737b66be09869bc2d579769ef",
-            "p/m1": "d64bab316b9e0f55cfa840bfedc6644779c723f70b16ce00581be1c2831447c7",
-            "p/m2": "af44877aac97848e6af41df3ec440323028e68c4f0df954aab5737fff5ac3843",
-            "t/data": "27cc651b1412326973cccefa95c3225b6d073a485a8d00d0603d2d64238849bf",
-            "t/m1": "0f111954c790d2879a7e3df92e50b8305a57ea128ec290befed64243524e77eb",
-            "t/m2": "ac83db6c791d0b94bd87b02067f49236a6446bf25f53bce9ffb44dec2fd43521",
-            "v/data": "715999f2791e8878c4b977f29cb66d3d577e5961f3667f5f994b55ff433c9cf7",
-            "v/m1": "19a0a644658e8a23266429e1eac9d85261416c5fa73d7e8fc0071e604adb5a7a",
-            "v/m2": "4cb20f7c05f87071e80a9d6d79576620af17e0f03e249cbe8bd176f3babcdcb4",
+            "log": "fc657db16d6d2cbd568984bb4b8f1be1f5ba1ee204956935dd14fcbe762807b0",
+            "p/data": "3d087d2a52e3d79711eccdf3e2a3031ad33374c4ea6746d7961f06ca3a24ab56",
+            "p/m1": "9a3dd16d4d773a460f5690b132e7a1e87353b278520169b13969dd91092d9d5e",
+            "p/m2": "163d39adc73af70cb166fe7502a9b93091334109cb8525ea16839745220309df",
+            "t/data": "3b0738ad776cd5b85c4f68776bbb65b97a2b9b7869306f60cd0f01379471415c",
+            "t/m1": "88ea3efffc878f7d9729af8f2ab32cc41f52b91f21a9dafcbd9d95151fb61f97",
+            "t/m2": "e6c5f83d7b049bd6ab3924d4a340d54e2f394d670438c3b3613425a6ebfb29a0",
+            "v/data": "3759b590f2783d7d46d5a5261ffdba6678697ba06d9e2eeae6c5d9d881aec32a",
+            "v/m1": "0ee5ea3c59ac60f881726f46fb23239fa128851aa5c5c5285ea8d1be1b152182",
+            "v/m2": "887e4fcb69a9c514b9a362b5e53cad047580957daf391d34c8d71225c49ddfb3",
         },
     }
 

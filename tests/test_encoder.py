@@ -241,17 +241,17 @@ class TestNodeStates:
 
 
 def gat_oracle(g, graph, params, layer, slope):
-    """Loop-based reimplementation of one graph-attention step."""
-    wq = params[f"gat{layer}/wq"].data
-    wk = params[f"gat{layer}/wk"].data
+    """Loop-based reimplementation of one graph-attention step: the score
+    is the map [u_q ; u_k ; a_e] over [g_i ; g_j ; e_ij]."""
+    u = params[f"gat{layer}/u"].data
     wv = params[f"gat{layer}/wv"].data
     wa = params[f"gat{layer}/wa"].data
     edge_emb = params["edge_emb"].data
-    q, k, v = g @ wq, g @ wk, g @ wv
+    v = g @ wv
     feat = np.concatenate(
-        [q[graph.dst_ids], k[graph.src_ids], edge_emb[graph.label_ids]], axis=1
+        [g[graph.dst_ids], g[graph.src_ids], edge_emb[graph.label_ids]], axis=1
     )
-    z = (feat @ wa).reshape(-1)
+    z = (feat @ np.concatenate([u[:, :1], u[:, 1:], wa])).reshape(-1)
     z = np.where(z >= 0, z, slope * z)
     out = np.zeros_like(g)
     for node in range(graph.n_nodes):
@@ -295,7 +295,7 @@ class TestGatLayer:
             assert len(incoming) == 1 and incoming[0][0] == node
         h = enc.encode_tokens(graph.block, params, tiny_config)
         g0 = enc.init_node_states(h, graph.block)
-        g1 = enc.gat_layer(g0, graph.block, params, 0, enc.gat_vectors(params, 0), tiny_config)
+        g1 = enc.gat_layer(g0, graph.block, params, 0, tiny_config)
         wv = params["gat0/wv"].data
         for node in (graph.left_node, graph.right_node):
             expected = 1.0 / (1.0 + np.exp(-(g0.data[node] @ wv)))
@@ -303,9 +303,9 @@ class TestGatLayer:
 
 
 class TestGatScore:
-    """``tc.gat_score`` of ``tc.gat_node_vectors`` gives the score of the
-    (E, 2d + edge_dim) formula it replaced, built here from the ops that
-    formed it, forward and backward."""
+    """``tc.gat_score`` gives the score of the (E, 2d + edge_dim) formula,
+    ``[g[dst] ; g[src] ; e] @ [u_q ; u_k ; a_e]``, built here from
+    ``pick_rows``, ``concat`` and ``matmul``, forward and backward."""
 
     @pytest.mark.parametrize("models", [(), (3,)], ids=["one-model", "stacked"])
     def test_matches_concat_and_matmul_on_a_block(self, small_corpus, small_vocab, models):
@@ -317,10 +317,15 @@ class TestGatScore:
         def leaf(*shape):
             return tc.DiffArray(rng.normal(size=models + shape))
 
-        g, wq, wk = leaf(block.n_nodes, d), leaf(d, d), leaf(d, d)
-        wa, edge_emb = leaf(2 * d + de, 1), leaf(n_labels, de)
+        g, u = leaf(block.n_nodes, d), leaf(d, 2)
+        wa, edge_emb = leaf(de, 1), leaf(n_labels, de)
         weights = tc.DiffArray(rng.normal(size=models + (block.src_ids.size, 1)))
-        inputs = (g, wq, wk, wa, edge_emb)
+        inputs = (g, u, wa, edge_emb)
+
+        def column(j):  # u's column j, as a product with a constant selector
+            pick = np.zeros(models + (2, 1))
+            pick[..., j, 0] = 1.0
+            return tc.matmul(u, tc.DiffArray(pick))
 
         def grads_of(score):
             tc.backward(tc.sum_all(tc.matmul(tc.transpose(score), weights)))
@@ -329,13 +334,11 @@ class TestGatScore:
                 p.grad = None
             return grads
 
-        split = tc.gat_score(g, tc.gat_node_vectors(wq, wk, wa), wa, edge_emb,
-                             block.src_ids, block.dst_ids, block.label_ids)
+        split = tc.gat_score(g, u, wa, edge_emb, block.src_ids, block.dst_ids, block.label_ids)
         split_grads = grads_of(split)
-        feat = tc.concat([tc.pick_rows(tc.matmul(g, wq), block.dst_ids),
-                          tc.pick_rows(tc.matmul(g, wk), block.src_ids),
+        feat = tc.concat([tc.pick_rows(g, block.dst_ids), tc.pick_rows(g, block.src_ids),
                           tc.pick_rows(edge_emb, block.label_ids)], axis=-1)
-        joint = tc.matmul(feat, wa)
+        joint = tc.matmul(feat, tc.concat([column(0), column(1), wa], axis=-2))
         joint_grads = grads_of(joint)
         assert split.shape == joint.shape == models + (block.src_ids.size, 1)
         np.testing.assert_allclose(split.data, joint.data, rtol=0, atol=1e-12)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gradutil import check_grads
-from modelutil import drawn_store, rebuilt, served, set_param
+from modelutil import drawn_store, set_param
 from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import build_vocab
-from simrec.encoder import EncoderConfig, encode_graph
+from simrec.encoder import EncoderConfig
 from simrec.heads import Span, SpanPrediction
 from simrec.hetgraph import build_graph, edge_label_index
 from simrec.tensorcore import DiffArray
@@ -306,82 +306,10 @@ class TestPredict:
         with pytest.raises(tc.NonFiniteError, match="op 'matmul'"):
             heads.predict_batch(model, [graph, graph])
 
-
-class TestServedVectors:
-    """Serving keeps each GAT layer's ``gat_node_vectors`` while no weight is
-    written, and makes them anew after any write through a store."""
-
-    CONFIG = EncoderConfig(d_model=10, n_selfattn_layers=1, n_gat_layers=2,
-                           edge_emb_dim=4, max_tokens=10, max_positions=12)
-
-    @pytest.fixture
-    def setup(self, fig_sentence):
-        # Two models of one layout and different weights.
-        vocab = build_vocab([fig_sentence])
-        models, _ = fresh_models(["parallel", "parallel"], self.CONFIG,
-                                 np.random.default_rng(3), vocab.size,
-                                 len(edge_label_index(vocab)))
-        return models, build_graph(fig_sentence, vocab)
-
-    def test_adam_step_refreshes_the_memo(self, setup):
-        (model, _), graph = setup
-        block = graph.block
-        before = served(model, block)
-        tc.backward(tc.sum_all(encode_graph(block, model.enc, model.config)[-1]))
-        model.store.adam_step(0.05)
-        after = served(model, block)
-        assert after != before
-        assert after == served(rebuilt(model), block)
-
-    def test_assign_refreshes_the_memo(self, setup):
-        (model, _), graph = setup
-        block = graph.block
-        before = served(model, block)
-        set_param(model.store, "enc/gat1/wk", 0.5)
-        after = served(model, block)
-        assert after != before
-        assert after == served(rebuilt(model), block)
-
-    def test_load_checkpoint_refreshes_the_memo(self, setup, tmp_path):
-        (model, other), graph = setup
-        block = graph.block
-        before = served(model, block)
-        tc.save_checkpoint(tmp_path / "other.npy", other.store)
-        tc.load_checkpoint(tmp_path / "other.npy", model.store)
-        after = served(model, block)
-        assert after != before
-        assert after == served(other, block) == served(rebuilt(model), block)
-
-    def test_vectors_are_made_once_per_model_and_layer_until_a_write(
-            self, setup, fig_sentence, monkeypatch):
-        models, graph = setup
-        made = []
-        real = tc.gat_node_vectors
-        monkeypatch.setattr(tc, "gat_node_vectors", lambda *w: made.append(w) or real(*w))
-        per_round = len(models) * self.CONFIG.n_gat_layers
-        for _ in range(5):
-            for model in models:
-                heads.predict(model, fig_sentence, graph, None)
-        assert len(made) == per_round
-        # Any write counts, even to a weight that no vector reads.
-        set_param(models[0].store, "head/cls/w", 0.0)
-        for _ in range(5):
-            for model in models:
-                heads.predict(model, fig_sentence, graph, None)
-        assert len(made) == 2 * per_round
-
-    def test_write_through_a_view_raises(self, setup):
-        (model, _), _ = setup
-        for p in (model.enc["gat0/wq"], model.head["cls/w"]):
-            with pytest.raises(ValueError, match="read-only"):
-                p.data[0, 0] = 1.0
-
-    def test_non_finite_vectors_are_named_by_their_op(self, setup):
-        # Kept, they would reach the checked replay from the memo, which
-        # would then name the next op instead.
-        (model, _), graph = setup
-        set_param(model.store, "enc/gat1/wq", np.nan, (0, 0))
-        with pytest.raises(tc.NonFiniteError, match="op 'gat_node_vectors'"):
+    def test_nonfinite_score_vector_is_named_by_its_op(self, fig_sentence):
+        model, _, graph = self.make_model(fig_sentence)
+        set_param(model.store, "enc/gat0/u", np.nan, (0, 1))
+        with pytest.raises(tc.NonFiniteError, match="op 'gat_score'"):
             heads.predict_batch(model, [graph, graph])
 
 
@@ -403,8 +331,8 @@ class TestModelSetup:
         enc_names = [
             "enc/tok_emb", "enc/pos_emb", "enc/sa0/wq", "enc/sa0/wk", "enc/sa0/wv",
             "enc/gloss/w", "enc/gloss/b", "enc/edge_emb",
-            "enc/gat0/wq", "enc/gat0/wk", "enc/gat0/wv", "enc/gat0/wa",
-            "enc/gat1/wq", "enc/gat1/wk", "enc/gat1/wv", "enc/gat1/wa",
+            "enc/gat0/u", "enc/gat0/wv", "enc/gat0/wa",
+            "enc/gat1/u", "enc/gat1/wv", "enc/gat1/wa",
         ]
         cls_names = ["head/cls/w", "head/cls/emb"]
         sequential = [*enc_names, *cls_names,

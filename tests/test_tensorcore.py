@@ -167,15 +167,16 @@ class TestGatScoreIds:
         ids[what][3] = bad
         unit = "5 labels" if what == "label id" else "4 rows"
         with pytest.raises(ShapeError, match=rf"gat_score: {what} out of range for {unit}"):
-            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 8, 1), leaf(rng, 5, 2),
+            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 2, 1), leaf(rng, 5, 2),
                          *ids.values())
 
     def test_mismatched_score_weight(self, rng):
-        with pytest.raises(ShapeError, match=r"gat_score: incompatible shapes"):
-            tc.gat_score(leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 7, 1), leaf(rng, 5, 2),
-                         SRC, SEG, LABELS)
-        with pytest.raises(ShapeError, match=r"gat_node_vectors: incompatible shapes"):
-            tc.gat_node_vectors(leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 5, 1))
+        # ``wa`` not edge-sized (the (2d + edge_dim, 1) map), ``u`` not two
+        # columns, ``u`` not d rows.
+        for u, wa in [((3, 2), (8, 1)), ((3, 3), (2, 1)), ((2, 2), (2, 1))]:
+            with pytest.raises(ShapeError, match=r"gat_score: incompatible shapes"):
+                tc.gat_score(leaf(rng, 4, 3), leaf(rng, *u), leaf(rng, *wa), leaf(rng, 5, 2),
+                             SRC, SEG, LABELS)
 
 
 class TestAddRowsAtIds:
@@ -333,12 +334,11 @@ class TestFiniteDifferenceOracle:
         self._check(build, {"scores": scores, "values": values}, tol=1e-5)
 
     def test_gat_score(self, rng):
-        g, wq, wk = leaf(rng, 4, 3), leaf(rng, 3, 3), leaf(rng, 3, 3)
-        wa, edge_emb = leaf(rng, 8, 1), leaf(rng, 5, 2)
-        params = {"g": g, "wq": wq, "wk": wk, "wa": wa, "edge_emb": edge_emb}
+        g, u = leaf(rng, 4, 3), leaf(rng, 3, 2)
+        wa, edge_emb = leaf(rng, 2, 1), leaf(rng, 5, 2)
+        params = {"g": g, "u": u, "wa": wa, "edge_emb": edge_emb}
 
         def build():
-            u = tc.gat_node_vectors(wq, wk, wa)
             score = tc.gat_score(g, u, wa, edge_emb, SRC, SEG, LABELS)
             return tc.sum_all(tc.sigmoid(score))
 
@@ -395,8 +395,7 @@ STACKED_OPS = {
     "segment_softmax": ([(10,)], lambda s: tc.segment_softmax(s, SEG, 4)),
     "segment_aggregate": ([(10,), (4, 3)],
                           lambda al, v: tc.segment_aggregate(al, v, SRC, SEG, 4)),
-    "gat_node_vectors": ([(3, 3), (3, 3), (8, 1)], tc.gat_node_vectors),
-    "gat_score": ([(4, 3), (3, 2), (8, 1), (5, 2)],
+    "gat_score": ([(4, 3), (3, 2), (2, 1), (5, 2)],
                   lambda *xs: tc.gat_score(*xs, SRC, SEG, LABELS)),
 }
 
@@ -411,13 +410,13 @@ STACKED_ID_CALLS = {
     ("segment_aggregate", "dst id"): (
         SEG, 4, lambda x, ids: tc.segment_aggregate(x(10), x(4, 3), SRC, ids, 4)),
     ("gat_score", "src id"): (
-        SRC, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(8, 1), x(5, 2),
+        SRC, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(2, 1), x(5, 2),
                                             ids, SEG, LABELS)),
     ("gat_score", "dst id"): (
-        SEG, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(8, 1), x(5, 2),
+        SEG, 4, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(2, 1), x(5, 2),
                                             SRC, ids, LABELS)),
     ("gat_score", "label id"): (
-        LABELS, 5, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(8, 1), x(5, 2),
+        LABELS, 5, lambda x, ids: tc.gat_score(x(4, 3), x(3, 2), x(2, 1), x(5, 2),
                                                SRC, SEG, ids)),
     ("pick_rows", "index"): (SRC, 6, lambda x, ids: tc.pick_rows(x(6, 4), ids)),
     ("mean_pool", "index"): (SRC, 6, lambda x, ids: tc.mean_pool(x(6, 4), ids, SEG, 4)),
@@ -663,24 +662,29 @@ class TestAccumGrad:
         assert w.grad.tobytes() == (x.data.mT @ grad + x.data.mT @ grad2).tobytes()
 
     def test_gat_score_writes_weight_gradients_into_grad_home(self, rng):
-        store = filled_store({"wq": rng.normal(size=(3, 3)), "wk": rng.normal(size=(3, 3)),
-                              "wa": rng.normal(size=(8, 1)), "emb": rng.normal(size=(5, 2))})
-        wq, wk, wa, emb = store.params.values()
+        store = filled_store({"u": rng.normal(size=(3, 2)), "wa": rng.normal(size=(2, 1)),
+                              "emb": rng.normal(size=(5, 2))})
+        u, wa, emb = store.params.values()
         g = leaf(rng, 4, 3)
         grad = rng.normal(size=(10, 1))
 
         def sweep():
-            u = tc.gat_node_vectors(wq, wk, wa)
             tc.gat_score(g, u, wa, emb, SRC, SEG, LABELS)._backward(grad)
-            u._backward(u.grad)
-            return u.grad
 
-        d_u = sweep()
+        sweep()
         first = {name: p.grad.copy() for name, p in store.params.items()}
         assert all(p.grad is p.grad_home for p in store.params.values())
-        # The rank-1 gradients of wq and wk: one product per entry.
-        assert np.array_equal(first["wq"], d_u[:, :1] * wa.data[:3].mT)
-        assert np.array_equal(first["wk"], d_u[:, 1:] * wa.data[3:6].mT)
+        # Each first gradient is one product, with no zero padding: u's and
+        # wa's have the bits of ``x.mT @ d`` of the edge gradient's per-node
+        # and per-label sums, edge_emb's those of an outer product.
+        d_s = np.zeros((4, 2))
+        np.add.at(d_s[:, 0], SEG, grad[:, 0])
+        np.add.at(d_s[:, 1], SRC, grad[:, 0])
+        d_se = np.zeros((5, 1))
+        np.add.at(d_se[:, 0], LABELS, grad[:, 0])
+        assert first["u"].tobytes() == (g.data.mT @ d_s).tobytes()
+        assert first["wa"].tobytes() == (emb.data.mT @ d_se).tobytes()
+        assert first["emb"].tobytes() == (d_se * wa.data.mT).tobytes()
         sweep()  # adds in place
         for name, p in store.params.items():
             assert p.grad is p.grad_home
