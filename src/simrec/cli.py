@@ -81,6 +81,7 @@ class RunConfig:
         self.encoder_config().validate()
         self.graph_options().validate()
         distill.check_label_emb_dim(self.label_emb_dim)
+        distill.check_disabled_models(self.disable_model)
         if self.min_freq < 1:
             raise ValueError(f"RunConfig: min_freq must be at least 1, got {self.min_freq!r}")
 
@@ -208,7 +209,7 @@ def cmd_train(args) -> int:
     # An older model in out_dir must not stay loadable next to a run that
     # stops before save_bundle.
     with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, distill.SELECTED_FILE))
+        os.remove(os.path.join(out_dir, distill.BUNDLE_META))
     result = train(
         bundle, train_sents, dev_sents, cfg.train_config(),
         graph_options=opts,
@@ -235,9 +236,8 @@ def cmd_evaluate(args) -> int:
     name, model, vocab, opts = distill.load_selected(args.model_dir)
     sents = load_corpus(args.data, model.config.max_tokens)
     if args.folds is not None:
-        fold_scores = []
-        for _, test in split_folds(sents, args.folds, seed=_seed_flag_or_env(args)):
-            fold_scores.append(_score_sentences(model, test, vocab, opts))
+        fold_scores = [_score_sentences(model, test, vocab, opts)
+                       for test in split_folds(sents, args.folds, seed=_seed_flag_or_env(args))]
         agg = {
             task: evalkit.aggregate_folds([fs[task] for fs in fold_scores])
             for task in ("classification", "extraction")
@@ -275,6 +275,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_inspect_graph(args) -> int:
+    opts = GraphOptions(**_given_flags(args, GraphOptions))
+    opts.validate()
     sents = load_corpus(args.input)
     if not 0 <= args.index < len(sents):
         raise ValueError(
@@ -282,7 +284,7 @@ def cmd_inspect_graph(args) -> int:
         )
     sent = sents[args.index]
     vocab = build_vocab(sents)
-    graph = build_graph(sent, vocab, GraphOptions(**_given_flags(args, GraphOptions)))
+    graph = build_graph(sent, vocab, opts)
     if args.dot_out:
         with tc.open_atomic(args.dot_out) as fh:
             fh.write(to_dot(graph, sent))

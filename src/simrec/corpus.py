@@ -564,27 +564,14 @@ def _flip_label(sent: AnnotatedSentence, tpl: _Template) -> AnnotatedSentence:
 
 def split_folds(
     corpus: Sequence[AnnotatedSentence], k: int, seed: int = 0
-) -> list[tuple[list[AnnotatedSentence], list[AnnotatedSentence]]]:
-    """Shuffle and split into k disjoint folds; returns (train, test) pairs."""
+) -> list[list[AnnotatedSentence]]:
+    """Shuffle and split into k disjoint test folds, each in corpus order; the
+    first ``len(corpus) % k`` folds hold one sentence more."""
     if k < 2:
         raise CorpusError("k must be >= 2")
     if k > len(corpus):
         raise CorpusError(f"k={k} exceeds corpus size {len(corpus)}")
     if seed < 0:
         raise CorpusError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    base, extra = divmod(len(corpus), k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(order[start : start + size])
-        start += size
-    splits = []
-    for i in range(k):
-        test_idx = set(folds[i].tolist())
-        train = [corpus[j] for j in range(len(corpus)) if j not in test_idx]
-        test = [corpus[j] for j in sorted(test_idx)]
-        splits.append((train, test))
-    return splits
+    order = np.random.default_rng(seed).permutation(len(corpus))
+    return [[corpus[j] for j in sorted(fold.tolist())] for fold in np.array_split(order, k)]

@@ -36,6 +36,7 @@ from .hetgraph import (
 from .heads import (
     CLASS_LITERAL,
     CLASS_SIMILE,
+    FIRST_COMPONENT,
     PREDICT_CHUNK,
     TAG_TO_ID,
     SimileModel,
@@ -49,8 +50,7 @@ from .heads import (
 )
 from .tensorcore import GRAD, DiffArray, NonFiniteError
 
-MODEL_ORDER = ("p", "t", "v")
-MODE_OF = {"p": "parallel", "t": "tenor_first", "v": "vehicle_first"}
+MODEL_ORDER = tuple(FIRST_COMPONENT)
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,21 @@ def check_label_emb_dim(label_emb_dim: int) -> None:
         raise ValueError(f"label_emb_dim must be positive, got {label_emb_dim!r}")
 
 
+def check_model_names(names: Iterable[str], where: str) -> None:
+    """Refuse a name in ``names``, the field ``where``, that is no model's."""
+    unknown = sorted(set(names) - set(MODEL_ORDER))
+    if unknown:
+        raise ValueError(f"{where} has unknown model names {unknown}; "
+                         f"the models are {list(MODEL_ORDER)}")
+
+
+def check_disabled_models(disabled_models: Sequence[str]) -> None:
+    """Refuse models to leave out that are not models, or are all of them."""
+    check_model_names(disabled_models, "disable_model")
+    if set(disabled_models) >= set(MODEL_ORDER):
+        raise ValueError("disable_model: at least one model must stay enabled")
+
+
 def build_bundle(
     vocab: Vocabulary,
     config: EncoderConfig,
@@ -108,18 +123,13 @@ def build_bundle(
     top_k_deprels: int = 8,
 ) -> ModelBundle:
     """Fresh models; ``top_k_deprels`` must match the graphs' ``GraphOptions``."""
-    bad = set(disabled_models) - set(MODEL_ORDER)
-    if bad:
-        raise ValueError(f"build_bundle: unknown model names {sorted(bad)}")
-    if set(disabled_models) >= set(MODEL_ORDER):
-        raise ValueError("build_bundle: at least one model must stay enabled")
+    check_disabled_models(disabled_models)
     check_label_emb_dim(label_emb_dim)
     GraphOptions(top_k_deprels=top_k_deprels).validate()
     names = [name for name in MODEL_ORDER if name not in disabled_models]
-    modes = [MODE_OF[name] for name in names]
     n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
-    layouts = [model_layout(m, vocab.size, n_edge_labels, config, label_emb_dim) for m in modes]
-    models, enc = init_models(modes, layouts, config, rng, share_encoder)
+    layouts = [model_layout(n, vocab.size, n_edge_labels, config, label_emb_dim) for n in names]
+    models, enc = init_models(names, layouts, config, rng, share_encoder)
     return ModelBundle(models=dict(zip(names, models)), vocab=vocab, config=config,
                        label_emb_dim=label_emb_dim, enc=enc)
 
@@ -517,13 +527,12 @@ def mean_ensemble_kl(
 # ---------------------------------------------------------------------------
 
 BUNDLE_META = "bundle.json"
-VOCAB_FILE = "vocab.json"
-SELECTED_FILE = "selected.json"
 
 
-# The JSON kind of each field of ``bundle.json``.
-_BUNDLE_FIELDS = {"encoder": "dict", "label_emb_dim": "int", "models": "dict[str, str]",
-                  "layouts": "dict[str, list]", "graph_options": "dict"}
+# The JSON kind of each field of ``bundle.json``; a saved selection adds the
+# last two.
+_BUNDLE_FIELDS = {"encoder": "dict", "label_emb_dim": "int", "layouts": "dict[str, list]",
+                  "graph_options": "dict", "vocab": "dict", "selected": "str", "scores": "dict"}
 
 
 def save_bundle(
@@ -533,11 +542,13 @@ def save_bundle(
     selected: str | None = None,
     selected_scores: dict | None = None,
 ) -> None:
-    """Write the model directory, each file atomically; the selection marker
-    goes first and comes back last, so a failed save leaves no loadable one.
-    Checkpoints of models the bundle lacks are removed with the marker.
-    ``bundle.json`` records each model's parameter names and shapes in
-    checkpoint order (``layouts``)."""
+    """Write the model directory, each file atomically; ``bundle.json``, the
+    directory's one record, goes first and comes back last, after every
+    checkpoint, so a failed save leaves no loadable directory. Checkpoints of
+    models the bundle lacks are removed with it. The record holds the
+    settings, each model's parameter names and shapes in checkpoint order
+    (``layouts``), the graph options, the vocabulary and, when given, the
+    selected model's name and every model's dev scores."""
     top_k = graph_options.top_k_deprels
     n_edge_labels = len(edge_label_index(bundle.vocab, top_k))
     for name, model in bundle.models.items():
@@ -548,69 +559,60 @@ def save_bundle(
                 f"top_k_deprels={top_k} gives {n_edge_labels}"
             )
     os.makedirs(out_dir, exist_ok=True)
-    sel_path = os.path.join(out_dir, SELECTED_FILE)
-    if os.path.exists(sel_path):
-        os.remove(sel_path)
+    meta_path = os.path.join(out_dir, BUNDLE_META)
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
     for name in MODEL_ORDER:
         path = os.path.join(out_dir, f"model_{name}.npy")
         if name not in bundle.models and os.path.exists(path):
             os.remove(path)
+    for name, model in bundle.models.items():
+        tc.save_checkpoint(os.path.join(out_dir, f"model_{name}.npy"), model.store)
     meta = {
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
-        "models": {name: m.mode for name, m in bundle.models.items()},
         "layouts": {name: [[p.name, list(p.shape)] for p in model_layout(
-            m.mode, bundle.vocab.size, n_edge_labels, bundle.config, bundle.label_emb_dim)]
-            for name, m in bundle.models.items()},
+            name, bundle.vocab.size, n_edge_labels, bundle.config, bundle.label_emb_dim)]
+            for name in bundle.models},
         "graph_options": asdict(graph_options),
+        "vocab": asdict(bundle.vocab),
     }
-    tc.write_json_atomic(os.path.join(out_dir, BUNDLE_META), meta, indent=2, sort_keys=True)
-    tc.write_json_atomic(os.path.join(out_dir, VOCAB_FILE), asdict(bundle.vocab),
-                         sort_keys=True)
-    for name, model in bundle.models.items():
-        tc.save_checkpoint(os.path.join(out_dir, f"model_{name}.npy"), model.store)
     if selected is not None:
-        tc.write_json_atomic(sel_path, {"selected": selected, "scores": selected_scores or {}},
-                             indent=2, sort_keys=True)
+        meta.update(selected=selected, scores=selected_scores or {})
+    tc.write_json_atomic(meta_path, meta, indent=2, sort_keys=True)
 
 
 def _load_meta(
     model_dir: str | os.PathLike,
-) -> tuple[dict[str, list], ModelBundle, GraphOptions]:
-    """Each model's recorded layout by name, a bundle of no models with the
-    shared settings, graph options; each model's recorded mode must be
-    ``MODE_OF[name]``."""
+) -> tuple[dict, ModelBundle, GraphOptions]:
+    """The record of ``bundle.json``, a bundle of no models with its shared
+    settings and vocabulary, and its graph options."""
     meta_path = os.path.join(model_dir, BUNDLE_META)
-    meta = read_record(read_json(meta_path), _BUNDLE_FIELDS, meta_path)
-    modes = meta["models"]
-    for name, mode in modes.items():
-        if mode != MODE_OF.get(name):
-            raise ValueError(f"{meta_path}: model {name!r} cannot have mode {mode!r}; "
-                             f"the models are {MODE_OF}")
-    if list(meta["layouts"]) != list(modes):
-        raise ValueError(f"{meta_path}: 'layouts' must hold one list per model {list(modes)}")
+    meta = read_record(read_json(meta_path), _BUNDLE_FIELDS, meta_path,
+                       optional=("selected", "scores"))
     config = EncoderConfig(**read_record(meta["encoder"], EncoderConfig.__annotations__,
                                          meta_path, "encoder"))
     label_emb_dim = meta["label_emb_dim"]
     opts = GraphOptions(**read_record(meta["graph_options"], GraphOptions.__annotations__,
                                       meta_path, "graph_options"))
+    vocab = Vocabulary(**read_record(meta["vocab"], Vocabulary.__annotations__,
+                                     meta_path, "vocab"))
     try:
+        check_model_names(meta["layouts"], "layouts")
         config.validate()
         check_label_emb_dim(label_emb_dim)
         opts.validate()
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from exc
-    vocab_path = os.path.join(model_dir, VOCAB_FILE)
-    vocab = Vocabulary(**read_record(read_json(vocab_path), Vocabulary.__annotations__, vocab_path))
     ids = vocab.token_to_id
     if sorted(ids.values()) != list(range(len(ids))):
-        raise ValueError(f"{vocab_path}: token_to_id ids must be 0..{len(ids) - 1}, each once")
+        raise ValueError(f"{meta_path}: vocab.token_to_id ids must be 0..{len(ids) - 1}, each once")
     reserved = [ids.get(token) for token in RESERVED_TOKENS]
     if reserved != list(range(len(RESERVED_TOKENS))):
-        raise ValueError(f"{vocab_path}: token_to_id must give {list(RESERVED_TOKENS)} the ids "
-                         f"0-{len(RESERVED_TOKENS) - 1}, not {reserved}")
+        raise ValueError(f"{meta_path}: vocab.token_to_id must give {list(RESERVED_TOKENS)} "
+                         f"the ids 0-{len(RESERVED_TOKENS) - 1}, not {reserved}")
     shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
-    return meta["layouts"], shell, opts
+    return meta, shell, opts
 
 
 def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: ModelBundle,
@@ -623,7 +625,7 @@ def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: 
     meta_path = os.path.join(model_dir, BUNDLE_META)
     for name in names:
         recorded, expected = layouts[name], [[p.name, list(p.shape)] for p in model_layout(
-            MODE_OF[name], shell.vocab.size, n_edge_labels, shell.config, shell.label_emb_dim)]
+            name, shell.vocab.size, n_edge_labels, shell.config, shell.label_emb_dim)]
         if recorded != expected:
             i = next((i for i, pair in enumerate(zip(recorded, expected)) if pair[0] != pair[1]),
                      min(len(recorded), len(expected)))
@@ -632,7 +634,7 @@ def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: 
             raise ValueError(f"{meta_path}: layout of model {name!r} disagrees at parameter "
                              f"{i}: recorded {got}, expected {want}")
     models, enc = init_models(
-        [MODE_OF[name] for name in names],
+        names,
         [[Param(pname, tuple(shape)) for pname, shape in layouts[name]] for name in names],
         shell.config, None)
     for name, model in zip(names, models):
@@ -647,19 +649,19 @@ def load_selected(
     model_dir: str | os.PathLike,
 ) -> tuple[str, SimileModel, Vocabulary, GraphOptions]:
     """Load only the dev-selected model, per the single-model inference rule."""
-    layouts, shell, opts = _load_meta(model_dir)
-    sel_path = os.path.join(model_dir, SELECTED_FILE)
-    name = read_record(read_json(sel_path),
-                       {"selected": "str", "scores": "dict"}, sel_path,
-                       optional=("scores",))["selected"]
-    if name not in layouts:
-        raise ValueError(f"{sel_path}: selected model {name!r} is not in {BUNDLE_META}")
-    model = _load_models(model_dir, {name: layouts[name]}, shell, opts).models[name]
+    meta, shell, opts = _load_meta(model_dir)
+    meta_path = os.path.join(model_dir, BUNDLE_META)
+    if "selected" not in meta:
+        raise ValueError(f"{meta_path}: selected is missing")
+    name = meta["selected"]
+    if name not in meta["layouts"]:
+        raise ValueError(f"{meta_path}: selected model {name!r} is not in layouts")
+    model = _load_models(model_dir, {name: meta["layouts"][name]}, shell, opts).models[name]
     return name, model, shell.vocab, opts
 
 
 def load_bundle(
     model_dir: str | os.PathLike,
 ) -> tuple[ModelBundle, GraphOptions]:
-    layouts, shell, opts = _load_meta(model_dir)
-    return _load_models(model_dir, layouts, shell, opts), opts
+    meta, shell, opts = _load_meta(model_dir)
+    return _load_models(model_dir, meta["layouts"], shell, opts), opts

@@ -1,12 +1,12 @@
 """Task heads and the composed model.
 
-Three model variants share one encoder architecture and differ only in how
-they produce the final 3-way tag distribution over {T, V, O}:
+Three models share one encoder architecture and differ only in how they
+produce the final 3-way tag distribution over {T, V, O}:
 
-- parallel: one linear layer per token.
-- tenor-first: a 2-way stage finds tenor tokens, their pooled state
+- p (parallel): one linear layer per token.
+- t (tenor-first): a 2-way stage finds tenor tokens, their pooled state
   conditions a second 3-way stage.
-- vehicle-first: same with the vehicle extracted first.
+- v (vehicle-first): same with the vehicle extracted first.
 
 Sentence classification reads only the two subsentence states and their
 element-wise absolute difference, projected into a label-embedding space.
@@ -41,10 +41,9 @@ TAG_T, TAG_V, TAG_O = TAG_TO_ID["T"], TAG_TO_ID["V"], TAG_TO_ID["O"]
 
 FIRST_O, FIRST_C1 = 0, 1
 
-# Each decoding order by the tag its first stage extracts; parallel has no
-# first stage.
-FIRST_COMPONENT = {"parallel": None, "tenor_first": "T", "vehicle_first": "V"}
-MODES = tuple(FIRST_COMPONENT)
+# The models by name, in selection order, each by the tag its decoder's first
+# stage extracts; p decodes in parallel and has no first stage.
+FIRST_COMPONENT = {"p": None, "t": "T", "v": "V"}
 # Word states live in (0, 1), so plain glorot taggers start nearly flat and
 # the fresh ensemble has no content to teach; a wider init gives each
 # decoding order a distinct, confident starting opinion.
@@ -72,43 +71,43 @@ class SpanPrediction:
 
 @dataclass
 class SimileModel:
-    mode: str
+    name: str  # a key of FIRST_COMPONENT
     store: ParamStore
     enc: dict[str, DiffArray]
     head: dict[str, DiffArray]
     config: EncoderConfig
 
 
-def head_layout(mode: str, config: EncoderConfig, label_emb_dim: int = 100) -> list[Param]:
-    """The head of ``mode``'s parameters, keyed locally, in checkpoint order."""
-    if mode not in MODES:
-        raise ValueError(f"unknown model mode '{mode}'")
+def head_layout(name: str, config: EncoderConfig, label_emb_dim: int = 100) -> list[Param]:
+    """The head of model ``name``'s parameters, keyed locally, in checkpoint order."""
+    if name not in FIRST_COMPONENT:
+        raise ValueError(f"unknown model name {name!r}; the models are {list(FIRST_COMPONENT)}")
     d = config.d_model
     layout = [glorot("cls/w", 3 * d, label_emb_dim),
               Param("cls/emb", (len(CLASSES), label_emb_dim), EMB_INIT_STD)]
-    if mode == "parallel":
+    if FIRST_COMPONENT[name] is None:
         return layout + [glorot("ext/w", d, 3, TAGGER_INIT_GAIN), Param("ext/b", (3,))]
     return layout + [glorot("first/w", d, 2, TAGGER_INIT_GAIN), Param("first/b", (2,)),
                      glorot("second/w", 2 * d, 3, TAGGER_INIT_GAIN), Param("second/b", (3,))]
 
 
-def model_layout(mode: str, vocab_size: int, n_edge_labels: int, config: EncoderConfig,
+def model_layout(name: str, vocab_size: int, n_edge_labels: int, config: EncoderConfig,
                  label_emb_dim: int = 100) -> list[Param]:
     """A model's parameters in the order of its store, checkpoint and
     ``bundle.json`` layout: its encoder's (``enc/``), then its head's (``head/``)."""
     parts = {"enc": encoder_layout(vocab_size, n_edge_labels, config),
-             "head": head_layout(mode, config, label_emb_dim)}
+             "head": head_layout(name, config, label_emb_dim)}
     return [p._replace(name=f"{part}/{p.name}") for part, ps in parts.items() for p in ps]
 
 
 def init_models(
-    modes: Sequence[str],
+    names: Sequence[str],
     layouts: Sequence[list[Param]],
     config: EncoderConfig,
     rng: np.random.Generator | None,
     share_encoder: bool = False,
 ) -> tuple[list[SimileModel], dict[str, DiffArray]]:
-    """Models, one per mode and its ``model_layout``, and their encoder weights
+    """Models, one per name and its ``model_layout``, and their encoder weights
     stacked on a model axis: views of the stores, rows of one (M, 4, N) buffer
     of zeros. Each model draws its encoder, then its head, from ``rng`` in
     layout order, each weight straight into its span of the DATA row as
@@ -116,10 +115,10 @@ def init_models(
     the stacked ones, are read-only. With ``share_encoder`` the others
     borrow the first model's encoder: a stack of one. Names and shapes alone,
     as ``bundle.json`` records them, draw nothing."""
-    buf = np.zeros((len(modes), 4, max(sum(math.prod(p.shape) for p in layout)
+    buf = np.zeros((len(names), 4, max(sum(math.prod(p.shape) for p in layout)
                                        for layout in layouts)))
     models: list[SimileModel] = []
-    for i, (mode, layout) in enumerate(zip(modes, layouts)):
+    for i, (name, layout) in enumerate(zip(names, layouts)):
         lent = {f"enc/{k}": p for k, p in models[0].enc.items()} if share_encoder and i else {}
         lo = 0
         for p in layout[len(lent):]:  # a borrowed encoder comes first and is not drawn
@@ -131,9 +130,9 @@ def init_models(
         store = ParamStore({p.name: lent.get(p.name, p.shape) for p in layout}, buf[i])
         enc, head = ({k[len(side):]: p for k, p in store.params.items() if k.startswith(side)}
                      for side in ("enc/", "head/"))
-        models.append(SimileModel(mode=mode, store=store, enc=models[0].enc if lent else enc,
+        models.append(SimileModel(name=name, store=store, enc=models[0].enc if lent else enc,
                                   head=head, config=config))
-    stacked, lo, n = {}, 0, 1 if share_encoder else len(modes)
+    stacked, lo, n = {}, 0, 1 if share_encoder else len(names)
     for k, p in models[0].enc.items():
         hi = lo + p.data.size
         stacked[k] = w = DiffArray(buf[:n, DATA, lo:hi].reshape(n, *p.shape), name=k)
@@ -185,7 +184,7 @@ class TagForward:
     """Everything the losses and the ensemble need from one tagger pass."""
 
     final_logits: DiffArray  # (N, 3)
-    first_logits: DiffArray | None = None  # (N, 2) for sequential modes
+    first_logits: DiffArray | None = None  # (N, 2) for sequential models
     first_golds: list[int] | None = None  # teacher-forcing targets
 
 
@@ -195,14 +194,14 @@ def forward_tagger(
     gold_tags: Sequence[str] | None,
     word_counts: np.ndarray,
 ) -> TagForward:
-    """Final 3-way logits for any mode, over the word rows of a batch.
+    """Final 3-way logits for any model, over the word rows of a batch.
 
     ``word_counts`` splits the rows into sentences, and
-    ``gold_tags`` runs over all of them.  Sequential modes pool each
+    ``gold_tags`` runs over all of them.  Sequential models pool each
     sentence's first component from gold tags when provided (teacher
     forcing) and from the first stage's argmax otherwise.
     """
-    component = FIRST_COMPONENT[model.mode]
+    component = FIRST_COMPONENT[model.name]
     if component is None:
         return TagForward(final_logits=tag_logits(words, model.head, "ext"))
     first_logits = tag_logits(words, model.head, "first")

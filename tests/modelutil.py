@@ -51,7 +51,7 @@ def rebuilt(model):
     """A model built anew from ``model``'s current weights: a store of its
     own that owns every parameter, a borrowed encoder too."""
     layout = [Param(name, p.shape) for name, p in model.store.params.items()]
-    (copy,), _ = init_models([model.mode], [layout], model.config, None)
+    (copy,), _ = init_models([model.name], [layout], model.config, None)
     copy.store.assign({name: p.data for name, p in model.store.params.items()})
     return copy
 

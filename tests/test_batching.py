@@ -11,7 +11,7 @@ from simrec import heads
 from simrec import tensorcore as tc
 from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
 from simrec.distill import (
-    MODE_OF,
+    MODEL_ORDER,
     build_bundle,
     ensemble_distribution,
     evaluate_model,
@@ -86,7 +86,7 @@ def grads_of(model):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("name", sorted(MODE_OF))
+@pytest.mark.parametrize("name", MODEL_ORDER)
 def test_batch_matches_mean_of_sentences(corpus, vocab, variant, name):
     enc, opts = VARIANTS[variant]
     bundle = build_bundle(vocab, enc, np.random.default_rng(2), label_emb_dim=5)
@@ -135,7 +135,7 @@ def assert_same_predictions(batch, singles):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("name", sorted(MODE_OF))
+@pytest.mark.parametrize("name", MODEL_ORDER)
 def test_predict_reads_the_training_forward(corpus, vocab, variant, name, monkeypatch):
     # Serving runs a sentence as the block of one that build_graph made;
     # its p(simile) is that sentence's row of the batched training forward.
@@ -159,7 +159,7 @@ def test_predict_reads_the_training_forward(corpus, vocab, variant, name, monkey
     assert_same_predictions(predict_batch(model, graphs), singles)
 
 
-@pytest.mark.parametrize("name", sorted(MODE_OF))
+@pytest.mark.parametrize("name", MODEL_ORDER)
 def test_predict_batch_over_a_corpus_of_partial_chunks(vocab, name, monkeypatch):
     sents = generate_synthetic(SyntheticConfig(n_sentences=2 * PREDICT_CHUNK + 3, seed=7))
     assert len(sents) % PREDICT_CHUNK
@@ -232,7 +232,7 @@ def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):
             np.testing.assert_allclose(layer_after, layer_before, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(MODE_OF))
+@pytest.mark.parametrize("name", MODEL_ORDER)
 def test_batch_gradients_match_finite_differences(corpus, vocab, name):
     enc = EncoderConfig(d_model=4, n_selfattn_layers=1, n_gat_layers=1,
                         edge_emb_dim=3, max_tokens=20, max_positions=24)

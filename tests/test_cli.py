@@ -142,11 +142,15 @@ class TestTrain:
         import os
 
         files = set(os.listdir(trained_dir))
-        expected = {
-            "bundle.json", "vocab.json", "selected.json", "train_log.jsonl",
-            "model_p.npy", "model_t.npy", "model_v.npy",
-        }
+        expected = {"bundle.json", "train_log.jsonl", "model_p.npy", "model_t.npy", "model_v.npy"}
         assert files == expected
+
+    def test_readme_lists_the_files_it_writes(self, trained_dir):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Model directory", 1)[1].split("| file |", 1)[1].split("\n\n")[0]
+        files = [row.split("`")[1] for row in table.splitlines()[2:]]
+        listed = {f.replace("<name>", name) for f in files for name in "ptv"}
+        assert listed == set(os.listdir(trained_dir))
 
     def test_log_has_one_line_per_epoch(self, trained_dir):
         import os
@@ -175,7 +179,7 @@ class TestTrain:
                    "--epochs", "1"])
         capsys.readouterr()
         assert rc == 0
-        assert (target / "selected.json").exists()
+        assert "selected" in json.loads((target / "bundle.json").read_text())
 
     def test_missing_out_dir_fails(self, corpora, capsys, monkeypatch):
         monkeypatch.delenv("SIMREC_OUT_DIR", raising=False)
@@ -230,7 +234,7 @@ class TestTrain:
         capsys.readouterr()
         assert rc == 0
         meta = json.loads((out / "bundle.json").read_text())
-        assert set(meta["models"]) == set(meta["layouts"]) == {"p", "t"}
+        assert set(meta["layouts"]) == {"p", "t"}
         assert not (out / "model_v.npy").exists()
 
     def test_retrain_removes_checkpoints_of_dropped_models(
@@ -245,8 +249,7 @@ class TestTrain:
         capsys.readouterr()
         assert rc == 0
         assert {p.name for p in out.iterdir()} == {
-            "bundle.json", "vocab.json", "selected.json", "train_log.jsonl",
-            "model_p.npy", "model_t.npy",
+            "bundle.json", "train_log.jsonl", "model_p.npy", "model_t.npy",
         }
 
     @pytest.mark.parametrize("setting, message", [
@@ -266,6 +269,18 @@ class TestTrain:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_model_names_are_checked_before_the_corpora_load(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"disable_model": ["x"]}), encoding="utf-8")
+        missing = str(tmp_path / "missing.jsonl")
+        rc = main(["train", "--train", missing, "--dev", missing,
+                   "--out-dir", str(tmp_path / "m"), "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: disable_model has unknown model names ['x']; "
+            f"the models are ['p', 't', 'v']\n")
+        assert not (tmp_path / "m").exists()
 
     def test_meaningless_flag_value_is_not_blamed_on_the_config_file(
         self, corpora, tmp_path, capsys
@@ -325,7 +340,7 @@ class TestTrain:
         monkeypatch.undo()
         log = (out / "train_log.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["epoch"] for line in log] == [1]
-        _assert_one_error_line(out, dev, tmp_path, capsys, "selected.json")
+        _assert_one_error_line(out, dev, tmp_path, capsys, "bundle.json")
 
     def test_bad_flag_value_is_an_argparse_error(self, corpora):
         train, dev = corpora
@@ -412,7 +427,7 @@ def _edit_copy(trained_dir, tmp_path, file, key_path, edit):
     records at each dot.  Returns the copy and the edited file's name."""
     model_dir = tmp_path / "model"
     shutil.copytree(trained_dir, model_dir)
-    selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+    selected = json.loads((model_dir / "bundle.json").read_text())["selected"]
     key_path = key_path.replace("SELECTED", selected)
     path = model_dir / file
     record = json.loads(path.read_text(encoding="utf-8"))
@@ -441,13 +456,12 @@ class TestDamagedModelDir:
     @pytest.mark.parametrize("file, key_path", [
         ("bundle.json", "encoder"),
         ("bundle.json", "encoder.d_model"),
-        ("bundle.json", "models"),
         ("bundle.json", "label_emb_dim"),
         ("bundle.json", "graph_options.no_pos"),
         ("bundle.json", "graph_options.top_k_deprels"),
-        ("vocab.json", "token_to_id"),
-        ("vocab.json", "deprel_ranking"),
-        ("selected.json", "selected"),
+        ("bundle.json", "vocab.token_to_id"),
+        ("bundle.json", "vocab.deprel_ranking"),
+        ("bundle.json", "selected"),
         ("bundle.json", "layouts"),
         ("bundle.json", "layouts.SELECTED"),
     ])
@@ -463,7 +477,6 @@ class TestDamagedModelDir:
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, file)
 
     @pytest.mark.parametrize("key_path, value, message", [
-        ("models.v", "sideways", "bundle.json: model 'v' cannot have mode 'sideways'"),
         ("graph_options.colour", "red", "bundle.json: graph_options has unknown keys ['colour']"),
         ("encoder.depth", 3, "bundle.json: encoder has unknown keys ['depth']"),
         ("graph_options.top_k_deprels", 2,
@@ -472,11 +485,11 @@ class TestDamagedModelDir:
         # older files recorded the noun tags, which are fixed
         ("graph_options.noun_tags", sorted(DEFAULT_NOUN_TAGS),
          "bundle.json: graph_options has unknown keys ['noun_tags']"),
-        ("models", {"p": "parallel", "t": "vehicle_first", "v": "tenor_first"},
-         "bundle.json: model 't' cannot have mode 'vehicle_first'"),
-        ("models.x", "parallel", "bundle.json: model 'x' cannot have mode 'parallel'"),
-    ], ids=["unknown-mode", "unknown-graph-option", "unknown-encoder-field", "edited-top-k",
-            "edited-noun-tags", "swapped-order", "unknown-name"])
+        ("layouts.x", [], "bundle.json: layouts has unknown model names ['x']; "
+                          "the models are ['p', 't', 'v']\n"),
+        ("selected", "q", "bundle.json: selected model 'q' is not in layouts\n"),
+    ], ids=["unknown-graph-option", "unknown-encoder-field", "edited-top-k",
+            "edited-noun-tags", "unknown-name", "unknown-selection"])
     def test_wrong_meaning_is_one_error_line(
         self, trained_dir, corpora, tmp_path, capsys, key_path, value, message
     ):
@@ -486,7 +499,7 @@ class TestDamagedModelDir:
             parent[key] = value
 
         model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", key_path, assign)
-        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        selected = json.loads((model_dir / "bundle.json").read_text())["selected"]
         message = message.format(selected=selected)
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, message)
 
@@ -520,9 +533,10 @@ class TestDamagedModelDir:
             edit(ids, edited["last"])
             edited["top"] = len(ids) - 1
 
-        model_dir, _ = _edit_copy(trained_dir, tmp_path, "vocab.json", "token_to_id", edit_ids)
+        model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", "vocab.token_to_id",
+                                  edit_ids)
         _assert_one_error_line(model_dir, dev, tmp_path, capsys,
-                               f"vocab.json: {message.format(**edited)}\n")
+                               f"bundle.json: vocab.{message.format(**edited)}\n")
         assert not (tmp_path / "p.jsonl").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -588,7 +602,7 @@ class TestDamagedModelDir:
             edit(parent[key])
 
         model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", "layouts.SELECTED", apply)
-        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        selected = json.loads((model_dir / "bundle.json").read_text())["selected"]
         layout = json.loads((Path(trained_dir) / "bundle.json").read_text())["layouts"][selected]
         message = message.format(last=len(layout) - 1, last_entry=layout[-1], end=len(layout))
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, f"bundle.json: layout of "
@@ -613,24 +627,23 @@ class TestDamagedModelDir:
         ("bundle.json", "label_emb_dim", 4.9, "label_emb_dim must be an integer, got 4.9"),
         ("bundle.json", "label_emb_dim", False, "label_emb_dim must be an integer, got false"),
         ("bundle.json", "label_emb_dim", 0, "label_emb_dim must be positive, got 0"),
-        ("vocab.json", "deprel_ranking.0", 7, "deprel_ranking[1] must be a string, got 7"),
+        ("bundle.json", "vocab.deprel_ranking.0", 7,
+         "vocab.deprel_ranking[1] must be a string, got 7"),
         # list() once split this string into seven one-letter relations
-        ("vocab.json", "deprel_ranking", "abcdefg", 'deprel_ranking must be a list, got "abcdefg"'),
+        ("bundle.json", "vocab.deprel_ranking", "abcdefg",
+         'vocab.deprel_ranking must be a list, got "abcdefg"'),
         # dict() once read lists of pairs
-        ("bundle.json", "models", [["p", "parallel"]],
-         'models must be an object, got [["p", "parallel"]]'),
         ("bundle.json", "layouts", [["p", []]], 'layouts must be an object, got [["p", []]]'),
-        ("vocab.json", "token_to_id", [["<pad>", 0], ["<unk>", 1]],
-         'token_to_id must be an object, got [["<pad>", 0], ["<unk>", 1]]'),
-        ("bundle.json", "models.p", 1, 'models["p"] must be a string, got 1'),
+        ("bundle.json", "vocab.token_to_id", [["<pad>", 0], ["<unk>", 1]],
+         'vocab.token_to_id must be an object, got [["<pad>", 0], ["<unk>", 1]]'),
         ("bundle.json", "layouts.p", {}, 'layouts["p"] must be a list, got {}'),
-        ("selected.json", "selected", ["p"], 'selected must be a string, got ["p"]'),
-        ("selected.json", "scores", [], "scores must be an object, got []"),
+        ("bundle.json", "selected", ["p"], 'selected must be a string, got ["p"]'),
+        ("bundle.json", "scores", [], "scores must be an object, got []"),
     ], ids=["float-d-model", "bool-d-model", "float-gat-layers", "string-edge-dim",
             "int-gloss-fusion", "string-slope", "float-top-k", "null-no-pos",
             "float-label-dim", "bool-label-dim", "zero-label-dim", "int-deprel",
-            "string-deprels", "models-pairs", "layouts-pairs", "token-pairs", "int-mode",
-            "object-layout", "list-selected", "list-scores"])
+            "string-deprels", "layouts-pairs", "token-pairs", "object-layout", "list-selected",
+            "list-scores"])
     def test_wrong_type_is_one_error_line(
         self, trained_dir, corpora, tmp_path, capsys, file, key_path, value, message
     ):
@@ -655,9 +668,26 @@ class TestDamagedModelDir:
             (model_dir / f"model_{name}.npy").unlink()
             (model_dir / f"model_{name}.json").write_text(
                 '{"magic": "simrec-checkpoint", "version": 1, "params": {}}', encoding="utf-8")
-        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        selected = json.loads((model_dir / "bundle.json").read_text())["selected"]
         _assert_one_error_line(model_dir, dev, tmp_path, capsys,
                                f"model_{selected}.npy: missing model checkpoint")
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_three_record_directory_is_refused(self, trained_dir, corpora, tmp_path, capsys):
+        # Older versions named each model's decoding order in a "models"
+        # field and kept the vocabulary and the selection in vocab.json and
+        # selected.json; such a directory must be trained again.
+        _, dev = corpora
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        meta = json.loads((model_dir / "bundle.json").read_text())
+        (model_dir / "vocab.json").write_text(json.dumps(meta.pop("vocab")))
+        selection = {key: meta.pop(key) for key in ("selected", "scores")}
+        (model_dir / "selected.json").write_text(json.dumps(selection))
+        meta["models"] = {"p": "parallel", "t": "tenor_first", "v": "vehicle_first"}
+        (model_dir / "bundle.json").write_text(json.dumps(meta))
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys,
+                               "bundle.json: record has unknown keys ['models']\n")
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_gat_query_key_layout_is_refused(self, trained_dir, corpora, tmp_path, capsys):
@@ -676,7 +706,7 @@ class TestDamagedModelDir:
 
         model_dir, _ = _edit_copy(trained_dir, tmp_path, "bundle.json", "layouts.SELECTED",
                                   old_layout)
-        selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+        selected = json.loads((model_dir / "bundle.json").read_text())["selected"]
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, (
             f"bundle.json: layout of model '{selected}' disagrees at parameter 8: "
             "recorded ['enc/gat0/wq', [8, 8]], expected ['enc/gat0/u', [8, 2]]"))
@@ -711,7 +741,7 @@ class TestDamagedModelDir:
         monkeypatch.undo()
         assert partial
         assert not [p.name for p in model_dir.iterdir() if p.name.endswith(".tmp")]
-        _assert_one_error_line(model_dir, dev, tmp_path, capsys, "selected.json")
+        _assert_one_error_line(model_dir, dev, tmp_path, capsys, "bundle.json")
 
 
 def _write_header(path, shape):
@@ -727,7 +757,7 @@ def _selected_checkpoint(trained_dir, tmp_path):
     its weights and its recorded layout."""
     model_dir = tmp_path / "model"
     shutil.copytree(trained_dir, model_dir)
-    selected = json.loads((model_dir / "selected.json").read_text())["selected"]
+    selected = json.loads((model_dir / "bundle.json").read_text())["selected"]
     file = f"model_{selected}.npy"
     layout = json.loads((model_dir / "bundle.json").read_text())["layouts"][selected]
     return model_dir, file, np.load(model_dir / file), layout
@@ -980,6 +1010,13 @@ class TestInspectGraph:
         rc = main(["inspect-graph", "--input", canonical_file, "--index", "9"])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+    def test_negative_top_k_is_refused(self, canonical_file, capsys):
+        # A negative k would slice the rarest relation off the ranking.
+        rc = main(["inspect-graph", "--input", canonical_file, "--top-k-deprels", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: GraphOptions: top_k_deprels must be non-negative, got -1\n"
 
 
 class TestRunConfig:

@@ -267,26 +267,22 @@ class TestSynthetic:
 
 class TestFolds:
     def test_folds_partition_corpus(self, small_corpus):
-        splits = split_folds(small_corpus, 5, seed=1)
-        assert len(splits) == 5
-        seen = []
-        for train, test in splits:
-            assert len(train) + len(test) == len(small_corpus)
-            seen.extend(id(s) for s in test)
-        assert len(seen) == len(small_corpus)
+        folds = split_folds(small_corpus, 5, seed=1)
+        assert len(folds) == 5
+        seen = sorted(id(s) for test in folds for s in test)
+        assert seen == sorted(id(s) for s in small_corpus)
 
     def test_fold_sizes_differ_by_at_most_one(self):
         corpus = generate_synthetic(SyntheticConfig(n_sentences=23, seed=0))
-        sizes = [len(test) for _, test in split_folds(corpus, 5, seed=0)]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 23
+        sizes = [len(test) for test in split_folds(corpus, 5, seed=0)]
+        assert sizes == [5, 5, 5, 4, 4]
 
     def test_deterministic_under_seed(self, small_corpus):
-        a = split_folds(small_corpus, 4, seed=9)
-        b = split_folds(small_corpus, 4, seed=9)
-        assert [[s for s in test] for _, test in a] == [
-            [s for s in test] for _, test in b
-        ]
+        assert split_folds(small_corpus, 4, seed=9) == split_folds(small_corpus, 4, seed=9)
+        # The folds of 11 sentences under seed 9, each in corpus order, as
+        # the split has always drawn them.
+        assert split_folds(list(range(11)), 4, seed=9) == [[2, 5, 7], [8, 9, 10], [3, 4, 6],
+                                                           [0, 1]]
 
     def test_k_larger_than_corpus_rejected(self, small_corpus):
         with pytest.raises(CorpusError):

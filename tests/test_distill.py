@@ -921,7 +921,7 @@ class TestPersistence:
         distill.save_bundle(bundle, tmp_path, selected="t",
                             selected_scores={"extraction_f1": 0.5})
         name, model, vocab, opts = distill.load_selected(tmp_path)
-        assert name == "t" and model.mode == "tenor_first"
+        assert name == model.name == "t"
         sent = tiny_corpus[0]
         graph = build_graph(sent, vocab, opts)
         a = predict(bundle.models["t"], sent, graph, tiny_vocab).to_record()
@@ -933,14 +933,14 @@ class TestPersistence:
         # which are refused first; the key is unknown like any other.
         bundle = fresh_bundle(tiny_vocab)
         distill.save_bundle(bundle, tmp_path, selected="v")
-        vocab_path = tmp_path / distill.VOCAB_FILE
-        payload = json.loads(vocab_path.read_text(encoding="utf-8"))
-        assert "pos_to_id" not in payload
-        payload["pos_to_id"] = {"<unk>": 0, "NN": 1}
-        vocab_path.write_text(json.dumps(payload), encoding="utf-8")
+        meta_path = tmp_path / distill.BUNDLE_META
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert "pos_to_id" not in meta["vocab"]
+        meta["vocab"]["pos_to_id"] = {"<unk>": 0, "NN": 1}
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(ValueError) as err:
             distill.load_selected(tmp_path)
-        assert str(err.value) == f"{vocab_path}: record has unknown keys ['pos_to_id']"
+        assert str(err.value) == f"{meta_path}: vocab has unknown keys ['pos_to_id']"
 
     def test_edge_embedding_sized_by_top_k(self, tiny_corpus, tiny_vocab, tmp_path):
         bundle = fresh_bundle(tiny_vocab, top_k_deprels=1)
@@ -965,7 +965,7 @@ class TestPersistence:
 
     def test_missing_selection_marker(self, tiny_vocab, tmp_path):
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path)
-        with pytest.raises(FileNotFoundError, match="selected"):
+        with pytest.raises(ValueError, match=r"bundle\.json: selected is missing$"):
             distill.load_selected(tmp_path)
 
     def test_missing_metadata(self, tmp_path):
@@ -1028,7 +1028,7 @@ class TestPersistence:
         assert list(meta["layouts"]) == list(bundle.models)
         n_edge_labels = len(edge_label_index(tiny_vocab))
         for name, model in bundle.models.items():
-            layout = model_layout(model.mode, tiny_vocab.size, n_edge_labels, SMALL_ENC, 6)
+            layout = model_layout(name, tiny_vocab.size, n_edge_labels, SMALL_ENC, 6)
             assert meta["layouts"][name] == [[p.name, list(p.shape)] for p in layout]
             assert meta["layouts"][name] == [[pname, list(p.shape)]
                                              for pname, p in model.store.params.items()]

@@ -12,16 +12,16 @@ from simrec.hetgraph import build_graph, edge_label_index
 from simrec.tensorcore import DiffArray
 
 
-def head_only(mode, config, seed=0, label_emb_dim=7):
-    store = drawn_store(heads.head_layout(mode, config, label_emb_dim),
+def head_only(name, config, seed=0, label_emb_dim=7):
+    store = drawn_store(heads.head_layout(name, config, label_emb_dim),
                         np.random.default_rng(seed))
     return store, store.params
 
 
-def fresh_models(modes, config, rng, vocab_size=20, n_edge_labels=10, share_encoder=False):
-    """``init_models`` of the modes' ``model_layout``s, label embeddings of 6."""
-    layouts = [heads.model_layout(m, vocab_size, n_edge_labels, config, 6) for m in modes]
-    return heads.init_models(modes, layouts, config, rng, share_encoder)
+def fresh_models(names, config, rng, vocab_size=20, n_edge_labels=10, share_encoder=False):
+    """``init_models`` of the named models' ``model_layout``s, label embeddings of 6."""
+    layouts = [heads.model_layout(n, vocab_size, n_edge_labels, config, 6) for n in names]
+    return heads.init_models(names, layouts, config, rng, share_encoder)
 
 
 def softmax_np(x):
@@ -40,14 +40,14 @@ def graph_and_states(fig_sentence, tiny_config, rng):
 class TestClassify:
     def test_is_valid_distribution(self, graph_and_states, tiny_config):
         graph, g_final = graph_and_states
-        _, head = head_only("parallel", tiny_config)
+        _, head = head_only("p", tiny_config)
         dist = heads.classify(g_final, graph.block, head)
         assert dist.data.shape == (1, 2)
         np.testing.assert_allclose(dist.data.sum(), 1.0, atol=1e-12)
 
     def test_matches_numpy_oracle(self, graph_and_states, tiny_config):
         graph, g_final = graph_and_states
-        _, head = head_only("parallel", tiny_config)
+        _, head = head_only("p", tiny_config)
         dist = heads.classify(g_final, graph.block, head)
         gl = g_final.data[graph.left_node]
         gr = g_final.data[graph.right_node]
@@ -59,7 +59,7 @@ class TestClassify:
         self, graph_and_states, tiny_config
     ):
         graph, g_final = graph_and_states
-        _, head = head_only("parallel", tiny_config)
+        _, head = head_only("p", tiny_config)
         g_final.data[graph.right_node] = g_final.data[graph.left_node]
         dist = heads.classify(g_final, graph.block, head)
         g = g_final.data[graph.left_node]
@@ -69,7 +69,7 @@ class TestClassify:
 
     def test_gradient_against_finite_differences(self, graph_and_states, tiny_config):
         graph, g_final = graph_and_states
-        store, head = head_only("parallel", tiny_config)
+        store, head = head_only("p", tiny_config)
 
         def build():
             return tc.cross_entropy(heads.classify(g_final, graph.block, head), [1])
@@ -81,14 +81,14 @@ class TestClassify:
 
 class TestParallelTagger:
     def test_zero_parameters_give_uniform_rows(self, tiny_config, rng):
-        store, head = head_only("parallel", tiny_config)
+        store, head = head_only("p", tiny_config)
         set_param(store, "ext/w", 0.0)
         words = DiffArray(rng.normal(size=(5, tiny_config.d_model)))
         dist = tc.softmax(heads.tag_logits(words, head, "ext"), axis=-1)
         np.testing.assert_allclose(dist.data, 1 / 3, atol=1e-12)
 
     def test_identical_rows_identical_distributions(self, tiny_config, rng):
-        _, head = head_only("parallel", tiny_config)
+        _, head = head_only("p", tiny_config)
         row = rng.normal(size=tiny_config.d_model)
         words = DiffArray(np.stack([row, row, row]))
         dist = tc.softmax(heads.tag_logits(words, head, "ext"), axis=-1).data
@@ -96,7 +96,7 @@ class TestParallelTagger:
         np.testing.assert_array_equal(dist[1], dist[2])
 
     def test_matches_affine_oracle(self, tiny_config, rng):
-        _, head = head_only("parallel", tiny_config)
+        _, head = head_only("p", tiny_config)
         words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
         logits = heads.tag_logits(words, head, "ext")
         np.testing.assert_allclose(
@@ -113,12 +113,12 @@ class TestComponentPooling:
     def pooled_condition(words, gold, config):
         # With the word rows of second/w zeroed and an identity block on the
         # condition rows, the logits are the pooled state's first 3 columns.
-        store, head = head_only("tenor_first", config)
+        store, head = head_only("t", config)
         d = config.d_model
         set_param(store, "second/w", 0.0)
         set_param(store, "second/w", np.eye(3), slice(d, d + 3))
         model = heads.SimileModel(
-            mode="tenor_first", store=store, enc={}, head=head, config=config
+            name="t", store=store, enc={}, head=head, config=config
         )
         fwd = heads.forward_tagger(model, words, gold, np.array([len(gold)]))
         return fwd.final_logits.data
@@ -148,9 +148,9 @@ class TestSequentialStages:
         assert heads.project_first_golds(["O", "O"], "T") == [0, 0]
 
     def test_teacher_forcing_pools_gold_component(self, tiny_config, rng):
-        store, head = head_only("tenor_first", tiny_config)
+        store, head = head_only("t", tiny_config)
         model = heads.SimileModel(
-            mode="tenor_first", store=store, enc={}, head=head, config=tiny_config
+            name="t", store=store, enc={}, head=head, config=tiny_config
         )
         words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
         gold = ("O", "T", "T", "O")
@@ -162,9 +162,9 @@ class TestSequentialStages:
         np.testing.assert_allclose(fwd.final_logits.data, expected, rtol=1e-12)
 
     def test_inference_pools_first_stage_argmax(self, tiny_config, rng):
-        store, head = head_only("vehicle_first", tiny_config, seed=4)
+        store, head = head_only("v", tiny_config, seed=4)
         model = heads.SimileModel(
-            mode="vehicle_first", store=store, enc={}, head=head, config=tiny_config
+            name="v", store=store, enc={}, head=head, config=tiny_config
         )
         words = DiffArray(rng.normal(size=(6, tiny_config.d_model)))
         fwd = heads.forward_tagger(model, words, None, np.array([6]))
@@ -183,7 +183,7 @@ class TestSequentialStages:
         # Killing the pooled-component columns turns the second stage into
         # a per-token affine map, the parallel head's exact shape.
         d = tiny_config.d_model
-        store, head = head_only("tenor_first", tiny_config)
+        store, head = head_only("t", tiny_config)
         set_param(store, "second/w", 0.0, slice(d, None))
         words = DiffArray(rng.normal(size=(5, d)))
         g_c1 = tc.mean_pool(words, [0, 3], [0, 0], 1)
@@ -192,9 +192,9 @@ class TestSequentialStages:
         np.testing.assert_allclose(logits.data, reduced, atol=1e-12)
 
     def test_sequential_gradient_with_teacher_forcing(self, tiny_config, rng):
-        store, head = head_only("tenor_first", tiny_config)
+        store, head = head_only("t", tiny_config)
         model = heads.SimileModel(
-            mode="tenor_first", store=store, enc={}, head=head, config=tiny_config
+            name="t", store=store, enc={}, head=head, config=tiny_config
         )
         words = DiffArray(rng.normal(size=(4, tiny_config.d_model)))
         gold = ("O", "T", "T", "O")
@@ -267,7 +267,7 @@ class TestPredict:
             edge_emb_dim=4, max_tokens=10, max_positions=12,
         )
         vocab = build_vocab([fig_sentence])
-        (model,), _ = fresh_models(["parallel"], config, np.random.default_rng(seed),
+        (model,), _ = fresh_models(["p"], config, np.random.default_rng(seed),
                                    vocab.size, len(edge_label_index(vocab)))
         return model, vocab, build_graph(fig_sentence, vocab)
 
@@ -315,12 +315,12 @@ class TestPredict:
 
 class TestModelSetup:
     def test_unknown_mode_rejected(self, tiny_config):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="unknown model name .backwards."):
             head_only("backwards", tiny_config)
 
     def test_shared_encoder_is_registered_not_copied(self, tiny_config):
         rng = np.random.default_rng(0)
-        (base, other), _ = fresh_models(["parallel", "tenor_first"], tiny_config, rng,
+        (base, other), _ = fresh_models(["p", "t"], tiny_config, rng,
                                         share_encoder=True)
         assert other.enc is base.enc
         for key, param in base.enc.items():
@@ -338,35 +338,35 @@ class TestModelSetup:
         sequential = [*enc_names, *cls_names,
                       "head/first/w", "head/first/b", "head/second/w", "head/second/b"]
         want = {
-            "parallel": [*enc_names, *cls_names, "head/ext/w", "head/ext/b"],
-            "tenor_first": sequential,
-            "vehicle_first": sequential,
+            "p": [*enc_names, *cls_names, "head/ext/w", "head/ext/b"],
+            "t": sequential,
+            "v": sequential,
         }
 
-        def layout(mode):
-            return [(p.name, p.shape) for p in heads.model_layout(mode, 20, 10, tiny_config, 6)]
+        def layout(name):
+            return [(p.name, p.shape) for p in heads.model_layout(name, 20, 10, tiny_config, 6)]
 
         def params(model):
             return [(name, p.shape) for name, p in model.store.params.items()]
 
         rng = np.random.default_rng(0)
-        models, _ = fresh_models(heads.MODES, tiny_config, rng)
-        for mode, model in zip(heads.MODES, models):
-            assert list(model.store.params) == want[mode]
-            assert params(model) == layout(mode)
+        models, _ = fresh_models(heads.FIRST_COMPONENT, tiny_config, rng)
+        for name, model in zip(heads.FIRST_COMPONENT, models):
+            assert list(model.store.params) == want[name]
+            assert params(model) == layout(name)
             assert all(np.shares_memory(p.data, model.store.block)
                        for p in model.store.params.values())
-        (first, shared), _ = fresh_models(["parallel", "vehicle_first"], tiny_config, rng,
+        (first, shared), _ = fresh_models(["p", "v"], tiny_config, rng,
                                           share_encoder=True)
         assert list(shared.store.params) == sequential
-        assert params(first) == layout("parallel") and params(shared) == layout("vehicle_first")
+        assert params(first) == layout("p") and params(shared) == layout("v")
         borrowed = [name for name, p in shared.store.params.items()
                     if not np.shares_memory(p.data, shared.store.block)]
         assert borrowed == enc_names
         assert all(shared.store.params[name] is first.store.params[name] for name in enc_names)
 
     def test_sequential_head_param_names(self, tiny_config):
-        _, head = head_only("vehicle_first", tiny_config)
+        _, head = head_only("v", tiny_config)
         assert set(head) == {
             "cls/w", "cls/emb", "first/w", "first/b", "second/w", "second/b"
         }

@@ -1,15 +1,15 @@
 """Every record that simrec reads refuses a value of the wrong JSON type.
 
-For each record kind (a corpus line, the run config, ``bundle.json``,
-``vocab.json`` and ``selected.json``) each field below is set in turn to
-each value of ``MUTANTS``, and each required field is deleted. A value
-whose JSON type is not the type that the field holds in a file simrec
-wrote, and every deletion, must exit 1 with one ``error:`` line that names
-the file (and the line of a corpus) and the field. So must each number of
-``MEANINGLESS``, which has the right type but no meaning for its field.
-``predict`` must write nothing and ``train`` must make no output
-directory. The cases are a fixed enumeration, so every run checks the same
-ones.
+For each record kind (a corpus line, the run config and ``bundle.json``)
+each field below is set in turn to each value of ``MUTANTS``, and each
+required field is deleted. A value whose JSON type is not the type that
+the field holds in a file simrec wrote, and every deletion, must exit 1
+with one ``error:`` line that names the file (and the line of a corpus)
+and the field. So must each number of ``MEANINGLESS``, which has the right
+type but no meaning for its field, and each setting of
+``DISABLED_MODELS``, which leaves no valid set of models. ``predict``
+must write nothing and ``train`` must make no output directory. The cases
+are a fixed enumeration, so every run checks the same ones.
 """
 
 import json
@@ -41,10 +41,12 @@ CORPUS_FIELDS = [
 CONFIG_FIELDS = [f.name for f in fields(RunConfig)] + ["disable_model[1]"]
 BUNDLE_FIELDS = [
     "encoder", *(f"encoder.{f.name}" for f in fields(EncoderConfig)), "label_emb_dim",
-    "models", 'models["SEL"]', "layouts", 'layouts["SEL"]',
+    "layouts", 'layouts["SEL"]',
     "graph_options", *(f"graph_options.{f.name}" for f in fields(GraphOptions)),
 ]
-VOCAB_FIELDS = ["token_to_id", 'token_to_id["<pad>"]', "deprel_ranking", "deprel_ranking[1]"]
+# The vocabulary and the selection are fields of ``bundle.json`` too.
+VOCAB_FIELDS = ["vocab", "vocab.token_to_id", 'vocab.token_to_id["<pad>"]',
+                "vocab.deprel_ranking", "vocab.deprel_ranking[1]"]
 SELECTED_FIELDS = ["selected", "scores"]
 # Fields that a record may leave out; every run-config key may be left out.
 OPTIONAL = {"glosses", "scores"}
@@ -64,6 +66,12 @@ MEANINGLESS = {
     "seed": ("TrainConfig: seed must be non-negative", (-1, -2)),
     "min_freq": ("RunConfig: min_freq must be at least 1", (0, -3)),
 }
+# Model names to leave out of training that leave no valid set of models,
+# with the message that refuses each.
+DISABLED_MODELS = [
+    (["x"], "disable_model has unknown model names ['x']; the models are ['p', 't', 'v']"),
+    (["p", "t", "v"], "disable_model: at least one model must stay enabled"),
+]
 # Where ``bundle.json`` holds each field of MEANINGLESS that it records.
 IN_BUNDLE = {"leaky_slope": "encoder.leaky_slope", "label_emb_dim": "label_emb_dim",
              "top_k_deprels": "graph_options.top_k_deprels", "max_tokens": "encoder.max_tokens"}
@@ -188,30 +196,29 @@ def test_every_config_fault_is_one_line_before_training(corpora, tmp_path, capsy
     assert not failures, failures[:5]
 
 
-@pytest.mark.parametrize("file, field_names, extra", [
-    ("bundle.json", BUNDLE_FIELDS, [
+@pytest.mark.parametrize("field_names, extra", [
+    (BUNDLE_FIELDS, [
         # dict() once read lists of pairs
-        ("models", [["p", "parallel"]], 'models must be an object, got [["p", "parallel"]]'),
         ("layouts", [["p", []]], 'layouts must be an object, got [["p", []]]'),
     ]),
-    ("vocab.json", VOCAB_FIELDS, [
+    (VOCAB_FIELDS, [
         # list() once split this string into seven one-letter relations
-        ("deprel_ranking", "abcdefg", 'deprel_ranking must be a list, got "abcdefg"'),
-        ("token_to_id", [["<pad>", 0]], 'token_to_id must be an object, got [["<pad>", 0]]'),
+        ("vocab.deprel_ranking", "abcdefg", 'vocab.deprel_ranking must be a list, got "abcdefg"'),
+        ("vocab.token_to_id", [["<pad>", 0]],
+         'vocab.token_to_id must be an object, got [["<pad>", 0]]'),
     ]),
-    ("selected.json", SELECTED_FIELDS, []),
-])
+    (SELECTED_FIELDS, []),
+], ids=["settings", "vocab", "selection"])
 def test_every_model_dir_fault_is_one_line_before_any_output(
-    corpora, trained_dir, tmp_path, capsys, file, field_names, extra
+    corpora, trained_dir, tmp_path, capsys, field_names, extra
 ):
     _, dev = corpora
     model_dir = tmp_path / "model"
     shutil.copytree(trained_dir, model_dir)
-    path = model_dir / file
+    path = model_dir / "bundle.json"
     text = path.read_text(encoding="utf-8")
     record = json.loads(text)
-    selected = json.loads((model_dir / "selected.json").read_text())["selected"]
-    field_names = [field.replace("SEL", selected) for field in field_names]
+    field_names = [field.replace("SEL", record["selected"]) for field in field_names]
     cases = _cases(record, field_names, deletable=True)
     cases += [(_edited(record, field, value)[0], message) for field, value, message in extra]
     out_file = tmp_path / "p.jsonl"
@@ -239,21 +246,22 @@ def test_every_meaningless_number_is_one_line_before_any_output(
     meta = model_dir / "bundle.json"
     text = meta.read_text(encoding="utf-8")
     failures = []
-    for field, (message, values) in MEANINGLESS.items():
-        for value in values:
-            want = f"{message}, got {value!r}"
-            config.write_text(json.dumps({field: value}), encoding="utf-8")
-            rc, err = _run(["train", "--train", train, "--dev", dev, "--out-dir", str(out_dir),
-                            "--config", str(config)], capsys)
-            if (rc, err) != (1, f"error: {config}: {want}\n") or out_dir.exists():
-                failures.append((field, value, "run.json", err))
-            if field in IN_BUNDLE:
-                meta.write_text(json.dumps(_edited(json.loads(text), IN_BUNDLE[field], value)[0]),
-                                encoding="utf-8")
-                rc, err = _run(["predict", "--model-dir", str(model_dir), "--input", dev,
-                                "--out", str(out_file)], capsys)
-                if (rc, err) != (1, f"error: {meta}: {want}\n") or out_file.exists():
-                    failures.append((field, value, "bundle.json", err))
+    cases = [(field, value, f"{message}, got {value!r}")
+             for field, (message, values) in MEANINGLESS.items() for value in values]
+    cases += [("disable_model", value, message) for value, message in DISABLED_MODELS]
+    for field, value, want in cases:
+        config.write_text(json.dumps({field: value}), encoding="utf-8")
+        rc, err = _run(["train", "--train", train, "--dev", dev, "--out-dir", str(out_dir),
+                        "--config", str(config)], capsys)
+        if (rc, err) != (1, f"error: {config}: {want}\n") or out_dir.exists():
+            failures.append((field, value, "run.json", err))
+        if field in IN_BUNDLE:
+            meta.write_text(json.dumps(_edited(json.loads(text), IN_BUNDLE[field], value)[0]),
+                            encoding="utf-8")
+            rc, err = _run(["predict", "--model-dir", str(model_dir), "--input", dev,
+                            "--out", str(out_file)], capsys)
+            if (rc, err) != (1, f"error: {meta}: {want}\n") or out_file.exists():
+                failures.append((field, value, "bundle.json", err))
     meta.write_text(text, encoding="utf-8")
     assert _run(["predict", "--model-dir", str(model_dir), "--input", dev,
                  "--out", str(out_file)], capsys)[0] == 0
