@@ -377,21 +377,20 @@ def _batch_step(
     lam: float,
     config: TrainConfig,
 ) -> dict[str, float]:
-    """One optimizer step per model; the batch is one tape over its joined
-    graph (``ensemble_forward``) and one backward sweep, run unchecked. Then
-    the final node states, each model's distributions, first-stage logits and
-    loss are checked once, and each store's gradient row by its sum of squares,
-    which Adam must be able to form. A failure runs the forward again with op
-    checks on, which raises at the op; a finite forward names the parameter
-    whose gradient failed. Either way no step is taken."""
+    """One optimizer step per model: one tape over the batch's joined graph
+    (``ensemble_forward``) and one backward sweep, numpy's float warnings off.
+    ``tc.check_finite`` first checks the final node states and each model's
+    distributions, first-stage logits and loss, naming the op of a non-finite
+    value; then each gradient row needs a finite sum of squares, which Adam
+    forms, or its parameter is named. Either way no step is taken."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
-
-    def forward() -> tuple[list[np.ndarray], dict[str, DiffArray]]:
+    stores = [model.store for model in bundle.models.values()]
+    with np.errstate(all="ignore"):
         g_final, outs = ensemble_forward(bundle, batch_sents, block)
         target = None if lam >= 1.0 else ensemble_distribution(
             *(out.tag_fwd.final_logits.data for out in outs.values()))
-        checked = [g_final.data]
+        checked = [g_final]
         losses: dict[str, DiffArray] = {}
         for name, out in outs.items():
             if lam >= 1.0:
@@ -403,19 +402,14 @@ def _batch_step(
                 kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
                 total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
             losses[name] = tc.scale(total, 1.0 / len(batch))
-            checked += [a.data for a in (out.cls_dist, out.tag_dist, out.tag_fwd.first_logits,
-                                         losses[name]) if a is not None]
-        return checked, losses
-
-    stores = [model.store for model in bundle.models.values()]
-    with tc.unchecked():
-        checked, losses = forward()
+            checked += [a for a in (out.cls_dist, out.tag_dist, out.tag_fwd.first_logits,
+                                    losses[name]) if a is not None]
+        tc.check_finite(*checked)
         ensemble_backward(bundle, losses.values())
         # Adam squares each gradient, so a gradient row needs a finite sum of
         # squares, which also rules out a NaN or an infinity in it.
-        checked += [np.dot(store.block[GRAD], store.block[GRAD]) for store in stores]
-    if not all(map(tc.all_finite, checked)):
-        forward()  # op checks on: raises at the op that made a non-finite value
+        sums = [np.dot(store.block[GRAD], store.block[GRAD]) for store in stores]
+    if not all(map(tc.all_finite, sums)):
         grads = {(name, pname): p.grad_home.reshape(-1) for name, model in bundle.models.items()
                  for pname, p in model.store.params.items()}
         bad = [key for key, g in grads.items() if not tc.all_finite(g)]
@@ -510,14 +504,17 @@ def mean_ensemble_kl(
     graphs: list[HeteroGraph],
 ) -> dict[str, float]:
     """Mean per-token KL(ensemble || model) over a corpus, per model; the
-    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences."""
+    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences. A non-finite
+    KL raises at the op that made it (``tc.check_finite``)."""
     totals = {name: 0.0 for name in bundle.models}
     for lo in range(0, len(sents), PREDICT_CHUNK):
         block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
         _, outs = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
         target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
         for name, out in outs.items():
-            totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)
+            kl = tc.kl_divergence(target, out.tag_dist)
+            tc.check_finite(kl)
+            totals[name] += float(kl.data)
     n_tokens = sum(len(s.tokens) for s in sents)
     return {name: total / max(n_tokens, 1) for name, total in totals.items()}
 

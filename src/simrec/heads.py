@@ -289,31 +289,30 @@ def predict_batch(model: SimileModel, graphs: Sequence[HeteroGraph]) -> list[Spa
 
 
 def _predict_block(model: SimileModel, block: BlockGraph) -> list[SpanPrediction]:
-    """``_block_dists`` run unchecked, its arrays checked once; a failure runs
-    it again with op checks on, which raises at the op."""
-    with tc.unchecked():
+    """``_block_dists`` with numpy's floating-point warnings off, its arrays checked
+    once by ``tc.check_finite``, which names the op that made a non-finite value."""
+    with np.errstate(all="ignore"):
         dists = _block_dists(model, block)
-    if not all(map(tc.all_finite, dists)):
-        _block_dists(model, block)
-    p_simile = dists[1][:, CLASS_SIMILE]
+        tc.check_finite(*dists)
+    p_simile = dists[1].data[:, CLASS_SIMILE]
     preds = [SpanPrediction(label="literal", p_simile=p) for p in p_simile.tolist()]
     lo = 0
     for pred, simile, n in zip(preds, p_simile > SIMILE_THRESHOLD, block.word_counts.tolist()):
         if simile:
             pred.label = "simile"
-            pred.spans = decode_spans(dists[2][lo:lo + n])
+            pred.spans = decode_spans(dists[2].data[lo:lo + n])
             lo += n
     return preds
 
 
-def _block_dists(model: SimileModel, block: BlockGraph) -> tuple[np.ndarray, ...]:
+def _block_dists(model: SimileModel, block: BlockGraph) -> tuple[DiffArray, ...]:
     """Final node states and class distribution of every sentence of the block,
     and the tag distribution of the words of those judged similes (one pass)."""
     g_final = encode_graph(block, model.enc, model.config)[-1]
-    cls_dist = classify(g_final, block, model.head).data
-    judged = cls_dist[:, CLASS_SIMILE] > SIMILE_THRESHOLD
+    cls_dist = classify(g_final, block, model.head)
+    judged = cls_dist.data[:, CLASS_SIMILE] > SIMILE_THRESHOLD
     if not judged.any():
-        return g_final.data, cls_dist, np.empty((0, len(TAG_VALUES)))
+        return g_final, cls_dist, DiffArray(np.empty((0, len(TAG_VALUES))))
     words = tc.pick_rows(g_final, block.word_nodes[np.repeat(judged, block.word_counts)])
     fwd = forward_tagger(model, words, None, block.word_counts[judged])
-    return g_final.data, cls_dist, tc.softmax(fwd.final_logits, axis=-1).data
+    return g_final, cls_dist, tc.softmax(fwd.final_logits, axis=-1)

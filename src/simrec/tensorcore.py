@@ -1,8 +1,8 @@
 """Dense-array reverse-mode autodiff, just large enough for this model.
 
 Every tensor is a float64 ``DiffArray``. Each op computes its output,
-defines its backward closure and hands both to ``_result``, which checks
-the output and makes the whole tape node: output, parents and closure.
+defines its backward closure and hands both to ``_result``, which makes
+the whole tape node: output, op name, parents and closure.
 ``backward`` walks the tape in reverse topological order and accumulates
 exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
@@ -30,9 +30,9 @@ leaves a nonzero x as it is, and a sum is -0.0 only when both addends
 are; and Adam never makes a -0.0 moment, since both moments start at
 +0.0, and the second adds (1 - beta2) * g * g, which is never -0.0.
 
-A non-finite output raises at its op, except inside ``unchecked()``, whose
-caller checks what it hands on once and on a failure runs again outside it,
-so the op is named.
+No op checks its output; each node records the ``op`` that made it. A
+caller checks what it hands on, once, with ``check_finite``, which names
+the first op of a non-finite output's tape, in tape order, that made one.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation, the per-node sums of the GAT score's backward) call the
@@ -73,7 +73,6 @@ class NonFiniteError(RuntimeError):
 
 
 EPS_LOG = 1e-12
-_op_checks = True  # whether ``_result`` checks each op's output (see ``unchecked``)
 
 
 def all_finite(data: np.ndarray) -> bool:
@@ -81,19 +80,6 @@ def all_finite(data: np.ndarray) -> bool:
     non-finite, so the sum is a cheap first test; the element-wise test runs
     only when it fails, which lets through a finite array whose sum overflows."""
     return math.isfinite(np.add.reduce(data, None)) or bool(np.isfinite(data).all())
-
-
-@contextmanager
-def unchecked():
-    """Ops inside the block skip their finite check and numpy's floating-point
-    warnings; the previous state comes back on exit, also when the block raised."""
-    global _op_checks
-    outer, _op_checks = _op_checks, False
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _op_checks = outer
 
 
 def _check_ids(ids: np.ndarray, n: int, op: str, what: str, unit: str = "rows") -> None:
@@ -107,7 +93,7 @@ def _check_ids(ids: np.ndarray, n: int, op: str, what: str, unit: str = "rows") 
 class DiffArray:
     """A float64 array with a gradient slot and a tape record."""
 
-    __slots__ = ("data", "grad", "name", "grad_home", "_parents", "_backward", "_visit")
+    __slots__ = ("data", "grad", "name", "grad_home", "op", "_parents", "_backward", "_visit")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -116,6 +102,7 @@ class DiffArray:
         # A parameter's view of the gradient row of its store's block; the
         # first gradient of a step is written there.
         self.grad_home: np.ndarray | None = None
+        self.op: str | None = None  # the op that made it; None for a leaf
         self._parents: tuple[DiffArray, ...] = ()
         self._backward = None
         self._visit = None  # the token of the last ``backward`` sweep that reached it
@@ -154,27 +141,17 @@ class DiffArray:
 
 
 def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str) -> DiffArray:
-    if _op_checks and not all_finite(data):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
     out = DiffArray(data)
-    out._parents = parents
-    out._backward = backward
+    out.op, out._parents, out._backward = op, parents, backward
     return out
 
 
-def backward(*losses: DiffArray) -> None:
-    """One reverse-mode sweep from one or more scalar losses.
-
-    Gradients accumulate into ``.grad`` of every reachable node;
-    ``ParamStore.adam_step`` consumes and clears parameter grads.
-    Deterministic: the visit order depends only on tape structure.
-    """
-    for loss in losses:
-        if loss.data.size != 1:
-            raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+def _tape(*outputs: DiffArray) -> list[DiffArray]:
+    """Every node that ``outputs`` were made from, themselves included, each
+    after its parents. The order depends only on tape structure."""
     topo: list[DiffArray] = []
-    token = object()  # marks the nodes this sweep has reached
-    stack: list[tuple[DiffArray, bool]] = [(loss, False) for loss in reversed(losses)]
+    token = object()  # marks the nodes this walk has reached
+    stack: list[tuple[DiffArray, bool]] = [(out, False) for out in reversed(outputs)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -187,11 +164,35 @@ def backward(*losses: DiffArray) -> None:
         for p in reversed(node._parents):
             if p._visit is not token:
                 stack.append((p, False))
+    return topo
+
+
+def backward(*losses: DiffArray) -> None:
+    """One reverse-mode sweep from one or more scalar losses.
+
+    Gradients accumulate into ``.grad`` of every reachable node;
+    ``ParamStore.adam_step`` consumes and clears parameter grads.
+    Deterministic: the visit order depends only on tape structure.
+    """
+    for loss in losses:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    topo = _tape(*losses)
     for loss in losses:
         loss.accum_grad(np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+def check_finite(*outputs: DiffArray) -> None:
+    """Raise a NonFiniteError if an output holds a non-finite value, naming the
+    first op of that output's tape, in tape order, whose own output does."""
+    for out in outputs:
+        if not all_finite(out.data):
+            op = next((n.op for n in _tape(out) if n.op and not all_finite(n.data)), None)
+            raise NonFiniteError(f"non-finite values produced by op '{op}'" if op
+                                 else "non-finite values in an input array")
 
 
 # ---------------------------------------------------------------------------

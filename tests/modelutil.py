@@ -58,4 +58,4 @@ def rebuilt(model):
 
 def served(model, block):
     """The bytes of every array that serving ``block`` reads its predictions from."""
-    return [a.tobytes() for a in _block_dists(model, block)]
+    return [a.data.tobytes() for a in _block_dists(model, block)]

@@ -436,6 +436,21 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match=r"epoch 1, batch 1"):
             train(bundle, tiny_corpus[:8], [], config)
 
+    def test_nan_parameter_runs_the_forward_once(self, tiny_corpus, tiny_vocab, monkeypatch):
+        calls = []
+        real_forward = distill.ensemble_forward
+
+        def counted(*args):
+            calls.append(1)
+            return real_forward(*args)
+
+        monkeypatch.setattr(distill, "ensemble_forward", counted)
+        bundle = fresh_bundle(tiny_vocab)
+        set_param(bundle.models["p"].store, "head/cls/w", np.nan, (0, 0))
+        with pytest.raises(RuntimeError, match="op 'matmul'"):
+            train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert len(calls) == 1
+
     @staticmethod
     def _state(bundle):
         """Every model's weights, Adam moments and step count."""

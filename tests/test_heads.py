@@ -306,6 +306,21 @@ class TestPredict:
         with pytest.raises(tc.NonFiniteError, match="op 'matmul'"):
             heads.predict_batch(model, [graph, graph])
 
+    def test_nonfinite_block_runs_its_forward_once(self, fig_sentence, monkeypatch):
+        model, _, graph = self.make_model(fig_sentence)
+        set_param(model.store, "enc/gat0/wv", np.nan, (0, 0))
+        calls = []
+        real_dists = heads._block_dists
+
+        def counted(*args):
+            calls.append(1)
+            return real_dists(*args)
+
+        monkeypatch.setattr(heads, "_block_dists", counted)
+        with pytest.raises(tc.NonFiniteError, match="op 'matmul'"):
+            heads.predict_batch(model, [graph, graph])
+        assert len(calls) == 1
+
     def test_nonfinite_score_vector_is_named_by_its_op(self, fig_sentence):
         model, _, graph = self.make_model(fig_sentence)
         set_param(model.store, "enc/gat0/u", np.nan, (0, 1))

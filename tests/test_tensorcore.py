@@ -89,37 +89,36 @@ class TestForwardValues:
     def test_finite_check_passes_overflowing_sum_and_catches_nan(self):
         with np.errstate(over="ignore"):
             out = tc.scale(DiffArray([1e308, 1e308]), 1.0)
+            tc.check_finite(out)
         np.testing.assert_array_equal(out.data, [1e308, 1e308])
         with pytest.raises(NonFiniteError, match="scale"):
-            tc.scale(DiffArray([1.0, np.nan]), 1.0)
+            tc.check_finite(tc.scale(DiffArray([1.0, np.nan]), 1.0))
 
     def test_nonfinite_trapped_at_op(self):
         big = DiffArray([1e308])
         with np.errstate(over="ignore"):
+            out = tc.add(tc.scale(big, 1e308), big)  # the op made no infinity of its own
             with pytest.raises(NonFiniteError, match="scale"):
-                tc.scale(big, 1e308)
+                tc.check_finite(out)
 
-    def test_unchecked_block_passes_nonfinite_and_checks_return_after_it(self):
-        with tc.unchecked():
-            out = tc.scale(DiffArray([1.0, np.nan]), 1.0)
-        assert not tc.all_finite(out.data)
-        with pytest.raises(NonFiniteError, match="scale"):
-            tc.scale(DiffArray([1.0, np.nan]), 1.0)
+    def test_each_node_records_its_op(self):
+        x = DiffArray(np.ones((2, 2)))
+        assert x.op is None
+        assert tc.matmul(x, x).op == "matmul"
+        assert tc.abs_(x).op == "abs"
 
-    def test_checks_return_after_a_block_that_raised(self):
-        with pytest.raises(KeyError):
-            with tc.unchecked():
-                raise KeyError("inside")
-        with pytest.raises(NonFiniteError, match="scale"):
-            tc.scale(DiffArray([np.inf]), 1.0)
+    def test_check_finite_walks_only_from_a_nonfinite_output(self):
+        # An op with a non-finite output that no checked output came from
+        # goes unnamed; only a non-finite output sends the walk up its tape.
+        x = DiffArray([1.0, np.nan])
+        nan = tc.scale(x, 2.0)
+        tc.check_finite(tc.pick_rows(tc.reshape(x, (2, 1)), [0]))
+        with pytest.raises(NonFiniteError, match="op 'scale'"):
+            tc.check_finite(tc.sub(nan, nan), nan)
 
-    def test_nested_block_restores_the_outer_state(self):
-        with tc.unchecked():
-            with tc.unchecked():
-                pass
-            tc.scale(DiffArray([np.nan]), 1.0)  # the outer block is still unchecked
-        with pytest.raises(NonFiniteError, match="scale"):
-            tc.scale(DiffArray([np.nan]), 1.0)
+    def test_nonfinite_leaf_output(self):
+        with pytest.raises(NonFiniteError, match="input array"):
+            tc.check_finite(DiffArray([np.inf]))
 
     def test_all_finite(self):
         with np.errstate(over="ignore"):
