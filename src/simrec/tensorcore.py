@@ -308,9 +308,16 @@ def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> Dif
     Where the constant boolean ``mask`` is False an entry gets probability 0
     and no gradient; every slice along ``axis`` must keep at least one entry.
     """
-    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    x = a.data
     # The ufunc reductions behind ndarray.max and sum, without their wrappers.
-    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    if mask is None:
+        e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    else:
+        # exp of the kept entries only: numpy's exp of -inf took 2.7-5.5 times as
+        # long as of a finite number, and a (3, 64, 64) softmax of 8 sentences
+        # 59 against 115 us with masked entries set to -inf (2-vCPU Xeon VM).
+        top = np.maximum.reduce(x, axis, keepdims=True, where=mask, initial=-np.inf)
+        e = np.exp(x - top, where=mask, out=np.zeros_like(x))
     s = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def bwd(grad):

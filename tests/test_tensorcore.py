@@ -476,6 +476,23 @@ class TestStackedOps:
         out._backward(grad_out)
         check_grads(lambda: (fn(*leaves.values()).data * grad_out).sum(), leaves, tol=1e-6)
 
+    @pytest.mark.parametrize("models", [(), (M,)], ids=["one-model", "stacked"])
+    def test_masked_softmax_equals_the_minus_inf_form_bit_for_bit(self, models, rng):
+        # Three sentences of a joined block, as ``encode_tokens`` masks them.
+        owner = np.repeat(np.arange(3), [4, 6, 2])
+        mask = owner[:, None] == owner[None, :]
+        x = rng.normal(scale=4.0, size=models + mask.shape)
+        a = DiffArray(x)
+        out = tc.softmax(a, axis=-1, mask=mask)
+        grad_out = rng.normal(size=out.shape)
+        out._backward(grad_out)
+        masked = np.where(mask, x, -np.inf)
+        e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
+        assert out.data.tobytes() == s.tobytes()
+        dot = (grad_out * s).sum(axis=-1, keepdims=True)
+        assert a.grad.tobytes() == (s * (grad_out - dot)).tobytes()
+
     def test_model_slice_reads_and_writes_only_its_slice(self, rng):
         a = DiffArray(strided_stack(rng, (4, 3)))
         out = tc.model_slice(a, 1)
