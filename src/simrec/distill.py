@@ -596,6 +596,8 @@ def _load_meta(
                                      meta_path, "vocab"))
     try:
         check_model_names(meta["layouts"], "layouts")
+        if not meta["layouts"]:
+            raise ValueError("layouts names no model")
         config.validate()
         check_label_emb_dim(label_emb_dim)
         opts.validate()

@@ -488,8 +488,9 @@ class TestDamagedModelDir:
         ("layouts.x", [], "bundle.json: layouts has unknown model names ['x']; "
                           "the models are ['p', 't', 'v']\n"),
         ("selected", "q", "bundle.json: selected model 'q' is not in layouts\n"),
+        ("layouts", {}, "bundle.json: layouts names no model\n"),
     ], ids=["unknown-graph-option", "unknown-encoder-field", "edited-top-k",
-            "edited-noun-tags", "unknown-name", "unknown-selection"])
+            "edited-noun-tags", "unknown-name", "unknown-selection", "no-model"])
     def test_wrong_meaning_is_one_error_line(
         self, trained_dir, corpora, tmp_path, capsys, key_path, value, message
     ):

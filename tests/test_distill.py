@@ -994,6 +994,15 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError, match="model_v"):
             distill.load_bundle(tmp_path)
 
+    def test_layouts_naming_no_model_refused(self, tiny_vocab, tmp_path):
+        distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path)
+        path = tmp_path / distill.BUNDLE_META
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["layouts"] = {}
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bundle\.json: layouts names no model$"):
+            distill.load_bundle(tmp_path)
+
     def test_dropped_parameter_detected(self, tiny_vocab, tmp_path):
         bundle = fresh_bundle(tiny_vocab)
         distill.save_bundle(bundle, tmp_path)
