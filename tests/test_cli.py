@@ -137,6 +137,14 @@ class TestGenerateData:
         assert not (tmp_path / "x.jsonl").exists()
 
 
+def _readme_model_dir_files():
+    """The files of the README "Model directory" table, for the models p, t and v."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Model directory", 1)[1].split("| file |", 1)[1].split("\n\n")[0]
+    files = [row.split("`")[1] for row in table.splitlines()[2:]]
+    return {f.replace("<name>", name) for f in files for name in "ptv"}
+
+
 class TestTrain:
     def test_output_directory_contents(self, trained_dir, capsys):
         import os
@@ -146,11 +154,7 @@ class TestTrain:
         assert files == expected
 
     def test_readme_lists_the_files_it_writes(self, trained_dir):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("## Model directory", 1)[1].split("| file |", 1)[1].split("\n\n")[0]
-        files = [row.split("`")[1] for row in table.splitlines()[2:]]
-        listed = {f.replace("<name>", name) for f in files for name in "ptv"}
-        assert listed == set(os.listdir(trained_dir))
+        assert _readme_model_dir_files() == set(os.listdir(trained_dir))
 
     def test_log_has_one_line_per_epoch(self, trained_dir):
         import os
@@ -236,6 +240,20 @@ class TestTrain:
         meta = json.loads((out / "bundle.json").read_text())
         assert set(meta["layouts"]) == {"p", "t"}
         assert not (out / "model_v.npy").exists()
+
+    def test_retrain_removes_retired_records(self, trained_dir, corpora, tmp_path, capsys):
+        # A directory written before bundle.json held the vocabulary and the
+        # selection also holds vocab.json and selected.json.
+        train, dev = corpora
+        out = tmp_path / "m"
+        shutil.copytree(trained_dir, out)
+        (out / "vocab.json").write_text("{}", encoding="utf-8")
+        (out / "selected.json").write_text('{"selected": "v"}', encoding="utf-8")
+        rc = main(["train", "--train", train, "--dev", dev,
+                   "--out-dir", str(out), *TINY_FLAGS, "--epochs", "1"])
+        capsys.readouterr()
+        assert rc == 0
+        assert {p.name for p in out.iterdir()} == _readme_model_dir_files()
 
     def test_retrain_removes_checkpoints_of_dropped_models(
         self, trained_dir, corpora, tmp_path, capsys
