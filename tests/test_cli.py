@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from simrec import cli, distill, tensorcore as tc
+from simrec.__main__ import BLAS_THREAD_VARIABLES
 from simrec.cli import RunConfig, _given_flags, build_parser, load_run_config, main
 from simrec.corpus import (
     DEFAULT_NOUN_TAGS,
@@ -1210,9 +1211,9 @@ def test_console_script_target_runs_without_an_install(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
     project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    assert project["scripts"] == {"simrec": "simrec.cli:main"}
+    assert project["scripts"] == {"simrec": "simrec.__main__:main"}
     module, func = project["scripts"]["simrec"].split(":")
-    assert getattr(importlib.import_module(module), func) is main
+    assert callable(getattr(importlib.import_module(module), func))
     out = tmp_path / "c.jsonl"
     src = str(root / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1225,3 +1226,24 @@ def test_console_script_target_runs_without_an_install(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["sentences"] == 5
     assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+
+def test_console_script_runs_blas_at_one_thread_unless_the_user_set_a_count(tmp_path):
+    """The entry imports nothing numeric before it sets each BLAS thread
+    variable the user left unset to 1; a preset one is kept."""
+    out = tmp_path / "c.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(OMP_NUM_THREADS="3",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    code = ("import json, os, sys\n"
+            "from simrec.__main__ import BLAS_THREAD_VARIABLES, main\n"
+            "before = ['numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')]\n"
+            f"code = main(['generate-data', '--out', {str(out)!r}, '--n', '2'])\n"
+            "print(json.dumps([before, {v: os.environ.get(v) for v in BLAS_THREAD_VARIABLES}]))\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert before == [False, None]
+    assert after == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
