@@ -524,9 +524,6 @@ def mean_ensemble_kl(
 # ---------------------------------------------------------------------------
 
 BUNDLE_META = "bundle.json"
-# Records of directories written before ``bundle.json`` held the vocabulary
-# and the selection; a save removes them.
-RETIRED_RECORDS = ("vocab.json", "selected.json")
 
 
 # The JSON kind of each field of ``bundle.json``; a saved selection adds the
@@ -545,10 +542,10 @@ def save_bundle(
     """Write the model directory, each file atomically; ``bundle.json``, the
     directory's one record, goes first and comes back last, after every
     checkpoint, so a failed save leaves no loadable directory. Checkpoints of
-    models the bundle lacks and the ``RETIRED_RECORDS`` are removed with it. The record holds the
-    settings, each model's parameter names and shapes in checkpoint order
-    (``layouts``), the graph options, the vocabulary and, when given, the
-    selected model's name and every model's dev scores."""
+    models the bundle lacks and older versions' records are removed with it.
+    The record holds the settings, each model's parameter names and shapes in
+    checkpoint order (``layouts``), the graph options, the vocabulary and,
+    when given, the selected model's name and every model's dev scores."""
     top_k = graph_options.top_k_deprels
     n_edge_labels = len(edge_label_index(bundle.vocab, top_k))
     for name, model in bundle.models.items():
@@ -562,8 +559,10 @@ def save_bundle(
     meta_path = os.path.join(out_dir, BUNDLE_META)
     if os.path.exists(meta_path):
         os.remove(meta_path)
+    # Older directories also kept the vocabulary and the selection in records
+    # of their own.
     stale = [f"model_{name}.npy" for name in MODEL_ORDER if name not in bundle.models]
-    for file in stale + list(RETIRED_RECORDS):
+    for file in stale + ["vocab.json", "selected.json"]:
         path = os.path.join(out_dir, file)
         if os.path.exists(path):
             os.remove(path)
