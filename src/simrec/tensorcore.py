@@ -105,7 +105,7 @@ class DiffArray:
         self.op: str | None = None  # the op that made it; None for a leaf
         self._parents: tuple[DiffArray, ...] = ()
         self._backward = None
-        self._visit = None  # the token of the last ``backward`` sweep that reached it
+        self._visit = None  # the token of the last tape walk (``_tape``) that reached it
 
     @property
     def shape(self) -> tuple[int, ...]:
