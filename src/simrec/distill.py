@@ -6,8 +6,10 @@ lambda * supervised + (1 - lambda) * KL(ensemble || model), where lambda
 rises linearly from 0 to 1 over training (direction and fixed values are
 configurable). The models see the whole batch as one joined graph, and each
 batch is one tape: one pass of the models' encoders stacked on a model axis,
-then each model's heads on its slice. Model selection afterwards keeps the
-single model with the best dev extraction F1.
+then the classifier, the final tag softmax, both cross entropies, the KL to
+the ensemble and the loss arithmetic once on that axis; only each model's
+tagger runs on its own slice. Model selection afterwards keeps the single
+model with the best dev extraction F1.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class ModelBundle:
     config: EncoderConfig
     label_emb_dim: int
     enc: dict[str, DiffArray] = field(default_factory=dict)  # stacked encoders (``init_models``)
+    head: dict[str, DiffArray] = field(default_factory=dict)  # stacked classifiers, likewise
 
 
 def check_label_emb_dim(label_emb_dim: int) -> None:
@@ -129,9 +132,9 @@ def build_bundle(
     names = [name for name in MODEL_ORDER if name not in disabled_models]
     n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
     layouts = [model_layout(n, vocab.size, n_edge_labels, config, label_emb_dim) for n in names]
-    models, enc = init_models(names, layouts, config, rng, share_encoder)
+    models, enc, head = init_models(names, layouts, config, rng, share_encoder)
     return ModelBundle(models=dict(zip(names, models)), vocab=vocab, config=config,
-                       label_emb_dim=label_emb_dim, enc=enc)
+                       label_emb_dim=label_emb_dim, enc=enc, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -140,46 +143,54 @@ def build_bundle(
 
 @dataclass
 class SentenceForward:
-    cls_dist: DiffArray  # (B, 2), one row per sentence
-    tag_fwd: TagForward
-    tag_dist: DiffArray  # (N, 3) over the words of all B sentences
+    cls_dist: DiffArray  # (B, 2), one row per sentence; (M, B, 2) for M stacked models
+    tag_fwds: list[TagForward]  # one per model
+    tag_dist: DiffArray  # (N, 3) over the words of all B sentences; (M, N, 3) stacked
 
 
 def forward_sentence(
-    model: SimileModel,
+    bundle: ModelBundle,
     sentences: Sequence[AnnotatedSentence],
     graph: BlockGraph,
     g_final: DiffArray,
 ) -> SentenceForward:
-    """One model's heads over the graph ``join_graphs`` made of a batch's
-    sentences, from its encoder's final node states ``g_final``; sequential
-    taggers are teacher-forced with the sentences' gold tags."""
-    cls_dist = classify(g_final, graph, model.head)
+    """Every model's heads over the graph ``join_graphs`` made of a batch's
+    sentences, from the final node states ``g_final`` stacked on the model
+    axis, one slice per model. The classifier and the final tag softmax run
+    once on that axis; each tagger reads its model's slice of the word rows,
+    and sequential taggers are teacher-forced with the sentences' gold tags."""
+    cls_dist = classify(g_final, graph, bundle.head)
     words = tc.pick_rows(g_final, graph.word_nodes)
     gold = [t for s in sentences for t in s.tags]
-    tag_fwd = forward_tagger(model, words, gold, graph.word_counts)
-    tag_dist = tc.softmax(tag_fwd.final_logits, axis=-1)
-    return SentenceForward(cls_dist=cls_dist, tag_fwd=tag_fwd, tag_dist=tag_dist)
+    tag_fwds = [forward_tagger(model, tc.model_slice(words, m), gold, graph.word_counts)
+                for m, model in enumerate(bundle.models.values())]
+    logits = tc.stack_models([fwd.final_logits for fwd in tag_fwds])
+    return SentenceForward(cls_dist=cls_dist, tag_fwds=tag_fwds,
+                           tag_dist=tc.softmax(logits, axis=-1))
 
 
 def ensemble_forward(bundle: ModelBundle, sentences: Sequence[AnnotatedSentence],
-                     graph: BlockGraph) -> tuple[DiffArray, dict[str, SentenceForward]]:
-    """The stacked final node states, and every model's ``forward_sentence`` on
-    their tape: each model's heads read its slice (0 for a shared encoder)."""
+                     graph: BlockGraph) -> tuple[DiffArray, SentenceForward]:
+    """The stacked final node states, and ``forward_sentence`` on their tape; a
+    shared encoder's states are repeated once per model."""
     g_final = encode_graph(graph, bundle.enc, bundle.config)[-1]
-    return g_final, {name: forward_sentence(
-        model, sentences, graph, tc.model_slice(g_final, m if g_final.shape[0] > 1 else 0))
-        for m, (name, model) in enumerate(bundle.models.items())}
+    heads_in = g_final
+    if len(g_final.data) < len(bundle.models):
+        heads_in = tc.repeat_models(g_final, len(bundle.models))
+    return g_final, forward_sentence(bundle, sentences, graph, heads_in)
 
 
-def ensemble_backward(bundle: ModelBundle, losses: Iterable[DiffArray]) -> None:
-    """One sweep from an ``ensemble_forward`` tape's losses; stacked gradients go to each model."""
-    tc.backward(*losses)
-    for key, w in bundle.enc.items():
-        if w.grad is not None:
-            w.grad = None
-            for model in bundle.models.values():
-                model.enc[key].grad = model.enc[key].grad_home
+def ensemble_backward(bundle: ModelBundle, losses: DiffArray) -> None:
+    """One sweep from the sum of an ``ensemble_forward`` tape's per-model
+    losses; stacked gradients go to each model."""
+    tc.backward(tc.sum_all(losses))
+    for part in ("enc", "head"):
+        for key, w in getattr(bundle, part).items():
+            if w.grad is not None:
+                w.grad = None
+                for model in bundle.models.values():
+                    p = getattr(model, part)[key]
+                    p.grad = p.grad_home
 
 
 def supervised_loss(
@@ -188,7 +199,8 @@ def supervised_loss(
     alpha: float,
     aux_weight: float = 1.0,
 ) -> DiffArray:
-    """alpha * classification loss + (1 - alpha) * tagging loss.
+    """alpha * classification loss + (1 - alpha) * tagging loss, one value
+    per model of a stacked ``out`` and 0-d for one model's 2-D forward.
 
     The tagging loss sums per-token cross entropy of the final 3-way
     distribution; sequential models add their first-stage 2-way cross
@@ -199,10 +211,12 @@ def supervised_loss(
     j_sc = tc.cross_entropy(out.cls_dist, gold_classes)
     gold_ids = [TAG_TO_ID[t] for s in sentences for t in s.tags]
     j_ce = tc.cross_entropy_rows(out.tag_dist, gold_ids)
-    if out.tag_fwd.first_logits is not None:
-        first_dist = tc.softmax(out.tag_fwd.first_logits, axis=-1)
-        aux = tc.cross_entropy_rows(first_dist, out.tag_fwd.first_golds)
-        j_ce = tc.add(j_ce, tc.scale(aux, aux_weight))
+    aux = [None if fwd.first_logits is None else tc.cross_entropy_rows(
+        tc.softmax(fwd.first_logits, axis=-1), fwd.first_golds) for fwd in out.tag_fwds]
+    if any(a is not None for a in aux):
+        # A model without a first stage adds a zero.
+        aux_term = tc.stack_models(aux) if j_ce.data.ndim else aux[0]
+        j_ce = tc.add(j_ce, tc.scale(aux_term, aux_weight))
     return tc.add(tc.scale(j_sc, alpha), tc.scale(j_ce, 1.0 - alpha))
 
 
@@ -227,7 +241,8 @@ def ensemble_distribution(*logits: np.ndarray) -> np.ndarray:
 def kl_to_ensemble(
     tag_dist: DiffArray, ensemble: np.ndarray, word_counts: np.ndarray
 ) -> DiffArray:
-    """Mean over tokens of KL(ensemble || model); target is constant.
+    """Mean over tokens of KL(ensemble || model), one value per model of a
+    stacked ``tag_dist``; target is constant.
 
     ``word_counts`` splits the rows into sentences: each takes the mean over
     its own tokens and the batch the sum of those means.
@@ -378,34 +393,32 @@ def _batch_step(
     config: TrainConfig,
 ) -> dict[str, float]:
     """One optimizer step per model: one tape over the batch's joined graph
-    (``ensemble_forward``) and one backward sweep, numpy's float warnings off.
-    ``tc.check_finite`` first checks the final node states and each model's
-    distributions, first-stage logits and loss, naming the op of a non-finite
-    value; then each gradient row needs a finite sum of squares, which Adam
-    forms, or its parameter is named. Either way no step is taken."""
+    (``ensemble_forward``), its losses one per model, and one backward sweep,
+    numpy's float warnings off. ``tc.check_finite`` first checks the final
+    node states, the distributions, each first-stage logits and the losses,
+    naming the op of a non-finite value; then each gradient row needs a
+    finite sum of squares, which Adam forms, or its parameter is named.
+    Either way no step is taken."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
     stores = [model.store for model in bundle.models.values()]
     with np.errstate(all="ignore"):
-        g_final, outs = ensemble_forward(bundle, batch_sents, block)
-        target = None if lam >= 1.0 else ensemble_distribution(
-            *(out.tag_fwd.final_logits.data for out in outs.values()))
-        checked = [g_final]
-        losses: dict[str, DiffArray] = {}
-        for name, out in outs.items():
-            if lam >= 1.0:
-                total = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
-            elif lam <= 0.0:
-                total = kl_to_ensemble(out.tag_dist, target, block.word_counts)
-            else:
-                sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
-                kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
-                total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
-            losses[name] = tc.scale(total, 1.0 / len(batch))
-            checked += [a for a in (out.cls_dist, out.tag_dist, out.tag_fwd.first_logits,
-                                    losses[name]) if a is not None]
-        tc.check_finite(*checked)
-        ensemble_backward(bundle, losses.values())
+        g_final, out = ensemble_forward(bundle, batch_sents, block)
+        if lam < 1.0:
+            target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
+            kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
+        if lam > 0.0:
+            sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
+        if lam >= 1.0:
+            total = sup
+        elif lam <= 0.0:
+            total = kl
+        else:
+            total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
+        losses = tc.scale(total, 1.0 / len(batch))
+        tc.check_finite(g_final, out.cls_dist, out.tag_dist, *(
+            fwd.first_logits for fwd in out.tag_fwds if fwd.first_logits is not None), losses)
+        ensemble_backward(bundle, losses)
         # Adam squares each gradient, so a gradient row needs a finite sum of
         # squares, which also rules out a NaN or an infinity in it.
         sums = [np.dot(store.block[GRAD], store.block[GRAD]) for store in stores]
@@ -423,7 +436,7 @@ def _batch_step(
         raise NonFiniteError(f"{what} of model {name!r} parameter {pname!r}")
     for store in stores:
         store.adam_step(config.learning_rate)
-    return {name: float(loss.data) for name, loss in losses.items()}
+    return dict(zip(bundle.models, losses.data.tolist()))
 
 
 def _track_best(
@@ -506,17 +519,16 @@ def mean_ensemble_kl(
     """Mean per-token KL(ensemble || model) over a corpus, per model; the
     corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences. A non-finite
     KL raises at the op that made it (``tc.check_finite``)."""
-    totals = {name: 0.0 for name in bundle.models}
+    totals = np.zeros(len(bundle.models))
     for lo in range(0, len(sents), PREDICT_CHUNK):
         block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-        _, outs = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
-        target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
-        for name, out in outs.items():
-            kl = tc.kl_divergence(target, out.tag_dist)
-            tc.check_finite(kl)
-            totals[name] += float(kl.data)
+        _, out = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
+        target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
+        kl = tc.kl_divergence(target, out.tag_dist)
+        tc.check_finite(kl)
+        totals += kl.data
     n_tokens = sum(len(s.tokens) for s in sents)
-    return {name: total / max(n_tokens, 1) for name, total in totals.items()}
+    return dict(zip(bundle.models, (totals / max(n_tokens, 1)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +647,7 @@ def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: 
                          for entries in (recorded, expected))
             raise ValueError(f"{meta_path}: layout of model {name!r} disagrees at parameter "
                              f"{i}: recorded {got}, expected {want}")
-    models, enc = init_models(
+    models, enc, head = init_models(
         names,
         [[Param(pname, tuple(shape)) for pname, shape in layouts[name]] for name in names],
         shell.config, None)
@@ -644,7 +656,7 @@ def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: 
         if not os.path.exists(path):
             raise FileNotFoundError(f"{path}: missing model checkpoint")
         tc.load_checkpoint(path, model.store)
-    return replace(shell, models=dict(zip(names, models)), enc=enc)
+    return replace(shell, models=dict(zip(names, models)), enc=enc, head=head)
 
 
 def load_selected(

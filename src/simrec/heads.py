@@ -106,40 +106,51 @@ def init_models(
     config: EncoderConfig,
     rng: np.random.Generator | None,
     share_encoder: bool = False,
-) -> tuple[list[SimileModel], dict[str, DiffArray]]:
-    """Models, one per name and its ``model_layout``, and their encoder weights
-    stacked on a model axis: views of the stores, rows of one (M, 4, N) buffer
-    of zeros. Each model draws its encoder, then its head, from ``rng`` in
-    layout order, each weight straight into its span of the DATA row as
-    ``rng.normal(0.0, std, shape) * gain``; then the views, each store's and
-    the stacked ones, are read-only. With ``share_encoder`` the others
-    borrow the first model's encoder: a stack of one. Names and shapes alone,
+) -> tuple[list[SimileModel], dict[str, DiffArray], dict[str, DiffArray]]:
+    """Models, one per name and its ``model_layout``, and their encoder and
+    classifier weights stacked on a model axis: views of the stores, rows of
+    one (M, 4, N) buffer of zeros, where every model keeps a weight of its
+    encoder or classifier at the same column. Each model draws its encoder,
+    then its head, from ``rng`` in layout order, each weight straight into
+    its span of the DATA row as ``rng.normal(0.0, std, shape) * gain``; then
+    the views, each store's and the stacked ones, are read-only. With
+    ``share_encoder`` the others borrow the first model's encoder, a stack of
+    one, and leave its columns of their rows unused. Names and shapes alone,
     as ``bundle.json`` records them, draw nothing."""
     buf = np.zeros((len(names), 4, max(sum(math.prod(p.shape) for p in layout)
                                        for layout in layouts)))
     models: list[SimileModel] = []
+    cols: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # model 0's spans
     for i, (name, layout) in enumerate(zip(names, layouts)):
         lent = {f"enc/{k}": p for k, p in models[0].enc.items()} if share_encoder and i else {}
         lo = 0
-        for p in layout[len(lent):]:  # a borrowed encoder comes first and is not drawn
+        for p in layout:
             hi = lo + math.prod(p.shape)
-            if p.std:  # into the DATA row, before the store seals its views
+            cols.setdefault(p.name, (lo, hi, p.shape))
+            if p.std and p.name not in lent:  # into the DATA row, before the store seals it
                 np.multiply(rng.normal(0.0, p.std, p.shape), p.gain,
                             out=buf[i, DATA, lo:hi].reshape(p.shape))
             lo = hi
-        store = ParamStore({p.name: lent.get(p.name, p.shape) for p in layout}, buf[i])
+        # A borrowed encoder comes first; the store's own span starts after it.
+        skip = sum(p.data.size for p in lent.values())
+        store = ParamStore({p.name: lent.get(p.name, p.shape) for p in layout}, buf[i, :, skip:])
         enc, head = ({k[len(side):]: p for k, p in store.params.items() if k.startswith(side)}
                      for side in ("enc/", "head/"))
         models.append(SimileModel(name=name, store=store, enc=models[0].enc if lent else enc,
                                   head=head, config=config))
-    stacked, lo, n = {}, 0, 1 if share_encoder else len(names)
-    for k, p in models[0].enc.items():
-        hi = lo + p.data.size
-        stacked[k] = w = DiffArray(buf[:n, DATA, lo:hi].reshape(n, *p.shape), name=k)
-        w.data.flags.writeable = False
-        w.grad_home = buf[:n, GRAD, lo:hi].reshape(w.shape)
-        lo = hi
-    return models, stacked
+
+    def stacked(prefix: str, n: int) -> dict[str, DiffArray]:
+        views = {}
+        for key, (lo, hi, shape) in cols.items():
+            if key.startswith(prefix):
+                local = key.split("/", 1)[1]
+                views[local] = w = DiffArray(buf[:n, DATA, lo:hi].reshape(n, *shape), name=local)
+                w.data.flags.writeable = False
+                w.grad_home = buf[:n, GRAD, lo:hi].reshape(w.shape)
+        return views
+
+    return (models, stacked("enc/", 1 if share_encoder else len(names)),
+            stacked("head/cls/", len(names)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +159,11 @@ def init_models(
 
 def classify(g_final: DiffArray, graph: BlockGraph, head: dict[str, DiffArray]) -> DiffArray:
     """Distribution over {literal, simile} from the subsentence states, one
-    (1, 2) row per sentence of the graph."""
+    (1, 2) row per sentence of the graph; states and weights stacked on a
+    model axis (``ModelBundle.head``) give one (B, 2) block per model."""
     g_left = tc.pick_rows(g_final, graph.left_nodes)
     g_right = tc.pick_rows(g_final, graph.right_nodes)
-    feat = tc.concat([g_left, g_right, tc.abs_(tc.sub(g_left, g_right))], axis=1)
+    feat = tc.concat([g_left, g_right, tc.abs_(tc.sub(g_left, g_right))], axis=-1)
     logits = tc.matmul(tc.matmul(feat, head["cls/w"]), tc.transpose(head["cls/emb"]))
     return tc.softmax(logits, axis=-1)
 

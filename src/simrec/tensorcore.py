@@ -40,9 +40,12 @@ kernels in :mod:`simrec.kernels`. Every op that reads an id array checks
 it once, with ``_check_ids``, and raises a ShapeError naming the op; the
 kernels it calls trust those ids.
 
-The encoder's ops also take an ensemble's arrays stacked on a leading model
-axis (M, ...), each slice getting the bits of its own 2-D call;
-``model_slice`` takes one model's slice and ``backward`` sweeps every loss.
+The encoder's ops, the classifier's and the losses also take an ensemble's
+arrays stacked on a leading model axis (M, ...), each slice getting the bits
+of its own 2-D call; a loss gives one value per model, and ``backward``
+sweeps from their sum. ``model_slice`` takes one model's slice,
+``stack_models`` stacks per-model arrays and ``repeat_models`` repeats an
+axis of one (a shared encoder's states) once per model.
 
 A ``ParamStore`` holds its parameters' data, gradients and two Adam moments
 as the rows of one block, so one Adam update is a few in-place numpy calls
@@ -446,6 +449,40 @@ def model_slice(a: DiffArray, m: int) -> DiffArray:
     return _result(a.data[m], (a,), bwd, "model_slice")
 
 
+def stack_models(parts: list[DiffArray | None]) -> DiffArray:
+    """The parts stacked on a new leading model axis; a None part is a slice of
+    zeros that takes no gradient."""
+    shape = next(p.data.shape for p in parts if p is not None)
+    if any(p is not None and p.data.shape != shape for p in parts):
+        raise ShapeError(f"stack_models: parts differ from shape {shape}")
+    kept = [(m, p) for m, p in enumerate(parts) if p is not None]
+    out_data = np.zeros((len(parts),) + shape)
+    for m, p in kept:
+        out_data[m] = p.data
+
+    def bwd(grad):
+        for m, p in kept:
+            p.accum_grad(grad[m])
+
+    return _result(out_data, tuple(p for _, p in kept), bwd, "stack_models")
+
+
+def repeat_models(a: DiffArray, n: int) -> DiffArray:
+    """A model axis of one, (1, ...), repeated n times. Backward adds the
+    slices' gradients from the last to the first: the order in which one
+    sweep over n per-model tapes, each reading slice 0, adds them."""
+    if a.data.shape[:1] != (1,):
+        raise ShapeError(f"repeat_models: expected a model axis of one, got {a.data.shape}")
+
+    def bwd(grad):
+        total = np.zeros_like(a.data)
+        for g in grad[::-1]:
+            total[0] += g
+        a.accum_grad(total)
+
+    return _result(np.repeat(a.data, n, axis=0), (a,), bwd, "repeat_models")
+
+
 # ---------------------------------------------------------------------------
 # edge-segment ops (kernels)
 # ---------------------------------------------------------------------------
@@ -581,38 +618,42 @@ def cross_entropy_rows(dist: DiffArray, golds) -> DiffArray:
 
 
 def _nll(dist: DiffArray, golds, op: str) -> DiffArray:
-    """Sum over rows of -log dist[i, golds[i]] for a 2-D dist."""
+    """Sum over rows of -log dist[i, golds[i]] for a 2-D dist; a stacked
+    (M, rows, classes) dist shares the golds and gives one sum per model."""
     rows = dist.data
-    if rows.ndim != 2:
+    if rows.ndim not in (2, 3):
         raise ShapeError(f"{op}: expected 2-D, got {rows.shape}")
     idx = np.asarray(golds, dtype=np.int64).reshape(-1)
-    if idx.size != rows.shape[0]:
-        raise ShapeError(f"{op}: {idx.size} gold labels for {rows.shape[0]} rows")
-    _check_ids(idx, rows.shape[1], op, "gold index", "classes")
-    sums = rows.sum(axis=1)
-    worst = sums[np.abs(sums - 1.0).argmax()] if idx.size else 1.0
+    if idx.size != rows.shape[-2]:
+        raise ShapeError(f"{op}: {idx.size} gold labels for {rows.shape[-2]} rows")
+    _check_ids(idx, rows.shape[-1], op, "gold index", "classes")
+    sums = rows.sum(axis=-1)
+    worst = sums.flat[np.abs(sums - 1.0).argmax()] if idx.size else 1.0
     if abs(worst - 1.0) > 1e-6:
         raise ShapeError(f"{op}: distribution sums to {float(worst)!r}, not 1")
     at = np.arange(idx.size)
-    picked = np.maximum(rows[at, idx], EPS_LOG)
+    # In C order each model's values are contiguous and sum as its 2-D call's
+    # do; numpy lays ``rows[:, at, idx]`` out model-last.
+    picked = np.maximum(rows[..., at, idx], EPS_LOG, order="C")
 
     def bwd(grad):
         g = np.zeros(rows.shape)
-        g[at, idx] = -grad / picked
+        g[..., at, idx] = -grad[..., None] / picked
         dist.accum_grad(g)
 
-    return _result(np.asarray(-np.log(picked).sum()), (dist,), bwd, op)
+    return _result(np.asarray(-np.log(picked).sum(axis=-1)), (dist,), bwd, op)
 
 
 def kl_divergence(p: np.ndarray, q: DiffArray, row_weights: np.ndarray | None = None) -> DiffArray:
-    """Sum of p * log(p/q) over all entries; p is a constant target.
+    """Sum of p * log(p/q) over all entries; p is a constant target. A q
+    stacked on a leading model axis shares p and gives one sum per model.
 
     With ``row_weights`` row i of a 2-D p and q counts ``row_weights[i]``
     times. Zero entries of p contribute nothing (0 * log 0 = 0); q is
     clamped at 1e-12 so the value stays finite.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != q.data.shape:
+    if q.data.ndim - p.ndim not in (0, 1) or q.data.shape[q.data.ndim - p.ndim:] != p.shape:
         raise ShapeError(f"kl_divergence: shapes differ {p.shape} vs {q.data.shape}")
     sums = p.sum(axis=-1)
     if np.abs(sums - 1.0).max() > 1e-6 or p.min() < 0:
@@ -622,13 +663,14 @@ def kl_divergence(p: np.ndarray, q: DiffArray, row_weights: np.ndarray | None = 
         w = np.asarray(row_weights, dtype=np.float64).reshape(-1, 1)
         if p.ndim != 2 or w.shape[0] != p.shape[0]:
             raise ShapeError(f"kl_divergence: {w.shape[0]} row weights for shape {p.shape}")
+    entries = tuple(range(-p.ndim, 0))
     q_clamped = np.maximum(q.data, EPS_LOG)
     terms = np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(q_clamped)), 0.0)
 
     def bwd(grad):
-        q.accum_grad(np.where(p > 0, -p / q_clamped, 0.0) * w * grad)
+        q.accum_grad(np.where(p > 0, -p / q_clamped, 0.0) * w * np.expand_dims(grad, entries))
 
-    return _result(np.asarray((terms * w).sum()), (q,), bwd, "kl_divergence")
+    return _result(np.asarray((terms * w).sum(axis=entries)), (q,), bwd, "kl_divergence")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from simrec.distill import forward_sentence
+from simrec import tensorcore as tc
+from simrec.distill import SentenceForward
 from simrec.encoder import Param, encode_graph
-from simrec.heads import _block_dists, init_models
+from simrec.heads import _block_dists, classify, forward_tagger, init_models
 from simrec.tensorcore import DiffArray, ParamStore
 
 
@@ -37,21 +38,25 @@ def filled_store(arrays):
 def drawn_store(layout, rng):
     """The store of ``layout`` alone (one part of a model's), drawn from ``rng``
     by ``init_models``."""
-    (model,), _ = init_models([None], [layout], None, rng)
+    (model,), _, _ = init_models([None], [layout], None, rng)
     return model.store
 
 
 def forward_one(model, sentences, graph):
-    """``forward_sentence`` from the model's own 2-D encoder pass."""
-    return forward_sentence(model, sentences, graph,
-                            encode_graph(graph, model.enc, model.config)[-1])
+    """One model's heads on its own 2-D encoder pass: the per-model form of
+    ``distill.forward_sentence``, which the stacked one must match."""
+    g_final = encode_graph(graph, model.enc, model.config)[-1]
+    words = tc.pick_rows(g_final, graph.word_nodes)
+    fwd = forward_tagger(model, words, [t for s in sentences for t in s.tags], graph.word_counts)
+    return SentenceForward(cls_dist=classify(g_final, graph, model.head), tag_fwds=[fwd],
+                           tag_dist=tc.softmax(fwd.final_logits, axis=-1))
 
 
 def rebuilt(model):
     """A model built anew from ``model``'s current weights: a store of its
     own that owns every parameter, a borrowed encoder too."""
     layout = [Param(name, p.shape) for name, p in model.store.params.items()]
-    (copy,), _ = init_models([model.name], [layout], model.config, None)
+    (copy,), _, _ = init_models([model.name], [layout], model.config, None)
     copy.store.assign({name: p.data for name, p in model.store.params.items()})
     return copy
 

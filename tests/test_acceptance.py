@@ -109,33 +109,30 @@ def test_gradient_integrity_full_pipeline():
     rng = np.random.default_rng(12)
     bundle = build_bundle(vocab, enc, rng, label_emb_dim=5)
     graph = build_graph(sent, vocab)
-    _, outs = ensemble_forward(bundle, [sent], graph.block)
-    target = ensemble_distribution(
-        *(outs[name].tag_fwd.final_logits.data for name in bundle.models)
-    )
+    _, out = ensemble_forward(bundle, [sent], graph.block)
+    target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
 
     def losses():
-        # The training step's tape: the stacked encoders, then every head.
-        result = {}
-        for name, out in ensemble_forward(bundle, [sent], graph.block)[1].items():
-            sup = supervised_loss(out, [sent], 0.3, 1.0)
-            kl = kl_to_ensemble(out.tag_dist, target, graph.block.word_counts)
-            result[name] = tc.add(tc.scale(sup, 0.5), tc.scale(kl, 0.5))
-        return result
+        # The training step's tape: the stacked encoders, then the heads and
+        # losses on the model axis, one loss per model.
+        out = ensemble_forward(bundle, [sent], graph.block)[1]
+        sup = supervised_loss(out, [sent], 0.3, 1.0)
+        kl = kl_to_ensemble(out.tag_dist, target, graph.block.word_counts)
+        return tc.add(tc.scale(sup, 0.5), tc.scale(kl, 0.5))
 
     eps = 1e-5
     worst = 0.0
     checked = 0
-    ensemble_backward(bundle, losses().values())
-    for name, model in bundle.models.items():
+    ensemble_backward(bundle, losses())
+    for m, (name, model) in enumerate(bundle.models.items()):
         for pname, param in model.store.params.items():
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
             for i in np.ndindex(param.shape):
                 orig = param.data[i]
                 set_param(model.store, pname, orig + eps, i)
-                hi = float(losses()[name].data)
+                hi = float(losses().data[m])
                 set_param(model.store, pname, orig - eps, i)
-                lo = float(losses()[name].data)
+                lo = float(losses().data[m])
                 set_param(model.store, pname, orig, i)
                 fd = (hi - lo) / (2.0 * eps)
                 rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6)

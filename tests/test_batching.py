@@ -70,7 +70,7 @@ def sentence_targets(bundle, sents, graphs):
     """Ensemble target of each sentence, from one-sentence forward passes."""
     return [
         ensemble_distribution(*(
-            forward_one(m, [s], g.block).tag_fwd.final_logits.data
+            forward_one(m, [s], g.block).tag_fwds[0].final_logits.data
             for m in bundle.models.values()
         ))
         for s, g in zip(sents, graphs)
@@ -241,7 +241,7 @@ def test_batch_gradients_match_finite_differences(corpus, vocab, name):
     sents = batch_of_four(corpus)[:3]
     graph = join_graphs([build_graph(s, vocab) for s in sents])
     target = ensemble_distribution(*(
-        forward_one(m, sents, graph).tag_fwd.final_logits.data
+        forward_one(m, sents, graph).tag_fwds[0].final_logits.data
         for m in bundle.models.values()
     ))
 

@@ -67,7 +67,7 @@ class TestSupervisedLoss:
         )
         return distill.SentenceForward(
             cls_dist=DiffArray(np.asarray(cls_row)[None, :]),
-            tag_fwd=fwd,
+            tag_fwds=[fwd],
             tag_dist=DiffArray(np.asarray(tag_rows)),
         )
 
@@ -300,7 +300,7 @@ class TestGradientIsolation:
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
-            *(outs[n].tag_fwd.final_logits.data for n in bundle.models)
+            *(outs[n].tag_fwds[0].final_logits.data for n in bundle.models)
         )
         loss = tc.add(
             tc.scale(supervised_loss(outs["p"], [sent], 0.1), 0.5),
@@ -330,7 +330,7 @@ class TestGradientIsolation:
             for name, m in bundle.models.items()
         }
         target = ensemble_distribution(
-            *(outs[n].tag_fwd.final_logits.data for n in bundle.models)
+            *(outs[n].tag_fwds[0].final_logits.data for n in bundle.models)
         )
         before = p_loss(target)
         for param in bundle.models["t"].store.params.values():
@@ -706,7 +706,7 @@ class TestParamBlocks:
         bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
         distill.save_bundle(bundle, tmp_path, selected="p")
         for b in (bundle, distill.load_bundle(tmp_path)[0]):
-            views = [*b.enc.values(),
+            views = [*b.enc.values(), *b.head.values(),
                      *(p for model in b.models.values() for p in model.store.params.values())]
             for p in views:
                 with pytest.raises(ValueError, match="read-only"):
@@ -778,7 +778,7 @@ def per_model_step(bundle, sents, graphs, batch, lam, config):
     block = join_graphs([graphs[i] for i in batch])
     outs = {name: forward_one(model, batch_sents, block)
             for name, model in bundle.models.items()}
-    target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
+    target = ensemble_distribution(*(o.tag_fwds[0].final_logits.data for o in outs.values()))
     losses = {}
     for name, out in outs.items():
         sup = supervised_loss(out, batch_sents, config.alpha, config.aux_weight)
@@ -840,6 +840,21 @@ class TestStackedStep:
                 assert np.shares_memory(w.data, model.store.block), key
                 assert np.shares_memory(w.grad_home, model.store.block), key
                 np.testing.assert_array_equal(w.data[m], model.enc[key].data)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"disabled_models": ("v",)}, {"share_encoder": True}],
+                             ids=["plain", "disabled-v", "share-encoder"])
+    def test_classifiers_are_stacked_at_one_column(self, tiny_vocab, tmp_path, kwargs):
+        # Every model keeps its classifier at the same column of its row, a
+        # model that borrows an encoder too, so one view per weight reads all.
+        bundle = fresh_bundle(tiny_vocab, **kwargs)
+        distill.save_bundle(bundle, tmp_path, selected="p")
+        for b in (bundle, distill.load_bundle(tmp_path)[0]):
+            assert set(b.head) == {"cls/w", "cls/emb"}
+            for key, w in b.head.items():
+                assert w.shape == (len(b.models), *b.models["p"].head[key].shape)
+                for m, model in enumerate(b.models.values()):
+                    assert w.data[m].ctypes.data == model.head[key].data.ctypes.data, key
+                    assert w.grad_home[m].ctypes.data == model.head[key].grad_home.ctypes.data
 
     def test_shared_encoder_is_an_axis_of_one(self, tiny_vocab):
         bundle = fresh_bundle(tiny_vocab, share_encoder=True)
@@ -905,7 +920,7 @@ class TestMeanEnsembleKL:
         for sent, graph in zip(sents, graphs):
             outs = {name: forward_one(m, [sent], graph.block)
                     for name, m in bundle.models.items()}
-            target = ensemble_distribution(*(o.tag_fwd.final_logits.data for o in outs.values()))
+            target = ensemble_distribution(*(o.tag_fwds[0].final_logits.data for o in outs.values()))
             for name, out in outs.items():
                 totals[name] += float(tc.kl_divergence(target, out.tag_dist).data)
         n_tokens = sum(len(s.tokens) for s in sents)

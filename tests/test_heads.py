@@ -267,7 +267,7 @@ class TestPredict:
             edge_emb_dim=4, max_tokens=10, max_positions=12,
         )
         vocab = build_vocab([fig_sentence])
-        (model,), _ = fresh_models(["p"], config, np.random.default_rng(seed),
+        (model,), _, _ = fresh_models(["p"], config, np.random.default_rng(seed),
                                    vocab.size, len(edge_label_index(vocab)))
         return model, vocab, build_graph(fig_sentence, vocab)
 
@@ -335,7 +335,7 @@ class TestModelSetup:
 
     def test_shared_encoder_is_registered_not_copied(self, tiny_config):
         rng = np.random.default_rng(0)
-        (base, other), _ = fresh_models(["p", "t"], tiny_config, rng,
+        (base, other), _, _ = fresh_models(["p", "t"], tiny_config, rng,
                                         share_encoder=True)
         assert other.enc is base.enc
         for key, param in base.enc.items():
@@ -365,13 +365,13 @@ class TestModelSetup:
             return [(name, p.shape) for name, p in model.store.params.items()]
 
         rng = np.random.default_rng(0)
-        models, _ = fresh_models(heads.FIRST_COMPONENT, tiny_config, rng)
+        models, _, _ = fresh_models(heads.FIRST_COMPONENT, tiny_config, rng)
         for name, model in zip(heads.FIRST_COMPONENT, models):
             assert list(model.store.params) == want[name]
             assert params(model) == layout(name)
             assert all(np.shares_memory(p.data, model.store.block)
                        for p in model.store.params.values())
-        (first, shared), _ = fresh_models(["p", "v"], tiny_config, rng,
+        (first, shared), _, _ = fresh_models(["p", "v"], tiny_config, rng,
                                           share_encoder=True)
         assert list(shared.store.params) == sequential
         assert params(first) == layout("p") and params(shared) == layout("v")

@@ -375,8 +375,31 @@ SEG = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3], dtype=np.int64)
 SRC = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1], dtype=np.int64)
 LABELS = np.array([0, 4, 1, 1, 2, 3, 0, 4, 2, 2], dtype=np.int64)
 BLOCK_MASK = np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool))[:5, :5]
+# Eight rows of three classes: golds shared by every model, and a shared KL
+# target (one zero entry) with its row weights.
+GOLDS = np.array([2, 0, 1, 1, 0, 2, 2, 1], dtype=np.int64)
+TARGET = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4], [0.1, 0.8, 0.1],
+                   [0.5, 0.25, 0.25], [0.0, 0.7, 0.3], [0.45, 0.45, 0.1], [0.3, 0.2, 0.5]])
+ROW_WEIGHTS = np.repeat([1 / 3, 1 / 5], [3, 5])
 
-# op -> (per-model input shapes, op applied to its inputs)
+
+def weighted_slices(x):
+    """Slices 0, 1 and 2 of ``x`` weighted 1, 2 and 3 and summed, so that
+    each slice gets a gradient of its own."""
+    out = tc.model_slice(x, 0)
+    for k in (1, 2):
+        out = tc.add(out, tc.scale(tc.model_slice(x, k), k + 1.0))
+    return out
+
+
+def dist_of(op):
+    """``op`` on the row-wise softmax of its input, a distribution per row."""
+    return lambda a: op(tc.softmax(a, axis=-1))
+
+
+# op -> (per-model input shapes, op applied to its inputs). The losses read
+# a softmax of their inputs; the ops that make a model axis are read back
+# through ``weighted_slices``.
 STACKED_OPS = {
     "matmul": ([(5, 4), (4, 3)], tc.matmul),
     "transpose": ([(5, 4)], tc.transpose),
@@ -396,7 +419,24 @@ STACKED_OPS = {
                           lambda al, v: tc.segment_aggregate(al, v, SRC, SEG, 4)),
     "gat_score": ([(4, 3), (3, 2), (2, 1), (5, 2)],
                   lambda *xs: tc.gat_score(*xs, SRC, SEG, LABELS)),
+    "cross_entropy": ([(8, 3)], dist_of(lambda d: tc.cross_entropy(d, GOLDS))),
+    "cross_entropy_rows": ([(8, 3)], dist_of(lambda d: tc.cross_entropy_rows(d, GOLDS))),
+    "kl_divergence": ([(8, 3)], dist_of(lambda d: tc.kl_divergence(TARGET, d))),
+    "kl_divergence_rows": ([(8, 3)],
+                           dist_of(lambda d: tc.kl_divergence(TARGET, d, ROW_WEIGHTS))),
+    "stack_models": ([(5, 4), (5, 4)],
+                     lambda a, b: weighted_slices(tc.stack_models([a, None, b]))),
+    "repeat_models": ([(5, 4)], lambda a: weighted_slices(
+        tc.repeat_models(tc.reshape(a, (1, *a.shape)), 3))),
 }
+
+
+def sweep(out, grad_out):
+    """Every backward closure of ``out``'s tape, from ``grad_out``."""
+    out.grad = grad_out
+    for node in reversed(tc._tape(out)):
+        if node._backward is not None:
+            node._backward(node.grad)
 
 
 # (op, id array) -> (valid ids, their bound n, the op on inputs stacked on a
@@ -447,9 +487,10 @@ def strided_stack(rng, shape):
 
 
 class TestStackedOps:
-    """Every op the encoder runs on a leading model axis gives, per slice,
-    the bits of its 2-D form, forward and backward, and its stacked
-    backward matches central differences."""
+    """Every op the training step runs on a leading model axis gives, per
+    slice, the bits of its 2-D form, forward and backward, and its stacked
+    backward matches central differences. A loss gives one value per model,
+    and a 0-d one in its 2-D form."""
 
     @pytest.mark.parametrize("op", STACKED_OPS)
     def test_slices_equal_the_2d_op_bit_for_bit(self, op, rng):
@@ -458,11 +499,12 @@ class TestStackedOps:
         stacked = [DiffArray(x) for x in xs]
         out = fn(*stacked)
         grad_out = rng.normal(size=out.shape)
-        out._backward(grad_out)
+        sweep(out, grad_out)
         for m in range(M):
             flat = [DiffArray(x[m]) for x in xs]
             out_m = fn(*flat)
-            out_m._backward(grad_out[m])
+            assert out_m.shape == out.shape[1:]
+            sweep(out_m, grad_out[m])
             assert out.data[m].tobytes() == out_m.data.tobytes()
             for leaf_s, leaf_m in zip(stacked, flat):
                 assert leaf_s.grad[m].tobytes() == leaf_m.grad.tobytes()
@@ -473,7 +515,7 @@ class TestStackedOps:
         leaves = {f"x{i}": leaf(rng, M, *shape) for i, shape in enumerate(shapes)}
         out = fn(*leaves.values())
         grad_out = rng.normal(size=out.shape)
-        out._backward(grad_out)
+        sweep(out, grad_out)
         check_grads(lambda: (fn(*leaves.values()).data * grad_out).sum(), leaves, tol=1e-6)
 
     @pytest.mark.parametrize("models", [(), (M,)], ids=["one-model", "stacked"])
@@ -523,6 +565,33 @@ class TestStackedOps:
         for m in range(M):
             tc.model_slice(a, m)._backward(weights[m])
         check_grads(loss, {"a": a}, tol=1e-6)
+
+    def test_repeat_models_adds_slices_as_per_model_sweeps_did(self, rng):
+        # One sweep over M models' tapes, each reading slice 0 of a model axis
+        # of one, added their gradients from the last model to the first.
+        x = rng.normal(size=(1, 4, 3))
+        ws = [leaf(rng, 3, 2) for _ in range(M)]
+
+        def losses(heads_in):
+            return [tc.sum_all(tc.matmul(heads_in(m), ws[m])) for m in range(M)]
+
+        sliced = DiffArray(x)
+        tc.backward(*losses(lambda m: tc.model_slice(sliced, 0)))
+        repeated = DiffArray(x)
+        stack = tc.repeat_models(repeated, M)
+        tc.backward(*losses(lambda m: tc.model_slice(stack, m)))
+        assert repeated.grad.tobytes() == sliced.grad.tobytes()
+        parts = [(np.ones((4, 1)) * w.data.sum(axis=1)) for w in ws]
+        assert sliced.grad[0].tobytes() == ((parts[2] + parts[1]) + parts[0]).tobytes()
+        assert sliced.grad[0].tobytes() != ((parts[0] + parts[1]) + parts[2]).tobytes()
+
+    def test_stack_models_refuses_parts_of_other_shapes(self, rng):
+        with pytest.raises(ShapeError, match="stack_models: parts differ"):
+            tc.stack_models([leaf(rng, 2, 3), None, leaf(rng, 3, 2)])
+
+    def test_repeat_models_needs_a_model_axis_of_one(self, rng):
+        with pytest.raises(ShapeError, match="repeat_models: expected a model axis of one"):
+            tc.repeat_models(leaf(rng, 2, 3), 3)
 
     def test_backward_from_several_roots_sums_their_gradients(self, rng):
         x = leaf(rng, 3, 2)
