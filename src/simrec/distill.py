@@ -370,7 +370,7 @@ def train(
                 record["dev"] = {
                     name: report_record(scores) for name, scores in dev_scores.items()
                 }
-                _track_best(result, bundle, dev_scores, epoch)
+                _track_best(result, bundle, dev_scores, epoch, restore_best)
             result.epoch_logs.append(record)
             if log_file:
                 log_file.write(json.dumps(record, sort_keys=True) + "\n")
@@ -444,21 +444,24 @@ def _track_best(
     bundle: ModelBundle,
     dev_scores: dict[str, dict[str, PRF]],
     epoch: int,
+    snapshot: bool,
 ) -> None:
+    """Record each model's best dev extraction epoch so far, with a copy of
+    its weights under ``"params"`` if ``snapshot`` (``train`` restores it)."""
     for name, scores in dev_scores.items():
         f1 = scores["extraction"].f1
         prev = result.best.get(name)
         if prev is not None and f1 <= prev["extraction_f1"]:
             continue
-        snapshot = {
-            pname: p.data.copy() for pname, p in bundle.models[name].store.params.items()
-        }
         result.best[name] = {
             "epoch": epoch,
             "extraction_f1": f1,
             "classification_f1": scores["classification"].f1,
-            "params": snapshot,
         }
+        if snapshot:
+            result.best[name]["params"] = {
+                pname: p.data.copy() for pname, p in bundle.models[name].store.params.items()
+            }
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Sentence encoding: contextual token states, gloss fusion, graph attention.
 
 The token encoder is a compact stand-in for a pretrained transformer:
-learned token and position embeddings followed by a configurable number of
-single-head scaled dot-product self-attention blocks with residual
-connections. Noun states are then augmented with pooled dictionary-gloss
+learned token and position embeddings (one ``tc.embed``) followed by a
+configurable number of single-head scaled dot-product self-attention blocks
+with residual connections, each ``tc.attention_scores``, ``tc.scale`` and
+``tc.attend``. Noun states are then augmented with pooled dictionary-gloss
 embeddings, node states are initialized from token states (subsentence
 nodes pool their token range), and L graph-attention layers propagate
 information along the typed edges.
@@ -118,17 +119,11 @@ def encode_tokens(
     if graph.word_counts.size > 1:
         owner = np.repeat(np.arange(graph.word_counts.size), graph.word_counts + 2)
         mask = owner[:, None] == owner[None, :]
-    rows = tc.pick_rows(params["tok_emb"], graph.token_ids)
-    pos = tc.pick_rows(params["pos_emb"], graph.positions)
-    h = tc.add(rows, pos)
+    h = tc.embed(params["tok_emb"], graph.token_ids, params["pos_emb"], graph.positions)
     inv_sqrt_d = 1.0 / math.sqrt(config.d_model)
     for layer in range(config.n_selfattn_layers):
-        q = tc.matmul(h, params[f"sa{layer}/wq"])
-        k = tc.matmul(h, params[f"sa{layer}/wk"])
-        v = tc.matmul(h, params[f"sa{layer}/wv"])
-        scores = tc.scale(tc.matmul(q, tc.transpose(k)), inv_sqrt_d)
-        att = tc.softmax(scores, axis=-1, mask=mask)
-        h = tc.add(h, tc.matmul(att, v))
+        scores = tc.attention_scores(h, params[f"sa{layer}/wq"], params[f"sa{layer}/wk"])
+        h = tc.attend(tc.scale(scores, inv_sqrt_d), h, params[f"sa{layer}/wv"], mask)
     return h
 
 

@@ -8,21 +8,21 @@ exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
 cycles and is freed as soon as its loss is dropped.
 
-Each gradient is written once, where it will live. ``matmul`` and
-``gat_score`` write a weight's first gradient straight into its store's
-GRAD row, and ``accum_grad`` writes any other first gradient of a
-parameter there as g + 0.0. An intermediate keeps its first gradient as
-it comes, without a copy, when that is a C-contiguous float64 array of
-its shape; otherwise it copies it into its data's layout, so every
-gradient that a BLAS call reads is laid out as a copy would be. One array
-may so be the gradient of several nodes (``add`` hands its gradient to
-both operands), so an intermediate's later gradients are added out of
-place, and ``model_slice`` copies an intermediate's gradient before it
-adds into one slice of it. Only a parameter's gradient, which its store
+Each gradient is written once, where it will live. ``matmul``,
+``gat_score`` and the attention ops write a weight's first gradient
+straight into its store's GRAD row, and ``accum_grad`` writes any other
+first gradient of a parameter there as g + 0.0. An intermediate keeps its
+first gradient as it comes, without a copy, when that is a C-contiguous
+float64 array of its shape; otherwise it copies it into its data's layout,
+so every gradient that a BLAS call reads is laid out as a copy would be.
+One array may so be the gradient of several nodes (``add`` hands its
+gradient to both operands), so an intermediate's later gradients are added
+out of place, and ``model_slice`` copies an intermediate's gradient before
+it adds into one slice of it. Only a parameter's gradient, which its store
 owns, is added to in place.
 
 A zero in an intermediate's gradient may so carry either sign, and so
-may one in a weight gradient that ``matmul`` or ``gat_score`` writes with
+may one in a weight gradient that ``matmul`` or another op writes with
 the bits of ``x.mT @ grad`` or of an outer product. That sign never
 reaches a weight or its moments, for three reasons: ``accum_grad`` still
 adds 0.0 on a parameter's first write; adding a zero of either sign
@@ -39,6 +39,14 @@ aggregation, the per-node sums of the GAT score's backward) call the
 kernels in :mod:`simrec.kernels`. Every op that reads an id array checks
 it once, with ``_check_ids``, and raises a ShapeError naming the op; the
 kernels it calls trust those ids.
+
+The token encoder runs on three ops with hand-written backward: ``embed``
+(two row lookups added), ``attention_scores`` (``(h @ wq) @ (h @ wk)^T``)
+and ``attend`` (``h + softmax(scores) @ (h @ wv)``, masked to a block's
+sentences). Each makes the numpy calls of the chain of small ops it
+replaces and adds into each input's gradient in the order that chain's
+sweep did, so the bits are the same; ``scale`` stays a node of its own
+between the two attention ops.
 
 The encoder's ops, the classifier's and the losses also take an ensemble's
 arrays stacked on a leading model axis (M, ...), each slice getting the bits
@@ -132,19 +140,34 @@ class DiffArray:
         if self.grad is None:
             if self.grad_home is not None:
                 self.grad = np.add(g, 0.0, out=self.grad_home)
-            elif (type(g) is np.ndarray and g.dtype == np.float64
-                  and g.shape == self.data.shape and g.flags.c_contiguous):
-                self.grad = g
             else:
-                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+                self.grad = _held(g, self.data)
         elif self.grad_home is None:
             self.grad = self.grad + g
         else:
             self.grad += g
 
 
+def _held(g: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """``g`` as an intermediate of ``data``'s shape keeps it as its first
+    gradient: itself when it is a C-contiguous float64 ndarray of that shape,
+    otherwise a copy laid out like ``data``."""
+    if (type(g) is np.ndarray and g.dtype == np.float64
+            and g.shape == data.shape and g.flags.c_contiguous):
+        return g
+    return np.add(g, 0.0, out=np.empty_like(data))
+
+
+_new_node = object.__new__
+
+
 def _result(data: np.ndarray, parents: tuple[DiffArray, ...], backward, op: str) -> DiffArray:
-    out = DiffArray(data)
+    # Every op computes a float64 ndarray, or a numpy scalar from 0-d inputs,
+    # so the node skips ``DiffArray.__init__``: 0.28 against 0.48 us per node
+    # (2-vCPU Xeon VM), and a served sentence makes 35.
+    out = _new_node(DiffArray)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = out.name = out.grad_home = out._visit = None
     out.op, out._parents, out._backward = op, parents, backward
     return out
 
@@ -305,13 +328,13 @@ def sigmoid(a: DiffArray) -> DiffArray:
     return _result(s, (a,), bwd, "sigmoid")
 
 
-def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> DiffArray:
-    """Softmax along ``axis``.
+def _softmax(x: np.ndarray, axis: int, mask: np.ndarray | None = None):
+    """The softmax ``s`` of ``x`` along ``axis``, and the function that maps a
+    gradient of ``s`` to one of ``x``.
 
     Where the constant boolean ``mask`` is False an entry gets probability 0
     and no gradient; every slice along ``axis`` must keep at least one entry.
     """
-    x = a.data
     # The ufunc reductions behind ndarray.max and sum, without their wrappers.
     if mask is None:
         e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
@@ -323,9 +346,19 @@ def softmax(a: DiffArray, axis: int = -1, mask: np.ndarray | None = None) -> Dif
         e = np.exp(x - top, where=mask, out=np.zeros_like(x))
     s = e / np.add.reduce(e, axis=axis, keepdims=True)
 
-    def bwd(grad):
+    def grad_of(grad):
         dot = np.add.reduce(grad * s, axis=axis, keepdims=True)
-        a.accum_grad(s * (grad - dot))
+        return s * (grad - dot)
+
+    return s, grad_of
+
+
+def softmax(a: DiffArray, axis: int = -1) -> DiffArray:
+    """Softmax along ``axis``."""
+    s, grad_of = _softmax(a.data, axis)
+
+    def bwd(grad):
+        a.accum_grad(grad_of(grad))
 
     return _result(s, (a,), bwd, "softmax")
 
@@ -481,6 +514,83 @@ def repeat_models(a: DiffArray, n: int) -> DiffArray:
         a.accum_grad(total)
 
     return _result(np.repeat(a.data, n, axis=0), (a,), bwd, "repeat_models")
+
+
+# ---------------------------------------------------------------------------
+# token encoding
+# ---------------------------------------------------------------------------
+
+def embed(tok_emb: DiffArray, token_ids, pos_emb: DiffArray, positions) -> DiffArray:
+    """``tok_emb[token_ids] + pos_emb[positions]``, rows of axis -2: the sum of
+    two ``pick_rows``."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    pos = np.asarray(positions, dtype=np.int64)
+    ts, ps = tok_emb.data.shape, pos_emb.data.shape
+    if (ids.ndim != 1 or pos.shape != ids.shape or len(ts) < 2 or len(ps) != len(ts)
+            or ps[:-2] + ps[-1:] != ts[:-2] + ts[-1:]):
+        raise ShapeError(f"embed: incompatible tables {ts}, {ps} "
+                         f"for ids {ids.shape} and positions {pos.shape}")
+    _check_ids(ids, ts[-2], "embed", "token id")
+    _check_ids(pos, ps[-2], "embed", "position")
+
+    def bwd(grad):
+        pos_emb.accum_grad(kernels.scatter_add_rows(pos, grad, *pos_emb.data.shape[-2:]))
+        tok_emb.accum_grad(kernels.scatter_add_rows(ids, grad, *tok_emb.data.shape[-2:]))
+
+    out = _rows(tok_emb.data, ids) + _rows(pos_emb.data, pos)
+    return _result(out, (tok_emb, pos_emb), bwd, "embed")
+
+
+def attention_scores(h: DiffArray, wq: DiffArray, wk: DiffArray) -> DiffArray:
+    """The unscaled self-attention scores ``(h @ wq) @ (h @ wk)^T`` of the
+    rows of ``h``, one (n, n) matrix per model."""
+    x, ws = h.data, wq.data.shape
+    if wk.data.shape != ws or x.shape[:-2] + x.shape[-1:] != ws[:-1] or x.ndim < 2:
+        raise ShapeError(f"attention_scores: incompatible shapes h {h.shape}, "
+                         f"wq {wq.shape}, wk {wk.shape}")
+    q = x @ wq.data
+    k = x @ wk.data
+    kt = k.mT.copy()
+
+    def bwd(grad):
+        d_q = grad @ kt.mT
+        d_k = _held((q.mT @ grad).mT, k)
+        h.accum_grad(d_k @ wk.data.mT)
+        _add_product(wk, x, d_k)
+        h.accum_grad(d_q @ wq.data.mT)
+        _add_product(wq, x, d_q)
+
+    return _result(q @ kt, (h, wq, wk), bwd, "attention_scores")
+
+
+def attend(scores: DiffArray, h: DiffArray, wv: DiffArray,
+           mask: np.ndarray | None = None) -> DiffArray:
+    """``h + softmax(scores) @ (h @ wv)``: each row of ``h`` plus the values
+    of the rows it attends to, with the softmax along the last axis.
+
+    Row i does not attend to row j where the constant boolean (n, n) ``mask``
+    is False; every row must attend to at least one.
+    """
+    x, ss = h.data, scores.data.shape
+    rows = x.shape[:-1]  # (..., n)
+    if (ss != rows + rows[-1:] or wv.data.shape != x.shape[:-2] + x.shape[-1:] * 2
+            or mask is not None and mask.shape != ss[-2:] or x.ndim < 2):
+        raise ShapeError(f"attend: incompatible shapes scores {scores.shape}, h {h.shape}, "
+                         f"wv {wv.shape}, mask {None if mask is None else mask.shape}")
+    v = x @ wv.data
+    att, softmax_grad = _softmax(scores.data, -1, mask)
+    out = x + att @ v
+
+    def bwd(grad):
+        h.accum_grad(grad)
+        g = _held(grad, out)
+        d_v = att.mT @ g
+        d_att = g @ v.mT
+        h.accum_grad(d_v @ wv.data.mT)
+        _add_product(wv, x, d_v)
+        scores.accum_grad(softmax_grad(d_att))
+
+    return _result(out, (scores, h, wv), bwd, "attend")
 
 
 # ---------------------------------------------------------------------------

@@ -254,18 +254,22 @@ def test_batch_gradients_match_finite_differences(corpus, vocab, name):
 
 class TestGeneralisedOps:
     def test_block_masked_softmax(self, rng):
+        # The masked softmax runs inside ``tc.attend``, h + softmax(x) @ (h @ wv).
         x = DiffArray(rng.normal(size=(5, 5)))
-        w = DiffArray(rng.normal(size=(5, 5)))
+        h = DiffArray(rng.normal(size=(5, 3)))
+        wv = DiffArray(rng.normal(size=(3, 3)))
+        w = DiffArray(rng.normal(size=(3, 5)))
         owner = np.array([0, 0, 1, 1, 1])
         mask = owner[:, None] == owner[None, :]
 
         def build():
-            return tc.sum_all(tc.matmul(tc.softmax(x, mask=mask), w))
+            return tc.sum_all(tc.matmul(tc.attend(x, h, wv, mask), w))
 
-        out = tc.softmax(x, mask=mask).data
+        out, _ = tc._softmax(x.data, -1, mask)
         assert (out[~mask] == 0).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-12)
         tc.backward(build())
+        assert (x.grad[~mask] == 0).all()
         check_grads(lambda: float(build().data), {"x": x}, tol=1e-6)
 
     def test_multi_group_mean_pool(self, rng):

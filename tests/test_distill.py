@@ -604,6 +604,9 @@ class TestTrainLoop:
         with_dev = fresh_bundle(tiny_vocab, seed=9, share_encoder=True)
         result = train(with_dev, tiny_corpus[:8], tiny_corpus[8:], config)
         assert set(result.best) == {"p", "t", "v"}
+        # The best epochs are recorded, but no weights are copied to roll back to.
+        for entry in result.best.values():
+            assert set(entry) == {"epoch", "extraction_f1", "classification_f1"}
         without = fresh_bundle(tiny_vocab, seed=9, share_encoder=True)
         train(without, tiny_corpus[:8], [], config)
         for name in with_dev.models:

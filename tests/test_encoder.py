@@ -112,14 +112,15 @@ class TestTokenEncoder:
         vocab = build_vocab([fig_sentence])
         _, params = make_params(vocab, tiny_config)
         block = block_of(fig_sentence, vocab)
-        masks, softmax = [], tc.softmax
+        masks, attend = [], tc.attend
 
-        def all_true_mask(a, axis=-1, mask=None):
+        def all_true_mask(scores, h, wv, mask=None):
             masks.append(mask)
-            return softmax(a, axis, np.ones(a.shape, dtype=bool) if mask is None else mask)
+            all_true = np.ones(scores.shape[-2:], dtype=bool)
+            return attend(scores, h, wv, all_true if mask is None else mask)
 
         h = enc.encode_tokens(block, params, tiny_config)
-        monkeypatch.setattr(tc, "softmax", all_true_mask)
+        monkeypatch.setattr(tc, "attend", all_true_mask)
         np.testing.assert_array_equal(
             enc.encode_tokens(block, params, tiny_config).data, h.data)
         assert masks == [None] * tiny_config.n_selfattn_layers

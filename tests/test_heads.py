@@ -306,6 +306,18 @@ class TestPredict:
         with pytest.raises(tc.NonFiniteError, match="op 'matmul'"):
             heads.predict_batch(model, [graph, graph])
 
+    def test_nonfinite_query_weight_is_named_by_its_op(self, fig_sentence):
+        model, _, graph = self.make_model(fig_sentence)
+        set_param(model.store, "enc/sa0/wq", np.nan, (0, 0))
+        with pytest.raises(tc.NonFiniteError, match="op 'attention_scores'"):
+            heads.predict_batch(model, [graph, graph])
+
+    def test_nonfinite_position_embedding_is_named_by_its_op(self, fig_sentence):
+        model, _, graph = self.make_model(fig_sentence)
+        set_param(model.store, "enc/pos_emb", np.nan, (0, 0))
+        with pytest.raises(tc.NonFiniteError, match="op 'embed'"):
+            heads.predict_batch(model, [graph, graph])
+
     def test_nonfinite_block_runs_its_forward_once(self, fig_sentence, monkeypatch):
         model, _, graph = self.make_model(fig_sentence)
         set_param(model.store, "enc/gat0/wv", np.nan, (0, 0))

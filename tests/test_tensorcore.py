@@ -343,6 +343,23 @@ class TestFiniteDifferenceOracle:
 
         self._check(build, params)
 
+    def test_embed(self, rng):
+        tok, pos = leaf(rng, 6, 3), leaf(rng, 5, 3)
+        self._check(lambda: tc.sum_all(tc.sigmoid(tc.embed(tok, TOKENS, pos, POSITIONS))),
+                    {"tok": tok, "pos": pos})
+
+    def test_attention_scores(self, rng):
+        h, wq, wk = leaf(rng, 5, 3), leaf(rng, 3, 3), leaf(rng, 3, 3)
+        self._check(lambda: tc.sum_all(tc.sigmoid(tc.attention_scores(h, wq, wk))),
+                    {"h": h, "wq": wq, "wk": wk})
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_attend(self, masked, rng):
+        scores, h, wv = leaf(rng, 5, 5), leaf(rng, 5, 3), leaf(rng, 3, 3)
+        mask = BLOCK_MASK if masked else None
+        self._check(lambda: tc.sum_all(tc.sigmoid(tc.attend(scores, h, wv, mask))),
+                    {"scores": scores, "h": h, "wv": wv})
+
     def test_cross_entropy_gradient(self, rng):
         logits = leaf(rng, 4)
 
@@ -375,6 +392,9 @@ SEG = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3], dtype=np.int64)
 SRC = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1], dtype=np.int64)
 LABELS = np.array([0, 4, 1, 1, 2, 3, 0, 4, 2, 2], dtype=np.int64)
 BLOCK_MASK = np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool))[:5, :5]
+# Five rows of two sentences' token ids and positions.
+TOKENS = np.array([0, 2, 2, 5, 1], dtype=np.int64)
+POSITIONS = np.array([0, 1, 2, 0, 1], dtype=np.int64)
 # Eight rows of three classes: golds shared by every model, and a shared KL
 # target (one zero entry) with its row weights.
 GOLDS = np.array([2, 0, 1, 1, 0, 2, 2, 1], dtype=np.int64)
@@ -410,7 +430,7 @@ STACKED_OPS = {
     "reshape": ([(6, 1)], lambda a: tc.reshape(a, a.shape[:-1])),
     "leaky_relu": ([(5, 4)], lambda a: tc.leaky_relu(a, 0.1)),
     "sigmoid": ([(5, 4)], tc.sigmoid),
-    "softmax": ([(5, 5)], lambda a: tc.softmax(a, axis=-1, mask=BLOCK_MASK)),
+    "softmax": ([(5, 5)], lambda a: tc.softmax(a, axis=-1)),
     "pick_rows": ([(6, 4)], lambda a: tc.pick_rows(a, [0, 2, 2, 5, 1])),
     "mean_pool": ([(6, 4)], lambda a: tc.mean_pool(a, [1, 3, 4, 0], [0, 0, 2, 2], 3)),
     "add_rows_at": ([(6, 4), (2, 4)], lambda a, r: tc.add_rows_at(a, [1, 4], r)),
@@ -419,6 +439,9 @@ STACKED_OPS = {
                           lambda al, v: tc.segment_aggregate(al, v, SRC, SEG, 4)),
     "gat_score": ([(4, 3), (3, 2), (2, 1), (5, 2)],
                   lambda *xs: tc.gat_score(*xs, SRC, SEG, LABELS)),
+    "embed": ([(6, 4), (5, 4)], lambda t, p: tc.embed(t, TOKENS, p, POSITIONS)),
+    "attention_scores": ([(5, 4), (4, 4), (4, 4)], tc.attention_scores),
+    "attend": ([(5, 5), (5, 4), (4, 4)], lambda s, h, wv: tc.attend(s, h, wv, BLOCK_MASK)),
     "cross_entropy": ([(8, 3)], dist_of(lambda d: tc.cross_entropy(d, GOLDS))),
     "cross_entropy_rows": ([(8, 3)], dist_of(lambda d: tc.cross_entropy_rows(d, GOLDS))),
     "kl_divergence": ([(8, 3)], dist_of(lambda d: tc.kl_divergence(TARGET, d))),
@@ -460,6 +483,8 @@ STACKED_ID_CALLS = {
     ("pick_rows", "index"): (SRC, 6, lambda x, ids: tc.pick_rows(x(6, 4), ids)),
     ("mean_pool", "index"): (SRC, 6, lambda x, ids: tc.mean_pool(x(6, 4), ids, SEG, 4)),
     ("mean_pool", "pool id"): (SEG, 4, lambda x, ids: tc.mean_pool(x(6, 4), SRC, ids, 4)),
+    ("embed", "token id"): (SRC, 6, lambda x, ids: tc.embed(x(6, 4), ids, x(5, 4), SEG)),
+    ("embed", "position"): (SEG, 5, lambda x, ids: tc.embed(x(6, 4), SRC, x(5, 4), ids)),
 }
 
 
@@ -524,16 +549,14 @@ class TestStackedOps:
         owner = np.repeat(np.arange(3), [4, 6, 2])
         mask = owner[:, None] == owner[None, :]
         x = rng.normal(scale=4.0, size=models + mask.shape)
-        a = DiffArray(x)
-        out = tc.softmax(a, axis=-1, mask=mask)
+        out, grad_of = tc._softmax(x, -1, mask)  # the softmax that ``attend`` runs
         grad_out = rng.normal(size=out.shape)
-        out._backward(grad_out)
         masked = np.where(mask, x, -np.inf)
         e = np.exp(masked - masked.max(axis=-1, keepdims=True))
         s = e / e.sum(axis=-1, keepdims=True)
-        assert out.data.tobytes() == s.tobytes()
+        assert out.tobytes() == s.tobytes()
         dot = (grad_out * s).sum(axis=-1, keepdims=True)
-        assert a.grad.tobytes() == (s * (grad_out - dot)).tobytes()
+        assert grad_of(grad_out).tobytes() == (s * (grad_out - dot)).tobytes()
 
     def test_model_slice_reads_and_writes_only_its_slice(self, rng):
         a = DiffArray(strided_stack(rng, (4, 3)))
@@ -602,6 +625,88 @@ class TestStackedOps:
         x = leaf(rng, 2, 2)
         with pytest.raises(ShapeError, match="scalar"):
             tc.backward(tc.sum_all(x), x)
+
+
+def masked_softmax(a, mask):
+    """The masked softmax tape op that ``attend`` took over."""
+    s, grad_of = tc._softmax(a.data, -1, mask)
+    return tc._result(s, (a,), lambda grad: a.accum_grad(grad_of(grad)), "softmax")
+
+
+def fused_layers(tok, pos, *weights, mask):
+    h = tc.embed(tok, TOKENS, pos, POSITIONS)
+    for wq, wk, wv in zip(*[iter(weights)] * 3):
+        scores = tc.scale(tc.attention_scores(h, wq, wk), 0.5)
+        h = tc.attend(scores, h, wv, mask)
+    return h
+
+
+def composed_layers(tok, pos, *weights, mask):
+    h = tc.add(tc.pick_rows(tok, TOKENS), tc.pick_rows(pos, POSITIONS))
+    for wq, wk, wv in zip(*[iter(weights)] * 3):
+        q, k, v = tc.matmul(h, wq), tc.matmul(h, wk), tc.matmul(h, wv)
+        scores = tc.scale(tc.matmul(q, tc.transpose(k)), 0.5)
+        h = tc.add(h, tc.matmul(masked_softmax(scores, mask), v))
+    return h
+
+
+# op -> (per-model input shapes, the op, the chain of ops it replaces); each
+# form takes its inputs and the ``mask`` keyword. "layers" is two encoder
+# layers, whose h takes its gradient from both fused ops.
+FUSED_OPS = {
+    "embed": ([(6, 4), (5, 4)],
+              lambda t, p, mask: tc.embed(t, TOKENS, p, POSITIONS),
+              lambda t, p, mask: tc.add(tc.pick_rows(t, TOKENS), tc.pick_rows(p, POSITIONS))),
+    "attention_scores": ([(5, 4), (4, 4), (4, 4)],
+                         lambda h, wq, wk, mask: tc.attention_scores(h, wq, wk),
+                         lambda h, wq, wk, mask: tc.matmul(tc.matmul(h, wq),
+                                                           tc.transpose(tc.matmul(h, wk)))),
+    "attend": ([(5, 5), (5, 4), (4, 4)],
+               lambda s, h, wv, mask: tc.attend(s, h, wv, mask),
+               lambda s, h, wv, mask: tc.add(h, tc.matmul(masked_softmax(s, mask),
+                                                          tc.matmul(h, wv)))),
+    "layers": ([(6, 4), (5, 4)] + [(4, 4)] * 6, fused_layers, composed_layers),
+}
+
+
+class TestFusedTokenOps:
+    """``embed``, ``attention_scores`` and ``attend`` give the bits of the
+    chains of ops they replace: forward, and every leaf's gradient from an
+    output gradient laid out in C or in Fortran order."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("models", [(), (M,)], ids=["one-model", "stacked"])
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_matches_the_composed_ops_bit_for_bit(self, op, models, masked, layout, rng):
+        shapes, fused, composed = FUSED_OPS[op]
+        xs = [strided_stack(rng, shape) if models else rng.normal(size=shape)
+              for shape in shapes]
+        mask = BLOCK_MASK if masked else None
+        bits = []
+        for form in (fused, composed):
+            leaves = [DiffArray(x) for x in xs]
+            out = form(*leaves, mask=mask)
+            if not bits:
+                grad_out = signed_zeros(rng, *out.shape).copy(order=layout)
+            sweep(out, grad_out)
+            bits.append([out.data.tobytes()] + [p.grad.tobytes() for p in leaves])
+        assert bits[0] == bits[1]
+
+
+    @pytest.mark.parametrize("call", [
+        lambda x: tc.embed(x(6, 4), TOKENS, x(5, 3), POSITIONS),
+        lambda x: tc.embed(x(6, 4), TOKENS, x(5, 4), POSITIONS[:4]),
+        lambda x: tc.attention_scores(x(5, 4), x(4, 4), x(3, 4)),
+        lambda x: tc.attention_scores(x(5, 4), x(3, 4), x(3, 4)),
+        lambda x: tc.attend(x(5, 4), x(5, 4), x(4, 4)),
+        lambda x: tc.attend(x(5, 5), x(5, 4), x(4, 3)),
+        lambda x: tc.attend(x(5, 5), x(5, 4), x(4, 4), BLOCK_MASK[:4, :4]),
+    ], ids=["embed-width", "embed-positions", "scores-wk", "scores-wq", "attend-scores",
+            "attend-wv", "attend-mask"])
+    def test_incompatible_shapes_are_named(self, call, rng):
+        with pytest.raises(ShapeError, match=r"^(embed|attention_scores|attend): incompatible"):
+            call(lambda *shape: leaf(rng, *shape))
 
 
 class TestDistributionProperties:
