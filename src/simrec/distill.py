@@ -547,6 +547,24 @@ _BUNDLE_FIELDS = {"encoder": "dict", "label_emb_dim": "int", "layouts": "dict[st
                   "graph_options": "dict", "vocab": "dict", "selected": "str", "scores": "dict"}
 
 
+def _layout_record(name: str, bundle: ModelBundle, top_k_deprels: int) -> list[list]:
+    """Model ``name``'s ``model_layout`` under ``bundle``'s settings and
+    ``top_k_deprels`` as ``bundle.json`` records it: ``[name, shape]`` pairs."""
+    n_edge_labels = len(edge_label_index(bundle.vocab, top_k_deprels))
+    return [[p.name, list(p.shape)] for p in model_layout(
+        name, bundle.vocab.size, n_edge_labels, bundle.config, bundle.label_emb_dim)]
+
+
+def _first_difference(have: list, want: list) -> tuple | None:
+    """None if two layout records agree, else the first index at which they
+    differ and each one's entry there (``"nothing"`` past its end)."""
+    if have == want:
+        return None
+    i = next((i for i, pair in enumerate(zip(have, want)) if pair[0] != pair[1]),
+             min(len(have), len(want)))
+    return (i, *(entries[i] if i < len(entries) else "nothing" for entries in (have, want)))
+
+
 def save_bundle(
     bundle: ModelBundle,
     out_dir: str | os.PathLike,
@@ -560,16 +578,18 @@ def save_bundle(
     models the bundle lacks and older versions' records are removed with it.
     The record holds the settings, each model's parameter names and shapes in
     checkpoint order (``layouts``), the graph options, the vocabulary and,
-    when given, the selected model's name and every model's dev scores."""
+    when given, the selected model's name and every model's dev scores.
+    Each model's store must hold the layout that it records, which loading
+    checks too, or nothing is written."""
     top_k = graph_options.top_k_deprels
-    n_edge_labels = len(edge_label_index(bundle.vocab, top_k))
+    layouts = {name: _layout_record(name, bundle, top_k) for name in bundle.models}
     for name, model in bundle.models.items():
-        rows = model.enc["edge_emb"].data.shape[0]
-        if rows != n_edge_labels:
-            raise ValueError(
-                f"save_bundle: model {name!r} has {rows} edge labels, but "
-                f"top_k_deprels={top_k} gives {n_edge_labels}"
-            )
+        diff = _first_difference(
+            [[pname, list(p.shape)] for pname, p in model.store.params.items()], layouts[name])
+        if diff:
+            raise ValueError(f"save_bundle: model {name!r} disagrees at parameter {diff[0]} with "
+                             f"the layout of its settings and top_k_deprels={top_k}: "
+                             f"has {diff[1]}, expected {diff[2]}")
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, BUNDLE_META)
     if os.path.exists(meta_path):
@@ -586,9 +606,7 @@ def save_bundle(
     meta = {
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
-        "layouts": {name: [[p.name, list(p.shape)] for p in model_layout(
-            name, bundle.vocab.size, n_edge_labels, bundle.config, bundle.label_emb_dim)]
-            for name in bundle.models},
+        "layouts": layouts,
         "graph_options": asdict(graph_options),
         "vocab": asdict(bundle.vocab),
     }
@@ -638,18 +656,12 @@ def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: 
     must equal the ``model_layout`` of its settings; only then are the stores
     built from it, drawing nothing, and each checkpoint read into its DATA row."""
     names = list(layouts)
-    n_edge_labels = len(edge_label_index(shell.vocab, opts.top_k_deprels))
     meta_path = os.path.join(model_dir, BUNDLE_META)
     for name in names:
-        recorded, expected = layouts[name], [[p.name, list(p.shape)] for p in model_layout(
-            name, shell.vocab.size, n_edge_labels, shell.config, shell.label_emb_dim)]
-        if recorded != expected:
-            i = next((i for i, pair in enumerate(zip(recorded, expected)) if pair[0] != pair[1]),
-                     min(len(recorded), len(expected)))
-            got, want = (entries[i] if i < len(entries) else "nothing"
-                         for entries in (recorded, expected))
+        diff = _first_difference(layouts[name], _layout_record(name, shell, opts.top_k_deprels))
+        if diff:
             raise ValueError(f"{meta_path}: layout of model {name!r} disagrees at parameter "
-                             f"{i}: recorded {got}, expected {want}")
+                             f"{diff[0]}: recorded {diff[1]}, expected {diff[2]}")
     models, enc, head = init_models(
         names,
         [[Param(pname, tuple(shape)) for pname, shape in layouts[name]] for name in names],

@@ -81,15 +81,19 @@ GLOSS_W_GAIN = 8.0
 
 
 def encoder_layout(vocab_size: int, n_edge_labels: int, config: EncoderConfig) -> list[Param]:
-    """The encoder's parameters, keyed locally, in checkpoint order."""
+    """The encoder's parameters, keyed locally, in checkpoint order: only those
+    that ``encode_graph`` reads under ``config``, so the gloss projection only
+    with gloss fusion on and the edge table only with a GAT layer."""
     config.validate()
     d = config.d_model
     layout = [Param("tok_emb", (vocab_size, d), EMB_INIT_STD),
               Param("pos_emb", (config.max_positions, d), EMB_INIT_STD)]
     for layer in range(config.n_selfattn_layers):
         layout += [glorot(f"sa{layer}/{w}", d, d) for w in ("wq", "wk", "wv")]
-    layout += [glorot("gloss/w", d, d, GLOSS_W_GAIN), Param("gloss/b", (d,)),
-               Param("edge_emb", (n_edge_labels, config.edge_emb_dim), EDGE_EMB_INIT_STD)]
+    if config.use_gloss_fusion:
+        layout += [glorot("gloss/w", d, d, GLOSS_W_GAIN), Param("gloss/b", (d,))]
+    if config.n_gat_layers:
+        layout.append(Param("edge_emb", (n_edge_labels, config.edge_emb_dim), EDGE_EMB_INIT_STD))
     # ``u`` (node parts) and ``wa`` (edge part) split one glorot score map
     # over [g_i ; g_j ; e_ij], (2d + edge_emb_dim, 1), and share its std.
     score_std = math.sqrt(2.0 / (2 * d + config.edge_emb_dim + 1))

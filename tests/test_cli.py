@@ -523,6 +523,37 @@ class TestDamagedModelDir:
         message = message.format(selected=selected)
         _assert_one_error_line(model_dir, dev, tmp_path, capsys, message)
 
+    @pytest.mark.parametrize("flags, index, entries, expected", [
+        (["--no-definitions"], 5, [["enc/gloss/w", [8, 8]], ["enc/gloss/b", [8]]],
+         "['enc/edge_emb', [11, 4]]"),
+        (["--n-gat-layers", "0"], 7, [["enc/edge_emb", [11, 4]]], "['head/cls/w', [24, 6]]"),
+    ], ids=["no-definitions", "gat-0"])
+    def test_directory_of_the_older_layout_is_one_error_line(
+        self, corpora, tmp_path, capsys, flags, index, entries, expected
+    ):
+        # Before a layout listed only what the forward reads, a model without
+        # definitions kept the gloss projection, and one without a GAT layer
+        # the edge table, in its layout and its checkpoint.
+        train, dev = corpora
+        model_dir = tmp_path / "model"
+        assert main(["train", "--train", train, "--dev", dev, "--out-dir", str(model_dir),
+                     *TINY_FLAGS, *flags]) == 0
+        meta_path = model_dir / "bundle.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        for name, layout in meta["layouts"].items():
+            path = model_dir / f"model_{name}.npy"
+            weights = np.load(path)
+            at = sum(math.prod(shape) for _, shape in layout[:index])
+            n = sum(math.prod(shape) for _, shape in entries)
+            np.save(path, np.concatenate([weights[:at], np.zeros(n), weights[at:]]))
+            layout[index:index] = entries
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        _assert_one_error_line(
+            model_dir, dev, tmp_path, capsys,
+            f"error: {meta_path}: layout of model '{meta['selected']}' disagrees at parameter "
+            f"{index}: recorded {entries[0]}, expected {expected}\n")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda ids, last: ids.update({last: None}),
          'token_to_id["{last}"] must be an integer, got null'),

@@ -24,7 +24,14 @@ from simrec.distill import (
 )
 from simrec.encoder import EncoderConfig
 from simrec.hetgraph import GraphOptions, build_graph, edge_label_index, join_graphs
-from simrec.heads import PREDICT_CHUNK, TAG_TO_ID, TagForward, model_layout, predict
+from simrec.heads import (
+    PREDICT_CHUNK,
+    TAG_TO_ID,
+    TagForward,
+    model_layout,
+    predict,
+    predict_batch,
+)
 from simrec.tensorcore import DiffArray
 
 
@@ -867,6 +874,51 @@ class TestStackedStep:
             assert np.shares_memory(w.data, owner.store.block)
 
 
+# Each case: the encoder settings that differ from SMALL_ENC, build_bundle's
+# keyword arguments and the graph options.
+CENSUS_CASES = {
+    "glosses-gat-1": ({}, {}, GraphOptions()),
+    "no-definitions": ({"use_gloss_fusion": False}, {}, GraphOptions()),
+    "gat-0": ({"n_gat_layers": 0}, {}, GraphOptions()),
+    "gat-2": ({"n_gat_layers": 2}, {}, GraphOptions()),
+    "no-definitions-gat-0": ({"use_gloss_fusion": False, "n_gat_layers": 0}, {}, GraphOptions()),
+    "merged": ({}, {}, GraphOptions(no_subsentence_nodes=True)),
+    "share-encoder": ({}, {"share_encoder": True}, GraphOptions()),
+    "disabled-t": ({}, {"disabled_models": ("t",)}, GraphOptions()),
+}
+
+
+class TestParameterCensus:
+    """A layout lists only parameters that the forward reads: in one
+    mixed-lambda step every parameter that a store owns gets a gradient
+    (a shared encoder counts in its owner's store)."""
+
+    @pytest.mark.parametrize("case", CENSUS_CASES)
+    def test_every_owned_parameter_gets_a_gradient(self, case, tiny_corpus, tiny_vocab,
+                                                   monkeypatch):
+        enc_kwargs, kwargs, options = CENSUS_CASES[case]
+        bundle = build_bundle(tiny_vocab, replace(SMALL_ENC, **enc_kwargs),
+                              np.random.default_rng(4), 6,
+                              top_k_deprels=options.top_k_deprels, **kwargs)
+        graphs = [build_graph(s, tiny_vocab, options) for s in tiny_corpus]
+        assert join_graphs(graphs).gloss_rows.size > 0
+        names = {id(model.store): name for name, model in bundle.models.items()}
+        seen, missing = [], []
+        adam_step = tc.ParamStore.adam_step
+
+        def census(store, lr):
+            seen.append(names[id(store)])
+            missing.extend(f"{names[id(store)]}:{pname}" for pname, p in store.params.items()
+                           if p.grad is None and np.shares_memory(p.data, store.block))
+            adam_step(store, lr)
+
+        monkeypatch.setattr(tc.ParamStore, "adam_step", census)
+        distill._batch_step(bundle, tiny_corpus, graphs, list(range(len(tiny_corpus))), 0.5,
+                            TrainConfig(alpha=0.3))
+        assert seen == list(bundle.models)
+        assert missing == []
+
+
 class TestSelection:
     def test_picks_highest_extraction_f1(self):
         scores = {"p": (0.80, 0.9), "t": (0.85, 0.1), "v": (0.83, 0.99)}
@@ -989,12 +1041,40 @@ class TestPersistence:
         predict(model, tiny_corpus[0], graph, vocab)
 
     def test_edge_table_mismatch_rejected_before_writing(self, tiny_vocab, tmp_path):
+        # Built for one top_k_deprels and saved with another: the edge table
+        # has other rows than the layout that the save would record.
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path, selected="p")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ValueError, match="top_k_deprels=5"):
             distill.save_bundle(fresh_bundle(tiny_vocab, seed=12), tmp_path,
                                 graph_options=GraphOptions(top_k_deprels=5), selected="t")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        out = tmp_path / "model"
+        with pytest.raises(ValueError) as err:
+            distill.save_bundle(fresh_bundle(tiny_vocab, top_k_deprels=1), out, selected="p")
+        assert str(err.value) == (
+            "save_bundle: model 'p' disagrees at parameter 7 with the layout of its settings "
+            "and top_k_deprels=8: has ['enc/edge_emb', [5, 4]], "
+            f"expected ['enc/edge_emb', [{len(edge_label_index(tiny_vocab))}, 4]]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("enc_kwargs", [{"use_gloss_fusion": False}, {"n_gat_layers": 0}],
+                             ids=["no-definitions", "gat-0"])
+    def test_trained_model_serves_the_same_records_after_loading(
+        self, tiny_corpus, tiny_vocab, tmp_path, enc_kwargs
+    ):
+        bundle = build_bundle(tiny_vocab, replace(SMALL_ENC, **enc_kwargs),
+                              np.random.default_rng(11), label_emb_dim=6)
+        train_sents, dev_sents = tiny_corpus[:8], tiny_corpus[8:]
+        train(bundle, train_sents, dev_sents, TrainConfig(epochs=2, batch_size=4, seed=1))
+        selected, _ = distill.select_best(bundle, dev_sents)
+        distill.save_bundle(bundle, tmp_path, selected=selected)
+        name, model, vocab, opts = distill.load_selected(tmp_path)
+        assert name == selected
+        graphs = [build_graph(s, vocab, opts) for s in tiny_corpus]
+        want = [p.to_record() for p in predict_batch(bundle.models[selected], graphs)]
+        assert [p.to_record() for p in predict_batch(model, graphs)] == want
+        assert sum(rec["label"] == "simile" for rec in want) > 0
 
     def test_missing_selection_marker(self, tiny_vocab, tmp_path):
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -354,43 +356,48 @@ class TestModelSetup:
             assert other.store.params[f"enc/{key}"] is param
 
     def test_parameter_order_is_the_checkpoint_key_order(self, tiny_config):
-        # One self-attention layer and two GAT layers (tiny_config).
-        enc_names = [
-            "enc/tok_emb", "enc/pos_emb", "enc/sa0/wq", "enc/sa0/wk", "enc/sa0/wv",
-            "enc/gloss/w", "enc/gloss/b", "enc/edge_emb",
-            "enc/gat0/u", "enc/gat0/wv", "enc/gat0/wa",
-            "enc/gat1/u", "enc/gat1/wv", "enc/gat1/wa",
-        ]
+        # One self-attention layer and two GAT layers (tiny_config). A layout
+        # lists only what the forward reads: without definitions no gloss
+        # projection, and without a GAT layer no edge table.
+        tokens = ["enc/tok_emb", "enc/pos_emb", "enc/sa0/wq", "enc/sa0/wk", "enc/sa0/wv"]
+        gloss = ["enc/gloss/w", "enc/gloss/b"]
+        graph = ["enc/edge_emb", "enc/gat0/u", "enc/gat0/wv", "enc/gat0/wa",
+                 "enc/gat1/u", "enc/gat1/wv", "enc/gat1/wa"]
+        cases = [(tiny_config, tokens + gloss + graph),
+                 (replace(tiny_config, use_gloss_fusion=False), tokens + graph),
+                 (replace(tiny_config, n_gat_layers=0), tokens + gloss)]
         cls_names = ["head/cls/w", "head/cls/emb"]
-        sequential = [*enc_names, *cls_names,
-                      "head/first/w", "head/first/b", "head/second/w", "head/second/b"]
-        want = {
-            "p": [*enc_names, *cls_names, "head/ext/w", "head/ext/b"],
-            "t": sequential,
-            "v": sequential,
-        }
-
-        def layout(name):
-            return [(p.name, p.shape) for p in heads.model_layout(name, 20, 10, tiny_config, 6)]
 
         def params(model):
             return [(name, p.shape) for name, p in model.store.params.items()]
 
-        rng = np.random.default_rng(0)
-        models, _, _ = fresh_models(heads.FIRST_COMPONENT, tiny_config, rng)
-        for name, model in zip(heads.FIRST_COMPONENT, models):
-            assert list(model.store.params) == want[name]
-            assert params(model) == layout(name)
-            assert all(np.shares_memory(p.data, model.store.block)
-                       for p in model.store.params.values())
-        (first, shared), _, _ = fresh_models(["p", "v"], tiny_config, rng,
-                                          share_encoder=True)
-        assert list(shared.store.params) == sequential
-        assert params(first) == layout("p") and params(shared) == layout("v")
-        borrowed = [name for name, p in shared.store.params.items()
-                    if not np.shares_memory(p.data, shared.store.block)]
-        assert borrowed == enc_names
-        assert all(shared.store.params[name] is first.store.params[name] for name in enc_names)
+        for config, enc_names in cases:
+            sequential = [*enc_names, *cls_names,
+                          "head/first/w", "head/first/b", "head/second/w", "head/second/b"]
+            want = {
+                "p": [*enc_names, *cls_names, "head/ext/w", "head/ext/b"],
+                "t": sequential,
+                "v": sequential,
+            }
+
+            def layout(name):
+                return [(p.name, p.shape) for p in heads.model_layout(name, 20, 10, config, 6)]
+
+            rng = np.random.default_rng(0)
+            models, _, _ = fresh_models(heads.FIRST_COMPONENT, config, rng)
+            for name, model in zip(heads.FIRST_COMPONENT, models):
+                assert list(model.store.params) == want[name]
+                assert params(model) == layout(name)
+                assert all(np.shares_memory(p.data, model.store.block)
+                           for p in model.store.params.values())
+            (first, shared), _, _ = fresh_models(["p", "v"], config, rng,
+                                              share_encoder=True)
+            assert list(shared.store.params) == sequential
+            assert params(first) == layout("p") and params(shared) == layout("v")
+            borrowed = [name for name, p in shared.store.params.items()
+                        if not np.shares_memory(p.data, shared.store.block)]
+            assert borrowed == enc_names
+            assert all(shared.store.params[name] is first.store.params[name] for name in enc_names)
 
     def test_sequential_head_param_names(self, tiny_config):
         _, head = head_only("v", tiny_config)
