@@ -50,7 +50,7 @@ from .heads import (
     predict_batch,
     spans_from_tags,
 )
-from .tensorcore import GRAD, DiffArray, NonFiniteError
+from .tensorcore import DATA, GRAD, DiffArray, NonFiniteError
 
 MODEL_ORDER = tuple(FIRST_COMPONENT)
 
@@ -292,9 +292,10 @@ def _keep_freed_pages() -> None:
 
 @dataclass
 class TrainResult:
-    bundle: ModelBundle
     epoch_logs: list[dict] = field(default_factory=list)
-    best: dict[str, dict] = field(default_factory=dict)
+    best: dict[str, dict] = field(default_factory=dict)  # each model's best dev epoch
+    # Each store's DATA row at the leader's best epoch, unless that is the last.
+    rows: list[np.ndarray] = field(default_factory=list)
 
 
 def train(
@@ -310,10 +311,11 @@ def train(
     Per epoch the log gains one JSON record with the epoch-end lambda, the
     mean batch loss per model, and dev P/R/F1 per model for both subtasks.
     A non-finite value aborts naming the epoch, the batch and the op or the
-    parameter gradient that holds it (``_batch_step``); that step moves nothing. After
-    the schedule each model's weights are rolled back to its best dev
-    extraction epoch, unless the models share an encoder: one model's
-    snapshot would then overwrite the others' encoder.
+    parameter gradient that holds it (``_batch_step``); that step moves nothing. With
+    a dev set, every model is rolled back after the schedule to one epoch: the
+    best dev epoch of the leader, the model ``select_from_scores`` picks from
+    the best records. Each store's whole DATA row is restored, so a shared
+    encoder, which lives in the first model's row, comes back with it.
     """
     config.validate()
     graph_options.validate()
@@ -328,13 +330,12 @@ def train(
                     f"train: {corpus_name} sentence {i} has {len(sent.tokens)} tokens, "
                     f"max_tokens is {limit}"
                 )
-    restore_best = len(bundle.enc["tok_emb"].data) == len(bundle.models)  # no shared encoder
     rng = np.random.default_rng(config.seed)
     train_graphs = [build_graph(s, bundle.vocab, graph_options) for s in train_sents]
     dev_graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
     n_batches = math.ceil(len(train_sents) / config.batch_size)
     total_steps = config.epochs * n_batches
-    result = TrainResult(bundle=bundle)
+    result = TrainResult()
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     step = 0
     try:
@@ -370,14 +371,16 @@ def train(
                 record["dev"] = {
                     name: report_record(scores) for name, scores in dev_scores.items()
                 }
-                _track_best(result, bundle, dev_scores, epoch, restore_best)
+                if _track_best(result, dev_scores, epoch):
+                    # The last epoch's rows need no copy: they stay in place.
+                    result.rows = [] if epoch == config.epochs else [
+                        model.store.block[DATA].copy() for model in bundle.models.values()]
             result.epoch_logs.append(record)
             if log_file:
                 log_file.write(json.dumps(record, sort_keys=True) + "\n")
                 log_file.flush()
-        if restore_best:
-            for name, info in result.best.items():
-                bundle.models[name].store.assign(info["params"])
+        for model, row in zip(bundle.models.values(), result.rows):
+            model.store.block[DATA] = row
     finally:
         if log_file:
             log_file.close()
@@ -439,15 +442,10 @@ def _batch_step(
     return dict(zip(bundle.models, losses.data.tolist()))
 
 
-def _track_best(
-    result: TrainResult,
-    bundle: ModelBundle,
-    dev_scores: dict[str, dict[str, PRF]],
-    epoch: int,
-    snapshot: bool,
-) -> None:
-    """Record each model's best dev extraction epoch so far, with a copy of
-    its weights under ``"params"`` if ``snapshot`` (``train`` restores it)."""
+def _track_best(result: TrainResult, dev_scores: dict[str, dict[str, PRF]], epoch: int) -> bool:
+    """Record each model's best dev extraction epoch so far; True if that
+    makes this epoch the best of the leader, the model ``select_from_scores``
+    picks from the records."""
     for name, scores in dev_scores.items():
         f1 = scores["extraction"].f1
         prev = result.best.get(name)
@@ -458,10 +456,9 @@ def _track_best(
             "extraction_f1": f1,
             "classification_f1": scores["classification"].f1,
         }
-        if snapshot:
-            result.best[name]["params"] = {
-                pname: p.data.copy() for pname, p in bundle.models[name].store.params.items()
-            }
+    leader = select_from_scores({name: (info["extraction_f1"], info["classification_f1"])
+                                 for name, info in result.best.items()})
+    return result.best[leader]["epoch"] == epoch
 
 
 # ---------------------------------------------------------------------------

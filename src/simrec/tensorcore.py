@@ -811,8 +811,8 @@ class ParamStore:
     ``.data`` and gradient home are views into it.
 
     A parameter's ``.data`` is a read-only view: weights change only through
-    their store, by ``adam_step``, ``assign`` or ``load_checkpoint``, the only
-    writers of a DATA row.
+    their store, by ``adam_step``, ``assign`` or a whole-row copy into DATA
+    (``load_checkpoint``, ``distill.train``'s roll-back), its only writers.
 
     A parameter's span of the gradient row holds its gradient only while
     ``p.grad is p.grad_home``, between ``backward`` and ``adam_step``:

@@ -322,9 +322,9 @@ class TestTrain:
         assert main([*argv, "--learning-rate", "0.01"]) == 0  # the flag beats the file
         capsys.readouterr()
 
-    def test_share_encoder_trains_without_rollback(self, corpora, tmp_path, capsys):
-        # Per-model best rollback is skipped for a shared encoder; the run
-        # must still finish and write the bundle.
+    def test_share_encoder_trains_and_writes_the_bundle(self, corpora, tmp_path, capsys):
+        # A shared-encoder run rolls back to its leader's best epoch like any
+        # other run; it must finish and write the bundle.
         train, dev = corpora
         out = tmp_path / "m"
         rc = main(["train", "--train", train, "--dev", dev,

@@ -23,6 +23,7 @@ from simrec.distill import (
     training_lambda,
 )
 from simrec.encoder import EncoderConfig
+from simrec.evalkit import report_record
 from simrec.hetgraph import GraphOptions, build_graph, edge_label_index, join_graphs
 from simrec.heads import (
     PREDICT_CHUNK,
@@ -55,6 +56,34 @@ def fresh_bundle(vocab, seed=11, **kwargs):
     return build_bundle(
         vocab, SMALL_ENC, np.random.default_rng(seed), label_emb_dim=6, **kwargs
     )
+
+
+# Trains fast enough that the best dev epochs differ between models and from
+# the last epoch, with and without a shared encoder.
+ROLL_BACK = TrainConfig(epochs=5, batch_size=4, seed=0, learning_rate=0.03)
+
+
+def leader_epoch(result):
+    """The best dev epoch of the model ``select_from_scores`` picks from the
+    best records: the epoch ``train`` rolls every model back to."""
+    leader = distill.select_from_scores(
+        {name: (info["extraction_f1"], info["classification_f1"])
+         for name, info in result.best.items()})
+    return result.best[leader]["epoch"]
+
+
+def rows_per_epoch(monkeypatch, bundle):
+    """A list that gains, per epoch of a ``train`` run with a dev set, a copy
+    of each of ``bundle``'s DATA rows as dev scoring leaves them."""
+    seen = []
+    track_best = distill._track_best
+
+    def recording(result, dev_scores, epoch):
+        seen.append([model.store.block[tc.DATA].copy() for model in bundle.models.values()])
+        return track_best(result, dev_scores, epoch)
+
+    monkeypatch.setattr(distill, "_track_best", recording)
+    return seen
 
 
 def softmax_np(x):
@@ -578,16 +607,24 @@ class TestTrainLoop:
         result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
         assert set(result.best) == {"p", "t", "v"}
         for entry in result.best.values():
-            assert {"epoch", "extraction_f1", "classification_f1", "params"} <= set(entry)
+            assert set(entry) == {"epoch", "extraction_f1", "classification_f1"}
+        # The one snapshot: a copy of each store's DATA row.
+        for row, model in zip(result.rows, bundle.models.values(), strict=True):
+            assert row.shape == model.store.block[tc.DATA].shape
+            assert not np.shares_memory(row, model.store.block)
 
-    def test_restore_best_rolls_back_parameters(self, tiny_corpus, tiny_vocab):
-        config = TrainConfig(epochs=3, batch_size=4, seed=2)
+    def test_restore_best_rolls_back_parameters(self, tiny_corpus, tiny_vocab, monkeypatch):
         bundle = fresh_bundle(tiny_vocab)
-        result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
-        for name, entry in result.best.items():
-            params = bundle.models[name].store.params
-            for pname, want in entry["params"].items():
-                assert np.array_equal(params[pname].data, want)
+        seen = rows_per_epoch(monkeypatch, bundle)
+        result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], ROLL_BACK)
+        epoch = leader_epoch(result)
+        assert epoch < ROLL_BACK.epochs
+        # The other models' own best epochs differ from the leader's.
+        assert {entry["epoch"] for entry in result.best.values()} != {epoch}
+        for model, row, want in zip(bundle.models.values(), result.rows, seen[epoch - 1],
+                                    strict=True):
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(model.store.block[tc.DATA], want)
 
     def test_serving_after_roll_back_matches_a_rebuilt_model(self, tiny_corpus, tiny_vocab):
         # Dev scoring serves each model in the last epoch; serving after the
@@ -596,31 +633,59 @@ class TestTrainLoop:
         config = TrainConfig(epochs=3, batch_size=4, seed=2)
         bundle = fresh_bundle(tiny_vocab)
         result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
-        rolled = [name for name, entry in result.best.items() if entry["epoch"] < config.epochs]
-        assert rolled
+        assert leader_epoch(result) < config.epochs
         block = join_graphs([build_graph(s, tiny_vocab) for s in tiny_corpus[8:]])
-        for name in rolled:
-            model = bundle.models[name]
+        for model in bundle.models.values():
             assert served(model, block) == served(rebuilt(model), block)
 
-    def test_restore_best_off_matches_devless_run(self, tiny_corpus, tiny_vocab):
-        # Models sharing an encoder are not rolled back, and dev scoring
-        # consumes no randomness, so a dev set must change no weight: the
-        # result equals an identically seeded run without a dev set.
-        config = TrainConfig(epochs=2, batch_size=4, seed=3)
-        with_dev = fresh_bundle(tiny_vocab, seed=9, share_encoder=True)
+    def test_shared_encoder_rolls_back_to_the_leaders_epoch(self, tiny_corpus, tiny_vocab,
+                                                          monkeypatch):
+        # The shared encoder lives in the first model's row, so restoring every
+        # row puts the whole ensemble back at one epoch. Dev scoring consumes
+        # no randomness, so a run without a dev set ends at the last epoch's
+        # rows of a run with one.
+        with_dev = fresh_bundle(tiny_vocab, share_encoder=True)
+        seen = rows_per_epoch(monkeypatch, with_dev)
+        result = train(with_dev, tiny_corpus[:8], tiny_corpus[8:], ROLL_BACK)
+        epoch = leader_epoch(result)
+        assert epoch < ROLL_BACK.epochs
+        without = fresh_bundle(tiny_vocab, share_encoder=True)
+        train(without, tiny_corpus[:8], [], ROLL_BACK)
+        for model, devless, want, last in zip(with_dev.models.values(), without.models.values(),
+                                              seen[epoch - 1], seen[-1], strict=True):
+            np.testing.assert_array_equal(model.store.block[tc.DATA], want)
+            np.testing.assert_array_equal(devless.store.block[tc.DATA], last)
+            assert not np.array_equal(want, last)
+
+    def test_leader_best_in_the_last_epoch_keeps_the_last_weights(self, tiny_corpus, tiny_vocab):
+        # Earlier epochs' rows were copied, but the last epoch's weights are
+        # the leader's best and stay, with no copy: the run ends as one
+        # without a dev set does.
+        config = replace(ROLL_BACK, learning_rate=0.01)
+        with_dev = fresh_bundle(tiny_vocab)
         result = train(with_dev, tiny_corpus[:8], tiny_corpus[8:], config)
-        assert set(result.best) == {"p", "t", "v"}
-        # The best epochs are recorded, but no weights are copied to roll back to.
-        for entry in result.best.values():
-            assert set(entry) == {"epoch", "extraction_f1", "classification_f1"}
-        without = fresh_bundle(tiny_vocab, seed=9, share_encoder=True)
+        assert leader_epoch(result) == config.epochs
+        assert {entry["epoch"] for entry in result.best.values()} != {config.epochs}
+        assert result.rows == []
+        without = fresh_bundle(tiny_vocab)
         train(without, tiny_corpus[:8], [], config)
-        for name in with_dev.models:
-            got = with_dev.models[name].store.params
-            want = without.models[name].store.params
-            for pname in got:
-                assert np.array_equal(got[pname].data, want[pname].data)
+        for model, devless in zip(with_dev.models.values(), without.models.values()):
+            np.testing.assert_array_equal(model.store.block[tc.DATA],
+                                          devless.store.block[tc.DATA])
+
+    @pytest.mark.parametrize("share_encoder", [False, True], ids=["plain", "share-encoder"])
+    def test_restored_models_score_their_logged_epoch(self, tiny_corpus, tiny_vocab,
+                                                      share_encoder):
+        # After the roll-back every model stands at the leader's best epoch,
+        # so scoring each one again gives that epoch's logged dev record.
+        bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
+        dev = tiny_corpus[8:]
+        result = train(bundle, tiny_corpus[:8], dev, ROLL_BACK)
+        logged = result.epoch_logs[leader_epoch(result) - 1]["dev"]
+        assert logged != result.epoch_logs[-1]["dev"]
+        graphs = [build_graph(s, tiny_vocab) for s in dev]
+        for name, model in bundle.models.items():
+            assert report_record(distill.evaluate_model(model, dev, graphs)) == logged[name]
 
 
 class TestTrainingBits:
@@ -630,7 +695,10 @@ class TestTrainingBits:
     (``tc.gat_score``), which moved every digest in the last bits, and again
     when each GAT layer's score vectors became the parameter ``gat<l>/u`` and
     ``gat<l>/wa`` shrank to its edge part: the layout, the draws and so every
-    trained weight changed."""
+    trained weight changed. The ``share-encoder`` DATA digests were recorded
+    again when a shared-encoder run began to roll back to its leader's best
+    epoch, as a run without a shared encoder does; training itself, and so
+    the log and every moment digest, did not move."""
 
     ENC = EncoderConfig(d_model=12, n_selfattn_layers=1, n_gat_layers=2,
                         edge_emb_dim=5, max_tokens=20, max_positions=24)
@@ -649,13 +717,13 @@ class TestTrainingBits:
         },
         "share-encoder": {
             "log": "fc657db16d6d2cbd568984bb4b8f1be1f5ba1ee204956935dd14fcbe762807b0",
-            "p/data": "3d087d2a52e3d79711eccdf3e2a3031ad33374c4ea6746d7961f06ca3a24ab56",
+            "p/data": "b44efe3e4dd29976935463c3b6f4596a302c8e178f850194ef6efeb688df7a3e",
             "p/m1": "9a3dd16d4d773a460f5690b132e7a1e87353b278520169b13969dd91092d9d5e",
             "p/m2": "163d39adc73af70cb166fe7502a9b93091334109cb8525ea16839745220309df",
-            "t/data": "3b0738ad776cd5b85c4f68776bbb65b97a2b9b7869306f60cd0f01379471415c",
+            "t/data": "1bdf0ac9ad90bc698a4754f3c5ea09c770999be97ebcc7d41ca7cac7da81a8bb",
             "t/m1": "88ea3efffc878f7d9729af8f2ab32cc41f52b91f21a9dafcbd9d95151fb61f97",
             "t/m2": "e6c5f83d7b049bd6ab3924d4a340d54e2f394d670438c3b3613425a6ebfb29a0",
-            "v/data": "3759b590f2783d7d46d5a5261ffdba6678697ba06d9e2eeae6c5d9d881aec32a",
+            "v/data": "67bf0face55dc653e993d4ddab0fc6a45b2ae87d0f1d6a1076970310ffb7f47c",
             "v/m1": "0ee5ea3c59ac60f881726f46fb23239fa128851aa5c5c5285ea8d1be1b152182",
             "v/m2": "887e4fcb69a9c514b9a362b5e53cad047580957daf391d34c8d71225c49ddfb3",
         },
@@ -723,13 +791,13 @@ class TestParamBlocks:
                     p.data[(0,) * p.data.ndim] = 1.0
 
     def test_rolled_back_models_live_in_blocks(self, tiny_corpus, tiny_vocab):
-        config = TrainConfig(epochs=3, batch_size=4, seed=0)
-        bundle = fresh_bundle(tiny_vocab)
-        result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], config)
-        for name, model in bundle.models.items():
-            assert_params_in_block(model)
-            for pname, p in model.store.params.items():
-                np.testing.assert_array_equal(p.data, result.best[name]["params"][pname])
+        for share_encoder in (False, True):
+            bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
+            result = train(bundle, tiny_corpus[:8], tiny_corpus[8:], ROLL_BACK)
+            owner = next(iter(bundle.models.values()))
+            for model, row in zip(bundle.models.values(), result.rows, strict=True):
+                assert_params_in_block(model, owner)
+                np.testing.assert_array_equal(model.store.block[tc.DATA], row)
 
     def test_shared_encoder_updated_once_per_step(self, tiny_corpus, tiny_vocab):
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
