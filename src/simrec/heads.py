@@ -52,14 +52,14 @@ TAGGER_INIT_GAIN = 4.0
 ROLE_OF_TAG = {"T": "tenor", "V": "vehicle"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     start: int  # 1-based, inclusive
     end: int
     role: str  # "tenor" | "vehicle"
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanPrediction:
     label: str  # "simile" | "literal"
     p_simile: float

@@ -6,7 +6,13 @@ the whole tape node: output, op name, parents and closure.
 ``backward`` walks the tape in reverse topological order and accumulates
 exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
-cycles and is freed as soon as its loss is dropped.
+cycles and is freed as soon as its loss is dropped. The sweep frees most
+of it sooner: once a node's closure has run, ``backward`` drops the node's
+gradient and closure, and with them every intermediate gradient and every
+array that closure held, while leaves keep their gradients. A tape is so
+swept once, and every loss of a step goes into one ``backward`` call; a
+sweep that reaches an already swept node raises a RuntimeError naming its
+op.
 
 Each gradient is written once, where it will live. ``matmul``,
 ``gat_score`` and the attention ops write a weight's first gradient
@@ -196,19 +202,27 @@ def _tape(*outputs: DiffArray) -> list[DiffArray]:
 def backward(*losses: DiffArray) -> None:
     """One reverse-mode sweep from one or more scalar losses.
 
-    Gradients accumulate into ``.grad`` of every reachable node;
-    ``ParamStore.adam_step`` consumes and clears parameter grads.
-    Deterministic: the visit order depends only on tape structure.
+    Gradients accumulate into ``.grad`` of every reachable leaf;
+    ``ParamStore.adam_step`` consumes and clears parameter grads. Each op
+    node drops its gradient and its closure once the closure has run, so the
+    intermediates it held are freed as the sweep moves up the tape, and a
+    tape is swept once: a sweep that reaches a swept op node raises a
+    RuntimeError naming its op before any gradient moves. Deterministic:
+    the visit order depends only on tape structure.
     """
     for loss in losses:
         if loss.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo = _tape(*losses)
+    for node in reversed(topo):
+        if node.op is not None and node._backward is None:
+            raise RuntimeError(f"backward: op '{node.op}' is on a tape that was already swept")
     for loss in losses:
         loss.accum_grad(np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward = node.grad = None
 
 
 def check_finite(*outputs: DiffArray) -> None:
@@ -549,12 +563,12 @@ def attention_scores(h: DiffArray, wq: DiffArray, wk: DiffArray) -> DiffArray:
         raise ShapeError(f"attention_scores: incompatible shapes h {h.shape}, "
                          f"wq {wq.shape}, wk {wk.shape}")
     q = x @ wq.data
-    k = x @ wk.data
-    kt = k.mT.copy()
+    kt = (x @ wk.data).mT.copy()
 
     def bwd(grad):
         d_q = grad @ kt.mT
-        d_k = _held((q.mT @ grad).mT, k)
+        # q has k's shape and C order, so it stands in for k as the layout.
+        d_k = _held((q.mT @ grad).mT, q)
         h.accum_grad(d_k @ wk.data.mT)
         _add_product(wk, x, d_k)
         h.accum_grad(d_q @ wq.data.mT)

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -215,6 +216,40 @@ class TestBackwardMechanics:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_sweep_releases_op_nodes_and_keeps_leaf_grads(self, rng):
+        x, w = leaf(rng, 4, 3), leaf(rng, 3, 3)
+        loss = tc.sum_all(tc.softmax(tc.add(tc.matmul(x, w), x)))
+        nodes = tc._tape(loss)
+        tc.backward(loss)
+        ops = [node for node in nodes if node.op is not None]
+        assert [node.op for node in ops] == ["matmul", "add", "softmax", "sum_all"]
+        for node in ops:
+            assert node.grad is None and node._backward is None
+        for node in (x, w):
+            assert node.grad is not None and node.grad.shape == node.shape
+
+    def test_attention_scores_query_product_is_freed_by_the_sweep(self, rng):
+        h, wq, wk = leaf(rng, 5, 4), leaf(rng, 4, 4), leaf(rng, 4, 4)
+        scores = tc.attention_scores(h, wq, wk)
+        bwd = scores._backward
+        held = dict(zip(bwd.__code__.co_freevars, (c.cell_contents for c in bwd.__closure__)))
+        assert "kt" in held and "k" not in held
+        q = weakref.ref(held["q"])
+        del bwd, held
+        assert q() is not None
+        tc.backward(tc.sum_all(scores))
+        assert q() is None
+
+    def test_second_sweep_over_a_swept_tape_raises_naming_the_op(self, rng):
+        x = leaf(rng, 3, 3)
+        shared = tc.softmax(tc.matmul(x, x))
+        tc.backward(tc.sum_all(shared))
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="'softmax'"):
+            tc.backward(tc.sum_all(tc.scale(shared, 2.0)))
+        # Refused before any gradient moved.
+        assert x.grad.tobytes() == first.tobytes()
 
     def test_grads_accumulate_across_backward_calls(self, rng):
         x = leaf(rng, 3)
