@@ -294,8 +294,7 @@ def _keep_freed_pages() -> None:
 class TrainResult:
     epoch_logs: list[dict] = field(default_factory=list)
     best: dict[str, dict] = field(default_factory=dict)  # each model's best dev epoch
-    # Each store's DATA row at the leader's best epoch, unless that is the
-    # last; one array per store, overwritten when the leader improves.
+    # Each store's DATA row at the leader's best epoch, unless that is the last.
     rows: list[np.ndarray] = field(default_factory=list)
 
 
@@ -373,15 +372,11 @@ def train(
                     name: report_record(scores) for name, scores in dev_scores.items()
                 }
                 if _track_best(result, dev_scores, epoch):
-                    # The last epoch's rows need no copy: they stay in place.
-                    # Any other best epoch overwrites the one snapshot per
-                    # store, so two are never alive together.
-                    if epoch == config.epochs:
-                        result.rows = []
-                    elif result.rows:
-                        for model, row in zip(bundle.models.values(), result.rows):
-                            row[...] = model.store.block[DATA]
-                    else:
+                    # The old snapshot goes before a new one is taken, so two
+                    # are never alive together. The last epoch's rows need no
+                    # copy: they stay in place.
+                    result.rows = []
+                    if epoch < config.epochs:
                         result.rows = [model.store.block[DATA].copy()
                                        for model in bundle.models.values()]
             result.epoch_logs.append(record)
