@@ -222,7 +222,7 @@ def forward_tagger(
         first_golds = project_first_golds(gold_tags, component)
     else:
         picked = first_logits.data.argmax(axis=1)
-        rows = [i for i, c in enumerate(picked) if c == FIRST_C1]
+        rows = np.flatnonzero(picked == FIRST_C1)
         first_golds = None
     # Per sentence, the mean state of its first-component rows; a zero row
     # for a sentence with none.

@@ -7,12 +7,14 @@ the whole tape node: output, op name, parents and closure.
 exact analytic gradients. A closure receives its output's gradient as an
 argument rather than holding the output, so the tape has no reference
 cycles and is freed as soon as its loss is dropped. The sweep frees most
-of it sooner: once a node's closure has run, ``backward`` drops the node's
-gradient and closure, and with them every intermediate gradient and every
-array that closure held, while leaves keep their gradients. A tape is so
-swept once, and every loss of a step goes into one ``backward`` call; a
-sweep that reaches an already swept node raises a RuntimeError naming its
-op.
+of it sooner: ``backward`` lets go of each node as it passes it, and once
+a node's closure has run it drops the node's gradient, closure and parent
+links. So every intermediate gradient, every array a closure held and
+every node that no caller holds is freed as the sweep moves up the tape
+(a layer's activations die before the layers below it are swept), while
+leaves keep their gradients. A tape is so swept once, and every loss of a
+step goes into one ``backward`` call; a sweep that reaches an already
+swept node raises a RuntimeError naming its op.
 
 Each gradient is written once, where it will live. ``matmul``,
 ``gat_score`` and the attention ops write a weight's first gradient
@@ -39,6 +41,7 @@ are; and Adam never makes a -0.0 moment, since both moments start at
 No op checks its output; each node records the ``op`` that made it. A
 caller checks what it hands on, once, with ``check_finite``, which names
 the first op of a non-finite output's tape, in tape order, that made one.
+It runs before the sweep, which cuts an output off from its tape.
 
 Edge-segment operations (softmax over incoming edges, attention-weighted
 aggregation, the per-node sums of the GAT score's backward) call the
@@ -110,7 +113,8 @@ def _check_ids(ids: np.ndarray, n: int, op: str, what: str, unit: str = "rows") 
 class DiffArray:
     """A float64 array with a gradient slot and a tape record."""
 
-    __slots__ = ("data", "grad", "name", "grad_home", "op", "_parents", "_backward", "_visit")
+    __slots__ = ("data", "grad", "name", "grad_home", "op", "_parents", "_backward", "_visit",
+                 "__weakref__")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -203,9 +207,10 @@ def backward(*losses: DiffArray) -> None:
     """One reverse-mode sweep from one or more scalar losses.
 
     Gradients accumulate into ``.grad`` of every reachable leaf;
-    ``ParamStore.adam_step`` consumes and clears parameter grads. Each op
-    node drops its gradient and its closure once the closure has run, so the
-    intermediates it held are freed as the sweep moves up the tape, and a
+    ``ParamStore.adam_step`` consumes and clears parameter grads. The sweep
+    pops each node off its tape, and once the node's closure has run drops
+    its gradient, closure and parents, so the intermediates it held, and
+    the nodes no caller holds, are freed as the sweep moves up the tape. A
     tape is swept once: a sweep that reaches a swept op node raises a
     RuntimeError naming its op before any gradient moves. Deterministic:
     the visit order depends only on tape structure.
@@ -219,15 +224,20 @@ def backward(*losses: DiffArray) -> None:
             raise RuntimeError(f"backward: op '{node.op}' is on a tape that was already swept")
     for loss in losses:
         loss.accum_grad(np.ones_like(loss.data))
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node._backward = node.grad = None
+            node._parents = ()
 
 
 def check_finite(*outputs: DiffArray) -> None:
     """Raise a NonFiniteError if an output holds a non-finite value, naming the
-    first op of that output's tape, in tape order, whose own output does."""
+    first op of that output's tape, in tape order, whose own output does.
+
+    Call it before ``backward``: a swept node has no parents, so its tape
+    is gone and only the output's own op could be named."""
     for out in outputs:
         if not all_finite(out.data):
             op = next((n.op for n in _tape(out) if n.op and not all_finite(n.data)), None)

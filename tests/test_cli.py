@@ -158,9 +158,8 @@ class TestTrain:
         assert _readme_model_dir_files() == set(os.listdir(trained_dir))
 
     def test_log_has_one_line_per_epoch(self, trained_dir):
-        import os
-
-        lines = open(os.path.join(trained_dir, "train_log.jsonl")).read().splitlines()
+        with open(os.path.join(trained_dir, "train_log.jsonl")) as f:
+            lines = f.read().splitlines()
         assert len(lines) == 2
         for line in lines:
             record = json.loads(line)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,97 @@ class TestMatchesAddAt:
         p = edge_problem(rng, variant)
         args = (p["dst"], p["rows"], N_NODES, D)
         assert_same_bits(kernels.scatter_add_rows(*args), ref_scatter_add_rows(*args), variant)
+
+
+# The aggregate kernels in one shot, as they ran before they learnt to work
+# in blocks: one gather of every edge row and one bincount over all columns.
+# The blocked kernels must match them bit for bit.
+
+def _one_shot_ids(src, dst, n_src, n_out, models):
+    if not models:
+        return src, dst, n_src, n_out
+    offsets = np.arange(models[0])[:, None]
+    return offsets * n_src + src, offsets * n_out + dst, models[0] * n_src, models[0] * n_out
+
+
+def _one_shot_sum(ids, rows, n_rows, d):
+    flat = ((ids.ravel() * d)[:, None] + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d)
+    return out.astype(np.float64, copy=False).reshape(n_rows, d)
+
+
+def one_shot_attention_aggregate(alpha, values, src, dst, n_out):
+    models, d = alpha.shape[:-1], values.shape[-1]
+    src, dst, _, size = _one_shot_ids(src, dst, values.shape[-2], n_out, models)
+    rows = values.reshape(-1, d).take(src, axis=0)
+    rows *= alpha[..., None]
+    return _one_shot_sum(dst, rows, size, d).reshape(models + (n_out, d))
+
+
+def one_shot_attention_aggregate_grad(d_out, alpha, values, src, dst):
+    models, d = alpha.shape[:-1], values.shape[-1]
+    src, dst, size, _ = _one_shot_ids(src, dst, values.shape[-2], d_out.shape[-2], models)
+    d_rows = d_out.reshape(-1, d).take(dst, axis=0)
+    d_alpha = (d_rows * values.reshape(-1, d).take(src, axis=0)).sum(axis=-1)
+    d_rows *= alpha[..., None]
+    return d_alpha, _one_shot_sum(src, d_rows, size, d).reshape(values.shape)
+
+
+def stacked_problem(rng, models, n_edges=23, n_nodes=9, d=13):
+    """An edge problem whose E and d are multiples of none of the block sizes."""
+    lead = (models,) if models else ()
+    dst = rng.integers(0, n_nodes - 2, size=n_edges)
+    src = rng.integers(0, n_nodes - 1, size=n_edges)
+    alpha = rng.random(lead + (n_edges,))
+    values = rng.normal(size=lead + (n_nodes, d))
+    d_out = rng.normal(size=lead + (n_nodes, d))
+    values[..., 0, :4] = -0.0  # signed zeros in the gathered rows
+    return alpha, values, d_out, src, dst
+
+
+class TestBlocks:
+    """Above ``BLOCK_FLOATS`` the aggregate kernels gather in blocks."""
+
+    @pytest.mark.parametrize("models", [0, 3], ids=["2-D", "stacked"])
+    @pytest.mark.parametrize("budget", [1, 50, 250])
+    def test_blocks_match_the_one_shot_bits(self, rng, monkeypatch, models, budget):
+        alpha, values, d_out, src, dst = stacked_problem(rng, models)
+        assert alpha.size * values.shape[-1] > budget  # so the kernels work in blocks
+        n_out = values.shape[-2]
+        want = one_shot_attention_aggregate(alpha, values, src, dst, n_out)
+        want_grads = one_shot_attention_aggregate_grad(d_out, alpha, values, src, dst)
+        monkeypatch.setattr(kernels, "BLOCK_FLOATS", budget)
+        assert_same_bits(kernels.attention_aggregate(alpha, values, src, dst, n_out),
+                         want, "blocked")
+        got_grads = kernels.attention_aggregate_grad(d_out, alpha, values, src, dst)
+        for got, want in zip(got_grads, want_grads):
+            assert_same_bits(got, want, "blocked")
+
+    @pytest.mark.parametrize("models", [0, 3], ids=["2-D", "stacked"])
+    def test_one_block_matches_the_one_shot_bits(self, rng, models):
+        alpha, values, d_out, src, dst = stacked_problem(rng, models)
+        assert alpha.size * values.shape[-1] <= kernels.BLOCK_FLOATS
+        n_out = values.shape[-2]
+        assert_same_bits(kernels.attention_aggregate(alpha, values, src, dst, n_out),
+                         one_shot_attention_aggregate(alpha, values, src, dst, n_out), "one")
+        for got, want in zip(kernels.attention_aggregate_grad(d_out, alpha, values, src, dst),
+                             one_shot_attention_aggregate_grad(d_out, alpha, values, src, dst)):
+            assert_same_bits(got, want, "one")
+
+    def test_a_wide_call_allocates_a_few_blocks_beyond_its_outputs(self, rng):
+        # Three models, 224 edges and d 300, a batch's GAT layer at library
+        # sizes: one gather of every edge row would be 1.5 MiB each.
+        alpha, values, d_out, src, dst = stacked_problem(rng, 3, n_edges=224, n_nodes=100,
+                                                         d=300)
+        budget = 5 * kernels.BLOCK_FLOATS * 8
+        calls = [lambda: kernels.attention_aggregate(alpha, values, src, dst, 100),
+                 lambda: kernels.attention_aggregate_grad(d_out, alpha, values, src, dst)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                out = call()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del out
+            assert peak - kept <= budget

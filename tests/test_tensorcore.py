@@ -225,9 +225,20 @@ class TestBackwardMechanics:
         ops = [node for node in nodes if node.op is not None]
         assert [node.op for node in ops] == ["matmul", "add", "softmax", "sum_all"]
         for node in ops:
-            assert node.grad is None and node._backward is None
+            assert node.grad is None and node._backward is None and node._parents == ()
         for node in (x, w):
             assert node.grad is not None and node.grad.shape == node.shape
+
+    def test_sweep_frees_inner_nodes_the_caller_does_not_hold(self, rng):
+        x, w = leaf(rng, 4, 3), leaf(rng, 3, 3)
+        inner = tc.matmul(x, w)
+        loss = tc.sum_all(tc.softmax(tc.add(inner, x)))
+        ref = weakref.ref(inner)
+        del inner
+        assert ref() is not None  # the loss's tape holds it until the sweep
+        tc.backward(loss)
+        assert ref() is None
+        assert loss.op == "sum_all" and loss._parents == ()
 
     def test_attention_scores_held_products_are_freed_by_the_sweep(self, rng):
         # Every array the closure holds, other than the inputs' own data
