@@ -30,7 +30,7 @@ from .corpus import (
     save_corpus,
     split_folds,
 )
-from .distill import TrainConfig, build_bundle, select_best, train
+from .distill import TrainConfig, build_bundle, train
 from .encoder import EncoderConfig
 from .heads import PREDICT_CHUNK, predict_batch
 from .hetgraph import GraphOptions, build_graph, to_dot
@@ -210,18 +210,16 @@ def cmd_train(args) -> int:
     # stops before save_bundle.
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, distill.BUNDLE_META))
-    result = train(
+    state = train(
         bundle, train_sents, dev_sents, cfg.train_config(),
         graph_options=opts,
         log_path=os.path.join(out_dir, "train_log.jsonl"),
     )
-    selected, scores = select_best(bundle, dev_sents, opts)
-    score_record = {name: evalkit.report_record(tasks) for name, tasks in scores.items()}
-    distill.save_bundle(bundle, out_dir, opts, selected=selected,
-                        selected_scores=score_record)
+    distill.save_bundle(bundle, out_dir, opts, selected=state.selected,
+                        selected_scores=state.scores)
     print(json.dumps(
-        {"selected": selected, "epochs": len(result.epoch_logs),
-         "dev": score_record, "out_dir": out_dir},
+        {"selected": state.selected, "epochs": len(state.epoch_logs),
+         "dev": state.scores, "out_dir": out_dir},
         sort_keys=True,
     ))
     return 0
@@ -360,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    distill.keep_freed_pages()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

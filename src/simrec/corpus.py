@@ -24,6 +24,8 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import tensorcore as tc
+
 MAX_TOKENS = 100
 
 LABEL_SIMILE = "simile"
@@ -251,7 +253,7 @@ def load_corpus(path, max_tokens: int = MAX_TOKENS) -> list[AnnotatedSentence]:
 
 
 def save_corpus(path, sentences: Iterable[AnnotatedSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with tc.open_atomic(path) as fh:
         for sent in sentences:
             fh.write(json.dumps(sentence_to_record(sent), ensure_ascii=False, sort_keys=True))
             fh.write("\n")

@@ -9,11 +9,12 @@ batch is one tape: one pass of the models' encoders stacked on a model axis,
 then the classifier, the final tag softmax, both cross entropies, the KL to
 the ensemble and the loss arithmetic once on that axis; only each model's
 tagger runs on its own slice. Model selection afterwards keeps the single
-model with the best dev extraction F1.
+model with the best dev extraction F1; ``train`` returns it in its state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import math
@@ -275,7 +276,7 @@ def epoch_batches(
     return [order[i:i + batch_size] for i in range(0, n_sentences, batch_size)]
 
 
-def _keep_freed_pages() -> None:
+def keep_freed_pages() -> None:
     """Keep freed heap memory in the process (glibc; a no-op elsewhere), for good.
 
     Each step frees its whole tape. By default glibc returns the heap's free
@@ -291,11 +292,16 @@ def _keep_freed_pages() -> None:
 
 
 @dataclass
-class TrainResult:
-    epoch_logs: list[dict] = field(default_factory=list)
+class TrainState:
+    """A ``train`` run's loop state and, with a dev set, its selection."""
+    rng: np.random.Generator  # shuffles the batches
+    step: int = 0  # optimizer steps taken
+    epoch_logs: list[dict] = field(default_factory=list)  # one record per epoch so far
     best: dict[str, dict] = field(default_factory=dict)  # each model's best dev epoch
     # Each store's DATA row at the leader's best epoch, unless that is the last.
     rows: list[np.ndarray] = field(default_factory=list)
+    scores: dict[str, dict] = field(default_factory=dict)  # dev records at the roll-back epoch
+    selected: str | None = None  # the model ``select_from_scores`` picks from ``scores``
 
 
 def train(
@@ -305,7 +311,7 @@ def train(
     config: TrainConfig,
     graph_options: GraphOptions = GraphOptions(),
     log_path: str | os.PathLike | None = None,
-) -> TrainResult:
+) -> TrainState:
     """Run the full distillation schedule; deterministic under the seed.
 
     Per epoch the log gains one JSON record with the epoch-end lambda, the
@@ -315,13 +321,14 @@ def train(
     a dev set, every model is rolled back after the schedule to one epoch: the
     best dev epoch of the leader, the model ``select_from_scores`` picks from
     the best records. Each store's whole DATA row is restored, so a shared
-    encoder, which lives in the first model's row, comes back with it.
+    encoder, which lives in the first model's row, comes back with it, and the
+    state holds that epoch's dev records and the model selected from them.
     """
     config.validate()
     graph_options.validate()
     if not train_sents:
         raise ValueError("train: empty training corpus")
-    _keep_freed_pages()
+    keep_freed_pages()
     limit = bundle.config.max_tokens
     for corpus_name, corpus in (("train", train_sents), ("dev", dev_sents)):
         for i, sent in enumerate(corpus):
@@ -330,65 +337,55 @@ def train(
                     f"train: {corpus_name} sentence {i} has {len(sent.tokens)} tokens, "
                     f"max_tokens is {limit}"
                 )
-    rng = np.random.default_rng(config.seed)
+    state = TrainState(rng=np.random.default_rng(config.seed))
     train_graphs = [build_graph(s, bundle.vocab, graph_options) for s in train_sents]
     dev_graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
     n_batches = math.ceil(len(train_sents) / config.batch_size)
     total_steps = config.epochs * n_batches
-    result = TrainResult()
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
-    step = 0
-    try:
+    with open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext() as log:
         for epoch in range(1, config.epochs + 1):
-            epoch_loss = {name: 0.0 for name in bundle.models}
-            lam = 0.0
+            loss_sums = np.zeros(len(bundle.models))
             for bi, batch in enumerate(
-                epoch_batches(len(train_sents), config.batch_size, rng), start=1
+                epoch_batches(len(train_sents), config.batch_size, state.rng), start=1
             ):
-                lam = training_lambda(config, step, total_steps)
+                lam = training_lambda(config, state.step, total_steps)
                 try:
-                    batch_losses = _batch_step(
-                        bundle, train_sents, train_graphs, batch, lam, config
-                    )
+                    losses = _batch_step(bundle, train_sents, train_graphs, batch, lam, config)
                 except NonFiniteError as exc:
                     raise RuntimeError(
                         f"training aborted: non-finite value in epoch {epoch}, "
                         f"batch {bi}: {exc}"
                     ) from exc
-                for name, value in batch_losses.items():
-                    epoch_loss[name] += value
-                step += 1
+                loss_sums += list(losses.values())
+                state.step += 1
             record = {
                 "epoch": epoch,
-                "lambda": lam,
-                "losses": {k: v / n_batches for k, v in epoch_loss.items()},
+                "lambda": training_lambda(config, state.step - 1, total_steps),
+                "losses": dict(zip(bundle.models, (loss_sums / n_batches).tolist())),
             }
             if dev_sents:
-                dev_scores = {
-                    name: evaluate_model(model, dev_sents, dev_graphs)
-                    for name, model in bundle.models.items()
-                }
-                record["dev"] = {
-                    name: report_record(scores) for name, scores in dev_scores.items()
-                }
-                if _track_best(result, dev_scores, epoch):
+                record["dev"] = {name: report_record(evaluate_model(model, dev_sents, dev_graphs))
+                                 for name, model in bundle.models.items()}
+                if _track_best(state, record["dev"], epoch):
+                    state.scores = record["dev"]
                     # The old snapshot goes before a new one is taken, so two
                     # are never alive together. The last epoch's rows need no
                     # copy: they stay in place.
-                    result.rows = []
+                    state.rows = []
                     if epoch < config.epochs:
-                        result.rows = [model.store.block[DATA].copy()
-                                       for model in bundle.models.values()]
-            result.epoch_logs.append(record)
-            if log_file:
-                log_file.write(json.dumps(record, sort_keys=True) + "\n")
-                log_file.flush()
-        for model, row in zip(bundle.models.values(), result.rows):
-            model.store.block[DATA] = row
-    finally:
-        if log_file:
-            log_file.close()
-    return result
+                        state.rows = [model.store.block[DATA].copy()
+                                      for model in bundle.models.values()]
+            state.epoch_logs.append(record)
+            if log:
+                log.write(json.dumps(record, sort_keys=True) + "\n")
+                log.flush()
+    for model, row in zip(bundle.models.values(), state.rows):
+        model.store.block[DATA] = row
+    if state.scores:
+        state.selected = select_from_scores({
+            name: (tasks["extraction"]["f1"], tasks["classification"]["f1"])
+            for name, tasks in state.scores.items()})
+    return state
 
 
 def _batch_step(
@@ -446,23 +443,23 @@ def _batch_step(
     return dict(zip(bundle.models, losses.data.tolist()))
 
 
-def _track_best(result: TrainResult, dev_scores: dict[str, dict[str, PRF]], epoch: int) -> bool:
-    """Record each model's best dev extraction epoch so far; True if that
-    makes this epoch the best of the leader, the model ``select_from_scores``
-    picks from the records."""
-    for name, scores in dev_scores.items():
-        f1 = scores["extraction"].f1
-        prev = result.best.get(name)
+def _track_best(state: TrainState, dev_records: dict[str, dict], epoch: int) -> bool:
+    """Record each model's best dev extraction epoch so far from its dev
+    record (``report_record``); True if that makes this epoch the best of the
+    leader, the model ``select_from_scores`` picks from the records."""
+    for name, tasks in dev_records.items():
+        f1 = tasks["extraction"]["f1"]
+        prev = state.best.get(name)
         if prev is not None and f1 <= prev["extraction_f1"]:
             continue
-        result.best[name] = {
+        state.best[name] = {
             "epoch": epoch,
             "extraction_f1": f1,
-            "classification_f1": scores["classification"].f1,
+            "classification_f1": tasks["classification"]["f1"],
         }
     leader = select_from_scores({name: (info["extraction_f1"], info["classification_f1"])
-                                 for name, info in result.best.items()})
-    return result.best[leader]["epoch"] == epoch
+                                 for name, info in state.best.items()})
+    return state.best[leader]["epoch"] == epoch
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simrec import cli, distill, tensorcore as tc
+from simrec import cli, distill, evalkit, tensorcore as tc
 from simrec.__main__ import BLAS_THREAD_VARIABLES
 from simrec.cli import RunConfig, _given_flags, build_parser, load_run_config, main
 from simrec.corpus import (
@@ -174,6 +174,27 @@ class TestTrain:
         assert info["selected"] in ("p", "t", "v")
         assert info["epochs"] == 2
         assert set(info["dev"]) == {"p", "t", "v"}
+
+    def test_saves_and_prints_the_selection_of_training(self, corpora, tmp_path, capsys,
+                                                        monkeypatch):
+        # Dev scoring runs once per model and epoch, inside training; the
+        # saved and printed selection is what select_best makes of the models.
+        train, dev = corpora
+        scored = []
+        evaluate_model = distill.evaluate_model
+        monkeypatch.setattr(distill, "evaluate_model",
+                            lambda *args: scored.append(1) or evaluate_model(*args))
+        out = tmp_path / "m"
+        assert main(["train", "--train", train, "--dev", dev,
+                     "--out-dir", str(out), *TINY_FLAGS]) == 0
+        assert len(scored) == 2 * 3
+        info = json.loads(capsys.readouterr().out)
+        meta = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+        bundle, opts = distill.load_bundle(out)
+        selected, scores = distill.select_best(bundle, load_corpus(dev), opts)
+        want = {name: evalkit.report_record(tasks) for name, tasks in scores.items()}
+        assert info["selected"] == meta["selected"] == selected
+        assert info["dev"] == meta["scores"] == want
 
     def test_out_dir_from_environment(self, corpora, tmp_path, capsys, monkeypatch):
         train, dev = corpora
@@ -984,6 +1005,15 @@ class TestPredict:
             assert (rec["label"], rec["spans"]) == (ref["label"], ref["spans"])
 
 
+    def test_keeps_freed_pages_once(self, trained_dir, corpora, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(distill, "keep_freed_pages", lambda: calls.append(1))
+        _, dev = corpora
+        assert main(["predict", "--model-dir", trained_dir, "--input", dev,
+                     "--out", str(tmp_path / "preds.jsonl")]) == 0
+        capsys.readouterr()
+        assert calls == [1]
+
     def test_served_records_keep_their_digest(self, trained_dir):
         # Every model of the trained fixture serves each sentence through
         # heads.predict; the digest of the records, floats at their exact repr
@@ -1220,6 +1250,22 @@ def test_readme_command_lines_parse():
     for argv in commands:
         parser.parse_args(argv)
     assert {argv[0] for argv in commands} == set(_subcommands(parser))
+
+
+def test_readme_library_example_runs():
+    # The example at 2 epochs in place of 30: the state that train returns
+    # holds what select_best makes of the trained bundle.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    short = block.replace("epochs=30", "epochs=2")
+    assert short.count("epochs=2") == 1 and "epochs=30" not in short
+    scope = {}
+    exec(short, scope)
+    selected, scores = distill.select_best(scope["bundle"], scope["corpus"][400:])
+    assert len(scope["state"].epoch_logs) == 2
+    assert scope["name"] == selected
+    assert scope["scores"] == {name: evalkit.report_record(tasks)
+                               for name, tasks in scores.items()}
 
 
 @pytest.mark.skipif(shutil.which("simrec") is None,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from simrec import corpus as corpus_module
 from simrec.corpus import (
     CATEGORY_NOUNS,
     CorpusError,
@@ -134,6 +135,26 @@ class TestSerialization:
         path = tmp_path / "corpus.jsonl"
         save_corpus(path, corpus)
         assert load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("old", [None, b"an older corpus\n"], ids=["new", "existing"])
+    def test_failed_save_leaves_no_partial_corpus(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "corpus.jsonl"
+        if old is not None:
+            path.write_bytes(old)
+        written = []
+
+        def third_fails(sent):
+            written.append(sent)
+            if len(written) == 3:
+                raise RuntimeError("record 3 fails")
+            return sentence_to_record(sent)
+
+        monkeypatch.setattr(corpus_module, "sentence_to_record", third_fails)
+        with pytest.raises(RuntimeError, match="record 3 fails"):
+            save_corpus(path, generate_synthetic(SyntheticConfig(n_sentences=5, seed=5)))
+        assert len(written) == 3
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert not (tmp_path / "corpus.jsonl.tmp").exists()
 
     def test_load_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

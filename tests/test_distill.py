@@ -628,7 +628,7 @@ class TestTrainLoop:
 
     def test_leader_improving_again_replaces_the_snapshot(self, tiny_corpus, tiny_vocab,
                                                           monkeypatch):
-        # The leader improves at two epochs before the last: TrainResult.rows
+        # The leader improves at two epochs before the last: TrainState.rows
         # and the restored rows carry the later one's bits, not the first's.
         bundle = fresh_bundle(tiny_vocab)
         seen = rows_per_epoch(monkeypatch, bundle)
@@ -710,6 +710,45 @@ class TestTrainLoop:
         graphs = [build_graph(s, tiny_vocab) for s in dev]
         for name, model in bundle.models.items():
             assert report_record(distill.evaluate_model(model, dev, graphs)) == logged[name]
+
+
+class TestTrainState:
+    """``train`` returns its loop state and, with a dev set, its selection."""
+
+    @pytest.mark.parametrize("share_encoder, config, last", [
+        (False, ROLL_BACK, False),
+        (True, ROLL_BACK, False),
+        (False, replace(ROLL_BACK, learning_rate=0.01), True),
+    ], ids=["plain", "share-encoder", "leader-best-last"])
+    def test_selection_is_select_best_of_the_trained_bundle(self, tiny_corpus, tiny_vocab,
+                                                             share_encoder, config, last):
+        bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
+        dev = tiny_corpus[8:]
+        state = train(bundle, tiny_corpus[:8], dev, config)
+        epoch = leader_epoch(state)
+        assert (epoch == config.epochs) == last
+        assert (state.rows == []) == last
+        assert state.scores == state.epoch_logs[epoch - 1]["dev"]
+        selected, scores = distill.select_best(bundle, dev)
+        assert state.selected == selected
+        assert state.scores == {name: report_record(tasks) for name, tasks in scores.items()}
+
+    def test_step_and_rng_stand_after_the_last_batch(self, tiny_corpus, tiny_vocab):
+        config = TrainConfig(epochs=3, batch_size=3, seed=5)
+        sents = tiny_corpus[:8]
+        state = train(fresh_bundle(tiny_vocab), sents, [], config)
+        assert state.step == config.epochs * math.ceil(len(sents) / config.batch_size) == 9
+        assert len(state.epoch_logs) == config.epochs
+        rng = np.random.default_rng(config.seed)
+        for _ in range(config.epochs):
+            rng.permutation(len(sents))
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_devless_run_selects_nothing(self, tiny_corpus, tiny_vocab):
+        state = train(fresh_bundle(tiny_vocab), tiny_corpus[:8], [],
+                      TrainConfig(epochs=1, batch_size=4))
+        assert state.selected is None
+        assert state.scores == {} and state.best == {} and state.rows == []
 
 
 class TestTrainingBits:
