@@ -227,7 +227,7 @@ def cmd_train(args) -> int:
 
 def _score_sentences(model, sents, vocab, opts):
     graphs = [build_graph(s, vocab, opts) for s in sents]
-    return distill.evaluate_model(model, sents, graphs)
+    return distill.evaluate_model(predict_batch(model, graphs), sents)
 
 
 def cmd_evaluate(args) -> int:

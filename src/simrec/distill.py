@@ -43,12 +43,13 @@ from .heads import (
     PREDICT_CHUNK,
     TAG_TO_ID,
     SimileModel,
+    SpanPrediction,
     TagForward,
     classify,
     forward_tagger,
     init_models,
     model_layout,
-    predict_batch,
+    predict_stacked,
     spans_from_tags,
 )
 from .tensorcore import DATA, GRAD, DiffArray, NonFiniteError
@@ -339,7 +340,7 @@ def train(
                 )
     state = TrainState(rng=np.random.default_rng(config.seed))
     train_graphs = [build_graph(s, bundle.vocab, graph_options) for s in train_sents]
-    dev_graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
+    dev_blocks = _join_chunks([build_graph(s, bundle.vocab, graph_options) for s in dev_sents])
     n_batches = math.ceil(len(train_sents) / config.batch_size)
     total_steps = config.epochs * n_batches
     with open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext() as log:
@@ -364,8 +365,8 @@ def train(
                 "losses": dict(zip(bundle.models, (loss_sums / n_batches).tolist())),
             }
             if dev_sents:
-                record["dev"] = {name: report_record(evaluate_model(model, dev_sents, dev_graphs))
-                                 for name, model in bundle.models.items()}
+                record["dev"] = {name: report_record(scores) for name, scores
+                                 in _score_models(bundle, dev_sents, dev_blocks).items()}
                 if _track_best(state, record["dev"], epoch):
                     state.scores = record["dev"]
                     # The old snapshot goes before a new one is taken, so two
@@ -466,12 +467,29 @@ def _track_best(state: TrainState, dev_records: dict[str, dict], epoch: int) -> 
 # evaluation and selection
 # ---------------------------------------------------------------------------
 
-def evaluate_model(
-    model: SimileModel,
+def _join_chunks(graphs: Sequence[HeteroGraph]) -> list[BlockGraph]:
+    """The graphs joined in blocks of ``PREDICT_CHUNK``, as ``predict_batch`` joins them."""
+    return [join_graphs(graphs[lo:lo + PREDICT_CHUNK])
+            for lo in range(0, len(graphs), PREDICT_CHUNK)]
+
+
+def _score_models(
+    bundle: ModelBundle,
     sents: list[AnnotatedSentence],
-    graphs: list[HeteroGraph],
+    blocks: Sequence[BlockGraph],
+) -> dict[str, dict[str, PRF]]:
+    """Every model's scores on ``sents``, joined in ``blocks``, from one pass
+    per block of the models stacked (``heads.predict_stacked``)."""
+    preds = predict_stacked(list(bundle.models.values()), bundle.enc, bundle.head, blocks)
+    return {name: evaluate_model(mine, sents) for name, mine in zip(bundle.models, preds)}
+
+
+def evaluate_model(
+    preds: Sequence[SpanPrediction],
+    sents: list[AnnotatedSentence],
 ) -> dict[str, PRF]:
-    preds = predict_batch(model, graphs)
+    """One model's classification and extraction scores: its predictions
+    against the gold labels and spans of ``sents``, in order."""
     cls = score_classification([p.label for p in preds], [s.label for s in sents])
     ext = score_extraction(
         [p.spans for p in preds], [spans_from_tags(list(s.tags)) for s in sents]
@@ -500,11 +518,8 @@ def select_best(
 ) -> tuple[str, dict[str, dict[str, PRF]]]:
     if not dev_sents:
         raise ValueError("select_best: empty dev set")
-    graphs = [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]
-    all_scores = {
-        name: evaluate_model(model, dev_sents, graphs)
-        for name, model in bundle.models.items()
-    }
+    all_scores = _score_models(bundle, dev_sents, _join_chunks(
+        [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]))
     compact = {
         name: (s["extraction"].f1, s["classification"].f1)
         for name, s in all_scores.items()
@@ -518,15 +533,18 @@ def mean_ensemble_kl(
     graphs: list[HeteroGraph],
 ) -> dict[str, float]:
     """Mean per-token KL(ensemble || model) over a corpus, per model; the
-    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences. A non-finite
-    KL raises at the op that made it (``tc.check_finite``)."""
+    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences, numpy's
+    float warnings off. A non-finite tag distribution or KL raises, naming
+    the op that made it (``tc.check_finite``): ``tc.kl_divergence`` reads a
+    NaN target as zero divergence, so the KL alone would not show it."""
     totals = np.zeros(len(bundle.models))
     for lo in range(0, len(sents), PREDICT_CHUNK):
         block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-        _, out = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
-        target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
-        kl = tc.kl_divergence(target, out.tag_dist)
-        tc.check_finite(kl)
+        with np.errstate(all="ignore"):
+            _, out = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
+            target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
+            kl = tc.kl_divergence(target, out.tag_dist)
+            tc.check_finite(out.tag_dist, kl)
         totals += kl.data
     n_tokens = sum(len(s.tokens) for s in sents)
     return dict(zip(bundle.models, (totals / max(n_tokens, 1)).tolist()))

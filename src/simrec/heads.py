@@ -273,11 +273,15 @@ def decode_spans(tag_dist: np.ndarray) -> list[Span]:
 SIMILE_THRESHOLD = 0.5
 # Sentences per joined block when serving a corpus.  Token self-attention is
 # dense over a block's tokens, so its cost grows with the square of the chunk.
-# Dev evaluation of the three README-config models on 100 sentences (2-core
-# Xeon, one BLAS thread, CPU time) took 0.20 s one sentence at a time, 0.08 s
-# in chunks of 4, 0.05-0.07 s in chunks of 8 to 16 and 0.08 s in chunks of
-# 32.  Chunks of 16 also raised the peak memory of a training run by 0.4 MB;
-# chunks of 8 left it unchanged.
+# One stacked dev evaluation of the three README-config models (3 epochs
+# trained) on 100 sentences, blocks joined beforehand (2-core Xeon, one BLAS
+# thread, CPU time, median of 9) took 45 ms one sentence at a time, 24 ms in
+# chunks of 4, 18 ms in chunks of 8, 17 ms in chunks of 12, 27 ms in chunks
+# of 16 and 40 ms in chunks of 32.  Serving one of those models, joins
+# included, took 23, 12, 9.2, 8.2, 8.5 and 16 ms.  Chunks of 12 save about
+# 1 ms per epoch, inside the run-to-run spread, so the chunk stays at 8.  The
+# stacked blocks of 8 left train-wide's peak memory where the per-model ones
+# had it (BENCH_36.json).
 PREDICT_CHUNK = 8
 
 
@@ -289,42 +293,90 @@ def predict(
 ) -> SpanPrediction:
     """Classify, then extract spans only if the sentence is judged a simile."""
     # The benchmark in perfbench/ calls this form; the graph alone is read.
-    return _predict_block(model, graph.block)[0]
+    return _predict_block([model], graph.block, model.enc, model.head)[0][0]
 
 
 def predict_batch(model: SimileModel, graphs: Sequence[HeteroGraph]) -> list[SpanPrediction]:
     """``predict`` for each graph, run on joined blocks of ``PREDICT_CHUNK``."""
-    preds: list[SpanPrediction] = []
-    for lo in range(0, len(graphs), PREDICT_CHUNK):
-        preds.extend(_predict_block(model, join_graphs(graphs[lo:lo + PREDICT_CHUNK])))
+    blocks = [join_graphs(graphs[lo:lo + PREDICT_CHUNK])
+              for lo in range(0, len(graphs), PREDICT_CHUNK)]
+    return predict_stacked([model], model.enc, model.head, blocks)[0]
+
+
+def predict_stacked(
+    models: Sequence[SimileModel],
+    enc: dict[str, DiffArray],
+    head: dict[str, DiffArray],
+    blocks: Sequence[BlockGraph],
+) -> list[list[SpanPrediction]]:
+    """Each model's ``predict_batch`` over the sentences of ``blocks``, from one
+    pass per block of the models' encoder and classifier weights ``enc`` and
+    ``head``, stacked on a model axis as ``init_models`` makes them, or one
+    model's own 2-D weights; one list of predictions per model."""
+    preds: list[list[SpanPrediction]] = [[] for _ in models]
+    for block in blocks:
+        for mine, block_preds in zip(preds, _predict_block(models, block, enc, head)):
+            mine.extend(block_preds)
     return preds
 
 
-def _predict_block(model: SimileModel, block: BlockGraph) -> list[SpanPrediction]:
+def _predict_block(
+    models: Sequence[SimileModel],
+    block: BlockGraph,
+    enc: dict[str, DiffArray],
+    head: dict[str, DiffArray],
+) -> list[list[SpanPrediction]]:
     """``_block_dists`` with numpy's floating-point warnings off, its arrays checked
-    once by ``tc.check_finite``, which names the op that made a non-finite value."""
+    once by ``tc.check_finite``, which names the op that made a non-finite value;
+    one list of the block's predictions per model."""
     with np.errstate(all="ignore"):
-        dists = _block_dists(model, block)
+        dists = _block_dists(models, block, enc, head)
         tc.check_finite(*dists)
-    p_simile = dists[1].data[:, CLASS_SIMILE]
-    preds = [SpanPrediction(label="literal", p_simile=p) for p in p_simile.tolist()]
-    lo = 0
-    for pred, simile, n in zip(preds, p_simile > SIMILE_THRESHOLD, block.word_counts.tolist()):
-        if simile:
-            pred.label = "simile"
-            pred.spans = decode_spans(dists[2].data[lo:lo + n])
-            lo += n
+    p_simile = dists[1].data[..., CLASS_SIMILE]
+    word_counts = block.word_counts.tolist()
+    preds = []
+    for p_model, tag_dist in zip(np.atleast_2d(p_simile), dists[2:]):
+        mine = [SpanPrediction(label="literal", p_simile=p) for p in p_model.tolist()]
+        lo = 0
+        for pred, simile, n in zip(mine, p_model > SIMILE_THRESHOLD, word_counts):
+            if simile:
+                pred.label = "simile"
+                pred.spans = decode_spans(tag_dist.data[lo:lo + n])
+                lo += n
+        preds.append(mine)
     return preds
 
 
-def _block_dists(model: SimileModel, block: BlockGraph) -> tuple[DiffArray, ...]:
+def _block_dists(
+    models: SimileModel | Sequence[SimileModel],
+    block: BlockGraph,
+    enc: dict[str, DiffArray] | None = None,
+    head: dict[str, DiffArray] | None = None,
+) -> tuple[DiffArray, ...]:
     """Final node states and class distribution of every sentence of the block,
-    and the tag distribution of the words of those judged similes (one pass)."""
-    g_final = encode_graph(block, model.enc, model.config)[-1]
-    cls_dist = classify(g_final, block, model.head)
-    judged = cls_dist.data[:, CLASS_SIMILE] > SIMILE_THRESHOLD
-    if not judged.any():
-        return g_final, cls_dist, DiffArray(np.empty((0, len(TAG_VALUES))))
-    words = tc.pick_rows(g_final, block.word_nodes[np.repeat(judged, block.word_counts)])
-    fwd = forward_tagger(model, words, None, block.word_counts[judged])
-    return g_final, cls_dist, tc.softmax(fwd.final_logits, axis=-1)
+    then, per model, the tag distribution of the words of the sentences that
+    it judges similes. ``enc`` and ``head`` are one model's own 2-D weights (a
+    bare model passes its own) or the models' weights stacked on a model
+    axis: either way the encoder and the classifier run once, and each
+    model's tagger reads its slice of the states (an encoder shared as a
+    stack of one is repeated per model first)."""
+    if isinstance(models, SimileModel):
+        models, enc, head = [models], models.enc, models.head
+    g_final = encode_graph(block, enc, models[0].config)[-1]
+    stacked = g_final.data.ndim == 3
+    states = g_final
+    if stacked and len(g_final.data) < len(models):
+        states = tc.repeat_models(g_final, len(models))
+    cls_dist = classify(states, block, head)
+    similes = cls_dist.data[..., CLASS_SIMILE] > SIMILE_THRESHOLD
+    tag_dists = []
+    for m, model in enumerate(models):
+        judged = similes[m] if stacked else similes
+        if not judged.any():
+            tag_dists.append(DiffArray(np.empty((0, len(TAG_VALUES)))))
+            continue
+        mine = tc.model_slice(states, m) if stacked else states
+        words = tc.pick_rows(mine, block.word_nodes[np.repeat(judged, block.word_counts)])
+        fwd = forward_tagger(model, words, None, block.word_counts[judged])
+        tag_dists.append(tc.softmax(fwd.final_logits, axis=-1))
+    return g_final, cls_dist, *tag_dists

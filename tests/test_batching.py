@@ -209,7 +209,7 @@ def test_evaluate_model_rejects_unpaired_graphs(corpus, vocab):
     sents = corpus[:3]
     graphs = [build_graph(s, vocab) for s in sents[:2]]
     with pytest.raises(ValueError, match="2 predictions for 3 gold labels"):
-        evaluate_model(bundle.models["p"], sents, graphs)
+        evaluate_model(predict_batch(bundle.models["p"], graphs), sents)
 
 
 def test_other_sentences_unaffected_by_a_replaced_one(corpus, vocab):
@@ -328,3 +328,61 @@ class TestGeneralisedOps:
         np.testing.assert_allclose(float(build().data), expected, rtol=1e-12)
         tc.backward(build())
         check_grads(lambda: float(build().data), {"logits": logits}, tol=1e-6)
+
+
+STACKED = {
+    "plain": ({}, GraphOptions()),
+    "share-encoder": ({"share_encoder": True}, GraphOptions()),
+    "t-disabled": ({"disabled_models": ("t",)}, GraphOptions()),
+    "merged": ({}, GraphOptions(no_subsentence_nodes=True)),
+}
+
+
+def assert_stacked_is_each_models_own(bundle, graphs, monkeypatch):
+    """``predict_stacked`` over the graphs' joined blocks encodes each block
+    once and gives every model its ``predict_batch``, record for record."""
+    blocks = [join_graphs(graphs[lo:lo + PREDICT_CHUNK])
+              for lo in range(0, len(graphs), PREDICT_CHUNK)]
+    models = list(bundle.models.values())
+    encoded = []
+    encode = heads.encode_graph
+    monkeypatch.setattr(heads, "encode_graph",
+                        lambda *args: encoded.append(1) or encode(*args))
+    stacked = heads.predict_stacked(models, bundle.enc, bundle.head, blocks)
+    assert len(encoded) == len(blocks)
+    monkeypatch.setattr(heads, "encode_graph", encode)
+    assert len(stacked) == len(models)
+    for model, preds in zip(models, stacked):
+        assert ([p.to_record() for p in preds]
+                == [p.to_record() for p in predict_batch(model, graphs)]), model.name
+    return stacked
+
+
+@pytest.mark.parametrize("variant", STACKED)
+def test_stacked_predictions_are_each_models_own(vocab, variant, monkeypatch):
+    # A partial last block, and the threshold at the median p(simile) of all
+    # models, so that some sentences are judged similes.
+    options, graph_options = STACKED[variant]
+    sents = generate_synthetic(SyntheticConfig(n_sentences=2 * PREDICT_CHUNK + 3, seed=7))
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5, **options)
+    graphs = [build_graph(s, vocab, graph_options) for s in sents]
+    p_values = [p.p_simile for model in bundle.models.values()
+                for p in predict_batch(model, graphs)]
+    monkeypatch.setattr(heads, "SIMILE_THRESHOLD", float(np.median(p_values)))
+    stacked = assert_stacked_is_each_models_own(bundle, graphs, monkeypatch)
+    assert any(p.spans for preds in stacked for p in preds)
+
+
+def test_stacked_block_where_one_model_judges_no_simile(vocab, monkeypatch):
+    # In the first block, the model with the lowest highest p(simile) judges
+    # no sentence a simile, and the others judge some.
+    sents = generate_synthetic(SyntheticConfig(n_sentences=PREDICT_CHUNK + 3, seed=7))
+    bundle = build_bundle(vocab, ENC, np.random.default_rng(3), label_emb_dim=5)
+    graphs = [build_graph(s, vocab) for s in sents]
+    highest = sorted(max(p.p_simile for p in predict_batch(model, graphs[:PREDICT_CHUNK]))
+                     for model in bundle.models.values())
+    assert highest[1] - highest[0] > 1e-9
+    monkeypatch.setattr(heads, "SIMILE_THRESHOLD", (highest[0] + highest[1]) / 2)
+    stacked = assert_stacked_is_each_models_own(bundle, graphs, monkeypatch)
+    first_block = [[p.label for p in preds[:PREDICT_CHUNK]] for preds in stacked]
+    assert sorted("simile" in labels for labels in first_block) == [False, True, True]

@@ -183,11 +183,11 @@ class TestTrain:
         scored = []
         evaluate_model = distill.evaluate_model
         monkeypatch.setattr(distill, "evaluate_model",
-                            lambda *args: scored.append(1) or evaluate_model(*args))
+                            lambda *args: scored.append(len(args[0])) or evaluate_model(*args))
         out = tmp_path / "m"
         assert main(["train", "--train", train, "--dev", dev,
                      "--out-dir", str(out), *TINY_FLAGS]) == 0
-        assert len(scored) == 2 * 3
+        assert scored == [len(load_corpus(dev))] * (2 * 3)
         info = json.loads(capsys.readouterr().out)
         meta = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
         bundle, opts = distill.load_bundle(out)

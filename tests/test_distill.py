@@ -554,6 +554,20 @@ class TestTrainLoop:
             train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1),
                   graph_options=GraphOptions(top_k_deprels=-1))
 
+    def test_dev_blocks_are_joined_once_per_run(self, tiny_vocab, monkeypatch):
+        # Each epoch scores every model on the same dev blocks, joined once.
+        sents = generate_synthetic(SyntheticConfig(n_sentences=8 + 2 * PREDICT_CHUNK + 3, seed=3))
+        train_sents, dev = sents[:8], sents[8:]
+        config = TrainConfig(epochs=3, batch_size=4, seed=0)
+        joined = []
+        join_graphs = distill.join_graphs
+        monkeypatch.setattr(distill, "join_graphs",
+                            lambda graphs: joined.append(len(graphs)) or join_graphs(graphs))
+        train(fresh_bundle(tiny_vocab), train_sents, dev, config)
+        n_batches = config.epochs * math.ceil(len(train_sents) / config.batch_size)
+        assert len(joined) - n_batches == math.ceil(len(dev) / PREDICT_CHUNK) == 3
+        assert sorted(joined) == [3] + [4] * n_batches + [PREDICT_CHUNK] * 2
+
     def test_empty_training_set_rejected(self, tiny_vocab):
         bundle = fresh_bundle(tiny_vocab)
         with pytest.raises(ValueError, match="empty training"):
@@ -701,7 +715,8 @@ class TestTrainLoop:
     def test_restored_models_score_their_logged_epoch(self, tiny_corpus, tiny_vocab,
                                                       share_encoder):
         # After the roll-back every model stands at the leader's best epoch,
-        # so scoring each one again gives that epoch's logged dev record.
+        # so scoring each one again, on its own through predict_batch, gives
+        # that epoch's dev record, which training logged from the stacked pass.
         bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
         dev = tiny_corpus[8:]
         result = train(bundle, tiny_corpus[:8], dev, ROLL_BACK)
@@ -709,7 +724,8 @@ class TestTrainLoop:
         assert logged != result.epoch_logs[-1]["dev"]
         graphs = [build_graph(s, tiny_vocab) for s in dev]
         for name, model in bundle.models.items():
-            assert report_record(distill.evaluate_model(model, dev, graphs)) == logged[name]
+            preds = predict_batch(model, graphs)
+            assert report_record(distill.evaluate_model(preds, dev)) == logged[name]
 
 
 class TestTrainState:
@@ -1096,6 +1112,20 @@ class TestMeanEnsembleKL:
         assert set(kl) == {"p", "t", "v"}
         for value in kl.values():
             assert value > -1e-12
+
+    def test_overflow_raises_the_named_op_under_warnings_as_errors(self, tiny_corpus,
+                                                                   tiny_vocab):
+        # numpy's overflow warning stays off, so the check that names the
+        # op is what raises, not the warning.
+        bundle = fresh_bundle(tiny_vocab)
+        set_param(bundle.models["p"].store, "enc/sa0/wq", 1e200)
+        set_param(bundle.models["p"].store, "enc/sa0/wk", 1e200)
+        sents = tiny_corpus[:4]
+        graphs = [build_graph(s, tiny_vocab) for s in sents]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tc.NonFiniteError, match="op 'attention_scores'"):
+                distill.mean_ensemble_kl(bundle, sents, graphs)
 
     def test_chunks_match_the_sentence_by_sentence_mean(self):
         sents = generate_synthetic(SyntheticConfig(n_sentences=PREDICT_CHUNK + 5, seed=4))
