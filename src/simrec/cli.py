@@ -196,14 +196,13 @@ def cmd_train(args) -> int:
     if not dev_sents:
         raise ValueError(f"{args.dev}: empty dev corpus; model selection needs dev sentences")
     vocab = build_vocab(train_sents, min_freq=cfg.min_freq)
-    opts = cfg.graph_options()
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(
         vocab, enc_config, rng,
         label_emb_dim=cfg.label_emb_dim,
         disabled_models=cfg.disable_model,
         share_encoder=cfg.share_encoder,
-        top_k_deprels=cfg.top_k_deprels,
+        graph_options=cfg.graph_options(),
     )
     os.makedirs(out_dir, exist_ok=True)
     # An older model in out_dir must not stay loadable next to a run that
@@ -212,11 +211,9 @@ def cmd_train(args) -> int:
         os.remove(os.path.join(out_dir, distill.BUNDLE_META))
     state = train(
         bundle, train_sents, dev_sents, cfg.train_config(),
-        graph_options=opts,
         log_path=os.path.join(out_dir, "train_log.jsonl"),
     )
-    distill.save_bundle(bundle, out_dir, opts, selected=state.selected,
-                        selected_scores=state.scores)
+    distill.save_bundle(bundle, out_dir, selected=state.selected, selected_scores=state.scores)
     print(json.dumps(
         {"selected": state.selected, "epochs": len(state.epoch_logs),
          "dev": state.scores, "out_dir": out_dir},

@@ -278,7 +278,7 @@ class Vocabulary:
     def token_id(self, surface: str) -> int:
         return self.token_to_id.get(surface, self.token_to_id[UNK_TOKEN])
 
-    def top_deprels(self, k: int = 8) -> list[str]:
+    def top_deprels(self, k: int) -> list[str]:
         return self.deprel_ranking[:k]
 
 

@@ -48,6 +48,7 @@ from .heads import (
     classify,
     forward_tagger,
     init_models,
+    join_chunks,
     model_layout,
     predict_stacked,
     spans_from_tags,
@@ -93,6 +94,7 @@ class ModelBundle:
     vocab: Vocabulary
     config: EncoderConfig
     label_emb_dim: int
+    graph_options: GraphOptions  # the graphs the models read, and were built for
     enc: dict[str, DiffArray] = field(default_factory=dict)  # stacked encoders (``init_models``)
     head: dict[str, DiffArray] = field(default_factory=dict)  # stacked classifiers, likewise
 
@@ -125,18 +127,26 @@ def build_bundle(
     label_emb_dim: int = 100,
     disabled_models: tuple[str, ...] = (),
     share_encoder: bool = False,
-    top_k_deprels: int = 8,
+    graph_options: GraphOptions = GraphOptions(),
 ) -> ModelBundle:
-    """Fresh models; ``top_k_deprels`` must match the graphs' ``GraphOptions``."""
+    """Fresh models for the graphs of ``graph_options``, which the bundle keeps:
+    training, selection and saving read them from it."""
     check_disabled_models(disabled_models)
     check_label_emb_dim(label_emb_dim)
-    GraphOptions(top_k_deprels=top_k_deprels).validate()
+    graph_options.validate()
     names = [name for name in MODEL_ORDER if name not in disabled_models]
-    n_edge_labels = len(edge_label_index(vocab, top_k_deprels))
-    layouts = [model_layout(n, vocab.size, n_edge_labels, config, label_emb_dim) for n in names]
-    models, enc, head = init_models(names, layouts, config, rng, share_encoder)
-    return ModelBundle(models=dict(zip(names, models)), vocab=vocab, config=config,
-                       label_emb_dim=label_emb_dim, enc=enc, head=head)
+    shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim,
+                        graph_options=graph_options)
+    models, enc, head = init_models(names, [_model_layout(n, shell) for n in names],
+                                    config, rng, share_encoder)
+    return replace(shell, models=dict(zip(names, models)), enc=enc, head=head)
+
+
+def _model_layout(name: str, bundle: ModelBundle) -> list[Param]:
+    """Model ``name``'s ``model_layout`` under ``bundle``'s settings and graph options."""
+    n_edge_labels = len(edge_label_index(bundle.vocab, bundle.graph_options.top_k_deprels))
+    return model_layout(name, bundle.vocab.size, n_edge_labels, bundle.config,
+                        bundle.label_emb_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +320,6 @@ def train(
     train_sents: list[AnnotatedSentence],
     dev_sents: list[AnnotatedSentence],
     config: TrainConfig,
-    graph_options: GraphOptions = GraphOptions(),
     log_path: str | os.PathLike | None = None,
 ) -> TrainState:
     """Run the full distillation schedule; deterministic under the seed.
@@ -326,7 +335,6 @@ def train(
     state holds that epoch's dev records and the model selected from them.
     """
     config.validate()
-    graph_options.validate()
     if not train_sents:
         raise ValueError("train: empty training corpus")
     keep_freed_pages()
@@ -339,8 +347,9 @@ def train(
                     f"max_tokens is {limit}"
                 )
     state = TrainState(rng=np.random.default_rng(config.seed))
-    train_graphs = [build_graph(s, bundle.vocab, graph_options) for s in train_sents]
-    dev_blocks = _join_chunks([build_graph(s, bundle.vocab, graph_options) for s in dev_sents])
+    train_graphs = [build_graph(s, bundle.vocab, bundle.graph_options) for s in train_sents]
+    dev_blocks = join_chunks([build_graph(s, bundle.vocab, bundle.graph_options)
+                              for s in dev_sents])
     n_batches = math.ceil(len(train_sents) / config.batch_size)
     total_steps = config.epochs * n_batches
     with open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext() as log:
@@ -400,15 +409,17 @@ def _batch_step(
     """One optimizer step per model: one tape over the batch's joined graph
     (``ensemble_forward``), its losses one per model, and one backward sweep,
     numpy's float warnings off. ``tc.check_finite`` first checks the final
-    node states, the distributions, each first-stage logits and the losses,
-    naming the op of a non-finite value; then each gradient row needs a
-    finite sum of squares, which Adam forms, or its parameter is named.
-    Either way no step is taken."""
+    node states, the distributions and each first-stage logits, before the
+    losses read them, then the losses, naming the op of a non-finite value;
+    then each gradient row needs a finite sum of squares, which Adam forms,
+    or its parameter is named. Either way no step is taken."""
     batch_sents = [sents[i] for i in batch]
     block = join_graphs([graphs[i] for i in batch])
     stores = [model.store for model in bundle.models.values()]
     with np.errstate(all="ignore"):
         g_final, out = ensemble_forward(bundle, batch_sents, block)
+        tc.check_finite(g_final, out.cls_dist, out.tag_dist, *(
+            fwd.first_logits for fwd in out.tag_fwds if fwd.first_logits is not None))
         if lam < 1.0:
             target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
             kl = kl_to_ensemble(out.tag_dist, target, block.word_counts)
@@ -421,8 +432,7 @@ def _batch_step(
         else:
             total = tc.add(tc.scale(sup, lam), tc.scale(kl, 1.0 - lam))
         losses = tc.scale(total, 1.0 / len(batch))
-        tc.check_finite(g_final, out.cls_dist, out.tag_dist, *(
-            fwd.first_logits for fwd in out.tag_fwds if fwd.first_logits is not None), losses)
+        tc.check_finite(losses)
         ensemble_backward(bundle, losses)
         # Adam squares each gradient, so a gradient row needs a finite sum of
         # squares, which also rules out a NaN or an infinity in it.
@@ -467,12 +477,6 @@ def _track_best(state: TrainState, dev_records: dict[str, dict], epoch: int) -> 
 # evaluation and selection
 # ---------------------------------------------------------------------------
 
-def _join_chunks(graphs: Sequence[HeteroGraph]) -> list[BlockGraph]:
-    """The graphs joined in blocks of ``PREDICT_CHUNK``, as ``predict_batch`` joins them."""
-    return [join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-            for lo in range(0, len(graphs), PREDICT_CHUNK)]
-
-
 def _score_models(
     bundle: ModelBundle,
     sents: list[AnnotatedSentence],
@@ -514,12 +518,11 @@ def select_from_scores(scores: dict[str, tuple[float, float]]) -> str:
 def select_best(
     bundle: ModelBundle,
     dev_sents: list[AnnotatedSentence],
-    graph_options: GraphOptions = GraphOptions(),
 ) -> tuple[str, dict[str, dict[str, PRF]]]:
     if not dev_sents:
         raise ValueError("select_best: empty dev set")
-    all_scores = _score_models(bundle, dev_sents, _join_chunks(
-        [build_graph(s, bundle.vocab, graph_options) for s in dev_sents]))
+    all_scores = _score_models(bundle, dev_sents, join_chunks(
+        [build_graph(s, bundle.vocab, bundle.graph_options) for s in dev_sents]))
     compact = {
         name: (s["extraction"].f1, s["classification"].f1)
         for name, s in all_scores.items()
@@ -533,18 +536,18 @@ def mean_ensemble_kl(
     graphs: list[HeteroGraph],
 ) -> dict[str, float]:
     """Mean per-token KL(ensemble || model) over a corpus, per model; the
-    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences, numpy's
-    float warnings off. A non-finite tag distribution or KL raises, naming
-    the op that made it (``tc.check_finite``): ``tc.kl_divergence`` reads a
-    NaN target as zero divergence, so the KL alone would not show it."""
+    corpus runs in joined blocks of ``PREDICT_CHUNK`` sentences (``join_chunks``),
+    numpy's float warnings off. A non-finite tag distribution raises before
+    the KL reads it, naming the op that made it (``tc.check_finite``), and
+    so does a non-finite KL."""
     totals = np.zeros(len(bundle.models))
-    for lo in range(0, len(sents), PREDICT_CHUNK):
-        block = join_graphs(graphs[lo:lo + PREDICT_CHUNK])
+    for lo, block in zip(range(0, len(sents), PREDICT_CHUNK), join_chunks(graphs)):
         with np.errstate(all="ignore"):
             _, out = ensemble_forward(bundle, sents[lo:lo + PREDICT_CHUNK], block)
+            tc.check_finite(out.tag_dist)
             target = ensemble_distribution(*(fwd.final_logits.data for fwd in out.tag_fwds))
             kl = tc.kl_divergence(target, out.tag_dist)
-            tc.check_finite(out.tag_dist, kl)
+            tc.check_finite(kl)
         totals += kl.data
     n_tokens = sum(len(s.tokens) for s in sents)
     return dict(zip(bundle.models, (totals / max(n_tokens, 1)).tolist()))
@@ -563,12 +566,9 @@ _BUNDLE_FIELDS = {"encoder": "dict", "label_emb_dim": "int", "layouts": "dict[st
                   "graph_options": "dict", "vocab": "dict", "selected": "str", "scores": "dict"}
 
 
-def _layout_record(name: str, bundle: ModelBundle, top_k_deprels: int) -> list[list]:
-    """Model ``name``'s ``model_layout`` under ``bundle``'s settings and
-    ``top_k_deprels`` as ``bundle.json`` records it: ``[name, shape]`` pairs."""
-    n_edge_labels = len(edge_label_index(bundle.vocab, top_k_deprels))
-    return [[p.name, list(p.shape)] for p in model_layout(
-        name, bundle.vocab.size, n_edge_labels, bundle.config, bundle.label_emb_dim)]
+def _layout_record(name: str, bundle: ModelBundle) -> list[list]:
+    """``_model_layout`` as ``bundle.json`` records it: ``[name, shape]`` pairs."""
+    return [[p.name, list(p.shape)] for p in _model_layout(name, bundle)]
 
 
 def _first_difference(have: list, want: list) -> tuple | None:
@@ -584,7 +584,7 @@ def _first_difference(have: list, want: list) -> tuple | None:
 def save_bundle(
     bundle: ModelBundle,
     out_dir: str | os.PathLike,
-    graph_options: GraphOptions = GraphOptions(),
+    graph_options: GraphOptions | None = None,
     selected: str | None = None,
     selected_scores: dict | None = None,
 ) -> None:
@@ -593,19 +593,12 @@ def save_bundle(
     checkpoint, so a failed save leaves no loadable directory. Checkpoints of
     models the bundle lacks and older versions' records are removed with it.
     The record holds the settings, each model's parameter names and shapes in
-    checkpoint order (``layouts``), the graph options, the vocabulary and,
-    when given, the selected model's name and every model's dev scores.
-    Each model's store must hold the layout that it records, which loading
-    checks too, or nothing is written."""
-    top_k = graph_options.top_k_deprels
-    layouts = {name: _layout_record(name, bundle, top_k) for name in bundle.models}
-    for name, model in bundle.models.items():
-        diff = _first_difference(
-            [[pname, list(p.shape)] for pname, p in model.store.params.items()], layouts[name])
-        if diff:
-            raise ValueError(f"save_bundle: model {name!r} disagrees at parameter {diff[0]} with "
-                             f"the layout of its settings and top_k_deprels={top_k}: "
-                             f"has {diff[1]}, expected {diff[2]}")
+    checkpoint order (``layouts``), the bundle's graph options, the vocabulary
+    and, when given, the selected model's name and every model's dev scores.
+    ``graph_options``, if given, must be the bundle's own, or nothing is written."""
+    if graph_options not in (None, bundle.graph_options):
+        raise ValueError(f"save_bundle: {graph_options} are not the bundle's "
+                         f"{bundle.graph_options}")
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, BUNDLE_META)
     if os.path.exists(meta_path):
@@ -622,8 +615,8 @@ def save_bundle(
     meta = {
         "encoder": asdict(bundle.config),
         "label_emb_dim": bundle.label_emb_dim,
-        "layouts": layouts,
-        "graph_options": asdict(graph_options),
+        "layouts": {name: _layout_record(name, bundle) for name in bundle.models},
+        "graph_options": asdict(bundle.graph_options),
         "vocab": asdict(bundle.vocab),
     }
     if selected is not None:
@@ -631,11 +624,9 @@ def save_bundle(
     tc.write_json_atomic(meta_path, meta, indent=2, sort_keys=True)
 
 
-def _load_meta(
-    model_dir: str | os.PathLike,
-) -> tuple[dict, ModelBundle, GraphOptions]:
-    """The record of ``bundle.json``, a bundle of no models with its shared
-    settings and vocabulary, and its graph options."""
+def _load_meta(model_dir: str | os.PathLike) -> tuple[dict, ModelBundle]:
+    """The record of ``bundle.json`` and a bundle of no models with its shared
+    settings, graph options and vocabulary."""
     meta_path = os.path.join(model_dir, BUNDLE_META)
     meta = read_record(read_json(meta_path), _BUNDLE_FIELDS, meta_path,
                        optional=("selected", "scores"))
@@ -662,19 +653,20 @@ def _load_meta(
     if reserved != list(range(len(RESERVED_TOKENS))):
         raise ValueError(f"{meta_path}: vocab.token_to_id must give {list(RESERVED_TOKENS)} "
                          f"the ids 0-{len(RESERVED_TOKENS) - 1}, not {reserved}")
-    shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim)
-    return meta, shell, opts
+    shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim,
+                        graph_options=opts)
+    return meta, shell
 
 
-def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list], shell: ModelBundle,
-                 opts: GraphOptions) -> ModelBundle:
+def _load_models(model_dir: str | os.PathLike, layouts: dict[str, list],
+                 shell: ModelBundle) -> ModelBundle:
     """``shell`` holding the models that ``layouts`` names. Each recorded layout
     must equal the ``model_layout`` of its settings; only then are the stores
     built from it, drawing nothing, and each checkpoint read into its DATA row."""
     names = list(layouts)
     meta_path = os.path.join(model_dir, BUNDLE_META)
     for name in names:
-        diff = _first_difference(layouts[name], _layout_record(name, shell, opts.top_k_deprels))
+        diff = _first_difference(layouts[name], _layout_record(name, shell))
         if diff:
             raise ValueError(f"{meta_path}: layout of model {name!r} disagrees at parameter "
                              f"{diff[0]}: recorded {diff[1]}, expected {diff[2]}")
@@ -694,19 +686,18 @@ def load_selected(
     model_dir: str | os.PathLike,
 ) -> tuple[str, SimileModel, Vocabulary, GraphOptions]:
     """Load only the dev-selected model, per the single-model inference rule."""
-    meta, shell, opts = _load_meta(model_dir)
+    meta, shell = _load_meta(model_dir)
     meta_path = os.path.join(model_dir, BUNDLE_META)
     if "selected" not in meta:
         raise ValueError(f"{meta_path}: selected is missing")
     name = meta["selected"]
     if name not in meta["layouts"]:
         raise ValueError(f"{meta_path}: selected model {name!r} is not in layouts")
-    model = _load_models(model_dir, {name: meta["layouts"][name]}, shell, opts).models[name]
-    return name, model, shell.vocab, opts
+    model = _load_models(model_dir, {name: meta["layouts"][name]}, shell).models[name]
+    return name, model, shell.vocab, shell.graph_options
 
 
-def load_bundle(
-    model_dir: str | os.PathLike,
-) -> tuple[ModelBundle, GraphOptions]:
-    meta, shell, opts = _load_meta(model_dir)
-    return _load_models(model_dir, meta["layouts"], shell, opts), opts
+def load_bundle(model_dir: str | os.PathLike) -> ModelBundle:
+    """Every model of the directory, on a bundle that holds its graph options."""
+    meta, shell = _load_meta(model_dir)
+    return _load_models(model_dir, meta["layouts"], shell)

@@ -78,7 +78,7 @@ class SimileModel:
     config: EncoderConfig
 
 
-def head_layout(name: str, config: EncoderConfig, label_emb_dim: int = 100) -> list[Param]:
+def head_layout(name: str, config: EncoderConfig, label_emb_dim: int) -> list[Param]:
     """The head of model ``name``'s parameters, keyed locally, in checkpoint order."""
     if name not in FIRST_COMPONENT:
         raise ValueError(f"unknown model name {name!r}; the models are {list(FIRST_COMPONENT)}")
@@ -92,7 +92,7 @@ def head_layout(name: str, config: EncoderConfig, label_emb_dim: int = 100) -> l
 
 
 def model_layout(name: str, vocab_size: int, n_edge_labels: int, config: EncoderConfig,
-                 label_emb_dim: int = 100) -> list[Param]:
+                 label_emb_dim: int) -> list[Param]:
     """A model's parameters in the order of its store, checkpoint and
     ``bundle.json`` layout: its encoder's (``enc/``), then its head's (``head/``)."""
     parts = {"enc": encoder_layout(vocab_size, n_edge_labels, config),
@@ -296,11 +296,15 @@ def predict(
     return _predict_block([model], graph.block, model.enc, model.head)[0][0]
 
 
+def join_chunks(graphs: Sequence[HeteroGraph]) -> list[BlockGraph]:
+    """The graphs joined in blocks of ``PREDICT_CHUNK``, the last one maybe shorter."""
+    return [join_graphs(graphs[lo:lo + PREDICT_CHUNK])
+            for lo in range(0, len(graphs), PREDICT_CHUNK)]
+
+
 def predict_batch(model: SimileModel, graphs: Sequence[HeteroGraph]) -> list[SpanPrediction]:
-    """``predict`` for each graph, run on joined blocks of ``PREDICT_CHUNK``."""
-    blocks = [join_graphs(graphs[lo:lo + PREDICT_CHUNK])
-              for lo in range(0, len(graphs), PREDICT_CHUNK)]
-    return predict_stacked([model], model.enc, model.head, blocks)[0]
+    """``predict`` for each graph, run on its ``join_chunks`` blocks."""
+    return predict_stacked([model], model.enc, model.head, join_chunks(graphs))[0]
 
 
 def predict_stacked(

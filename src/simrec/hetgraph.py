@@ -188,7 +188,7 @@ def _edge_labels(deprels: Sequence[str]) -> list[EdgeLabel]:
         (EdgeKind.DEP_OTHER, EdgeKind.NS_CON, EdgeKind.NS_NOT_CON, EdgeKind.SELF_LOOP)]
 
 
-def edge_label_index(vocab: Vocabulary, top_k: int = 8) -> dict[EdgeLabel, int]:
+def edge_label_index(vocab: Vocabulary, top_k: int) -> dict[EdgeLabel, int]:
     """Dense id per edge label: top-k relations, then other/con/not-con/self."""
     return {label: i for i, label in enumerate(_edge_labels(vocab.top_deprels(top_k)))}
 

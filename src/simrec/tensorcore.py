@@ -763,7 +763,7 @@ def _nll(dist: DiffArray, golds, op: str) -> DiffArray:
     _check_ids(idx, rows.shape[-1], op, "gold index", "classes")
     sums = rows.sum(axis=-1)
     worst = sums.flat[np.abs(sums - 1.0).argmax()] if idx.size else 1.0
-    if abs(worst - 1.0) > 1e-6:
+    if not abs(worst - 1.0) <= 1e-6:  # a NaN sum fails too
         raise ShapeError(f"{op}: distribution sums to {float(worst)!r}, not 1")
     at = np.arange(idx.size)
     # In C order each model's values are contiguous and sum as its 2-D call's
@@ -790,7 +790,7 @@ def kl_divergence(p: np.ndarray, q: DiffArray, row_weights: np.ndarray | None = 
     if q.data.ndim - p.ndim not in (0, 1) or q.data.shape[q.data.ndim - p.ndim:] != p.shape:
         raise ShapeError(f"kl_divergence: shapes differ {p.shape} vs {q.data.shape}")
     sums = p.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > 1e-6 or p.min() < 0:
+    if not (np.abs(sums - 1.0).max() <= 1e-6 and p.min() >= 0):  # a NaN fails too
         raise ShapeError("kl_divergence: p is not a distribution")
     w = 1.0
     if row_weights is not None:

@@ -283,13 +283,14 @@ def test_ablations_do_not_beat_full_graph(corpus_split, corpus_vocab):
         f1s = []
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            bundle = build_bundle(corpus_vocab, ACC_ENC, rng, label_emb_dim=16)
+            bundle = build_bundle(corpus_vocab, ACC_ENC, rng, label_emb_dim=16,
+                                  graph_options=opts)
             config = TrainConfig(
                 epochs=12, batch_size=4, learning_rate=2e-3, seed=seed,
                 alpha=0.3, lambda_mode="increase",
             )
-            train(bundle, train_sents, dev_sents, config, graph_options=opts)
-            selected, scores = select_best(bundle, dev_sents, opts)
+            train(bundle, train_sents, dev_sents, config)
+            selected, scores = select_best(bundle, dev_sents)
             f1s.append(scores[selected]["extraction"].f1)
         return sum(f1s) / len(f1s)
 

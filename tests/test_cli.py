@@ -190,8 +190,8 @@ class TestTrain:
         assert scored == [len(load_corpus(dev))] * (2 * 3)
         info = json.loads(capsys.readouterr().out)
         meta = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
-        bundle, opts = distill.load_bundle(out)
-        selected, scores = distill.select_best(bundle, load_corpus(dev), opts)
+        bundle = distill.load_bundle(out)
+        selected, scores = distill.select_best(bundle, load_corpus(dev))
         want = {name: evalkit.report_record(tasks) for name, tasks in scores.items()}
         assert info["selected"] == meta["selected"] == selected
         assert info["dev"] == meta["scores"] == want
@@ -791,10 +791,10 @@ class TestDamagedModelDir:
         _, dev = corpora
         model_dir = tmp_path / "model"
         shutil.copytree(trained_dir, model_dir)
-        bundle, opts = distill.load_bundle(model_dir)
+        bundle = distill.load_bundle(model_dir)
         again = distill.build_bundle(
             bundle.vocab, bundle.config, np.random.default_rng(1),
-            label_emb_dim=bundle.label_emb_dim, top_k_deprels=opts.top_k_deprels,
+            label_emb_dim=bundle.label_emb_dim, graph_options=bundle.graph_options,
         )
         save = np.save
         partial = []
@@ -808,7 +808,7 @@ class TestDamagedModelDir:
 
         monkeypatch.setattr(np, "save", failing)
         with pytest.raises(OSError, match="no space left"):
-            distill.save_bundle(again, model_dir, opts, selected="p")
+            distill.save_bundle(again, model_dir, selected="p")
         monkeypatch.undo()
         assert partial
         assert not [p.name for p in model_dir.iterdir() if p.name.endswith(".tmp")]
@@ -1024,7 +1024,8 @@ class TestPredict:
         # when each GAT layer's score vectors became parameters of their own
         # (gat<l>/u, in place of products of two (d, d) maps): the fixture's
         # models draw and train other weights, so every record may move.
-        bundle, opts = distill.load_bundle(trained_dir)
+        bundle = distill.load_bundle(trained_dir)
+        opts = bundle.graph_options
         sents = generate_synthetic(SyntheticConfig(n_sentences=40, seed=7))
         records = [repr(predict(model, s, build_graph(s, bundle.vocab, opts), bundle.vocab)
                         .to_record()) for model in bundle.models.values() for s in sents]
@@ -1110,15 +1111,16 @@ class TestRunConfig:
         library = [(cls.__name__, f.name, f.default)
                    for cls in (EncoderConfig, TrainConfig, GraphOptions)
                    for f in fields(cls) if hasattr(cfg, f.name)]
-        for fn, names in ((build_bundle, ("label_emb_dim", "top_k_deprels", "share_encoder")),
+        for fn, names in ((build_bundle, ("label_emb_dim", "share_encoder")),
                           (build_vocab, ("min_freq",))):
             params = inspect.signature(fn).parameters
             library += [(fn.__name__, name, params[name].default) for name in names]
         for where, name, default in library:
             assert getattr(cfg, name) == default, (where, name)
         assert (not cfg.no_definitions) == EncoderConfig().use_gloss_fusion
-        assert cfg.disable_model == inspect.signature(build_bundle).parameters[
-            "disabled_models"].default
+        params = inspect.signature(build_bundle).parameters
+        assert cfg.disable_model == params["disabled_models"].default
+        assert cfg.graph_options() == params["graph_options"].default == GraphOptions()
         checked = {name for _, name, _ in library} | {"no_definitions", "disable_model"}
         assert checked == {f.name for f in fields(RunConfig)}
 

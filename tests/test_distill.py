@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from modelutil import forward_one, rebuilt, served, set_param
-from simrec import distill
+from simrec import distill, heads
 from simrec import tensorcore as tc
 from simrec.corpus import SyntheticConfig, build_vocab, generate_synthetic
 from simrec.distill import (
@@ -302,7 +302,8 @@ class TestBuildBundle:
 
     @pytest.mark.parametrize("kwargs, message", [
         *(({"label_emb_dim": n}, rf"^label_emb_dim must be positive, got {n}$") for n in (0, -2)),
-        ({"top_k_deprels": -1}, r"^GraphOptions: top_k_deprels must be non-negative, got -1$"),
+        ({"graph_options": GraphOptions(top_k_deprels=-1)},
+         r"^GraphOptions: top_k_deprels must be non-negative, got -1$"),
     ])
     def test_rejects_sizes_no_model_can_have(self, tiny_vocab, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -548,12 +549,6 @@ class TestTrainLoop:
                 train(bundle, tiny_corpus[:8], [], config)
         self._assert_state(bundle, before)
 
-    def test_negative_top_k_deprels_rejected_before_training(self, tiny_corpus, tiny_vocab):
-        bundle = fresh_bundle(tiny_vocab)
-        with pytest.raises(ValueError, match="top_k_deprels must be non-negative, got -1"):
-            train(bundle, tiny_corpus[:8], [], TrainConfig(epochs=1),
-                  graph_options=GraphOptions(top_k_deprels=-1))
-
     def test_dev_blocks_are_joined_once_per_run(self, tiny_vocab, monkeypatch):
         # Each epoch scores every model on the same dev blocks, joined once.
         sents = generate_synthetic(SyntheticConfig(n_sentences=8 + 2 * PREDICT_CHUNK + 3, seed=3))
@@ -561,8 +556,9 @@ class TestTrainLoop:
         config = TrainConfig(epochs=3, batch_size=4, seed=0)
         joined = []
         join_graphs = distill.join_graphs
-        monkeypatch.setattr(distill, "join_graphs",
-                            lambda graphs: joined.append(len(graphs)) or join_graphs(graphs))
+        for module in (distill, heads):  # training batches, then dev blocks
+            monkeypatch.setattr(module, "join_graphs",
+                                lambda graphs: joined.append(len(graphs)) or join_graphs(graphs))
         train(fresh_bundle(tiny_vocab), train_sents, dev, config)
         n_batches = config.epochs * math.ceil(len(train_sents) / config.batch_size)
         assert len(joined) - n_batches == math.ceil(len(dev) / PREDICT_CHUNK) == 3
@@ -852,7 +848,7 @@ class TestParamBlocks:
         assert_params_in_block(model)
         for pname, p in model.store.params.items():
             np.testing.assert_array_equal(p.data, bundle.models["t"].store.params[pname].data)
-        loaded, _ = distill.load_bundle(tmp_path)
+        loaded = distill.load_bundle(tmp_path)
         for model in loaded.models.values():
             assert_params_in_block(model)
 
@@ -862,7 +858,7 @@ class TestParamBlocks:
         # the stacked ones, built or loaded.
         bundle = fresh_bundle(tiny_vocab, share_encoder=share_encoder)
         distill.save_bundle(bundle, tmp_path, selected="p")
-        for b in (bundle, distill.load_bundle(tmp_path)[0]):
+        for b in (bundle, distill.load_bundle(tmp_path)):
             views = [*b.enc.values(), *b.head.values(),
                      *(p for model in b.models.values() for p in model.store.params.values())]
             for p in views:
@@ -974,7 +970,7 @@ class TestStackedStep:
         sents = tiny_corpus[:8]
         graphs = [build_graph(s, tiny_vocab, options) for s in sents]
         assert join_graphs(graphs).gloss_rows.size > 0
-        kwargs = dict(disabled_models=disabled, top_k_deprels=options.top_k_deprels)
+        kwargs = dict(disabled_models=disabled, graph_options=options)
         stacked = build_bundle(tiny_vocab, enc, np.random.default_rng(4), 6, **kwargs)
         reference = build_bundle(tiny_vocab, enc, np.random.default_rng(4), 6, **kwargs)
         for batch in ([0, 1, 2, 3], [4, 5, 6, 7], [2, 5, 7]):
@@ -1005,7 +1001,7 @@ class TestStackedStep:
         # model that borrows an encoder too, so one view per weight reads all.
         bundle = fresh_bundle(tiny_vocab, **kwargs)
         distill.save_bundle(bundle, tmp_path, selected="p")
-        for b in (bundle, distill.load_bundle(tmp_path)[0]):
+        for b in (bundle, distill.load_bundle(tmp_path)):
             assert set(b.head) == {"cls/w", "cls/emb"}
             for key, w in b.head.items():
                 assert w.shape == (len(b.models), *b.models["p"].head[key].shape)
@@ -1046,7 +1042,7 @@ class TestParameterCensus:
         enc_kwargs, kwargs, options = CENSUS_CASES[case]
         bundle = build_bundle(tiny_vocab, replace(SMALL_ENC, **enc_kwargs),
                               np.random.default_rng(4), 6,
-                              top_k_deprels=options.top_k_deprels, **kwargs)
+                              graph_options=options, **kwargs)
         graphs = [build_graph(s, tiny_vocab, options) for s in tiny_corpus]
         assert join_graphs(graphs).gloss_rows.size > 0
         names = {id(model.store): name for name, model in bundle.models.items()}
@@ -1147,11 +1143,11 @@ class TestMeanEnsembleKL:
 
 class TestPersistence:
     def test_bundle_round_trip(self, tiny_vocab, tmp_path):
-        bundle = fresh_bundle(tiny_vocab, top_k_deprels=5)
         opts = GraphOptions(no_pos=True, top_k_deprels=5)
-        distill.save_bundle(bundle, tmp_path, graph_options=opts)
-        loaded, loaded_opts = distill.load_bundle(tmp_path)
-        assert loaded_opts == opts
+        bundle = fresh_bundle(tiny_vocab, graph_options=opts)
+        distill.save_bundle(bundle, tmp_path)
+        loaded = distill.load_bundle(tmp_path)
+        assert loaded.graph_options == opts
         assert tuple(loaded.models) == tuple(bundle.models)
         assert loaded.config == bundle.config
         assert loaded.vocab.token_to_id == bundle.vocab.token_to_id
@@ -1189,34 +1185,34 @@ class TestPersistence:
         assert str(err.value) == f"{meta_path}: vocab has unknown keys ['pos_to_id']"
 
     def test_edge_embedding_sized_by_top_k(self, tiny_corpus, tiny_vocab, tmp_path):
-        bundle = fresh_bundle(tiny_vocab, top_k_deprels=1)
+        bundle = fresh_bundle(tiny_vocab, graph_options=GraphOptions(top_k_deprels=1))
         n_labels = len(edge_label_index(tiny_vocab, 1))
         assert n_labels == 1 + 4
         for model in bundle.models.values():
             assert model.enc["edge_emb"].data.shape[0] == n_labels
-        opts = GraphOptions(top_k_deprels=1)
-        distill.save_bundle(bundle, tmp_path, graph_options=opts, selected="p")
+        distill.save_bundle(bundle, tmp_path, selected="p")
         _, model, vocab, loaded_opts = distill.load_selected(tmp_path)
         graph = build_graph(tiny_corpus[0], vocab, loaded_opts)
         assert graph.block.label_ids.max() < n_labels
         predict(model, tiny_corpus[0], graph, vocab)
 
     def test_edge_table_mismatch_rejected_before_writing(self, tiny_vocab, tmp_path):
-        # Built for one top_k_deprels and saved with another: the edge table
-        # has other rows than the layout that the save would record.
+        # Graph options other than the bundle's own would record graphs that
+        # its models were not built for: refused before the directory changes.
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path, selected="p")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ValueError, match="top_k_deprels=5"):
             distill.save_bundle(fresh_bundle(tiny_vocab, seed=12), tmp_path,
-                                graph_options=GraphOptions(top_k_deprels=5), selected="t")
+                                GraphOptions(top_k_deprels=5), selected="t")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         out = tmp_path / "model"
         with pytest.raises(ValueError) as err:
-            distill.save_bundle(fresh_bundle(tiny_vocab, top_k_deprels=1), out, selected="p")
+            distill.save_bundle(fresh_bundle(tiny_vocab, graph_options=GraphOptions(
+                top_k_deprels=1)), out, GraphOptions(), selected="p")
         assert str(err.value) == (
-            "save_bundle: model 'p' disagrees at parameter 7 with the layout of its settings "
-            "and top_k_deprels=8: has ['enc/edge_emb', [5, 4]], "
-            f"expected ['enc/edge_emb', [{len(edge_label_index(tiny_vocab))}, 4]]")
+            "save_bundle: GraphOptions(top_k_deprels=8, no_dependency=False, no_pos=False, "
+            "no_subsentence_nodes=False) are not the bundle's GraphOptions(top_k_deprels=1, "
+            "no_dependency=False, no_pos=False, no_subsentence_nodes=False)")
         assert not out.exists()
 
     @pytest.mark.parametrize("enc_kwargs", [{"use_gloss_fusion": False}, {"n_gat_layers": 0}],
@@ -1236,6 +1232,28 @@ class TestPersistence:
         want = [p.to_record() for p in predict_batch(bundle.models[selected], graphs)]
         assert [p.to_record() for p in predict_batch(model, graphs)] == want
         assert sum(rec["label"] == "simile" for rec in want) > 0
+
+    def test_bundle_keeps_its_graph_options_from_build_to_serving(self, tiny_corpus,
+                                                                   tiny_vocab, tmp_path):
+        # Set once, in build_bundle: training reads them, a save without
+        # options records them, and the loaded model serves on their graphs.
+        opts = GraphOptions(top_k_deprels=5, no_subsentence_nodes=True)
+        bundle = fresh_bundle(tiny_vocab, graph_options=opts)
+        state = train(bundle, tiny_corpus[:8], tiny_corpus[8:],
+                      TrainConfig(epochs=2, batch_size=4, seed=1))
+        distill.save_bundle(bundle, tmp_path, selected=state.selected)
+        name, model, vocab, loaded_opts = distill.load_selected(tmp_path)
+        assert (name, loaded_opts) == (state.selected, opts)
+        want = predict_batch(bundle.models[name], [build_graph(s, tiny_vocab, opts)
+                                                   for s in tiny_corpus])
+        got = predict_batch(model, [build_graph(s, vocab, loaded_opts) for s in tiny_corpus])
+        assert [p.to_record() for p in got] == [p.to_record() for p in want]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for other in (GraphOptions(), replace(opts, top_k_deprels=8)):
+            with pytest.raises(ValueError, match=r"^save_bundle: GraphOptions\(.* are not the "
+                                                 r"bundle's GraphOptions\(top_k_deprels=5, "):
+                distill.save_bundle(bundle, tmp_path, other, selected=state.selected)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_selection_marker(self, tiny_vocab, tmp_path):
         distill.save_bundle(fresh_bundle(tiny_vocab), tmp_path)
@@ -1288,7 +1306,7 @@ class TestPersistence:
                 if np.shares_memory(p.data, model.store.block):
                     set_param(model.store, name, rng.normal(size=p.shape))
         distill.save_bundle(bundle, tmp_path, selected=next(iter(bundle.models)))
-        loaded, _ = distill.load_bundle(tmp_path)
+        loaded = distill.load_bundle(tmp_path)
         assert tuple(loaded.models) == tuple(bundle.models)
         for name, model in bundle.models.items():
             want = np.concatenate([p.data.reshape(-1) for p in model.store.params.values()])
@@ -1309,7 +1327,7 @@ class TestPersistence:
         distill.save_bundle(bundle, tmp_path)
         meta = json.loads((tmp_path / distill.BUNDLE_META).read_text(encoding="utf-8"))
         assert list(meta["layouts"]) == list(bundle.models)
-        n_edge_labels = len(edge_label_index(tiny_vocab))
+        n_edge_labels = len(edge_label_index(tiny_vocab, GraphOptions().top_k_deprels))
         for name, model in bundle.models.items():
             layout = model_layout(name, tiny_vocab.size, n_edge_labels, SMALL_ENC, 6)
             assert meta["layouts"][name] == [[p.name, list(p.shape)] for p in layout]

@@ -19,7 +19,7 @@ def block_of(sent, vocab):
 
 def make_params(vocab, config, seed=0, n_edge_labels=None):
     if n_edge_labels is None:
-        n_edge_labels = len(edge_label_index(vocab))
+        n_edge_labels = len(edge_label_index(vocab, GraphOptions().top_k_deprels))
     store = drawn_store(enc.encoder_layout(vocab.size, n_edge_labels, config),
                         np.random.default_rng(seed))
     return store, store.params
@@ -313,7 +313,7 @@ class TestGatScore:
         rng = np.random.default_rng(11)
         picks = rng.choice(len(small_corpus), size=6, replace=False)
         block = join_graphs([build_graph(small_corpus[i], small_vocab) for i in picks])
-        d, de, n_labels = 10, 4, len(edge_label_index(small_vocab))
+        d, de, n_labels = 10, 4, len(edge_label_index(small_vocab, GraphOptions().top_k_deprels))
 
         def leaf(*shape):
             return tc.DiffArray(rng.normal(size=models + shape))

@@ -73,10 +73,10 @@ def test_ablation_means(corpus, seeds):
     for key, opts in ABLATIONS.items():
         f1s = []
         for seed in seeds:
-            bundle = build_bundle(vocab, ACC_ENC, np.random.default_rng(seed), label_emb_dim=16)
-            train(bundle, train_sents, dev_sents, replace(ACC_TRAIN, epochs=12, seed=seed),
-                  graph_options=opts)
-            selected, scores = select_best(bundle, dev_sents, opts)
+            bundle = build_bundle(vocab, ACC_ENC, np.random.default_rng(seed), label_emb_dim=16,
+                                  graph_options=opts)
+            train(bundle, train_sents, dev_sents, replace(ACC_TRAIN, epochs=12, seed=seed))
+            selected, scores = select_best(bundle, dev_sents)
             f1s.append(scores[selected]["extraction"].f1)
         means[key] = sum(f1s) / len(f1s)
     ordered = means["full"] >= max(means["no_dependency"], means["merged_subsentence"])

@@ -10,7 +10,7 @@ from simrec import tensorcore as tc
 from simrec.corpus import build_vocab
 from simrec.encoder import EncoderConfig
 from simrec.heads import Span, SpanPrediction
-from simrec.hetgraph import build_graph, edge_label_index
+from simrec.hetgraph import GraphOptions, build_graph, edge_label_index
 from simrec.tensorcore import DiffArray
 
 
@@ -269,8 +269,9 @@ class TestPredict:
             edge_emb_dim=4, max_tokens=10, max_positions=12,
         )
         vocab = build_vocab([fig_sentence])
+        n_edge_labels = len(edge_label_index(vocab, GraphOptions().top_k_deprels))
         (model,), _, _ = fresh_models(["p"], config, np.random.default_rng(seed),
-                                   vocab.size, len(edge_label_index(vocab)))
+                                   vocab.size, n_edge_labels)
         return model, vocab, build_graph(fig_sentence, vocab)
 
     def test_threshold_gates_extraction(self, fig_sentence):

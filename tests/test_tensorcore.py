@@ -67,6 +67,18 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match="not a distribution"):
             tc.kl_divergence(np.array([0.9, 0.4]), DiffArray([0.5, 0.5]))
 
+    def test_kl_rejects_a_nan_target(self):
+        # A NaN sum compares False with any bound, so it must fail the check,
+        # not pass it; dropped as a zero entry, it read as a divergence.
+        p = np.array([[0.5, np.nan], [0.3, 0.7]])
+        with pytest.raises(ShapeError, match="not a distribution"):
+            tc.kl_divergence(p, DiffArray([[0.5, 0.5], [0.5, 0.5]]))
+
+    def test_cross_entropy_rows_rejects_a_nan_distribution(self):
+        dist = DiffArray([[0.25, 0.25, 0.5], [np.nan, 0.5, 0.5]])
+        with pytest.raises(ShapeError, match="sums to nan"):
+            tc.cross_entropy_rows(dist, [2, 1])
+
     def test_mean_pool_empty_selection_is_zero(self):
         out = tc.mean_pool(DiffArray(np.ones((4, 3))), [], [], 1)
         assert out.data.shape == (1, 3)
