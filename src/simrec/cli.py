@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .distill import TrainConfig, build_bundle, train
 from .encoder import EncoderConfig
-from .heads import PREDICT_CHUNK, predict_batch
+from .heads import predict_batch
 from .hetgraph import GraphOptions, build_graph, to_dot
 
 
@@ -76,10 +76,11 @@ class RunConfig:
     def graph_options(self) -> GraphOptions:
         return _shared_fields(self, GraphOptions)
 
-    def validate(self) -> None:
-        self.train_config().validate()
-        self.encoder_config().validate()
-        self.graph_options().validate()
+    def __post_init__(self) -> None:
+        # Each settings object checks its own fields when it is built.
+        self.train_config()
+        self.encoder_config()
+        self.graph_options()
         distill.check_label_emb_dim(self.label_emb_dim)
         distill.check_disabled_models(self.disable_model)
         if self.min_freq < 1:
@@ -131,7 +132,9 @@ def _seed_flag_or_env(args) -> int:
 def load_run_config(
     config_path: str | None, overrides: dict, env: dict | None = None
 ) -> RunConfig:
-    """Defaults, then config file, then environment, then explicit flags."""
+    """Defaults, then config file, then environment, then explicit flags. A
+    fault that the flags make alone (with no config file, any fault) names no
+    file; any other names the config file."""
     kinds = RunConfig.__annotations__
     values = read_record(read_json(config_path), kinds, config_path,
                          optional=kinds) if config_path else {}
@@ -141,8 +144,12 @@ def load_run_config(
     if not given.keys() <= kinds.keys():
         raise ValueError(f"unknown config overrides {sorted(given.keys() - kinds.keys())}")
     values.update(given)
-    return RunConfig(**{key: tuple(value) if isinstance(value, list) else value
-                        for key, value in values.items()})
+    try:
+        return RunConfig(**{key: tuple(value) if isinstance(value, list) else value
+                            for key, value in values.items()})
+    except ValueError as exc:
+        RunConfig(**given)
+        raise ValueError(f"{config_path}: {exc}") from exc
 
 
 def _out_dir(args) -> str:
@@ -180,16 +187,8 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    given = _given_flags(args, RunConfig)
-    cfg = load_run_config(args.config, given)
+    cfg = load_run_config(args.config, _given_flags(args, RunConfig))
     out_dir = _out_dir(args)
-    # Checked before max_tokens caps the corpora and before any output. A fault
-    # the flags make alone (with no config file, any fault) names no file.
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        RunConfig(**given).validate()
-        raise ValueError(f"{args.config}: {exc}") from exc
     enc_config = cfg.encoder_config()
     train_sents = load_corpus(args.train, enc_config.max_tokens)
     dev_sents = load_corpus(args.dev, enc_config.max_tokens)
@@ -259,19 +258,16 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     _, model, vocab, opts = distill.load_selected(args.model_dir)
     sents = load_corpus(args.input, model.config.max_tokens)
+    preds = predict_batch(model, [build_graph(s, vocab, opts) for s in sents])
     with tc.open_atomic(args.out) as fh:
-        for lo in range(0, len(sents), PREDICT_CHUNK):
-            chunk = sents[lo:lo + PREDICT_CHUNK]
-            graphs = [build_graph(s, vocab, opts) for s in chunk]
-            for pred in predict_batch(model, graphs):
-                fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
+        for pred in preds:
+            fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
     print(json.dumps({"sentences": len(sents), "path": args.out}, sort_keys=True))
     return 0
 
 
 def cmd_inspect_graph(args) -> int:
     opts = GraphOptions(**_given_flags(args, GraphOptions))
-    opts.validate()
     sents = load_corpus(args.input)
     if not 0 <= args.index < len(sents):
         raise ValueError(

@@ -25,7 +25,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import tensorcore as tc
-from .corpus import RESERVED_TOKENS, AnnotatedSentence, Vocabulary, read_json, read_record
+from .corpus import (
+    RESERVED_TOKENS,
+    AnnotatedSentence,
+    Vocabulary,
+    read_json,
+    read_record,
+    validate_sentence,
+)
 from .encoder import EncoderConfig, Param, encode_graph
 from .evalkit import PRF, report_record, score_classification, score_extraction
 from .hetgraph import (
@@ -69,7 +76,7 @@ class TrainConfig:
     lambda_mode: str = "increase"  # increase | decrease | fixed
     lambda_fixed: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("TrainConfig: alpha must lie in [0, 1]")
         if self.batch_size < 1 or self.epochs < 1:
@@ -133,7 +140,6 @@ def build_bundle(
     training, selection and saving read them from it."""
     check_disabled_models(disabled_models)
     check_label_emb_dim(label_emb_dim)
-    graph_options.validate()
     names = [name for name in MODEL_ORDER if name not in disabled_models]
     shell = ModelBundle(models={}, vocab=vocab, config=config, label_emb_dim=label_emb_dim,
                         graph_options=graph_options)
@@ -233,7 +239,8 @@ def supervised_loss(
 
 
 def ensemble_distribution(*logits: np.ndarray) -> np.ndarray:
-    """Per-token softmax of the summed logits; a constant training target."""
+    """Per-token softmax of the summed logits; a constant training target.
+    Summed logits that overflow raise a NonFiniteError, not a NaN target."""
     if not logits:
         raise ValueError("ensemble_distribution: no logits given")
     first = np.asarray(logits[0])
@@ -245,6 +252,8 @@ def ensemble_distribution(*logits: np.ndarray) -> np.ndarray:
                 f"ensemble_distribution: shape mismatch {z.shape} vs {first.shape}"
             )
         total += z
+    if not tc.all_finite(total):
+        raise NonFiniteError("ensemble_distribution: the summed logits are not finite")
     shifted = total - total.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -334,18 +343,12 @@ def train(
     encoder, which lives in the first model's row, comes back with it, and the
     state holds that epoch's dev records and the model selected from them.
     """
-    config.validate()
     if not train_sents:
         raise ValueError("train: empty training corpus")
     keep_freed_pages()
-    limit = bundle.config.max_tokens
     for corpus_name, corpus in (("train", train_sents), ("dev", dev_sents)):
         for i, sent in enumerate(corpus):
-            if len(sent.tokens) > limit:
-                raise ValueError(
-                    f"train: {corpus_name} sentence {i} has {len(sent.tokens)} tokens, "
-                    f"max_tokens is {limit}"
-                )
+            validate_sentence(sent, f"train: {corpus_name} sentence {i}", bundle.config.max_tokens)
     state = TrainState(rng=np.random.default_rng(config.seed))
     train_graphs = [build_graph(s, bundle.vocab, bundle.graph_options) for s in train_sents]
     dev_blocks = join_chunks([build_graph(s, bundle.vocab, bundle.graph_options)
@@ -630,20 +633,19 @@ def _load_meta(model_dir: str | os.PathLike) -> tuple[dict, ModelBundle]:
     meta_path = os.path.join(model_dir, BUNDLE_META)
     meta = read_record(read_json(meta_path), _BUNDLE_FIELDS, meta_path,
                        optional=("selected", "scores"))
-    config = EncoderConfig(**read_record(meta["encoder"], EncoderConfig.__annotations__,
-                                         meta_path, "encoder"))
+    encoder = read_record(meta["encoder"], EncoderConfig.__annotations__, meta_path, "encoder")
     label_emb_dim = meta["label_emb_dim"]
-    opts = GraphOptions(**read_record(meta["graph_options"], GraphOptions.__annotations__,
-                                      meta_path, "graph_options"))
+    graph_options = read_record(meta["graph_options"], GraphOptions.__annotations__,
+                                meta_path, "graph_options")
     vocab = Vocabulary(**read_record(meta["vocab"], Vocabulary.__annotations__,
                                      meta_path, "vocab"))
     try:
         check_model_names(meta["layouts"], "layouts")
         if not meta["layouts"]:
             raise ValueError("layouts names no model")
-        config.validate()
+        config = EncoderConfig(**encoder)
         check_label_emb_dim(label_emb_dim)
-        opts.validate()
+        opts = GraphOptions(**graph_options)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from exc
     ids = vocab.token_to_id

@@ -41,7 +41,7 @@ class EncoderConfig:
     max_positions: int = 128
     use_gloss_fusion: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.d_model <= 0 or self.edge_emb_dim <= 0:
             raise ValueError("EncoderConfig: dimensions must be positive")
         if self.n_selfattn_layers < 0 or self.n_gat_layers < 0:
@@ -84,7 +84,6 @@ def encoder_layout(vocab_size: int, n_edge_labels: int, config: EncoderConfig) -
     """The encoder's parameters, keyed locally, in checkpoint order: only those
     that ``encode_graph`` reads under ``config``, so the gloss projection only
     with gloss fusion on and the edge table only with a GAT layer."""
-    config.validate()
     d = config.d_model
     layout = [Param("tok_emb", (vocab_size, d), EMB_INIT_STD),
               Param("pos_emb", (config.max_positions, d), EMB_INIT_STD)]

@@ -67,7 +67,7 @@ class GraphOptions:
     no_pos: bool = False
     no_subsentence_nodes: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # A negative k would slice the ranking's end off: [:-1] drops the rarest relation.
         if self.top_k_deprels < 0:
             raise ValueError(f"GraphOptions: top_k_deprels must be non-negative, "

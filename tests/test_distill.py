@@ -63,6 +63,15 @@ def fresh_bundle(vocab, seed=11, **kwargs):
 ROLL_BACK = TrainConfig(epochs=5, batch_size=4, seed=0, learning_rate=0.03)
 
 
+def overflowing_bundle(vocab):
+    """A bundle whose models' final tag logits are all about 1e308: each is
+    finite, and the ensemble's sum of them overflows."""
+    bundle = fresh_bundle(vocab)
+    for name, model in bundle.models.items():
+        set_param(model.store, "head/ext/b" if name == "p" else "head/second/b", 1e308)
+    return bundle
+
+
 def leader_epoch(result):
     """The best dev epoch of the model ``select_from_scores`` picks from the
     best records: the epoch ``train`` rolls every model back to."""
@@ -264,7 +273,7 @@ class TestLambdaSchedule:
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -282,10 +291,17 @@ class TestTrainConfig:
     )
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            TrainConfig(**kwargs).validate()
+            TrainConfig(**kwargs)
 
     def test_zero_aux_weight_is_valid(self):
-        TrainConfig(aux_weight=0.0).validate()
+        TrainConfig(aux_weight=0.0)
+
+    def test_unknown_lambda_mode_never_reaches_the_schedule(self):
+        # The schedule reads any mode but "fixed" and "increase" as "decrease".
+        with pytest.raises(ValueError, match="unknown lambda_mode 'bogus'"):
+            training_lambda(TrainConfig(lambda_mode="bogus"), 0, 10)
+        with pytest.raises(ValueError, match="unknown lambda_mode 'bogus'"):
+            replace(TrainConfig(), lambda_mode="bogus")
 
 
 class TestBuildBundle:
@@ -302,8 +318,6 @@ class TestBuildBundle:
 
     @pytest.mark.parametrize("kwargs, message", [
         *(({"label_emb_dim": n}, rf"^label_emb_dim must be positive, got {n}$") for n in (0, -2)),
-        ({"graph_options": GraphOptions(top_k_deprels=-1)},
-         r"^GraphOptions: top_k_deprels must be non-negative, got -1$"),
     ])
     def test_rejects_sizes_no_model_can_have(self, tiny_vocab, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -549,6 +563,21 @@ class TestTrainLoop:
                 train(bundle, tiny_corpus[:8], [], config)
         self._assert_state(bundle, before)
 
+    def test_overflowing_ensemble_target_aborts_before_adam_step(self, tiny_corpus,
+                                                                 tiny_vocab):
+        # Each model's logits are finite, but their sum is not.
+        config = TrainConfig(epochs=1, batch_size=4, seed=0, lambda_mode="fixed",
+                             lambda_fixed=0.0)
+        bundle = overflowing_bundle(tiny_vocab)
+        before = self._state(bundle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"^training aborted: non-finite value in "
+                                                   r"epoch 1, batch 1: ensemble_distribution: "
+                                                   r"the summed logits are not finite$"):
+                train(bundle, tiny_corpus[:8], [], config)
+        self._assert_state(bundle, before)
+
     def test_dev_blocks_are_joined_once_per_run(self, tiny_vocab, monkeypatch):
         # Each epoch scores every model on the same dev blocks, joined once.
         sents = generate_synthetic(SyntheticConfig(n_sentences=8 + 2 * PREDICT_CHUNK + 3, seed=3))
@@ -577,8 +606,24 @@ class TestTrainLoop:
         bundle = build_bundle(tiny_vocab, enc, np.random.default_rng(0), label_emb_dim=6)
         short = [s for s in tiny_corpus if len(s.tokens) < n]
         before = {k: p.data.copy() for k, p in bundle.models["p"].store.params.items()}
-        with pytest.raises(ValueError, match=f"dev sentence 1 has {n} tokens"):
+        with pytest.raises(ValueError,
+                           match=rf"^train: dev sentence 1: token count {n} outside \[1, {n - 1}\]$"):
             train(bundle, short, [short[0], longest], TrainConfig(epochs=1))
+        for k, p in bundle.models["p"].store.params.items():
+            assert np.array_equal(p.data, before[k])
+
+    def test_malformed_sentence_rejected_before_training(self, tiny_corpus, tiny_vocab):
+        # A tag short, the sentence used to fail only at its own batch, after
+        # earlier batches had moved the weights.
+        sents = list(tiny_corpus[:8])
+        bad = sents[5]
+        sents[5] = replace(bad, tags=bad.tags[:-1])
+        bundle = fresh_bundle(tiny_vocab)
+        before = {k: p.data.copy() for k, p in bundle.models["p"].store.params.items()}
+        n = len(bad.tokens)
+        with pytest.raises(ValueError, match=rf"^train: train sentence 5: tags length {n - 1} "
+                                             rf"!= token count {n}$"):
+            train(bundle, sents, [], TrainConfig(epochs=1, batch_size=4, seed=0))
         for k, p in bundle.models["p"].store.params.items():
             assert np.array_equal(p.data, before[k])
 
@@ -1122,6 +1167,15 @@ class TestMeanEnsembleKL:
             warnings.simplefilter("error")
             with pytest.raises(tc.NonFiniteError, match="op 'attention_scores'"):
                 distill.mean_ensemble_kl(bundle, sents, graphs)
+
+    def test_overflowing_ensemble_target_raises(self, tiny_corpus, tiny_vocab):
+        sents = tiny_corpus[:4]
+        graphs = [build_graph(s, tiny_vocab) for s in sents]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tc.NonFiniteError, match="^ensemble_distribution: the summed "
+                                                        "logits are not finite$"):
+                distill.mean_ensemble_kl(overflowing_bundle(tiny_vocab), sents, graphs)
 
     def test_chunks_match_the_sentence_by_sentence_mean(self):
         sents = generate_synthetic(SyntheticConfig(n_sentences=PREDICT_CHUNK + 5, seed=4))

@@ -43,28 +43,30 @@ def nounless_sentence():
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        EncoderConfig().validate()
+        EncoderConfig()
 
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError, match="dimensions"):
-            EncoderConfig(d_model=0).validate()
+            EncoderConfig(d_model=0)
+        with pytest.raises(ValueError, match="dimensions"):
+            dataclasses.replace(EncoderConfig(), d_model=0, leaky_slope=-5.0)
 
     def test_rejects_negative_layers(self):
         with pytest.raises(ValueError, match="layer counts"):
-            EncoderConfig(n_gat_layers=-1).validate()
+            EncoderConfig(n_gat_layers=-1)
 
     def test_rejects_short_position_table(self):
         with pytest.raises(ValueError, match="max_positions"):
-            EncoderConfig(max_tokens=50, max_positions=51).validate()
+            EncoderConfig(max_tokens=50, max_positions=51)
 
     @pytest.mark.parametrize("slope", [float("nan"), float("inf"), float("-inf"), -0.01, 1.0])
     def test_rejects_leaky_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match=rf"leaky_slope must lie in \[0, 1\), got {slope!r}"):
-            EncoderConfig(leaky_slope=slope).validate()
+            EncoderConfig(leaky_slope=slope)
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 0.999])
     def test_accepts_leaky_slope_in_unit_interval(self, slope):
-        EncoderConfig(leaky_slope=slope).validate()
+        EncoderConfig(leaky_slope=slope)
 
 
 class TestTokenEncoder:

@@ -149,6 +149,18 @@ ABLATIONS = [GraphOptions(), GraphOptions(no_dependency=True), GraphOptions(no_p
              GraphOptions(no_subsentence_nodes=True)]
 
 
+class TestGraphOptions:
+    def test_rejects_negative_top_k_deprels(self):
+        # The options refuse -1 when built, and so when replaced, so build_graph
+        # never sees a k whose [:-1] ranking drops the rarest relation.
+        for make in (lambda: GraphOptions(top_k_deprels=-1),
+                     lambda: replace(GraphOptions(), top_k_deprels=-1)):
+            with pytest.raises(ValueError,
+                               match=r"^GraphOptions: top_k_deprels must be non-negative, "
+                                     r"got -1$"):
+                make()
+
+
 class TestEdgeLabelIndex:
     def test_dense_ids_cover_all_labels(self, small_vocab):
         index = edge_label_index(small_vocab, top_k=8)
